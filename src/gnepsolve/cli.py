@@ -1,7 +1,9 @@
 """Benchmark command line: solve, bench, trace, validate.
 
 Exit codes partition outcomes: 0 converged (and, for ``validate``, within
-thresholds), 1 validation failure, 2 nonconvergence, 3 usage or I/O error.
+thresholds), 1 validation failure, 2 nonconvergence (any other solver
+status, including ``inner-failure`` and ``oracle-failure``), 3 usage or I/O
+error (argparse usage errors included).
 Result documents and CSV outputs are byte-deterministic for a fixed seed
 and configuration; bench wall-clock times are zeroed unless ``--wall-time``
 is given so that repeated invocations produce identical bytes.
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import library
-from .core import GameInstance, IterateState, PlayerDualState
+from .core import GameInstance, IterateState, OracleFailure, PlayerDualState
 from .diagnostics import diagnose
 from .solver import GammaPolicy, SigmaSchedule, SolverConfig, solve
 
@@ -34,6 +36,14 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = _USAGE_ERROR):
         super().__init__(message)
         self.code = code
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors with the usage-error exit code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +117,22 @@ def _load_game(args) -> tuple[GameInstance, dict]:
             raise CliError(f"unknown problem {args.problem!r}")
         return game, {"kind": "builtin", "name": args.problem, "seed": args.seed}
     path = Path(args.load)
-    if not path.exists():
+    return _load_instance_file(path), {"kind": "file", "path": str(path)}
+
+
+# What reading a qgnep/1 file can raise: I/O errors, FormatError and
+# AdmissibilityError (both ValueError), and the lookups and conversions of a
+# document whose fields have the wrong JSON type.
+_LOAD_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError)
+
+
+def _load_instance_file(path: Path) -> GameInstance:
+    if not path.is_file():
         raise CliError(f"cannot read instance file {path}")
     try:
-        game = library.load_quadratic(path)
-    except (library.FormatError, Exception) as exc:
+        return library.load_quadratic(path)
+    except _LOAD_ERRORS as exc:
         raise CliError(f"failed to load {path}: {exc}")
-    return game, {"kind": "file", "path": str(path)}
 
 
 def _parse_x0(spec: str, n: int) -> np.ndarray:
@@ -211,17 +230,18 @@ def _write_text(path: str | None, text: str):
 
 
 def cmd_solve(args) -> int:
-    if args.format not in ("json", "text"):
-        raise CliError(f"--format {args.format!r} is not supported for solve")
     game, ref = _load_game(args)
     cfg = _build_config(args)
     x0 = _parse_x0(args.x0, game.n)
     result = solve(game, x0, cfg)
     report = None
     if not args.skip_diagnostics:
-        report = diagnose(game, result.state, cfg.penalty(game.num_players),
-                          with_best_response=not args.skip_best_response,
-                          br_budget=args.br_budget)
+        try:
+            report = diagnose(game, result.state, cfg.penalty(game.num_players),
+                              with_best_response=not args.skip_best_response,
+                              br_budget=args.br_budget)
+        except OracleFailure as exc:   # the final state is where an oracle failed
+            print(f"diagnostics skipped: {exc}", file=sys.stderr)
     doc = _result_document(ref, args, result, game, report)
     payload = json.dumps(doc, sort_keys=True, indent=1)
     if args.out:
@@ -235,14 +255,12 @@ def cmd_solve(args) -> int:
         print(f"problem: {game.name}")
         print(f"status: {result.status}   outer: {result.outer_iterations}   "
               f"inner: {result.total_inner_iterations}   residual: {result.final_residual:.3e}")
+        if result.message:
+            print(f"message: {result.message}")
         print("solution:", np.array2string(x, precision=6, max_line_width=100))
         if report is not None:
             print(f"worst residual (kkt/gap): {report.worst():.3e}")
-    if result.status == "converged":
-        return 0
-    if result.status in ("max_outer", "stalled-stationary"):
-        return _NONCONVERGED
-    return _USAGE_ERROR
+    return 0 if result.status == "converged" else _NONCONVERGED
 
 
 def cmd_trace(args) -> int:
@@ -370,7 +388,9 @@ def cmd_validate(args) -> int:
         except KeyError:
             raise CliError(f"unknown problem {ref.get('name')!r}")
     elif ref.get("kind") == "file":
-        game = library.load_quadratic(ref["path"])
+        if not isinstance(ref.get("path"), str):
+            raise CliError(f"{path}: file problem reference has no path")
+        game = _load_instance_file(Path(ref["path"]))
     else:
         raise CliError(f"{path}: unsupported problem reference {ref!r}")
 
@@ -393,7 +413,10 @@ def cmd_validate(args) -> int:
     penalty = PenaltyParams.uniform(game.num_players,
                                     float(cfg.get("alpha", 10.0)),
                                     float(cfg.get("beta", 1.0)))
-    report = diagnose(game, state, penalty, br_budget=args.br_budget)
+    try:
+        report = diagnose(game, state, penalty, br_budget=args.br_budget)
+    except OracleFailure as exc:
+        raise CliError(f"{path}: an oracle fails at the solution: {exc}", _VALIDATION_ERROR)
     print(f"stationarity:     {max(report.stationarity):.3e}")
     print(f"complementarity:  {max(report.complementarity):.3e}")
     print(f"feasibility:      {max(report.feasibility):.3e}")
@@ -413,8 +436,8 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gnepsolve",
-                                 description="Equilibrium solver benchmark harness")
+    ap = _ArgumentParser(prog="gnepsolve",
+                         description="Equilibrium solver benchmark harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve one instance and write a result document")
@@ -422,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_options(ps)
     ps.add_argument("--trace", help="also write the per-iteration trace CSV here")
     ps.add_argument("--out", help="write the result document (JSON) here")
-    ps.add_argument("--format", default="text", choices=["json", "text", "csv"])
+    ps.add_argument("--format", default="text", choices=["json", "text"])
     ps.add_argument("--skip-diagnostics", action="store_true")
     ps.add_argument("--skip-best-response", action="store_true")
     ps.add_argument("--br-budget", type=int, default=400_000)

@@ -14,6 +14,7 @@ the runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +48,8 @@ class BlockLayout:
     """Partition of the joint vector into per-player blocks.
 
     ``dims[i]`` is the dimension of player ``i``'s block; ``offsets[i]`` its
-    starting index. ``n`` is the total dimension.
+    starting index and ``slices[i]`` its slice. ``n`` is the total dimension.
+    Offsets and slices are computed once per layout.
     """
 
     dims: tuple[int, ...]
@@ -62,13 +64,17 @@ class BlockLayout:
     def n(self) -> int:
         return sum(self.dims)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         out, acc = [], 0
         for d in self.dims:
             out.append(acc)
             acc += d
         return tuple(out)
+
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        return tuple(slice(start, start + d) for start, d in zip(self.offsets, self.dims))
 
     @property
     def num_blocks(self) -> int:
@@ -77,8 +83,7 @@ class BlockLayout:
     def block_slice(self, i: int) -> slice:
         if not 0 <= i < len(self.dims):
             raise IndexError(f"player index {i} out of range for {len(self.dims)} blocks")
-        start = self.offsets[i]
-        return slice(start, start + self.dims[i])
+        return self.slices[i]
 
     def get_block(self, x: Array, i: int) -> Array:
         """Extract player ``i``'s block of ``x``."""
@@ -278,6 +283,12 @@ class PlayerProblem:
             self.m == 0 or self.constraint_hessians is not None
         )
 
+    @cached_property
+    def constant_jacobian(self) -> bool:
+        """The constraint Jacobian does not depend on ``x``: a quadratic player
+        whose constraint Hessians are all zero (affine constraints)."""
+        return self.is_quadratic and not np.any(self.constraint_hessians)
+
 
 @dataclass(frozen=True)
 class GameInstance:
@@ -308,12 +319,36 @@ class GameInstance:
     def total_constraints(self) -> int:
         return sum(p.m for p in self.players)
 
-    def project_private(self, x: Array) -> Array:
-        """Project each player's block onto its private set."""
-        out = np.array(x, dtype=float, copy=True)
+    @cached_property
+    def _clip_bounds(self) -> tuple[Array, Array, tuple[int, ...]]:
+        """Stacked bounds of the box and nonneg blocks (other blocks unbounded)
+        and the indices of the simplex and ball blocks."""
+        lower = np.full(self.n, -np.inf)
+        upper = np.full(self.n, np.inf)
+        rest = []
         for i, p in enumerate(self.players):
-            sl = self.layout.block_slice(i)
-            out[sl] = p.private_set.project(out[sl])
+            s, sl = p.private_set, self.layout.slices[i]
+            if s.kind == "box":
+                lower[sl], upper[sl] = s.lower, s.upper
+            elif s.kind == "nonneg":
+                lower[sl] = 0.0
+            else:
+                rest.append(i)
+        return lower, upper, tuple(rest)
+
+    def project_private(self, x: Array) -> Array:
+        """Project each player's block onto its private set.
+
+        Box and nonneg blocks are projected by one clip over stacked bounds,
+        bit for bit what :meth:`SimpleSet.project` gives block by block;
+        simplex and ball blocks are projected one at a time.
+        """
+        x = np.asarray(x, dtype=float)
+        lower, upper, rest = self._clip_bounds
+        out = np.clip(x, lower, upper)
+        for i in rest:
+            sl = self.layout.slices[i]
+            out[sl] = self.players[i].private_set.project(x[sl])
         return out
 
     def feasibility_violation(self, x: Array) -> float:

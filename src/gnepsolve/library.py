@@ -109,11 +109,21 @@ class QuadraticGnepSpec:
             def gradient(x, Q=Q, b=b):
                 return Q @ x + b
 
-            def constraints(x, A=A, C=C, D=D):
-                return 0.5 * np.einsum("i,mij,j->m", x, A, x) + C @ x + D
+            if np.any(A):
+                def constraints(x, A=A, C=C, D=D):
+                    return 0.5 * np.einsum("i,mij,j->m", x, A, x) + C @ x + D
 
-            def constraint_jacobian(x, A=A, C=C):
-                return np.einsum("mij,j->mi", A, x) + C
+                def constraint_jacobian(x, A=A, C=C):
+                    return np.einsum("mij,j->mi", A, x) + C
+            else:
+                # Affine constraints. For finite x the zero quadratic terms
+                # above are +0.0 exactly; adding 0.0 keeps their one effect,
+                # turning a -0.0 into +0.0, so both forms agree bit for bit.
+                def constraints(x, C=C, D=D):
+                    return C @ x + 0.0 + D
+
+                def constraint_jacobian(x, C=C):
+                    return C + 0.0
 
             players.append(PlayerProblem(
                 objective=objective,

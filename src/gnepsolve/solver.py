@@ -21,6 +21,7 @@ claims about the dynamics can be asserted (or falsified) on real runs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -71,11 +72,10 @@ __all__ = [
 class InnerLoopError(RuntimeError):
     """Inner gradient projection ran out of iterations with a large residual."""
 
-    def __init__(self, message: str, iterations: int, residual: float, trace=None):
+    def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
-        self.trace = trace
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +490,6 @@ def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
 # ---------------------------------------------------------------------------
 
 
-def _sigma_by_coord(game: GameInstance, sigma: Array) -> Array:
-    out = np.zeros(game.n)
-    for i in range(game.num_players):
-        out[game.layout.block_slice(i)] = sigma[i]
-    return out
-
-
 def inner_step(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstance) -> Array:
     """One synchronous Jacobi sweep: every block steps from the same ``u``.
 
@@ -504,13 +497,8 @@ def inner_step(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstan
     gradient plus ``gamma_nu (u_nu - y_nu)``) and projects onto its private
     set. Deterministic: identical inputs produce identical output bits.
     """
-    grad = anchor.own_model_grad(u)
-    v = u - _sigma_by_coord(game, np.asarray(sigma, dtype=float)) * grad
-    out = np.empty_like(v)
-    for i, p in enumerate(game.players):
-        sl = game.layout.block_slice(i)
-        out[sl] = p.private_set.project(v[sl])
-    return out
+    step = np.repeat(np.asarray(sigma, dtype=float), game.layout.dims)
+    return game.project_private(u - step * anchor.own_model_grad(u))
 
 
 def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstance) -> float:
@@ -593,8 +581,12 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
     while iters < cfg.max_inner:
         u_next = inner_step(u_cur, anchor, sig, game)
         iters += 1
-        r = float(np.linalg.norm(u_next - u_cur))
-        dx2 = float(np.linalg.norm(u_cur - x_k))
+        # math.sqrt(d @ d) is what np.linalg.norm computes for a 1-D float
+        # vector, without its per-call overhead.
+        d = u_next - u_cur
+        r = math.sqrt(d @ d)
+        d = u_cur - x_k
+        dx2 = math.sqrt(d @ d)
         eps_eff = cfg.inner_eps
         if cfg.inner_rel is not None:
             eps_eff = min(eps_eff, cfg.inner_rel * (1.0 - tau) * dx2)
@@ -744,14 +736,24 @@ class SolveResult:
     message: str = ""
 
 
-def _jac_norms(point: PointEval, game: GameInstance, seed: int = 1) -> tuple[Array, Array]:
+def _jac_norms(point: PointEval, game: GameInstance, fixed: dict[int, tuple[float, float]],
+               seed: int = 1) -> tuple[Array, Array]:
+    """Spectral norms of each player's constraint Jacobian and of its own-block
+    columns. Norms of a constant Jacobian are computed once and kept in
+    ``fixed`` (player -> norms) for the rest of the run."""
     full = np.zeros(game.num_players)
     own = np.zeros(game.num_players)
     for i, p in enumerate(game.players):
-        if p.m:
+        if not p.m:
+            continue
+        norms = fixed.get(i)
+        if norms is None:
             sl = game.layout.block_slice(i)
-            full[i] = spectral_norm(point.g_jacobians[i], seed=seed)
-            own[i] = spectral_norm(point.g_jacobians[i][:, sl], seed=seed)
+            norms = (spectral_norm(point.g_jacobians[i], seed=seed),
+                     spectral_norm(point.g_jacobians[i][:, sl], seed=seed))
+            if p.constant_jacobian:
+                fixed[i] = norms
+        full[i], own[i] = norms
     return full, own
 
 
@@ -764,14 +766,16 @@ def _projected_gradient_pieces(game: GameInstance, point: PointEval,
     qlam = np.zeros(N)
     qz = np.zeros(N)
     qmu = np.zeros(N)
+    grad_own = np.empty(game.n)
+    for i, p in enumerate(game.players):
+        sl = game.layout.block_slice(i)
+        grad_own[sl] = point.theta_grads[i][sl]
+        if p.m:
+            grad_own[sl] += point.g_jacobians[i][:, sl].T @ duals[i].lam
+    x_step = point.x - game.project_private(point.x - grad_own)
     for i, p in enumerate(game.players):
         d = duals[i]
-        sl = game.layout.block_slice(i)
-        grad_own = point.theta_grads[i][sl]
-        if p.m:
-            grad_own = grad_own + point.g_jacobians[i][:, sl].T @ d.lam
-        block = point.x[sl]
-        qx[i] = float(np.linalg.norm(block - p.private_set.project(block - grad_own)))
+        qx[i] = float(np.linalg.norm(x_step[game.layout.block_slice(i)]))
         if p.m:
             grad_lam = point.g_values[i] - d.z - penalty.beta[i] * (d.lam - d.mu)
             qlam[i] = float(np.linalg.norm(d.lam - np.maximum(d.lam + grad_lam, 0.0)))
@@ -816,8 +820,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     when the stopping residual drops below ``outer_tol``, ``max_outer`` at the
     iteration cap, ``stalled-stationary`` when the primal blocks are pinned at
     a fixed point while the multipliers keep drifting (no finite-multiplier
-    stationary point nearby), and ``oracle-failure`` when an oracle returns a
-    non-finite value mid-run.
+    stationary point nearby), ``oracle-failure`` when an oracle returns a
+    non-finite value mid-run, and ``inner-failure`` when the inner sweeps
+    exhaust ``max_inner`` far from their fixed point. A failed run keeps the
+    trace and the state of the last completed iteration.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -834,7 +840,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, 0, np.inf, message=str(exc))
 
-    jac_full0, jac_own0 = _jac_norms(point, game)
+    fixed_norms: dict[int, tuple[float, float]] = {}
+    jac_full0, jac_own0 = _jac_norms(point, game, fixed_norms)
     trace = SolveTrace(
         initial_L=_lagrangian_values_at(point, state.duals, penalty, game),
         initial_feas=_feasibility(point),
@@ -871,12 +878,12 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             status, message = "oracle-failure", str(exc)
             break
         except InnerLoopError as exc:
-            exc.trace = trace
-            raise
+            status, message = "inner-failure", str(exc)
+            break
 
         residual = stopping_residual(state, next_state, game)
         qx, qz, qlam, qmu = _projected_gradient_pieces(game, next_point, duals_new, penalty)
-        jac_full_next, jac_own_next = _jac_norms(next_point, game)
+        jac_full_next, jac_own_next = _jac_norms(next_point, game, fixed_norms)
         dlam_2 = np.array([
             float(np.linalg.norm(duals_new[i].lam - state.duals[i].lam))
             for i in range(game.num_players)

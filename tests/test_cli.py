@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gnepsolve import library
+from gnepsolve.core import BlockLayout, SimpleSet
 from gnepsolve.cli import main
 
 
@@ -71,6 +72,54 @@ def test_solve_nonconvergence_exit_code(capsys):
                          "--x0", "const:0", "--max-outer", "3",
                          "--sigma-decay", "0", "--skip-diagnostics")
     assert code == 2
+
+
+def test_solve_inner_failure_exit_code(tmp_path, capsys):
+    out = tmp_path / "inner.json"
+    code, stdout, stderr = run_cli(capsys, "solve", "--problem", "example3",
+                                   "--max-inner", "2", "--inner-eps", "1e-14",
+                                   "--skip-diagnostics", "--out", str(out))
+    assert code == 2
+    assert "status: inner-failure" in stdout
+    assert "Traceback" not in stderr
+    assert json.loads(out.read_text())["status"] == "inner-failure"
+
+
+def test_solve_oracle_failure_exit_code(tmp_path, capsys):
+    # x0 = 1e200 overflows the objective at the start; the diagnostics, which
+    # evaluate the oracles at that state too, are skipped with a note
+    spec = library.QuadraticGnepSpec(BlockLayout((1,)), [library.QuadraticPlayerSpec(
+        np.eye(1), np.zeros(1), SimpleSet.free(1))], "overflow")
+    path = tmp_path / "overflow.json"
+    library.save_quadratic(spec, path)
+    doc = tmp_path / "overflow-result.json"
+    with np.errstate(over="ignore"):
+        code, stdout, stderr = run_cli(capsys, "solve", "--load", str(path),
+                                       "--x0", "const:1e200", "--out", str(doc))
+        assert code == 2
+        assert "status: oracle-failure" in stdout
+        assert "diagnostics skipped" in stderr
+        # the document holds that state, which validate reports as a failure
+        code, _, stderr = run_cli(capsys, "validate", str(doc))
+    assert code == 1
+    assert "oracle fails" in stderr
+
+
+def test_solve_malformed_instance_file(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, stderr = run_cli(capsys, "solve", "--load", str(path))
+    assert code == 3
+    assert stderr.startswith("error: failed to load")
+
+
+@pytest.mark.parametrize("argv", [["solve", "--problem", "example3", "--format", "csv"],
+                                  ["solve", "--problem", "example3", "--no-such-flag"],
+                                  ["frobnicate"]])
+def test_argparse_usage_errors_exit_3(capsys, argv):
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 3
+    assert "error:" in stderr
 
 
 def test_result_documents_byte_deterministic(tmp_path, capsys):
@@ -234,6 +283,18 @@ def test_validate_rejects_negative_multiplier(ex3_result_doc, tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "validate", str(bad))
     assert code == 3
     assert "negative multiplier" in stderr
+
+
+@pytest.mark.parametrize("ref", [{"kind": "file", "path": "/nonexistent/game.json"},
+                                 {"kind": "file"}, {"kind": "file", "path": 5}])
+def test_validate_missing_instance_file(ex3_result_doc, tmp_path, capsys, ref):
+    doc = json.loads(ex3_result_doc.read_text())
+    doc["problem"] = ref
+    bad = tmp_path / "file-ref.json"
+    bad.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(capsys, "validate", str(bad))
+    assert code == 3
+    assert stderr.startswith("error:")
 
 
 def test_validate_unreadable_input(capsys):

@@ -125,6 +125,22 @@ def test_block_set_then_get_round_trip(dims, seed):
                 np.testing.assert_array_equal(layout.get_block(y, j), layout.get_block(x, j))
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+def test_block_offsets_and_slices(dims):
+    layout = BlockLayout(tuple(dims))
+    assert layout.offsets == tuple(sum(dims[:i]) for i in range(len(dims)))
+    assert layout.slices == tuple(slice(sum(dims[:i]), sum(dims[:i + 1]))
+                                  for i in range(len(dims)))
+    x = np.arange(float(layout.n))
+    np.testing.assert_array_equal(np.concatenate([x[sl] for sl in layout.slices]), x)
+    for i in range(len(dims)):
+        assert layout.block_slice(i) == layout.slices[i]
+    for bad in (-1, len(dims)):
+        with pytest.raises(IndexError):
+            layout.block_slice(bad)
+
+
 def test_block_index_out_of_range():
     layout = BlockLayout((2, 1))
     with pytest.raises(IndexError):
@@ -181,3 +197,45 @@ def test_oracle_determinism_bitwise():
         assert p.objective(x) == p.objective(x)
         np.testing.assert_array_equal(p.gradient(x), p.gradient(x))
         np.testing.assert_array_equal(p.constraints(x), p.constraints(x))
+
+
+# ---------------------------------------------------------------------------
+# joint projection
+# ---------------------------------------------------------------------------
+
+_EDGE_VALUES = [-np.inf, -1.5, -0.0, 0.0, 0.5, np.inf]
+_BOUNDS = st.sampled_from(_EDGE_VALUES) | st.floats(-5.0, 5.0)
+_COORDS = st.sampled_from([-0.0, 0.0]) | st.floats(-50.0, 50.0)
+
+
+@st.composite
+def _private_sets(draw):
+    kind = draw(st.sampled_from(("box", "nonneg", "simplex", "ball")))
+    dim = draw(st.integers(1, 4))
+    if kind == "box":
+        a = draw(st.lists(_BOUNDS, min_size=dim, max_size=dim))
+        b = draw(st.lists(_BOUNDS, min_size=dim, max_size=dim))
+        return SimpleSet.box(np.minimum(a, b), np.maximum(a, b))
+    if kind == "ball":
+        return SimpleSet.ball(dim, draw(st.floats(0.1, 3.0)))
+    return SimpleSet(kind, dim)
+
+
+def _set_only_game(sets):
+    def player(s):
+        return PlayerProblem(objective=lambda x: 0.0, gradient=np.zeros_like,
+                             constraints=lambda x: np.zeros(0),
+                             constraint_jacobian=lambda x: np.zeros((0, x.shape[0])),
+                             private_set=s, m=0)
+    return GameInstance(tuple(player(s) for s in sets),
+                        BlockLayout(tuple(s.dim for s in sets)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_private_sets(), min_size=1, max_size=6), st.data())
+def test_project_private_matches_blockwise_projection(sets, data):
+    # bit for bit, signed zeros included, against SimpleSet.project per block
+    game = _set_only_game(sets)
+    x = np.array(data.draw(st.lists(_COORDS, min_size=game.n, max_size=game.n)))
+    ref = np.concatenate([s.project(x[sl]) for s, sl in zip(sets, game.layout.slices)])
+    assert game.project_private(x).tobytes() == ref.tobytes()

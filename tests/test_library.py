@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gnepsolve as G
 from gnepsolve import library
@@ -343,3 +344,63 @@ def test_builtin_registry():
         x = game.project_private(x)
         for p1, p2 in zip(game.players, again.players):
             assert p1.objective(x) == p2.objective(x)
+
+
+# ---------------------------------------------------------------------------
+# affine closures of zero-Hessian players
+# ---------------------------------------------------------------------------
+
+
+def _einsum_form(A, C, D, x):
+    """The general quadratic oracles, evaluated as for a player with curvature."""
+    return (0.5 * np.einsum("i,mij,j->m", x, A, x) + C @ x + D,
+            np.einsum("mij,j->mi", A, x) + C)
+
+
+_SIGNED = st.sampled_from([-0.0, 0.0]) | st.floats(-10.0, 10.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_affine_closures_match_einsum_form(n, m, data):
+    # signed zeros in c, d and x: a changed sign bit fails the byte comparison
+    C = np.array(data.draw(st.lists(st.lists(_SIGNED, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    D = np.array(data.draw(st.lists(_SIGNED, min_size=m, max_size=m)))
+    x = np.array(data.draw(st.lists(_SIGNED, min_size=n, max_size=n)))
+    A = np.zeros((m, n, n))
+    spec = library.QuadraticGnepSpec(G.BlockLayout((n,)), [library.QuadraticPlayerSpec(
+        np.eye(n), np.zeros(n), G.SimpleSet.free(n),
+        [(A[j], C[j], float(D[j])) for j in range(m)])])
+    p = spec.to_game().players[0]
+    assert p.constant_jacobian
+    g_ref, J_ref = _einsum_form(A, C, D, x)
+    assert p.constraints(x).tobytes() == g_ref.tobytes()
+    assert p.constraint_jacobian(x).tobytes() == J_ref.tobytes()
+
+
+def test_generator_closures_match_einsum_form():
+    rng = np.random.default_rng(9)
+    specs = [library.a18_spec(), library.random_quadratic_spec(3, 2, 2, seed=4)[0],
+             library.example3_spec()]
+    for spec in specs:
+        game = spec.to_game()
+        for ps, p in zip(spec.players, game.players):
+            A = np.array([a for a, _, _ in ps.constraints])
+            C = np.array([c for _, c, _ in ps.constraints])
+            D = np.array([d for _, _, d in ps.constraints])
+            assert p.constant_jacobian == (not np.any(A))
+            for _ in range(5):
+                x = rng.standard_normal(game.n) * 3.0
+                g_ref, J_ref = _einsum_form(A, C, D, x)
+                assert p.constraints(x).tobytes() == g_ref.tobytes()
+                assert p.constraint_jacobian(x).tobytes() == J_ref.tobytes()
+
+
+def test_constant_jacobian_only_for_affine_quadratic_players():
+    assert all(p.constant_jacobian for p in library.make_a18_electricity().players)
+    assert not any(p.constant_jacobian for p in library.make_example3().players)
+    assert not any(p.constant_jacobian for p in library.builtin_instance("power").players)
+    ad = library.gen_arrow_debreu(2, 1, 2)
+    # consumers (budget) and firms (ball) are curved; the price player has m == 0
+    assert [p.constant_jacobian for p in ad.players] == [False, False, False, True]

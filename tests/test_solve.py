@@ -52,6 +52,37 @@ def test_oracle_failure_status():
     assert "non-finite" in res.message
 
 
+def test_inner_failure_is_a_status(ex3_game):
+    # an inner budget of two sweeps at a 1e-14 threshold cannot be met; the
+    # run stops with the trace and the state of its last completed iteration
+    res = G.solve(ex3_game, np.zeros(2), G.SolverConfig(max_inner=2, inner_eps=1e-14))
+    assert res.status == "inner-failure"
+    assert "inner projection" in res.message
+    assert res.outer_iterations == len(res.trace.rows) == res.state.outer_k
+    assert res.total_inner_iterations == sum(r.inner_iters for r in res.trace.rows)
+    assert np.all(np.isfinite(res.state.x))
+
+
+def test_fixed_jacobian_norms_match_fresh_norms():
+    # affine players compute their Jacobian norms once per run; every trace
+    # row must carry exactly the bits a fresh computation gives
+    game, plant = G.library.gen_random_quadratic_with_plant(3, 2, 2, seed=4)
+    assert all(p.constant_jacobian for p in game.players)
+    res = G.solve(game, plant, fast_config(max_outer=200))
+    assert len(res.trace.rows) > 10
+    for x in (plant, res.state.x):
+        full = np.array([G.solver.spectral_norm(p.constraint_jacobian(x), seed=1)
+                         for p in game.players])
+        own = np.array([G.solver.spectral_norm(p.constraint_jacobian(x)[:, sl], seed=1)
+                        for p, sl in zip(game.players, game.layout.slices)])
+        for norms, fresh in ((res.trace.initial_jac_norm, full),
+                             (res.trace.initial_jac_own_norm, own)):
+            assert norms.tobytes() == fresh.tobytes()
+        for r in res.trace.rows:
+            assert r.jac_norm.tobytes() == full.tobytes()
+            assert r.jac_own_norm.tobytes() == own.tobytes()
+
+
 def shared_constraint_game():
     """Two quadratic players coupled by the same affine budget row."""
     layout = BlockLayout((1, 1))
