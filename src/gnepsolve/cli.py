@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,20 +68,6 @@ def _add_solver_options(p: argparse.ArgumentParser):
     p.add_argument("--max-outer", type=int, default=5000)
     p.add_argument("--max-inner", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _parse_threads(value: str | None) -> int:
-    if value is None:
-        value = os.environ.get("GNEP_THREADS", "1")
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise CliError(f"invalid thread count {value!r}") from exc
-    if n < 1:
-        raise CliError("thread count must be >= 1")
-    return n
 
 
 def _build_config(args) -> SolverConfig:
@@ -349,13 +333,7 @@ def bench_text_table(rows: list[dict]) -> str:
 
 
 def cmd_bench(args) -> int:
-    rows_spec = _bench_rows(args)
-    threads = _parse_threads(args.threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda rw: _run_bench_row(rw[0], rw[1], args), rows_spec))
-    else:
-        rows = [_run_bench_row(name, x0spec, args) for name, x0spec in rows_spec]
+    rows = [_run_bench_row(name, x0spec, args) for name, x0spec in _bench_rows(args)]
     csv_text = "\n".join(bench_csv_lines(rows, args.wall_time)) + "\n"
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -371,6 +349,16 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _numeric_vector(value, length: int, what: str) -> np.ndarray:
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (length,):
+        raise CliError(f"{what} must be a numeric vector of length {length}")
+    return vec
+
+
 def cmd_validate(args) -> int:
     path = Path(args.result)
     if not path.exists():
@@ -379,14 +367,16 @@ def cmd_validate(args) -> int:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: not a valid result document: {exc.msg}")
-    if doc.get("version") != RESULT_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != RESULT_VERSION:
         raise CliError(f"{path}: field 'version' must be {RESULT_VERSION!r}")
-    ref = doc.get("problem", {})
+    ref = doc.get("problem")
+    if not isinstance(ref, dict):
+        raise CliError(f"{path}: unsupported problem reference {ref!r}")
     if ref.get("kind") == "builtin":
         try:
             game = library.builtin_instance(ref["name"], seed=int(ref.get("seed", 0)))
-        except KeyError:
-            raise CliError(f"unknown problem {ref.get('name')!r}")
+        except (KeyError, TypeError, ValueError):
+            raise CliError(f"{path}: unknown problem reference {ref!r}")
     elif ref.get("kind") == "file":
         if not isinstance(ref.get("path"), str):
             raise CliError(f"{path}: file problem reference has no path")
@@ -394,25 +384,29 @@ def cmd_validate(args) -> int:
     else:
         raise CliError(f"{path}: unsupported problem reference {ref!r}")
 
-    x = np.asarray(doc.get("solution", []), dtype=float)
-    if x.shape != (game.n,):
-        raise CliError(f"{path}: solution has length {x.shape[0]}, expected {game.n}")
-    duals = []
-    for i, d in enumerate(doc.get("duals", [])):
-        lam = np.asarray(d["lambda"], dtype=float)
-        if np.any(lam < 0):
-            raise CliError(f"{path}: player {i} has a negative multiplier", _USAGE_ERROR)
-        duals.append(PlayerDualState(np.asarray(d["z"], dtype=float), lam,
-                                     np.asarray(d["mu"], dtype=float)))
-    if len(duals) != game.num_players:
+    x = _numeric_vector(doc.get("solution"), game.n, f"{path}: field 'solution'")
+    blocks = doc.get("duals")
+    if not isinstance(blocks, list) or len(blocks) != game.num_players:
         raise CliError(f"{path}: expected {game.num_players} dual blocks")
+    duals = []
+    for i, (d, p) in enumerate(zip(blocks, game.players)):
+        if not isinstance(d, dict):
+            raise CliError(f"{path}: player {i} dual block must be an object")
+        z, lam, mu = (_numeric_vector(d.get(key), p.m, f"{path}: player {i} field {key!r}")
+                      for key in ("z", "lambda", "mu"))
+        if np.any(lam < 0):
+            raise CliError(f"{path}: player {i} has a negative multiplier")
+        duals.append(PlayerDualState(z, lam, mu))
     state = IterateState(x, duals)
 
     cfg = doc.get("config", {})
     from .lagrangian import PenaltyParams
-    penalty = PenaltyParams.uniform(game.num_players,
-                                    float(cfg.get("alpha", 10.0)),
-                                    float(cfg.get("beta", 1.0)))
+    try:
+        penalty = PenaltyParams.uniform(game.num_players,
+                                        float(cfg.get("alpha", 10.0)),
+                                        float(cfg.get("beta", 1.0)))
+    except (AttributeError, TypeError, ValueError):
+        raise CliError(f"{path}: config fields 'alpha' and 'beta' must be positive numbers")
     try:
         report = diagnose(game, state, penalty, br_budget=args.br_budget)
     except OracleFailure as exc:
@@ -457,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_options(pb)
     _add_solver_options(pb)
     pb.add_argument("--out", help="CSV output path (default: stdout)")
-    pb.add_argument("--threads", default=None, help="row parallelism: n or 'auto'")
     pb.add_argument("--wall-time", action="store_true",
                     help="record measured times (breaks byte determinism)")
     pb.set_defaults(func=cmd_bench)

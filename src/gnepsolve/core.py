@@ -353,11 +353,14 @@ class GameInstance:
 
     def feasibility_violation(self, x: Array) -> float:
         """Largest positive constraint value over all players; 0 if feasible."""
-        worst = 0.0
-        for p in self.players:
-            if p.m:
-                worst = max(worst, float(np.max(np.maximum(p.constraints(x), 0.0), initial=0.0)))
-        return worst
+        return constraint_violation([p.constraints(x) for p in self.players if p.m])
+
+
+def constraint_violation(g_values: Sequence[Array]) -> float:
+    """Largest positive entry of the constraint value blocks ``g_values``;
+    0 when every constraint holds. A NaN entry propagates."""
+    return float(np.max([np.max(np.maximum(g, 0.0), initial=0.0) for g in g_values],
+                        initial=0.0))
 
 
 @dataclass

@@ -13,8 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, GameInstance, IterateState
-from .lagrangian import PenaltyParams, PointEval, evaluate_point
+from .core import Array, GameInstance, IterateState, PlayerDualState, constraint_violation
+from .lagrangian import (
+    PenaltyParams,
+    PointEval,
+    evaluate_point,
+    lagrangian_from_values,
+    projected_gradient_parts,
+)
 
 __all__ = [
     "kkt_residual",
@@ -40,26 +46,10 @@ def kkt_residual(game: GameInstance, x: Array, lams: list[Array]) -> list[tuple[
     projection along the own-block Lagrangian gradient; complementarity is
     ``max_i |lam_i g_i|``; feasibility is ``max_i max(g_i, 0)``.
     """
-    out = []
-    for i, p in enumerate(game.players):
-        if np.any(lams[i] < 0):
+    for i, lam in enumerate(lams):
+        if np.any(lam < 0):
             raise ValueError(f"player {i}: lam must be nonnegative")
-        sl = game.layout.block_slice(i)
-        grad_own = np.asarray(p.gradient(x), dtype=float)[sl]
-        if p.m:
-            g = np.asarray(p.constraints(x), dtype=float)
-            J = np.asarray(p.constraint_jacobian(x), dtype=float)
-            grad_own = grad_own + J[:, sl].T @ lams[i]
-            comp = float(np.max(np.abs(lams[i] * g), initial=0.0))
-            feas = float(np.max(np.maximum(g, 0.0), initial=0.0))
-        else:
-            comp = 0.0
-            feas = 0.0
-        block = x[sl]
-        stat = float(np.max(np.abs(block - p.private_set.project(block - grad_own)),
-                            initial=0.0))
-        out.append((stat, comp, feas))
-    return out
+    return [_single_kkt(game, i, x, lams[i]) for i in range(game.num_players)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,8 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
 
 
 def _single_kkt(game: GameInstance, player: int, x: Array, lam: Array,
-                relax: Array | None = None):
+                relax: Array | None = None) -> tuple[float, float, float]:
+    """One player's KKT triple; ``relax`` shifts the constraints to ``g - relax``."""
     p = game.players[player]
     sl = game.layout.block_slice(player)
     grad_own = np.asarray(p.gradient(x), dtype=float)[sl]
@@ -210,7 +201,7 @@ def _single_kkt(game: GameInstance, player: int, x: Array, lam: Array,
         J = np.asarray(p.constraint_jacobian(x), dtype=float)
         grad_own = grad_own + J[:, sl].T @ lam
         comp = float(np.max(np.abs(lam * g), initial=0.0))
-        feas = float(np.max(np.maximum(g, 0.0), initial=0.0))
+        feas = constraint_violation([g])
     block = x[sl]
     stat = float(np.max(np.abs(block - p.private_set.project(block - grad_own)), initial=0.0))
     return stat, comp, feas
@@ -250,16 +241,9 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
     gvals = [np.asarray(p.constraints(x), dtype=float) if p.m else np.zeros(0)
              for p in game.players]
 
-    def value_at_duals(i: int, lam: Array, mu: Array, z: Array) -> float:
-        d = lam - mu
-        return (theta[i] + float(lam @ (gvals[i] - z)) + float(mu @ z)
-                + 0.5 * penalty.alpha[i] * float(z @ z)
-                - 0.5 * penalty.beta[i] * float(d @ d))
-
-    center = [
-        value_at_duals(i, state.duals[i].lam, state.duals[i].mu, state.duals[i].z)
-        for i in range(game.num_players)
-    ]
+    alpha, beta = penalty.alpha, penalty.beta
+    center = [lagrangian_from_values(theta[i], gvals[i], d, alpha[i], beta[i])
+              for i, d in enumerate(state.duals)]
 
     violations = 0
     for _ in range(samples):
@@ -269,7 +253,8 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
                 hi = 2.0 * max(1.0, float(np.max(np.abs(d.lam), initial=0.0)))
                 lam_s = rng.uniform(0.0, hi, p.m)
                 mu_s = d.mu + rng.uniform(-1.0, 1.0, p.m)
-                left = value_at_duals(i, lam_s, mu_s, d.z)
+                left = lagrangian_from_values(theta[i], gvals[i], PlayerDualState(d.z, lam_s, mu_s),
+                                              alpha[i], beta[i])
                 if left > center[i] + slack:
                     violations += 1
             sl = game.layout.block_slice(i)
@@ -278,11 +263,8 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
             xdev[sl] = dev
             z_dev = d.z + 0.5 * rng.standard_normal(p.m) if p.m else d.z
             g_dev = np.asarray(p.constraints(xdev), dtype=float) if p.m else np.zeros(0)
-            diff = d.lam - d.mu
-            right = (float(p.objective(xdev)) + float(d.lam @ (g_dev - z_dev))
-                     + float(d.mu @ z_dev)
-                     + 0.5 * penalty.alpha[i] * float(z_dev @ z_dev)
-                     - 0.5 * penalty.beta[i] * float(diff @ diff))
+            right = lagrangian_from_values(float(p.objective(xdev)), g_dev,
+                                           PlayerDualState(z_dev, d.lam, d.mu), alpha[i], beta[i])
             if right < center[i] - slack:
                 violations += 1
     return violations
@@ -296,34 +278,14 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
 def projected_gradient_blocks(game: GameInstance, state: IterateState,
                               penalty: PenaltyParams,
                               point: PointEval | None = None) -> list[dict]:
-    """Norms of the four projected-gradient blocks per player.
-
-    The x-block is the projected own-gradient step residual, the z-block is
-    ``mu - lam + alpha z``, the lam-block the projected dual step residual,
-    and the mu-block ``z + beta (lam - mu)``. Right after the exact dual
-    steps the z and mu blocks vanish identically.
-    """
+    """Norms of the four projected-gradient blocks per player (see
+    :func:`~gnepsolve.lagrangian.projected_gradient_parts`) and their sum."""
     if point is None:
         point = evaluate_point(game, state.x)
-    out = []
-    for i, p in enumerate(game.players):
-        d = state.duals[i]
-        sl = game.layout.block_slice(i)
-        grad_own = point.theta_grads[i][sl]
-        if p.m:
-            grad_own = grad_own + point.g_jacobians[i][:, sl].T @ d.lam
-        block = point.x[sl]
-        qx = float(np.linalg.norm(block - p.private_set.project(block - grad_own)))
-        if p.m:
-            grad_lam = point.g_values[i] - d.z - penalty.beta[i] * (d.lam - d.mu)
-            qlam = float(np.linalg.norm(d.lam - np.maximum(d.lam + grad_lam, 0.0)))
-            qz = float(np.linalg.norm(d.mu - d.lam + penalty.alpha[i] * d.z))
-            qmu = float(np.linalg.norm(d.z + penalty.beta[i] * (d.lam - d.mu)))
-        else:
-            qlam = qz = qmu = 0.0
-        out.append({"qx": qx, "qz": qz, "qlam": qlam, "qmu": qmu,
-                    "total": qx + qz + qlam + qmu})
-    return out
+    parts = projected_gradient_parts(game, point, state.duals, penalty)
+    return [{"qx": float(qx), "qz": float(qz), "qlam": float(qlam), "qmu": float(qmu),
+             "total": float(qx + qz + qlam + qmu)}
+            for qx, qz, qlam, qmu in zip(*parts)]
 
 
 def projected_gradient_norm(game: GameInstance, state: IterateState,

@@ -31,12 +31,15 @@ from .core import Array, GameInstance, OracleFailure, PlayerDualState
 
 __all__ = [
     "PenaltyParams",
+    "lagrangian_from_values",
     "lagrangian_value",
+    "lagrangian_values",
     "lagrangian_value_reduced",
     "lagrangian_grad_x",
     "QuadraticAnchor",
     "PointEval",
     "evaluate_point",
+    "projected_gradient_parts",
     "build_anchor",
 ]
 
@@ -62,39 +65,48 @@ def _check_finite(value, player: int, what: str):
         raise OracleFailure(f"player {player}: non-finite {what}", player=player)
 
 
-def lagrangian_value(
-    game: GameInstance, player: int, x: Array, dual: PlayerDualState, penalty: PenaltyParams
-) -> float:
-    """Evaluate player ``player``'s regularized Lagrangian at ``(x, dual)``."""
-    if np.any(dual.lam < 0):
+def lagrangian_from_values(theta: float, g: Array, dual: PlayerDualState,
+                           alpha: float, beta: float) -> float:
+    """Player's regularized Lagrangian from its objective value ``theta`` and
+    constraint values ``g``: the one implementation of the formula above.
+    A player without constraints (``g`` empty) gets ``theta`` unchanged."""
+    val = theta
+    if g.size:
+        diff = dual.lam - dual.mu
+        val += float(dual.lam @ (g - dual.z)) + float(dual.mu @ dual.z)
+        val += 0.5 * alpha * float(dual.z @ dual.z)
+        val -= 0.5 * beta * float(diff @ diff)
+    return val
+
+
+def _checked_values(game: GameInstance, player: int, x: Array, lam: Array) -> tuple[float, Array]:
+    """Objective and constraint values of one player at ``x``, checked finite."""
+    if np.any(lam < 0):
         raise ValueError("lam must be nonnegative")
     p = game.players[player]
     theta = float(p.objective(x))
     _check_finite(theta, player, "objective value")
-    val = theta
+    g = np.zeros(0)
     if p.m:
         g = np.asarray(p.constraints(x), dtype=float)
         _check_finite(g, player, "constraint value")
-        diff = dual.lam - dual.mu
-        val += float(dual.lam @ (g - dual.z)) + float(dual.mu @ dual.z)
-        val += 0.5 * penalty.alpha[player] * float(dual.z @ dual.z)
-        val -= 0.5 * penalty.beta[player] * float(diff @ diff)
-    return val
+    return theta, g
+
+
+def lagrangian_value(
+    game: GameInstance, player: int, x: Array, dual: PlayerDualState, penalty: PenaltyParams
+) -> float:
+    """Evaluate player ``player``'s regularized Lagrangian at ``(x, dual)``."""
+    theta, g = _checked_values(game, player, x, dual.lam)
+    return lagrangian_from_values(theta, g, dual, penalty.alpha[player], penalty.beta[player])
 
 
 def lagrangian_value_reduced(
     game: GameInstance, player: int, x: Array, lam: Array, mu: Array, penalty: PenaltyParams
 ) -> float:
     """Evaluate the reduced form obtained by exact minimization over ``z``."""
-    if np.any(lam < 0):
-        raise ValueError("lam must be nonnegative")
-    p = game.players[player]
-    theta = float(p.objective(x))
-    _check_finite(theta, player, "objective value")
-    val = theta
-    if p.m:
-        g = np.asarray(p.constraints(x), dtype=float)
-        _check_finite(g, player, "constraint value")
+    val, g = _checked_values(game, player, x, lam)
+    if g.size:
         a, b = penalty.alpha[player], penalty.beta[player]
         diff = lam - mu
         val += float(lam @ g) - (1.0 + a * b) / (2.0 * a) * float(diff @ diff)
@@ -156,6 +168,50 @@ def evaluate_point(game: GameInstance, x: Array) -> PointEval:
     return PointEval(np.array(x, copy=True), theta, grads, gvals, jacs)
 
 
+def lagrangian_values(point: PointEval, duals: list[PlayerDualState],
+                      penalty: PenaltyParams) -> Array:
+    """Every player's regularized Lagrangian at ``point`` and ``duals``."""
+    return np.array([
+        lagrangian_from_values(point.theta[i], point.g_values[i], d,
+                               penalty.alpha[i], penalty.beta[i])
+        for i, d in enumerate(duals)
+    ])
+
+
+def projected_gradient_parts(game: GameInstance, point: PointEval,
+                             duals: list[PlayerDualState],
+                             penalty: PenaltyParams) -> tuple[Array, Array, Array, Array]:
+    """Per-player norms ``(qx, qz, qlam, qmu)`` of the four projected-gradient
+    blocks of the regularized Lagrangian at ``point`` and ``duals``.
+
+    The x-block is the projected own-gradient step residual, the z-block is
+    ``mu - lam + alpha z``, the lam-block the projected dual step residual,
+    and the mu-block ``z + beta (lam - mu)``. Right after the exact dual
+    steps the z and mu blocks vanish identically.
+    """
+    N = game.num_players
+    qx = np.zeros(N)
+    qlam = np.zeros(N)
+    qz = np.zeros(N)
+    qmu = np.zeros(N)
+    grad_own = np.empty(game.n)
+    for i, p in enumerate(game.players):
+        sl = game.layout.block_slice(i)
+        grad_own[sl] = point.theta_grads[i][sl]
+        if p.m:
+            grad_own[sl] += point.g_jacobians[i][:, sl].T @ duals[i].lam
+    x_step = point.x - game.project_private(point.x - grad_own)
+    for i, p in enumerate(game.players):
+        d = duals[i]
+        qx[i] = float(np.linalg.norm(x_step[game.layout.block_slice(i)]))
+        if p.m:
+            grad_lam = point.g_values[i] - d.z - penalty.beta[i] * (d.lam - d.mu)
+            qlam[i] = float(np.linalg.norm(d.lam - np.maximum(d.lam + grad_lam, 0.0)))
+            qz[i] = float(np.linalg.norm(d.mu - d.lam + penalty.alpha[i] * d.z))
+            qmu[i] = float(np.linalg.norm(d.z + penalty.beta[i] * (d.lam - d.mu)))
+    return qx, qz, qlam, qmu
+
+
 # ---------------------------------------------------------------------------
 # Quadratic surrogate anchored at the current outer iterate
 # ---------------------------------------------------------------------------
@@ -184,8 +240,8 @@ class QuadraticAnchor:
     own_grad: Array          # (n,) player-own blocks of grads, stacked
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
     point: PointEval         # raw oracle sweep at y
-    lams: list[Array]        # multipliers frozen into the anchor
-    dual_terms: Array        # (N,) x-independent part of each L_nu at the duals
+    duals: list[PlayerDualState]  # dual states frozen into the anchor
+    penalty: PenaltyParams
     grad_norms: Array        # (N,) Euclidean norms of grads
 
     def model_value(self, player: int, x: Array) -> float:
@@ -195,10 +251,6 @@ class QuadraticAnchor:
             + self.grads[player] @ d
             + 0.5 * self.gamma[player] * (d @ d)
         )
-
-    def model_grad_block(self, player: int, u: Array, layout) -> Array:
-        sl = layout.block_slice(player)
-        return self.grads[player][sl] + self.gamma[player] * (u[sl] - self.y[sl])
 
     def own_model_grad(self, u: Array) -> Array:
         """Stacked own-block model gradients of all players at ``u``."""
@@ -221,31 +273,18 @@ def build_anchor(
 ) -> QuadraticAnchor:
     """Assemble the surrogate anchor from a completed oracle sweep."""
     n = game.n
-    N = game.num_players
-    values = np.zeros(N)
-    dual_terms = np.zeros(N)
     grads: list[Array] = []
-    lams: list[Array] = []
     own_grad = np.zeros(n)
     gamma_by_coord = np.zeros(n)
     for i, p in enumerate(game.players):
-        d = duals[i]
-        val = point.theta[i]
         grad = point.theta_grads[i]
         if p.m:
-            diff = d.lam - d.mu
-            const = (-float(d.lam @ d.z) + float(d.mu @ d.z)
-                     + 0.5 * penalty.alpha[i] * float(d.z @ d.z)
-                     - 0.5 * penalty.beta[i] * float(diff @ diff))
-            val += const + float(d.lam @ point.g_values[i])
-            dual_terms[i] = const
-            grad = grad + point.g_jacobians[i].T @ d.lam
-        values[i] = val
+            grad = grad + point.g_jacobians[i].T @ duals[i].lam
         grads.append(grad)
-        lams.append(d.lam.copy())
         sl = game.layout.block_slice(i)
         own_grad[sl] = grad[sl]
         gamma_by_coord[sl] = gamma[i]
     grad_norms = np.array([float(np.linalg.norm(g)) for g in grads])
-    return QuadraticAnchor(point.x, values, grads, np.asarray(gamma, dtype=float),
-                           own_grad, gamma_by_coord, point, lams, dual_terms, grad_norms)
+    return QuadraticAnchor(point.x, lagrangian_values(point, duals, penalty), grads,
+                           np.asarray(gamma, dtype=float), own_grad, gamma_by_coord, point,
+                           list(duals), penalty, grad_norms)

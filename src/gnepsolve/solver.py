@@ -33,6 +33,7 @@ from .core import (
     IterateState,
     OracleFailure,
     PlayerDualState,
+    constraint_violation,
     initial_state,
 )
 from .lagrangian import (
@@ -41,6 +42,9 @@ from .lagrangian import (
     QuadraticAnchor,
     build_anchor,
     evaluate_point,
+    lagrangian_from_values,
+    lagrangian_values,
+    projected_gradient_parts,
 )
 
 __all__ = [
@@ -304,12 +308,8 @@ class LipschitzEstimator:
         return self.game.project_private(raw)
 
     def _resample(self, x: Array):
-        if not all(self._quad):
-            needed = True
-        else:
-            needed = False
         self._box_center, self._box_halfwidth = self._box(x)
-        if not needed:
+        if all(self._quad):
             self._sampled = {}
             return
         game = self.game
@@ -376,20 +376,18 @@ class LipschitzEstimator:
         M_g_own = np.zeros(N)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         for i, p in enumerate(game.players):
+            if jac_norms is not None:
+                jn = float(jac_norms[i])
+            else:
+                jn = spectral_norm(p.constraint_jacobian(x)) if p.m else 0.0
             if self._quad[i]:
                 q = self._quad_norms[i]
                 L_theta[i] = q["H"]
                 gg = q["A"].copy()
-                if jac_norms is not None:
-                    jn = float(jac_norms[i])
-                else:
-                    jn = spectral_norm(p.constraint_jacobian(x)) if p.m else 0.0
                 L_gfun[i] = jn + q["jac_growth"] * margin
             else:
                 L_theta[i] = self._sampled["L_theta"][i]
                 gg = self._sampled["grad_g_lip"][i].copy()
-                jn = float(jac_norms[i]) if jac_norms is not None else (
-                    spectral_norm(p.constraint_jacobian(x)) if p.m else 0.0)
                 L_gfun[i] = self.inflation * max(jn, self._sampled["jac_max"][i])
             grad_g_lip.append(gg)
             L[i] = L_theta[i] + float(gg @ lams[i]) if p.m else L_theta[i]
@@ -514,10 +512,6 @@ class InnerResult:
     residual: float
     exit_kind: str = "descent"   # descent | true | forced | stall
 
-    @property
-    def forced(self) -> bool:
-        return self.exit_kind == "forced"
-
 
 def _exit_descent_ok(game: GameInstance, anchor: QuadraticAnchor, u: Array,
                      slack_bound: Array | None = None) -> tuple[str, bool]:
@@ -545,12 +539,12 @@ def _exit_descent_ok(game: GameInstance, anchor: QuadraticAnchor, u: Array,
         for i in need_true:
             if margins[i] <= slack_bound[i]:
                 return "undecided", False
+    alpha, beta = anchor.penalty.alpha, anchor.penalty.beta
     for i in need_true:
         p = game.players[i]
-        val = float(p.objective(u))
-        if p.m:
-            g = np.asarray(p.constraints(u), dtype=float)
-            val += anchor.dual_terms[i] + float(anchor.lams[i] @ g)
+        theta = float(p.objective(u))
+        g = np.asarray(p.constraints(u), dtype=float) if p.m else np.zeros(0)
+        val = lagrangian_from_values(theta, g, anchor.duals[i], alpha[i], beta[i])
         if not val <= anchor.values[i]:
             return "forced", True
     return "true", True
@@ -653,16 +647,18 @@ def step_duals(x_next: Array, duals: list[PlayerDualState], penalty: PenaltyPara
     return out
 
 
+def _max_moves(prev: IterateState, next_state: IterateState) -> tuple[float, float]:
+    """Max-norm moves of the joint primal point and of all multipliers."""
+    dx = float(np.max(np.abs(next_state.x - prev.x), initial=0.0))
+    dl = float(max((np.max(np.abs(b.lam - a.lam), initial=0.0)
+                    for a, b in zip(prev.duals, next_state.duals)), default=0.0))
+    return dx, dl
+
+
 def stopping_residual(prev: IterateState, next_state: IterateState,
                       game: GameInstance) -> float:
-    """Max over players of the larger of the block and multiplier max-norm moves."""
-    worst = 0.0
-    for i in range(game.num_players):
-        sl = game.layout.block_slice(i)
-        dx = float(np.max(np.abs(next_state.x[sl] - prev.x[sl]), initial=0.0))
-        dl = float(np.max(np.abs(next_state.duals[i].lam - prev.duals[i].lam), initial=0.0))
-        worst = max(worst, dx, dl)
-    return worst
+    """The larger of the primal and the multiplier max-norm moves."""
+    return max(_max_moves(prev, next_state))
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +712,6 @@ class SolveTrace:
     rows: list[TraceRow] = field(default_factory=list)
     violations: dict[str, list[str]] = field(default_factory=dict)
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
     @property
     def outer_iterations(self) -> int:
         return len(self.rows)
@@ -757,56 +750,6 @@ def _jac_norms(point: PointEval, game: GameInstance, fixed: dict[int, tuple[floa
     return full, own
 
 
-def _projected_gradient_pieces(game: GameInstance, point: PointEval,
-                               duals: list[PlayerDualState],
-                               penalty: PenaltyParams) -> tuple[Array, Array, Array, Array]:
-    """Norms of the four projected-gradient blocks at a post-step state."""
-    N = game.num_players
-    qx = np.zeros(N)
-    qlam = np.zeros(N)
-    qz = np.zeros(N)
-    qmu = np.zeros(N)
-    grad_own = np.empty(game.n)
-    for i, p in enumerate(game.players):
-        sl = game.layout.block_slice(i)
-        grad_own[sl] = point.theta_grads[i][sl]
-        if p.m:
-            grad_own[sl] += point.g_jacobians[i][:, sl].T @ duals[i].lam
-    x_step = point.x - game.project_private(point.x - grad_own)
-    for i, p in enumerate(game.players):
-        d = duals[i]
-        qx[i] = float(np.linalg.norm(x_step[game.layout.block_slice(i)]))
-        if p.m:
-            grad_lam = point.g_values[i] - d.z - penalty.beta[i] * (d.lam - d.mu)
-            qlam[i] = float(np.linalg.norm(d.lam - np.maximum(d.lam + grad_lam, 0.0)))
-            qz[i] = float(np.linalg.norm(d.mu - d.lam + penalty.alpha[i] * d.z))
-            qmu[i] = float(np.linalg.norm(d.z + penalty.beta[i] * (d.lam - d.mu)))
-    return qx, qz, qlam, qmu
-
-
-def _lagrangian_values_at(point: PointEval, duals: list[PlayerDualState],
-                          penalty: PenaltyParams, game: GameInstance) -> Array:
-    vals = np.zeros(game.num_players)
-    for i, p in enumerate(game.players):
-        d = duals[i]
-        v = point.theta[i]
-        if p.m:
-            diff = d.lam - d.mu
-            v += float(d.lam @ (point.g_values[i] - d.z)) + float(d.mu @ d.z)
-            v += 0.5 * penalty.alpha[i] * float(d.z @ d.z)
-            v -= 0.5 * penalty.beta[i] * float(diff @ diff)
-        vals[i] = v
-    return vals
-
-
-def _feasibility(point: PointEval) -> float:
-    worst = 0.0
-    for g in point.g_values:
-        if g.size:
-            worst = max(worst, float(np.max(np.maximum(g, 0.0))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Outer loop
 # ---------------------------------------------------------------------------
@@ -843,8 +786,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     fixed_norms: dict[int, tuple[float, float]] = {}
     jac_full0, jac_own0 = _jac_norms(point, game, fixed_norms)
     trace = SolveTrace(
-        initial_L=_lagrangian_values_at(point, state.duals, penalty, game),
-        initial_feas=_feasibility(point),
+        initial_L=lagrangian_values(point, state.duals, penalty),
+        initial_feas=constraint_violation(point.g_values),
         initial_jac_norm=jac_full0,
         initial_jac_own_norm=jac_own0,
         initial_lam_norm2=np.array([float(np.linalg.norm(d.lam)) for d in state.duals]),
@@ -881,8 +824,9 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             status, message = "inner-failure", str(exc)
             break
 
-        residual = stopping_residual(state, next_state, game)
-        qx, qz, qlam, qmu = _projected_gradient_pieces(game, next_point, duals_new, penalty)
+        dx_inf, dlambda_inf = _max_moves(state, next_state)
+        residual = max(dx_inf, dlambda_inf)
+        qx, qz, qlam, qmu = projected_gradient_parts(game, next_point, duals_new, penalty)
         jac_full_next, jac_own_next = _jac_norms(next_point, game, fixed_norms)
         dlam_2 = np.array([
             float(np.linalg.norm(duals_new[i].lam - state.duals[i].lam))
@@ -890,16 +834,14 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         ])
         trace.rows.append(TraceRow(
             k=k + 1,
-            L_values=_lagrangian_values_at(next_point, duals_new, penalty, game),
-            dx_inf=float(np.max(np.abs(next_state.x - state.x), initial=0.0)),
-            dlambda_inf=float(max(
-                (np.max(np.abs(duals_new[i].lam - state.duals[i].lam), initial=0.0)
-                 for i in range(game.num_players)), default=0.0)),
-            feas=_feasibility(next_point),
+            L_values=lagrangian_values(next_point, duals_new, penalty),
+            dx_inf=dx_inf,
+            dlambda_inf=dlambda_inf,
+            feas=constraint_violation(next_point.g_values),
             inner_iters=inner.iterations,
             stalled=inner.stalled,
             exit_kind=inner.exit_kind,
-            L_x_step=_lagrangian_values_at(next_point, state.duals, penalty, game),
+            L_x_step=lagrangian_values(next_point, state.duals, penalty),
             dx_2=float(np.linalg.norm(next_state.x - state.x)),
             dlam_2=dlam_2,
             lam_norm2=np.array([float(np.linalg.norm(d.lam)) for d in duals_new]),
@@ -929,8 +871,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             status = "converged"
             break
         if inner.stalled:
-            lam_now = float(max((np.max(np.abs(d.lam), initial=0.0)
-                                 for d in state.duals), default=0.0))
+            lam_now = float(np.max(trace.rows[-1].lam_norm_inf, initial=0.0))
             if stall_streak == 0:
                 stall_start_residual = residual
                 stall_start_lam = lam_now

@@ -115,7 +115,8 @@ def test_solve_malformed_instance_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["solve", "--problem", "example3", "--format", "csv"],
                                   ["solve", "--problem", "example3", "--no-such-flag"],
-                                  ["frobnicate"]])
+                                  ["frobnicate"],
+                                  ["bench", "--run", "example3@const:0", "--threads", "2"]])
 def test_argparse_usage_errors_exit_3(capsys, argv):
     code, _, stderr = run_cli(capsys, *argv)
     assert code == 3
@@ -225,25 +226,6 @@ def test_x0_from_file(tmp_path, capsys):
     assert code == 0
 
 
-def test_threads_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GNEP_THREADS", "2")
-    out = tmp_path / "env.csv"
-    code, _, _ = run_cli(capsys, "bench", "--run", "example3@const:0",
-                         "--sigma-decay", "0", "--out", str(out))
-    assert code == 0
-    assert "converged" in out.read_text()
-
-
-def test_bench_parallel_rows_match_serial(tmp_path, capsys):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["bench", "--run", "example3@const:0", "--run", "example3@vec:2,1",
-            "--sigma-decay", "0"]
-    run_cli(capsys, *args, "--out", str(serial), "--threads", "1")
-    run_cli(capsys, *args, "--out", str(parallel), "--threads", "2")
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -295,6 +277,35 @@ def test_validate_missing_instance_file(ex3_result_doc, tmp_path, capsys, ref):
     code, _, stderr = run_cli(capsys, "validate", str(bad))
     assert code == 3
     assert stderr.startswith("error:")
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("where,value,names", [
+    (("duals", 1, "lambda"), [0.5, 0.5, 0.5], "player 1 field 'lambda'"),
+    (("duals", 1, "z"), "abc", "player 1 field 'z'"),
+    (("duals", 1, "lambda"), _DELETE, "player 1 field 'lambda'"),
+    (("solution",), [1.0], "field 'solution'"),
+    (("config", "alpha"), "abc", "'alpha'"),
+    (("problem",), "example3", "problem reference"),
+    (("problem", "seed"), "x", "problem reference"),
+])
+def test_validate_malformed_fields(ex3_result_doc, tmp_path, capsys, where, value, names):
+    doc = json.loads(ex3_result_doc.read_text())
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(capsys, "validate", str(bad))
+    assert code == 3
+    assert stderr.startswith("error:")
+    assert names in stderr
 
 
 def test_validate_unreadable_input(capsys):

@@ -180,14 +180,16 @@ def make_anchor(game, x, duals, pen, gamma):
 
 
 def test_model_identity_at_anchor(pen2):
+    # the anchor's values come from the same formula as lagrangian_value, so
+    # they agree bit for bit, also off the solver's z = 0, lam = mu identities
     game = library.make_example3()
     y = np.array([0.5, -0.2])
-    duals = [dual([0.0], [1.0], [1.0]), dual([0.0], [0.5], [0.5])]
-    anchor = make_anchor(game, y, duals, pen2, np.array([3.0, 4.0]))
-    for i in range(2):
-        assert anchor.model_value(i, y) == anchor.values[i]
-        assert anchor.model_value(i, y) == pytest.approx(
-            lagrangian_value(game, i, y, duals[i], pen2), rel=1e-14)
+    for duals in ([dual([0.0], [1.0], [1.0]), dual([0.0], [0.5], [0.5])],
+                  [dual([0.3], [1.1], [0.2]), dual([-0.7], [0.4], [1.9])]):
+        anchor = make_anchor(game, y, duals, pen2, np.array([3.0, 4.0]))
+        for i in range(2):
+            assert anchor.model_value(i, y) == anchor.values[i]
+            assert anchor.values[i] == lagrangian_value(game, i, y, duals[i], pen2)
 
 
 def test_model_majorizes_near_anchor(pen2):
@@ -235,14 +237,13 @@ def test_model_block_gradient_affine_and_fd(pen2):
     layout = game.layout
     # at the anchor the proximal part vanishes
     for i in range(2):
-        np.testing.assert_allclose(
-            anchor.model_grad_block(i, y, layout),
-            anchor.grads[i][layout.block_slice(i)], atol=0)
+        sl = layout.block_slice(i)
+        np.testing.assert_allclose(anchor.own_model_grad(y)[sl], anchor.grads[i][sl], atol=0)
     rng = np.random.default_rng(1)
     u1, u2 = y + rng.standard_normal(2), y + rng.standard_normal(2)
     for i in range(2):
         sl = layout.block_slice(i)
-        diff = anchor.model_grad_block(i, u1, layout) - anchor.model_grad_block(i, u2, layout)
+        diff = anchor.own_model_grad(u1)[sl] - anchor.own_model_grad(u2)[sl]
         np.testing.assert_allclose(diff, gamma[i] * (u1[sl] - u2[sl]), rtol=1e-12)
         # finite differences of the model in the own block
         u = y + rng.standard_normal(2) * 0.5
@@ -251,7 +252,7 @@ def test_model_block_gradient_affine_and_fd(pen2):
             e = np.zeros(2)
             e[kglob] = h
             fd = (anchor.model_value(i, u + e) - anchor.model_value(i, u - e)) / (2 * h)
-            assert fd == pytest.approx(anchor.model_grad_block(i, u, layout)[kloc],
+            assert fd == pytest.approx(anchor.own_model_grad(u)[sl][kloc],
                                        rel=1e-6, abs=1e-6)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import gnepsolve as G
 from gnepsolve.core import BlockLayout, SimpleSet
+from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
 from conftest import fast_config
 
@@ -81,6 +82,37 @@ def test_fixed_jacobian_norms_match_fresh_norms():
         for r in res.trace.rows:
             assert r.jac_norm.tobytes() == full.tobytes()
             assert r.jac_own_norm.tobytes() == own.tobytes()
+
+
+def test_trace_quantities_match_their_single_implementations(a18_game):
+    # the trace's Lagrangian values, projected-gradient blocks, feasibility
+    # and stopping residual are the quantities the public functions compute,
+    # bit for bit; the state after k iterations is the state of a k-capped run
+    K = 20
+    x0 = np.zeros(a18_game.n)
+    pen = fast_config().penalty(a18_game.num_players)
+    res = G.solve(a18_game, x0, fast_config(max_outer=K))
+    assert res.status == "max_outer" and len(res.trace.rows) == K
+    states = [G.initial_state(a18_game, x0)]
+    states += [G.solve(a18_game, x0, fast_config(max_outer=k)).state for k in range(1, K)]
+    states.append(res.state)
+
+    def values(st):
+        return np.array([G.lagrangian_value(a18_game, i, st.x, d, pen)
+                         for i, d in enumerate(st.duals)])
+
+    assert res.trace.initial_L.tobytes() == values(states[0]).tobytes()
+    for row, st in zip(res.trace.rows, states[1:]):
+        assert row.L_values.tobytes() == values(st).tobytes()
+    last = res.trace.rows[-1]
+    blocks = projected_gradient_blocks(a18_game, res.state, pen)
+    for key in ("qx", "qz", "qlam", "qmu"):
+        assert getattr(last, key).tobytes() == np.array([b[key] for b in blocks]).tobytes()
+    assert np.any(last.qlam > 0)
+    kkt = kkt_residual(a18_game, res.state.x, [d.lam for d in res.state.duals])
+    assert last.feas > 0 and last.feas == max(feas for _, _, feas in kkt)
+    assert res.final_residual == G.stopping_residual(states[-2], res.state, a18_game)
+    assert res.final_residual == max(last.dx_inf, last.dlambda_inf)
 
 
 def shared_constraint_game():
