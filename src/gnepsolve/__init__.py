@@ -11,7 +11,6 @@ from .core import (
     SimpleSet,
     ValidationReport,
     initial_state,
-    project,
     validate_instance,
 )
 from .lagrangian import (

@@ -135,9 +135,10 @@ def _parse_x0(spec: str, n: int) -> np.ndarray:
         return vals
     if spec.startswith("file:"):
         path = Path(spec[5:])
-        if not path.exists():
-            raise CliError(f"cannot read x0 file {path}")
-        vals = np.array([float(v) for v in path.read_text().replace(",", " ").split()])
+        try:
+            vals = np.array([float(v) for v in path.read_text().replace(",", " ").split()])
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read x0 file {path}: {exc}")
         if vals.shape != (n,):
             raise CliError(f"x0 file has {vals.shape[0]} numbers, expected {n}")
         return vals
@@ -199,13 +200,20 @@ def trace_csv_lines(result, num_players: int) -> list[str]:
     return lines
 
 
+def _write_file(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}")
+
+
 def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(path).write_text(text)
+        _write_file(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +237,7 @@ def cmd_solve(args) -> int:
     doc = _result_document(ref, args, result, game, report)
     payload = json.dumps(doc, sort_keys=True, indent=1)
     if args.out:
-        Path(args.out).write_text(payload)
+        _write_file(args.out, payload)
     if args.trace:
         _write_text(args.trace, "\n".join(trace_csv_lines(result, game.num_players)) + "\n")
     if args.format == "json" and not args.out:
@@ -336,7 +344,7 @@ def cmd_bench(args) -> int:
     rows = [_run_bench_row(name, x0spec, args) for name, x0spec in _bench_rows(args)]
     csv_text = "\n".join(bench_csv_lines(rows, args.wall_time)) + "\n"
     if args.out:
-        Path(args.out).write_text(csv_text)
+        _write_file(args.out, csv_text)
         print(bench_text_table(rows))
     else:
         sys.stdout.write(csv_text)
@@ -361,10 +369,10 @@ def _numeric_vector(value, length: int, what: str) -> np.ndarray:
 
 def cmd_validate(args) -> int:
     path = Path(args.result)
-    if not path.exists():
-        raise CliError(f"cannot read result document {path}")
     try:
         doc = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError):
+        raise CliError(f"cannot read result document {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: not a valid result document: {exc.msg}")
     if not isinstance(doc, dict) or doc.get("version") != RESULT_VERSION:

@@ -102,9 +102,6 @@ class BlockLayout:
         out[self.block_slice(i)] = values
         return out
 
-    def split(self, x: Array) -> list[Array]:
-        return [self.get_block(x, i) for i in range(len(self.dims))]
-
 
 # ---------------------------------------------------------------------------
 # Projectable private sets
@@ -233,11 +230,6 @@ def project_simplex(v: Array) -> Array:
     rho = rho_candidates[-1]
     theta = (cssv[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def project(simple_set: SimpleSet, v: Array) -> Array:
-    """Functional form of :meth:`SimpleSet.project`."""
-    return simple_set.project(v)
 
 
 # ---------------------------------------------------------------------------

@@ -225,9 +225,9 @@ class QuadraticAnchor:
 
         Lhat_nu(x) = L_nu(y) + grad_x L_nu(y) . (x - y) + gamma_nu/2 ||x - y||^2
 
-    Values and full gradients of every ``L_nu`` at ``y`` are computed once
-    (per outer iteration) and reused by the inner loop, which holds the
-    anchor fixed. The anchor is read-only after construction.
+    The values ``L_nu(y)`` are handed in by the caller, which already holds
+    them; the full gradients are assembled once per outer iteration. The
+    inner loop holds the anchor fixed; it is read-only after construction.
 
     The model gradient is affine with slope ``gamma_nu * I``; its Lipschitz
     constant and strong-convexity modulus both equal ``gamma_nu``.
@@ -239,7 +239,6 @@ class QuadraticAnchor:
     gamma: Array             # (N,)
     own_grad: Array          # (n,) player-own blocks of grads, stacked
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
-    point: PointEval         # raw oracle sweep at y
     duals: list[PlayerDualState]  # dual states frozen into the anchor
     penalty: PenaltyParams
     grad_norms: Array        # (N,) Euclidean norms of grads
@@ -256,13 +255,6 @@ class QuadraticAnchor:
         """Stacked own-block model gradients of all players at ``u``."""
         return self.own_grad + self.gamma_by_coord * (u - self.y)
 
-    def verify(self, game: GameInstance, duals, penalty: PenaltyParams, tol: float = 1e-9):
-        """Recompute cached values and compare; raises on a stale cache."""
-        for i in range(game.num_players):
-            fresh = lagrangian_value(game, i, self.y, duals[i], penalty)
-            if abs(fresh - self.values[i]) > tol * max(1.0, abs(fresh)):
-                raise RuntimeError(f"anchor cache stale for player {i}")
-
 
 def build_anchor(
     game: GameInstance,
@@ -270,8 +262,10 @@ def build_anchor(
     penalty: PenaltyParams,
     gamma: Array,
     point: PointEval,
+    values: Array,
 ) -> QuadraticAnchor:
-    """Assemble the surrogate anchor from a completed oracle sweep."""
+    """Assemble the surrogate anchor from a completed oracle sweep and the
+    players' Lagrangian values there, ``lagrangian_values(point, duals, penalty)``."""
     n = game.n
     grads: list[Array] = []
     own_grad = np.zeros(n)
@@ -285,6 +279,5 @@ def build_anchor(
         own_grad[sl] = grad[sl]
         gamma_by_coord[sl] = gamma[i]
     grad_norms = np.array([float(np.linalg.norm(g)) for g in grads])
-    return QuadraticAnchor(point.x, lagrangian_values(point, duals, penalty), grads,
-                           np.asarray(gamma, dtype=float), own_grad, gamma_by_coord, point,
-                           list(duals), penalty, grad_norms)
+    return QuadraticAnchor(point.x, values, grads, np.asarray(gamma, dtype=float), own_grad,
+                           gamma_by_coord, list(duals), penalty, grad_norms)

@@ -151,12 +151,8 @@ class SigmaSchedule:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer/inner loop parameters.
-
-    ``inner_rel`` additionally tightens the inner exit threshold to a
-    fraction of the current step length so that the accepted block update is
-    accurate relative to how far it moved; set it to ``None`` for the plain
-    absolute threshold ``inner_eps``.
+    """Outer/inner loop parameters. ``inner_eps`` is the absolute inner exit
+    threshold, which :func:`solve_inner` tightens relative to the step length.
     """
 
     alpha: float = 10.0
@@ -168,8 +164,6 @@ class SolverConfig:
     max_outer: int = 5000
     max_inner: int = 50000
     seed: int = 0
-    inner_rel: float | None = 0.5
-    stall_patience: int = 100
 
     def __post_init__(self):
         if self.inner_eps <= 0 or self.outer_tol <= 0:
@@ -179,6 +173,16 @@ class SolverConfig:
 
     def penalty(self, num_players: int) -> PenaltyParams:
         return PenaltyParams.uniform(num_players, self.alpha, self.beta)
+
+
+# Point pairs drawn per smoothness sample of a non-quadratic player.
+_SAMPLE_PAIRS = 200
+# Bounds the inner exit threshold by this fraction of (1 - tau) times the
+# distance moved, so an accepted block update is accurate relative to its step.
+_INNER_REL = 0.5
+# Bounds the run of consecutive stalled inner exits before the outer loop
+# checks that the multiplier drift still decays or drains.
+_STALL_PATIENCE = 100
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +196,12 @@ class LipschitzEstimates:
 
     ``L`` bounds the Lipschitz constant of the full Lagrangian x-gradient at
     the current multipliers; ``L_gfun`` bounds the function Lipschitz
-    constant of the constraint map near the current iterate. ``Lhat``,
-    ``gamma_min``, ``Lhat_max``, ``sigma_hat`` and ``tau`` describe the inner
-    contraction once the proximal weights are chosen: the model gradient is
-    affine with slope ``gamma``, so ``Lhat == gamma`` exactly and
+    constant of the constraint map near the current iterate. ``sigma_hat``
+    and ``tau`` describe the inner contraction once :func:`choose_sigma` has
+    fixed the proximal weights: the model gradient is affine with slope
+    ``gamma``, so
 
-        tau = sqrt(1 - 2 gamma_min sigma_hat + sigma_hat^2 Lhat_max^2) < 1
+        tau = sqrt(1 - 2 min(gamma) sigma_hat + sigma_hat^2 max(gamma)^2) < 1
 
     whenever ``sigma_hat`` stays below the safeguard cap.
     """
@@ -206,11 +210,7 @@ class LipschitzEstimates:
     grad_g_lip: list[Array]
     L: Array
     L_gfun: Array
-    M_theta_own: Array
     M_g_own: Array
-    Lhat: Array | None = None
-    gamma_min: float = np.nan
-    Lhat_max: float = np.nan
     sigma_hat: float = np.nan
     tau: float = np.nan
     tau_block: float = np.nan   # max_nu |1 - sigma_nu gamma_nu|, the exact rate
@@ -263,11 +263,9 @@ class LipschitzEstimator:
     factor. The sample box is refreshed when the iterate leaves its core.
     """
 
-    def __init__(self, game: GameInstance, seed: int = 0, pairs: int = 200,
-                 inflation: float = 2.0):
+    def __init__(self, game: GameInstance, seed: int = 0, inflation: float = 2.0):
         self.game = game
         self.rng = np.random.default_rng(seed)
-        self.pairs = max(200, pairs)
         self.inflation = float(inflation)
         self._box_center: Array | None = None
         self._box_halfwidth: Array | None = None
@@ -314,8 +312,8 @@ class LipschitzEstimator:
             return
         game = self.game
         for attempt in range(2):
-            pts_a = [self._draw_point() for _ in range(self.pairs)]
-            pts_b = [self._draw_point() for _ in range(self.pairs)]
+            pts_a = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
+            pts_b = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
             good = [(a, b) for a, b in zip(pts_a, pts_b) if np.linalg.norm(a - b) > 1e-10]
             if good:
                 break
@@ -372,7 +370,6 @@ class LipschitzEstimator:
         grad_g_lip: list[Array] = []
         L = np.zeros(N)
         L_gfun = np.zeros(N)
-        M_theta_own = np.zeros(N)
         M_g_own = np.zeros(N)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         for i, p in enumerate(game.players):
@@ -391,15 +388,14 @@ class LipschitzEstimator:
                 L_gfun[i] = self.inflation * max(jn, self._sampled["jac_max"][i])
             grad_g_lip.append(gg)
             L[i] = L_theta[i] + float(gg @ lams[i]) if p.m else L_theta[i]
-            M_theta_own[i] = L_theta[i]
             M_g_own[i] = float(np.sqrt(np.sum(gg ** 2)))
-        return LipschitzEstimates(L_theta, grad_g_lip, L, L_gfun, M_theta_own, M_g_own)
+        return LipschitzEstimates(L_theta, grad_g_lip, L, L_gfun, M_g_own)
 
 
-def estimate_lipschitz(game: GameInstance, state: IterateState, cfg: SolverConfig,
-                       inflation: float = 2.0) -> LipschitzEstimates:
+def estimate_lipschitz(game: GameInstance, state: IterateState,
+                       cfg: SolverConfig) -> LipschitzEstimates:
     """One-shot estimation at a state (the solver reuses a cached estimator)."""
-    est = LipschitzEstimator(game, seed=cfg.seed, inflation=inflation)
+    est = LipschitzEstimator(game, seed=cfg.seed)
     return est.estimate(state.x, [d.lam for d in state.duals])
 
 
@@ -446,7 +442,7 @@ def contraction_factor(gamma_min: float, lhat_max: float, sigma_hat: float) -> f
 
 
 def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
-                 gamma: Array | None = None) -> Array:
+                 gamma: Array) -> Array:
     """Per-player step sizes from the schedule.
 
     Each block's sweep map is affine in that block alone (the cross-block
@@ -457,14 +453,10 @@ def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
     An explicit ``sigma0`` selects the single-step-size mode, clipped at the
     conservative global cap so the stacked contraction formula certifies it.
 
-    Fills the contraction fields of ``est``: ``Lhat = gamma`` (the model
-    gradient's exact Lipschitz slope), the stacked-formula ``tau``, and the
-    exact blockwise rate ``tau_block``.
+    Fills the contraction fields of ``est``: ``sigma_hat``, the
+    stacked-formula ``tau`` (``gamma`` is the model gradient's exact Lipschitz
+    slope), and the exact blockwise rate ``tau_block``.
     """
-    if gamma is None:
-        if est.Lhat is None:
-            raise ValueError("gamma not chosen yet")
-        gamma = est.Lhat
     gamma = np.asarray(gamma, dtype=float)
     gmin = float(np.min(gamma))
     gmax = float(np.max(gamma))
@@ -474,9 +466,6 @@ def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
         sigma = (0.9 * decay) / gamma
     else:
         sigma = np.full(gamma.shape[0], min(cfg.sigma.sigma0 * decay, cap))
-    est.Lhat = gamma
-    est.gamma_min = gmin
-    est.Lhat_max = gmax
     est.sigma_hat = float(np.max(sigma))
     est.tau = contraction_factor(gmin, gmax, est.sigma_hat)
     est.tau_block = float(np.max(np.abs(1.0 - sigma * gamma)))
@@ -508,8 +497,6 @@ def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameIn
 class InnerResult:
     x_next: Array
     iterations: int
-    stalled: bool
-    residual: float
     exit_kind: str = "descent"   # descent | true | forced | stall
 
 
@@ -560,8 +547,8 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
     exists; the loop then signals a stall once the iterate has collapsed
     onto the fixed point within the outer tolerance. If the fixed point is
     reached away from the anchor and some player's value genuinely rose, the
-    point is accepted with ``forced=True`` (the run record keeps the value
-    trace, so a genuine increase stays visible).
+    point is accepted with ``exit_kind="forced"`` (the run record keeps the
+    value trace, so a genuine increase stays visible).
     """
     x_k = anchor.y
     scale = 1.0 + float(np.max(np.abs(x_k), initial=0.0))
@@ -581,10 +568,7 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
         r = math.sqrt(d @ d)
         d = u_cur - x_k
         dx2 = math.sqrt(d @ d)
-        eps_eff = cfg.inner_eps
-        if cfg.inner_rel is not None:
-            eps_eff = min(eps_eff, cfg.inner_rel * (1.0 - tau) * dx2)
-        eps_eff = max(eps_eff, floor)
+        eps_eff = max(min(cfg.inner_eps, _INNER_REL * (1.0 - tau) * dx2), floor)
         if r <= eps_eff:
             # Residual bound on the remaining distance to the fixed point,
             # hence on how much each surrogate value can still change.
@@ -592,21 +576,21 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
             slack = e * (anchor.grad_norms + anchor.gamma * (dx2 + e)) + 1e-14
             verdict, final = _exit_descent_ok(game, anchor, u_cur, slack_bound=slack)
             if final:
-                return InnerResult(u_cur, iters, False, r, exit_kind=verdict)
+                return InnerResult(u_cur, iters, exit_kind=verdict)
         if r <= stall_r_tol:
             # Collapsed onto the fixed point without an acceptable exit.
             if float(np.max(np.abs(u_cur - x_k), initial=0.0)) <= cfg.outer_tol:
-                return InnerResult(u_cur, iters, True, r, exit_kind="stall")
+                return InnerResult(u_cur, iters, exit_kind="stall")
             verdict, _ = _exit_descent_ok(game, anchor, u_cur)
-            return InnerResult(u_cur, iters, False, r, exit_kind=verdict)
+            return InnerResult(u_cur, iters, exit_kind=verdict)
         u_cur = u_next
     r = inner_residual(u_cur, anchor, sig, game)
     if r <= cfg.inner_eps:
         verdict, _ = _exit_descent_ok(game, anchor, u_cur)
         if verdict != "forced":
-            return InnerResult(u_cur, iters + 1, False, r, exit_kind=verdict)
+            return InnerResult(u_cur, iters + 1, exit_kind=verdict)
         if float(np.max(np.abs(u_cur - x_k), initial=0.0)) <= cfg.outer_tol:
-            return InnerResult(u_cur, iters + 1, True, r, exit_kind="stall")
+            return InnerResult(u_cur, iters + 1, exit_kind="stall")
     raise InnerLoopError(
         f"inner projection did not reach residual {cfg.inner_eps:g} within "
         f"{cfg.max_inner} iterations (residual {r:.3e})",
@@ -676,7 +660,6 @@ class TraceRow:
     dlambda_inf: float
     feas: float
     inner_iters: int
-    stalled: bool
     exit_kind: str
     L_x_step: Array      # values at (x_new, old duals): the primal bracket
     dx_2: float
@@ -708,13 +691,8 @@ class SolveTrace:
     initial_feas: float
     initial_jac_norm: Array
     initial_jac_own_norm: Array
-    initial_lam_norm2: Array
     rows: list[TraceRow] = field(default_factory=list)
     violations: dict[str, list[str]] = field(default_factory=dict)
-
-    @property
-    def outer_iterations(self) -> int:
-        return len(self.rows)
 
 
 @dataclass
@@ -778,20 +756,19 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         point = evaluate_point(game, state.x)
     except OracleFailure as exc:
         trace = SolveTrace(np.zeros(game.num_players), np.inf,
-                           np.zeros(game.num_players), np.zeros(game.num_players),
-                           np.zeros(game.num_players))
+                           np.zeros(game.num_players), np.zeros(game.num_players))
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, 0, np.inf, message=str(exc))
 
     fixed_norms: dict[int, tuple[float, float]] = {}
-    jac_full0, jac_own0 = _jac_norms(point, game, fixed_norms)
+    jac_full, jac_own = _jac_norms(point, game, fixed_norms)
     trace = SolveTrace(
         initial_L=lagrangian_values(point, state.duals, penalty),
         initial_feas=constraint_violation(point.g_values),
-        initial_jac_norm=jac_full0,
-        initial_jac_own_norm=jac_own0,
-        initial_lam_norm2=np.array([float(np.linalg.norm(d.lam)) for d in state.duals]),
+        initial_jac_norm=jac_full,
+        initial_jac_own_norm=jac_own,
     )
+    L_values = trace.initial_L   # at ``point`` and the current duals
 
     total_inner = 0
     residual = np.inf
@@ -801,14 +778,13 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     stall_start_lam = np.inf
     message = ""
 
-    jac_full, jac_own = jac_full0, jac_own0
     for k in range(cfg.max_outer):
         try:
             est = estimator.estimate(state.x, [d.lam for d in state.duals],
                                      jac_norms=jac_full)
             gamma, gamma_warnings = choose_gamma(est, penalty, cfg.gamma)
             sigma = choose_sigma(est, cfg, k, gamma=gamma)
-            anchor = build_anchor(game, state.duals, penalty, gamma, point)
+            anchor = build_anchor(game, state.duals, penalty, gamma, point, L_values)
             inner = solve_inner(game, anchor, cfg, sigma, est.tau_block)
             total_inner += inner.iterations
 
@@ -839,7 +815,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             dlambda_inf=dlambda_inf,
             feas=constraint_violation(next_point.g_values),
             inner_iters=inner.iterations,
-            stalled=inner.stalled,
             exit_kind=inner.exit_kind,
             L_x_step=lagrangian_values(next_point, state.duals, penalty),
             dx_2=float(np.linalg.norm(next_state.x - state.x)),
@@ -854,7 +829,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             sigma_hat=est.sigma_hat,
             tau=est.tau,
             L_gfun=est.L_gfun.copy(),
-            M_theta_own=est.M_theta_own.copy(),
+            M_theta_own=est.L_theta.copy(),
             M_g_own=est.M_g_own.copy(),
             lam_mu_gap=float(max((np.max(np.abs(d.lam - d.mu), initial=0.0)
                                   for d in duals_new), default=0.0)),
@@ -863,14 +838,13 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             gamma_warnings=len(gamma_warnings),
         ))
 
-        state = next_state
-        point = next_point
-        jac_full, jac_own = jac_full_next, jac_own_next
+        state, point, L_values = next_state, next_point, trace.rows[-1].L_values
+        jac_full = jac_full_next
 
         if residual <= cfg.outer_tol:
             status = "converged"
             break
-        if inner.stalled:
+        if inner.exit_kind == "stall":
             lam_now = float(np.max(trace.rows[-1].lam_norm_inf, initial=0.0))
             if stall_streak == 0:
                 stall_start_residual = residual
@@ -880,9 +854,9 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             # productive (drift decaying, or multipliers draining back toward
             # their fixed point). A pinned primal with steadily growing
             # multipliers means no finite stationary multiplier exists nearby.
-            if stall_streak >= cfg.stall_patience:
+            if stall_streak >= _STALL_PATIENCE:
                 decaying = residual <= 0.98 * stall_start_residual
-                draining = lam_now <= stall_start_lam - 0.25 * cfg.stall_patience * cfg.outer_tol
+                draining = lam_now <= stall_start_lam - 0.25 * _STALL_PATIENCE * cfg.outer_tol
                 if not (decaying or draining):
                     status = "stalled-stationary"
                     message = ("primal blocks pinned at a fixed point while the "
@@ -949,18 +923,16 @@ def verify_run_bounds(trace: SolveTrace, game: GameInstance,
                 f"k={r.k}: lam-mu gap {r.lam_mu_gap:.3e}, max|z| {r.z_max:.3e}")
 
     jac_prev = trace.initial_jac_norm
-    lam_max = trace.initial_lam_norm2.copy()
     jac_own_max = np.maximum(trace.initial_jac_own_norm,
                              np.max(np.array([r.jac_own_norm for r in rows]), axis=0))
     jac_run_max = np.maximum(trace.initial_jac_norm,
                              np.max(np.array([r.jac_norm for r in rows]), axis=0))
     m_theta_max = np.max(np.array([r.M_theta_own for r in rows]), axis=0)
     m_g_max = np.max(np.array([r.M_g_own for r in rows]), axis=0)
-    lam_run_max = np.maximum(trace.initial_lam_norm2,
-                             np.max(np.array([r.lam_norm2 for r in rows]), axis=0))
+    # The initial multipliers are zero, and a norm is never below zero.
+    lam_run_max = np.max(np.array([r.lam_norm2 for r in rows]), axis=0)
 
-    for idx, r in enumerate(rows):
-        lam_max = np.maximum(lam_max, r.lam_norm2)
+    for r in rows:
         if r.k < 2:
             jac_prev = r.jac_norm
             continue

@@ -18,7 +18,7 @@ import gnepsolve as G
 from gnepsolve import library
 from gnepsolve.cli import trace_csv_lines
 from gnepsolve.diagnostics import best_response_gap, kkt_residual, saddle_check
-from gnepsolve.lagrangian import PenaltyParams, build_anchor, evaluate_point
+from gnepsolve.lagrangian import PenaltyParams, build_anchor, evaluate_point, lagrangian_values
 from gnepsolve.solver import (
     GammaPolicy,
     LipschitzEstimator,
@@ -204,8 +204,9 @@ def test_criterion_6_inner_contraction():
     cfg = fast_config(sigma=G.SigmaSchedule.constant(0.5 * cap))
     sigma = choose_sigma(est, cfg, 0, gamma=gamma)
     tau = est.tau
-    anchor = build_anchor(game, warm.state.duals, pen, gamma,
-                          evaluate_point(game, warm.state.x))
+    point = evaluate_point(game, warm.state.x)
+    anchor = build_anchor(game, warm.state.duals, pen, gamma, point,
+                          lagrangian_values(point, warm.state.duals, pen))
     xhat = warm.state.x.copy()
     for _ in range(100_000):
         nxt = inner_step(xhat, anchor, sigma, game)

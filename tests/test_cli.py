@@ -54,6 +54,30 @@ def test_solve_bad_x0(capsys):
     assert "x0" in stderr
 
 
+@pytest.mark.parametrize("case", ["x0-token", "x0-dir", "bench-x0", "validate-dir",
+                                  "validate-binary", "solve-out", "trace-out"])
+def test_io_errors_exit_3(tmp_path, capsys, case):
+    bad_x0 = tmp_path / "x0.txt"
+    bad_x0.write_text("1.0 abc\n")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    missing = tmp_path / "missing"
+    quick = ["--problem", "example3", "--max-outer", "3"]
+    argv = {
+        "x0-token": ["solve", *quick, "--x0", f"file:{bad_x0}"],
+        "x0-dir": ["solve", *quick, "--x0", f"file:{tmp_path}"],
+        "bench-x0": ["bench", "--run", f"example3@file:{bad_x0}", "--max-outer", "3"],
+        "validate-dir": ["validate", str(tmp_path)],
+        "validate-binary": ["validate", str(binary)],
+        "solve-out": ["solve", *quick, "--skip-diagnostics", "--out", str(missing / "r.json")],
+        "trace-out": ["trace", *quick, "--out", str(missing / "t.csv")],
+    }[case]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 3
+    assert stderr.startswith("error:")
+    assert not missing.exists()
+
+
 def test_solve_fixed_gamma_flag(capsys):
     code, _, _ = run_cli(capsys, "solve", "--problem", "example3",
                          "--x0", "const:0", "--gamma", "40",

@@ -9,7 +9,6 @@ from gnepsolve.core import (
     GameInstance,
     PlayerProblem,
     SimpleSet,
-    project,
     validate_instance,
 )
 from gnepsolve import library
@@ -22,13 +21,13 @@ from gnepsolve import library
 
 def test_box_projection_clamps():
     box = SimpleSet.box([0.0, 0.0], [1.0, np.inf])
-    np.testing.assert_array_equal(project(box, np.array([3.0, -2.0])), [1.0, 0.0])
+    np.testing.assert_array_equal(box.project(np.array([3.0, -2.0])), [1.0, 0.0])
 
 
 def test_simplex_projection_identity_on_simplex():
     s = SimpleSet.simplex(3)
     v = np.array([1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(project(s, v), v, atol=1e-15)
+    np.testing.assert_allclose(s.project(v), v, atol=1e-15)
 
 
 def brute_force_simplex_projection(v, steps=400):
@@ -46,7 +45,7 @@ def brute_force_simplex_projection(v, steps=400):
 @pytest.mark.parametrize("v", [np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])])
 def test_simplex_projection_vertex_cases(v):
     # both project to the vertex (1,0,0); cross-checked by grid search
-    got = project(SimpleSet.simplex(3), v)
+    got = SimpleSet.simplex(3).project(v)
     ref = brute_force_simplex_projection(v)
     np.testing.assert_allclose(got, [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(got, ref, atol=5e-3)
@@ -54,7 +53,7 @@ def test_simplex_projection_vertex_cases(v):
 
 def test_simplex_projection_generic_matches_grid():
     v = np.array([0.9, 0.4, -0.2])
-    got = project(SimpleSet.simplex(3), v)
+    got = SimpleSet.simplex(3).project(v)
     ref = brute_force_simplex_projection(v)
     assert abs(np.sum(got) - 1.0) <= 1e-12
     np.testing.assert_allclose(got, ref, atol=5e-3)

@@ -12,6 +12,7 @@ from gnepsolve.lagrangian import (
     lagrangian_grad_x,
     lagrangian_value,
     lagrangian_value_reduced,
+    lagrangian_values,
 )
 from gnepsolve.core import central_gradient
 from gnepsolve import library
@@ -176,7 +177,8 @@ def test_grad_matches_finite_differences(pen2):
 
 
 def make_anchor(game, x, duals, pen, gamma):
-    return build_anchor(game, duals, pen, gamma, evaluate_point(game, x))
+    point = evaluate_point(game, x)
+    return build_anchor(game, duals, pen, gamma, point, lagrangian_values(point, duals, pen))
 
 
 def test_model_identity_at_anchor(pen2):
@@ -256,12 +258,24 @@ def test_model_block_gradient_affine_and_fd(pen2):
                                        rel=1e-6, abs=1e-6)
 
 
-def test_anchor_verify_detects_stale_cache(pen2):
-    game = library.make_example3()
-    y = np.array([0.1, 0.2])
-    duals = [dual([0.0], [1.0], [1.0]), dual([0.0], [0.0], [0.0])]
-    anchor = make_anchor(game, y, duals, pen2, np.array([1.0, 1.0]))
-    anchor.verify(game, duals, pen2)
-    anchor.values[0] += 0.5
-    with pytest.raises(RuntimeError):
-        anchor.verify(game, duals, pen2)
+@pytest.mark.parametrize("make_game,x0", [
+    (library.make_a18_electricity, np.zeros(12)),
+    (lambda: library.gen_power_allocation(2, 2, 1.0, 0.3162, seed=4), np.zeros(4)),
+    (library.make_example3, np.zeros(2)),
+], ids=["a18", "power-2x2", "example3"])
+def test_solver_hands_anchor_the_values_at_its_point(monkeypatch, make_game, x0):
+    # the solver passes the Lagrangian values its trace holds for the current
+    # point and duals; they must be what a fresh evaluation there gives
+    game = make_game()
+    anchors = []
+
+    def recording_build_anchor(*args):
+        anchors.append(build_anchor(*args))
+        return anchors[-1]
+
+    monkeypatch.setattr(G.solver, "build_anchor", recording_build_anchor)
+    res = G.solve(game, x0, G.SolverConfig(max_outer=30))
+    assert len(anchors) == res.outer_iterations > 1
+    for anchor in anchors:
+        fresh = lagrangian_values(evaluate_point(game, anchor.y), anchor.duals, anchor.penalty)
+        assert anchor.values.tobytes() == fresh.tobytes()

@@ -180,6 +180,21 @@ def test_multiplier_plateau_despite_degenerate_constraints(ex3_runs):
         assert np.isfinite(lam_inf[-1])
 
 
+def test_pinned_primal_with_drifting_multipliers_ends_stalled_stationary():
+    # from the origin the first block is pinned at its box corner while the
+    # multipliers keep drifting: after 100 stalled inner exits in a row whose
+    # drift neither decays nor drains, the run gives up
+    game = G.library.builtin_instance("random-quadratic")
+    res = G.solve(game, np.zeros(game.n), G.SolverConfig())
+    kinds = [r.exit_kind for r in res.trace.rows]
+    assert res.status == "stalled-stationary"
+    assert res.outer_iterations == 309
+    assert kinds[-100:] == ["stall"] * 100
+    assert kinds[-101] != "stall"
+    assert res.message == ("primal blocks pinned at a fixed point while the "
+                           "multiplier drift is not decaying")
+
+
 def test_x0_outside_private_sets_is_projected():
     game, plant = G.library.gen_random_quadratic_with_plant(2, 2, 1, seed=9)
     res = G.solve(game, np.full(game.n, 99.0), fast_config(max_outer=4000))

@@ -5,7 +5,8 @@ import pytest
 
 import gnepsolve as G
 from gnepsolve.core import BlockLayout, GameInstance, PlayerDualState, PlayerProblem, SimpleSet, initial_state
-from gnepsolve.lagrangian import PenaltyParams, build_anchor, evaluate_point, lagrangian_value
+from gnepsolve.lagrangian import (PenaltyParams, build_anchor, evaluate_point, lagrangian_value,
+                                   lagrangian_values)
 from gnepsolve.solver import (
     GammaPolicy,
     LipschitzEstimator,
@@ -93,7 +94,7 @@ def _est(L, L_gfun):
     return LipschitzEstimates(
         L_theta=L.copy(), grad_g_lip=[np.zeros(0)] * L.shape[0], L=L.copy(),
         L_gfun=np.atleast_1d(np.asarray(L_gfun, float)),
-        M_theta_own=L.copy(), M_g_own=np.zeros(L.shape[0]))
+        M_g_own=np.zeros(L.shape[0]))
 
 
 def test_choose_gamma_constraint_free():
@@ -139,7 +140,8 @@ def test_sigma_schedule_diminishes_and_tau_below_one():
 
 
 def _anchor_for(game, x, duals, pen, gamma):
-    return build_anchor(game, duals, pen, gamma, evaluate_point(game, x))
+    point = evaluate_point(game, x)
+    return build_anchor(game, duals, pen, gamma, point, lagrangian_values(point, duals, pen))
 
 
 def test_inner_step_fixed_point_and_determinism():
@@ -196,7 +198,7 @@ def test_solve_inner_matches_projected_model_minimizer():
     result = solve_inner(game, anchor, cfg, sigma, est.tau_block)
     target = game.players[0].private_set.project(x - anchor.grads[0] / gamma[0])
     np.testing.assert_allclose(result.x_next, target, atol=1e-8)
-    assert not result.stalled
+    assert result.exit_kind != "stall"
 
 
 def test_solve_inner_budget_exhaustion_raises():
@@ -228,7 +230,7 @@ def test_solve_inner_stalls_at_stationary_anchor():
     est = _est([1.0], [0.0])
     sigma = choose_sigma(est, cfg, 0, gamma=np.array([2.0]))
     result = solve_inner(game, anchor, cfg, sigma, est.tau_block)
-    assert result.stalled
+    assert result.exit_kind == "stall"
     np.testing.assert_allclose(result.x_next, x, atol=1e-10)
 
 
