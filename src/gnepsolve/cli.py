@@ -207,6 +207,14 @@ def _write_file(path: str, text: str):
         raise CliError(f"cannot write {path}: {exc.strerror}")
 
 
+def _check_out_dirs(*paths: str | None):
+    """Fail before the run, not at the write: every output path other than
+    ``-`` (standard output) must name a file in an existing directory."""
+    for path in paths:
+        if path and path != "-" and not Path(path).parent.is_dir():
+            raise CliError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -225,6 +233,7 @@ def cmd_solve(args) -> int:
     game, ref = _load_game(args)
     cfg = _build_config(args)
     x0 = _parse_x0(args.x0, game.n)
+    _check_out_dirs(args.out, args.trace)
     result = solve(game, x0, cfg)
     report = None
     if not args.skip_diagnostics:
@@ -236,11 +245,12 @@ def cmd_solve(args) -> int:
             print(f"diagnostics skipped: {exc}", file=sys.stderr)
     doc = _result_document(ref, args, result, game, report)
     payload = json.dumps(doc, sort_keys=True, indent=1)
-    if args.out:
+    doc_to_stdout = args.out == "-" or (args.format == "json" and not args.out)
+    if args.out and not doc_to_stdout:
         _write_file(args.out, payload)
     if args.trace:
         _write_text(args.trace, "\n".join(trace_csv_lines(result, game.num_players)) + "\n")
-    if args.format == "json" and not args.out:
+    if doc_to_stdout:
         print(payload)
     else:
         x = result.state.x
@@ -259,6 +269,7 @@ def cmd_trace(args) -> int:
     game, ref = _load_game(args)
     cfg = _build_config(args)
     x0 = _parse_x0(args.x0, game.n)
+    _check_out_dirs(args.out)
     result = solve(game, x0, cfg)
     _write_text(args.out, "\n".join(trace_csv_lines(result, game.num_players)) + "\n")
     return 0 if result.status == "converged" else _NONCONVERGED
@@ -341,6 +352,7 @@ def bench_text_table(rows: list[dict]) -> str:
 
 
 def cmd_bench(args) -> int:
+    _check_out_dirs(args.out)
     rows = [_run_bench_row(name, x0spec, args) for name, x0spec in _bench_rows(args)]
     csv_text = "\n".join(bench_csv_lines(rows, args.wall_time)) + "\n"
     if args.out:
@@ -445,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve one instance and write a result document")
     _add_problem_options(ps)
     _add_solver_options(ps)
-    ps.add_argument("--trace", help="also write the per-iteration trace CSV here")
-    ps.add_argument("--out", help="write the result document (JSON) here")
+    ps.add_argument("--trace", help="also write the per-iteration trace CSV here ('-': stdout)")
+    ps.add_argument("--out", help="write the result document (JSON) here ('-': stdout)")
     ps.add_argument("--format", default="text", choices=["json", "text"])
     ps.add_argument("--skip-diagnostics", action="store_true")
     ps.add_argument("--skip-best-response", action="store_true")

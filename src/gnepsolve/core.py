@@ -13,6 +13,7 @@ the runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -351,8 +352,22 @@ class GameInstance:
 def constraint_violation(g_values: Sequence[Array]) -> float:
     """Largest positive entry of the constraint value blocks ``g_values``;
     0 when every constraint holds. A NaN entry propagates."""
-    return float(np.max([np.max(np.maximum(g, 0.0), initial=0.0) for g in g_values],
+    return float(np.max([np.maximum(g, 0.0).max(initial=0.0) for g in g_values],
                         initial=0.0))
+
+
+def vec_norm(v: Array) -> float:
+    """Euclidean norm of a 1-D float vector, bit for bit ``np.linalg.norm(v)``
+    without its per-call overhead; a strided view is copied first, as there,
+    because its dot product may round differently."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
+def max_abs(v: Array) -> float:
+    """Largest absolute entry of ``v``, 0.0 when empty: the ufunc reduction
+    that ``np.max(np.abs(v), initial=0.0)`` ends in, called directly."""
+    return float(np.maximum.reduce(np.abs(v), axis=None, initial=0.0))
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, GameInstance, IterateState, PlayerDualState, constraint_violation
+from .core import Array, GameInstance, IterateState, PlayerDualState, constraint_violation, max_abs
 from .lagrangian import (
     PenaltyParams,
     PointEval,
@@ -86,6 +86,18 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
     base = np.array(x, dtype=float, copy=True)
     relax = np.maximum(np.asarray(p.constraints(base), dtype=float), 0.0) if p.m else np.zeros(0)
 
+    # The private set's projection, bound once: box and nonneg blocks end in
+    # the same ufunc as SimpleSet.project, without its per-call dispatch.
+    pset = p.private_set
+    project = pset.project
+    if pset.kind == "box":
+        project = lambda v: v.clip(pset.lower, pset.upper)
+    elif pset.kind == "nonneg":
+        project = lambda v: np.maximum(v, 0.0)
+    # Own-block columns of a constant Jacobian, transposed, built once.
+    own_jac_t = (np.asarray(p.constraint_jacobian(base), dtype=float)[:, sl].T
+                 if p.m and p.constant_jacobian else None)
+
     def full(u: Array) -> Array:
         v = base.copy()
         v[sl] = u
@@ -94,21 +106,34 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
     def g_rel(xf: Array) -> Array:
         return np.asarray(p.constraints(xf), dtype=float) - relax
 
+    # The last point evaluated: (u, full vector, relaxed constraint values).
+    # phi_grad reuses them when it is called with the array phi just saw, as
+    # at an accepted candidate and at the start of every stage.
+    last: list = [None, None, None]
+
+    def at(u: Array) -> tuple[Array, Array | None]:
+        if last[0] is not u:
+            xf = full(u)
+            last[:] = u, xf, g_rel(xf) if p.m else None
+        return last[1], last[2]
+
     def phi(u: Array, mu: Array, rho: float) -> float:
-        xf = full(u)
+        xf, g = at(u)
         val = float(p.objective(xf))
         if p.m:
-            t = np.maximum(mu / rho + g_rel(xf), 0.0)
+            t = np.maximum(mu / rho + g, 0.0)
             val += 0.5 * rho * float(t @ t) - float(mu @ mu) / (2.0 * rho)
         return val
 
     def phi_grad(u: Array, mu: Array, rho: float) -> Array:
-        xf = full(u)
+        xf, g = at(u)
         grad = np.asarray(p.gradient(xf), dtype=float)[sl]
         if p.m:
-            lam_t = np.maximum(mu + rho * g_rel(xf), 0.0)
-            J = np.asarray(p.constraint_jacobian(xf), dtype=float)
-            grad = grad + J[:, sl].T @ lam_t
+            lam_t = np.maximum(mu + rho * g, 0.0)
+            jac_t = own_jac_t
+            if jac_t is None:
+                jac_t = np.asarray(p.constraint_jacobian(xf), dtype=float)[:, sl].T
+            grad = grad + jac_t @ lam_t
         return grad
 
     u = x[sl].copy()
@@ -129,10 +154,10 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
             moved = False
             s = step
             for _ in range(80):
-                cand = p.private_set.project(u - s * grad)
+                cand = project(u - s * grad)
                 used += 1
                 d = cand - u
-                if float(np.max(np.abs(d), initial=0.0)) == 0.0:
+                if max_abs(d) == 0.0:
                     break
                 dv = phi(cand, mu, rho)
                 if dv <= val - 1e-4 / max(s, 1e-16) * float(d @ d):
@@ -146,20 +171,20 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
                 # small steps plus momentum (no comparisons), restarting the
                 # momentum whenever it stops pointing downhill.
                 polish = 0.4 * step
-                tiny = 1e-15 * (1.0 + float(np.max(np.abs(u), initial=0.0)))
+                tiny = 1e-15 * (1.0 + max_abs(u))
                 tmom = 1.0
                 v = u.copy()
                 for _ in range(6000):
                     if used >= budget:
                         break
                     used += 1
-                    unew = p.private_set.project(v - polish * phi_grad(v, mu, rho))
+                    unew = project(v - polish * phi_grad(v, mu, rho))
                     if float((v - unew) @ (unew - u)) > 0.0:
                         tmom, v = 1.0, u.copy()
                         continue
-                    tnew = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tmom * tmom))
+                    tnew = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
                     v = unew + ((tmom - 1.0) / tnew) * (unew - u)
-                    movement = float(np.max(np.abs(unew - u), initial=0.0))
+                    movement = max_abs(unew - u)
                     u, tmom = unew, tnew
                     if movement <= tiny:
                         break
@@ -200,10 +225,10 @@ def _single_kkt(game: GameInstance, player: int, x: Array, lam: Array,
             g = g - relax
         J = np.asarray(p.constraint_jacobian(x), dtype=float)
         grad_own = grad_own + J[:, sl].T @ lam
-        comp = float(np.max(np.abs(lam * g), initial=0.0))
+        comp = max_abs(lam * g)
         feas = constraint_violation([g])
     block = x[sl]
-    stat = float(np.max(np.abs(block - p.private_set.project(block - grad_own)), initial=0.0))
+    stat = max_abs(block - p.private_set.project(block - grad_own))
     return stat, comp, feas
 
 
@@ -250,7 +275,7 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
         for i, p in enumerate(game.players):
             d = state.duals[i]
             if p.m:
-                hi = 2.0 * max(1.0, float(np.max(np.abs(d.lam), initial=0.0)))
+                hi = 2.0 * max(1.0, max_abs(d.lam))
                 lam_s = rng.uniform(0.0, hi, p.m)
                 mu_s = d.mu + rng.uniform(-1.0, 1.0, p.m)
                 left = lagrangian_from_values(theta[i], gvals[i], PlayerDualState(d.z, lam_s, mu_s),
@@ -357,7 +382,7 @@ def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
         complementarity=[t[1] for t in triples],
         feasibility=[t[2] for t in triples],
         best_response_gaps=gaps,
-        lam_norm_inf=[float(np.max(np.abs(d.lam), initial=0.0)) for d in state.duals],
+        lam_norm_inf=[max_abs(d.lam) for d in state.duals],
         projected_gradient=pg,
         projected_gradient_total=float(sum(b["total"] for b in pg)),
         notes=notes,

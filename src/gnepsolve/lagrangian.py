@@ -23,11 +23,12 @@ calls may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, GameInstance, OracleFailure, PlayerDualState
+from .core import Array, GameInstance, OracleFailure, PlayerDualState, vec_norm
 
 __all__ = [
     "PenaltyParams",
@@ -61,7 +62,7 @@ class PenaltyParams:
 
 
 def _check_finite(value, player: int, what: str):
-    if not np.all(np.isfinite(value)):
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise OracleFailure(f"player {player}: non-finite {what}", player=player)
 
 
@@ -203,12 +204,12 @@ def projected_gradient_parts(game: GameInstance, point: PointEval,
     x_step = point.x - game.project_private(point.x - grad_own)
     for i, p in enumerate(game.players):
         d = duals[i]
-        qx[i] = float(np.linalg.norm(x_step[game.layout.block_slice(i)]))
+        qx[i] = vec_norm(x_step[game.layout.slices[i]])
         if p.m:
             grad_lam = point.g_values[i] - d.z - penalty.beta[i] * (d.lam - d.mu)
-            qlam[i] = float(np.linalg.norm(d.lam - np.maximum(d.lam + grad_lam, 0.0)))
-            qz[i] = float(np.linalg.norm(d.mu - d.lam + penalty.alpha[i] * d.z))
-            qmu[i] = float(np.linalg.norm(d.z + penalty.beta[i] * (d.lam - d.mu)))
+            qlam[i] = vec_norm(d.lam - np.maximum(d.lam + grad_lam, 0.0))
+            qz[i] = vec_norm(d.mu - d.lam + penalty.alpha[i] * d.z)
+            qmu[i] = vec_norm(d.z + penalty.beta[i] * (d.lam - d.mu))
     return qx, qz, qlam, qmu
 
 
@@ -278,6 +279,6 @@ def build_anchor(
         sl = game.layout.block_slice(i)
         own_grad[sl] = grad[sl]
         gamma_by_coord[sl] = gamma[i]
-    grad_norms = np.array([float(np.linalg.norm(g)) for g in grads])
+    grad_norms = np.array([vec_norm(g) for g in grads])
     return QuadraticAnchor(point.x, values, grads, np.asarray(gamma, dtype=float), own_grad,
                            gamma_by_coord, list(duals), penalty, grad_norms)

@@ -21,7 +21,6 @@ claims about the dynamics can be asserted (or falsified) on real runs.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +34,8 @@ from .core import (
     PlayerDualState,
     constraint_violation,
     initial_state,
+    max_abs,
+    vec_norm,
 )
 from .lagrangian import (
     PenaltyParams,
@@ -216,49 +217,24 @@ class LipschitzEstimates:
     tau_block: float = np.nan   # max_nu |1 - sigma_nu gamma_nu|, the exact rate
 
 
-def spectral_norm(mat: Array, tol: float = 1e-8, seed: int = 0, max_iter: int = 20000) -> float:
-    """Largest singular value via the Gram matrix.
-
-    Small matrices use the exact symmetric eigendecomposition (clustered top
-    eigenvalues make plain power iteration arbitrarily slow); larger ones use
-    power iteration to the requested relative tolerance.
-    """
+def spectral_norm(mat: Array) -> float:
+    """Largest singular value, from the exact symmetric eigendecomposition of
+    the smaller Gram matrix (clustered top eigenvalues make power iteration
+    arbitrarily slow)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0 or not np.any(mat):
         return 0.0
     work = mat if mat.shape[0] <= mat.shape[1] else mat.T
     gram = work @ work.T
-    if gram.shape[0] <= 600:
-        return float(np.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram))))))
-    return power_iteration_norm(gram, tol=tol, seed=seed, max_iter=max_iter)
-
-
-def power_iteration_norm(gram: Array, tol: float = 1e-8, seed: int = 0,
-                         max_iter: int = 20000) -> float:
-    """Square root of the dominant eigenvalue of a PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - last) <= tol * max(nw, 1e-30):
-            last = nw
-            break
-        last = nw
-    return float(np.sqrt(last))
+    return float(np.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram))))))
 
 
 class LipschitzEstimator:
     """Smoothness estimation with a quadratic fast path.
 
-    Players carrying constant Hessians get exact spectral-norm constants
-    (power iteration). Otherwise constants come from sampled difference
-    quotients ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded point
+    Players carrying constant Hessians get exact spectral-norm constants.
+    Otherwise constants come from sampled difference quotients
+    ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded point
     pairs drawn in a box around the current iterate, inflated by a safety
     factor. The sample box is refreshed when the iterate leaves its core.
     """
@@ -276,10 +252,9 @@ class LipschitzEstimator:
             if not self._quad[i]:
                 self._quad_norms.append(None)
                 continue
-            h_norm = spectral_norm(p.objective_hessian, seed=seed + 7 * i)
+            h_norm = spectral_norm(p.objective_hessian)
             a_norms = np.array(
-                [spectral_norm(p.constraint_hessians[j], seed=seed + 13 * i + j)
-                 for j in range(p.m)]
+                [spectral_norm(p.constraint_hessians[j]) for j in range(p.m)]
             ) if p.m else np.zeros(0)
             # Jacobian-growth bound over a box: ||dJ||_F <= sqrt(sum_j
             # ||A_j||^2 * supp_j) * r, with supp_j the support size of A_j.
@@ -299,7 +274,7 @@ class LipschitzEstimator:
     def _needs_resample(self, x: Array) -> bool:
         if self._box_center is None:
             return True
-        return bool(np.any(np.abs(x - self._box_center) > 0.5 * self._box_halfwidth))
+        return bool((np.abs(x - self._box_center) > 0.5 * self._box_halfwidth).any())
 
     def _draw_point(self) -> Array:
         raw = self._box_center + self.rng.uniform(-1.0, 1.0, self.game.n) * self._box_halfwidth
@@ -420,7 +395,7 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
                 warnings.append(
                     f"player {i}: fixed gamma {gamma[i]:.6g} below decrease bound {bound[i]:.6g}"
                 )
-    floor = max(_GAMMA_FLOOR, 1e-3 * float(np.max(gamma, initial=0.0)))
+    floor = max(_GAMMA_FLOOR, 1e-3 * float(gamma.max(initial=0.0)))
     gamma = np.maximum(gamma, floor)
     return gamma, warnings
 
@@ -458,17 +433,17 @@ def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
     slope), and the exact blockwise rate ``tau_block``.
     """
     gamma = np.asarray(gamma, dtype=float)
-    gmin = float(np.min(gamma))
-    gmax = float(np.max(gamma))
+    gmin = float(gamma.min())
+    gmax = float(gamma.max())
     cap = sigma_cap(gmin, gmax)
     decay = 1.0 / (1.0 + outer_k / cfg.sigma.decay) if cfg.sigma.kind == "diminishing" else 1.0
     if cfg.sigma.sigma0 is None:
         sigma = (0.9 * decay) / gamma
     else:
         sigma = np.full(gamma.shape[0], min(cfg.sigma.sigma0 * decay, cap))
-    est.sigma_hat = float(np.max(sigma))
+    est.sigma_hat = float(sigma.max())
     est.tau = contraction_factor(gmin, gmax, est.sigma_hat)
-    est.tau_block = float(np.max(np.abs(1.0 - sigma * gamma)))
+    est.tau_block = float(np.abs(1.0 - sigma * gamma).max())
     return sigma
 
 
@@ -490,7 +465,7 @@ def inner_step(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstan
 
 def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstance) -> float:
     """Distance moved by one more sweep; zero exactly at the fixed point."""
-    return float(np.linalg.norm(inner_step(u, anchor, sigma, game) - u))
+    return vec_norm(inner_step(u, anchor, sigma, game) - u)
 
 
 @dataclass
@@ -551,7 +526,7 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
     value trace, so a genuine increase stays visible).
     """
     x_k = anchor.y
-    scale = 1.0 + float(np.max(np.abs(x_k), initial=0.0))
+    scale = 1.0 + max_abs(x_k)
     floor = 1e-13 * scale
     stall_r_tol = max(1e-12 * (1.0 - tau) * scale, 30 * np.finfo(float).eps * scale)
     sig = np.asarray(sigma, dtype=float)
@@ -562,12 +537,8 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
     while iters < cfg.max_inner:
         u_next = inner_step(u_cur, anchor, sig, game)
         iters += 1
-        # math.sqrt(d @ d) is what np.linalg.norm computes for a 1-D float
-        # vector, without its per-call overhead.
-        d = u_next - u_cur
-        r = math.sqrt(d @ d)
-        d = u_cur - x_k
-        dx2 = math.sqrt(d @ d)
+        r = vec_norm(u_next - u_cur)
+        dx2 = vec_norm(u_cur - x_k)
         eps_eff = max(min(cfg.inner_eps, _INNER_REL * (1.0 - tau) * dx2), floor)
         if r <= eps_eff:
             # Residual bound on the remaining distance to the fixed point,
@@ -579,7 +550,7 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
                 return InnerResult(u_cur, iters, exit_kind=verdict)
         if r <= stall_r_tol:
             # Collapsed onto the fixed point without an acceptable exit.
-            if float(np.max(np.abs(u_cur - x_k), initial=0.0)) <= cfg.outer_tol:
+            if max_abs(u_cur - x_k) <= cfg.outer_tol:
                 return InnerResult(u_cur, iters, exit_kind="stall")
             verdict, _ = _exit_descent_ok(game, anchor, u_cur)
             return InnerResult(u_cur, iters, exit_kind=verdict)
@@ -589,7 +560,7 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
         verdict, _ = _exit_descent_ok(game, anchor, u_cur)
         if verdict != "forced":
             return InnerResult(u_cur, iters + 1, exit_kind=verdict)
-        if float(np.max(np.abs(u_cur - x_k), initial=0.0)) <= cfg.outer_tol:
+        if max_abs(u_cur - x_k) <= cfg.outer_tol:
             return InnerResult(u_cur, iters + 1, exit_kind="stall")
     raise InnerLoopError(
         f"inner projection did not reach residual {cfg.inner_eps:g} within "
@@ -633,9 +604,9 @@ def step_duals(x_next: Array, duals: list[PlayerDualState], penalty: PenaltyPara
 
 def _max_moves(prev: IterateState, next_state: IterateState) -> tuple[float, float]:
     """Max-norm moves of the joint primal point and of all multipliers."""
-    dx = float(np.max(np.abs(next_state.x - prev.x), initial=0.0))
-    dl = float(max((np.max(np.abs(b.lam - a.lam), initial=0.0)
-                    for a, b in zip(prev.duals, next_state.duals)), default=0.0))
+    dx = max_abs(next_state.x - prev.x)
+    dl = max((max_abs(b.lam - a.lam) for a, b in zip(prev.duals, next_state.duals)),
+             default=0.0)
     return dx, dl
 
 
@@ -707,8 +678,8 @@ class SolveResult:
     message: str = ""
 
 
-def _jac_norms(point: PointEval, game: GameInstance, fixed: dict[int, tuple[float, float]],
-               seed: int = 1) -> tuple[Array, Array]:
+def _jac_norms(point: PointEval, game: GameInstance,
+               fixed: dict[int, tuple[float, float]]) -> tuple[Array, Array]:
     """Spectral norms of each player's constraint Jacobian and of its own-block
     columns. Norms of a constant Jacobian are computed once and kept in
     ``fixed`` (player -> norms) for the rest of the run."""
@@ -720,8 +691,8 @@ def _jac_norms(point: PointEval, game: GameInstance, fixed: dict[int, tuple[floa
         norms = fixed.get(i)
         if norms is None:
             sl = game.layout.block_slice(i)
-            norms = (spectral_norm(point.g_jacobians[i], seed=seed),
-                     spectral_norm(point.g_jacobians[i][:, sl], seed=seed))
+            norms = (spectral_norm(point.g_jacobians[i]),
+                     spectral_norm(point.g_jacobians[i][:, sl]))
             if p.constant_jacobian:
                 fixed[i] = norms
         full[i], own[i] = norms
@@ -804,10 +775,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         residual = max(dx_inf, dlambda_inf)
         qx, qz, qlam, qmu = projected_gradient_parts(game, next_point, duals_new, penalty)
         jac_full_next, jac_own_next = _jac_norms(next_point, game, fixed_norms)
-        dlam_2 = np.array([
-            float(np.linalg.norm(duals_new[i].lam - state.duals[i].lam))
-            for i in range(game.num_players)
-        ])
+        dlam_2 = np.array([vec_norm(b.lam - a.lam) for a, b in zip(state.duals, duals_new)])
         trace.rows.append(TraceRow(
             k=k + 1,
             L_values=lagrangian_values(next_point, duals_new, penalty),
@@ -817,11 +785,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             inner_iters=inner.iterations,
             exit_kind=inner.exit_kind,
             L_x_step=lagrangian_values(next_point, state.duals, penalty),
-            dx_2=float(np.linalg.norm(next_state.x - state.x)),
+            dx_2=vec_norm(next_state.x - state.x),
             dlam_2=dlam_2,
-            lam_norm2=np.array([float(np.linalg.norm(d.lam)) for d in duals_new]),
-            lam_norm_inf=np.array([float(np.max(np.abs(d.lam), initial=0.0))
-                                   for d in duals_new]),
+            lam_norm2=np.array([vec_norm(d.lam) for d in duals_new]),
+            lam_norm_inf=np.array([max_abs(d.lam) for d in duals_new]),
             jac_norm=jac_full_next,
             jac_own_norm=jac_own_next,
             qx=qx, qlam=qlam, qz=qz, qmu=qmu,
@@ -831,10 +798,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             L_gfun=est.L_gfun.copy(),
             M_theta_own=est.L_theta.copy(),
             M_g_own=est.M_g_own.copy(),
-            lam_mu_gap=float(max((np.max(np.abs(d.lam - d.mu), initial=0.0)
-                                  for d in duals_new), default=0.0)),
-            z_max=float(max((np.max(np.abs(d.z), initial=0.0) for d in duals_new),
-                            default=0.0)),
+            lam_mu_gap=max((max_abs(d.lam - d.mu) for d in duals_new), default=0.0),
+            z_max=max((max_abs(d.z) for d in duals_new), default=0.0),
             gamma_warnings=len(gamma_warnings),
         ))
 
@@ -884,6 +849,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 # ---------------------------------------------------------------------------
 
 _SLACK = 1e-9
+# Rows compared at once by verify_run_bounds; bounds its temporaries' size.
+_BOUND_ROWS = 64
 
 
 def verify_run_bounds(trace: SolveTrace, game: GameInstance,
@@ -904,52 +871,62 @@ def verify_run_bounds(trace: SolveTrace, game: GameInstance,
     rows = trace.rows
     if not rows:
         return out
-    N = game.num_players
-    beta = cfg.penalty(N).beta
+    beta = cfg.penalty(game.num_players).beta
 
-    prev_L = trace.initial_L
+    def stack(part: list[TraceRow], name: str) -> Array:
+        """One field over ``part``: (rows, players), or (rows,) for scalars."""
+        return np.array([getattr(r, name) for r in part])
+
     for r in rows:
-        for i in range(N):
-            if r.L_values[i] > prev_L[i] + _SLACK:
-                out["decrease"].append(
-                    f"k={r.k} player={i}: L rose {prev_L[i]:.12g} -> {r.L_values[i]:.12g}")
-            if r.exit_kind in ("descent", "true") and r.L_x_step[i] > prev_L[i] + _SLACK:
-                out["x-descent"].append(
-                    f"k={r.k} player={i}: accepted block update raised L "
-                    f"{prev_L[i]:.12g} -> {r.L_x_step[i]:.12g}")
-        prev_L = r.L_values
         if r.lam_mu_gap != 0.0 or r.z_max != 0.0:
             out["dual-identity"].append(
                 f"k={r.k}: lam-mu gap {r.lam_mu_gap:.3e}, max|z| {r.z_max:.3e}")
-
-    jac_prev = trace.initial_jac_norm
-    jac_own_max = np.maximum(trace.initial_jac_own_norm,
-                             np.max(np.array([r.jac_own_norm for r in rows]), axis=0))
-    jac_run_max = np.maximum(trace.initial_jac_norm,
-                             np.max(np.array([r.jac_norm for r in rows]), axis=0))
-    m_theta_max = np.max(np.array([r.M_theta_own for r in rows]), axis=0)
-    m_g_max = np.max(np.array([r.M_g_own for r in rows]), axis=0)
+    jac_own_max = np.maximum(trace.initial_jac_own_norm, stack(rows, "jac_own_norm").max(axis=0))
+    jac_run_max = np.maximum(trace.initial_jac_norm, stack(rows, "jac_norm").max(axis=0))
+    m_theta_max = stack(rows, "M_theta_own").max(axis=0)
+    m_g_max = stack(rows, "M_g_own").max(axis=0)
     # The initial multipliers are zero, and a norm is never below zero.
-    lam_run_max = np.max(np.array([r.lam_norm2 for r in rows]), axis=0)
+    lam_run_max = stack(rows, "lam_norm2").max(axis=0)
 
-    for r in rows:
-        if r.k < 2:
-            jac_prev = r.jac_norm
-            continue
-        lg = np.maximum(jac_prev, r.jac_norm)
-        for i in range(N):
-            bound = (lg[i] / beta[i]) * r.dx_2 + _SLACK
-            if r.dlam_2[i] > bound:
-                out["multiplier-coupling"].append(
-                    f"k={r.k} player={i}: |dlam| {r.dlam_2[i]:.3e} > {bound:.3e}")
-            C = (2.0 + r.gamma[i] + m_theta_max[i] + m_g_max[i] * lam_run_max[i]
-                 + jac_own_max[i] * jac_run_max[i] / beta[i] + jac_run_max[i])
-            pg = r.qx[i] + r.qz[i] + r.qlam[i] + r.qmu[i]
-            if pg > C * r.dx_2 + _SLACK:
+    # Whole-array comparisons over blocks of rows, entry by entry the same
+    # float arithmetic as one row and player at a time; np.nonzero keeps the
+    # (k, player) message order.
+    last_L, last_jac = trace.initial_L, trace.initial_jac_norm
+    for start in range(0, len(rows), _BOUND_ROWS):
+        part = rows[start:start + _BOUND_ROWS]
+        ks = [r.k for r in part]
+        L, jac = stack(part, "L_values"), stack(part, "jac_norm")
+        prev_L = np.vstack([last_L, L[:-1]])
+        prev_jac = np.vstack([last_jac, jac[:-1]])
+        last_L, last_jac = L[-1], jac[-1]
+        for j, i in zip(*np.nonzero(L > prev_L + _SLACK)):
+            out["decrease"].append(
+                f"k={ks[j]} player={i}: L rose {prev_L[j, i]:.12g} -> {L[j, i]:.12g}")
+        L_x = stack(part, "L_x_step")
+        accepted = np.array([r.exit_kind in ("descent", "true") for r in part])[:, None]
+        for j, i in zip(*np.nonzero(accepted & (L_x > prev_L + _SLACK))):
+            out["x-descent"].append(
+                f"k={ks[j]} player={i}: accepted block update raised L "
+                f"{prev_L[j, i]:.12g} -> {L_x[j, i]:.12g}")
+
+        checked = np.array([k >= 2 for k in ks])[:, None]
+        dx_2 = stack(part, "dx_2")[:, None]
+        dlam_2 = stack(part, "dlam_2")
+        bound = (np.maximum(prev_jac, jac) / beta) * dx_2 + _SLACK
+        for j, i in zip(*np.nonzero(checked & (dlam_2 > bound))):
+            out["multiplier-coupling"].append(
+                f"k={ks[j]} player={i}: |dlam| {dlam_2[j, i]:.3e} > {bound[j, i]:.3e}")
+        C_dx = (2.0 + stack(part, "gamma") + m_theta_max + m_g_max * lam_run_max
+                + jac_own_max * jac_run_max / beta + jac_run_max) * dx_2
+        qz, qmu = stack(part, "qz"), stack(part, "qmu")
+        pg = stack(part, "qx") + qz + stack(part, "qlam") + qmu
+        pg_high = checked & (pg > C_dx + _SLACK)
+        nonzero = checked & ((qz != 0.0) | (qmu != 0.0))
+        for j, i in zip(*np.nonzero(pg_high | nonzero)):
+            if pg_high[j, i]:
                 out["projected-gradient"].append(
-                    f"k={r.k} player={i}: |pg| {pg:.3e} > C*dx {C * r.dx_2:.3e}")
-            if r.qz[i] != 0.0 or r.qmu[i] != 0.0:
+                    f"k={ks[j]} player={i}: |pg| {pg[j, i]:.3e} > C*dx {C_dx[j, i]:.3e}")
+            if nonzero[j, i]:
                 out["projected-gradient"].append(
-                    f"k={r.k} player={i}: qz/qmu not exactly zero")
-        jac_prev = r.jac_norm
+                    f"k={ks[j]} player={i}: qz/qmu not exactly zero")
     return out

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gnepsolve import library
+from gnepsolve import cli, library
 from gnepsolve.core import BlockLayout, SimpleSet
 from gnepsolve.cli import main
 
@@ -76,6 +76,37 @@ def test_io_errors_exit_3(tmp_path, capsys, case):
     assert code == 3
     assert stderr.startswith("error:")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--out", "{missing}/r.json"],
+    ["solve", "--out", "-", "--trace", "{missing}/t.csv"],
+    ["trace", "--out", "{missing}/t.csv"],
+    ["bench", "--out", "{missing}/b.csv"],
+])
+def test_missing_output_directory_fails_before_solving(tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing) for a in argv]
+    code, stdout, stderr = run_cli(capsys, *argv, "--problem", "example3")
+    assert code == 3
+    assert stderr.startswith("error:") and str(missing) in stderr
+    assert stdout == ""
+
+
+def test_solve_out_dash_writes_document_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    quick = ["solve", "--problem", "example3", "--max-outer", "3", "--skip-diagnostics"]
+    code, stdout, _ = run_cli(capsys, *quick, "--out", "-")
+    assert code == 2
+    assert not (tmp_path / "-").exists()
+    assert json.loads(stdout)["status"] == "max_outer"
+    code, _, _ = run_cli(capsys, *quick, "--out", "r.json")
+    assert code == 2
+    assert stdout == (tmp_path / "r.json").read_text() + "\n"
 
 
 def test_solve_fixed_gamma_flag(capsys):

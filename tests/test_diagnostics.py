@@ -1,5 +1,6 @@
 """Equilibrium verification tools."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from gnepsolve.diagnostics import (
     projected_gradient_blocks,
     projected_gradient_norm,
     saddle_check,
+    solve_best_response,
 )
 from gnepsolve import library
 from conftest import fast_config
@@ -97,6 +99,31 @@ def test_constructed_profitable_deviation_reports_half():
     x = np.array([math.sqrt(0.5), 0.0])
     assert best_response_gap(game, x, 0) == pytest.approx(0.5, abs=1e-8)
     assert best_response_gap(game, x, 1) == pytest.approx(0.0, abs=1e-10)
+
+
+def _br_bits(info):
+    return (info.block.tobytes(), info.multipliers.tobytes(),
+            np.float64(info.objective).tobytes(), np.array(info.kkt).tobytes(),
+            info.iterations, info.certified)
+
+
+def test_best_response_constant_jacobian_path_is_bit_identical():
+    # an affine player's own-block Jacobian is built once per call; a copy
+    # without constraint Hessians takes the per-call Jacobian path instead
+    game, plant = library.gen_random_quadratic_with_plant(2, 3, 2, seed=101)
+    assert all(p.constant_jacobian for p in game.players)
+    relaxed = False
+    for player in range(game.num_players):
+        players = list(game.players)
+        players[player] = dataclasses.replace(players[player], constraint_hessians=None)
+        per_call = GameInstance(tuple(players), game.layout, game.name)
+        assert not per_call.players[player].constant_jacobian
+        for x in (plant, plant + 3.0):
+            info = solve_best_response(game, x, player)
+            assert info.certified
+            relaxed |= bool(np.any(info.relaxation > 0.0))
+            assert _br_bits(info) == _br_bits(solve_best_response(per_call, x, player))
+    assert relaxed   # the shifted point violates a constraint: relax > 0
 
 
 def test_gap_nonnegative_at_equilibrium(quad_suite):

@@ -101,6 +101,34 @@ def test_value_raises_on_nonfinite_oracle(pen2):
     assert err.value.player == 0
 
 
+@pytest.mark.parametrize("field, message", [
+    ("objective", "player 1: non-finite objective value"),
+    ("gradient", "player 1: non-finite objective gradient"),
+    ("constraints", "player 1: non-finite constraint value"),
+    ("jacobian", "player 1: non-finite constraint Jacobian"),
+])
+def test_evaluate_point_names_the_first_nonfinite_field(field, message):
+    # player 1's named field and every later one are non-finite (NaN objective,
+    # inf gradient, NaN constraint value, NaN Jacobian), and all of player 2's:
+    # the first bad field of the first bad player is reported
+    fields = ["objective", "gradient", "constraints", "jacobian"]
+
+    def player(bad):
+        return G.PlayerProblem(
+            objective=lambda x: float("nan") if "objective" in bad else 0.0,
+            gradient=lambda x: np.full(3, np.inf if "gradient" in bad else 0.0),
+            constraints=lambda x: np.array([np.nan if "constraints" in bad else -1.0]),
+            constraint_jacobian=lambda x: np.full((1, 3), np.nan if "jacobian" in bad else 1.0),
+            private_set=SimpleSet.free(1), m=1)
+
+    game = G.GameInstance((player([]), player(fields[fields.index(field):]), player(fields)),
+                          BlockLayout((1, 1, 1)), "bad")
+    with pytest.raises(G.OracleFailure) as err:
+        evaluate_point(game, np.zeros(3))
+    assert str(err.value) == message
+    assert err.value.player == 1
+
+
 # ---------------------------------------------------------------------------
 # reduced form
 # ---------------------------------------------------------------------------

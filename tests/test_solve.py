@@ -1,5 +1,7 @@
 """End-to-end solver behavior on small games."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -72,9 +74,9 @@ def test_fixed_jacobian_norms_match_fresh_norms():
     res = G.solve(game, plant, fast_config(max_outer=200))
     assert len(res.trace.rows) > 10
     for x in (plant, res.state.x):
-        full = np.array([G.solver.spectral_norm(p.constraint_jacobian(x), seed=1)
+        full = np.array([G.solver.spectral_norm(p.constraint_jacobian(x))
                          for p in game.players])
-        own = np.array([G.solver.spectral_norm(p.constraint_jacobian(x)[:, sl], seed=1)
+        own = np.array([G.solver.spectral_norm(p.constraint_jacobian(x)[:, sl])
                         for p, sl in zip(game.players, game.layout.slices)])
         for norms, fresh in ((res.trace.initial_jac_norm, full),
                              (res.trace.initial_jac_own_norm, own)):
@@ -153,6 +155,85 @@ def equilibrium_by_multiplier_grid():
     # snap to the fine grid as an honest grid method would
     lam_star = lam_grid[np.argmin(np.abs(lam_grid - lam_star))]
     return x_of(lam_star), lam_star
+
+
+def _run_bounds_one_at_a_time(trace, game, cfg):
+    """verify_run_bounds as one loop per row and player, the reference for
+    its whole-array form."""
+    out = {"decrease": [], "x-descent": [], "dual-identity": [],
+           "multiplier-coupling": [], "projected-gradient": []}
+    rows, N = trace.rows, game.num_players
+    beta, slack = cfg.penalty(N).beta, 1e-9
+    prev_L = trace.initial_L
+    for r in rows:
+        for i in range(N):
+            if r.L_values[i] > prev_L[i] + slack:
+                out["decrease"].append(
+                    f"k={r.k} player={i}: L rose {prev_L[i]:.12g} -> {r.L_values[i]:.12g}")
+            if r.exit_kind in ("descent", "true") and r.L_x_step[i] > prev_L[i] + slack:
+                out["x-descent"].append(
+                    f"k={r.k} player={i}: accepted block update raised L "
+                    f"{prev_L[i]:.12g} -> {r.L_x_step[i]:.12g}")
+        prev_L = r.L_values
+        if r.lam_mu_gap != 0.0 or r.z_max != 0.0:
+            out["dual-identity"].append(
+                f"k={r.k}: lam-mu gap {r.lam_mu_gap:.3e}, max|z| {r.z_max:.3e}")
+    jac_own_max = np.maximum(trace.initial_jac_own_norm,
+                             np.max([r.jac_own_norm for r in rows], axis=0))
+    jac_run_max = np.maximum(trace.initial_jac_norm, np.max([r.jac_norm for r in rows], axis=0))
+    m_theta_max = np.max([r.M_theta_own for r in rows], axis=0)
+    m_g_max = np.max([r.M_g_own for r in rows], axis=0)
+    lam_run_max = np.max([r.lam_norm2 for r in rows], axis=0)
+    jac_prev = trace.initial_jac_norm
+    for r in rows:
+        if r.k < 2:
+            jac_prev = r.jac_norm
+            continue
+        lg = np.maximum(jac_prev, r.jac_norm)
+        for i in range(N):
+            bound = (lg[i] / beta[i]) * r.dx_2 + slack
+            if r.dlam_2[i] > bound:
+                out["multiplier-coupling"].append(
+                    f"k={r.k} player={i}: |dlam| {r.dlam_2[i]:.3e} > {bound:.3e}")
+            C = (2.0 + r.gamma[i] + m_theta_max[i] + m_g_max[i] * lam_run_max[i]
+                 + jac_own_max[i] * jac_run_max[i] / beta[i] + jac_run_max[i])
+            pg = r.qx[i] + r.qz[i] + r.qlam[i] + r.qmu[i]
+            if pg > C * r.dx_2 + slack:
+                out["projected-gradient"].append(
+                    f"k={r.k} player={i}: |pg| {pg:.3e} > C*dx {C * r.dx_2:.3e}")
+            if r.qz[i] != 0.0 or r.qmu[i] != 0.0:
+                out["projected-gradient"].append(f"k={r.k} player={i}: qz/qmu not exactly zero")
+        jac_prev = r.jac_norm
+    return out
+
+
+@pytest.mark.parametrize("run", ["a18_run", "ex3_tight"])
+def test_run_bounds_match_the_one_at_a_time_checks(request, run):
+    # the recorded run, and a damaged copy that trips every check across the
+    # blocks of rows that verify_run_bounds compares at once; example3's
+    # Jacobian norms change from row to row
+    game = request.getfixturevalue("a18_game" if run == "a18_run" else "ex3_game")
+    result = request.getfixturevalue(run)
+    cfg = fast_config()
+    damaged = copy.deepcopy(result.trace)
+    for j, r in enumerate(damaged.rows):
+        if j % 3 == 0:
+            r.L_values = r.L_values + 1e-3 * (1 + j % 5)
+        if j % 4 == 1:
+            r.L_x_step = r.L_x_step + 1e-2
+        if j % 5 == 2:
+            r.dlam_2 = r.dlam_2 * 1e6 + 1.0
+        if j % 7 == 3:
+            r.qz = r.qz + 1e-300
+        if j % 6 == 4:
+            r.qx = r.qx + 1e3
+        if j % 9 == 5:
+            r.lam_mu_gap = 1e-20
+    assert len(damaged.rows) > G.solver._BOUND_ROWS
+    for trace in (result.trace, damaged):
+        got = G.verify_run_bounds(trace, game, cfg)
+        assert got == _run_bounds_one_at_a_time(trace, game, cfg)
+    assert all(got.values())
 
 
 def test_shared_constraint_game_matches_grid_reference():
