@@ -104,10 +104,9 @@ def _load_game(args) -> tuple[GameInstance, dict]:
     return _load_instance_file(path), {"kind": "file", "path": str(path)}
 
 
-# What reading a qgnep/1 file can raise: I/O errors, FormatError and
-# AdmissibilityError (both ValueError), and the lookups and conversions of a
-# document whose fields have the wrong JSON type.
-_LOAD_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError)
+# What reading a qgnep/1 file can raise: I/O errors, and FormatError and
+# AdmissibilityError (both ValueError) for a malformed or nonconvex game.
+_LOAD_ERRORS = (OSError, ValueError)
 
 
 def _load_instance_file(path: Path) -> GameInstance:

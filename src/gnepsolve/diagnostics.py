@@ -2,8 +2,12 @@
 
 Everything here is a read-only analysis of a candidate point; the
 best-response reference solver is deliberately independent of the main
-solver (penalty-ramped projected gradient) so the two can cross-check each
-other. Analyses are embarrassingly parallel across players and samples.
+solver so the two can cross-check each other. It solves the rivals-fixed QP
+of a strictly convex quadratic player with affine constraints on a box or
+nonneg set exactly (a dual active-set method), and every other player's
+problem by penalty-ramped projected gradient; either result counts only if
+it certifies its own KKT residuals. Analyses are embarrassingly parallel
+across players and samples.
 """
 
 from __future__ import annotations
@@ -70,17 +74,151 @@ class BestResponseInfo:
 
 def solve_best_response(game: GameInstance, x: Array, player: int,
                         cert_tol: float = 1e-8, budget: int = 400_000) -> BestResponseInfo:
-    """Solve one player's problem with rivals frozen, by penalty-ramped
-    projected gradient on the augmented objective.
+    """Solve one player's problem with rivals frozen.
 
     Minimizes ``theta(u, x_rest)`` over the private set subject to
     ``g(u, x_rest) <= relax`` where ``relax = max(g(x), 0)`` keeps the
     deviation problem feasible when the queried point itself violates its
     constraints (otherwise the feasible set may be empty and the gap
-    meaningless). A quadratic penalty ramps up across stages with multiplier
-    carries; the result is certified only if its own KKT residuals for the
-    relaxed problem all fall below ``cert_tol``.
+    meaningless). The result is certified only if its own KKT residuals for
+    the relaxed problem all fall below ``cert_tol``.
+
+    A quadratic player with affine constraints, a positive-definite own block
+    and a box or nonneg private set has a strictly convex QP as its best
+    response; it is solved exactly by a dual active-set method, and
+    ``iterations`` then counts active-set changes. Every other player, and a
+    QP solve that does not certify, goes to penalty-ramped projected
+    gradient, whose iterations ``budget`` bounds.
     """
+    info = _exact_best_response(game, x, player, cert_tol)
+    if info is None:
+        info = _penalty_best_response(game, x, player, cert_tol, budget)
+    return info
+
+
+def _exact_best_response(game: GameInstance, x: Array, player: int,
+                         cert_tol: float) -> BestResponseInfo | None:
+    """The rivals-fixed QP of a quadratic player with affine constraints, a
+    positive-definite own block and a box or nonneg private set, solved by
+    :func:`_dual_active_set`; ``None`` outside that class or when the
+    solution does not certify."""
+    p = game.players[player]
+    pset = p.private_set
+    # constant_jacobian holds only for quadratic players with affine constraints
+    if not p.constant_jacobian or pset.kind not in ("box", "nonneg"):
+        return None
+    sl = game.layout.block_slice(player)
+    H = np.asarray(p.objective_hessian, dtype=float)[sl, sl]
+    try:
+        chol = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return None
+    base = np.array(x, dtype=float, copy=True)
+    own = base[sl]
+    # theta(u, x_rest) = 0.5 u'Hu + q'u + const, and every constraint row is
+    # J u <= relax - g(x) + J x_own, which x_own itself satisfies.
+    q = np.asarray(p.gradient(base), dtype=float)[sl] - H @ own
+    if pset.kind == "box":
+        lower, upper = pset.lower, pset.upper
+    else:
+        lower, upper = np.zeros(pset.dim), np.full(pset.dim, np.inf)
+    eye = np.eye(pset.dim)
+    lo, up = np.isfinite(lower), np.isfinite(upper)
+    rows, rhs = [-eye[lo], eye[up]], [-lower[lo], upper[up]]
+    relax = np.zeros(0)
+    if p.m:
+        g = np.asarray(p.constraints(base), dtype=float)
+        relax = np.maximum(g, 0.0)
+        J = np.asarray(p.constraint_jacobian(base), dtype=float)[:, sl]
+        rows.insert(0, J)
+        rhs.insert(0, relax - g + J @ own)
+    solved = _dual_active_set(chol, q, np.vstack(rows), np.concatenate(rhs))
+    if solved is None:
+        return None
+    u, lam, changes = solved
+    u = pset.project(u)
+    base[sl] = u
+    mu = lam[:p.m]
+    triple = _single_kkt(game, player, base, mu, relax)
+    if not max(triple) <= cert_tol:
+        return None
+    return BestResponseInfo(u, float(p.objective(base)), mu, triple, changes, True, relax)
+
+
+# Relative sizes in the dual active-set loop: a row's violation below
+# _SATISFIED_TOL counts as none, and a new row's step direction below
+# _DEPENDENT_ROW_TOL as zero (the row is a combination of the active rows).
+_SATISFIED_TOL = 1e-12
+_DEPENDENT_ROW_TOL = 1e-12
+
+
+def _dual_active_set(chol: Array, q: Array, C: Array, d: Array) -> tuple[Array, Array, int] | None:
+    """Minimize ``0.5 u'Hu + q'u`` subject to ``C u <= d`` with ``H = chol chol'``.
+
+    The dual active-set method of Goldfarb and Idnani (Math. Programming 27,
+    1983; Nocedal and Wright, *Numerical Optimization*, 2nd ed., ch. 16):
+    start at the unconstrained minimizer and add the most violated row,
+    raising its multiplier while the active rows stay tight; an active row
+    whose multiplier reaches zero first is dropped on the way. Every step is
+    taken in the basis ``L^{-T} Q`` from the QR factorization of
+    ``L^{-1} C_A'``. Returns ``(u, multipliers per row, active-set changes)``,
+    or ``None`` when the rows are infeasible, a new row is dependent on the
+    active ones that cannot be dropped, or the changes reach a cap.
+    """
+    n = q.shape[0]
+    linv = np.linalg.solve(chol, np.eye(n))
+    u = -(linv.T @ (linv @ q))
+    lam = np.zeros(d.shape[0])
+    active: list[int] = []
+    changes = 0
+    cap = 10 * (d.shape[0] + 1)
+    while True:
+        slack = C @ u - d
+        slack[active] = 0.0
+        new = int(np.argmax(slack)) if slack.size else 0
+        if not slack.size or slack[new] <= _SATISFIED_TOL * (1.0 + abs(d[new])):
+            return u, lam, changes
+        while True:
+            if changes >= cap:
+                return None
+            k = len(active)
+            if k:
+                qr_q, qr_r = np.linalg.qr(linv @ C[active].T, mode="complete")
+                basis = linv.T @ qr_q
+            else:
+                basis = linv.T
+            coef = basis.T @ C[new]
+            # Primal direction inside the active rows' null space, and the
+            # active multipliers' rate of change.
+            z = basis[:, k:] @ coef[k:]
+            r = np.linalg.solve(qr_r[:k, :k], coef[:k]) if k else np.zeros(0)
+            curv = float(coef[k:] @ coef[k:])
+            independent = math.sqrt(curv) > _DEPENDENT_ROW_TOL * float(np.linalg.norm(coef))
+            t_drop, drop = math.inf, -1
+            for j in range(k):
+                if r[j] > 0.0 and lam[active[j]] / r[j] < t_drop:
+                    t_drop, drop = lam[active[j]] / r[j], j
+            if not independent and drop < 0:
+                return None
+            t_full = float(C[new] @ u - d[new]) / curv if independent else math.inf
+            t = min(t_drop, t_full)
+            if independent:
+                u = u - t * z
+            lam[active] = np.maximum(lam[active] - t * r, 0.0)
+            lam[new] += t
+            changes += 1
+            if t_full <= t_drop:
+                active.append(new)
+                break
+            lam[active[drop]] = 0.0
+            del active[drop]
+
+
+def _penalty_best_response(game: GameInstance, x: Array, player: int,
+                           cert_tol: float = 1e-8, budget: int = 400_000) -> BestResponseInfo:
+    """:func:`solve_best_response` by penalty-ramped projected gradient on
+    the augmented objective: a quadratic penalty ramps up across stages with
+    multiplier carries, for any player."""
     p = game.players[player]
     sl = game.layout.block_slice(player)
     base = np.array(x, dtype=float, copy=True)

@@ -156,27 +156,75 @@ def _set_to_json(s: SimpleSet) -> dict:
 def _set_from_json(obj: dict) -> SimpleSet:
     kind = obj.get("kind")
     if kind == "box":
-        return SimpleSet.box(obj["lower"], obj["upper"])
+        return SimpleSet.box(_finite_or_inf(obj["lower"]), _finite_or_inf(obj["upper"]))
     if kind == "nonneg":
-        return SimpleSet.nonneg(int(obj["dim"]))
+        return SimpleSet.nonneg(_count(obj["dim"]))
     if kind == "simplex":
-        return SimpleSet.simplex(int(obj["dim"]))
+        return SimpleSet.simplex(_count(obj["dim"]))
     if kind == "ball":
-        return SimpleSet.ball(int(obj["dim"]), float(obj["radius"]))
-    raise FormatError(f"unknown set kind {kind!r}")
+        return SimpleSet.ball(_count(obj["dim"]), float(obj["radius"]))
+    raise ValueError(f"unknown set kind {kind!r}")
 
 
-def _matrix_from_json(obj, n: int, where: str) -> Array:
+def _count(obj) -> int:
+    if type(obj) is not int:
+        raise ValueError(f"expected an integer, got {obj!r}")
+    return obj
+
+
+def _finite_or_inf(obj) -> Array:
+    v = np.asarray(obj, dtype=float)
+    if v.ndim != 1 or np.any(np.isnan(v)):
+        raise ValueError("expected a list of numbers")
+    return v
+
+
+def _finite(obj, shape: tuple[int, ...]) -> Array:
+    v = np.asarray(obj, dtype=float)
+    if v.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("entries must be finite")
+    return v
+
+
+def _matrix_from_json(obj, n: int) -> Array:
     if isinstance(obj, dict):
         out = np.zeros((n, n))
-        for trip in obj.get("triplets", []):
-            i, j, v = int(trip[0]), int(trip[1]), float(trip[2])
+        for i, j, v in obj.get("triplets", []):
+            i, j = _count(i), _count(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"triplet index ({i}, {j}) outside {n}x{n}")
             out[i, j] = v
-        return out
-    mat = np.asarray(obj, dtype=float)
-    if mat.shape != (n, n):
-        raise FormatError(f"{where}: expected {n}x{n} matrix, got shape {mat.shape}")
-    return mat
+        return _finite(out, (n, n))
+    return _finite(obj, (n, n))
+
+
+def _field(path, obj, key: str, where: str, parse=None):
+    """``parse(obj[key])``; a missing or malformed value raises a
+    :class:`FormatError` naming the field ``where``."""
+    if key not in obj:
+        raise FormatError(f"{path}: missing field {where!r}")
+    if parse is None:
+        return obj[key]
+    try:
+        return parse(obj[key])
+    except FormatError:
+        raise
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        raise FormatError(f"{path}: field {where!r} is malformed: {exc}") from exc
+
+
+def _object(path, obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: field {where!r} must be an object")
+    return obj
+
+
+def _list(path, obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise FormatError(f"{path}: field {where!r} must be a list")
+    return obj
 
 
 def save_quadratic(spec: QuadraticGnepSpec, path: str | Path):
@@ -201,44 +249,47 @@ def save_quadratic(spec: QuadraticGnepSpec, path: str | Path):
 
 
 def load_quadratic_spec(path: str | Path) -> QuadraticGnepSpec:
+    """Read a qgnep/1 file. A missing or malformed field raises a
+    :class:`FormatError` that names it (``players[0].constraints[1].d``)."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    doc = _object(path, doc, "document")
     if doc.get("version") != _QGNEP_VERSION:
         raise FormatError(f"{path}: field 'version' must be {_QGNEP_VERSION!r}")
-    for key in ("layout", "players"):
-        if key not in doc:
-            raise FormatError(f"{path}: missing field {key!r}")
-    layout = BlockLayout(tuple(int(d) for d in doc["layout"]))
+    name = doc.get("name", "quadratic-game")
+    if not isinstance(name, str):
+        raise FormatError(f"{path}: field 'name' must be a string")
+    layout = _field(path, doc, "layout", "layout",
+                    lambda v: BlockLayout(tuple(_count(d) for d in _list(path, v, "layout"))))
     n = layout.n
+    player_docs = _list(path, _field(path, doc, "players", "players"), "players")
+    if len(player_docs) != layout.num_blocks:
+        raise FormatError(f"{path}: field 'layout' lists {layout.num_blocks} blocks "
+                          f"but {len(player_docs)} players given")
     players = []
-    for i, pd in enumerate(doc["players"]):
+    for i, pd in enumerate(player_docs):
         where = f"players[{i}]"
-        for key in ("Q", "b", "set"):
-            if key not in pd:
-                raise FormatError(f"{path}: {where}: missing field {key!r}")
-        Q = _matrix_from_json(pd["Q"], n, f"{where}.Q")
-        b = np.asarray(pd["b"], dtype=float)
-        if b.shape != (n,):
-            raise FormatError(f"{path}: {where}.b: expected length {n}")
+        pd = _object(path, pd, where)
+        Q = _field(path, pd, "Q", f"{where}.Q", lambda v: _matrix_from_json(v, n))
+        b = _field(path, pd, "b", f"{where}.b", lambda v: _finite(v, (n,)))
+        pset = _field(path, pd, "set", f"{where}.set",
+                      lambda v: _set_from_json(_object(path, v, f"{where}.set")))
+        if pset.dim != layout.dims[i]:
+            raise FormatError(f"{path}: field '{where}.set' has dimension {pset.dim}, "
+                              f"layout block {i} has {layout.dims[i]}")
         cons = []
-        for j, cd in enumerate(pd.get("constraints", [])):
+        for j, cd in enumerate(_list(path, pd.get("constraints", []), f"{where}.constraints")):
             cwhere = f"{where}.constraints[{j}]"
-            for key in ("A", "c", "d"):
-                if key not in cd:
-                    raise FormatError(f"{path}: {cwhere}: missing field {key!r}")
-            A = _matrix_from_json(cd["A"], n, f"{cwhere}.A")
-            c = np.asarray(cd["c"], dtype=float)
-            if c.shape != (n,):
-                raise FormatError(f"{path}: {cwhere}.c: expected length {n}")
-            cons.append((A, c, float(cd["d"])))
-        players.append(QuadraticPlayerSpec(Q, b, _set_from_json(pd["set"]), cons))
-    if len(players) != layout.num_blocks:
-        raise FormatError(f"{path}: layout lists {layout.num_blocks} blocks "
-                          f"but {len(players)} players given")
-    return QuadraticGnepSpec(layout, players, str(doc.get("name", "quadratic-game")))
+            cd = _object(path, cd, cwhere)
+            A = _field(path, cd, "A", f"{cwhere}.A", lambda v: _matrix_from_json(v, n))
+            c = _field(path, cd, "c", f"{cwhere}.c", lambda v: _finite(v, (n,)))
+            d = _field(path, cd, "d", f"{cwhere}.d", lambda v: float(_finite(v, ())))
+            cons.append((A, c, d))
+        players.append(QuadraticPlayerSpec(Q, b, pset, cons))
+    return QuadraticGnepSpec(layout, players, name)
 
 
 def load_quadratic(path: str | Path) -> GameInstance:

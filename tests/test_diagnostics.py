@@ -17,6 +17,8 @@ from gnepsolve.diagnostics import (
     projected_gradient_norm,
     saddle_check,
     solve_best_response,
+    _exact_best_response,
+    _penalty_best_response,
 )
 from gnepsolve import library
 from conftest import fast_config
@@ -108,8 +110,9 @@ def _br_bits(info):
 
 
 def test_best_response_constant_jacobian_path_is_bit_identical():
-    # an affine player's own-block Jacobian is built once per call; a copy
-    # without constraint Hessians takes the per-call Jacobian path instead
+    # the penalty routine builds an affine player's own-block Jacobian once
+    # per call; a copy without constraint Hessians takes the per-call
+    # Jacobian path instead
     game, plant = library.gen_random_quadratic_with_plant(2, 3, 2, seed=101)
     assert all(p.constant_jacobian for p in game.players)
     relaxed = False
@@ -119,11 +122,69 @@ def test_best_response_constant_jacobian_path_is_bit_identical():
         per_call = GameInstance(tuple(players), game.layout, game.name)
         assert not per_call.players[player].constant_jacobian
         for x in (plant, plant + 3.0):
-            info = solve_best_response(game, x, player)
+            info = _penalty_best_response(game, x, player)
             assert info.certified
             relaxed |= bool(np.any(info.relaxation > 0.0))
-            assert _br_bits(info) == _br_bits(solve_best_response(per_call, x, player))
+            assert _br_bits(info) == _br_bits(_penalty_best_response(per_call, x, player))
     assert relaxed   # the shifted point violates a constraint: relax > 0
+
+
+def test_exact_and_penalty_best_responses_agree(quad_suite):
+    # every quad-suite player is strictly convex with affine constraints on a
+    # box; plant + 3 violates constraints, so relax > 0 there
+    relaxed = exact_only = 0
+    for game, plant, res in quad_suite:
+        for shifted, x in ((False, res.state.x), (True, plant + 3.0)):
+            for i in range(game.num_players):
+                exact = solve_best_response(game, x, i)
+                assert exact.certified and exact.iterations <= 10
+                assert _br_bits(exact) == _br_bits(_exact_best_response(game, x, i, 1e-8))
+                relaxed += bool(np.any(exact.relaxation > 0.0))
+                penalty = _penalty_best_response(game, x, i)
+                if (game.name, i, shifted) == ("randquad-2x3x2-s109", 0, True):
+                    # the penalty routine runs out its budget with comp just
+                    # above 1e-8; the exact solve certifies
+                    assert not penalty.certified and penalty.iterations >= 400_000
+                    assert max(exact.kkt) <= 1e-12
+                    exact_only += 1
+                    continue
+                assert penalty.certified
+                assert exact.objective == pytest.approx(penalty.objective, abs=1e-7)
+                np.testing.assert_allclose(exact.block, penalty.block, atol=1e-5)
+    assert relaxed > 0 and exact_only == 1
+
+
+def test_players_outside_the_qp_class_take_the_penalty_path(ex3_game, a18_game, ad_game):
+    # quadratic constraints (example3), a singular own block (a18), curved
+    # budgets, balls and a simplex (Arrow-Debreu), non-quadratic (power)
+    # at this point a18's penalty iterates can overflow; only the agreement
+    # of the two calls is tested here
+    power = library.builtin_instance("power")
+    for game in (ex3_game, a18_game, ad_game, power):
+        x = game.project_private(np.full(game.n, 0.5))
+        for i in range(game.num_players):
+            assert _exact_best_response(game, x, i, 1e-8) is None
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert (_br_bits(solve_best_response(game, x, i, budget=2_000))
+                        == _br_bits(_penalty_best_response(game, x, i, budget=2_000)))
+
+
+def test_exact_best_response_on_nonneg_and_free_sets():
+    # min (u - m)'(u - m) on the orthant and on R^2 under u0 + u1 <= 1
+    m0 = np.array([2.0, 0.0])
+    for pset, want in ((SimpleSet.nonneg(2), [1.0, 0.0]), (SimpleSet.free(2), [1.5, -0.5])):
+        game = GameInstance((PlayerProblem(
+            objective=lambda x: float((x - m0) @ (x - m0)),
+            gradient=lambda x: 2.0 * (x - m0),
+            constraints=lambda x: np.array([x[0] + x[1] - 1.0]),
+            constraint_jacobian=lambda x: np.array([[1.0, 1.0]]),
+            private_set=pset, m=1,
+            objective_hessian=2.0 * np.eye(2), constraint_hessians=np.zeros((1, 2, 2)),
+        ),), BlockLayout((2,)), "orthant-quadratic")
+        info = _exact_best_response(game, np.zeros(2), 0, 1e-8)
+        assert info is not None and info.certified
+        np.testing.assert_allclose(info.block, want, atol=1e-14)
+        assert info.multipliers[0] > 0.0
 
 
 def test_gap_nonnegative_at_equilibrium(quad_suite):

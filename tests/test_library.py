@@ -316,6 +316,108 @@ def test_qgnep_parse_error_names_field(tmp_path):
     assert "line" in str(err2.value)
 
 
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _quadratic_specs(draw, max_dims=(3, 3), max_constraints=2):
+    """Random qgnep/1 specs: block sizes, box/nonneg/free sets, and zero or
+    nonzero constraint Hessians; the data need not be convex."""
+    dims = draw(st.lists(st.integers(1, max_dims[1]), min_size=1, max_size=max_dims[0]))
+    layout = G.BlockLayout(tuple(dims))
+    n = layout.n
+
+    def array(*shape):
+        flat = draw(st.lists(_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(flat, dtype=float).reshape(shape)
+
+    players = []
+    for dim in dims:
+        kind = draw(st.sampled_from(["box", "nonneg", "free"]))
+        if kind == "box":
+            a, b = array(dim), array(dim)
+            pset = G.SimpleSet.box(np.minimum(a, b), np.maximum(a, b))
+        else:
+            pset = G.SimpleSet.nonneg(dim) if kind == "nonneg" else G.SimpleSet.free(dim)
+        cons = [(array(n, n) if draw(st.booleans()) else np.zeros((n, n)), array(n), draw(_FLOATS))
+                for _ in range(draw(st.integers(0, max_constraints)))]
+        players.append(library.QuadraticPlayerSpec(array(n, n), array(n), pset, cons))
+    return library.QuadraticGnepSpec(layout, players, draw(st.text(max_size=8)))
+
+
+def _spec_bits(spec):
+    def set_bits(s):
+        return (s.kind, s.dim, None if s.lower is None else s.lower.tobytes(),
+                None if s.upper is None else s.upper.tobytes())
+    return (spec.name, spec.layout.dims,
+            [(p.Q.tobytes(), p.b.tobytes(), set_bits(p.private_set),
+              [(A.tobytes(), c.tobytes(), np.float64(d).tobytes()) for A, c, d in p.constraints])
+             for p in spec.players])
+
+
+@settings(deadline=None, max_examples=60)
+@given(_quadratic_specs())
+def test_qgnep_round_trip_of_random_specs(tmp_path_factory, spec):
+    folder = tmp_path_factory.mktemp("qgnep")
+    first, second = folder / "first.json", folder / "second.json"
+    library.save_quadratic(spec, first)
+    loaded = library.load_quadratic_spec(first)
+    assert _spec_bits(loaded) == _spec_bits(spec)
+    library.save_quadratic(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _malformed_fields(doc):
+    """(containing object, key, field name, bad values) for every field."""
+    n = sum(doc["layout"])
+    nan = float("nan")
+    matrix = [None, "x", [[0.0] * (n + 1)] * (n + 1), [[nan] * n] * n,
+              {"triplets": [[0, n, 1.0]]}, {"triplets": "x"}]
+    vector = [None, "x", [0.0] * (n + 1), [nan] * n]
+    out = [(doc, "version", "version", ["qgnep/2", None, 1]),
+           (doc, "name", "name", [None, 5, ["a"]]),
+           (doc, "layout", "layout", [None, "x", [], [0], [1.5], doc["layout"] + [1]]),
+           (doc, "players", "players", [None, "x", {}])]
+    for i, pd in enumerate(doc["players"]):
+        where, dim = f"players[{i}]", doc["layout"][i]
+        out += [(doc["players"], i, where, [None, "x", []]),
+                (pd, "Q", f"{where}.Q", matrix),
+                (pd, "b", f"{where}.b", vector),
+                (pd, "set", f"{where}.set",
+                 [None, "x", {"kind": "cube"}, {"kind": "nonneg"},
+                  {"kind": "nonneg", "dim": dim + 1},
+                  {"kind": "box", "lower": [1.0] * dim, "upper": [0.0] * dim}]),
+                (pd, "constraints", f"{where}.constraints", [None, "x", {}])]
+        for j, cd in enumerate(pd["constraints"]):
+            cwhere = f"{where}.constraints[{j}]"
+            out += [(pd["constraints"], j, cwhere, [None, "x", []]),
+                    (cd, "A", f"{cwhere}.A", matrix),
+                    (cd, "c", f"{cwhere}.c", vector),
+                    (cd, "d", f"{cwhere}.d", [None, "x", [1.0], nan, float("inf")])]
+    return out
+
+
+# fields a file may leave out: version (wrong either way), name and constraints
+_OPTIONAL = ("name", "constraints")
+
+
+@settings(deadline=None, max_examples=100)
+@given(_quadratic_specs(max_dims=(2, 2), max_constraints=1), st.data())
+def test_qgnep_malformed_field_raises_format_error_naming_it(tmp_path_factory, spec, data):
+    path = tmp_path_factory.mktemp("qgnep") / "bad.json"
+    library.save_quadratic(spec, path)
+    doc = json.loads(path.read_text())
+    parent, key, name, bad = data.draw(st.sampled_from(_malformed_fields(doc)), label="field")
+    if isinstance(key, str) and key not in _OPTIONAL and data.draw(st.booleans(), label="delete"):
+        del parent[key]
+    else:
+        parent[key] = data.draw(st.sampled_from(bad), label="value")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(library.FormatError) as err:
+        library.load_quadratic_spec(path)
+    assert repr(name) in str(err.value)
+
+
 def test_example3_through_file_matches_builtin(tmp_path, ex3_game):
     path = tmp_path / "ex3.json"
     library.save_quadratic(library.example3_spec(), path)
