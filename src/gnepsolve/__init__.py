@@ -24,7 +24,6 @@ from .lagrangian import (
 )
 from .solver import (
     GammaPolicy,
-    InnerLoopError,
     LipschitzEstimates,
     LipschitzEstimator,
     SigmaSchedule,

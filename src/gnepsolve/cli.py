@@ -2,7 +2,7 @@
 
 Exit codes partition outcomes: 0 converged (and, for ``validate``, within
 thresholds), 1 validation failure, 2 nonconvergence (any other solver
-status, including ``inner-failure`` and ``oracle-failure``), 3 usage or I/O
+status, including ``oracle-failure``), 3 usage or I/O
 error (argparse usage errors included).
 Result documents and CSV outputs are byte-deterministic for a fixed seed
 and configuration; bench wall-clock times are zeroed unless ``--wall-time``
@@ -21,7 +21,7 @@ import numpy as np
 from . import library
 from .core import GameInstance, IterateState, OracleFailure, PlayerDualState
 from .diagnostics import diagnose
-from .solver import GammaPolicy, SigmaSchedule, SolverConfig, solve
+from .solver import GammaPolicy, SolverConfig, solve
 
 RESULT_VERSION = "result/1"
 
@@ -60,13 +60,8 @@ def _add_solver_options(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", default="auto", help="'auto' or a fixed value for every player")
     p.add_argument("--gamma-safety", type=float, default=1.0)
-    p.add_argument("--sigma0", type=float, default=None)
-    p.add_argument("--sigma-decay", type=float, default=50.0,
-                   help="diminishing-schedule decay; 0 selects the constant schedule")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--inner-eps", type=float, default=1e-6)
     p.add_argument("--max-outer", type=int, default=5000)
-    p.add_argument("--max-inner", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -78,15 +73,9 @@ def _build_config(args) -> SolverConfig:
             gamma = GammaPolicy.fixed(float(args.gamma))
         except ValueError as exc:
             raise CliError(f"--gamma must be 'auto' or a number, got {args.gamma!r}") from exc
-    if args.sigma_decay == 0:
-        sigma = SigmaSchedule.constant(args.sigma0)
-    else:
-        sigma = SigmaSchedule.diminishing(args.sigma0, args.sigma_decay)
     try:
-        return SolverConfig(alpha=args.alpha, beta=args.beta, gamma=gamma, sigma=sigma,
-                            inner_eps=args.inner_eps, outer_tol=args.tol,
-                            max_outer=args.max_outer, max_inner=args.max_inner,
-                            seed=args.seed)
+        return SolverConfig(alpha=args.alpha, beta=args.beta, gamma=gamma, outer_tol=args.tol,
+                            max_outer=args.max_outer, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -153,10 +142,8 @@ def _result_document(problem_ref: dict, args, result, game: GameInstance,
                      report=None) -> dict:
     cfgd = {
         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-        "gamma_safety": args.gamma_safety, "sigma0": args.sigma0,
-        "sigma_decay": args.sigma_decay, "tol": args.tol,
-        "inner_eps": args.inner_eps, "max_outer": args.max_outer,
-        "max_inner": args.max_inner, "seed": args.seed, "x0": args.x0,
+        "gamma_safety": args.gamma_safety, "tol": args.tol,
+        "max_outer": args.max_outer, "seed": args.seed, "x0": args.x0,
     }
     doc = {
         "version": RESULT_VERSION,

@@ -292,6 +292,8 @@ def _penalty_best_response(game: GameInstance, x: Array, player: int,
             moved = False
             s = step
             for _ in range(80):
+                if used >= budget:
+                    break
                 cand = project(u - s * grad)
                 used += 1
                 d = cand - u

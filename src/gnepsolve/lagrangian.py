@@ -228,7 +228,7 @@ class QuadraticAnchor:
 
     The values ``L_nu(y)`` are handed in by the caller, which already holds
     them; the full gradients are assembled once per outer iteration. The
-    inner loop holds the anchor fixed; it is read-only after construction.
+    anchor is read-only after construction.
 
     The model gradient is affine with slope ``gamma_nu * I``; its Lipschitz
     constant and strong-convexity modulus both equal ``gamma_nu``.
@@ -242,7 +242,6 @@ class QuadraticAnchor:
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
     duals: list[PlayerDualState]  # dual states frozen into the anchor
     penalty: PenaltyParams
-    grad_norms: Array        # (N,) Euclidean norms of grads
 
     def model_value(self, player: int, x: Array) -> float:
         d = x - self.y
@@ -279,6 +278,5 @@ def build_anchor(
         sl = game.layout.block_slice(i)
         own_grad[sl] = grad[sl]
         gamma_by_coord[sl] = gamma[i]
-    grad_norms = np.array([vec_norm(g) for g in grads])
     return QuadraticAnchor(point.x, values, grads, np.asarray(gamma, dtype=float), own_grad,
-                           gamma_by_coord, list(duals), penalty, grad_norms)
+                           gamma_by_coord, list(duals), penalty)

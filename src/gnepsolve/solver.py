@@ -2,11 +2,13 @@
 
 One outer iteration from ``(x, z, lam, mu)``:
 
-1. every player simultaneously runs projected gradient sweeps on its
-   quadratic surrogate anchored at ``x`` (Jacobi decomposition: all blocks
-   step from a shared snapshot) until the joint residual is small and every
-   player passes the exit descent test (surrogate descent, or verified
-   non-increase of its true value);
+1. every player simultaneously moves to the minimizer of its quadratic
+   surrogate anchored at ``x`` over its private set (Jacobi decomposition:
+   all blocks move from a shared snapshot). The surrogate's own-block
+   Hessian is ``gamma_nu I``, so that minimizer is one projection,
+   ``project_private(x - own_grad / gamma)``; the exit descent test then
+   labels the step (surrogate descent, verified non-increase of the true
+   value, a forced step, or a stall at the anchor);
 2. ``z`` is reset by exact minimization, ``z = (lam - mu) / alpha``;
 3. the multipliers are updated by exact maximization,
    ``lam = max(mu + g(x_new) / beta, 0)`` followed by ``mu = lam``;
@@ -54,7 +56,6 @@ __all__ = [
     "SolverConfig",
     "LipschitzEstimates",
     "LipschitzEstimator",
-    "InnerLoopError",
     "estimate_lipschitz",
     "choose_gamma",
     "sigma_cap",
@@ -72,15 +73,6 @@ __all__ = [
     "TraceRow",
     "verify_run_bounds",
 ]
-
-
-class InnerLoopError(RuntimeError):
-    """Inner gradient projection ran out of iterations with a large residual."""
-
-    def __init__(self, message: str, iterations: int, residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +112,8 @@ class GammaPolicy:
 
 @dataclass(frozen=True)
 class SigmaSchedule:
-    """Inner step-size schedule.
+    """Step-size schedule of the reference sweep (:func:`inner_step`), whose
+    fixed point :func:`solve_inner` computes in closed form.
 
     ``sigma0=None`` selects per-player steps proportional to the inverse
     proximal weights (uniform blockwise contraction); an explicit ``sigma0``
@@ -152,25 +145,23 @@ class SigmaSchedule:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer/inner loop parameters. ``inner_eps`` is the absolute inner exit
-    threshold, which :func:`solve_inner` tightens relative to the step length.
+    """Solver parameters. Only the reference sweep (:func:`choose_sigma` and
+    :func:`inner_step`) reads ``sigma``; :func:`solve` does not.
     """
 
     alpha: float = 10.0
     beta: float = 1.0
     gamma: GammaPolicy = field(default_factory=GammaPolicy.auto)
     sigma: SigmaSchedule = field(default_factory=SigmaSchedule)
-    inner_eps: float = 1e-6
     outer_tol: float = 1e-4
     max_outer: int = 5000
-    max_inner: int = 50000
     seed: int = 0
 
     def __post_init__(self):
-        if self.inner_eps <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.outer_tol <= 0:
+            raise ValueError("outer tolerance must be positive")
+        if self.max_outer < 1:
+            raise ValueError("iteration cap must be >= 1")
 
     def penalty(self, num_players: int) -> PenaltyParams:
         return PenaltyParams.uniform(num_players, self.alpha, self.beta)
@@ -178,9 +169,6 @@ class SolverConfig:
 
 # Point pairs drawn per smoothness sample of a non-quadratic player.
 _SAMPLE_PAIRS = 200
-# Bounds the inner exit threshold by this fraction of (1 - tau) times the
-# distance moved, so an accepted block update is accurate relative to its step.
-_INNER_REL = 0.5
 # Bounds the run of consecutive stalled inner exits before the outer loop
 # checks that the multiplier drift still decays or drains.
 _STALL_PATIENCE = 100
@@ -198,9 +186,9 @@ class LipschitzEstimates:
     ``L`` bounds the Lipschitz constant of the full Lagrangian x-gradient at
     the current multipliers; ``L_gfun`` bounds the function Lipschitz
     constant of the constraint map near the current iterate. ``sigma_hat``
-    and ``tau`` describe the inner contraction once :func:`choose_sigma` has
-    fixed the proximal weights: the model gradient is affine with slope
-    ``gamma``, so
+    and ``tau`` describe the contraction of the reference sweep once
+    :func:`choose_sigma` has fixed the proximal weights: the model gradient
+    is affine with slope ``gamma``, so
 
         tau = sqrt(1 - 2 min(gamma) sigma_hat + sigma_hat^2 max(gamma)^2) < 1
 
@@ -214,7 +202,6 @@ class LipschitzEstimates:
     M_g_own: Array
     sigma_hat: float = np.nan
     tau: float = np.nan
-    tau_block: float = np.nan   # max_nu |1 - sigma_nu gamma_nu|, the exact rate
 
 
 def spectral_norm(mat: Array) -> float:
@@ -428,9 +415,9 @@ def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
     An explicit ``sigma0`` selects the single-step-size mode, clipped at the
     conservative global cap so the stacked contraction formula certifies it.
 
-    Fills the contraction fields of ``est``: ``sigma_hat``, the
+    Fills the contraction fields of ``est``: ``sigma_hat`` and the
     stacked-formula ``tau`` (``gamma`` is the model gradient's exact Lipschitz
-    slope), and the exact blockwise rate ``tau_block``.
+    slope).
     """
     gamma = np.asarray(gamma, dtype=float)
     gmin = float(gamma.min())
@@ -443,12 +430,11 @@ def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
         sigma = np.full(gamma.shape[0], min(cfg.sigma.sigma0 * decay, cap))
     est.sigma_hat = float(sigma.max())
     est.tau = contraction_factor(gmin, gmax, est.sigma_hat)
-    est.tau_block = float(np.abs(1.0 - sigma * gamma).max())
     return sigma
 
 
 # ---------------------------------------------------------------------------
-# Inner Jacobi gradient projection
+# Jacobi block update, and the reference sweep that converges to it
 # ---------------------------------------------------------------------------
 
 
@@ -477,7 +463,7 @@ class InnerResult:
 
 def _exit_descent_ok(game: GameInstance, anchor: QuadraticAnchor, u: Array,
                      slack_bound: Array | None = None) -> tuple[str, bool]:
-    """Per-player exit test at an inner candidate ``u``.
+    """Per-player exit test at a block update ``u``.
 
     Strict surrogate descent for every player is not always achievable: when
     rivals' moves raise a player's anchored Lagrangian through the
@@ -486,11 +472,9 @@ def _exit_descent_ok(game: GameInstance, anchor: QuadraticAnchor, u: Array,
     value comparison; if even the true value rose the exit is "forced" (the
     block update is the fixed-point step; the rise is recorded).
 
-    ``slack_bound`` bounds how much each player's surrogate can still change
-    before the iterate reaches the fixed point; a failing margin larger than
-    it cannot recover, so the decision is final. Returns (verdict, final)
-    with verdict in {"descent", "true", "forced"} and final=False when a
-    failing margin might still flip.
+    A failing margin at most ``slack_bound`` leaves the test undecided.
+    Returns (verdict, final) with verdict in {"descent", "true", "forced"},
+    and ("undecided", False) when some failing margin is within its slack.
     """
     margins = np.array([anchor.model_value(i, u) - anchor.values[i]
                         for i in range(game.num_players)])
@@ -512,61 +496,27 @@ def _exit_descent_ok(game: GameInstance, anchor: QuadraticAnchor, u: Array,
     return "true", True
 
 
-def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig,
-                sigma: Array, tau: float) -> InnerResult:
-    """Iterate sweeps from the anchor until the residual and descent tests hold.
+def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) -> InnerResult:
+    """The Jacobi block update: every player's surrogate minimizer over its
+    private set, ``project_private(y - own_grad / gamma)``, in one projection.
 
-    Accepts the first iterate whose lookahead residual is below the
-    (possibly step-relative) threshold while every player passes the exit
-    descent test. When the fixed point coincides with the anchor no descent
-    exists; the loop then signals a stall once the iterate has collapsed
-    onto the fixed point within the outer tolerance. If the fixed point is
-    reached away from the anchor and some player's value genuinely rose, the
-    point is accepted with ``exit_kind="forced"`` (the run record keeps the
-    value trace, so a genuine increase stays visible).
+    This is the fixed point the reference sweep :func:`inner_step` converges
+    to. The exit test first runs with a 1e-14 slack, so a surrogate margin
+    that is zero up to rounding leaves it undecided; an undecided step that
+    stays within the outer tolerance of the anchor is a stall (no descent
+    exists there), and any other is labelled by the true-value comparison.
+    If some player's value genuinely rose, the point is accepted with
+    ``exit_kind="forced"`` (the run record keeps the value trace, so a
+    genuine increase stays visible).
     """
-    x_k = anchor.y
-    scale = 1.0 + max_abs(x_k)
-    floor = 1e-13 * scale
-    stall_r_tol = max(1e-12 * (1.0 - tau) * scale, 30 * np.finfo(float).eps * scale)
-    sig = np.asarray(sigma, dtype=float)
-
-    u_cur = inner_step(x_k, anchor, sig, game)
-    iters = 1
-    r = np.inf
-    while iters < cfg.max_inner:
-        u_next = inner_step(u_cur, anchor, sig, game)
-        iters += 1
-        r = vec_norm(u_next - u_cur)
-        dx2 = vec_norm(u_cur - x_k)
-        eps_eff = max(min(cfg.inner_eps, _INNER_REL * (1.0 - tau) * dx2), floor)
-        if r <= eps_eff:
-            # Residual bound on the remaining distance to the fixed point,
-            # hence on how much each surrogate value can still change.
-            e = r / max(1.0 - tau, 1e-12)
-            slack = e * (anchor.grad_norms + anchor.gamma * (dx2 + e)) + 1e-14
-            verdict, final = _exit_descent_ok(game, anchor, u_cur, slack_bound=slack)
-            if final:
-                return InnerResult(u_cur, iters, exit_kind=verdict)
-        if r <= stall_r_tol:
-            # Collapsed onto the fixed point without an acceptable exit.
-            if max_abs(u_cur - x_k) <= cfg.outer_tol:
-                return InnerResult(u_cur, iters, exit_kind="stall")
-            verdict, _ = _exit_descent_ok(game, anchor, u_cur)
-            return InnerResult(u_cur, iters, exit_kind=verdict)
-        u_cur = u_next
-    r = inner_residual(u_cur, anchor, sig, game)
-    if r <= cfg.inner_eps:
-        verdict, _ = _exit_descent_ok(game, anchor, u_cur)
-        if verdict != "forced":
-            return InnerResult(u_cur, iters + 1, exit_kind=verdict)
-        if max_abs(u_cur - x_k) <= cfg.outer_tol:
-            return InnerResult(u_cur, iters + 1, exit_kind="stall")
-    raise InnerLoopError(
-        f"inner projection did not reach residual {cfg.inner_eps:g} within "
-        f"{cfg.max_inner} iterations (residual {r:.3e})",
-        iterations=iters, residual=r,
-    )
+    u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
+    verdict, final = _exit_descent_ok(game, anchor, u,
+                                      slack_bound=np.full(game.num_players, 1e-14))
+    if not final:
+        if max_abs(u - anchor.y) <= cfg.outer_tol:
+            return InnerResult(u, 1, exit_kind="stall")
+        verdict, _ = _exit_descent_ok(game, anchor, u)
+    return InnerResult(u, 1, exit_kind=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +594,6 @@ class TraceRow:
     qz: Array
     qmu: Array
     gamma: Array
-    sigma_hat: float
-    tau: float
     L_gfun: Array
     M_theta_own: Array
     M_g_own: Array
@@ -713,9 +661,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     iteration cap, ``stalled-stationary`` when the primal blocks are pinned at
     a fixed point while the multipliers keep drifting (no finite-multiplier
     stationary point nearby), ``oracle-failure`` when an oracle returns a
-    non-finite value mid-run, and ``inner-failure`` when the inner sweeps
-    exhaust ``max_inner`` far from their fixed point. A failed run keeps the
-    trace and the state of the last completed iteration.
+    non-finite value mid-run. A failed run keeps the trace and the state of
+    the last completed iteration.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -754,9 +701,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             est = estimator.estimate(state.x, [d.lam for d in state.duals],
                                      jac_norms=jac_full)
             gamma, gamma_warnings = choose_gamma(est, penalty, cfg.gamma)
-            sigma = choose_sigma(est, cfg, k, gamma=gamma)
             anchor = build_anchor(game, state.duals, penalty, gamma, point, L_values)
-            inner = solve_inner(game, anchor, cfg, sigma, est.tau_block)
+            inner = solve_inner(game, anchor, cfg)
             total_inner += inner.iterations
 
             duals_z = step_z(state.duals, penalty)
@@ -766,9 +712,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             next_state = IterateState(inner.x_next, duals_new, k + 1)
         except OracleFailure as exc:
             status, message = "oracle-failure", str(exc)
-            break
-        except InnerLoopError as exc:
-            status, message = "inner-failure", str(exc)
             break
 
         dx_inf, dlambda_inf = _max_moves(state, next_state)
@@ -793,8 +736,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             jac_own_norm=jac_own_next,
             qx=qx, qlam=qlam, qz=qz, qmu=qmu,
             gamma=gamma.copy(),
-            sigma_hat=est.sigma_hat,
-            tau=est.tau,
             L_gfun=est.L_gfun.copy(),
             M_theta_own=est.L_theta.copy(),
             M_g_own=est.M_g_own.copy(),

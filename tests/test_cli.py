@@ -25,7 +25,7 @@ def test_solve_example3_from_zero(tmp_path, capsys):
     out = tmp_path / "result.json"
     code, stdout, _ = run_cli(
         capsys, "solve", "--problem", "example3", "--x0", "const:0",
-        "--tol", "1e-4", "--sigma-decay", "0", "--out", str(out),
+        "--tol", "1e-4", "--out", str(out),
         "--skip-best-response")
     assert code == 0
     doc = json.loads(out.read_text())
@@ -112,8 +112,16 @@ def test_solve_out_dash_writes_document_to_stdout(tmp_path, capsys, monkeypatch)
 def test_solve_fixed_gamma_flag(capsys):
     code, _, _ = run_cli(capsys, "solve", "--problem", "example3",
                          "--x0", "const:0", "--gamma", "40",
-                         "--sigma-decay", "0", "--skip-diagnostics")
+                         "--skip-diagnostics")
     assert code == 0
+
+
+def test_solve_power_converges_under_defaults(tmp_path, capsys):
+    out = tmp_path / "power.json"
+    code, _, _ = run_cli(capsys, "solve", "--problem", "power", "--x0", "const:0",
+                         "--skip-diagnostics", "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["status"] == "converged"
 
 
 def test_solve_invalid_tolerance(capsys):
@@ -125,19 +133,8 @@ def test_solve_invalid_tolerance(capsys):
 def test_solve_nonconvergence_exit_code(capsys):
     code, _, _ = run_cli(capsys, "solve", "--problem", "example3",
                          "--x0", "const:0", "--max-outer", "3",
-                         "--sigma-decay", "0", "--skip-diagnostics")
+                         "--skip-diagnostics")
     assert code == 2
-
-
-def test_solve_inner_failure_exit_code(tmp_path, capsys):
-    out = tmp_path / "inner.json"
-    code, stdout, stderr = run_cli(capsys, "solve", "--problem", "example3",
-                                   "--max-inner", "2", "--inner-eps", "1e-14",
-                                   "--skip-diagnostics", "--out", str(out))
-    assert code == 2
-    assert "status: inner-failure" in stdout
-    assert "Traceback" not in stderr
-    assert json.loads(out.read_text())["status"] == "inner-failure"
 
 
 def test_solve_oracle_failure_exit_code(tmp_path, capsys):
@@ -184,7 +181,7 @@ def test_result_documents_byte_deterministic(tmp_path, capsys):
         out = tmp_path / name
         code, _, _ = run_cli(
             capsys, "solve", "--problem", "random-quadratic", "--seed", "5",
-            "--x0", "const:0", "--sigma-decay", "0", "--out", str(out),
+            "--x0", "const:0", "--out", str(out),
             "--skip-best-response")
         assert code == 0
         outs.append(out.read_bytes())
@@ -199,7 +196,7 @@ def test_result_documents_byte_deterministic(tmp_path, capsys):
 def test_trace_header_and_final_step(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code, _, _ = run_cli(capsys, "trace", "--problem", "example3",
-                         "--x0", "const:0", "--sigma-decay", "0",
+                         "--x0", "const:0",
                          "--out", str(out))
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -219,7 +216,7 @@ def test_trace_monotone_columns_on_interior_instance(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code, _, _ = run_cli(capsys, "trace", "--load", str(gpath),
                          "--x0", "vec:" + ",".join(repr(float(v)) for v in plant),
-                         "--sigma-decay", "0", "--out", str(out))
+                         "--out", str(out))
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,L_1,dx_inf,dlambda_inf,feas,inner_iters"
@@ -237,7 +234,7 @@ BENCH_ARGS = [
     "--run", "example3@vec:2,1",
     "--run", "example3@vec:-1,-1",
     "--run", "a18@const:0",
-    "--sigma-decay", "0", "--max-outer", "600",
+    "--max-outer", "600",
 ]
 
 
@@ -265,7 +262,7 @@ def test_bench_byte_deterministic(tmp_path, capsys):
         out = tmp_path / name
         run_cli(capsys, "bench", "--run", "example3@const:0",
                 "--run", "random-quadratic@const:0", "--seed", "3",
-                "--sigma-decay", "0", "--out", str(out))
+                "--out", str(out))
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
     assert b"time_s" in blobs[0]
@@ -276,7 +273,7 @@ def test_x0_from_file(tmp_path, capsys):
     x0file = tmp_path / "start.txt"
     x0file.write_text("2.0, 1.0\n")
     code, _, _ = run_cli(capsys, "solve", "--problem", "example3",
-                         "--x0", f"file:{x0file}", "--sigma-decay", "0",
+                         "--x0", f"file:{x0file}",
                          "--skip-diagnostics")
     assert code == 0
 
@@ -290,7 +287,7 @@ def test_x0_from_file(tmp_path, capsys):
 def ex3_result_doc(tmp_path_factory):
     out = tmp_path_factory.mktemp("docs") / "ex3.json"
     code = main(["solve", "--problem", "example3", "--x0", "const:0",
-                 "--tol", "1e-7", "--sigma-decay", "0", "--out", str(out),
+                 "--tol", "1e-7", "--out", str(out),
                  "--skip-diagnostics"])
     assert code == 0
     return out

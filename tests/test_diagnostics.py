@@ -141,6 +141,7 @@ def test_exact_and_penalty_best_responses_agree(quad_suite):
                 assert _br_bits(exact) == _br_bits(_exact_best_response(game, x, i, 1e-8))
                 relaxed += bool(np.any(exact.relaxation > 0.0))
                 penalty = _penalty_best_response(game, x, i)
+                assert penalty.iterations <= 400_000   # the default budget
                 if (game.name, i, shifted) == ("randquad-2x3x2-s109", 0, True):
                     # the penalty routine runs out its budget with comp just
                     # above 1e-8; the exact solve certifies

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gnepsolve as G
 from gnepsolve.core import BlockLayout, GameInstance, PlayerDualState, PlayerProblem, SimpleSet, initial_state
@@ -189,32 +190,67 @@ def test_solve_inner_matches_projected_model_minimizer():
     x = np.array([0.4, -0.3])
     gamma = np.array([2.0])
     anchor = _anchor_for(game, x, duals, pen, gamma)
-    cfg = SolverConfig(sigma=SigmaSchedule.constant(), inner_eps=1e-10)
-    est = _est([1.0], [0.0])
-    sigma = choose_sigma(est, cfg, 0, gamma=gamma)
-    result = solve_inner(game, anchor, cfg, sigma, est.tau_block)
+    cfg = SolverConfig(sigma=SigmaSchedule.constant())
+    result = solve_inner(game, anchor, cfg)
     target = game.players[0].private_set.project(x - anchor.grads[0] / gamma[0])
     np.testing.assert_allclose(result.x_next, target, atol=1e-8)
     assert result.exit_kind != "stall"
 
 
-def test_solve_inner_budget_exhaustion_raises():
-    # a hopelessly small budget with a distant fixed point must surface as an
-    # inner-nonconvergence error carrying diagnostics
-    game = single_player_quadratic()
-    pen = PenaltyParams.uniform(1)
-    duals = [PlayerDualState.zeros(0)]
-    x = np.array([5.0, -5.0])
-    anchor = _anchor_for(game, x, duals, pen, np.array([2.0]))
-    # explicit tiny step: the sweep barely moves, so the budget runs out far
-    # from the fixed point
-    cfg = SolverConfig(sigma=SigmaSchedule.constant(1e-4), max_inner=3, inner_eps=1e-12)
-    est = _est([1.0], [0.0])
-    sigma = choose_sigma(est, cfg, 0, gamma=np.array([2.0]))
-    with pytest.raises(G.InnerLoopError) as err:
-        solve_inner(game, anchor, cfg, sigma, est.tau_block)
-    assert err.value.residual > 1e-12
-    assert err.value.iterations >= 3
+def _coupled_player(rng, s, n):
+    """A player on private set ``s`` with a quadratic objective and one
+    affine constraint, both in the whole joint vector of length ``n``."""
+    c = rng.uniform(-5.0, 5.0, n)
+    Q = rng.uniform(-1.0, 1.0, (n, n))
+    Q = Q + Q.T
+    a = rng.uniform(-1.0, 1.0, n)
+    b = float(rng.uniform(-1.0, 1.0))
+    return PlayerProblem(objective=lambda x: float(c @ x + 0.5 * x @ Q @ x),
+                         gradient=lambda x: c + Q @ x,
+                         constraints=lambda x: np.array([a @ x - b]),
+                         constraint_jacobian=lambda x: a[None, :].copy(),
+                         private_set=s, m=1)
+
+
+def _random_set(rng, kind, dim):
+    if kind == "box":
+        lo = rng.uniform(-3.0, 1.0, dim)
+        return SimpleSet.box(lo, lo + rng.uniform(0.0, 3.0, dim))
+    if kind == "ball":
+        return SimpleSet.ball(dim, float(rng.uniform(0.1, 3.0)))
+    return SimpleSet(kind, dim)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from(("box", "nonneg", "simplex", "ball")),
+                          st.integers(1, 4)), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_solve_inner_is_the_fixed_point_of_the_reference_sweep(blocks, seed):
+    # the closed-form block update against the point repeated reference
+    # sweeps (with choose_sigma steps) settle on, from random anchors
+    rng = np.random.default_rng(seed)
+    sets = [_random_set(rng, kind, dim) for kind, dim in blocks]
+    n = sum(dim for _, dim in blocks)
+    game = GameInstance(tuple(_coupled_player(rng, s, n) for s in sets),
+                        BlockLayout(tuple(dim for _, dim in blocks)))
+    N = game.num_players
+    pen = PenaltyParams.uniform(N)
+    duals = [PlayerDualState(np.zeros(1), lam, lam.copy())
+             for lam in rng.uniform(0.0, 3.0, (N, 1))]
+    gamma = rng.uniform(0.5, 50.0, N)
+    anchor = _anchor_for(game, game.project_private(rng.uniform(-5.0, 5.0, n)),
+                         duals, pen, gamma)
+    cfg = SolverConfig(sigma=SigmaSchedule.constant())
+    sigma = choose_sigma(_est(gamma, np.zeros(N)), cfg, 0, gamma=gamma)
+    u = anchor.y
+    for _ in range(500):
+        u, prev = inner_step(u, anchor, sigma, game), u
+        if np.array_equal(u, prev):
+            break
+    result = solve_inner(game, anchor, cfg)
+    np.testing.assert_allclose(result.x_next, u, rtol=0, atol=1e-10)
+    assert result.iterations == 1
+    assert result.exit_kind in ("descent", "true", "forced", "stall")
 
 
 def test_solve_inner_stalls_at_stationary_anchor():
@@ -224,9 +260,7 @@ def test_solve_inner_stalls_at_stationary_anchor():
     x = np.zeros(2)   # already the minimizer: no strict descent exists
     anchor = _anchor_for(game, x, duals, pen, np.array([2.0]))
     cfg = SolverConfig(sigma=SigmaSchedule.constant())
-    est = _est([1.0], [0.0])
-    sigma = choose_sigma(est, cfg, 0, gamma=np.array([2.0]))
-    result = solve_inner(game, anchor, cfg, sigma, est.tau_block)
+    result = solve_inner(game, anchor, cfg)
     assert result.exit_kind == "stall"
     np.testing.assert_allclose(result.x_next, x, atol=1e-10)
 
@@ -311,6 +345,36 @@ def test_step_duals_maximizes_value():
             continue
         v = lagrangian_value(game, 0, x, PlayerDualState(new[0].z, lam_p, duals[0].mu), pen)
         assert v < base
+
+
+_DUAL_VECTORS = st.integers(1, 4).flatmap(lambda m: st.tuples(
+    *[st.lists(st.floats(lo, 10.0), min_size=m, max_size=m) for lo in (0.0, 0.0, -10.0)]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_DUAL_VECTORS, st.floats(0.01, 100.0), st.floats(0.01, 100.0))
+def test_dual_steps_from_unequal_multipliers(vectors, alpha, beta):
+    # lam != mu and z != 0 on entry: the z step is (lam - mu) / alpha exactly,
+    # and the multiplier step max(mu + g / beta, 0) whether g comes from the
+    # oracle or is handed in; afterwards lam == mu and lam >= 0
+    lam, mu, g = (np.array(v) for v in vectors)
+    m = lam.shape[0]
+    toy = GameInstance((PlayerProblem(
+        objective=lambda x: 0.0, gradient=lambda x: np.zeros(1),
+        constraints=lambda x: g.copy(), constraint_jacobian=lambda x: np.zeros((m, 1)),
+        private_set=SimpleSet.free(1), m=m),), BlockLayout((1,)), "toy")
+    pen = PenaltyParams.uniform(1, alpha=alpha, beta=beta)
+    duals = [PlayerDualState(np.full(m, 0.5), lam, mu)]
+    stepped = step_z(duals, pen)[0]
+    np.testing.assert_array_equal(stepped.z, (lam - mu) / alpha)
+    np.testing.assert_array_equal(stepped.lam, lam)
+    np.testing.assert_array_equal(stepped.mu, mu)
+    want = np.maximum(mu + g / beta, 0.0)
+    for out in (step_duals(np.zeros(1), duals, pen, toy),
+                step_duals(np.zeros(1), duals, pen, toy, g_values=[g])):
+        np.testing.assert_array_equal(out[0].lam, want)
+        np.testing.assert_array_equal(out[0].lam, out[0].mu)
+        assert np.all(out[0].lam >= 0.0)
 
 
 # ---------------------------------------------------------------------------
