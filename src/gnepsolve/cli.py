@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import library
-from .core import GameInstance, IterateState, OracleFailure, PlayerDualState
+from .core import DualStack, GameInstance, IterateState, OracleFailure, PlayerDualState
 from .diagnostics import diagnose
 from .solver import GammaPolicy, SolverConfig, solve
 
@@ -403,7 +403,7 @@ def cmd_validate(args) -> int:
         if np.any(lam < 0):
             raise CliError(f"{path}: player {i} has a negative multiplier")
         duals.append(PlayerDualState(z, lam, mu))
-    state = IterateState(x, duals)
+    state = IterateState(x, DualStack.of(duals, game.rows))
 
     cfg = doc.get("config", {})
     from .lagrangian import PenaltyParams

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,6 +102,105 @@ class BlockLayout:
             )
         out = np.array(x, dtype=float, copy=True)
         out[self.block_slice(i)] = values
+        return out
+
+    @cached_property
+    def segments(self) -> "Segments":
+        """The blocks as :class:`Segments` of the joint vector."""
+        return Segments(self.dims)
+
+    @cached_property
+    def own_entries(self) -> Array:
+        """Flat indices of the diagonal blocks of an ``(N, n)`` array: row
+        ``i``, columns of block ``i``. ``A.ravel()[own_entries]`` stacks every
+        player's own block of its row, like the joint vector."""
+        return np.concatenate([i * self.n + np.arange(s.start, s.stop)
+                               for i, s in enumerate(self.slices)])
+
+
+def _grouped(keys: Sequence) -> list[Array]:
+    """Indices of equal ``keys``, one array per distinct key, in key order."""
+    return [np.array([i for i, k in enumerate(keys) if k == key]) for key in sorted(set(keys))]
+
+
+@dataclass(frozen=True)
+class Segments:
+    """Consecutive per-player segments of a stacked vector: segment ``i``
+    holds ``counts[i]`` entries (a player's constraint rows, or its block of
+    the joint vector), and ``bounds[i]:bounds[i + 1]`` is its slice.
+
+    The per-segment reductions batch all segments of one length into a
+    single matmul call. That is, bit for bit, one BLAS dot per segment,
+    ``a[s] @ b[s]``; a segment sum (``np.add.reduceat``) rounds differently
+    once a segment holds two entries or more.
+    """
+
+    counts: tuple[int, ...]
+
+    @cached_property
+    def bounds(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.counts, initial=0))
+
+    @property
+    def total(self) -> int:
+        return self.bounds[-1]
+
+    def entries(self, players: Array) -> Array:
+        """``(len(players), w)`` indices of the entries of the segments of
+        ``players``, which all hold ``w`` entries."""
+        return np.asarray(self.bounds)[players][:, None] + np.arange(self.counts[players[0]])
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[Array, Array], ...]:
+        """``(players, entries)`` for every nonzero segment length."""
+        return tuple((players, self.entries(players)) for players in _grouped(self.counts)
+                     if self.counts[players[0]])
+
+    def split(self, a: Array) -> list[Array]:
+        """Per-segment views of the stacked ``a``."""
+        b = self.bounds
+        return [a[b[i]:b[i + 1]] for i in range(len(self.counts))]
+
+    def repeat(self, v: Array) -> Array:
+        """Per-segment values ``v`` repeated over each segment's entries."""
+        return np.repeat(v, self.counts)
+
+    def dot(self, a: Array, b: Array) -> Array:
+        """``a[..., s] @ b[..., s]`` for every segment ``s`` of the last
+        axis; 0.0 for an empty one."""
+        out = np.zeros(a.shape[:-1] + (len(self.counts),))
+        # np.take gathers into C order; a[..., rows] would not, and the
+        # matmul of a strided gather rounds differently.
+        for players, rows in self._groups:
+            out[..., players] = np.matmul(np.take(a, rows, axis=-1)[..., None, :],
+                                          np.take(b, rows, axis=-1)[..., :, None])[..., 0, 0]
+        return out
+
+    def norm(self, a: Array) -> Array:
+        """Per-segment :func:`vec_norm`, over the last axis."""
+        return np.sqrt(self.dot(a, a))
+
+    def max_abs(self, a: Array) -> Array:
+        """Per-segment :func:`max_abs`."""
+        out = np.zeros(len(self.counts))
+        for players, rows in self._groups:
+            out[players] = np.abs(a[rows]).max(axis=1)
+        return out
+
+    def matvec(self, A: Array, x: Array) -> Array:
+        """``A[s] @ x`` for every segment ``s`` of the rows of ``A``, stacked:
+        one gemv per segment, as the per-player product gives."""
+        out = np.zeros(self.total)
+        for _, rows in self._groups:
+            out[rows] = np.matmul(A[rows], x)
+        return out
+
+    def vecmat_add(self, base: Array, a: Array, A: Array) -> Array:
+        """``base[i] + A[s].T @ a[s]`` for every player ``i`` whose segment
+        ``s`` of the rows of ``A`` is not empty, and ``base[i]`` otherwise."""
+        out = base.copy()
+        for players, rows in self._groups:
+            out[players] += np.matmul(a[rows][:, None, :], A[rows])[:, 0, :]
         return out
 
 
@@ -284,12 +384,48 @@ class PlayerProblem:
 
 
 @dataclass(frozen=True)
+class QuadraticStack:
+    """Every player's quadratic data stacked over players: player ``i``
+    minimizes ``0.5 x'Q[i] x + b[i]'x`` under constraints whose affine parts
+    are the rows ``C x + D`` of its segment of the game's constraint rows.
+
+    The players listed in ``curved`` also carry nonzero constraint Hessians
+    (kept per player, not stacked); their constraint values and Jacobians
+    come from their oracles. The players' oracles and ``objective_hessian``
+    read views of these arrays, so the stack holds no second copy.
+    """
+
+    Q: Array                      # (N, n, n)
+    b: Array                      # (N, n)
+    C: Array                      # (M, n)
+    D: Array                      # (M,)
+    curved: tuple[int, ...] = ()
+
+    @cached_property
+    def jacobian(self) -> Array:
+        """The constraint Jacobian of the affine players, ``C + 0.0``
+        (turning a -0.0 into +0.0, as their oracles do)."""
+        return self.C + 0.0
+
+
+@dataclass(frozen=True)
 class GameInstance:
-    """An N-player game: players, block layout, and a display name."""
+    """An N-player game: players, block layout, and a display name.
+
+    ``quadratic`` holds the stacked data of a game built from a quadratic
+    spec (:class:`QuadraticStack`, attached by
+    :meth:`~gnepsolve.library.QuadraticGnepSpec.to_game`); the oracle sweep
+    then runs as a few whole-array products instead of one oracle call per
+    player. It is not a constructor argument: the stack must be the very
+    data the players' oracles read, or the solver and the certifier would
+    judge different games. A game built directly has none.
+    """
 
     players: tuple[PlayerProblem, ...]
     layout: BlockLayout
     name: str = "game"
+    quadratic: QuadraticStack | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if len(self.players) == 0:
@@ -308,9 +444,26 @@ class GameInstance:
     def n(self) -> int:
         return self.layout.n
 
+    @cached_property
+    def rows(self) -> Segments:
+        """The players' segments of the stacked constraint rows."""
+        return Segments(tuple(p.m for p in self.players))
+
     @property
     def total_constraints(self) -> int:
-        return sum(p.m for p in self.players)
+        return self.rows.total
+
+    @cached_property
+    def own_blocks(self) -> tuple[tuple[Array, Array], ...]:
+        """``(rows, cols)`` for the players with constraints, grouped by their
+        row count ``w`` and block dimension ``d``: ``rows`` (p, w) indexes
+        their constraint rows, ``cols`` (p, d) their blocks of the joint
+        vector, so ``J[rows[:, :, None], cols[:, None, :]]`` stacks the
+        own-block columns of their constraint Jacobians."""
+        blocks = self.layout.segments
+        return tuple((self.rows.entries(players), blocks.entries(players))
+                     for players in _grouped(list(zip(self.rows.counts, blocks.counts)))
+                     if self.rows.counts[players[0]])
 
     @cached_property
     def _clip_bounds(self) -> tuple[Array, Array, tuple[int, ...]]:
@@ -346,14 +499,34 @@ class GameInstance:
 
     def feasibility_violation(self, x: Array) -> float:
         """Largest positive constraint value over all players; 0 if feasible."""
-        return constraint_violation([p.constraints(x) for p in self.players if p.m])
+        return constraint_violation(stack_rows([p.constraints(x) for p in self.players if p.m]))
 
 
-def constraint_violation(g_values: Sequence[Array]) -> float:
-    """Largest positive entry of the constraint value blocks ``g_values``;
-    0 when every constraint holds. A NaN entry propagates."""
-    return float(np.max([np.maximum(g, 0.0).max(initial=0.0) for g in g_values],
-                        initial=0.0))
+def _attach_quadratic_stack(game: GameInstance, q: QuadraticStack) -> GameInstance:
+    """``game`` with its players' quadratic data ``q`` attached; the
+    players' oracles must read views of these very arrays."""
+    N, n, M = game.num_players, game.n, game.total_constraints
+    if (q.Q.shape, q.b.shape, q.C.shape, q.D.shape) != ((N, n, n), (N, n), (M, n), (M,)):
+        raise ValueError("stacked quadratic data does not match the players")
+    object.__setattr__(game, "quadratic", q)
+    return game
+
+
+def constraint_violation(g: Array) -> float:
+    """Largest positive entry of the constraint values ``g``; 0 when every
+    constraint holds. A NaN entry propagates."""
+    return float(np.maximum(g, 0.0).max(initial=0.0))
+
+
+def stack_rows(blocks: Sequence[Array]) -> Array:
+    """Per-player vectors stacked into one float vector."""
+    return np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks] or [np.zeros(0)])
+
+
+def row_dots(A: Array, x: Array) -> Array:
+    """``A[i] @ x`` for every row of the 2-D ``A``: bit for bit the per-row
+    dot product, which ``A @ x`` (one gemv) is not."""
+    return np.matmul(A[:, None, :], x)[:, 0]
 
 
 def vec_norm(v: Array) -> float:
@@ -388,27 +561,69 @@ class PlayerDualState:
     def zeros(m: int) -> "PlayerDualState":
         return PlayerDualState(np.zeros(m), np.zeros(m), np.zeros(m))
 
-    def copy(self) -> "PlayerDualState":
-        return PlayerDualState(self.z.copy(), self.lam.copy(), self.mu.copy())
+
+@dataclass(frozen=True)
+class DualStack:
+    """Every player's dual state stacked over the constraint rows ``rows``.
+
+    Indexing gives player ``i``'s :class:`PlayerDualState` as views of the
+    stacked arrays, so a stack reads like a list of dual states: an in-place
+    write to a player's ``lam`` (``stack[i].lam += 1``) changes the stack,
+    rebinding the attribute does not. The solver never writes into these
+    arrays; every step makes new ones.
+    """
+
+    z: Array
+    lam: Array
+    mu: Array
+    rows: Segments
+
+    @staticmethod
+    def zeros(rows: Segments) -> "DualStack":
+        return DualStack(np.zeros(rows.total), np.zeros(rows.total), np.zeros(rows.total), rows)
+
+    @staticmethod
+    def of(duals: Sequence[PlayerDualState], rows: Segments | None = None) -> "DualStack":
+        """Per-player dual states stacked over the rows ``rows`` (by default
+        the players' multiplier lengths)."""
+        if rows is None:
+            rows = Segments(tuple(np.asarray(d.lam).shape[0] for d in duals))
+        return DualStack(stack_rows([d.z for d in duals]), stack_rows([d.lam for d in duals]),
+                         stack_rows([d.mu for d in duals]), rows)
+
+    def __len__(self) -> int:
+        return len(self.rows.counts)
+
+    def __getitem__(self, i: int) -> PlayerDualState:
+        if not 0 <= i < len(self):
+            raise IndexError(f"player index {i} out of range for {len(self)} players")
+        a, b = self.rows.bounds[i], self.rows.bounds[i + 1]
+        return PlayerDualState(self.z[a:b], self.lam[a:b], self.mu[a:b])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def copy(self) -> "DualStack":
+        return DualStack(self.z.copy(), self.lam.copy(), self.mu.copy(), self.rows)
 
 
 @dataclass
 class IterateState:
-    """Joint primal point plus every player's dual state."""
+    """Joint primal point plus every player's dual state, stacked over the
+    game's constraint rows."""
 
     x: Array
-    duals: list[PlayerDualState]
+    duals: DualStack
     outer_k: int = 0
 
     def copy(self) -> "IterateState":
-        return IterateState(self.x.copy(), [d.copy() for d in self.duals], self.outer_k)
+        return IterateState(self.x.copy(), self.duals.copy(), self.outer_k)
 
 
 def initial_state(game: GameInstance, x0: Array) -> IterateState:
     """Build the starting state: ``x0`` projected onto the private sets, zero duals."""
     x = game.project_private(np.asarray(x0, dtype=float))
-    duals = [PlayerDualState.zeros(p.m) for p in game.players]
-    return IterateState(x, duals, 0)
+    return IterateState(x, DualStack.zeros(game.rows), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -281,71 +281,84 @@ def _penalty_best_response(game: GameInstance, x: Array, player: int,
     stages = 80
     cert_prev = np.inf
     best = None
-    for _ in range(stages):
-        val = phi(u, mu, rho)
-        step = 1.0
-        inner_budget = max(200, budget // stages)
-        it = 0
-        while it < inner_budget and used < budget:
-            it += 1
-            grad = phi_grad(u, mu, rho)
-            moved = False
-            s = step
-            for _ in range(80):
-                if used >= budget:
-                    break
-                cand = project(u - s * grad)
-                used += 1
-                d = cand - u
-                if max_abs(d) == 0.0:
-                    break
-                dv = phi(cand, mu, rho)
-                if dv <= val - 1e-4 / max(s, 1e-16) * float(d @ d):
-                    u, val = cand, dv
-                    step = min(s * 2.0, 1e8)
-                    moved = True
-                    break
-                s *= 0.5
-            if not moved:
-                # Value comparisons hit float resolution; finish with fixed
-                # small steps plus momentum (no comparisons), restarting the
-                # momentum whenever it stops pointing downhill.
-                polish = 0.4 * step
-                tiny = 1e-15 * (1.0 + max_abs(u))
-                tmom = 1.0
-                v = u.copy()
-                for _ in range(6000):
+    # A trial point that is not finite, or a momentum test that overflows,
+    # ends the search: the iterates diverge there. Overflow is detected by
+    # these checks, not reported as a warning.
+    diverged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(stages):
+            val = phi(u, mu, rho)
+            step = 1.0
+            inner_budget = max(200, budget // stages)
+            it = 0
+            while it < inner_budget and used < budget:
+                it += 1
+                grad = phi_grad(u, mu, rho)
+                moved = False
+                s = step
+                for _ in range(80):
                     if used >= budget:
                         break
+                    cand = project(u - s * grad)
                     used += 1
-                    unew = project(v - polish * phi_grad(v, mu, rho))
-                    if float((v - unew) @ (unew - u)) > 0.0:
-                        tmom, v = 1.0, u.copy()
-                        continue
-                    tnew = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
-                    v = unew + ((tmom - 1.0) / tnew) * (unew - u)
-                    movement = max_abs(unew - u)
-                    u, tmom = unew, tnew
-                    if movement <= tiny:
+                    if not np.isfinite(cand).all():
+                        diverged = True
                         break
+                    d = cand - u
+                    if max_abs(d) == 0.0:
+                        break
+                    dv = phi(cand, mu, rho)
+                    if dv <= val - 1e-4 / max(s, 1e-16) * float(d @ d):
+                        u, val = cand, dv
+                        step = min(s * 2.0, 1e8)
+                        moved = True
+                        break
+                    s *= 0.5
+                if not (moved or diverged):
+                    # Value comparisons hit float resolution; finish with fixed
+                    # small steps plus momentum (no comparisons), restarting the
+                    # momentum whenever it stops pointing downhill.
+                    polish = 0.4 * step
+                    tiny = 1e-15 * (1.0 + max_abs(u))
+                    tmom = 1.0
+                    v = u.copy()
+                    for _ in range(6000):
+                        if used >= budget:
+                            break
+                        used += 1
+                        unew = project(v - polish * phi_grad(v, mu, rho))
+                        turn = float((v - unew) @ (unew - u))
+                        if not math.isfinite(turn):
+                            diverged = True
+                            break
+                        if turn > 0.0:
+                            tmom, v = 1.0, u.copy()
+                            continue
+                        tnew = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
+                        v = unew + ((tmom - 1.0) / tnew) * (unew - u)
+                        movement = max_abs(unew - u)
+                        u, tmom = unew, tnew
+                        if movement <= tiny:
+                            break
+                if not moved:
+                    break
+            if p.m:
+                gr = g_rel(full(u))
+                mu = np.maximum(mu + rho * gr, 0.0)
+            stat, comp, feas = _single_kkt(game, player, full(u), mu, relax)
+            cert = max(stat, comp, feas)
+            if best is None or cert < best[0]:
+                best = (cert, u.copy(), mu.copy(), (stat, comp, feas))
+            if cert <= cert_tol:
+                return BestResponseInfo(u, float(p.objective(full(u))), mu,
+                                        (stat, comp, feas), used, True, relax)
+            if cert > 0.3 * cert_prev:
+                # keep rho moderate: the penalty gradient float noise scales with
+                # rho and would otherwise swamp the certificate
+                rho = min(rho * 4.0, 1e6)
+            cert_prev = cert
+            if used >= budget or diverged:
                 break
-        if p.m:
-            gr = g_rel(full(u))
-            mu = np.maximum(mu + rho * gr, 0.0)
-        stat, comp, feas = _single_kkt(game, player, full(u), mu, relax)
-        cert = max(stat, comp, feas)
-        if best is None or cert < best[0]:
-            best = (cert, u.copy(), mu.copy(), (stat, comp, feas))
-        if cert <= cert_tol:
-            return BestResponseInfo(u, float(p.objective(full(u))), mu,
-                                    (stat, comp, feas), used, True, relax)
-        if cert > 0.3 * cert_prev:
-            # keep rho moderate: the penalty gradient float noise scales with
-            # rho and would otherwise swamp the certificate
-            rho = min(rho * 4.0, 1e6)
-        cert_prev = cert
-        if used >= budget:
-            break
     cert, u, mu, triple = best
     certified = cert <= cert_tol
     return BestResponseInfo(u, float(p.objective(full(u))), mu,
@@ -366,7 +379,7 @@ def _single_kkt(game: GameInstance, player: int, x: Array, lam: Array,
         J = np.asarray(p.constraint_jacobian(x), dtype=float)
         grad_own = grad_own + J[:, sl].T @ lam
         comp = max_abs(lam * g)
-        feas = constraint_violation([g])
+        feas = constraint_violation(g)
     block = x[sl]
     stat = max_abs(block - p.private_set.project(block - grad_own))
     return stat, comp, feas

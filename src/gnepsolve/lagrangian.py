@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, GameInstance, OracleFailure, PlayerDualState, vec_norm
+from .core import (Array, DualStack, GameInstance, OracleFailure, PlayerDualState, Segments,
+                   row_dots)
 
 __all__ = [
     "PenaltyParams",
@@ -66,18 +67,24 @@ def _check_finite(value, player: int, what: str):
         raise OracleFailure(f"player {player}: non-finite {what}", player=player)
 
 
+def _from_dots(theta, lam_gz, mu_z, zz, dd, alpha, beta):
+    """The regularized Lagrangian from the objective value and the dot
+    products ``lam.(g - z)``, ``mu.z``, ``z.z`` and ``(lam - mu).(lam - mu)``;
+    the one implementation of the formula above, for scalars and for arrays
+    over players alike."""
+    return theta + (lam_gz + mu_z) + 0.5 * alpha * zz - 0.5 * beta * dd
+
+
 def lagrangian_from_values(theta: float, g: Array, dual: PlayerDualState,
                            alpha: float, beta: float) -> float:
     """Player's regularized Lagrangian from its objective value ``theta`` and
-    constraint values ``g``: the one implementation of the formula above.
-    A player without constraints (``g`` empty) gets ``theta`` unchanged."""
-    val = theta
-    if g.size:
-        diff = dual.lam - dual.mu
-        val += float(dual.lam @ (g - dual.z)) + float(dual.mu @ dual.z)
-        val += 0.5 * alpha * float(dual.z @ dual.z)
-        val -= 0.5 * beta * float(diff @ diff)
-    return val
+    constraint values ``g``. A player without constraints (``g`` empty) gets
+    ``theta`` unchanged."""
+    if not g.size:
+        return theta
+    diff = dual.lam - dual.mu
+    return float(_from_dots(theta, float(dual.lam @ (g - dual.z)), float(dual.mu @ dual.z),
+                            float(dual.z @ dual.z), float(diff @ diff), alpha, beta))
 
 
 def _checked_values(game: GameInstance, player: int, x: Array, lam: Array) -> tuple[float, Array]:
@@ -137,80 +144,130 @@ def lagrangian_grad_x(game: GameInstance, player: int, x: Array, lam: Array) -> 
 
 @dataclass
 class PointEval:
-    """Raw oracle output of every player at one joint point."""
+    """Raw oracle output of every player at one joint point, stacked over
+    players: gradients as one ``(N, n)`` array, constraint values and
+    Jacobians over the game's constraint rows, player ``i`` owning the
+    segment ``rows.bounds[i]:rows.bounds[i + 1]``."""
 
     x: Array
     theta: Array                 # (N,) objective values
-    theta_grads: list[Array]     # per player, (n,)
-    g_values: list[Array]        # per player, (m_nu,)
-    g_jacobians: list[Array]     # per player, (m_nu, n)
+    theta_grads: Array           # (N, n) objective gradients
+    g_values: Array              # (M,) constraint values
+    g_jacobians: Array           # (M, n) constraint Jacobians
+    rows: Segments               # the players' segments of the M rows
+
+
+_POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
+                 "constraint Jacobian")
 
 
 def evaluate_point(game: GameInstance, x: Array) -> PointEval:
-    """Run every player's oracles once at ``x`` (values, gradients, Jacobians)."""
-    theta = np.zeros(game.num_players)
-    grads, gvals, jacs = [], [], []
-    for i, p in enumerate(game.players):
-        theta[i] = float(p.objective(x))
-        _check_finite(theta[i], i, "objective value")
-        gr = np.asarray(p.gradient(x), dtype=float)
-        _check_finite(gr, i, "objective gradient")
-        grads.append(gr)
-        if p.m:
-            gv = np.asarray(p.constraints(x), dtype=float)
-            J = np.asarray(p.constraint_jacobian(x), dtype=float)
-            _check_finite(gv, i, "constraint value")
-            _check_finite(J, i, "constraint Jacobian")
+    """Every player's objective value and gradient, constraint values and
+    Jacobian at ``x``.
+
+    A game with stacked quadratic data (``game.quadratic``, every game built
+    from a :class:`~gnepsolve.library.QuadraticGnepSpec`) takes one batched
+    sweep: one ``Q_i @ x`` product per player in a single matmul call, from
+    which every gradient and objective value follows, and one batched
+    product for the affine constraint rows. Each of these is bit for bit
+    what the player's own oracle returns. Every other game calls each
+    player's oracles in turn. A non-finite value raises
+    :class:`OracleFailure` naming the first player, and its first field in
+    the order value, gradient, constraint value, Jacobian.
+    """
+    x = np.array(x, dtype=float, copy=True)
+    # Overflow and invalid operations end in the finiteness check below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if game.quadratic is not None:
+            fields = _stacked_sweep(game, x)
         else:
-            gv = np.zeros(0)
-            J = np.zeros((0, game.n))
-        gvals.append(gv)
-        jacs.append(J)
-    return PointEval(np.array(x, copy=True), theta, grads, gvals, jacs)
+            fields = _oracle_sweep(game, x)
+    if not all(np.isfinite(f).all() for f in fields):
+        _raise_first_nonfinite(game, fields)
+    return PointEval(x, *fields, game.rows)
 
 
-def lagrangian_values(point: PointEval, duals: list[PlayerDualState],
-                      penalty: PenaltyParams) -> Array:
-    """Every player's regularized Lagrangian at ``point`` and ``duals``."""
-    return np.array([
-        lagrangian_from_values(point.theta[i], point.g_values[i], d,
-                               penalty.alpha[i], penalty.beta[i])
-        for i, d in enumerate(duals)
-    ])
+def _stacked_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
+    q, rows = game.quadratic, game.rows
+    QX = np.matmul(q.Q, x)                       # Q_i @ x, one gemv per player
+    grads = QX + q.b
+    theta = 0.5 * row_dots(QX, x) + row_dots(q.b, x)
+    g = rows.matvec(q.C, x) + 0.0 + q.D
+    jac = q.jacobian
+    if q.curved:
+        jac = jac.copy()
+        for i in q.curved:
+            p, s = game.players[i], slice(rows.bounds[i], rows.bounds[i + 1])
+            g[s] = p.constraints(x)
+            jac[s] = p.constraint_jacobian(x)
+    return theta, grads, g, jac
 
 
-def projected_gradient_parts(game: GameInstance, point: PointEval,
-                             duals: list[PlayerDualState],
+def _oracle_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
+    rows = game.rows
+    theta = np.zeros(game.num_players)
+    grads = np.zeros((game.num_players, game.n))
+    g = np.zeros(rows.total)
+    jac = np.zeros((rows.total, game.n))
+    for i, p in enumerate(game.players):
+        theta[i] = p.objective(x)
+        grads[i] = p.gradient(x)
+        if p.m:
+            s = slice(rows.bounds[i], rows.bounds[i + 1])
+            g[s] = p.constraints(x)
+            jac[s] = p.constraint_jacobian(x)
+    return theta, grads, g, jac
+
+
+def _raise_first_nonfinite(game: GameInstance, fields: tuple[Array, Array, Array, Array]):
+    theta, grads, g, jac = fields
+    for i in range(game.num_players):
+        s = slice(game.rows.bounds[i], game.rows.bounds[i + 1])
+        for what, value in zip(_POINT_FIELDS, (theta[i], grads[i], g[s], jac[s])):
+            _check_finite(value, i, what)
+
+
+def lagrangian_values(point: PointEval, d: DualStack, penalty: PenaltyParams) -> Array:
+    """Every player's regularized Lagrangian at ``point`` and duals ``d``."""
+    rows = point.rows
+    diff = d.lam - d.mu
+    dots = rows.dot(np.array([d.lam, d.mu, d.z, diff]),
+                    np.array([point.g_values - d.z, d.z, d.z, diff]))
+    vals = _from_dots(point.theta, *dots, penalty.alpha, penalty.beta)
+    return np.where(np.asarray(rows.counts) > 0, vals, point.theta)
+
+
+def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> Array:
+    """Player ``i``'s own-block columns of ``J_i.T @ lam_i``, stacked like
+    ``x``: bit for bit ``J[s, sl].T @ lam[s]``, a gemv on the own columns
+    alone, which rounds differently from a slice of the full product."""
+    J, out = point.g_jacobians, np.zeros(game.n)
+    for rows, cols in game.own_blocks:
+        out[cols] = np.matmul(lam[rows][:, None, :], J[rows[:, :, None], cols[:, None, :]])[:, 0, :]
+    return out
+
+
+def projected_gradient_parts(game: GameInstance, point: PointEval, d: DualStack,
                              penalty: PenaltyParams) -> tuple[Array, Array, Array, Array]:
     """Per-player norms ``(qx, qz, qlam, qmu)`` of the four projected-gradient
-    blocks of the regularized Lagrangian at ``point`` and ``duals``.
+    blocks of the regularized Lagrangian at ``point`` and duals ``d``.
 
     The x-block is the projected own-gradient step residual, the z-block is
     ``mu - lam + alpha z``, the lam-block the projected dual step residual,
     and the mu-block ``z + beta (lam - mu)``. Right after the exact dual
     steps the z and mu blocks vanish identically.
     """
-    N = game.num_players
-    qx = np.zeros(N)
-    qlam = np.zeros(N)
-    qz = np.zeros(N)
-    qmu = np.zeros(N)
-    grad_own = np.empty(game.n)
-    for i, p in enumerate(game.players):
-        sl = game.layout.block_slice(i)
-        grad_own[sl] = point.theta_grads[i][sl]
-        if p.m:
-            grad_own[sl] += point.g_jacobians[i][:, sl].T @ duals[i].lam
+    rows = game.rows
+    # A player without constraints adds +0.0 here, which no norm below sees.
+    grad_own = (point.theta_grads.ravel()[game.layout.own_entries]
+                + _own_jacobian_products(game, point, d.lam))
     x_step = point.x - game.project_private(point.x - grad_own)
-    for i, p in enumerate(game.players):
-        d = duals[i]
-        qx[i] = vec_norm(x_step[game.layout.slices[i]])
-        if p.m:
-            grad_lam = point.g_values[i] - d.z - penalty.beta[i] * (d.lam - d.mu)
-            qlam[i] = vec_norm(d.lam - np.maximum(d.lam + grad_lam, 0.0))
-            qz[i] = vec_norm(d.mu - d.lam + penalty.alpha[i] * d.z)
-            qmu[i] = vec_norm(d.z + penalty.beta[i] * (d.lam - d.mu))
-    return qx, qz, qlam, qmu
+    alpha, beta = rows.repeat(penalty.alpha), rows.repeat(penalty.beta)
+    grad_lam = point.g_values - d.z - beta * (d.lam - d.mu)
+    qlam, qz, qmu = rows.norm(np.array([d.lam - np.maximum(d.lam + grad_lam, 0.0),
+                                        d.mu - d.lam + alpha * d.z,
+                                        d.z + beta * (d.lam - d.mu)]))
+    return game.layout.segments.norm(x_step), qz, qlam, qmu
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +293,17 @@ class QuadraticAnchor:
 
     y: Array
     values: Array            # (N,) L_nu(y, duals)
-    grads: list[Array]       # per player, full gradient of L_nu at y
+    grads: Array             # (N, n) full gradient of L_nu at y, row nu
     gamma: Array             # (N,)
     own_grad: Array          # (n,) player-own blocks of grads, stacked
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
-    duals: list[PlayerDualState]  # dual states frozen into the anchor
+    duals: DualStack         # dual states frozen into the anchor
     penalty: PenaltyParams
 
-    def model_value(self, player: int, x: Array) -> float:
+    def model_values(self, x: Array) -> Array:
+        """Every player's model value at ``x``."""
         d = x - self.y
-        return float(
-            self.values[player]
-            + self.grads[player] @ d
-            + 0.5 * self.gamma[player] * (d @ d)
-        )
+        return self.values + row_dots(self.grads, d) + 0.5 * self.gamma * (d @ d)
 
     def own_model_grad(self, u: Array) -> Array:
         """Stacked own-block model gradients of all players at ``u``."""
@@ -258,7 +312,7 @@ class QuadraticAnchor:
 
 def build_anchor(
     game: GameInstance,
-    duals: list[PlayerDualState],
+    duals: DualStack,
     penalty: PenaltyParams,
     gamma: Array,
     point: PointEval,
@@ -266,17 +320,8 @@ def build_anchor(
 ) -> QuadraticAnchor:
     """Assemble the surrogate anchor from a completed oracle sweep and the
     players' Lagrangian values there, ``lagrangian_values(point, duals, penalty)``."""
-    n = game.n
-    grads: list[Array] = []
-    own_grad = np.zeros(n)
-    gamma_by_coord = np.zeros(n)
-    for i, p in enumerate(game.players):
-        grad = point.theta_grads[i]
-        if p.m:
-            grad = grad + point.g_jacobians[i].T @ duals[i].lam
-        grads.append(grad)
-        sl = game.layout.block_slice(i)
-        own_grad[sl] = grad[sl]
-        gamma_by_coord[sl] = gamma[i]
-    return QuadraticAnchor(point.x, values, grads, np.asarray(gamma, dtype=float), own_grad,
-                           gamma_by_coord, list(duals), penalty)
+    grads = game.rows.vecmat_add(point.theta_grads, duals.lam, point.g_jacobians)
+    gamma = np.asarray(gamma, dtype=float)
+    return QuadraticAnchor(point.x, values, grads, gamma,
+                           grads.ravel()[game.layout.own_entries],
+                           game.layout.segments.repeat(gamma), duals, penalty)

@@ -24,7 +24,9 @@ from .core import (
     BlockLayout,
     GameInstance,
     PlayerProblem,
+    QuadraticStack,
     SimpleSet,
+    _attach_quadratic_stack,
 )
 
 __all__ = [
@@ -90,39 +92,45 @@ class QuadraticGnepSpec:
                         f"{float(np.min(np.linalg.eigvalsh(own_a))):.3e} < -{tol:g}")
 
     def to_game(self) -> GameInstance:
+        """The game, with its quadratic data stacked over players
+        (:class:`~gnepsolve.core.QuadraticStack`); each player's oracles
+        and ``objective_hessian`` read views of the stacked arrays."""
         self.validate_psd()
-        n = self.layout.n
-        players = []
-        for spec in self.players:
-            Q = np.array(spec.Q, dtype=float)
-            b = np.array(spec.b, dtype=float)
-            A = np.array([a for a, _, _ in spec.constraints], dtype=float).reshape(
-                len(spec.constraints), n, n)
-            C = np.array([c for _, c, _ in spec.constraints], dtype=float).reshape(
-                len(spec.constraints), n)
-            D = np.array([d for _, _, d in spec.constraints], dtype=float)
+        n, N = self.layout.n, len(self.players)
+        Q = np.array([spec.Q for spec in self.players], dtype=float).reshape(N, n, n)
+        b = np.array([spec.b for spec in self.players], dtype=float).reshape(N, n)
+        rows = [con for spec in self.players for con in spec.constraints]
+        C = np.array([c for _, c, _ in rows], dtype=float).reshape(len(rows), n)
+        D = np.array([d for _, _, d in rows], dtype=float).reshape(len(rows))
+        players, curved, start = [], [], 0
+        for i, spec in enumerate(self.players):
             m = len(spec.constraints)
+            A = np.array([a for a, _, _ in spec.constraints], dtype=float).reshape(m, n, n)
+            Qi, bi, Ci, Di = Q[i], b[i], C[start:start + m], D[start:start + m]
+            start += m
 
-            def objective(x, Q=Q, b=b):
+            def objective(x, Q=Qi, b=bi):
                 return 0.5 * float(x @ (Q @ x)) + float(b @ x)
 
-            def gradient(x, Q=Q, b=b):
+            def gradient(x, Q=Qi, b=bi):
                 return Q @ x + b
 
             if np.any(A):
-                def constraints(x, A=A, C=C, D=D):
+                curved.append(i)
+
+                def constraints(x, A=A, C=Ci, D=Di):
                     return 0.5 * np.einsum("i,mij,j->m", x, A, x) + C @ x + D
 
-                def constraint_jacobian(x, A=A, C=C):
+                def constraint_jacobian(x, A=A, C=Ci):
                     return np.einsum("mij,j->mi", A, x) + C
             else:
                 # Affine constraints. For finite x the zero quadratic terms
                 # above are +0.0 exactly; adding 0.0 keeps their one effect,
                 # turning a -0.0 into +0.0, so both forms agree bit for bit.
-                def constraints(x, C=C, D=D):
+                def constraints(x, C=Ci, D=Di):
                     return C @ x + 0.0 + D
 
-                def constraint_jacobian(x, C=C):
+                def constraint_jacobian(x, C=Ci):
                     return C + 0.0
 
             players.append(PlayerProblem(
@@ -132,10 +140,11 @@ class QuadraticGnepSpec:
                 constraint_jacobian=constraint_jacobian,
                 private_set=spec.private_set,
                 m=m,
-                objective_hessian=Q,
+                objective_hessian=Qi,
                 constraint_hessians=A,
             ))
-        return GameInstance(tuple(players), self.layout, self.name)
+        return _attach_quadratic_stack(GameInstance(tuple(players), self.layout, self.name),
+                                       QuadraticStack(Q, b, C, D, tuple(curved)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,14 @@ import numpy as np
 
 from .core import (
     Array,
+    DualStack,
     GameInstance,
     IterateState,
     OracleFailure,
-    PlayerDualState,
     constraint_violation,
     initial_state,
     max_abs,
+    stack_rows,
     vec_norm,
 )
 from .lagrangian import (
@@ -45,7 +46,6 @@ from .lagrangian import (
     QuadraticAnchor,
     build_anchor,
     evaluate_point,
-    lagrangian_from_values,
     lagrangian_values,
     projected_gradient_parts,
 )
@@ -232,14 +232,18 @@ class LipschitzEstimator:
         self.inflation = float(inflation)
         self._box_center: Array | None = None
         self._box_halfwidth: Array | None = None
-        self._sampled: dict | None = None
-        self._quad = [p.is_quadratic for p in game.players]
-        self._quad_norms: list[dict | None] = []
+        N = game.num_players
+        self._quad = np.array([p.is_quadratic for p in game.players], dtype=bool)
+        # Per-player constants, stacked: exact for quadratic players, filled
+        # in by every resample for the others.
+        self._L_theta = np.zeros(N)
+        self._gg = np.zeros(game.rows.total)      # constraint-gradient Lipschitz bounds
+        self._M_g_own = np.zeros(N)
+        self._jac_growth = np.zeros(N)
+        self._jac_max = np.zeros(N)
         for i, p in enumerate(game.players):
             if not self._quad[i]:
-                self._quad_norms.append(None)
                 continue
-            h_norm = spectral_norm(p.objective_hessian)
             a_norms = np.array(
                 [spectral_norm(p.constraint_hessians[j]) for j in range(p.m)]
             ) if p.m else np.zeros(0)
@@ -249,8 +253,14 @@ class LipschitzEstimator:
                 int(np.count_nonzero(np.any(p.constraint_hessians[j], axis=0)))
                 for j in range(p.m)
             ]) if p.m else np.zeros(0)
-            self._quad_norms.append({"H": h_norm, "A": a_norms,
-                                     "jac_growth": float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))})
+            self._L_theta[i] = spectral_norm(p.objective_hessian)
+            self._set_gg(i, a_norms)
+            self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
+
+    def _set_gg(self, i: int, gg: Array):
+        bounds = self.game.rows.bounds
+        self._gg[bounds[i]:bounds[i + 1]] = gg
+        self._M_g_own[i] = float(np.sqrt(np.sum(gg ** 2)))
 
     # -- sampling machinery --------------------------------------------------
 
@@ -269,8 +279,7 @@ class LipschitzEstimator:
 
     def _resample(self, x: Array):
         self._box_center, self._box_halfwidth = self._box(x)
-        if all(self._quad):
-            self._sampled = {}
+        if self._quad.all():
             return
         game = self.game
         for attempt in range(2):
@@ -284,9 +293,6 @@ class LipschitzEstimator:
             good = []
         if not good:
             raise RuntimeError("degenerate sampling region: all point pairs collapsed")
-        sampled = {"L_theta": np.zeros(game.num_players),
-                   "grad_g_lip": [np.zeros(p.m) for p in game.players],
-                   "jac_max": np.zeros(game.num_players)}
         for i, p in enumerate(game.players):
             if self._quad[i]:
                 continue
@@ -310,16 +316,16 @@ class LipschitzEstimator:
                             player=i)
                     gg = np.maximum(gg, np.linalg.norm(Ja - Jb, axis=1) / dist)
                     jac_max = max(jac_max, spectral_norm(Ja), spectral_norm(Jb))
-            sampled["L_theta"][i] = self.inflation * lt
-            sampled["grad_g_lip"][i] = self.inflation * gg
-            sampled["jac_max"][i] = jac_max
-        self._sampled = sampled
+            self._L_theta[i] = self.inflation * lt
+            self._set_gg(i, self.inflation * gg)
+            self._jac_max[i] = jac_max
 
     # -- public entry --------------------------------------------------------
 
-    def estimate(self, x: Array, lams: list[Array],
+    def estimate(self, x: Array, lam: Array,
                  jac_norms: Array | None = None) -> LipschitzEstimates:
-        """Constants at iterate ``x`` with current multipliers ``lams``.
+        """Constants at iterate ``x`` with current multipliers ``lam``,
+        stacked over the constraint rows.
 
         ``jac_norms`` may pass precomputed spectral norms of each player's
         constraint Jacobian at ``x`` to avoid an extra oracle sweep.
@@ -327,38 +333,24 @@ class LipschitzEstimator:
         game = self.game
         if self._needs_resample(x):
             self._resample(x)
-        N = game.num_players
-        L_theta = np.zeros(N)
-        grad_g_lip: list[Array] = []
-        L = np.zeros(N)
-        L_gfun = np.zeros(N)
-        M_g_own = np.zeros(N)
+        if jac_norms is None:
+            jac_norms = [spectral_norm(p.constraint_jacobian(x)) if p.m else 0.0
+                         for p in game.players]
+        jn = np.asarray(jac_norms, dtype=float)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
-        for i, p in enumerate(game.players):
-            if jac_norms is not None:
-                jn = float(jac_norms[i])
-            else:
-                jn = spectral_norm(p.constraint_jacobian(x)) if p.m else 0.0
-            if self._quad[i]:
-                q = self._quad_norms[i]
-                L_theta[i] = q["H"]
-                gg = q["A"].copy()
-                L_gfun[i] = jn + q["jac_growth"] * margin
-            else:
-                L_theta[i] = self._sampled["L_theta"][i]
-                gg = self._sampled["grad_g_lip"][i].copy()
-                L_gfun[i] = self.inflation * max(jn, self._sampled["jac_max"][i])
-            grad_g_lip.append(gg)
-            L[i] = L_theta[i] + float(gg @ lams[i]) if p.m else L_theta[i]
-            M_g_own[i] = float(np.sqrt(np.sum(gg ** 2)))
-        return LipschitzEstimates(L_theta, grad_g_lip, L, L_gfun, M_g_own)
+        L_gfun = np.where(self._quad, jn + self._jac_growth * margin,
+                          self.inflation * np.maximum(jn, self._jac_max))
+        # L_theta and gg change only at a resample; the multiplier term moves.
+        L = self._L_theta + game.rows.dot(self._gg, lam)
+        return LipschitzEstimates(self._L_theta.copy(), game.rows.split(self._gg.copy()),
+                                  L, L_gfun, self._M_g_own.copy())
 
 
 def estimate_lipschitz(game: GameInstance, state: IterateState,
                        cfg: SolverConfig) -> LipschitzEstimates:
     """One-shot estimation at a state (the solver reuses a cached estimator)."""
     est = LipschitzEstimator(game, seed=cfg.seed)
-    return est.estimate(state.x, [d.lam for d in state.duals])
+    return est.estimate(state.x, state.duals.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +450,15 @@ def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameIn
 class InnerResult:
     x_next: Array
     iterations: int
-    exit_kind: str = "descent"   # descent | true | forced | stall
+    exit_kind: str       # descent | true | forced | stall
+    point: PointEval     # the oracle sweep at x_next
+    values: Array        # L at (x_next, the anchor's duals)
 
 
-def _exit_descent_ok(game: GameInstance, anchor: QuadraticAnchor, u: Array,
-                     slack_bound: Array | None = None) -> tuple[str, bool]:
-    """Per-player exit test at a block update ``u``.
+def _exit_verdict(anchor: QuadraticAnchor, u: Array, true_values: Array,
+                  slack: float | None = None) -> str:
+    """Exit test at a block update ``u`` whose true Lagrangian values at the
+    anchor's duals are ``true_values``.
 
     Strict surrogate descent for every player is not always achievable: when
     rivals' moves raise a player's anchored Lagrangian through the
@@ -472,28 +467,16 @@ def _exit_descent_ok(game: GameInstance, anchor: QuadraticAnchor, u: Array,
     value comparison; if even the true value rose the exit is "forced" (the
     block update is the fixed-point step; the rise is recorded).
 
-    A failing margin at most ``slack_bound`` leaves the test undecided.
-    Returns (verdict, final) with verdict in {"descent", "true", "forced"},
-    and ("undecided", False) when some failing margin is within its slack.
+    Returns "descent", "true" or "forced"; "undecided" when a failing
+    surrogate margin is at most ``slack``.
     """
-    margins = np.array([anchor.model_value(i, u) - anchor.values[i]
-                        for i in range(game.num_players)])
-    need_true = [i for i in range(game.num_players) if not margins[i] < 0.0]
-    if not need_true:
-        return "descent", True
-    if slack_bound is not None:
-        for i in need_true:
-            if margins[i] <= slack_bound[i]:
-                return "undecided", False
-    alpha, beta = anchor.penalty.alpha, anchor.penalty.beta
-    for i in need_true:
-        p = game.players[i]
-        theta = float(p.objective(u))
-        g = np.asarray(p.constraints(u), dtype=float) if p.m else np.zeros(0)
-        val = lagrangian_from_values(theta, g, anchor.duals[i], alpha[i], beta[i])
-        if not val <= anchor.values[i]:
-            return "forced", True
-    return "true", True
+    margins = anchor.model_values(u) - anchor.values
+    need_true = ~(margins < 0.0)
+    if not need_true.any():
+        return "descent"
+    if slack is not None and (margins[need_true] <= slack).any():
+        return "undecided"
+    return "true" if (true_values[need_true] <= anchor.values[need_true]).all() else "forced"
 
 
 def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) -> InnerResult:
@@ -501,22 +484,24 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     private set, ``project_private(y - own_grad / gamma)``, in one projection.
 
     This is the fixed point the reference sweep :func:`inner_step` converges
-    to. The exit test first runs with a 1e-14 slack, so a surrogate margin
-    that is zero up to rounding leaves it undecided; an undecided step that
-    stays within the outer tolerance of the anchor is a stall (no descent
-    exists there), and any other is labelled by the true-value comparison.
-    If some player's value genuinely rose, the point is accepted with
-    ``exit_kind="forced"`` (the run record keeps the value trace, so a
-    genuine increase stays visible).
+    to. The oracle sweep at the new point runs here, and its Lagrangian
+    values at the anchor's duals are the exit test's true values. The test
+    first runs with a 1e-14 slack, so a surrogate margin that is zero up to
+    rounding leaves it undecided; an undecided step that stays within the
+    outer tolerance of the anchor is a stall (no descent exists there), and
+    any other is labelled by the true-value comparison. If some player's
+    value genuinely rose, the point is accepted with ``exit_kind="forced"``
+    (the run record keeps the value trace, so a genuine increase stays
+    visible).
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
-    verdict, final = _exit_descent_ok(game, anchor, u,
-                                      slack_bound=np.full(game.num_players, 1e-14))
-    if not final:
-        if max_abs(u - anchor.y) <= cfg.outer_tol:
-            return InnerResult(u, 1, exit_kind="stall")
-        verdict, _ = _exit_descent_ok(game, anchor, u)
-    return InnerResult(u, 1, exit_kind=verdict)
+    point = evaluate_point(game, u)
+    values = lagrangian_values(point, anchor.duals, anchor.penalty)
+    verdict = _exit_verdict(anchor, u, values, slack=1e-14)
+    if verdict == "undecided":
+        verdict = ("stall" if max_abs(u - anchor.y) <= cfg.outer_tol
+                   else _exit_verdict(anchor, u, values))
+    return InnerResult(u, 1, verdict, point, values)
 
 
 # ---------------------------------------------------------------------------
@@ -524,46 +509,31 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
 # ---------------------------------------------------------------------------
 
 
-def step_z(duals: list[PlayerDualState], penalty: PenaltyParams) -> list[PlayerDualState]:
+def step_z(d: DualStack, penalty: PenaltyParams) -> DualStack:
     """Exact minimization over the perturbations: ``z = (lam - mu) / alpha``."""
-    return [
-        PlayerDualState((d.lam - d.mu) / penalty.alpha[i], d.lam.copy(), d.mu.copy())
-        for i, d in enumerate(duals)
-    ]
+    return DualStack((d.lam - d.mu) / d.rows.repeat(penalty.alpha), d.lam, d.mu, d.rows)
 
 
-def step_duals(x_next: Array, duals: list[PlayerDualState], penalty: PenaltyParams,
-               game: GameInstance,
-               g_values: list[Array] | None = None) -> list[PlayerDualState]:
+def step_duals(x_next: Array, d: DualStack, penalty: PenaltyParams, game: GameInstance,
+               g_values: Array | None = None) -> DualStack:
     """Exact maximization over the multipliers.
 
     ``lam = max(mu + g(x_next) / beta, 0)`` then ``mu = lam``; afterwards
-    ``lam >= 0`` and ``lam == mu`` hold exactly.
+    ``lam >= 0`` and ``lam == mu`` hold exactly. ``g_values`` may hand in
+    the constraint values at ``x_next``, stacked over the constraint rows.
     """
-    out = []
-    for i, d in enumerate(duals):
-        if game.players[i].m == 0:
-            out.append(d.copy())
-            continue
-        g = g_values[i] if g_values is not None else np.asarray(
-            game.players[i].constraints(x_next), dtype=float)
-        lam = np.maximum(d.mu + g / penalty.beta[i], 0.0)
-        out.append(PlayerDualState(d.z.copy(), lam, lam.copy()))
-    return out
-
-
-def _max_moves(prev: IterateState, next_state: IterateState) -> tuple[float, float]:
-    """Max-norm moves of the joint primal point and of all multipliers."""
-    dx = max_abs(next_state.x - prev.x)
-    dl = max((max_abs(b.lam - a.lam) for a, b in zip(prev.duals, next_state.duals)),
-             default=0.0)
-    return dx, dl
+    g = g_values
+    if g is None:
+        g = stack_rows([p.constraints(x_next) for p in game.players if p.m])
+    lam = np.maximum(d.mu + g / d.rows.repeat(penalty.beta), 0.0)
+    return DualStack(d.z, lam, lam.copy(), d.rows)
 
 
 def stopping_residual(prev: IterateState, next_state: IterateState,
                       game: GameInstance) -> float:
     """The larger of the primal and the multiplier max-norm moves."""
-    return max(_max_moves(prev, next_state))
+    return max(max_abs(next_state.x - prev.x),
+               max_abs(next_state.duals.lam - prev.duals.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +574,12 @@ class TraceRow:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration records plus run-level context for the invariant checks."""
+    """Per-iteration records plus run-level context for the invariant checks.
+
+    ``violations`` keeps the first messages of each monitored bound (see
+    :func:`verify_run_bounds`), an empty list when it always held;
+    ``violation_counts`` counts them all.
+    """
 
     initial_L: Array
     initial_feas: float
@@ -612,6 +587,7 @@ class SolveTrace:
     initial_jac_own_norm: Array
     rows: list[TraceRow] = field(default_factory=list)
     violations: dict[str, list[str]] = field(default_factory=dict)
+    violation_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -626,24 +602,16 @@ class SolveResult:
     message: str = ""
 
 
-def _jac_norms(point: PointEval, game: GameInstance,
-               fixed: dict[int, tuple[float, float]]) -> tuple[Array, Array]:
+def _jac_norms(point: PointEval, game: GameInstance, players: list[int],
+               known: tuple[Array, Array]) -> tuple[Array, Array]:
     """Spectral norms of each player's constraint Jacobian and of its own-block
-    columns. Norms of a constant Jacobian are computed once and kept in
-    ``fixed`` (player -> norms) for the rest of the run."""
-    full = np.zeros(game.num_players)
-    own = np.zeros(game.num_players)
-    for i, p in enumerate(game.players):
-        if not p.m:
-            continue
-        norms = fixed.get(i)
-        if norms is None:
-            sl = game.layout.block_slice(i)
-            norms = (spectral_norm(point.g_jacobians[i]),
-                     spectral_norm(point.g_jacobians[i][:, sl]))
-            if p.constant_jacobian:
-                fixed[i] = norms
-        full[i], own[i] = norms
+    columns: those of ``players`` computed at ``point``, the others taken
+    from ``known``."""
+    full, own = known[0].copy(), known[1].copy()
+    for i in players:
+        J = point.g_jacobians[game.rows.bounds[i]:game.rows.bounds[i + 1]]
+        full[i] = spectral_norm(J)
+        own[i] = spectral_norm(J[:, game.layout.block_slice(i)])
     return full, own
 
 
@@ -663,12 +631,21 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     stationary point nearby), ``oracle-failure`` when an oracle returns a
     non-finite value mid-run. A failed run keeps the trace and the state of
     the last completed iteration.
+
+    Each outer iteration works on whole arrays over players: the oracle
+    sweep (:func:`~gnepsolve.lagrangian.evaluate_point`, one batched sweep
+    for a game with stacked quadratic data), the anchor, the dual steps and
+    the trace row's values and norms, with the multipliers stacked over the
+    constraint rows (:class:`~gnepsolve.core.DualStack`). Every per-player
+    reduction is bit for bit the per-player one, so the iterates do not
+    depend on how the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     state = initial_state(game, x0)
     penalty = cfg.penalty(game.num_players)
     estimator = LipschitzEstimator(game, seed=cfg.seed)
+    rows = game.rows
 
     try:
         point = evaluate_point(game, state.x)
@@ -678,10 +655,14 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, 0, np.inf, message=str(exc))
 
-    fixed_norms: dict[int, tuple[float, float]] = {}
-    jac_full, jac_own = _jac_norms(point, game, fixed_norms)
+    x, duals = state.x, state.duals
+    # Norms of a constant Jacobian are computed once, for the whole run.
+    varying = [i for i, p in enumerate(game.players) if p.m and not p.constant_jacobian]
+    zeros = np.zeros(game.num_players)
+    jac_full, jac_own = _jac_norms(point, game, [i for i, p in enumerate(game.players) if p.m],
+                                   (zeros, zeros))
     trace = SolveTrace(
-        initial_L=lagrangian_values(point, state.duals, penalty),
+        initial_L=lagrangian_values(point, duals, penalty),
         initial_feas=constraint_violation(point.g_values),
         initial_jac_norm=jac_full,
         initial_jac_own_norm=jac_own,
@@ -698,27 +679,26 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     for k in range(cfg.max_outer):
         try:
-            est = estimator.estimate(state.x, [d.lam for d in state.duals],
-                                     jac_norms=jac_full)
+            est = estimator.estimate(x, duals.lam, jac_norms=jac_full)
             gamma, gamma_warnings = choose_gamma(est, penalty, cfg.gamma)
-            anchor = build_anchor(game, state.duals, penalty, gamma, point, L_values)
+            anchor = build_anchor(game, duals, penalty, gamma, point, L_values)
             inner = solve_inner(game, anchor, cfg)
             total_inner += inner.iterations
-
-            duals_z = step_z(state.duals, penalty)
-            next_point = evaluate_point(game, inner.x_next)
-            duals_new = step_duals(inner.x_next, duals_z, penalty, game,
+            next_point = inner.point
+            duals_new = step_duals(inner.x_next, step_z(duals, penalty), penalty, game,
                                    g_values=next_point.g_values)
-            next_state = IterateState(inner.x_next, duals_new, k + 1)
         except OracleFailure as exc:
             status, message = "oracle-failure", str(exc)
             break
 
-        dx_inf, dlambda_inf = _max_moves(state, next_state)
+        dx = inner.x_next - x
+        dlam = duals_new.lam - duals.lam
+        dx_inf, dlambda_inf = max_abs(dx), max_abs(dlam)
         residual = max(dx_inf, dlambda_inf)
         qx, qz, qlam, qmu = projected_gradient_parts(game, next_point, duals_new, penalty)
-        jac_full_next, jac_own_next = _jac_norms(next_point, game, fixed_norms)
-        dlam_2 = np.array([vec_norm(b.lam - a.lam) for a, b in zip(state.duals, duals_new)])
+        dlam_2, lam_norm2 = rows.norm(np.array([dlam, duals_new.lam]))
+        if varying:
+            jac_full, jac_own = _jac_norms(next_point, game, varying, (jac_full, jac_own))
         trace.rows.append(TraceRow(
             k=k + 1,
             L_values=lagrangian_values(next_point, duals_new, penalty),
@@ -727,25 +707,24 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             feas=constraint_violation(next_point.g_values),
             inner_iters=inner.iterations,
             exit_kind=inner.exit_kind,
-            L_x_step=lagrangian_values(next_point, state.duals, penalty),
-            dx_2=vec_norm(next_state.x - state.x),
+            L_x_step=inner.values,
+            dx_2=vec_norm(dx),
             dlam_2=dlam_2,
-            lam_norm2=np.array([vec_norm(d.lam) for d in duals_new]),
-            lam_norm_inf=np.array([max_abs(d.lam) for d in duals_new]),
-            jac_norm=jac_full_next,
-            jac_own_norm=jac_own_next,
+            lam_norm2=lam_norm2,
+            lam_norm_inf=rows.max_abs(duals_new.lam),
+            jac_norm=jac_full,
+            jac_own_norm=jac_own,
             qx=qx, qlam=qlam, qz=qz, qmu=qmu,
             gamma=gamma.copy(),
             L_gfun=est.L_gfun.copy(),
             M_theta_own=est.L_theta.copy(),
             M_g_own=est.M_g_own.copy(),
-            lam_mu_gap=max((max_abs(d.lam - d.mu) for d in duals_new), default=0.0),
-            z_max=max((max_abs(d.z) for d in duals_new), default=0.0),
+            lam_mu_gap=max_abs(duals_new.lam - duals_new.mu),
+            z_max=max_abs(duals_new.z),
             gamma_warnings=len(gamma_warnings),
         ))
 
-        state, point, L_values = next_state, next_point, trace.rows[-1].L_values
-        jac_full = jac_full_next
+        x, duals, point, L_values = inner.x_next, duals_new, next_point, trace.rows[-1].L_values
 
         if residual <= cfg.outer_tol:
             status = "converged"
@@ -772,7 +751,9 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         else:
             stall_streak = 0
 
-    trace.violations = verify_run_bounds(trace, game, cfg)
+    if trace.rows:
+        state = IterateState(x, duals, len(trace.rows))
+    trace.violations, trace.violation_counts = verify_run_bounds(trace, game, cfg)
     return SolveResult(
         status=status,
         state=state,
@@ -792,36 +773,54 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 _SLACK = 1e-9
 # Rows compared at once by verify_run_bounds; bounds its temporaries' size.
 _BOUND_ROWS = 64
+# Messages kept per monitored bound; the counts cover every violation.
+_KEPT_MESSAGES = 20
+
+
+def _first_hits(mask: Array, kept: list[str]) -> Array:
+    """(row, player) pairs of the first True entries of ``mask``, in row-major
+    order, as many as ``kept`` has room for."""
+    return np.argwhere(mask)[:max(_KEPT_MESSAGES - len(kept), 0)]
 
 
 def verify_run_bounds(trace: SolveTrace, game: GameInstance,
-                      cfg: SolverConfig) -> dict[str, list[str]]:
+                      cfg: SolverConfig) -> tuple[dict[str, list[str]], dict[str, int]]:
     """Check the monitored run bounds on recorded iterations.
 
     - ``decrease``: every player's Lagrangian value sequence nonincreasing
       (only meaningful under the auto proximal policy);
+    - ``x-descent``: an accepted block update (exit ``descent`` or ``true``)
+      does not raise a player's value at the old duals;
     - ``dual-identity``: ``lam == mu`` and ``z == 0`` exactly, every iteration;
     - ``multiplier-coupling`` (iterations >= 2): multiplier move bounded by the
       constraint Lipschitz estimate times the primal move;
     - ``projected-gradient`` (iterations >= 2): summed projected-gradient norm
       bounded by the assembled constant times the primal move, with the
       ``z``/``mu`` blocks exactly zero.
+
+    Returns the first messages of each bound (at most 20, in (k, player)
+    order; an empty list means the bound always held) and the number of
+    violations of each, where ``projected-gradient`` counts the ``|pg|``
+    messages and ``zero-blocks`` the "not exactly zero" ones.
     """
-    out: dict[str, list[str]] = {"decrease": [], "x-descent": [], "dual-identity": [],
-                                 "multiplier-coupling": [], "projected-gradient": []}
+    out: dict[str, list[str]] = {k: [] for k in ("decrease", "x-descent", "dual-identity",
+                                                 "multiplier-coupling", "projected-gradient")}
+    counts = dict.fromkeys([*out, "zero-blocks"], 0)
     rows = trace.rows
     if not rows:
-        return out
+        return out, counts
     beta = cfg.penalty(game.num_players).beta
 
     def stack(part: list[TraceRow], name: str) -> Array:
         """One field over ``part``: (rows, players), or (rows,) for scalars."""
         return np.array([getattr(r, name) for r in part])
 
-    for r in rows:
-        if r.lam_mu_gap != 0.0 or r.z_max != 0.0:
-            out["dual-identity"].append(
-                f"k={r.k}: lam-mu gap {r.lam_mu_gap:.3e}, max|z| {r.z_max:.3e}")
+    broken = np.nonzero((stack(rows, "lam_mu_gap") != 0.0) | (stack(rows, "z_max") != 0.0))[0]
+    counts["dual-identity"] = int(broken.size)
+    for j in broken[:_KEPT_MESSAGES]:
+        r = rows[j]
+        out["dual-identity"].append(
+            f"k={r.k}: lam-mu gap {r.lam_mu_gap:.3e}, max|z| {r.z_max:.3e}")
     jac_own_max = np.maximum(trace.initial_jac_own_norm, stack(rows, "jac_own_norm").max(axis=0))
     jac_run_max = np.maximum(trace.initial_jac_norm, stack(rows, "jac_norm").max(axis=0))
     m_theta_max = stack(rows, "M_theta_own").max(axis=0)
@@ -830,7 +829,7 @@ def verify_run_bounds(trace: SolveTrace, game: GameInstance,
     lam_run_max = stack(rows, "lam_norm2").max(axis=0)
 
     # Whole-array comparisons over blocks of rows, entry by entry the same
-    # float arithmetic as one row and player at a time; np.nonzero keeps the
+    # float arithmetic as one row and player at a time; np.argwhere keeps the
     # (k, player) message order.
     last_L, last_jac = trace.initial_L, trace.initial_jac_norm
     for start in range(0, len(rows), _BOUND_ROWS):
@@ -840,12 +839,16 @@ def verify_run_bounds(trace: SolveTrace, game: GameInstance,
         prev_L = np.vstack([last_L, L[:-1]])
         prev_jac = np.vstack([last_jac, jac[:-1]])
         last_L, last_jac = L[-1], jac[-1]
-        for j, i in zip(*np.nonzero(L > prev_L + _SLACK)):
+        rose = L > prev_L + _SLACK
+        counts["decrease"] += int(np.count_nonzero(rose))
+        for j, i in _first_hits(rose, out["decrease"]):
             out["decrease"].append(
                 f"k={ks[j]} player={i}: L rose {prev_L[j, i]:.12g} -> {L[j, i]:.12g}")
         L_x = stack(part, "L_x_step")
         accepted = np.array([r.exit_kind in ("descent", "true") for r in part])[:, None]
-        for j, i in zip(*np.nonzero(accepted & (L_x > prev_L + _SLACK))):
+        raised = accepted & (L_x > prev_L + _SLACK)
+        counts["x-descent"] += int(np.count_nonzero(raised))
+        for j, i in _first_hits(raised, out["x-descent"]):
             out["x-descent"].append(
                 f"k={ks[j]} player={i}: accepted block update raised L "
                 f"{prev_L[j, i]:.12g} -> {L_x[j, i]:.12g}")
@@ -854,7 +857,9 @@ def verify_run_bounds(trace: SolveTrace, game: GameInstance,
         dx_2 = stack(part, "dx_2")[:, None]
         dlam_2 = stack(part, "dlam_2")
         bound = (np.maximum(prev_jac, jac) / beta) * dx_2 + _SLACK
-        for j, i in zip(*np.nonzero(checked & (dlam_2 > bound))):
+        coupled = checked & (dlam_2 > bound)
+        counts["multiplier-coupling"] += int(np.count_nonzero(coupled))
+        for j, i in _first_hits(coupled, out["multiplier-coupling"]):
             out["multiplier-coupling"].append(
                 f"k={ks[j]} player={i}: |dlam| {dlam_2[j, i]:.3e} > {bound[j, i]:.3e}")
         C_dx = (2.0 + stack(part, "gamma") + m_theta_max + m_g_max * lam_run_max
@@ -863,11 +868,12 @@ def verify_run_bounds(trace: SolveTrace, game: GameInstance,
         pg = stack(part, "qx") + qz + stack(part, "qlam") + qmu
         pg_high = checked & (pg > C_dx + _SLACK)
         nonzero = checked & ((qz != 0.0) | (qmu != 0.0))
-        for j, i in zip(*np.nonzero(pg_high | nonzero)):
-            if pg_high[j, i]:
-                out["projected-gradient"].append(
-                    f"k={ks[j]} player={i}: |pg| {pg[j, i]:.3e} > C*dx {C_dx[j, i]:.3e}")
-            if nonzero[j, i]:
-                out["projected-gradient"].append(
-                    f"k={ks[j]} player={i}: qz/qmu not exactly zero")
-    return out
+        counts["projected-gradient"] += int(np.count_nonzero(pg_high))
+        counts["zero-blocks"] += int(np.count_nonzero(nonzero))
+        kept = out["projected-gradient"]
+        for j, i in _first_hits(pg_high | nonzero, kept):
+            if pg_high[j, i] and len(kept) < _KEPT_MESSAGES:
+                kept.append(f"k={ks[j]} player={i}: |pg| {pg[j, i]:.3e} > C*dx {C_dx[j, i]:.3e}")
+            if nonzero[j, i] and len(kept) < _KEPT_MESSAGES:
+                kept.append(f"k={ks[j]} player={i}: qz/qmu not exactly zero")
+    return out, counts

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ def test_best_response_constant_jacobian_path_is_bit_identical():
     assert relaxed   # the shifted point violates a constraint: relax > 0
 
 
+@pytest.mark.parametrize("player", [0, 1])
+def test_penalty_best_response_stops_where_its_iterates_diverge(player):
+    # a18's own blocks are singular, so its players take the penalty routine;
+    # from x = 0.5 the polish's fixed steps diverge for player 1 within 2,000
+    # iterations. No overflow warning escapes, and the best finite iterate
+    # comes back, uncertified
+    game = library.make_a18_electricity()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        info = _penalty_best_response(game, np.full(12, 0.5), player, budget=2_000)
+    assert not info.certified
+    assert info.iterations <= 2_000
+    assert np.all(np.isfinite(info.block)) and np.all(np.isfinite(info.multipliers))
+    assert math.isfinite(info.objective) and all(math.isfinite(v) for v in info.kkt)
+
+
 def test_exact_and_penalty_best_responses_agree(quad_suite):
     # every quad-suite player is strictly convex with affine constraints on a
     # box; plant + 3 violates constraints, so relax > 0 there
@@ -211,8 +228,8 @@ def test_saddle_detects_perturbed_multiplier(ex3_game, ex3_tight):
     bad = ex3_tight.state.copy()
     # push the active-constraint multiplier up by one: the dual side of the
     # saddle inequality must now fail for samples near the true multiplier
-    bad.duals[0].lam = bad.duals[0].lam + 1.0
-    bad.duals[0].mu = bad.duals[0].mu + 1.0
+    bad.duals[0].lam += 1.0
+    bad.duals[0].mu += 1.0
     assert saddle_check(ex3_game, bad, pen, samples=500, seed=1) > 0
 
 
@@ -251,9 +268,9 @@ def test_projected_gradient_blocks_vanish_after_dual_steps(ex3_runs, ex3_game):
 def test_projected_gradient_positive_away_from_solution(ex3_game):
     pen = PenaltyParams.uniform(2)
     state = initial_state(ex3_game, np.array([2.5, 2.5]))
-    state.duals[0].lam = np.array([0.7])
-    state.duals[0].mu = np.array([0.2])
-    state.duals[1].z = np.array([0.3])
+    state.duals[0].lam[:] = 0.7
+    state.duals[0].mu[:] = 0.2
+    state.duals[1].z[:] = 0.3
     assert projected_gradient_norm(ex3_game, state, pen) > 0.1
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gnepsolve as G
-from gnepsolve.core import BlockLayout, PlayerDualState, SimpleSet
+from gnepsolve.core import BlockLayout, DualStack, PlayerDualState, SimpleSet
 from gnepsolve.lagrangian import (
     PenaltyParams,
     build_anchor,
@@ -129,6 +129,39 @@ def test_evaluate_point_names_the_first_nonfinite_field(field, message):
     assert err.value.player == 1
 
 
+def _overflowing_spec(field):
+    """Three quadratic players on one variable each; at x = 1e200 player 1's
+    objective value (``Q`` of 1) or its constraint value (row of 1e150)
+    overflows, and all of player 2's fields do."""
+    layout = BlockLayout((1, 1, 1))
+    zero = np.zeros((3, 3))
+
+    def player(Q, c):
+        return QuadraticPlayerSpec(Q, np.zeros(3), SimpleSet.free(1), [(zero, c, 0.0)])
+
+    bad_q = np.eye(3) if field == "objective" else zero
+    bad_c = np.full(3, 1e150) if field == "constraints" else np.zeros(3)
+    return QuadraticGnepSpec(layout, [player(zero, np.zeros(3)), player(bad_q, bad_c),
+                                      player(np.eye(3), np.full(3, 1e150))], "overflow")
+
+
+@pytest.mark.parametrize("field, message", [
+    ("objective", "player 1: non-finite objective value"),
+    ("constraints", "player 1: non-finite constraint value"),
+])
+def test_evaluate_point_names_the_first_nonfinite_field_on_the_batched_path(field, message):
+    # the batched sweep of a stacked quadratic game checks each stacked array
+    # once; it names the same player and field as the closure sweep, and the
+    # overflow raises no warning on either path
+    game = _overflowing_spec(field).to_game()
+    assert game.quadratic is not None
+    for g in (game, G.GameInstance(game.players, game.layout, game.name)):
+        with pytest.raises(G.OracleFailure) as err:
+            evaluate_point(g, np.full(3, 1e200))
+        assert str(err.value) == message
+        assert err.value.player == 1
+
+
 # ---------------------------------------------------------------------------
 # reduced form
 # ---------------------------------------------------------------------------
@@ -205,6 +238,7 @@ def test_grad_matches_finite_differences(pen2):
 
 
 def make_anchor(game, x, duals, pen, gamma):
+    duals = DualStack.of(duals)
     point = evaluate_point(game, x)
     return build_anchor(game, duals, pen, gamma, point, lagrangian_values(point, duals, pen))
 
@@ -218,7 +252,7 @@ def test_model_identity_at_anchor(pen2):
                   [dual([0.3], [1.1], [0.2]), dual([-0.7], [0.4], [1.9])]):
         anchor = make_anchor(game, y, duals, pen2, np.array([3.0, 4.0]))
         for i in range(2):
-            assert anchor.model_value(i, y) == anchor.values[i]
+            assert anchor.model_values(y)[i] == anchor.values[i]
             assert anchor.values[i] == lagrangian_value(game, i, y, duals[i], pen2)
 
 
@@ -228,7 +262,7 @@ def test_model_majorizes_near_anchor(pen2):
     game = library.make_example3()
     y = np.array([0.3, 0.4])
     duals = [dual([0.0], [2.0], [2.0]), dual([0.0], [1.0], [1.0])]
-    est = G.estimate_lipschitz(game, G.IterateState(y, [d.copy() for d in duals]),
+    est = G.estimate_lipschitz(game, G.IterateState(y, DualStack.of(duals)),
                                G.SolverConfig())
     gamma = est.L.copy()
     anchor = make_anchor(game, y, duals, pen2, gamma)
@@ -237,7 +271,7 @@ def test_model_majorizes_near_anchor(pen2):
         d = rng.standard_normal(2)
         x = y + d / max(1.0, np.linalg.norm(d))
         for i in range(2):
-            assert anchor.model_value(i, x) >= lagrangian_value(
+            assert anchor.model_values(x)[i] >= lagrangian_value(
                 game, i, x, duals[i], pen2) - 1e-9
 
 
@@ -252,8 +286,8 @@ def test_model_strong_convexity_midpoint(pen2):
         a, b = rng.standard_normal(2), rng.standard_normal(2)
         mid = 0.5 * (a + b)
         for i in range(2):
-            lhs = anchor.model_value(i, mid)
-            rhs = (0.5 * (anchor.model_value(i, a) + anchor.model_value(i, b))
+            lhs = anchor.model_values(mid)[i]
+            rhs = (0.5 * (anchor.model_values(a)[i] + anchor.model_values(b)[i])
                    - gamma[i] / 8.0 * np.linalg.norm(a - b) ** 2)
             assert lhs <= rhs + 1e-10
 
@@ -281,7 +315,7 @@ def test_model_block_gradient_affine_and_fd(pen2):
         for kloc, kglob in enumerate(range(sl.start, sl.stop)):
             e = np.zeros(2)
             e[kglob] = h
-            fd = (anchor.model_value(i, u + e) - anchor.model_value(i, u - e)) / (2 * h)
+            fd = (anchor.model_values(u + e)[i] - anchor.model_values(u - e)[i]) / (2 * h)
             assert fd == pytest.approx(anchor.own_model_grad(u)[sl][kloc],
                                        rel=1e-6, abs=1e-6)
 

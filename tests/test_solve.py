@@ -220,9 +220,17 @@ def test_run_bounds_match_the_one_at_a_time_checks(request, run):
             r.lam_mu_gap = 1e-20
     assert len(damaged.rows) > G.solver._BOUND_ROWS
     for trace in (result.trace, damaged):
-        got = G.verify_run_bounds(trace, game, cfg)
-        assert got == _run_bounds_one_at_a_time(trace, game, cfg)
-    assert all(got.values())
+        got, counts = G.verify_run_bounds(trace, game, cfg)
+        want = _run_bounds_one_at_a_time(trace, game, cfg)
+        # the first 20 messages of each bound, and every violation counted,
+        # the projected-gradient messages by form
+        assert got == {kind: messages[:20] for kind, messages in want.items()}
+        pg = want.pop("projected-gradient")
+        assert counts == {**{kind: len(messages) for kind, messages in want.items()},
+                          "projected-gradient": sum("|pg|" in v for v in pg),
+                          "zero-blocks": sum("not exactly zero" in v for v in pg)}
+    assert all(counts.values())
+    assert max(counts.values()) > 20
 
 
 def test_shared_constraint_game_matches_grid_reference():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gnepsolve as G
-from gnepsolve.core import BlockLayout, GameInstance, PlayerDualState, PlayerProblem, SimpleSet, initial_state
+from gnepsolve.core import (BlockLayout, DualStack, GameInstance, PlayerDualState, PlayerProblem,
+                            SimpleSet, initial_state)
 from gnepsolve.lagrangian import (PenaltyParams, build_anchor, evaluate_point, lagrangian_value,
                                    lagrangian_values)
 from gnepsolve.solver import (
@@ -66,8 +67,8 @@ def test_estimate_example3_constraint_curvature():
 def test_sampled_estimates_scale_with_inflation():
     game = library.gen_power_allocation(2, 2, 1.0, 0.3162, seed=4)
     state = initial_state(game, np.full(game.n, 1.0))
-    e1 = LipschitzEstimator(game, seed=0, inflation=1.0).estimate(state.x, [d.lam for d in state.duals])
-    e2 = LipschitzEstimator(game, seed=0, inflation=2.0).estimate(state.x, [d.lam for d in state.duals])
+    e1 = LipschitzEstimator(game, seed=0, inflation=1.0).estimate(state.x, state.duals.lam)
+    e2 = LipschitzEstimator(game, seed=0, inflation=2.0).estimate(state.x, state.duals.lam)
     np.testing.assert_allclose(e2.L_theta, 2.0 * e1.L_theta, rtol=1e-12)
     for a, b in zip(e1.grad_g_lip, e2.grad_g_lip):
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
@@ -145,7 +146,7 @@ def _anchor_for(game, x, duals, pen, gamma):
 def test_inner_step_fixed_point_and_determinism():
     game = single_player_quadratic()
     pen = PenaltyParams.uniform(1)
-    duals = [PlayerDualState.zeros(0)]
+    duals = DualStack.of([PlayerDualState.zeros(0)])
     x = np.array([2.0, -1.0])
     anchor = _anchor_for(game, x, duals, pen, np.array([2.0]))
     sigma = np.array([0.3])
@@ -164,7 +165,7 @@ def test_inner_residual_geometric_decrease():
     game, plant = library.gen_random_quadratic_with_plant(2, 2, 1, seed=3)
     pen = PenaltyParams.uniform(2)
     state = initial_state(game, plant)
-    est = LipschitzEstimator(game, seed=0).estimate(state.x, [d.lam for d in state.duals])
+    est = LipschitzEstimator(game, seed=0).estimate(state.x, state.duals.lam)
     gamma, _ = choose_gamma(est, pen, GammaPolicy.auto())
     cfg = SolverConfig(sigma=SigmaSchedule.constant(0.5 * sigma_cap(float(gamma.min()), float(gamma.max()))))
     sigma = choose_sigma(est, cfg, 0, gamma=gamma)
@@ -186,7 +187,7 @@ def test_solve_inner_matches_projected_model_minimizer():
     # the projection of the model minimizer
     game = single_player_quadratic(lo=-0.5, hi=0.5)
     pen = PenaltyParams.uniform(1)
-    duals = [PlayerDualState.zeros(0)]
+    duals = DualStack.of([PlayerDualState.zeros(0)])
     x = np.array([0.4, -0.3])
     gamma = np.array([2.0])
     anchor = _anchor_for(game, x, duals, pen, gamma)
@@ -235,8 +236,8 @@ def test_solve_inner_is_the_fixed_point_of_the_reference_sweep(blocks, seed):
                         BlockLayout(tuple(dim for _, dim in blocks)))
     N = game.num_players
     pen = PenaltyParams.uniform(N)
-    duals = [PlayerDualState(np.zeros(1), lam, lam.copy())
-             for lam in rng.uniform(0.0, 3.0, (N, 1))]
+    duals = DualStack.of([PlayerDualState(np.zeros(1), lam, lam.copy())
+                          for lam in rng.uniform(0.0, 3.0, (N, 1))])
     gamma = rng.uniform(0.5, 50.0, N)
     anchor = _anchor_for(game, game.project_private(rng.uniform(-5.0, 5.0, n)),
                          duals, pen, gamma)
@@ -256,7 +257,7 @@ def test_solve_inner_is_the_fixed_point_of_the_reference_sweep(blocks, seed):
 def test_solve_inner_stalls_at_stationary_anchor():
     game = single_player_quadratic()
     pen = PenaltyParams.uniform(1)
-    duals = [PlayerDualState.zeros(0)]
+    duals = DualStack.of([PlayerDualState.zeros(0)])
     x = np.zeros(2)   # already the minimizer: no strict descent exists
     anchor = _anchor_for(game, x, duals, pen, np.array([2.0]))
     cfg = SolverConfig(sigma=SigmaSchedule.constant())
@@ -283,10 +284,10 @@ def test_solve_inner_descent_on_example3_value_never_rises():
 
 def test_step_z_examples():
     pen = PenaltyParams.uniform(1, alpha=10.0)
-    d = [PlayerDualState(np.zeros(2), np.array([2.0, 0.0]), np.zeros(2))]
+    d = DualStack.of([PlayerDualState(np.zeros(2), np.array([2.0, 0.0]), np.zeros(2))])
     out = step_z(d, pen)
     np.testing.assert_allclose(out[0].z, [0.2, 0.0], atol=0)
-    d_eq = [PlayerDualState(np.ones(2), np.array([1.0, 1.0]), np.array([1.0, 1.0]))]
+    d_eq = DualStack.of([PlayerDualState(np.ones(2), np.array([1.0, 1.0]), np.array([1.0, 1.0]))])
     np.testing.assert_array_equal(step_z(d_eq, pen)[0].z, [0.0, 0.0])
 
 
@@ -295,7 +296,7 @@ def test_step_z_minimizes_value():
     pen = PenaltyParams.uniform(2)
     x = np.array([0.3, 0.2])
     d = PlayerDualState(np.zeros(1), np.array([2.0]), np.array([0.5]))
-    z_opt = step_z([d, PlayerDualState.zeros(1)], pen)[0].z
+    z_opt = step_z(DualStack.of([d, PlayerDualState.zeros(1)]), pen)[0].z
     base = lagrangian_value(game, 0, x, PlayerDualState(z_opt, d.lam, d.mu), pen)
     for delta in (1e-3, -1e-3):
         v = lagrangian_value(game, 0, x, PlayerDualState(z_opt + delta, d.lam, d.mu), pen)
@@ -314,7 +315,8 @@ def test_step_duals_examples():
         constraint_jacobian=lambda x: np.zeros((1, 1)),
         private_set=SimpleSet.free(1), m=1)
     toy = GameInstance((p,), layout, "toy")
-    out = step_duals(np.zeros(1), [PlayerDualState.zeros(1)], PenaltyParams.uniform(1), toy)
+    out = step_duals(np.zeros(1), DualStack.of([PlayerDualState.zeros(1)]), PenaltyParams.uniform(1),
+                     toy)
     np.testing.assert_array_equal(out[0].lam, [0.0])
 
     # direct arithmetic: mu=0.5, g=0.25, beta=1 -> lam=0.75
@@ -324,7 +326,7 @@ def test_step_duals_examples():
         constraint_jacobian=lambda x: np.zeros((1, 1)),
         private_set=SimpleSet.free(1), m=1)
     toy2 = GameInstance((p2,), layout, "toy2")
-    d0 = [PlayerDualState(np.zeros(1), np.array([0.5]), np.array([0.5]))]
+    d0 = DualStack.of([PlayerDualState(np.zeros(1), np.array([0.5]), np.array([0.5]))])
     out2 = step_duals(np.zeros(1), d0, PenaltyParams.uniform(1), toy2)
     np.testing.assert_allclose(out2[0].lam, [0.75])
     np.testing.assert_array_equal(out2[0].lam, out2[0].mu)
@@ -334,8 +336,8 @@ def test_step_duals_maximizes_value():
     game = library.make_example3()
     pen = PenaltyParams.uniform(2)
     x = np.array([0.9, 0.1])
-    duals = [PlayerDualState(np.zeros(1), np.array([1.2]), np.array([1.2])),
-             PlayerDualState.zeros(1)]
+    duals = DualStack.of([PlayerDualState(np.zeros(1), np.array([1.2]), np.array([1.2])),
+                          PlayerDualState.zeros(1)])
     duals = step_z(duals, pen)
     new = step_duals(x, duals, pen, game)
     base = lagrangian_value(game, 0, x, PlayerDualState(new[0].z, new[0].lam, duals[0].mu), pen)
@@ -364,14 +366,14 @@ def test_dual_steps_from_unequal_multipliers(vectors, alpha, beta):
         constraints=lambda x: g.copy(), constraint_jacobian=lambda x: np.zeros((m, 1)),
         private_set=SimpleSet.free(1), m=m),), BlockLayout((1,)), "toy")
     pen = PenaltyParams.uniform(1, alpha=alpha, beta=beta)
-    duals = [PlayerDualState(np.full(m, 0.5), lam, mu)]
+    duals = DualStack.of([PlayerDualState(np.full(m, 0.5), lam, mu)])
     stepped = step_z(duals, pen)[0]
     np.testing.assert_array_equal(stepped.z, (lam - mu) / alpha)
     np.testing.assert_array_equal(stepped.lam, lam)
     np.testing.assert_array_equal(stepped.mu, mu)
     want = np.maximum(mu + g / beta, 0.0)
     for out in (step_duals(np.zeros(1), duals, pen, toy),
-                step_duals(np.zeros(1), duals, pen, toy, g_values=[g])):
+                step_duals(np.zeros(1), duals, pen, toy, g_values=g)):
         np.testing.assert_array_equal(out[0].lam, want)
         np.testing.assert_array_equal(out[0].lam, out[0].mu)
         assert np.all(out[0].lam >= 0.0)
@@ -387,6 +389,6 @@ def test_stopping_residual_cases():
     a = initial_state(game, np.array([1.0, 2.0]))
     b = a.copy()
     assert stopping_residual(a, b, game) == 0.0
-    b.duals[1].lam = b.duals[1].lam + 0.3
+    b.duals[1].lam += 0.3
     assert stopping_residual(a, b, game) == pytest.approx(0.3)
     assert stopping_residual(b, a, game) == pytest.approx(0.3)
