@@ -66,18 +66,29 @@ def _add_solver_options(p: argparse.ArgumentParser):
 
 
 def _build_config(args) -> SolverConfig:
-    if args.gamma == "auto":
-        gamma = GammaPolicy.auto(args.gamma_safety)
-    else:
-        try:
-            gamma = GammaPolicy.fixed(float(args.gamma))
-        except ValueError as exc:
-            raise CliError(f"--gamma must be 'auto' or a number, got {args.gamma!r}") from exc
+    """The solver configuration of the options; an invalid value is a usage
+    error, raised before any instance is built."""
     try:
+        if args.gamma == "auto":
+            gamma = GammaPolicy.auto(args.gamma_safety)
+        else:
+            try:
+                value = float(args.gamma)
+            except ValueError as exc:
+                raise CliError(f"--gamma must be 'auto' or a number, got {args.gamma!r}") from exc
+            gamma = GammaPolicy.fixed(value)
         return SolverConfig(alpha=args.alpha, beta=args.beta, gamma=gamma, outer_tol=args.tol,
                             max_outer=args.max_outer, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def nonnegative_int(text: str) -> int:
+    """An option that counts, such as ``--br-budget``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_game(args) -> tuple[GameInstance, dict]:
@@ -108,29 +119,30 @@ def _load_instance_file(path: Path) -> GameInstance:
 
 
 def _parse_x0(spec: str, n: int) -> np.ndarray:
+    """The start point of an x0 spec; every entry must be finite."""
     if spec.startswith("const:"):
         try:
-            return np.full(n, float(spec[6:]))
+            vals = np.full(n, float(spec[6:]))
         except ValueError:
             raise CliError(f"bad x0 constant in {spec!r}")
-    if spec.startswith("vec:"):
+    elif spec.startswith("vec:"):
         try:
             vals = np.array([float(v) for v in spec[4:].split(",")])
         except ValueError:
             raise CliError(f"bad x0 vector in {spec!r}")
-        if vals.shape != (n,):
-            raise CliError(f"x0 vector has length {vals.shape[0]}, expected {n}")
-        return vals
-    if spec.startswith("file:"):
+    elif spec.startswith("file:"):
         path = Path(spec[5:])
         try:
             vals = np.array([float(v) for v in path.read_text().replace(",", " ").split()])
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read x0 file {path}: {exc}")
-        if vals.shape != (n,):
-            raise CliError(f"x0 file has {vals.shape[0]} numbers, expected {n}")
-        return vals
-    raise CliError(f"x0 spec {spec!r} must start with const:, vec:, or file:")
+    else:
+        raise CliError(f"x0 spec {spec!r} must start with const:, vec:, or file:")
+    if vals.shape != (n,):
+        raise CliError(f"x0 {spec!r} has {vals.shape[0]} entries, expected {n}")
+    if not np.isfinite(vals).all():
+        raise CliError(f"x0 {spec!r} has a non-finite entry")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +228,8 @@ def _write_text(path: str | None, text: str):
 
 
 def cmd_solve(args) -> int:
-    game, ref = _load_game(args)
     cfg = _build_config(args)
+    game, ref = _load_game(args)
     x0 = _parse_x0(args.x0, game.n)
     _check_out_dirs(args.out, args.trace)
     result = solve(game, x0, cfg)
@@ -252,8 +264,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    game, ref = _load_game(args)
     cfg = _build_config(args)
+    game, ref = _load_game(args)
     x0 = _parse_x0(args.x0, game.n)
     _check_out_dirs(args.out)
     result = solve(game, x0, cfg)
@@ -280,12 +292,11 @@ def _bench_rows(args) -> list[tuple[str, str]]:
     return rows
 
 
-def _run_bench_row(name: str, x0spec: str, args):
+def _run_bench_row(name: str, x0spec: str, args, cfg: SolverConfig):
     try:
         row_args = argparse.Namespace(**vars(args))
         row_args.problem, row_args.load, row_args.x0 = name, None, x0spec
         game, _ = _load_game(row_args)
-        cfg = _build_config(args)
         x0 = _parse_x0(x0spec, game.n)
         result = solve(game, x0, cfg)
         return {
@@ -339,14 +350,14 @@ def bench_text_table(rows: list[dict]) -> str:
 
 def cmd_bench(args) -> int:
     _check_out_dirs(args.out)
-    rows = [_run_bench_row(name, x0spec, args) for name, x0spec in _bench_rows(args)]
+    cfg = _build_config(args)
+    rows = [_run_bench_row(name, x0spec, args, cfg) for name, x0spec in _bench_rows(args)]
     csv_text = "\n".join(bench_csv_lines(rows, args.wall_time)) + "\n"
     if args.out:
         _write_file(args.out, csv_text)
-        print(bench_text_table(rows))
     else:
         sys.stdout.write(csv_text)
-        print(bench_text_table(rows))
+    print(bench_text_table(rows))
     return 0 if all(r["status"] == "converged" for r in rows) else _NONCONVERGED
 
 
@@ -412,7 +423,7 @@ def cmd_validate(args) -> int:
                                         float(cfg.get("alpha", 10.0)),
                                         float(cfg.get("beta", 1.0)))
     except (AttributeError, TypeError, ValueError):
-        raise CliError(f"{path}: config fields 'alpha' and 'beta' must be positive numbers")
+        raise CliError(f"{path}: config fields 'alpha' and 'beta' must be finite positive numbers")
     try:
         report = diagnose(game, state, penalty, br_budget=args.br_budget)
     except OracleFailure as exc:
@@ -448,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", default="text", choices=["json", "text"])
     ps.add_argument("--skip-diagnostics", action="store_true")
     ps.add_argument("--skip-best-response", action="store_true")
-    ps.add_argument("--br-budget", type=int, default=400_000)
+    ps.add_argument("--br-budget", type=nonnegative_int, default=400_000)
     ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("bench", help="run a table of instances and emit a summary")
@@ -470,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="re-check a result document")
     pv.add_argument("result", help="path to a result/1 document")
     pv.add_argument("--threshold", type=float, default=1e-3)
-    pv.add_argument("--br-budget", type=int, default=400_000)
+    pv.add_argument("--br-budget", type=nonnegative_int, default=400_000)
     pv.set_defaults(func=cmd_validate)
     return ap
 

@@ -352,9 +352,8 @@ class PlayerProblem:
 
     Full gradients (not just the own block) are required because the
     surrogate-model machinery needs cross-block derivative information.
-    ``objective_hessian``/``constraint_hessians`` may carry constant Hessians
-    when the data is quadratic; estimators then use exact spectral norms
-    instead of sampling.
+    A player carries no structure beyond its oracles: a quadratic game keeps
+    its data in one :class:`QuadraticStack` on the :class:`GameInstance`.
     """
 
     objective: Callable[[Array], float]
@@ -363,43 +362,30 @@ class PlayerProblem:
     constraint_jacobian: Callable[[Array], Array]
     private_set: SimpleSet
     m: int
-    objective_hessian: Array | None = None
-    constraint_hessians: Array | None = None
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("constraint count must be nonnegative")
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.objective_hessian is not None and (
-            self.m == 0 or self.constraint_hessians is not None
-        )
-
-    @cached_property
-    def constant_jacobian(self) -> bool:
-        """The constraint Jacobian does not depend on ``x``: a quadratic player
-        whose constraint Hessians are all zero (affine constraints)."""
-        return self.is_quadratic and not np.any(self.constraint_hessians)
-
 
 @dataclass(frozen=True)
 class QuadraticStack:
-    """Every player's quadratic data stacked over players: player ``i``
+    """The one record of a quadratic game's structure: player ``i``
     minimizes ``0.5 x'Q[i] x + b[i]'x`` under constraints whose affine parts
     are the rows ``C x + D`` of its segment of the game's constraint rows.
 
-    The players listed in ``curved`` also carry nonzero constraint Hessians
-    (kept per player, not stacked); their constraint values and Jacobians
-    come from their oracles. The players' oracles and ``objective_hessian``
-    read views of these arrays, so the stack holds no second copy.
+    ``hessians`` maps each curved player (one with a nonzero constraint
+    Hessian) to its ``(m, n, n)`` constraint Hessians; affine players have no
+    entry. The players' oracles read views of these arrays, so the stack
+    holds no second copy, and a curved player's constraint values and
+    Jacobians come from its oracles.
     """
 
     Q: Array                      # (N, n, n)
     b: Array                      # (N, n)
     C: Array                      # (M, n)
     D: Array                      # (M,)
-    curved: tuple[int, ...] = ()
+    hessians: dict[int, Array] = field(default_factory=dict)
 
     @cached_property
     def jacobian(self) -> Array:
@@ -418,7 +404,9 @@ class GameInstance:
     then runs as a few whole-array products instead of one oracle call per
     player. It is not a constructor argument: the stack must be the very
     data the players' oracles read, or the solver and the certifier would
-    judge different games. A game built directly has none.
+    judge different games. A game built directly has none: the solver then
+    samples its smoothness constants, and the best-response reference takes
+    the penalty routine for every player.
     """
 
     players: tuple[PlayerProblem, ...]
@@ -496,6 +484,11 @@ class GameInstance:
             sl = self.layout.slices[i]
             out[sl] = self.players[i].private_set.project(x[sl])
         return out
+
+    def constant_jacobian(self, i: int) -> bool:
+        """Player ``i``'s constraint Jacobian does not depend on ``x``: the
+        game has stacked quadratic data and the player is not curved."""
+        return self.quadratic is not None and i not in self.quadratic.hessians
 
     def feasibility_violation(self, x: Array) -> float:
         """Largest positive constraint value over all players; 0 if feasible."""

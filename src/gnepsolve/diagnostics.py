@@ -104,11 +104,11 @@ def _exact_best_response(game: GameInstance, x: Array, player: int,
     solution does not certify."""
     p = game.players[player]
     pset = p.private_set
-    # constant_jacobian holds only for quadratic players with affine constraints
-    if not p.constant_jacobian or pset.kind not in ("box", "nonneg"):
+    # a constant Jacobian marks a player of a quadratic game with affine constraints
+    if not game.constant_jacobian(player) or pset.kind not in ("box", "nonneg"):
         return None
     sl = game.layout.block_slice(player)
-    H = np.asarray(p.objective_hessian, dtype=float)[sl, sl]
+    H = game.quadratic.Q[player][sl, sl]
     try:
         chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
@@ -234,7 +234,7 @@ def _penalty_best_response(game: GameInstance, x: Array, player: int,
         project = lambda v: np.maximum(v, 0.0)
     # Own-block columns of a constant Jacobian, transposed, built once.
     own_jac_t = (np.asarray(p.constraint_jacobian(base), dtype=float)[:, sl].T
-                 if p.m and p.constant_jacobian else None)
+                 if p.m and game.constant_jacobian(player) else None)
 
     def full(u: Array) -> Array:
         v = base.copy()

@@ -48,14 +48,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Per-player penalty weight ``alpha`` and proximal weight ``beta``, all > 0."""
+    """Per-player penalty weight ``alpha`` and proximal weight ``beta``, finite and > 0."""
 
     alpha: Array
     beta: Array
 
     def __post_init__(self):
-        if np.any(self.alpha <= 0) or np.any(self.beta <= 0):
-            raise ValueError("alpha and beta must be strictly positive")
+        if not all(np.all((0 < w) & (w < np.inf)) for w in (self.alpha, self.beta)):
+            raise ValueError("alpha and beta must be finite and > 0")
 
     @staticmethod
     def uniform(num_players: int, alpha: float = 10.0, beta: float = 1.0) -> "PenaltyParams":
@@ -194,9 +194,9 @@ def _stacked_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, A
     theta = 0.5 * row_dots(QX, x) + row_dots(q.b, x)
     g = rows.matvec(q.C, x) + 0.0 + q.D
     jac = q.jacobian
-    if q.curved:
+    if q.hessians:
         jac = jac.copy()
-        for i in q.curved:
+        for i in q.hessians:
             p, s = game.players[i], slice(rows.bounds[i], rows.bounds[i + 1])
             g[s] = p.constraints(x)
             jac[s] = p.constraint_jacobian(x)

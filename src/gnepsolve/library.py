@@ -93,8 +93,9 @@ class QuadraticGnepSpec:
 
     def to_game(self) -> GameInstance:
         """The game, with its quadratic data stacked over players
-        (:class:`~gnepsolve.core.QuadraticStack`); each player's oracles
-        and ``objective_hessian`` read views of the stacked arrays."""
+        (:class:`~gnepsolve.core.QuadraticStack`, the one record of its
+        structure); each player's oracles read views of the stacked arrays.
+        Constraint Hessians are kept only for a player with a nonzero one."""
         self.validate_psd()
         n, N = self.layout.n, len(self.players)
         Q = np.array([spec.Q for spec in self.players], dtype=float).reshape(N, n, n)
@@ -102,10 +103,9 @@ class QuadraticGnepSpec:
         rows = [con for spec in self.players for con in spec.constraints]
         C = np.array([c for _, c, _ in rows], dtype=float).reshape(len(rows), n)
         D = np.array([d for _, _, d in rows], dtype=float).reshape(len(rows))
-        players, curved, start = [], [], 0
+        players, hessians, start = [], {}, 0
         for i, spec in enumerate(self.players):
             m = len(spec.constraints)
-            A = np.array([a for a, _, _ in spec.constraints], dtype=float).reshape(m, n, n)
             Qi, bi, Ci, Di = Q[i], b[i], C[start:start + m], D[start:start + m]
             start += m
 
@@ -115,8 +115,9 @@ class QuadraticGnepSpec:
             def gradient(x, Q=Qi, b=bi):
                 return Q @ x + b
 
-            if np.any(A):
-                curved.append(i)
+            if any(np.any(a) for a, _, _ in spec.constraints):
+                A = hessians[i] = np.array([a for a, _, _ in spec.constraints],
+                                           dtype=float).reshape(m, n, n)
 
                 def constraints(x, A=A, C=Ci, D=Di):
                     return 0.5 * np.einsum("i,mij,j->m", x, A, x) + C @ x + D
@@ -133,18 +134,10 @@ class QuadraticGnepSpec:
                 def constraint_jacobian(x, C=Ci):
                     return C + 0.0
 
-            players.append(PlayerProblem(
-                objective=objective,
-                gradient=gradient,
-                constraints=constraints,
-                constraint_jacobian=constraint_jacobian,
-                private_set=spec.private_set,
-                m=m,
-                objective_hessian=Qi,
-                constraint_hessians=A,
-            ))
+            players.append(PlayerProblem(objective, gradient, constraints, constraint_jacobian,
+                                         spec.private_set, m))
         return _attach_quadratic_stack(GameInstance(tuple(players), self.layout, self.name),
-                                       QuadraticStack(Q, b, C, D, tuple(curved)))
+                                       QuadraticStack(Q, b, C, D, hessians))
 
 
 # ---------------------------------------------------------------------------

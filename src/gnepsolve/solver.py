@@ -96,10 +96,11 @@ class GammaPolicy:
     def __post_init__(self):
         if self.kind not in ("auto", "fixed"):
             raise ValueError("gamma policy kind must be 'auto' or 'fixed'")
-        if self.kind == "auto" and self.safety < 1.0:
-            raise ValueError("safety factor must be >= 1")
-        if self.kind == "fixed" and self.values is None:
-            raise ValueError("fixed gamma policy needs values")
+        if self.kind == "auto" and not 1.0 <= self.safety < np.inf:
+            raise ValueError(f"gamma safety must be finite and >= 1, got {self.safety}")
+        if self.kind == "fixed" and (self.values is None
+                                     or not np.all((0 < self.values) & (self.values < np.inf))):
+            raise ValueError(f"fixed gamma values must be finite and > 0, got {self.values}")
 
     @staticmethod
     def auto(safety: float = 1.0) -> "GammaPolicy":
@@ -158,10 +159,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.outer_tol <= 0:
-            raise ValueError("outer tolerance must be positive")
+        self.penalty(1)   # alpha and beta: finite and > 0
+        if not self.outer_tol > 0:
+            raise ValueError(f"outer tolerance must be positive, got {self.outer_tol}")
         if self.max_outer < 1:
             raise ValueError("iteration cap must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def penalty(self, num_players: int) -> PenaltyParams:
         return PenaltyParams.uniform(num_players, self.alpha, self.beta)
@@ -217,10 +221,12 @@ def spectral_norm(mat: Array) -> float:
 
 
 class LipschitzEstimator:
-    """Smoothness estimation with a quadratic fast path.
+    """Smoothness estimation, exact for a quadratic game.
 
-    Players carrying constant Hessians get exact spectral-norm constants.
-    Otherwise constants come from sampled difference quotients
+    A game with stacked quadratic data (``game.quadratic``) gets exact
+    constants from it: the spectral norm of each ``Q[i]``, and constraint
+    bounds from the curved players' Hessians (zero for affine players).
+    Every other game gets constants from sampled difference quotients
     ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded point
     pairs drawn in a box around the current iterate, inflated by a safety
     factor. The sample box is refreshed when the iterate leaves its core.
@@ -233,27 +239,22 @@ class LipschitzEstimator:
         self._box_center: Array | None = None
         self._box_halfwidth: Array | None = None
         N = game.num_players
-        self._quad = np.array([p.is_quadratic for p in game.players], dtype=bool)
-        # Per-player constants, stacked: exact for quadratic players, filled
-        # in by every resample for the others.
+        # Per-player constants, stacked: exact for a quadratic game, filled
+        # in by every resample otherwise.
         self._L_theta = np.zeros(N)
         self._gg = np.zeros(game.rows.total)      # constraint-gradient Lipschitz bounds
         self._M_g_own = np.zeros(N)
         self._jac_growth = np.zeros(N)
         self._jac_max = np.zeros(N)
-        for i, p in enumerate(game.players):
-            if not self._quad[i]:
-                continue
-            a_norms = np.array(
-                [spectral_norm(p.constraint_hessians[j]) for j in range(p.m)]
-            ) if p.m else np.zeros(0)
+        q = game.quadratic
+        if q is None:
+            return
+        self._L_theta[:] = [spectral_norm(Q) for Q in q.Q]
+        for i, A in q.hessians.items():
+            a_norms = np.array([spectral_norm(a) for a in A])
             # Jacobian-growth bound over a box: ||dJ||_F <= sqrt(sum_j
             # ||A_j||^2 * supp_j) * r, with supp_j the support size of A_j.
-            supp = np.array([
-                int(np.count_nonzero(np.any(p.constraint_hessians[j], axis=0)))
-                for j in range(p.m)
-            ]) if p.m else np.zeros(0)
-            self._L_theta[i] = spectral_norm(p.objective_hessian)
+            supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
             self._set_gg(i, a_norms)
             self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
 
@@ -279,8 +280,6 @@ class LipschitzEstimator:
 
     def _resample(self, x: Array):
         self._box_center, self._box_halfwidth = self._box(x)
-        if self._quad.all():
-            return
         game = self.game
         for attempt in range(2):
             pts_a = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
@@ -294,8 +293,6 @@ class LipschitzEstimator:
         if not good:
             raise RuntimeError("degenerate sampling region: all point pairs collapsed")
         for i, p in enumerate(game.players):
-            if self._quad[i]:
-                continue
             lt = 0.0
             gg = np.zeros(p.m)
             jac_max = 0.0
@@ -331,15 +328,15 @@ class LipschitzEstimator:
         constraint Jacobian at ``x`` to avoid an extra oracle sweep.
         """
         game = self.game
-        if self._needs_resample(x):
+        if game.quadratic is None and self._needs_resample(x):
             self._resample(x)
         if jac_norms is None:
             jac_norms = [spectral_norm(p.constraint_jacobian(x)) if p.m else 0.0
                          for p in game.players]
         jn = np.asarray(jac_norms, dtype=float)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
-        L_gfun = np.where(self._quad, jn + self._jac_growth * margin,
-                          self.inflation * np.maximum(jn, self._jac_max))
+        L_gfun = (jn + self._jac_growth * margin if game.quadratic is not None
+                  else self.inflation * np.maximum(jn, self._jac_max))
         # L_theta and gg change only at a resample; the multiplier term moves.
         L = self._L_theta + game.rows.dot(self._gg, lam)
         return LipschitzEstimates(self._L_theta.copy(), game.rows.split(self._gg.copy()),
@@ -657,7 +654,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     x, duals = state.x, state.duals
     # Norms of a constant Jacobian are computed once, for the whole run.
-    varying = [i for i, p in enumerate(game.players) if p.m and not p.constant_jacobian]
+    varying = [i for i, p in enumerate(game.players) if p.m and not game.constant_jacobian(i)]
     zeros = np.zeros(game.num_players)
     jac_full, jac_own = _jac_norms(point, game, [i for i, p in enumerate(game.players) if p.m],
                                    (zeros, zeros))

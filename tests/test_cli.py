@@ -130,6 +130,46 @@ def test_solve_invalid_tolerance(capsys):
     assert code == 3
 
 
+_BAD_OPTIONS = [["--alpha", "0"], ["--alpha", "nan"], ["--beta", "-1"], ["--seed", "-1"],
+                ["--gamma-safety", "0.5"], ["--gamma-safety", "nan"], ["--gamma", "nan"],
+                ["--gamma", "-5"], ["--gamma", "inf"], ["--gamma", "abc"], ["--tol", "nan"]]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("option", _BAD_OPTIONS, ids="=".join)
+def test_invalid_solver_options_exit_3(capsys, command, option):
+    # a usage error before any instance is built: arrow-debreu draws its data
+    # from the seed, so a negative seed must not reach the generator either
+    code, _, stderr = run_cli(capsys, command, "--problem", "arrow-debreu", "--x0", "const:0",
+                              "--max-outer", "3", *option)
+    assert code == 3
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv", [["solve", "--problem", "example3", "--br-budget", "-1"],
+                                  ["validate", "result.json", "--br-budget", "-1"]])
+def test_negative_best_response_budget_exit_3(capsys, argv):
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 3
+    assert "--br-budget" in stderr
+
+
+@pytest.mark.parametrize("x0", ["const:nan", "const:inf", "const:-inf", "const:1e400",
+                                "vec:1,nan", "vec:inf,0", "file"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_non_finite_start_exit_3(tmp_path, capsys, command, x0):
+    # a start that is not finite is a usage error, not an oracle failure of
+    # the run (const:1e200 is finite and does run; see the test below)
+    if x0 == "file":
+        path = tmp_path / "x0.txt"
+        path.write_text("0.5 inf\n")
+        x0 = f"file:{path}"
+    code, _, stderr = run_cli(capsys, command, "--problem", "example3", "--x0", x0,
+                              "--max-outer", "3")
+    assert code == 3
+    assert "non-finite" in stderr
+
+
 def test_solve_nonconvergence_exit_code(capsys):
     code, _, _ = run_cli(capsys, "solve", "--problem", "example3",
                          "--x0", "const:0", "--max-outer", "3",
@@ -342,6 +382,8 @@ _DELETE = object()
     (("config", "alpha"), "abc", "'alpha'"),
     (("problem",), "example3", "problem reference"),
     (("problem", "seed"), "x", "problem reference"),
+    (("config", "alpha"), float("nan"), "'alpha'"),
+    (("config", "beta"), float("inf"), "'beta'"),
 ])
 def test_validate_malformed_fields(ex3_result_doc, tmp_path, capsys, where, value, names):
     doc = json.loads(ex3_result_doc.read_text())

@@ -1,6 +1,5 @@
 """Equilibrium verification tools."""
 
-import dataclasses
 import math
 import warnings
 
@@ -112,16 +111,13 @@ def _br_bits(info):
 
 def test_best_response_constant_jacobian_path_is_bit_identical():
     # the penalty routine builds an affine player's own-block Jacobian once
-    # per call; a copy without constraint Hessians takes the per-call
-    # Jacobian path instead
+    # per call; the same players without the stacked quadratic data take the
+    # per-call Jacobian path instead
     game, plant = library.gen_random_quadratic_with_plant(2, 3, 2, seed=101)
-    assert all(p.constant_jacobian for p in game.players)
+    per_call = GameInstance(game.players, game.layout, game.name)
     relaxed = False
     for player in range(game.num_players):
-        players = list(game.players)
-        players[player] = dataclasses.replace(players[player], constraint_hessians=None)
-        per_call = GameInstance(tuple(players), game.layout, game.name)
-        assert not per_call.players[player].constant_jacobian
+        assert game.constant_jacobian(player) and not per_call.constant_jacobian(player)
         for x in (plant, plant + 3.0):
             info = _penalty_best_response(game, x, player)
             assert info.certified
@@ -191,14 +187,10 @@ def test_exact_best_response_on_nonneg_and_free_sets():
     # min (u - m)'(u - m) on the orthant and on R^2 under u0 + u1 <= 1
     m0 = np.array([2.0, 0.0])
     for pset, want in ((SimpleSet.nonneg(2), [1.0, 0.0]), (SimpleSet.free(2), [1.5, -0.5])):
-        game = GameInstance((PlayerProblem(
-            objective=lambda x: float((x - m0) @ (x - m0)),
-            gradient=lambda x: 2.0 * (x - m0),
-            constraints=lambda x: np.array([x[0] + x[1] - 1.0]),
-            constraint_jacobian=lambda x: np.array([[1.0, 1.0]]),
-            private_set=pset, m=1,
-            objective_hessian=2.0 * np.eye(2), constraint_hessians=np.zeros((1, 2, 2)),
-        ),), BlockLayout((2,)), "orthant-quadratic")
+        # (u - m)'(u - m) less its constant m'm
+        game = library.QuadraticGnepSpec(BlockLayout((2,)), [library.QuadraticPlayerSpec(
+            2.0 * np.eye(2), -2.0 * m0, pset, [(np.zeros((2, 2)), np.ones(2), -1.0)])],
+            "orthant-quadratic").to_game()
         info = _exact_best_response(game, np.zeros(2), 0, 1e-8)
         assert info is not None and info.certified
         np.testing.assert_allclose(info.block, want, atol=1e-14)

@@ -196,7 +196,7 @@ def test_arrow_debreu_share_columns_sum_to_one(ad_game):
         yoff = (I + j) * K
         total = np.zeros((K, K))
         for i in range(I):
-            A = ad_game.players[i].constraint_hessians[0]
+            A = ad_game.quadratic.hessians[i][0]
             total += A[yoff:yoff + K, p_off:p_off + K]
         np.testing.assert_allclose(total, -np.eye(K), atol=1e-12)
 
@@ -474,8 +474,9 @@ def test_affine_closures_match_einsum_form(n, m, data):
     spec = library.QuadraticGnepSpec(G.BlockLayout((n,)), [library.QuadraticPlayerSpec(
         np.eye(n), np.zeros(n), G.SimpleSet.free(n),
         [(A[j], C[j], float(D[j])) for j in range(m)])])
-    p = spec.to_game().players[0]
-    assert p.constant_jacobian
+    game = spec.to_game()
+    p = game.players[0]
+    assert game.constant_jacobian(0)
     g_ref, J_ref = _einsum_form(A, C, D, x)
     assert p.constraints(x).tobytes() == g_ref.tobytes()
     assert p.constraint_jacobian(x).tobytes() == J_ref.tobytes()
@@ -487,11 +488,11 @@ def test_generator_closures_match_einsum_form():
              library.example3_spec()]
     for spec in specs:
         game = spec.to_game()
-        for ps, p in zip(spec.players, game.players):
+        for i, (ps, p) in enumerate(zip(spec.players, game.players)):
             A = np.array([a for a, _, _ in ps.constraints])
             C = np.array([c for _, c, _ in ps.constraints])
             D = np.array([d for _, _, d in ps.constraints])
-            assert p.constant_jacobian == (not np.any(A))
+            assert game.constant_jacobian(i) == (not np.any(A))
             for _ in range(5):
                 x = rng.standard_normal(game.n) * 3.0
                 g_ref, J_ref = _einsum_form(A, C, D, x)
@@ -500,9 +501,11 @@ def test_generator_closures_match_einsum_form():
 
 
 def test_constant_jacobian_only_for_affine_quadratic_players():
-    assert all(p.constant_jacobian for p in library.make_a18_electricity().players)
-    assert not any(p.constant_jacobian for p in library.make_example3().players)
-    assert not any(p.constant_jacobian for p in library.builtin_instance("power").players)
-    ad = library.gen_arrow_debreu(2, 1, 2)
+    def flags(game):
+        return [game.constant_jacobian(i) for i in range(game.num_players)]
+
+    assert all(flags(library.make_a18_electricity()))
+    assert not any(flags(library.make_example3()))
+    assert not any(flags(library.builtin_instance("power")))
     # consumers (budget) and firms (ball) are curved; the price player has m == 0
-    assert [p.constant_jacobian for p in ad.players] == [False, False, False, True]
+    assert flags(library.gen_arrow_debreu(2, 1, 2)) == [False, False, False, True]

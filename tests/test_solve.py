@@ -59,7 +59,7 @@ def test_fixed_jacobian_norms_match_fresh_norms():
     # affine players compute their Jacobian norms once per run; every trace
     # row must carry exactly the bits a fresh computation gives
     game, plant = G.library.gen_random_quadratic_with_plant(3, 2, 2, seed=4)
-    assert all(p.constant_jacobian for p in game.players)
+    assert all(game.constant_jacobian(i) for i in range(game.num_players))
     res = G.solve(game, plant, fast_config(max_outer=200))
     assert len(res.trace.rows) > 10
     for x in (plant, res.state.x):

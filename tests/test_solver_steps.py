@@ -30,18 +30,9 @@ from gnepsolve import library
 
 
 def single_player_quadratic(n=2, lo=-10.0, hi=10.0):
-    Q = np.eye(n)
-
-    return GameInstance((PlayerProblem(
-        objective=lambda x: 0.5 * float(x @ x),
-        gradient=lambda x: x.copy(),
-        constraints=lambda x: np.zeros(0),
-        constraint_jacobian=lambda x: np.zeros((0, n)),
-        private_set=SimpleSet.box(np.full(n, lo), np.full(n, hi)),
-        m=0,
-        objective_hessian=Q,
-        constraint_hessians=np.zeros((0, n, n)),
-    ),), BlockLayout((n,)), "half-norm-squared")
+    return library.QuadraticGnepSpec(BlockLayout((n,)), [library.QuadraticPlayerSpec(
+        np.eye(n), np.zeros(n), SimpleSet.box(np.full(n, lo), np.full(n, hi)))],
+        "half-norm-squared").to_game()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gnepsolve as G
-from gnepsolve import library
+from gnepsolve import lagrangian, library
 from gnepsolve.core import DualStack, PlayerDualState, Segments
 from gnepsolve.lagrangian import (PenaltyParams, evaluate_point, lagrangian_from_values,
                                   lagrangian_values, projected_gradient_parts)
@@ -151,10 +151,11 @@ def test_stacked_consumers_are_the_per_player_forms(drawn):
     library.make_a18_electricity,
     lambda: library.gen_arrow_debreu(5, 2, 3, seed=0),
 ], ids=["example3", "a18", "arrow-debreu"])
-def test_builtin_batched_sweeps_are_bitwise_the_closure_sweeps(make_game):
+def test_builtin_batched_sweeps_are_bitwise_the_closure_sweeps(make_game, monkeypatch):
     # example3 and arrow-debreu have curved (quadratic) constraints, whose
     # values and Jacobians the batched sweep takes from the players' oracles;
-    # all three agree bit for bit, and so do short solves
+    # all three agree bit for bit, and the iterates of a short solve do not
+    # depend on which sweep runs
     game = make_game()
     twin = closure_twin(game)
     rng = np.random.default_rng(5)
@@ -163,24 +164,55 @@ def test_builtin_batched_sweeps_are_bitwise_the_closure_sweeps(make_game):
         assert point_bits(evaluate_point(game, x)) == point_bits(evaluate_point(twin, x))
     x0 = game.project_private(np.full(game.n, 0.5))
     cfg = G.SolverConfig(max_outer=40)
-    a, b = G.solve(game, x0, cfg), G.solve(closure_twin(game), x0, cfg)
+    a = G.solve(game, x0, cfg)
+    monkeypatch.setattr(lagrangian, "_stacked_sweep", lagrangian._oracle_sweep)
+    b = G.solve(game, x0, cfg)
     assert a.state.x.tobytes() == b.state.x.tobytes()
     assert [r.L_values.tobytes() for r in a.trace.rows] == [r.L_values.tobytes() for r in b.trace.rows]
 
 
-@pytest.mark.parametrize("spec", [
-    library.random_quadratic_spec(40, 4, 2, seed=1)[0],
-    library.a18_spec(),
-    library.example3_spec(),
+def held_arrays(game):
+    """Every array the players (fields, oracle defaults and closure cells)
+    and the quadratic stack hold."""
+    out = []
+    for p in game.players:
+        for fn in (p.objective, p.gradient, p.constraints, p.constraint_jacobian):
+            out += [v for v in (fn.__defaults__ or ()) if isinstance(v, np.ndarray)]
+            out += [c.cell_contents for c in (fn.__closure__ or ())
+                    if isinstance(c.cell_contents, np.ndarray)]
+        out += [getattr(p, f) for f in p.__dataclass_fields__
+                if isinstance(getattr(p, f), np.ndarray)]
+    q = game.quadratic
+    return out + [q.Q, q.b, q.C, q.D, *q.hessians.values()]
+
+
+@pytest.mark.parametrize("spec, curved", [
+    (library.random_quadratic_spec(40, 4, 2, seed=1)[0], []),
+    (library.a18_spec(), []),
+    (library.example3_spec(), [0, 1]),
 ], ids=["quad-wide", "a18", "example3"])
-def test_players_read_views_of_the_stacked_data(spec):
-    # the players' Hessians and oracles share the stacked arrays' memory: the
-    # stack costs no second copy of the Qs
+def test_players_read_views_of_the_stacked_data(spec, curved):
+    # the players' oracles share the stacked arrays' memory: the stack costs
+    # no second copy of the Qs; only curved players keep constraint
+    # Hessians, and no array of the instance is an all-zero (m, n, n) one
     game = spec.to_game()
     q = game.quadratic
+    assert sorted(q.hessians) == curved
     for i, (ps, p) in enumerate(zip(spec.players, game.players)):
-        assert np.shares_memory(q.Q, p.objective_hessian)
-        assert p.objective_hessian.tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
+        assert q.Q[i].tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
         for fn in (p.objective, p.gradient):
-            assert any(np.shares_memory(q.Q, d) for d in fn.__defaults__)
+            assert any(np.shares_memory(q.Q[i], d) for d in fn.__defaults__)
+        if i in q.hessians:
+            assert any(np.shares_memory(q.hessians[i], d) for d in p.constraints.__defaults__)
+    for a in held_arrays(game):
+        assert not (a.ndim == 3 and a.shape[1:] == (game.n, game.n) and not np.any(a))
     assert q.C.shape == (game.total_constraints, game.n)
+
+
+def test_stack_lists_exactly_the_curved_players():
+    # Arrow-Debreu: consumers (budgets) and firms (balls) are curved, the
+    # price player is unconstrained; a18 and the random games are affine
+    ad = library.gen_arrow_debreu(5, 2, 3, seed=0)
+    assert sorted(ad.quadratic.hessians) == list(range(7))
+    assert all(np.any(A) and A.shape == (1, ad.n, ad.n) for A in ad.quadratic.hessians.values())
+    assert library.gen_random_quadratic(3, 2, 2, seed=4).quadratic.hessians == {}
