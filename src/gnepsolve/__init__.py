@@ -32,7 +32,6 @@ from .solver import (
     SolverConfig,
     choose_gamma,
     choose_sigma,
-    estimate_lipschitz,
     inner_residual,
     inner_step,
     solve,

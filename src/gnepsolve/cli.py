@@ -21,6 +21,7 @@ import numpy as np
 from . import library
 from .core import DualStack, GameInstance, IterateState, OracleFailure, PlayerDualState
 from .diagnostics import diagnose
+from .lagrangian import PenaltyParams
 from .solver import GammaPolicy, SolverConfig, solve
 
 RESULT_VERSION = "result/1"
@@ -88,6 +89,14 @@ def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def threshold(text: str) -> float:
+    """A residual threshold, such as ``validate --threshold``: finite and >= 0."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -193,7 +202,7 @@ def trace_csv_lines(result, num_players: int) -> list[str]:
         parts = [str(r.k)]
         parts += [_format_float(v) for v in r.L_values]
         parts += [_format_float(r.dx_inf), _format_float(r.dlambda_inf),
-                  _format_float(r.feas), str(r.inner_iters)]
+                  _format_float(r.feas), "1"]
         lines.append(",".join(parts))
     return lines
 
@@ -236,14 +245,14 @@ def cmd_solve(args) -> int:
     report = None
     if not args.skip_diagnostics:
         try:
-            report = diagnose(game, result.state, cfg.penalty(game.num_players),
+            report = diagnose(game, result.state, cfg.penalty(),
                               with_best_response=not args.skip_best_response,
                               br_budget=args.br_budget)
         except OracleFailure as exc:   # the final state is where an oracle failed
             print(f"diagnostics skipped: {exc}", file=sys.stderr)
     doc = _result_document(ref, args, result, game, report)
     payload = json.dumps(doc, sort_keys=True, indent=1)
-    doc_to_stdout = args.out == "-" or (args.format == "json" and not args.out)
+    doc_to_stdout = args.out == "-"
     if args.out and not doc_to_stdout:
         _write_file(args.out, payload)
     if args.trace:
@@ -306,7 +315,8 @@ def _run_bench_row(name: str, x0spec: str, args, cfg: SolverConfig):
             "x0": x0spec.replace(",", ";"),
             "inner_iters": result.total_inner_iterations,
             "outer_iters": result.outer_iterations,
-            "time_s": result.wall_time, "status": result.status,
+            # zeroed unless requested, so the bytes repeat
+            "time_s": result.wall_time if args.wall_time else 0.0, "status": result.status,
             "final_residual": result.final_residual,
         }
     except CliError:
@@ -321,14 +331,14 @@ _BENCH_COLUMNS = ("problem", "N", "n", "m", "x0", "inner_iters", "outer_iters",
                   "time_s", "status", "final_residual")
 
 
-def bench_csv_lines(rows: list[dict], wall_time: bool) -> list[str]:
+def bench_csv_lines(rows: list[dict]) -> list[str]:
     lines = [",".join(_BENCH_COLUMNS)]
     for r in rows:
         vals = []
         for c in _BENCH_COLUMNS:
             v = r[c]
             if c == "time_s":
-                vals.append(f"{v:.3f}" if wall_time else "0.000")
+                vals.append(f"{v:.3f}")
             elif c == "final_residual":
                 vals.append(_format_float(v))
             else:
@@ -352,7 +362,7 @@ def cmd_bench(args) -> int:
     _check_out_dirs(args.out)
     cfg = _build_config(args)
     rows = [_run_bench_row(name, x0spec, args, cfg) for name, x0spec in _bench_rows(args)]
-    csv_text = "\n".join(bench_csv_lines(rows, args.wall_time)) + "\n"
+    csv_text = "\n".join(bench_csv_lines(rows)) + "\n"
     if args.out:
         _write_file(args.out, csv_text)
     else:
@@ -417,11 +427,8 @@ def cmd_validate(args) -> int:
     state = IterateState(x, DualStack.of(duals, game.rows))
 
     cfg = doc.get("config", {})
-    from .lagrangian import PenaltyParams
     try:
-        penalty = PenaltyParams.uniform(game.num_players,
-                                        float(cfg.get("alpha", 10.0)),
-                                        float(cfg.get("beta", 1.0)))
+        penalty = PenaltyParams(float(cfg.get("alpha", 10.0)), float(cfg.get("beta", 1.0)))
     except (AttributeError, TypeError, ValueError):
         raise CliError(f"{path}: config fields 'alpha' and 'beta' must be finite positive numbers")
     try:
@@ -456,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_options(ps)
     ps.add_argument("--trace", help="also write the per-iteration trace CSV here ('-': stdout)")
     ps.add_argument("--out", help="write the result document (JSON) here ('-': stdout)")
-    ps.add_argument("--format", default="text", choices=["json", "text"])
     ps.add_argument("--skip-diagnostics", action="store_true")
     ps.add_argument("--skip-best-response", action="store_true")
     ps.add_argument("--br-budget", type=nonnegative_int, default=400_000)
@@ -480,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="re-check a result document")
     pv.add_argument("result", help="path to a result/1 document")
-    pv.add_argument("--threshold", type=float, default=1e-3)
+    pv.add_argument("--threshold", type=threshold, default=1e-3)
     pv.add_argument("--br-budget", type=nonnegative_int, default=400_000)
     pv.set_defaults(func=cmd_validate)
     return ap

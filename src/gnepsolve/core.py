@@ -156,11 +156,6 @@ class Segments:
         return tuple((players, self.entries(players)) for players in _grouped(self.counts)
                      if self.counts[players[0]])
 
-    def split(self, a: Array) -> list[Array]:
-        """Per-segment views of the stacked ``a``."""
-        b = self.bounds
-        return [a[b[i]:b[i + 1]] for i in range(len(self.counts))]
-
     def repeat(self, v: Array) -> Array:
         """Per-segment values ``v`` repeated over each segment's entries."""
         return np.repeat(v, self.counts)
@@ -209,9 +204,6 @@ class Segments:
 # ---------------------------------------------------------------------------
 
 _SET_KINDS = ("box", "nonneg", "simplex", "ball")
-
-# Fixed point tolerance for the alternating orthant/ball projection.
-_BALL_FIXED_POINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -283,19 +275,12 @@ class SimpleSet:
             return np.maximum(v, 0.0)
         if self.kind == "simplex":
             return project_simplex(v)
-        # Nonnegative ball: alternate the orthant clamp and the radial rescale
-        # until the point stops moving. The pair converges in one or two
-        # sweeps; the loop is kept as the correctness contract.
-        p = v
-        for _ in range(64):
-            q = np.maximum(p, 0.0)
-            norm = float(np.linalg.norm(q))
-            if norm > self.radius:
-                q = q * (self.radius / norm)
-            if np.linalg.norm(q - p) <= _BALL_FIXED_POINT_TOL:
-                return q
-            p = q
-        return p
+        # Nonnegative ball: the orthant clamp, then the radial scale. For a
+        # convex cone and a ball centred at the origin, that composition is
+        # the projection onto their intersection.
+        q = np.maximum(v, 0.0)
+        norm = float(np.linalg.norm(q))
+        return q * (self.radius / norm) if norm > self.radius else q
 
     def contains(self, v: Array, tol: float = 1e-9) -> bool:
         return bool(np.linalg.norm(self.project(v) - v) <= tol)
@@ -607,16 +592,15 @@ class IterateState:
 
     x: Array
     duals: DualStack
-    outer_k: int = 0
 
     def copy(self) -> "IterateState":
-        return IterateState(self.x.copy(), self.duals.copy(), self.outer_k)
+        return IterateState(self.x.copy(), self.duals.copy())
 
 
 def initial_state(game: GameInstance, x0: Array) -> IterateState:
     """Build the starting state: ``x0`` projected onto the private sets, zero duals."""
     x = game.project_private(np.asarray(x0, dtype=float))
-    return IterateState(x, DualStack.zeros(game.rows), 0)
+    return IterateState(x, DualStack.zeros(game.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -420,7 +420,7 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
              for p in game.players]
 
     alpha, beta = penalty.alpha, penalty.beta
-    center = [lagrangian_from_values(theta[i], gvals[i], d, alpha[i], beta[i])
+    center = [lagrangian_from_values(theta[i], gvals[i], d, alpha, beta)
               for i, d in enumerate(state.duals)]
 
     violations = 0
@@ -432,7 +432,7 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
                 lam_s = rng.uniform(0.0, hi, p.m)
                 mu_s = d.mu + rng.uniform(-1.0, 1.0, p.m)
                 left = lagrangian_from_values(theta[i], gvals[i], PlayerDualState(d.z, lam_s, mu_s),
-                                              alpha[i], beta[i])
+                                              alpha, beta)
                 if left > center[i] + slack:
                     violations += 1
             sl = game.layout.block_slice(i)
@@ -442,7 +442,7 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
             z_dev = d.z + 0.5 * rng.standard_normal(p.m) if p.m else d.z
             g_dev = np.asarray(p.constraints(xdev), dtype=float) if p.m else np.zeros(0)
             right = lagrangian_from_values(float(p.objective(xdev)), g_dev,
-                                           PlayerDualState(z_dev, d.lam, d.mu), alpha[i], beta[i])
+                                           PlayerDualState(z_dev, d.lam, d.mu), alpha, beta)
             if right < center[i] - slack:
                 violations += 1
     return violations

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Array, DualStack, GameInstance, OracleFailure, PlayerDualState, Segments,
-                   row_dots)
+from .core import Array, DualStack, GameInstance, OracleFailure, PlayerDualState, row_dots
 
 __all__ = [
     "PenaltyParams",
@@ -48,18 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Per-player penalty weight ``alpha`` and proximal weight ``beta``, finite and > 0."""
+    """Penalty weight ``alpha`` and proximal weight ``beta`` of every player,
+    fixed for the whole run; both finite and > 0."""
 
-    alpha: Array
-    beta: Array
+    alpha: float = 10.0
+    beta: float = 1.0
 
     def __post_init__(self):
-        if not all(np.all((0 < w) & (w < np.inf)) for w in (self.alpha, self.beta)):
+        if not all(0 < w < math.inf for w in (self.alpha, self.beta)):
             raise ValueError("alpha and beta must be finite and > 0")
-
-    @staticmethod
-    def uniform(num_players: int, alpha: float = 10.0, beta: float = 1.0) -> "PenaltyParams":
-        return PenaltyParams(np.full(num_players, float(alpha)), np.full(num_players, float(beta)))
 
 
 def _check_finite(value, player: int, what: str):
@@ -106,7 +102,7 @@ def lagrangian_value(
 ) -> float:
     """Evaluate player ``player``'s regularized Lagrangian at ``(x, dual)``."""
     theta, g = _checked_values(game, player, x, dual.lam)
-    return lagrangian_from_values(theta, g, dual, penalty.alpha[player], penalty.beta[player])
+    return lagrangian_from_values(theta, g, dual, penalty.alpha, penalty.beta)
 
 
 def lagrangian_value_reduced(
@@ -115,7 +111,7 @@ def lagrangian_value_reduced(
     """Evaluate the reduced form obtained by exact minimization over ``z``."""
     val, g = _checked_values(game, player, x, lam)
     if g.size:
-        a, b = penalty.alpha[player], penalty.beta[player]
+        a, b = penalty.alpha, penalty.beta
         diff = lam - mu
         val += float(lam @ g) - (1.0 + a * b) / (2.0 * a) * float(diff @ diff)
     return val
@@ -146,15 +142,14 @@ def lagrangian_grad_x(game: GameInstance, player: int, x: Array, lam: Array) -> 
 class PointEval:
     """Raw oracle output of every player at one joint point, stacked over
     players: gradients as one ``(N, n)`` array, constraint values and
-    Jacobians over the game's constraint rows, player ``i`` owning the
-    segment ``rows.bounds[i]:rows.bounds[i + 1]``."""
+    Jacobians over the game's constraint rows ``game.rows``, player ``i``
+    owning the segment ``rows.bounds[i]:rows.bounds[i + 1]``."""
 
     x: Array
     theta: Array                 # (N,) objective values
     theta_grads: Array           # (N, n) objective gradients
     g_values: Array              # (M,) constraint values
     g_jacobians: Array           # (M, n) constraint Jacobians
-    rows: Segments               # the players' segments of the M rows
 
 
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
@@ -184,7 +179,7 @@ def evaluate_point(game: GameInstance, x: Array) -> PointEval:
             fields = _oracle_sweep(game, x)
     if not all(np.isfinite(f).all() for f in fields):
         _raise_first_nonfinite(game, fields)
-    return PointEval(x, *fields, game.rows)
+    return PointEval(x, *fields)
 
 
 def _stacked_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
@@ -229,7 +224,7 @@ def _raise_first_nonfinite(game: GameInstance, fields: tuple[Array, Array, Array
 
 def lagrangian_values(point: PointEval, d: DualStack, penalty: PenaltyParams) -> Array:
     """Every player's regularized Lagrangian at ``point`` and duals ``d``."""
-    rows = point.rows
+    rows = d.rows
     diff = d.lam - d.mu
     dots = rows.dot(np.array([d.lam, d.mu, d.z, diff]),
                     np.array([point.g_values - d.z, d.z, d.z, diff]))
@@ -257,16 +252,14 @@ def projected_gradient_parts(game: GameInstance, point: PointEval, d: DualStack,
     and the mu-block ``z + beta (lam - mu)``. Right after the exact dual
     steps the z and mu blocks vanish identically.
     """
-    rows = game.rows
     # A player without constraints adds +0.0 here, which no norm below sees.
     grad_own = (point.theta_grads.ravel()[game.layout.own_entries]
                 + _own_jacobian_products(game, point, d.lam))
     x_step = point.x - game.project_private(point.x - grad_own)
-    alpha, beta = rows.repeat(penalty.alpha), rows.repeat(penalty.beta)
-    grad_lam = point.g_values - d.z - beta * (d.lam - d.mu)
-    qlam, qz, qmu = rows.norm(np.array([d.lam - np.maximum(d.lam + grad_lam, 0.0),
-                                        d.mu - d.lam + alpha * d.z,
-                                        d.z + beta * (d.lam - d.mu)]))
+    grad_lam = point.g_values - d.z - penalty.beta * (d.lam - d.mu)
+    qlam, qz, qmu = d.rows.norm(np.array([d.lam - np.maximum(d.lam + grad_lam, 0.0),
+                                          d.mu - d.lam + penalty.alpha * d.z,
+                                          d.z + penalty.beta * (d.lam - d.mu)]))
     return game.layout.segments.norm(x_step), qz, qlam, qmu
 
 

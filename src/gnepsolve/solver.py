@@ -56,7 +56,6 @@ __all__ = [
     "SolverConfig",
     "LipschitzEstimates",
     "LipschitzEstimator",
-    "estimate_lipschitz",
     "choose_gamma",
     "sigma_cap",
     "choose_sigma",
@@ -84,9 +83,9 @@ __all__ = [
 class GammaPolicy:
     """Proximal-weight policy: fixed user values or the decrease-bound rule.
 
-    The auto rule sets ``gamma_nu = safety * (L_nu + 3 L_g_nu^2 / beta_nu)``,
+    The auto rule sets ``gamma_nu = safety * (L_nu + 3 L_g_nu^2 / beta)``,
     the standard sufficient-decrease sizing; a fixed value below that bound
-    is allowed but logged as a warning in the run record.
+    is allowed, and :func:`choose_gamma` returns a warning for it.
     """
 
     kind: str = "auto"
@@ -159,7 +158,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.penalty(1)   # alpha and beta: finite and > 0
+        self.penalty()   # alpha and beta: finite and > 0
         if not self.outer_tol > 0:
             raise ValueError(f"outer tolerance must be positive, got {self.outer_tol}")
         if self.max_outer < 1:
@@ -167,12 +166,14 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-    def penalty(self, num_players: int) -> PenaltyParams:
-        return PenaltyParams.uniform(num_players, self.alpha, self.beta)
+    def penalty(self) -> PenaltyParams:
+        return PenaltyParams(self.alpha, self.beta)
 
 
 # Point pairs drawn per smoothness sample of a non-quadratic player.
 _SAMPLE_PAIRS = 200
+# Safety factor on the sampled smoothness constants.
+_INFLATION = 2.0
 # Bounds the run of consecutive stalled inner exits before the outer loop
 # checks that the multiplier drift still decays or drains.
 _STALL_PATIENCE = 100
@@ -189,7 +190,11 @@ class LipschitzEstimates:
 
     ``L`` bounds the Lipschitz constant of the full Lagrangian x-gradient at
     the current multipliers; ``L_gfun`` bounds the function Lipschitz
-    constant of the constraint map near the current iterate. ``sigma_hat``
+    constant of the constraint map near the current iterate; ``grad_g_lip``
+    bounds each constraint gradient's Lipschitz constant, stacked over the
+    constraint rows. ``L_theta``, ``grad_g_lip`` and ``M_g_own`` are the
+    estimator's own arrays, shared with every estimate until its next
+    resample binds new ones; they are read-only. ``sigma_hat``
     and ``tau`` describe the contraction of the reference sweep once
     :func:`choose_sigma` has fixed the proximal weights: the model gradient
     is affine with slope ``gamma``, so
@@ -200,7 +205,7 @@ class LipschitzEstimates:
     """
 
     L_theta: Array
-    grad_g_lip: list[Array]
+    grad_g_lip: Array
     L: Array
     L_gfun: Array
     M_g_own: Array
@@ -232,36 +237,35 @@ class LipschitzEstimator:
     factor. The sample box is refreshed when the iterate leaves its core.
     """
 
-    def __init__(self, game: GameInstance, seed: int = 0, inflation: float = 2.0):
+    def __init__(self, game: GameInstance, seed: int = 0):
         self.game = game
         self.rng = np.random.default_rng(seed)
-        self.inflation = float(inflation)
         self._box_center: Array | None = None
         self._box_halfwidth: Array | None = None
         N = game.num_players
-        # Per-player constants, stacked: exact for a quadratic game, filled
-        # in by every resample otherwise.
-        self._L_theta = np.zeros(N)
-        self._gg = np.zeros(game.rows.total)      # constraint-gradient Lipschitz bounds
-        self._M_g_own = np.zeros(N)
+        # Per-player constants: exact for a quadratic game, bound anew by
+        # every resample otherwise (never written in place, so an estimate
+        # handed out earlier keeps its values).
+        gg = [np.zeros(p.m) for p in game.players]   # constraint-gradient Lipschitz bounds
         self._jac_growth = np.zeros(N)
         self._jac_max = np.zeros(N)
         q = game.quadratic
         if q is None:
+            self._bind(np.zeros(N), gg)
             return
-        self._L_theta[:] = [spectral_norm(Q) for Q in q.Q]
         for i, A in q.hessians.items():
             a_norms = np.array([spectral_norm(a) for a in A])
             # Jacobian-growth bound over a box: ||dJ||_F <= sqrt(sum_j
             # ||A_j||^2 * supp_j) * r, with supp_j the support size of A_j.
             supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
-            self._set_gg(i, a_norms)
+            gg[i] = a_norms
             self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
+        self._bind(np.array([spectral_norm(Q) for Q in q.Q]), gg)
 
-    def _set_gg(self, i: int, gg: Array):
-        bounds = self.game.rows.bounds
-        self._gg[bounds[i]:bounds[i + 1]] = gg
-        self._M_g_own[i] = float(np.sqrt(np.sum(gg ** 2)))
+    def _bind(self, L_theta: Array, gg: list[Array]):
+        self._L_theta = L_theta
+        self._gg = stack_rows(gg)
+        self._M_g_own = np.array([float(np.sqrt(np.sum(g ** 2))) for g in gg])
 
     # -- sampling machinery --------------------------------------------------
 
@@ -292,6 +296,7 @@ class LipschitzEstimator:
             good = []
         if not good:
             raise RuntimeError("degenerate sampling region: all point pairs collapsed")
+        L_theta, ggs, jac_maxes = [], [], []
         for i, p in enumerate(game.players):
             lt = 0.0
             gg = np.zeros(p.m)
@@ -313,9 +318,11 @@ class LipschitzEstimator:
                             player=i)
                     gg = np.maximum(gg, np.linalg.norm(Ja - Jb, axis=1) / dist)
                     jac_max = max(jac_max, spectral_norm(Ja), spectral_norm(Jb))
-            self._L_theta[i] = self.inflation * lt
-            self._set_gg(i, self.inflation * gg)
-            self._jac_max[i] = jac_max
+            L_theta.append(_INFLATION * lt)
+            ggs.append(_INFLATION * gg)
+            jac_maxes.append(jac_max)
+        self._bind(np.array(L_theta), ggs)
+        self._jac_max = np.array(jac_maxes)
 
     # -- public entry --------------------------------------------------------
 
@@ -336,18 +343,10 @@ class LipschitzEstimator:
         jn = np.asarray(jac_norms, dtype=float)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         L_gfun = (jn + self._jac_growth * margin if game.quadratic is not None
-                  else self.inflation * np.maximum(jn, self._jac_max))
+                  else _INFLATION * np.maximum(jn, self._jac_max))
         # L_theta and gg change only at a resample; the multiplier term moves.
         L = self._L_theta + game.rows.dot(self._gg, lam)
-        return LipschitzEstimates(self._L_theta.copy(), game.rows.split(self._gg.copy()),
-                                  L, L_gfun, self._M_g_own.copy())
-
-
-def estimate_lipschitz(game: GameInstance, state: IterateState,
-                       cfg: SolverConfig) -> LipschitzEstimates:
-    """One-shot estimation at a state (the solver reuses a cached estimator)."""
-    est = LipschitzEstimator(game, seed=cfg.seed)
-    return est.estimate(state.x, state.duals.lam)
+        return LipschitzEstimates(self._L_theta, self._gg, L, L_gfun, self._M_g_own)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,6 @@ def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameIn
 @dataclass
 class InnerResult:
     x_next: Array
-    iterations: int
     exit_kind: str       # descent | true | forced | stall
     point: PointEval     # the oracle sweep at x_next
     values: Array        # L at (x_next, the anchor's duals)
@@ -498,7 +496,7 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     if verdict == "undecided":
         verdict = ("stall" if max_abs(u - anchor.y) <= cfg.outer_tol
                    else _exit_verdict(anchor, u, values))
-    return InnerResult(u, 1, verdict, point, values)
+    return InnerResult(u, verdict, point, values)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +506,7 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
 
 def step_z(d: DualStack, penalty: PenaltyParams) -> DualStack:
     """Exact minimization over the perturbations: ``z = (lam - mu) / alpha``."""
-    return DualStack((d.lam - d.mu) / d.rows.repeat(penalty.alpha), d.lam, d.mu, d.rows)
+    return DualStack((d.lam - d.mu) / penalty.alpha, d.lam, d.mu, d.rows)
 
 
 def step_duals(x_next: Array, d: DualStack, penalty: PenaltyParams, game: GameInstance,
@@ -522,7 +520,7 @@ def step_duals(x_next: Array, d: DualStack, penalty: PenaltyParams, game: GameIn
     g = g_values
     if g is None:
         g = stack_rows([p.constraints(x_next) for p in game.players if p.m])
-    lam = np.maximum(d.mu + g / d.rows.repeat(penalty.beta), 0.0)
+    lam = np.maximum(d.mu + g / penalty.beta, 0.0)
     return DualStack(d.z, lam, lam.copy(), d.rows)
 
 
@@ -547,7 +545,6 @@ class TraceRow:
     dx_inf: float
     dlambda_inf: float
     feas: float
-    inner_iters: int
     exit_kind: str
     L_x_step: Array      # values at (x_new, old duals): the primal bracket
     dx_2: float
@@ -561,12 +558,10 @@ class TraceRow:
     qz: Array
     qmu: Array
     gamma: Array
-    L_gfun: Array
     M_theta_own: Array
     M_g_own: Array
     lam_mu_gap: float
     z_max: float
-    gamma_warnings: int
 
 
 @dataclass
@@ -594,9 +589,14 @@ class SolveResult:
     trace: SolveTrace
     wall_time: float
     outer_iterations: int
-    total_inner_iterations: int
     final_residual: float
     message: str = ""
+
+    @property
+    def total_inner_iterations(self) -> int:
+        """One block update per outer iteration; kept for the result/1
+        document and the trace CSV's ``inner_iters`` column."""
+        return self.outer_iterations
 
 
 def _jac_norms(point: PointEval, game: GameInstance, players: list[int],
@@ -640,7 +640,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     state = initial_state(game, x0)
-    penalty = cfg.penalty(game.num_players)
+    penalty = cfg.penalty()
     estimator = LipschitzEstimator(game, seed=cfg.seed)
     rows = game.rows
 
@@ -650,7 +650,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         trace = SolveTrace(np.zeros(game.num_players), np.inf,
                            np.zeros(game.num_players), np.zeros(game.num_players))
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
-                           0, 0, np.inf, message=str(exc))
+                           0, np.inf, message=str(exc))
 
     x, duals = state.x, state.duals
     # Norms of a constant Jacobian are computed once, for the whole run.
@@ -666,7 +666,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     )
     L_values = trace.initial_L   # at ``point`` and the current duals
 
-    total_inner = 0
     residual = np.inf
     status = "max_outer"
     stall_streak = 0
@@ -677,10 +676,9 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     for k in range(cfg.max_outer):
         try:
             est = estimator.estimate(x, duals.lam, jac_norms=jac_full)
-            gamma, gamma_warnings = choose_gamma(est, penalty, cfg.gamma)
+            gamma, _ = choose_gamma(est, penalty, cfg.gamma)
             anchor = build_anchor(game, duals, penalty, gamma, point, L_values)
             inner = solve_inner(game, anchor, cfg)
-            total_inner += inner.iterations
             next_point = inner.point
             duals_new = step_duals(inner.x_next, step_z(duals, penalty), penalty, game,
                                    g_values=next_point.g_values)
@@ -702,7 +700,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             dx_inf=dx_inf,
             dlambda_inf=dlambda_inf,
             feas=constraint_violation(next_point.g_values),
-            inner_iters=inner.iterations,
             exit_kind=inner.exit_kind,
             L_x_step=inner.values,
             dx_2=vec_norm(dx),
@@ -712,13 +709,11 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             jac_norm=jac_full,
             jac_own_norm=jac_own,
             qx=qx, qlam=qlam, qz=qz, qmu=qmu,
-            gamma=gamma.copy(),
-            L_gfun=est.L_gfun.copy(),
-            M_theta_own=est.L_theta.copy(),
-            M_g_own=est.M_g_own.copy(),
+            gamma=gamma,
+            M_theta_own=est.L_theta,
+            M_g_own=est.M_g_own,
             lam_mu_gap=max_abs(duals_new.lam - duals_new.mu),
             z_max=max_abs(duals_new.z),
-            gamma_warnings=len(gamma_warnings),
         ))
 
         x, duals, point, L_values = inner.x_next, duals_new, next_point, trace.rows[-1].L_values
@@ -749,7 +744,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             stall_streak = 0
 
     if trace.rows:
-        state = IterateState(x, duals, len(trace.rows))
+        state = IterateState(x, duals)
     trace.violations, trace.violation_counts = verify_run_bounds(trace, game, cfg)
     return SolveResult(
         status=status,
@@ -757,7 +752,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         trace=trace,
         wall_time=time.perf_counter() - t0,
         outer_iterations=len(trace.rows),
-        total_inner_iterations=total_inner,
         final_residual=residual,
         message=message,
     )
@@ -806,7 +800,7 @@ def verify_run_bounds(trace: SolveTrace, game: GameInstance,
     rows = trace.rows
     if not rows:
         return out, counts
-    beta = cfg.penalty(game.num_players).beta
+    beta = cfg.beta
 
     def stack(part: list[TraceRow], name: str) -> Array:
         """One field over ``part``: (rows, players), or (rows,) for scalars."""

@@ -196,7 +196,7 @@ def test_criterion_6_inner_contraction():
     t0 = time.monotonic()
     game, plant = library.gen_random_quadratic_with_plant(2, 2, 1, seed=42)
     warm = G.solve(game, plant + 0.8, fast_config(max_outer=5))
-    pen = PenaltyParams.uniform(2)
+    pen = PenaltyParams()
     est = LipschitzEstimator(game, seed=0).estimate(warm.state.x, warm.state.duals.lam)
     gamma, _ = choose_gamma(est, pen, GammaPolicy.auto())
     cap = sigma_cap(float(gamma.min()), float(gamma.max()))
@@ -259,7 +259,7 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_saddle_falsification(ex3_game):
     ok = True
-    pen2 = PenaltyParams.uniform(2)
+    pen2 = PenaltyParams()
     for x0 in [(0.0, 0.0), (2.0, 1.0), (-1.0, -1.0)]:
         res = G.solve(ex3_game, np.array(x0), fast_config(outer_tol=1e-8, max_outer=40000))
         ok &= res.status == "converged"
@@ -268,7 +268,7 @@ def test_criterion_8_saddle_falsification(ex3_game):
         game, plant = library.gen_random_quadratic_with_plant(2, 2, 1, seed=seed)
         res = G.solve(game, plant, fast_config(outer_tol=1e-8, max_outer=40000))
         ok &= res.status == "converged"
-        pen = PenaltyParams.uniform(game.num_players)
+        pen = PenaltyParams()
         ok &= saddle_check(game, res.state, pen, samples=1000, seed=13) == 0
     assert report(8, ok, "(1000 sampled deviations per solution, zero violations)")
 

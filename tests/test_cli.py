@@ -297,16 +297,19 @@ def test_bench_four_rows_and_a18_census(tmp_path, capsys):
 
 
 def test_bench_byte_deterministic(tmp_path, capsys):
-    blobs = []
+    blobs, tables = [], []
     for name in ("b1.csv", "b2.csv"):
         out = tmp_path / name
-        run_cli(capsys, "bench", "--run", "example3@const:0",
-                "--run", "random-quadratic@const:0", "--seed", "3",
-                "--out", str(out))
+        _, stdout, _ = run_cli(capsys, "bench", "--run", "example3@const:0",
+                               "--run", "random-quadratic@const:0", "--seed", "3",
+                               "--out", str(out))
         blobs.append(out.read_bytes())
+        tables.append(stdout)
     assert blobs[0] == blobs[1]
+    assert tables[0] == tables[1]   # the text table too
     assert b"time_s" in blobs[0]
     assert b"0.000" in blobs[0]   # wall time zeroed unless requested
+    assert all(row.split()[7] == "0.000" for row in tables[0].splitlines()[1:])
 
 
 def test_x0_from_file(tmp_path, capsys):
@@ -337,6 +340,15 @@ def test_validate_converged_solution(ex3_result_doc, capsys):
     code, stdout, _ = run_cli(capsys, "validate", str(ex3_result_doc))
     assert code == 0
     assert "within thresholds" in stdout
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_validate_threshold_must_be_finite_and_nonnegative(ex3_result_doc, capsys, value):
+    # a NaN or negative threshold would fail every document, an infinite one
+    # would pass even an uncertified gap: each is a usage error
+    code, stdout, stderr = run_cli(capsys, "validate", str(ex3_result_doc), "--threshold", value)
+    assert code == 3
+    assert "--threshold" in stderr and "verdict" not in stdout
 
 
 def test_validate_perturbed_solution_fails(ex3_result_doc, tmp_path, capsys):

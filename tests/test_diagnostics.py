@@ -211,12 +211,12 @@ def test_gap_nonnegative_at_equilibrium(quad_suite):
 
 
 def test_saddle_no_violations_at_tight_solution(ex3_game, ex3_tight):
-    pen = PenaltyParams.uniform(2)
+    pen = PenaltyParams()
     assert saddle_check(ex3_game, ex3_tight.state, pen, samples=1000, seed=0) == 0
 
 
 def test_saddle_detects_perturbed_multiplier(ex3_game, ex3_tight):
-    pen = PenaltyParams.uniform(2)
+    pen = PenaltyParams()
     bad = ex3_tight.state.copy()
     # push the active-constraint multiplier up by one: the dual side of the
     # saddle inequality must now fail for samples near the true multiplier
@@ -228,7 +228,7 @@ def test_saddle_detects_perturbed_multiplier(ex3_game, ex3_tight):
 def test_saddle_z_deviation_never_violates_dual_side(ex3_game, ex3_tight):
     # with lam == mu the perturbation terms are alpha/2 ||z||^2 >= 0, so pure
     # z-deviations cannot drop below the center value
-    pen = PenaltyParams.uniform(2)
+    pen = PenaltyParams()
     state = ex3_tight.state
     rng = np.random.default_rng(2)
     for i, p in enumerate(ex3_game.players):
@@ -249,7 +249,7 @@ def test_saddle_z_deviation_never_violates_dual_side(ex3_game, ex3_tight):
 
 
 def test_projected_gradient_blocks_vanish_after_dual_steps(ex3_runs, ex3_game):
-    pen = PenaltyParams.uniform(2)
+    pen = PenaltyParams()
     for res in ex3_runs.values():
         blocks = projected_gradient_blocks(ex3_game, res.state, pen)
         for b in blocks:
@@ -258,7 +258,7 @@ def test_projected_gradient_blocks_vanish_after_dual_steps(ex3_runs, ex3_game):
 
 
 def test_projected_gradient_positive_away_from_solution(ex3_game):
-    pen = PenaltyParams.uniform(2)
+    pen = PenaltyParams()
     state = initial_state(ex3_game, np.array([2.5, 2.5]))
     state.duals[0].lam[:] = 0.7
     state.duals[0].mu[:] = 0.2
@@ -267,7 +267,7 @@ def test_projected_gradient_positive_away_from_solution(ex3_game):
 
 
 def test_diagnose_report_round_trip(ex3_game, ex3_tight):
-    pen = PenaltyParams.uniform(2)
+    pen = PenaltyParams()
     rep = diagnose(ex3_game, ex3_tight.state, pen, saddle_samples=100)
     d = rep.as_dict()
     assert d["saddle_violations"] == 0

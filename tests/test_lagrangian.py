@@ -36,7 +36,7 @@ def two_circle_game():
 
 @pytest.fixture(scope="module")
 def pen2():
-    return PenaltyParams.uniform(2, alpha=10.0, beta=1.0)
+    return PenaltyParams(alpha=10.0, beta=1.0)
 
 
 def dual(z, lam, mu):
@@ -97,7 +97,7 @@ def test_value_raises_on_nonfinite_oracle(pen2):
         private_set=SimpleSet.free(1), m=0)
     game = G.GameInstance((bad, ok), layout, "bad")
     with pytest.raises(G.OracleFailure) as err:
-        lagrangian_value(game, 0, np.zeros(2), dual([], [], []), PenaltyParams.uniform(2))
+        lagrangian_value(game, 0, np.zeros(2), dual([], [], []), PenaltyParams())
     assert err.value.player == 0
 
 
@@ -179,7 +179,7 @@ def test_reduced_equals_objective_plus_constraint_at_equal_multipliers(pen2):
 def test_reduced_penalty_coefficient():
     # alpha=10, beta=1: coefficient (1 + 10) / 20 = 0.55 on ||lam - mu||^2
     game = two_circle_game()
-    pen = PenaltyParams.uniform(2, 10.0, 1.0)
+    pen = PenaltyParams(10.0, 1.0)
     x = np.zeros(2)
     base = lagrangian_value_reduced(game, 0, x, np.array([1.0]), np.array([1.0]), pen)
     v = lagrangian_value_reduced(game, 0, x, np.array([1.0]), np.array([0.0]), pen)
@@ -193,7 +193,7 @@ def test_reduced_matches_full_at_optimal_z(pen2):
         x = rng.standard_normal(2)
         lam = np.abs(rng.standard_normal(1)) * 3
         mu = rng.standard_normal(1) * 2
-        z = (lam - mu) / pen2.alpha[0]
+        z = (lam - mu) / pen2.alpha
         full = lagrangian_value(game, 0, x, dual(z, lam, mu), pen2)
         red = lagrangian_value_reduced(game, 0, x, lam, mu, pen2)
         assert full == pytest.approx(red, rel=1e-12, abs=1e-13)
@@ -262,8 +262,7 @@ def test_model_majorizes_near_anchor(pen2):
     game = library.make_example3()
     y = np.array([0.3, 0.4])
     duals = [dual([0.0], [2.0], [2.0]), dual([0.0], [1.0], [1.0])]
-    est = G.estimate_lipschitz(game, G.IterateState(y, DualStack.of(duals)),
-                               G.SolverConfig())
+    est = G.LipschitzEstimator(game).estimate(y, DualStack.of(duals).lam)
     gamma = est.L.copy()
     anchor = make_anchor(game, y, duals, pen2, gamma)
     rng = np.random.default_rng(3)

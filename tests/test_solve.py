@@ -1,11 +1,14 @@
 """End-to-end solver behavior on small games."""
 
 import copy
+import csv
+import json
 
 import numpy as np
 import pytest
 
 import gnepsolve as G
+from gnepsolve import cli
 from gnepsolve.core import BlockLayout, SimpleSet
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
@@ -81,7 +84,7 @@ def test_trace_quantities_match_their_single_implementations(a18_game):
     # bit for bit; the state after k iterations is the state of a k-capped run
     K = 20
     x0 = np.zeros(a18_game.n)
-    pen = fast_config().penalty(a18_game.num_players)
+    pen = fast_config().penalty()
     res = G.solve(a18_game, x0, fast_config(max_outer=K))
     assert res.status == "max_outer" and len(res.trace.rows) == K
     states = [G.initial_state(a18_game, x0)]
@@ -104,6 +107,48 @@ def test_trace_quantities_match_their_single_implementations(a18_game):
     assert last.feas > 0 and last.feas == max(feas for _, _, feas in kkt)
     assert res.final_residual == G.stopping_residual(states[-2], res.state, a18_game)
     assert res.final_residual == max(last.dx_inf, last.dlambda_inf)
+
+
+def test_rows_keep_the_constants_of_their_iteration(monkeypatch):
+    # the rows hold the estimator's and choose_gamma's arrays uncopied: a
+    # resample must bind new arrays, not write into the ones earlier rows
+    # hold. power from 5 resamples its sampled constants several times.
+    produced = []
+    estimate, choose_gamma = G.LipschitzEstimator.estimate, G.solver.choose_gamma
+
+    def recording_estimate(self, *args, **kwargs):
+        est = estimate(self, *args, **kwargs)
+        produced.append([est.M_g_own.tobytes(), est.L_theta.tobytes()])
+        return est
+
+    def recording_gamma(*args, **kwargs):
+        gamma, warnings = choose_gamma(*args, **kwargs)
+        produced[-1].append(gamma.tobytes())
+        return gamma, warnings
+
+    monkeypatch.setattr(G.LipschitzEstimator, "estimate", recording_estimate)
+    monkeypatch.setattr(G.solver, "choose_gamma", recording_gamma)
+    game = G.library.builtin_instance("power")
+    res = G.solve(game, np.full(game.n, 5.0), G.SolverConfig(max_outer=400))
+    assert res.outer_iterations == len(produced) == 400
+    assert len({m for m, _, _ in produced}) >= 3
+    assert [[r.M_g_own.tobytes(), r.M_theta_own.tobytes(), r.gamma.tobytes()]
+            for r in res.trace.rows] == produced
+
+
+def test_one_block_update_per_outer_iteration(tmp_path):
+    # result/1 keeps total_inner_iterations and the CSV's inner_iters column:
+    # one block update per outer iteration
+    out, trace = tmp_path / "doc.json", tmp_path / "trace.csv"
+    code = cli.main(["solve", "--problem", "example3", "--x0", "const:0",
+                       "--skip-diagnostics", "--out", str(out), "--trace", str(trace)])
+    assert code == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["total_inner_iterations"] == summary["outer_iterations"] > 0
+    with trace.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == summary["outer_iterations"]
+    assert {r["inner_iters"] for r in rows} == {"1"}
 
 
 def shared_constraint_game():
@@ -152,7 +197,7 @@ def _run_bounds_one_at_a_time(trace, game, cfg):
     out = {"decrease": [], "x-descent": [], "dual-identity": [],
            "multiplier-coupling": [], "projected-gradient": []}
     rows, N = trace.rows, game.num_players
-    beta, slack = cfg.penalty(N).beta, 1e-9
+    beta, slack = cfg.beta, 1e-9
     prev_L = trace.initial_L
     for r in rows:
         for i in range(N):
@@ -180,12 +225,12 @@ def _run_bounds_one_at_a_time(trace, game, cfg):
             continue
         lg = np.maximum(jac_prev, r.jac_norm)
         for i in range(N):
-            bound = (lg[i] / beta[i]) * r.dx_2 + slack
+            bound = (lg[i] / beta) * r.dx_2 + slack
             if r.dlam_2[i] > bound:
                 out["multiplier-coupling"].append(
                     f"k={r.k} player={i}: |dlam| {r.dlam_2[i]:.3e} > {bound:.3e}")
             C = (2.0 + r.gamma[i] + m_theta_max[i] + m_g_max[i] * lam_run_max[i]
-                 + jac_own_max[i] * jac_run_max[i] / beta[i] + jac_run_max[i])
+                 + jac_own_max[i] * jac_run_max[i] / beta + jac_run_max[i])
             pg = r.qx[i] + r.qz[i] + r.qlam[i] + r.qmu[i]
             if pg > C * r.dx_2 + slack:
                 out["projected-gradient"].append(
@@ -285,4 +330,4 @@ def test_serial_reruns_bitwise_identical(ex3_game):
     r2 = G.solve(ex3_game, np.zeros(2), fast_config())
     np.testing.assert_array_equal(r1.state.x, r2.state.x)
     assert r1.outer_iterations == r2.outer_iterations
-    assert [r.inner_iters for r in r1.trace.rows] == [r.inner_iters for r in r2.trace.rows]
+    assert [r.exit_kind for r in r1.trace.rows] == [r.exit_kind for r in r2.trace.rows]

@@ -124,7 +124,7 @@ def test_stacked_consumers_are_the_per_player_forms(drawn):
     # forms, all bit for bit
     spec, rng = drawn
     game = spec.to_game()
-    N, n, M = game.num_players, game.n, game.total_constraints
+    n, M = game.n, game.total_constraints
     x = game.project_private(3.0 * rng.standard_normal(n))
     point = evaluate_point(game, x)
     z, lam, mu = _signed(rng, M), np.abs(_signed(rng, M)), np.abs(_signed(rng, M))
@@ -133,10 +133,10 @@ def test_stacked_consumers_are_the_per_player_forms(drawn):
     check_segment_reductions(game.rows, rng, J, grads)
     check_segment_reductions(game.layout.segments, rng)
     rows = [slice(lo, hi) for lo, hi in zip(game.rows.bounds, game.rows.bounds[1:])]
-    pen = PenaltyParams(rng.uniform(0.5, 20.0, N), rng.uniform(0.5, 5.0, N))
+    pen = PenaltyParams(float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.5, 5.0)))
     assert bits(lagrangian_values(point, duals, pen)) == bits(
         [lagrangian_from_values(point.theta[i], point.g_values[s],
-                                PlayerDualState(z[s], lam[s], mu[s]), pen.alpha[i], pen.beta[i])
+                                PlayerDualState(z[s], lam[s], mu[s]), pen.alpha, pen.beta)
          for i, s in enumerate(rows)])
     qx = projected_gradient_parts(game, point, duals, pen)[0]
     want = []
