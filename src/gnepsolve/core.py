@@ -427,14 +427,14 @@ class GameInstance:
         return self.rows.total
 
     @cached_property
-    def own_blocks(self) -> tuple[tuple[Array, Array], ...]:
-        """``(rows, cols)`` for the players with constraints, grouped by their
-        row count ``w`` and block dimension ``d``: ``rows`` (p, w) indexes
-        their constraint rows, ``cols`` (p, d) their blocks of the joint
-        vector, so ``J[rows[:, :, None], cols[:, None, :]]`` stacks the
+    def own_blocks(self) -> tuple[tuple[Array, Array, Array], ...]:
+        """``(players, rows, cols)`` for the players with constraints, grouped
+        by their row count ``w`` and block dimension ``d``: ``rows`` (p, w)
+        indexes their constraint rows, ``cols`` (p, d) their blocks of the
+        joint vector, so ``J[rows[:, :, None], cols[:, None, :]]`` stacks the
         own-block columns of their constraint Jacobians."""
         blocks = self.layout.segments
-        return tuple((self.rows.entries(players), blocks.entries(players))
+        return tuple((players, self.rows.entries(players), blocks.entries(players))
                      for players in _grouped(list(zip(self.rows.counts, blocks.counts)))
                      if self.rows.counts[players[0]])
 

@@ -154,6 +154,7 @@ class PointEval:
 
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
                  "constraint Jacobian")
+QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}   # left to finiteness checks
 
 
 def evaluate_point(game: GameInstance, x: Array) -> PointEval:
@@ -171,8 +172,7 @@ def evaluate_point(game: GameInstance, x: Array) -> PointEval:
     the order value, gradient, constraint value, Jacobian.
     """
     x = np.array(x, dtype=float, copy=True)
-    # Overflow and invalid operations end in the finiteness check below.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**QUIET):   # ends in the finiteness check below
         if game.quadratic is not None:
             fields = _stacked_sweep(game, x)
         else:
@@ -237,7 +237,7 @@ def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> 
     ``x``: bit for bit ``J[s, sl].T @ lam[s]``, a gemv on the own columns
     alone, which rounds differently from a slice of the full product."""
     J, out = point.g_jacobians, np.zeros(game.n)
-    for rows, cols in game.own_blocks:
+    for _, rows, cols in game.own_blocks:
         out[cols] = np.matmul(lam[rows][:, None, :], J[rows[:, :, None], cols[:, None, :]])[:, 0, :]
     return out
 

@@ -41,6 +41,7 @@ from .core import (
     vec_norm,
 )
 from .lagrangian import (
+    QUIET,
     PenaltyParams,
     PointEval,
     QuadraticAnchor,
@@ -213,28 +214,33 @@ class LipschitzEstimates:
     tau: float = np.nan
 
 
-def spectral_norm(mat: Array) -> float:
-    """Largest singular value, from the exact symmetric eigendecomposition of
-    the smaller Gram matrix (clustered top eigenvalues make power iteration
-    arbitrarily slow)."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.size == 0 or not np.any(mat):
-        return 0.0
-    work = mat if mat.shape[0] <= mat.shape[1] else mat.T
-    gram = work @ work.T
-    return float(np.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram))))))
+def spectral_norms(mats: Array) -> Array:
+    """Largest singular value of each matrix of the stack ``mats`` (k, w, d): a
+    lone row's or column's 2-norm, else the root of the top eigenvalue of the
+    smaller Gram matrix (exact: power iteration is slow on clustered ones). Bit
+    for bit the per-matrix Gram and ``eigvalsh`` while each matrix keeps its strides."""
+    k, w, d = mats.shape
+    if min(w, d) == 1:
+        v = mats.reshape(k, w * d)   # a view: a strided dot product rounds differently
+        top = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+    else:
+        work = mats if w <= d else mats.transpose(0, 2, 1)
+        top = np.linalg.eigvalsh(np.matmul(work, work.transpose(0, 2, 1))).max(axis=-1)
+    return np.sqrt(np.where(top > 0.0, top, 0.0))
 
 
 class LipschitzEstimator:
     """Smoothness estimation, exact for a quadratic game.
 
     A game with stacked quadratic data (``game.quadratic``) gets exact
-    constants from it: the spectral norm of each ``Q[i]``, and constraint
-    bounds from the curved players' Hessians (zero for affine players).
-    Every other game gets constants from sampled difference quotients
-    ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded point
-    pairs drawn in a box around the current iterate, inflated by a safety
-    factor. The sample box is refreshed when the iterate leaves its core.
+    constants from it: the spectral norm of each ``Q[i]`` (one per call: a
+    stacked Gram would hold all N), and constraint bounds from the curved
+    players' Hessians (zero for affine players). Every other game gets
+    constants from sampled difference quotients
+    ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded point pairs
+    drawn in a box around the current iterate, inflated by a safety factor,
+    and each player's largest Jacobian norm at the sampled points (one
+    stacked call). The box is refreshed when the iterate leaves its core.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):
@@ -254,13 +260,12 @@ class LipschitzEstimator:
             self._bind(np.zeros(N), gg)
             return
         for i, A in q.hessians.items():
-            a_norms = np.array([spectral_norm(a) for a in A])
+            gg[i] = spectral_norms(A)
             # Jacobian-growth bound over a box: ||dJ||_F <= sqrt(sum_j
             # ||A_j||^2 * supp_j) * r, with supp_j the support size of A_j.
-            supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
-            gg[i] = a_norms
-            self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
-        self._bind(np.array([spectral_norm(Q) for Q in q.Q]), gg)
+            supp = np.count_nonzero(A.any(axis=1), axis=1)
+            self._jac_growth[i] = float(np.sqrt(np.sum(gg[i] ** 2 * np.maximum(supp, 1))))
+        self._bind(np.concatenate([spectral_norms(Q[None]) for Q in q.Q]), gg)
 
     def _bind(self, L_theta: Array, gg: list[Array]):
         self._L_theta = L_theta
@@ -269,40 +274,32 @@ class LipschitzEstimator:
 
     # -- sampling machinery --------------------------------------------------
 
-    def _box(self, x: Array) -> tuple[Array, Array]:
-        hw = 2.0 + 0.25 * np.abs(x)
-        return np.array(x, copy=True), hw
-
     def _needs_resample(self, x: Array) -> bool:
-        if self._box_center is None:
-            return True
-        return bool((np.abs(x - self._box_center) > 0.5 * self._box_halfwidth).any())
+        return (self._box_center is None
+                or bool((np.abs(x - self._box_center) > 0.5 * self._box_halfwidth).any()))
 
     def _draw_point(self) -> Array:
         raw = self._box_center + self.rng.uniform(-1.0, 1.0, self.game.n) * self._box_halfwidth
         return self.game.project_private(raw)
 
     def _resample(self, x: Array):
-        self._box_center, self._box_halfwidth = self._box(x)
-        game = self.game
+        self._box_center, self._box_halfwidth = np.array(x, copy=True), 2.0 + 0.25 * np.abs(x)
         for attempt in range(2):
             pts_a = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
             pts_b = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
-            good = [(a, b) for a, b in zip(pts_a, pts_b) if np.linalg.norm(a - b) > 1e-10]
+            good = [(a, b, dist) for a, b in zip(pts_a, pts_b)
+                    if (dist := float(np.linalg.norm(a - b))) > 1e-10]
             if good:
                 break
             self._box_halfwidth = 2.0 * self._box_halfwidth
-        else:
-            good = []
         if not good:
             raise RuntimeError("degenerate sampling region: all point pairs collapsed")
         L_theta, ggs, jac_maxes = [], [], []
-        for i, p in enumerate(game.players):
+        for i, p in enumerate(self.game.players):
             lt = 0.0
             gg = np.zeros(p.m)
-            jac_max = 0.0
-            for a, b in good:
-                dist = float(np.linalg.norm(a - b))
+            jacs = []
+            for a, b, dist in good:
                 ratio = float(np.linalg.norm(p.gradient(a) - p.gradient(b))) / dist
                 if not np.isfinite(ratio):
                     raise OracleFailure(
@@ -317,10 +314,10 @@ class LipschitzEstimator:
                             f"player {i}: non-finite Jacobian while sampling smoothness",
                             player=i)
                     gg = np.maximum(gg, np.linalg.norm(Ja - Jb, axis=1) / dist)
-                    jac_max = max(jac_max, spectral_norm(Ja), spectral_norm(Jb))
+                    jacs += [Ja, Jb]
             L_theta.append(_INFLATION * lt)
             ggs.append(_INFLATION * gg)
-            jac_maxes.append(jac_max)
+            jac_maxes.append(float(spectral_norms(np.array(jacs)).max()) if jacs else 0.0)
         self._bind(np.array(L_theta), ggs)
         self._jac_max = np.array(jac_maxes)
 
@@ -337,10 +334,10 @@ class LipschitzEstimator:
         game = self.game
         if game.quadratic is None and self._needs_resample(x):
             self._resample(x)
-        if jac_norms is None:
-            jac_norms = [spectral_norm(p.constraint_jacobian(x)) if p.m else 0.0
-                         for p in game.players]
-        jn = np.asarray(jac_norms, dtype=float)
+        jn = jac_norms
+        if jn is None:
+            jn = np.array([spectral_norms(np.asarray(p.constraint_jacobian(x), float)[None])[0]
+                           if p.m else 0.0 for p in game.players])
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         L_gfun = (jn + self._jac_growth * margin if game.quadratic is not None
                   else _INFLATION * np.maximum(jn, self._jac_max))
@@ -599,16 +596,18 @@ class SolveResult:
         return self.outer_iterations
 
 
-def _jac_norms(point: PointEval, game: GameInstance, players: list[int],
+def _jac_norms(point: PointEval, game: GameInstance, groups: tuple[tuple[Array, Array, Array], ...],
                known: tuple[Array, Array]) -> tuple[Array, Array]:
-    """Spectral norms of each player's constraint Jacobian and of its own-block
-    columns: those of ``players`` computed at ``point``, the others taken
-    from ``known``."""
+    """Spectral norms of each player's constraint Jacobian ``J[s]`` and of its
+    own-block columns ``J[s, sl]``, bit for bit: at ``point`` for the players in
+    ``groups`` (grouped as ``game.own_blocks``), the others from ``known``."""
     full, own = known[0].copy(), known[1].copy()
-    for i in players:
-        J = point.g_jacobians[game.rows.bounds[i]:game.rows.bounds[i + 1]]
-        full[i] = spectral_norm(J)
-        own[i] = spectral_norm(J[:, game.layout.block_slice(i)])
+    J, n = point.g_jacobians, game.n
+    for players, rows, cols in groups:
+        full[players] = spectral_norms(J[rows])
+        # Rows turned to start at the player's block keep J's row stride.
+        turned = J[rows[:, :, None], ((cols[:, :1] + np.arange(n)) % n)[:, None, :]]
+        own[players] = spectral_norms(turned[:, :, :cols.shape[1]])
     return full, own
 
 
@@ -642,22 +641,20 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     state = initial_state(game, x0)
     penalty = cfg.penalty()
     estimator = LipschitzEstimator(game, seed=cfg.seed)
-    rows = game.rows
+    zeros = np.zeros(game.num_players)
 
     try:
         point = evaluate_point(game, state.x)
     except OracleFailure as exc:
-        trace = SolveTrace(np.zeros(game.num_players), np.inf,
-                           np.zeros(game.num_players), np.zeros(game.num_players))
+        trace = SolveTrace(zeros, np.inf, zeros, zeros)
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, np.inf, message=str(exc))
 
     x, duals = state.x, state.duals
     # Norms of a constant Jacobian are computed once, for the whole run.
-    varying = [i for i, p in enumerate(game.players) if p.m and not game.constant_jacobian(i)]
-    zeros = np.zeros(game.num_players)
-    jac_full, jac_own = _jac_norms(point, game, [i for i, p in enumerate(game.players) if p.m],
-                                   (zeros, zeros))
+    varying = tuple((p[v], r[v], c[v]) for p, r, c in game.own_blocks
+                    if (v := np.array([not game.constant_jacobian(i) for i in p])).any())
+    jac_full, jac_own = _jac_norms(point, game, game.own_blocks, (zeros, zeros))
     trace = SolveTrace(
         initial_L=lagrangian_values(point, duals, penalty),
         initial_feas=constraint_violation(point.g_values),
@@ -675,46 +672,48 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     for k in range(cfg.max_outer):
         try:
-            est = estimator.estimate(x, duals.lam, jac_norms=jac_full)
-            gamma, _ = choose_gamma(est, penalty, cfg.gamma)
-            anchor = build_anchor(game, duals, penalty, gamma, point, L_values)
-            inner = solve_inner(game, anchor, cfg)
-            next_point = inner.point
-            duals_new = step_duals(inner.x_next, step_z(duals, penalty), penalty, game,
-                                   g_values=next_point.g_values)
+            est = estimator.estimate(x, duals.lam, jac_norms=jac_full)   # oracles: not quieted
+            with np.errstate(**QUIET):
+                gamma, _ = choose_gamma(est, penalty, cfg.gamma)
+                anchor = build_anchor(game, duals, penalty, gamma, point, L_values)
+                inner = solve_inner(game, anchor, cfg)
+                next_point = inner.point
+                duals_new = step_duals(inner.x_next, step_z(duals, penalty), penalty, game,
+                                       g_values=next_point.g_values)
         except OracleFailure as exc:
             status, message = "oracle-failure", str(exc)
             break
 
-        dx = inner.x_next - x
-        dlam = duals_new.lam - duals.lam
-        dx_inf, dlambda_inf = max_abs(dx), max_abs(dlam)
-        residual = max(dx_inf, dlambda_inf)
-        qx, qz, qlam, qmu = projected_gradient_parts(game, next_point, duals_new, penalty)
-        dlam_2, lam_norm2 = rows.norm(np.array([dlam, duals_new.lam]))
-        if varying:
-            jac_full, jac_own = _jac_norms(next_point, game, varying, (jac_full, jac_own))
-        trace.rows.append(TraceRow(
-            k=k + 1,
-            L_values=lagrangian_values(next_point, duals_new, penalty),
-            dx_inf=dx_inf,
-            dlambda_inf=dlambda_inf,
-            feas=constraint_violation(next_point.g_values),
-            exit_kind=inner.exit_kind,
-            L_x_step=inner.values,
-            dx_2=vec_norm(dx),
-            dlam_2=dlam_2,
-            lam_norm2=lam_norm2,
-            lam_norm_inf=rows.max_abs(duals_new.lam),
-            jac_norm=jac_full,
-            jac_own_norm=jac_own,
-            qx=qx, qlam=qlam, qz=qz, qmu=qmu,
-            gamma=gamma,
-            M_theta_own=est.L_theta,
-            M_g_own=est.M_g_own,
-            lam_mu_gap=max_abs(duals_new.lam - duals_new.mu),
-            z_max=max_abs(duals_new.z),
-        ))
+        with np.errstate(**QUIET):
+            dx = inner.x_next - x
+            dlam = duals_new.lam - duals.lam
+            dx_inf, dlambda_inf = max_abs(dx), max_abs(dlam)
+            residual = max(dx_inf, dlambda_inf)
+            qx, qz, qlam, qmu = projected_gradient_parts(game, next_point, duals_new, penalty)
+            dlam_2, lam_norm2 = game.rows.norm(np.array([dlam, duals_new.lam]))
+            if varying:
+                jac_full, jac_own = _jac_norms(next_point, game, varying, (jac_full, jac_own))
+            trace.rows.append(TraceRow(
+                k=k + 1,
+                L_values=lagrangian_values(next_point, duals_new, penalty),
+                dx_inf=dx_inf,
+                dlambda_inf=dlambda_inf,
+                feas=constraint_violation(next_point.g_values),
+                exit_kind=inner.exit_kind,
+                L_x_step=inner.values,
+                dx_2=vec_norm(dx),
+                dlam_2=dlam_2,
+                lam_norm2=lam_norm2,
+                lam_norm_inf=game.rows.max_abs(duals_new.lam),
+                jac_norm=jac_full,
+                jac_own_norm=jac_own,
+                qx=qx, qlam=qlam, qz=qz, qmu=qmu,
+                gamma=gamma,
+                M_theta_own=est.L_theta,
+                M_g_own=est.M_g_own,
+                lam_mu_gap=max_abs(duals_new.lam - duals_new.mu),
+                z_max=max_abs(duals_new.z),
+            ))
 
         x, duals, point, L_values = inner.x_next, duals_new, next_point, trace.rows[-1].L_values
 
@@ -774,6 +773,7 @@ def _first_hits(mask: Array, kept: list[str]) -> Array:
     return np.argwhere(mask)[:max(_KEPT_MESSAGES - len(kept), 0)]
 
 
+@np.errstate(**QUIET)   # a diverging run records non-finite values
 def verify_run_bounds(trace: SolveTrace, game: GameInstance,
                       cfg: SolverConfig) -> tuple[dict[str, list[str]], dict[str, int]]:
     """Check the monitored run bounds on recorded iterations.

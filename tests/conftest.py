@@ -13,6 +13,18 @@ def fast_config(**kw):
     return G.SolverConfig(**base)
 
 
+def spectral_norm_reference(mat):
+    """Largest singular value of one matrix, from the exact symmetric
+    eigendecomposition of its smaller Gram matrix: the per-matrix formula
+    that ``solver.spectral_norms`` computes for a whole stack."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0 or not np.any(mat):
+        return 0.0
+    work = mat if mat.shape[0] <= mat.shape[1] else mat.T
+    gram = work @ work.T
+    return float(np.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram))))))
+
+
 @pytest.fixture(scope="session")
 def ex3_game():
     return library.make_example3()

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gnepsolve import cli
 from gnepsolve.core import BlockLayout, SimpleSet
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
-from conftest import fast_config
+from conftest import fast_config, spectral_norm_reference
 
 
 def test_example3_converges_from_all_starts(ex3_runs):
@@ -58,6 +59,14 @@ def test_oracle_failure_status():
     assert "non-finite" in res.message
 
 
+def fresh_jacobian_norms(game, x):
+    """Each player's constraint-Jacobian norm and own-block norm at ``x``,
+    one oracle call and one per-matrix formula each."""
+    jacs = [p.constraint_jacobian(x) for p in game.players]
+    return (np.array([spectral_norm_reference(J) for J in jacs]),
+            np.array([spectral_norm_reference(J[:, sl]) for J, sl in zip(jacs, game.layout.slices)]))
+
+
 def test_fixed_jacobian_norms_match_fresh_norms():
     # affine players compute their Jacobian norms once per run; every trace
     # row must carry exactly the bits a fresh computation gives
@@ -66,16 +75,54 @@ def test_fixed_jacobian_norms_match_fresh_norms():
     res = G.solve(game, plant, fast_config(max_outer=200))
     assert len(res.trace.rows) > 10
     for x in (plant, res.state.x):
-        full = np.array([G.solver.spectral_norm(p.constraint_jacobian(x))
-                         for p in game.players])
-        own = np.array([G.solver.spectral_norm(p.constraint_jacobian(x)[:, sl])
-                        for p, sl in zip(game.players, game.layout.slices)])
+        full, own = fresh_jacobian_norms(game, x)
         for norms, fresh in ((res.trace.initial_jac_norm, full),
                              (res.trace.initial_jac_own_norm, own)):
             assert norms.tobytes() == fresh.tobytes()
         for r in res.trace.rows:
             assert r.jac_norm.tobytes() == full.tobytes()
             assert r.jac_own_norm.tobytes() == own.tobytes()
+
+
+def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
+    # power's Jacobians change with x: each row's norms, computed stacked by
+    # shape, and each resample's largest norm over its sampled points,
+    # computed stacked per player, are the bits of the per-matrix formula.
+    # A k-capped run ends at the state its last row describes.
+    game = G.library.builtin_instance("power")
+    x0 = np.full(game.n, 5.0)
+    drawn, resamples = [], []
+    draw, resample = G.LipschitzEstimator._draw_point, G.LipschitzEstimator._resample
+
+    def recording_draw(self):
+        drawn.append(draw(self))
+        return drawn[-1]
+
+    def recording_resample(self, x):
+        drawn.clear()
+        resample(self, x)
+        resamples.append((drawn[-2 * G.solver._SAMPLE_PAIRS:], self._jac_max))
+
+    monkeypatch.setattr(G.LipschitzEstimator, "_draw_point", recording_draw)
+    monkeypatch.setattr(G.LipschitzEstimator, "_resample", recording_resample)
+    for K in (1, 150, 400):
+        before = len(resamples)
+        res = G.solve(game, x0, G.SolverConfig(max_outer=K))
+        assert res.outer_iterations == K
+        full, own = fresh_jacobian_norms(game, res.state.x)
+        assert res.trace.rows[-1].jac_norm.tobytes() == full.tobytes()
+        assert res.trace.rows[-1].jac_own_norm.tobytes() == own.tobytes()
+    assert len(resamples) - before >= 3   # the 400-iteration run resamples
+    full, own = fresh_jacobian_norms(game, G.initial_state(game, x0).x)
+    assert res.trace.initial_jac_norm.tobytes() == full.tobytes()
+    assert res.trace.initial_jac_own_norm.tobytes() == own.tobytes()
+    P = G.solver._SAMPLE_PAIRS
+    for points, jac_max in resamples:
+        pairs = [(a, b) for a, b in zip(points[:P], points[P:]) if np.linalg.norm(a - b) > 1e-10]
+        want = [max(max(spectral_norm_reference(p.constraint_jacobian(a)),
+                        spectral_norm_reference(p.constraint_jacobian(b))) for a, b in pairs)
+                for p in game.players]
+        assert jac_max.tobytes() == np.array(want).tobytes()
 
 
 def test_trace_quantities_match_their_single_implementations(a18_game):
@@ -276,6 +323,19 @@ def test_run_bounds_match_the_one_at_a_time_checks(request, run):
                           "zero-blocks": sum("not exactly zero" in v for v in pg)}
     assert all(counts.values())
     assert max(counts.values()) > 20
+
+
+def test_diverging_run_ends_in_the_oracle_check_without_warnings():
+    # a fixed gamma far below the decrease bound makes example3 diverge; the
+    # overflow in the anchor, the dual steps, the monitor and the run bounds
+    # leaves non-finite values for the next oracle sweep to report, and no
+    # NumPy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = G.solve(G.library.make_example3(), np.zeros(2),
+                      G.SolverConfig(gamma=G.GammaPolicy.fixed(0.5), max_outer=200))
+    assert res.status == "oracle-failure" and res.outer_iterations == 6
+    assert res.message == "player 0: non-finite objective value"
 
 
 def test_shared_constraint_game_matches_grid_reference():

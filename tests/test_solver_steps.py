@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import gnepsolve as G
 from gnepsolve.core import (BlockLayout, DualStack, GameInstance, PlayerDualState, PlayerProblem,
                             SimpleSet, initial_state)
-from gnepsolve.lagrangian import (PenaltyParams, build_anchor, evaluate_point, lagrangian_value,
-                                   lagrangian_values)
+from gnepsolve.lagrangian import (PenaltyParams, PointEval, build_anchor, evaluate_point,
+                                   lagrangian_value, lagrangian_values)
 from gnepsolve.solver import (
     GammaPolicy,
     LipschitzEstimator,
@@ -21,12 +21,13 @@ from gnepsolve.solver import (
     inner_step,
     sigma_cap,
     solve_inner,
-    spectral_norm,
+    spectral_norms,
     step_duals,
     step_z,
     stopping_residual,
 )
 from gnepsolve import library
+from conftest import spectral_norm_reference
 
 
 def single_player_quadratic(n=2, lo=-10.0, hi=10.0):
@@ -65,12 +66,38 @@ def test_sampled_estimates_scale_with_inflation(monkeypatch):
     np.testing.assert_allclose(e2.grad_g_lip, 2.0 * e1.grad_g_lip, rtol=1e-12)
 
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(0)
-    for shape in [(4, 4), (3, 7)]:
-        A = rng.standard_normal(shape)
-        ref = float(np.linalg.svd(A, compute_uv=False)[0])
-        assert spectral_norm(A) == pytest.approx(ref, rel=1e-10)
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 9),
+       st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+       st.lists(st.booleans(), min_size=6, max_size=6), st.integers(0, 10**6))
+def test_spectral_norms_match_per_matrix_formula_and_svd(k, w, d, log_scales, zero, seed):
+    # one-row and one-column members in closed form, the rest from one stacked
+    # eigvalsh: the bits of the per-matrix formula, and the top singular value
+    mats = np.random.default_rng(seed).standard_normal((k, w, d))
+    mats *= 10.0 ** np.array(log_scales[:k])[:, None, None]
+    mats[np.array(zero[:k])] = 0.0
+    got = spectral_norms(mats)
+    assert got.tobytes() == np.array([spectral_norm_reference(m) for m in mats]).tobytes()
+    np.testing.assert_allclose(got, np.linalg.svd(mats, compute_uv=False)[:, 0], rtol=1e-10, atol=0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=6),
+       st.integers(0, 10**6))
+def test_jac_norms_match_the_formula_on_each_players_slices(shapes, seed):
+    # grouped by shape, own-block columns kept at the row stride of J[s, sl]:
+    # a strided column's dot product rounds differently from a contiguous one's
+    players = tuple(PlayerProblem(None, None, None, None, SimpleSet.free(d), m) for m, d in shapes)
+    game = GameInstance(players, BlockLayout(tuple(d for _, d in shapes)))
+    J = np.random.default_rng(seed).standard_normal((game.total_constraints, game.n))
+    point = PointEval(np.zeros(game.n), np.zeros(len(players)), np.zeros((len(players), game.n)),
+                      np.zeros(game.total_constraints), J)
+    none = np.zeros(len(players))
+    full, own = G.solver._jac_norms(point, game, game.own_blocks, (none, none))
+    blocks = [J[a:b] for a, b in zip(game.rows.bounds, game.rows.bounds[1:])]
+    assert full.tobytes() == np.array([spectral_norm_reference(B) for B in blocks]).tobytes()
+    assert own.tobytes() == np.array([spectral_norm_reference(B[:, sl]) for B, sl
+                                      in zip(blocks, game.layout.slices)]).tobytes()
 
 
 # ---------------------------------------------------------------------------
