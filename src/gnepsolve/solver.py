@@ -215,17 +215,14 @@ class LipschitzEstimates:
 
 
 def spectral_norms(mats: Array) -> Array:
-    """Largest singular value of each matrix of the stack ``mats`` (k, w, d): a
-    lone row's or column's 2-norm, else the root of the top eigenvalue of the
-    smaller Gram matrix (exact: power iteration is slow on clustered ones). Bit
-    for bit the per-matrix Gram and ``eigvalsh`` while each matrix keeps its strides."""
-    k, w, d = mats.shape
-    if min(w, d) == 1:
-        v = mats.reshape(k, w * d)   # a view: a strided dot product rounds differently
-        top = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
-    else:
-        work = mats if w <= d else mats.transpose(0, 2, 1)
-        top = np.linalg.eigvalsh(np.matmul(work, work.transpose(0, 2, 1))).max(axis=-1)
+    """Largest singular value of each matrix of the stack ``mats`` (k, w, d),
+    from the exact symmetric eigendecomposition of its smaller Gram matrix
+    (clustered top eigenvalues make power iteration arbitrarily slow): one
+    stacked ``matmul`` and ``eigvalsh``, bit for bit one Gram and ``eigvalsh``
+    per matrix with the same strides (a strided dot product rounds differently)."""
+    w, d = mats.shape[1:]
+    work = mats if w <= d else mats.transpose(0, 2, 1)
+    top = np.linalg.eigvalsh(np.matmul(work, work.transpose(0, 2, 1))).max(axis=-1)
     return np.sqrt(np.where(top > 0.0, top, 0.0))
 
 
@@ -239,8 +236,9 @@ class LipschitzEstimator:
     constants from sampled difference quotients
     ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded point pairs
     drawn in a box around the current iterate, inflated by a safety factor,
-    and each player's largest Jacobian norm at the sampled points (one
-    stacked call). The box is refreshed when the iterate leaves its core.
+    and each player's largest Jacobian norm at the sampled points (one call
+    per pair, so memory does not grow with the sample count). The box is
+    refreshed when the iterate leaves its core.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):
@@ -260,11 +258,12 @@ class LipschitzEstimator:
             self._bind(np.zeros(N), gg)
             return
         for i, A in q.hessians.items():
-            gg[i] = spectral_norms(A)
+            a_norms = spectral_norms(A)
             # Jacobian-growth bound over a box: ||dJ||_F <= sqrt(sum_j
             # ||A_j||^2 * supp_j) * r, with supp_j the support size of A_j.
-            supp = np.count_nonzero(A.any(axis=1), axis=1)
-            self._jac_growth[i] = float(np.sqrt(np.sum(gg[i] ** 2 * np.maximum(supp, 1))))
+            supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
+            gg[i] = a_norms
+            self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
         self._bind(np.concatenate([spectral_norms(Q[None]) for Q in q.Q]), gg)
 
     def _bind(self, L_theta: Array, gg: list[Array]):
@@ -274,16 +273,22 @@ class LipschitzEstimator:
 
     # -- sampling machinery --------------------------------------------------
 
+    def _box(self, x: Array) -> tuple[Array, Array]:
+        hw = 2.0 + 0.25 * np.abs(x)
+        return np.array(x, copy=True), hw
+
     def _needs_resample(self, x: Array) -> bool:
-        return (self._box_center is None
-                or bool((np.abs(x - self._box_center) > 0.5 * self._box_halfwidth).any()))
+        if self._box_center is None:
+            return True
+        return bool((np.abs(x - self._box_center) > 0.5 * self._box_halfwidth).any())
 
     def _draw_point(self) -> Array:
         raw = self._box_center + self.rng.uniform(-1.0, 1.0, self.game.n) * self._box_halfwidth
         return self.game.project_private(raw)
 
     def _resample(self, x: Array):
-        self._box_center, self._box_halfwidth = np.array(x, copy=True), 2.0 + 0.25 * np.abs(x)
+        self._box_center, self._box_halfwidth = self._box(x)
+        game = self.game
         for attempt in range(2):
             pts_a = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
             pts_b = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
@@ -292,13 +297,15 @@ class LipschitzEstimator:
             if good:
                 break
             self._box_halfwidth = 2.0 * self._box_halfwidth
+        else:
+            good = []
         if not good:
             raise RuntimeError("degenerate sampling region: all point pairs collapsed")
         L_theta, ggs, jac_maxes = [], [], []
-        for i, p in enumerate(self.game.players):
+        for i, p in enumerate(game.players):
             lt = 0.0
             gg = np.zeros(p.m)
-            jacs = []
+            jac_max = 0.0
             for a, b, dist in good:
                 ratio = float(np.linalg.norm(p.gradient(a) - p.gradient(b))) / dist
                 if not np.isfinite(ratio):
@@ -314,10 +321,10 @@ class LipschitzEstimator:
                             f"player {i}: non-finite Jacobian while sampling smoothness",
                             player=i)
                     gg = np.maximum(gg, np.linalg.norm(Ja - Jb, axis=1) / dist)
-                    jacs += [Ja, Jb]
+                    jac_max = max(jac_max, float(spectral_norms(np.stack([Ja, Jb])).max()))
             L_theta.append(_INFLATION * lt)
             ggs.append(_INFLATION * gg)
-            jac_maxes.append(float(spectral_norms(np.array(jacs)).max()) if jacs else 0.0)
+            jac_maxes.append(jac_max)
         self._bind(np.array(L_theta), ggs)
         self._jac_max = np.array(jac_maxes)
 
@@ -334,10 +341,13 @@ class LipschitzEstimator:
         game = self.game
         if game.quadratic is None and self._needs_resample(x):
             self._resample(x)
-        jn = jac_norms
-        if jn is None:
-            jn = np.array([spectral_norms(np.asarray(p.constraint_jacobian(x), float)[None])[0]
-                           if p.m else 0.0 for p in game.players])
+        if jac_norms is None:
+            jac_norms = np.zeros(game.num_players)
+            for i, p in enumerate(game.players):
+                if p.m:
+                    J = np.atleast_2d(np.asarray(p.constraint_jacobian(x), dtype=float))
+                    jac_norms[i] = spectral_norms(J[None])[0]
+        jn = np.asarray(jac_norms, dtype=float)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         L_gfun = (jn + self._jac_growth * margin if game.quadratic is not None
                   else _INFLATION * np.maximum(jn, self._jac_max))
@@ -641,12 +651,13 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     state = initial_state(game, x0)
     penalty = cfg.penalty()
     estimator = LipschitzEstimator(game, seed=cfg.seed)
-    zeros = np.zeros(game.num_players)
+    rows = game.rows
 
     try:
         point = evaluate_point(game, state.x)
     except OracleFailure as exc:
-        trace = SolveTrace(zeros, np.inf, zeros, zeros)
+        trace = SolveTrace(np.zeros(game.num_players), np.inf,
+                           np.zeros(game.num_players), np.zeros(game.num_players))
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, np.inf, message=str(exc))
 
@@ -654,6 +665,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     # Norms of a constant Jacobian are computed once, for the whole run.
     varying = tuple((p[v], r[v], c[v]) for p, r, c in game.own_blocks
                     if (v := np.array([not game.constant_jacobian(i) for i in p])).any())
+    zeros = np.zeros(game.num_players)
     jac_full, jac_own = _jac_norms(point, game, game.own_blocks, (zeros, zeros))
     trace = SolveTrace(
         initial_L=lagrangian_values(point, duals, penalty),
@@ -690,7 +702,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             dx_inf, dlambda_inf = max_abs(dx), max_abs(dlam)
             residual = max(dx_inf, dlambda_inf)
             qx, qz, qlam, qmu = projected_gradient_parts(game, next_point, duals_new, penalty)
-            dlam_2, lam_norm2 = game.rows.norm(np.array([dlam, duals_new.lam]))
+            dlam_2, lam_norm2 = rows.norm(np.array([dlam, duals_new.lam]))
             if varying:
                 jac_full, jac_own = _jac_norms(next_point, game, varying, (jac_full, jac_own))
             trace.rows.append(TraceRow(
@@ -704,7 +716,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 dx_2=vec_norm(dx),
                 dlam_2=dlam_2,
                 lam_norm2=lam_norm2,
-                lam_norm_inf=game.rows.max_abs(duals_new.lam),
+                lam_norm_inf=rows.max_abs(duals_new.lam),
                 jac_norm=jac_full,
                 jac_own_norm=jac_own,
                 qx=qx, qlam=qlam, qz=qz, qmu=qmu,

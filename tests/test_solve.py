@@ -87,7 +87,7 @@ def test_fixed_jacobian_norms_match_fresh_norms():
 def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
     # power's Jacobians change with x: each row's norms, computed stacked by
     # shape, and each resample's largest norm over its sampled points,
-    # computed stacked per player, are the bits of the per-matrix formula.
+    # computed one sampled pair at a time, are the bits of the per-matrix formula.
     # A k-capped run ends at the state its last row describes.
     game = G.library.builtin_instance("power")
     x0 = np.full(game.n, 5.0)
