@@ -215,14 +215,17 @@ class LipschitzEstimates:
 
 
 def spectral_norms(mats: Array) -> Array:
-    """Largest singular value of each matrix of the stack ``mats`` (k, w, d),
-    from the exact symmetric eigendecomposition of its smaller Gram matrix
-    (clustered top eigenvalues make power iteration arbitrarily slow): one
-    stacked ``matmul`` and ``eigvalsh``, bit for bit one Gram and ``eigvalsh``
-    per matrix with the same strides (a strided dot product rounds differently)."""
-    w, d = mats.shape[1:]
-    work = mats if w <= d else mats.transpose(0, 2, 1)
-    top = np.linalg.eigvalsh(np.matmul(work, work.transpose(0, 2, 1))).max(axis=-1)
+    """Largest singular value of each matrix of the stack ``mats`` (k, w, d): a
+    lone row's or column's 2-norm, else the root of the top eigenvalue of the
+    smaller Gram matrix (exact: power iteration is slow on clustered ones). Bit
+    for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
+    k, w, d = mats.shape
+    if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
+        v = mats.reshape(k, w * d)   # a view: a strided dot product rounds differently
+        top = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+    else:
+        work = mats if w <= d else mats.transpose(0, 2, 1)
+        top = np.linalg.eigvalsh(np.matmul(work, work.transpose(0, 2, 1))).max(axis=-1)
     return np.sqrt(np.where(top > 0.0, top, 0.0))
 
 

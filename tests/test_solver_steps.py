@@ -71,8 +71,8 @@ def test_sampled_estimates_scale_with_inflation(monkeypatch):
        st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
        st.lists(st.booleans(), min_size=6, max_size=6), st.integers(0, 10**6))
 def test_spectral_norms_match_per_matrix_formula_and_svd(k, w, d, log_scales, zero, seed):
-    # one stacked Gram matmul and eigvalsh: the bits of the per-matrix formula,
-    # and the top singular value
+    # one-row and one-column members in closed form, the rest from one stacked
+    # eigvalsh: the bits of the per-matrix formula, and the top singular value
     mats = np.random.default_rng(seed).standard_normal((k, w, d))
     mats *= 10.0 ** np.array(log_scales[:k])[:, None, None]
     mats[np.array(zero[:k])] = 0.0
