@@ -68,11 +68,7 @@ class BlockLayout:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for d in self.dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
+        return self.segments.bounds[:-1]
 
     @cached_property
     def slices(self) -> tuple[slice, ...]:
@@ -129,10 +125,12 @@ class Segments:
     holds ``counts[i]`` entries (a player's constraint rows, or its block of
     the joint vector), and ``bounds[i]:bounds[i + 1]`` is its slice.
 
-    The per-segment reductions batch all segments of one length into a
-    single matmul call. That is, bit for bit, one BLAS dot per segment,
-    ``a[s] @ b[s]``; a segment sum (``np.add.reduceat``) rounds differently
-    once a segment holds two entries or more.
+    The per-segment reductions take each maximal run of consecutive segments
+    of one length ``w`` as a ``(..., p, w)`` view of its slice, with no
+    gather, in one matmul call: bit for bit one BLAS dot or gemv per segment,
+    ``a[s] @ b[s]``. An operand not in C order is copied into it first, as a
+    strided dot product rounds differently; so would a segment sum
+    (``np.add.reduceat``) once a segment holds two entries.
     """
 
     counts: tuple[int, ...]
@@ -145,16 +143,24 @@ class Segments:
     def total(self) -> int:
         return self.bounds[-1]
 
+    @cached_property
+    def nonempty(self) -> Array:
+        """Whether each segment holds an entry."""
+        return np.asarray(self.counts) > 0
+
     def entries(self, players: Array) -> Array:
         """``(len(players), w)`` indices of the entries of the segments of
         ``players``, which all hold ``w`` entries."""
         return np.asarray(self.bounds)[players][:, None] + np.arange(self.counts[players[0]])
 
     @cached_property
-    def _groups(self) -> tuple[tuple[Array, Array], ...]:
-        """``(players, entries)`` for every nonzero segment length."""
-        return tuple((players, self.entries(players)) for players in _grouped(self.counts)
-                     if self.counts[players[0]])
+    def _runs(self) -> tuple[tuple[slice, slice, int], ...]:
+        """``(players, entries, w)`` slices of each maximal run of consecutive
+        segments of one nonzero length ``w``."""
+        c, b = self.counts, self.bounds
+        starts = [i for i in range(len(c)) if i == 0 or c[i] != c[i - 1]] + [len(c)]
+        return tuple((slice(i, j), slice(b[i], b[j]), c[i])
+                     for i, j in zip(starts, starts[1:]) if c[i])
 
     def repeat(self, v: Array) -> Array:
         """Per-segment values ``v`` repeated over each segment's entries."""
@@ -163,12 +169,12 @@ class Segments:
     def dot(self, a: Array, b: Array) -> Array:
         """``a[..., s] @ b[..., s]`` for every segment ``s`` of the last
         axis; 0.0 for an empty one."""
-        out = np.zeros(a.shape[:-1] + (len(self.counts),))
-        # np.take gathers into C order; a[..., rows] would not, and the
-        # matmul of a strided gather rounds differently.
-        for players, rows in self._groups:
-            out[..., players] = np.matmul(np.take(a, rows, axis=-1)[..., None, :],
-                                          np.take(b, rows, axis=-1)[..., :, None])[..., 0, 0]
+        a, b, lead = np.ascontiguousarray(a), np.ascontiguousarray(b), a.shape[:-1]
+        out = np.zeros(lead + (len(self.counts),))
+        for players, entries, w in self._runs:
+            ab = np.matmul(a[..., entries].reshape(lead + (-1, 1, w)),
+                           b[..., entries].reshape(lead + (-1, w, 1)))
+            out[..., players] = ab.reshape(lead + (-1,))
         return out
 
     def norm(self, a: Array) -> Array:
@@ -178,24 +184,25 @@ class Segments:
     def max_abs(self, a: Array) -> Array:
         """Per-segment :func:`max_abs`."""
         out = np.zeros(len(self.counts))
-        for players, rows in self._groups:
-            out[players] = np.abs(a[rows]).max(axis=1)
+        for players, entries, w in self._runs:
+            out[players] = np.abs(a[entries].reshape(-1, w)).max(axis=1)
         return out
 
     def matvec(self, A: Array, x: Array) -> Array:
         """``A[s] @ x`` for every segment ``s`` of the rows of ``A``, stacked:
         one gemv per segment, as the per-player product gives."""
-        out = np.zeros(self.total)
-        for _, rows in self._groups:
-            out[rows] = np.matmul(A[rows], x)
+        A, out = np.ascontiguousarray(A), np.zeros(self.total)
+        for _, entries, w in self._runs:
+            out[entries] = np.matmul(A[entries].reshape(-1, w, A.shape[1]), x).ravel()
         return out
 
     def vecmat_add(self, base: Array, a: Array, A: Array) -> Array:
         """``base[i] + A[s].T @ a[s]`` for every player ``i`` whose segment
         ``s`` of the rows of ``A`` is not empty, and ``base[i]`` otherwise."""
-        out = base.copy()
-        for players, rows in self._groups:
-            out[players] += np.matmul(a[rows][:, None, :], A[rows])[:, 0, :]
+        a, A, out = np.ascontiguousarray(a), np.ascontiguousarray(A), base.copy()
+        for players, entries, w in self._runs:
+            out[players] += np.matmul(a[entries].reshape(-1, 1, w),
+                                      A[entries].reshape(-1, w, A.shape[1])).reshape(-1, A.shape[1])
         return out
 
 
@@ -427,16 +434,18 @@ class GameInstance:
         return self.rows.total
 
     @cached_property
-    def own_blocks(self) -> tuple[tuple[Array, Array, Array], ...]:
-        """``(players, rows, cols)`` for the players with constraints, grouped
-        by their row count ``w`` and block dimension ``d``: ``rows`` (p, w)
-        indexes their constraint rows, ``cols`` (p, d) their blocks of the
-        joint vector, so ``J[rows[:, :, None], cols[:, None, :]]`` stacks the
-        own-block columns of their constraint Jacobians."""
+    def own_blocks(self) -> tuple[tuple[Array, Array, Array, Array], ...]:
+        """``(players, rows, cols, turned)`` for the players with constraints,
+        grouped by their row count ``w`` and block dimension ``d``: ``rows``
+        (p, w) indexes their constraint rows, ``cols`` (p, d) their blocks of
+        the joint vector, so ``J[rows[:, :, None], cols[:, None, :]]`` stacks
+        the own-block columns of their constraint Jacobians; ``turned`` (p, n)
+        is every column, turned to start at the player's block."""
         blocks = self.layout.segments
-        return tuple((players, self.rows.entries(players), blocks.entries(players))
-                     for players in _grouped(list(zip(self.rows.counts, blocks.counts)))
-                     if self.rows.counts[players[0]])
+        groups = [(players, self.rows.entries(players), blocks.entries(players))
+                  for players in _grouped(list(zip(self.rows.counts, blocks.counts)))
+                  if self.rows.counts[players[0]]]
+        return tuple((*g, (g[2][:, :1] + np.arange(self.n)) % self.n) for g in groups)
 
     @cached_property
     def _clip_bounds(self) -> tuple[Array, Array, tuple[int, ...]]:
@@ -667,12 +676,8 @@ def validate_instance(game: GameInstance, samples: int = 100, seed: int = 0) -> 
     finite = True
     notes: list[str] = []
 
-    def sample_point() -> Array:
-        blocks = [p.private_set.sample_interior(rng) for p in game.players]
-        return np.concatenate(blocks)
-
     for _ in range(samples):
-        x = sample_point()
+        x = np.concatenate([p.private_set.sample_interior(rng) for p in game.players])
         for i, p in enumerate(game.players):
             try:
                 ana_g = np.asarray(p.gradient(x), dtype=float)

@@ -229,7 +229,7 @@ def lagrangian_values(point: PointEval, d: DualStack, penalty: PenaltyParams) ->
     dots = rows.dot(np.array([d.lam, d.mu, d.z, diff]),
                     np.array([point.g_values - d.z, d.z, d.z, diff]))
     vals = _from_dots(point.theta, *dots, penalty.alpha, penalty.beta)
-    return np.where(np.asarray(rows.counts) > 0, vals, point.theta)
+    return np.where(rows.nonempty, vals, point.theta)
 
 
 def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> Array:
@@ -237,7 +237,7 @@ def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> 
     ``x``: bit for bit ``J[s, sl].T @ lam[s]``, a gemv on the own columns
     alone, which rounds differently from a slice of the full product."""
     J, out = point.g_jacobians, np.zeros(game.n)
-    for _, rows, cols in game.own_blocks:
+    for _, rows, cols, _ in game.own_blocks:
         out[cols] = np.matmul(lam[rows][:, None, :], J[rows[:, :, None], cols[:, None, :]])[:, 0, :]
     return out
 

@@ -276,10 +276,6 @@ class LipschitzEstimator:
 
     # -- sampling machinery --------------------------------------------------
 
-    def _box(self, x: Array) -> tuple[Array, Array]:
-        hw = 2.0 + 0.25 * np.abs(x)
-        return np.array(x, copy=True), hw
-
     def _needs_resample(self, x: Array) -> bool:
         if self._box_center is None:
             return True
@@ -290,7 +286,7 @@ class LipschitzEstimator:
         return self.game.project_private(raw)
 
     def _resample(self, x: Array):
-        self._box_center, self._box_halfwidth = self._box(x)
+        self._box_center, self._box_halfwidth = np.array(x, copy=True), 2.0 + 0.25 * np.abs(x)
         game = self.game
         for attempt in range(2):
             pts_a = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
@@ -300,8 +296,6 @@ class LipschitzEstimator:
             if good:
                 break
             self._box_halfwidth = 2.0 * self._box_halfwidth
-        else:
-            good = []
         if not good:
             raise RuntimeError("degenerate sampling region: all point pairs collapsed")
         L_theta, ggs, jac_maxes = [], [], []
@@ -609,18 +603,17 @@ class SolveResult:
         return self.outer_iterations
 
 
-def _jac_norms(point: PointEval, game: GameInstance, groups: tuple[tuple[Array, Array, Array], ...],
+def _jac_norms(point: PointEval, groups: tuple[tuple[Array, Array, Array, Array], ...],
                known: tuple[Array, Array]) -> tuple[Array, Array]:
     """Spectral norms of each player's constraint Jacobian ``J[s]`` and of its
     own-block columns ``J[s, sl]``, bit for bit: at ``point`` for the players in
     ``groups`` (grouped as ``game.own_blocks``), the others from ``known``."""
     full, own = known[0].copy(), known[1].copy()
-    J, n = point.g_jacobians, game.n
-    for players, rows, cols in groups:
+    J = point.g_jacobians
+    for players, rows, cols, turned in groups:
         full[players] = spectral_norms(J[rows])
         # Rows turned to start at the player's block keep J's row stride.
-        turned = J[rows[:, :, None], ((cols[:, :1] + np.arange(n)) % n)[:, None, :]]
-        own[players] = spectral_norms(turned[:, :, :cols.shape[1]])
+        own[players] = spectral_norms(J[rows[:, :, None], turned[:, None, :]][:, :, :cols.shape[1]])
     return full, own
 
 
@@ -666,10 +659,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     x, duals = state.x, state.duals
     # Norms of a constant Jacobian are computed once, for the whole run.
-    varying = tuple((p[v], r[v], c[v]) for p, r, c in game.own_blocks
-                    if (v := np.array([not game.constant_jacobian(i) for i in p])).any())
+    varying = tuple(tuple(a[v] for a in group) for group in game.own_blocks
+                    if (v := np.array([not game.constant_jacobian(i) for i in group[0]])).any())
     zeros = np.zeros(game.num_players)
-    jac_full, jac_own = _jac_norms(point, game, game.own_blocks, (zeros, zeros))
+    jac_full, jac_own = _jac_norms(point, game.own_blocks, (zeros, zeros))
     trace = SolveTrace(
         initial_L=lagrangian_values(point, duals, penalty),
         initial_feas=constraint_violation(point.g_values),
@@ -707,7 +700,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             qx, qz, qlam, qmu = projected_gradient_parts(game, next_point, duals_new, penalty)
             dlam_2, lam_norm2 = rows.norm(np.array([dlam, duals_new.lam]))
             if varying:
-                jac_full, jac_own = _jac_norms(next_point, game, varying, (jac_full, jac_own))
+                jac_full, jac_own = _jac_norms(next_point, varying, (jac_full, jac_own))
             trace.rows.append(TraceRow(
                 k=k + 1,
                 L_values=lagrangian_values(next_point, duals_new, penalty),

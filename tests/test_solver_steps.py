@@ -93,7 +93,7 @@ def test_jac_norms_match_the_formula_on_each_players_slices(shapes, seed):
     point = PointEval(np.zeros(game.n), np.zeros(len(players)), np.zeros((len(players), game.n)),
                       np.zeros(game.total_constraints), J)
     none = np.zeros(len(players))
-    full, own = G.solver._jac_norms(point, game, game.own_blocks, (none, none))
+    full, own = G.solver._jac_norms(point, game.own_blocks, (none, none))
     blocks = [J[a:b] for a, b in zip(game.rows.bounds, game.rows.bounds[1:])]
     assert full.tobytes() == np.array([spectral_norm_reference(B) for B in blocks]).tobytes()
     assert own.tobytes() == np.array([spectral_norm_reference(B[:, sl]) for B, sl

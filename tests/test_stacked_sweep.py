@@ -88,31 +88,57 @@ def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def check_segment_reductions(segs, rng, A=None, base=None):
+def _laid_out(values, layout):
+    """The 2-D ``values`` in a ``c`` (C order), ``transposed`` (F order) or
+    ``strided`` (every second column of a wider array) memory layout."""
+    if layout == "transposed":
+        return np.ascontiguousarray(values.T).T
+    if layout == "strided":
+        wide = np.zeros((values.shape[0], 2 * values.shape[1]))
+        wide[:, ::2] = values
+        return wide[:, ::2]
+    return values
+
+
+def check_segment_reductions(segs, rng, A=None, base=None, layout="c"):
     """Segments' dot, norm, max_abs (and matvec and vecmat_add on ``A`` and
-    ``base``) against one product per segment, bit for bit."""
+    ``base``) against one product per segment of C-ordered operands, bit for
+    bit, with the operands passed in ``layout``."""
     parts = [slice(lo, hi) for lo, hi in zip(segs.bounds, segs.bounds[1:])]
     a, b = _signed(rng, (3, segs.total)), _signed(rng, (3, segs.total))
-    assert bits(segs.dot(a, b)) == bits([[a[k, s] @ b[k, s] for s in parts] for k in range(3)])
-    assert bits(segs.dot(a[0], b[0])) == bits([a[0, s] @ b[0, s] for s in parts])
-    assert bits(segs.norm(a[0])) == bits([np.linalg.norm(a[0, s]) for s in parts])
-    assert bits(segs.max_abs(a[0])) == bits([np.abs(a[0, s]).max(initial=0.0) for s in parts])
+    la, lb = _laid_out(a, layout), _laid_out(b, layout)
+    assert bits(segs.dot(la, lb)) == bits([[a[k, s] @ b[k, s] for s in parts] for k in range(3)])
+    assert bits(segs.dot(la[0], lb[0])) == bits([a[0, s] @ b[0, s] for s in parts])
+    assert bits(segs.norm(la[0])) == bits([np.linalg.norm(a[0, s]) for s in parts])
+    assert bits(segs.max_abs(la[0])) == bits([np.abs(a[0, s]).max(initial=0.0) for s in parts])
     if A is None:
         A = _signed(rng, (segs.total, 7))
         base = _signed(rng, (len(parts), 7))
-    x = _signed(rng, A.shape[1])
-    assert bits(segs.matvec(A, x)) == bits(np.concatenate([A[s] @ x for s in parts]))
-    assert bits(segs.vecmat_add(base, a[0], A)) == bits(
+    x, lA = _signed(rng, A.shape[1]), _laid_out(A, layout)
+    assert bits(segs.matvec(lA, x)) == bits(np.concatenate([A[s] @ x for s in parts]))
+    assert bits(segs.vecmat_add(base, la[0], lA)) == bits(
         [base[i] + A[s].T @ a[0, s] if s.stop > s.start else base[i]
          for i, s in enumerate(parts)])
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.lists(st.integers(0, 24), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
-def test_segment_reductions_are_the_per_segment_products(counts, seed):
-    # long and mixed segments: short dot products round alike however they
-    # are gathered, long ones only from a C-ordered gather
-    check_segment_reductions(Segments(tuple(counts)), np.random.default_rng(seed))
+def _run_patterns():
+    """Segment lengths that alternate (``[2, 1, 2, 1]``) or repeat one length
+    with empty segments between and within its runs (``[0, 3, 0, 3, 3]``)."""
+    alternating = st.builds(lambda u, v, k: [u, v] * k,
+                            st.integers(0, 24), st.integers(0, 24), st.integers(1, 4))
+    zero_separated = st.builds(lambda w, keep: [w if k else 0 for k in keep],
+                               st.integers(1, 24), st.lists(st.booleans(), min_size=1, max_size=8))
+    return alternating | zero_separated
+
+
+@settings(deadline=None, max_examples=100)
+@given(_run_patterns() | st.lists(st.integers(0, 24), min_size=1, max_size=8),
+       st.sampled_from(["c", "transposed", "strided"]), st.integers(0, 2**32 - 1))
+def test_segment_reductions_are_the_per_segment_products(counts, layout, seed):
+    # long and mixed segments, several runs of one length, and operands
+    # without a unit stride along the segments: short dot products round
+    # alike however they are laid out, long ones only from C-ordered operands
+    check_segment_reductions(Segments(tuple(counts)), np.random.default_rng(seed), layout=layout)
 
 
 @settings(deadline=None, max_examples=60)
