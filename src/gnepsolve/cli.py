@@ -84,14 +84,6 @@ def _build_config(args) -> SolverConfig:
         raise CliError(str(exc)) from exc
 
 
-def nonnegative_int(text: str) -> int:
-    """An option that counts, such as ``--br-budget``: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def threshold(text: str) -> float:
     """A residual threshold, such as ``validate --threshold``: finite and >= 0."""
     value = float(text)
@@ -246,8 +238,7 @@ def cmd_solve(args) -> int:
     if not args.skip_diagnostics:
         try:
             report = diagnose(game, result.state, cfg.penalty(),
-                              with_best_response=not args.skip_best_response,
-                              br_budget=args.br_budget)
+                              with_best_response=not args.skip_best_response)
         except OracleFailure as exc:   # the final state is where an oracle failed
             print(f"diagnostics skipped: {exc}", file=sys.stderr)
     doc = _result_document(ref, args, result, game, report)
@@ -432,7 +423,7 @@ def cmd_validate(args) -> int:
     except (AttributeError, TypeError, ValueError):
         raise CliError(f"{path}: config fields 'alpha' and 'beta' must be finite positive numbers")
     try:
-        report = diagnose(game, state, penalty, br_budget=args.br_budget)
+        report = diagnose(game, state, penalty)
     except OracleFailure as exc:
         raise CliError(f"{path}: an oracle fails at the solution: {exc}", _VALIDATION_ERROR)
     print(f"stationarity:     {max(report.stationarity):.3e}")
@@ -465,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", help="write the result document (JSON) here ('-': stdout)")
     ps.add_argument("--skip-diagnostics", action="store_true")
     ps.add_argument("--skip-best-response", action="store_true")
-    ps.add_argument("--br-budget", type=nonnegative_int, default=400_000)
     ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("bench", help="run a table of instances and emit a summary")
@@ -487,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="re-check a result document")
     pv.add_argument("result", help="path to a result/1 document")
     pv.add_argument("--threshold", type=threshold, default=1e-3)
-    pv.add_argument("--br-budget", type=nonnegative_int, default=400_000)
     pv.set_defaults(func=cmd_validate)
     return ap
 

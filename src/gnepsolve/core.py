@@ -398,7 +398,7 @@ class GameInstance:
     data the players' oracles read, or the solver and the certifier would
     judge different games. A game built directly has none: the solver then
     samples its smoothness constants, and the best-response reference takes
-    the penalty routine for every player.
+    its model Hessians by finite differences.
     """
 
     players: tuple[PlayerProblem, ...]

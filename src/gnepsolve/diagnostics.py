@@ -2,12 +2,14 @@
 
 Everything here is a read-only analysis of a candidate point; the
 best-response reference solver is deliberately independent of the main
-solver so the two can cross-check each other. It solves the rivals-fixed QP
-of a strictly convex quadratic player with affine constraints on a box or
-nonneg set exactly (a dual active-set method), and every other player's
-problem by penalty-ramped projected gradient; either result counts only if
-it certifies its own KKT residuals. Analyses are embarrassingly parallel
-across players and samples.
+solver so the two can cross-check each other. It has one method for every
+player: proximal SQP, each step one convex QP solved exactly by a dual
+active-set method (Goldfarb-Idnani). On a strictly convex quadratic player
+with affine constraints on a box or nonneg set the first step is the exact
+best response; on a singular own block (a18) the proximal term makes the
+steps proximal point iterations, which end finitely on polyhedral problems.
+A result counts only if it certifies its own KKT residuals. Analyses are
+embarrassingly parallel across players and samples.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, GameInstance, IterateState, PlayerDualState, constraint_violation, max_abs
+from .core import (Array, GameInstance, IterateState, PlayerDualState, central_jacobian,
+                   constraint_violation, max_abs)
 from .lagrangian import (
     PenaltyParams,
     PointEval,
@@ -73,7 +76,7 @@ class BestResponseInfo:
 
 
 def solve_best_response(game: GameInstance, x: Array, player: int,
-                        cert_tol: float = 1e-8, budget: int = 400_000) -> BestResponseInfo:
+                        cert_tol: float = 1e-8) -> BestResponseInfo:
     """Solve one player's problem with rivals frozen.
 
     Minimizes ``theta(u, x_rest)`` over the private set subject to
@@ -83,66 +86,126 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
     meaningless). The result is certified only if its own KKT residuals for
     the relaxed problem all fall below ``cert_tol``.
 
-    A quadratic player with affine constraints, a positive-definite own block
-    and a box or nonneg private set has a strictly convex QP as its best
-    response; it is solved exactly by a dual active-set method, and
-    ``iterations`` then counts active-set changes. Every other player, and a
-    QP solve that does not certify, goes to penalty-ramped projected
-    gradient, whose iterations ``budget`` bounds.
+    Proximal SQP: each step, from the current own block ``u_k``, solves one
+    convex QP with :func:`_dual_active_set`. Its Hessian is the own block of
+    the player's Lagrangian Hessian at the last step's multipliers (from
+    ``game.quadratic``, or by central differences of the own-block
+    Lagrangian gradient; a ball row adds its curvature), plus ``eps I``
+    centred at ``u_k`` if that is not positive definite, with ``eps`` from
+    the Frobenius norm, which bounds the 2-norm without an SVD. Its rows are
+    the constraints linearised at ``u_k`` and the private set: bounds, a
+    simplex's sum as two rows, a ball's norm linearised. The projected
+    solution of each step is certified, and the first certificate ends the
+    search; ``iterations`` counts active-set changes over all steps. After
+    ``_SQP_STEPS`` steps without one, the step with the smallest KKT
+    residual comes back uncertified.
     """
-    info = _exact_best_response(game, x, player, cert_tol)
-    if info is None:
-        info = _penalty_best_response(game, x, player, cert_tol, budget)
-    return info
-
-
-def _exact_best_response(game: GameInstance, x: Array, player: int,
-                         cert_tol: float) -> BestResponseInfo | None:
-    """The rivals-fixed QP of a quadratic player with affine constraints, a
-    positive-definite own block and a box or nonneg private set, solved by
-    :func:`_dual_active_set`; ``None`` outside that class or when the
-    solution does not certify."""
     p = game.players[player]
     pset = p.private_set
-    # a constant Jacobian marks a player of a quadratic game with affine constraints
-    if not game.constant_jacobian(player) or pset.kind not in ("box", "nonneg"):
-        return None
     sl = game.layout.block_slice(player)
-    H = game.quadratic.Q[player][sl, sl]
-    try:
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return None
+    set_rows, set_rhs = _set_rows(pset)
     base = np.array(x, dtype=float, copy=True)
-    own = base[sl]
-    # theta(u, x_rest) = 0.5 u'Hu + q'u + const, and every constraint row is
-    # J u <= relax - g(x) + J x_own, which x_own itself satisfies.
-    q = np.asarray(p.gradient(base), dtype=float)[sl] - H @ own
+    relax = np.zeros(0)
+    mu = np.zeros(p.m)
+    ball_mult = 0.0
+    changes = 0
+    best = None
+    for step in range(_SQP_STEPS):
+        own = base[sl]
+        rows, rhs = [set_rows], [set_rhs]
+        if p.m:
+            # Every constraint row is J u <= relax - g + J u_k, which u_k
+            # satisfies at the first step.
+            g = np.asarray(p.constraints(base), dtype=float)
+            if not step:
+                relax = np.maximum(g, 0.0)
+            J = np.asarray(p.constraint_jacobian(base), dtype=float)[:, sl]
+            rows.insert(0, J)
+            rhs.insert(0, relax - g + J @ own)
+        if pset.kind == "ball":
+            # ||u||^2 <= r^2 linearised at u_k
+            rows.append(2.0 * own[None, :])
+            rhs.append(np.array([pset.radius ** 2 + float(own @ own)]))
+        H = _own_hessian(game, player, base, mu)
+        if ball_mult:
+            # the ball row's curvature, 2 I times its last multiplier
+            H = H + 2.0 * ball_mult * np.eye(pset.dim)
+        try:
+            chol = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            H = H + 1e-2 * max(1.0, float(np.linalg.norm(H))) * np.eye(pset.dim)
+            try:
+                chol = np.linalg.cholesky(H)
+            except np.linalg.LinAlgError:
+                break
+        # The model 0.5 (u - u_k)'H(u - u_k) + grad'(u - u_k), less its constant.
+        q = np.asarray(p.gradient(base), dtype=float)[sl] - H @ own
+        solved = _dual_active_set(chol, q, np.vstack(rows), np.concatenate(rhs))
+        if solved is None:
+            break
+        u, lam, k = solved
+        changes += k
+        u = pset.project(u)
+        base[sl] = u
+        mu = lam[:p.m]
+        ball_mult = lam[-1] if pset.kind == "ball" else 0.0
+        triple = _single_kkt(game, player, base, mu, relax)
+        if max(triple) <= cert_tol:
+            return BestResponseInfo(u, float(p.objective(base)), mu, triple, changes, True, relax)
+        if best is None or max(triple) < max(best[2]):
+            best = (u, mu, triple)
+    if best is None:   # no step solved: the queried block comes back
+        best = (base[sl].copy(), mu, _single_kkt(game, player, base, mu, relax))
+    u, mu, triple = best
+    base[sl] = u
+    return BestResponseInfo(u, float(p.objective(base)), mu, triple, changes, False, relax)
+
+
+# Proximal SQP steps before the best step so far comes back uncertified.
+_SQP_STEPS = 50
+
+
+def _set_rows(pset) -> tuple[Array, Array]:
+    """The private set's fixed QP rows ``C u <= d``: one row per finite
+    bound (a simplex's and a ball's lower bounds are 0), and a simplex's
+    ``sum(u) = 1`` as two rows."""
+    dim = pset.dim
     if pset.kind == "box":
         lower, upper = pset.lower, pset.upper
     else:
-        lower, upper = np.zeros(pset.dim), np.full(pset.dim, np.inf)
-    eye = np.eye(pset.dim)
+        lower, upper = np.zeros(dim), np.full(dim, np.inf)
+    eye = np.eye(dim)
     lo, up = np.isfinite(lower), np.isfinite(upper)
     rows, rhs = [-eye[lo], eye[up]], [-lower[lo], upper[up]]
-    relax = np.zeros(0)
-    if p.m:
-        g = np.asarray(p.constraints(base), dtype=float)
-        relax = np.maximum(g, 0.0)
-        J = np.asarray(p.constraint_jacobian(base), dtype=float)[:, sl]
-        rows.insert(0, J)
-        rhs.insert(0, relax - g + J @ own)
-    solved = _dual_active_set(chol, q, np.vstack(rows), np.concatenate(rhs))
-    if solved is None:
-        return None
-    u, lam, changes = solved
-    u = pset.project(u)
-    base[sl] = u
-    mu = lam[:p.m]
-    triple = _single_kkt(game, player, base, mu, relax)
-    if not max(triple) <= cert_tol:
-        return None
-    return BestResponseInfo(u, float(p.objective(base)), mu, triple, changes, True, relax)
+    if pset.kind == "simplex":
+        rows += [np.ones((1, dim)), -np.ones((1, dim))]
+        rhs += [np.ones(1), -np.ones(1)]
+    return np.vstack(rows), np.concatenate(rhs)
+
+
+def _own_hessian(game: GameInstance, player: int, x: Array, mu: Array) -> Array:
+    """The own block of the player's Lagrangian Hessian at ``x`` with
+    multipliers ``mu``: ``Q[sl, sl] + sum_j mu_j A_j[sl, sl]`` from the
+    stacked quadratic data, else the symmetrised central-difference Jacobian
+    of the own-block Lagrangian gradient."""
+    sl = game.layout.block_slice(player)
+    q = game.quadratic
+    if q is not None:
+        H = q.Q[player][sl, sl]
+        A = q.hessians.get(player)
+        return H if A is None else H + np.tensordot(mu, A[:, sl, sl], axes=1)
+    p = game.players[player]
+    point = np.array(x, dtype=float, copy=True)
+
+    def own_gradient(u: Array) -> Array:
+        point[sl] = u
+        grad = np.asarray(p.gradient(point), dtype=float)[sl]
+        if p.m:
+            grad = grad + np.asarray(p.constraint_jacobian(point), dtype=float)[:, sl].T @ mu
+        return grad
+
+    H = central_jacobian(own_gradient, x[sl], p.private_set.dim)
+    return 0.5 * (H + H.T)
 
 
 # Relative sizes in the dual active-set loop: a row's violation below
@@ -214,157 +277,6 @@ def _dual_active_set(chol: Array, q: Array, C: Array, d: Array) -> tuple[Array, 
             del active[drop]
 
 
-def _penalty_best_response(game: GameInstance, x: Array, player: int,
-                           cert_tol: float = 1e-8, budget: int = 400_000) -> BestResponseInfo:
-    """:func:`solve_best_response` by penalty-ramped projected gradient on
-    the augmented objective: a quadratic penalty ramps up across stages with
-    multiplier carries, for any player."""
-    p = game.players[player]
-    sl = game.layout.block_slice(player)
-    base = np.array(x, dtype=float, copy=True)
-    relax = np.maximum(np.asarray(p.constraints(base), dtype=float), 0.0) if p.m else np.zeros(0)
-
-    # The private set's projection, bound once: box and nonneg blocks end in
-    # the same ufunc as SimpleSet.project, without its per-call dispatch.
-    pset = p.private_set
-    project = pset.project
-    if pset.kind == "box":
-        project = lambda v: v.clip(pset.lower, pset.upper)
-    elif pset.kind == "nonneg":
-        project = lambda v: np.maximum(v, 0.0)
-    # Own-block columns of a constant Jacobian, transposed, built once.
-    own_jac_t = (np.asarray(p.constraint_jacobian(base), dtype=float)[:, sl].T
-                 if p.m and game.constant_jacobian(player) else None)
-
-    def full(u: Array) -> Array:
-        v = base.copy()
-        v[sl] = u
-        return v
-
-    def g_rel(xf: Array) -> Array:
-        return np.asarray(p.constraints(xf), dtype=float) - relax
-
-    # The last point evaluated: (u, full vector, relaxed constraint values).
-    # phi_grad reuses them when it is called with the array phi just saw, as
-    # at an accepted candidate and at the start of every stage.
-    last: list = [None, None, None]
-
-    def at(u: Array) -> tuple[Array, Array | None]:
-        if last[0] is not u:
-            xf = full(u)
-            last[:] = u, xf, g_rel(xf) if p.m else None
-        return last[1], last[2]
-
-    def phi(u: Array, mu: Array, rho: float) -> float:
-        xf, g = at(u)
-        val = float(p.objective(xf))
-        if p.m:
-            t = np.maximum(mu / rho + g, 0.0)
-            val += 0.5 * rho * float(t @ t) - float(mu @ mu) / (2.0 * rho)
-        return val
-
-    def phi_grad(u: Array, mu: Array, rho: float) -> Array:
-        xf, g = at(u)
-        grad = np.asarray(p.gradient(xf), dtype=float)[sl]
-        if p.m:
-            lam_t = np.maximum(mu + rho * g, 0.0)
-            jac_t = own_jac_t
-            if jac_t is None:
-                jac_t = np.asarray(p.constraint_jacobian(xf), dtype=float)[:, sl].T
-            grad = grad + jac_t @ lam_t
-        return grad
-
-    u = x[sl].copy()
-    mu = np.zeros(p.m)
-    rho = 10.0
-    used = 0
-    stages = 80
-    cert_prev = np.inf
-    best = None
-    # A trial point that is not finite, or a momentum test that overflows,
-    # ends the search: the iterates diverge there. Overflow is detected by
-    # these checks, not reported as a warning.
-    diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(stages):
-            val = phi(u, mu, rho)
-            step = 1.0
-            inner_budget = max(200, budget // stages)
-            it = 0
-            while it < inner_budget and used < budget:
-                it += 1
-                grad = phi_grad(u, mu, rho)
-                moved = False
-                s = step
-                for _ in range(80):
-                    if used >= budget:
-                        break
-                    cand = project(u - s * grad)
-                    used += 1
-                    if not np.isfinite(cand).all():
-                        diverged = True
-                        break
-                    d = cand - u
-                    if max_abs(d) == 0.0:
-                        break
-                    dv = phi(cand, mu, rho)
-                    if dv <= val - 1e-4 / max(s, 1e-16) * float(d @ d):
-                        u, val = cand, dv
-                        step = min(s * 2.0, 1e8)
-                        moved = True
-                        break
-                    s *= 0.5
-                if not (moved or diverged):
-                    # Value comparisons hit float resolution; finish with fixed
-                    # small steps plus momentum (no comparisons), restarting the
-                    # momentum whenever it stops pointing downhill.
-                    polish = 0.4 * step
-                    tiny = 1e-15 * (1.0 + max_abs(u))
-                    tmom = 1.0
-                    v = u.copy()
-                    for _ in range(6000):
-                        if used >= budget:
-                            break
-                        used += 1
-                        unew = project(v - polish * phi_grad(v, mu, rho))
-                        turn = float((v - unew) @ (unew - u))
-                        if not math.isfinite(turn):
-                            diverged = True
-                            break
-                        if turn > 0.0:
-                            tmom, v = 1.0, u.copy()
-                            continue
-                        tnew = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
-                        v = unew + ((tmom - 1.0) / tnew) * (unew - u)
-                        movement = max_abs(unew - u)
-                        u, tmom = unew, tnew
-                        if movement <= tiny:
-                            break
-                if not moved:
-                    break
-            if p.m:
-                gr = g_rel(full(u))
-                mu = np.maximum(mu + rho * gr, 0.0)
-            stat, comp, feas = _single_kkt(game, player, full(u), mu, relax)
-            cert = max(stat, comp, feas)
-            if best is None or cert < best[0]:
-                best = (cert, u.copy(), mu.copy(), (stat, comp, feas))
-            if cert <= cert_tol:
-                return BestResponseInfo(u, float(p.objective(full(u))), mu,
-                                        (stat, comp, feas), used, True, relax)
-            if cert > 0.3 * cert_prev:
-                # keep rho moderate: the penalty gradient float noise scales with
-                # rho and would otherwise swamp the certificate
-                rho = min(rho * 4.0, 1e6)
-            cert_prev = cert
-            if used >= budget or diverged:
-                break
-    cert, u, mu, triple = best
-    certified = cert <= cert_tol
-    return BestResponseInfo(u, float(p.objective(full(u))), mu,
-                            triple, used, certified, relax)
-
-
 def _single_kkt(game: GameInstance, player: int, x: Array, lam: Array,
                 relax: Array | None = None) -> tuple[float, float, float]:
     """One player's KKT triple; ``relax`` shifts the constraints to ``g - relax``."""
@@ -385,15 +297,14 @@ def _single_kkt(game: GameInstance, player: int, x: Array, lam: Array,
     return stat, comp, feas
 
 
-def best_response_gap(game: GameInstance, x: Array, player: int,
-                      tol: float = 1e-8, budget: int = 400_000) -> float:
+def best_response_gap(game: GameInstance, x: Array, player: int, tol: float = 1e-8) -> float:
     """Improvement available to one player by deviating optimally.
 
     Returns ``theta(x) - theta(best response)``; a genuine equilibrium gives
     a gap no more negative than ``-tol``. If the reference solve cannot
     certify itself the gap is reported as ``inf``.
     """
-    info = solve_best_response(game, x, player, cert_tol=tol, budget=budget)
+    info = solve_best_response(game, x, player, cert_tol=tol)
     if not info.certified:
         return math.inf
     return float(game.players[player].objective(x)) - info.objective
@@ -514,8 +425,8 @@ class DiagnosticsReport:
 
 
 def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
-             with_best_response: bool = True, br_budget: int = 400_000,
-             saddle_samples: int = 0, seed: int = 0) -> DiagnosticsReport:
+             with_best_response: bool = True, saddle_samples: int = 0,
+             seed: int = 0) -> DiagnosticsReport:
     """Assemble the per-player equilibrium report at a candidate state."""
     lams = [d.lam for d in state.duals]
     triples = kkt_residual(game, state.x, lams)
@@ -523,7 +434,7 @@ def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
     notes: list[str] = []
     for i in range(game.num_players):
         if with_best_response:
-            gap = best_response_gap(game, state.x, i, budget=br_budget)
+            gap = best_response_gap(game, state.x, i)
             if not math.isfinite(gap):
                 notes.append(f"player {i}: best-response reference did not certify")
             gaps.append(gap)

@@ -124,6 +124,18 @@ def test_solve_power_converges_under_defaults(tmp_path, capsys):
     assert json.loads(out.read_text())["status"] == "converged"
 
 
+def test_solve_a18_certifies_both_players(tmp_path, capsys):
+    # a18's own blocks are singular; the best-response reference certifies
+    # both players at the capped run's final point
+    out = tmp_path / "a18.json"
+    run_cli(capsys, "solve", "--problem", "a18", "--x0", "const:0", "--max-outer", "50",
+            "--out", str(out))
+    diag = json.loads(out.read_text())["diagnostics"]
+    gaps = diag["best_response_gaps"]
+    assert len(gaps) == 2 and all(np.isfinite(g) for g in gaps)
+    assert diag["notes"] == []
+
+
 def test_solve_invalid_tolerance(capsys):
     code, _, stderr = run_cli(capsys, "solve", "--problem", "example3",
                               "--tol", "-1")
@@ -144,14 +156,6 @@ def test_invalid_solver_options_exit_3(capsys, command, option):
                               "--max-outer", "3", *option)
     assert code == 3
     assert stderr.startswith("error:") and "Traceback" not in stderr
-
-
-@pytest.mark.parametrize("argv", [["solve", "--problem", "example3", "--br-budget", "-1"],
-                                  ["validate", "result.json", "--br-budget", "-1"]])
-def test_negative_best_response_budget_exit_3(capsys, argv):
-    code, _, stderr = run_cli(capsys, *argv)
-    assert code == 3
-    assert "--br-budget" in stderr
 
 
 @pytest.mark.parametrize("x0", ["const:nan", "const:inf", "const:-inf", "const:1e400",
@@ -208,7 +212,8 @@ def test_solve_malformed_instance_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["solve", "--problem", "example3", "--format", "csv"],
                                   ["solve", "--problem", "example3", "--no-such-flag"],
                                   ["frobnicate"],
-                                  ["bench", "--run", "example3@const:0", "--threads", "2"]])
+                                  ["bench", "--run", "example3@const:0", "--threads", "2"],
+                                  ["solve", "--problem", "example3", "--br-budget", "5"]])
 def test_argparse_usage_errors_exit_3(capsys, argv):
     code, _, stderr = run_cli(capsys, *argv)
     assert code == 3

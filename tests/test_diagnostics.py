@@ -9,6 +9,7 @@ import pytest
 import gnepsolve as G
 from gnepsolve.core import BlockLayout, GameInstance, IterateState, PlayerDualState, PlayerProblem, SimpleSet, initial_state
 from gnepsolve.lagrangian import PenaltyParams
+from gnepsolve import diagnostics
 from gnepsolve.diagnostics import (
     best_response_gap,
     diagnose,
@@ -17,11 +18,9 @@ from gnepsolve.diagnostics import (
     projected_gradient_norm,
     saddle_check,
     solve_best_response,
-    _exact_best_response,
-    _penalty_best_response,
 )
 from gnepsolve import library
-from conftest import fast_config
+from conftest import ad_start, fast_config
 
 
 def quadratic_single(minimizer):
@@ -109,78 +108,164 @@ def _br_bits(info):
             info.iterations, info.certified)
 
 
-def test_best_response_constant_jacobian_path_is_bit_identical():
-    # the penalty routine builds an affine player's own-block Jacobian once
-    # per call; the same players without the stacked quadratic data take the
-    # per-call Jacobian path instead
-    game, plant = library.gen_random_quadratic_with_plant(2, 3, 2, seed=101)
-    per_call = GameInstance(game.players, game.layout, game.name)
-    relaxed = False
-    for player in range(game.num_players):
-        assert game.constant_jacobian(player) and not per_call.constant_jacobian(player)
-        for x in (plant, plant + 3.0):
-            info = _penalty_best_response(game, x, player)
-            assert info.certified
-            relaxed |= bool(np.any(info.relaxation > 0.0))
-            assert _br_bits(info) == _br_bits(_penalty_best_response(per_call, x, player))
-    assert relaxed   # the shifted point violates a constraint: relax > 0
+def _one_qp(game, x, i):
+    """A strictly convex quadratic player's rivals-fixed QP, built from its
+    oracles and solved once by the dual active-set method: the exact best
+    response, projected and certified as :func:`solve_best_response` does."""
+    p = game.players[i]
+    sl = game.layout.block_slice(i)
+    base = np.array(x, dtype=float, copy=True)
+    own = base[sl]
+    H = game.quadratic.Q[i][sl, sl]
+    q = p.gradient(base)[sl] - H @ own
+    g = p.constraints(base)
+    relax = np.maximum(g, 0.0)
+    J = p.constraint_jacobian(base)[:, sl]
+    eye = np.eye(p.private_set.dim)
+    rows = np.vstack([J, -eye, eye])
+    rhs = np.concatenate([relax - g + J @ own, -p.private_set.lower, p.private_set.upper])
+    u, lam, changes = diagnostics._dual_active_set(np.linalg.cholesky(H), q, rows, rhs)
+    u = p.private_set.project(u)
+    base[sl] = u
+    mu = lam[:p.m]
+    triple = diagnostics._single_kkt(game, i, base, mu, relax)
+    return diagnostics.BestResponseInfo(u, float(p.objective(base)), mu, triple, changes,
+                                        max(triple) <= 1e-8, relax)
 
 
-@pytest.mark.parametrize("player", [0, 1])
-def test_penalty_best_response_stops_where_its_iterates_diverge(player):
-    # a18's own blocks are singular, so its players take the penalty routine;
-    # from x = 0.5 the polish's fixed steps diverge for player 1 within 2,000
-    # iterations. No overflow warning escapes, and the best finite iterate
-    # comes back, uncertified
-    game = library.make_a18_electricity()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        info = _penalty_best_response(game, np.full(12, 0.5), player, budget=2_000)
-    assert not info.certified
-    assert info.iterations <= 2_000
-    assert np.all(np.isfinite(info.block)) and np.all(np.isfinite(info.multipliers))
-    assert math.isfinite(info.objective) and all(math.isfinite(v) for v in info.kkt)
+def _sampled_deviations_never_win(game, x, i, info, rng, samples=200):
+    """Points of the private set near the best response (and on the segment
+    back to the queried block) that satisfy the relaxed constraints never
+    beat its objective by more than 1e-9; returns how many were feasible."""
+    p = game.players[i]
+    sl = game.layout.block_slice(i)
+    dev = np.array(x, dtype=float, copy=True)
+    feasible = 0
+    for k in range(samples):
+        if k % 4 == 3:
+            u = info.block + rng.uniform() * (x[sl] - info.block)
+        else:
+            scale = 10.0 ** rng.integers(-4, 1)
+            u = p.private_set.project(info.block + scale * rng.standard_normal(info.block.shape))
+        dev[sl] = u
+        if p.m and np.any(p.constraints(dev) - info.relaxation > 0.0):
+            continue
+        feasible += 1
+        assert p.objective(dev) >= info.objective - 1e-9
+    return feasible
 
 
-def test_exact_and_penalty_best_responses_agree(quad_suite):
+def test_best_responses_certify_and_no_sampled_deviation_beats_them(quad_suite):
     # every quad-suite player is strictly convex with affine constraints on a
-    # box; plant + 3 violates constraints, so relax > 0 there
-    relaxed = exact_only = 0
+    # box, so one QP step is the exact best response; plant + 3 violates
+    # constraints, so relax > 0 there
+    rng = np.random.default_rng(0)
+    relaxed = feasible = 0
     for game, plant, res in quad_suite:
-        for shifted, x in ((False, res.state.x), (True, plant + 3.0)):
+        for x in (res.state.x, plant + 3.0):
             for i in range(game.num_players):
-                exact = solve_best_response(game, x, i)
-                assert exact.certified and exact.iterations <= 10
-                assert _br_bits(exact) == _br_bits(_exact_best_response(game, x, i, 1e-8))
-                relaxed += bool(np.any(exact.relaxation > 0.0))
-                penalty = _penalty_best_response(game, x, i)
-                assert penalty.iterations <= 400_000   # the default budget
-                if (game.name, i, shifted) == ("randquad-2x3x2-s109", 0, True):
-                    # the penalty routine runs out its budget with comp just
-                    # above 1e-8; the exact solve certifies
-                    assert not penalty.certified and penalty.iterations >= 400_000
-                    assert max(exact.kkt) <= 1e-12
-                    exact_only += 1
-                    continue
-                assert penalty.certified
-                assert exact.objective == pytest.approx(penalty.objective, abs=1e-7)
-                np.testing.assert_allclose(exact.block, penalty.block, atol=1e-5)
-    assert relaxed > 0 and exact_only == 1
+                info = solve_best_response(game, x, i)
+                assert info.certified and info.iterations <= 10
+                assert _br_bits(info) == _br_bits(_one_qp(game, x, i))
+                base = x.copy()
+                base[game.layout.block_slice(i)] = info.block
+                assert max(diagnostics._single_kkt(game, i, base, info.multipliers,
+                                                   info.relaxation)) <= 1e-8
+                relaxed += bool(np.any(info.relaxation > 0.0))
+                feasible += _sampled_deviations_never_win(game, x, i, info, rng)
+    assert relaxed > 0 and feasible > 1000
 
 
-def test_players_outside_the_qp_class_take_the_penalty_path(ex3_game, a18_game, ad_game):
+def test_every_player_of_the_library_games_certifies(ex3_game, a18_game, ad_game):
     # quadratic constraints (example3), a singular own block (a18), curved
-    # budgets, balls and a simplex (Arrow-Debreu), non-quadratic (power)
-    # at this point a18's penalty iterates can overflow; only the agreement
-    # of the two calls is tested here
+    # budgets and balls and a simplex (Arrow-Debreu), non-quadratic (power)
     power = library.builtin_instance("power")
     for game in (ex3_game, a18_game, ad_game, power):
         x = game.project_private(np.full(game.n, 0.5))
         for i in range(game.num_players):
-            assert _exact_best_response(game, x, i, 1e-8) is None
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert (_br_bits(solve_best_response(game, x, i, budget=2_000))
-                        == _br_bits(_penalty_best_response(game, x, i, budget=2_000)))
+            info = solve_best_response(game, x, i)
+            assert info.certified and max(info.kkt) <= 1e-8, (game.name, i)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.5, 20.0])
+def test_a18_best_responses_certify_from_any_start(a18_game, value):
+    # a18's own blocks are singular: proximal steps on the QP certify both
+    # players, without warnings, from the origin as from the other starts
+    x = np.full(a18_game.n, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        infos = [solve_best_response(a18_game, x, i) for i in range(2)]
+    rng = np.random.default_rng(1)
+    for i, info in enumerate(infos):
+        assert info.certified and max(info.kkt) <= 1e-8
+        assert info.objective <= a18_game.players[i].objective(x) + 1e-9
+        assert _sampled_deviations_never_win(a18_game, x, i, info, rng) > 0
+    # the two companies are symmetric, and so is the origin
+    if value == 0.0:
+        assert infos[0].objective == pytest.approx(infos[1].objective, rel=1e-12)
+
+
+def _ball_game(D, m0, stacked):
+    """One player minimizing (u - m)'D(u - m) over the nonnegative unit
+    ball, with stacked quadratic data or with oracles only."""
+    ball = SimpleSet.ball(2, 1.0)
+    if stacked:
+        # (u - m)'D(u - m) less its constant m'Dm
+        return library.QuadraticGnepSpec(BlockLayout((2,)), [library.QuadraticPlayerSpec(
+            2.0 * D, -2.0 * D @ m0, ball)], "ball-quadratic").to_game()
+    return GameInstance((PlayerProblem(
+        objective=lambda x: float((x - m0) @ D @ (x - m0)),
+        gradient=lambda x: 2.0 * D @ (x - m0),
+        constraints=lambda x: np.zeros(0),
+        constraint_jacobian=lambda x: np.zeros((0, 2)),
+        private_set=ball, m=0,
+    ),), BlockLayout((2,)), "ball-quadratic")
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("target", [(2.0, 1.0), (3.0, -1.0)])
+def test_best_response_on_a_ball_is_the_projection(stacked, target):
+    # min (u - m)'(u - m) over the nonnegative unit ball with m outside it:
+    # the best response is the projection of m, with the stacked Hessian or
+    # the finite-difference one
+    m0 = np.array(target)
+    info = solve_best_response(_ball_game(np.eye(2), m0, stacked), np.zeros(2), 0)
+    assert info.certified
+    np.testing.assert_allclose(info.block, SimpleSet.ball(2, 1.0).project(m0), atol=1e-10)
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_best_response_on_a_ball_with_an_anisotropic_objective(stacked):
+    # here the projection of the unconstrained minimizer is not the answer:
+    # the linearised ball row and its curvature carry the steps to the
+    # boundary point that no point of a fine grid on the arc beats
+    D, m0 = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([3.0, 2.0])
+    info = solve_best_response(_ball_game(D, m0, stacked), np.zeros(2), 0)
+    assert info.certified
+    assert np.linalg.norm(info.block) == pytest.approx(1.0, abs=1e-12)
+    t = np.linspace(0.0, 0.5 * np.pi, 20001)
+    arc = np.stack([np.cos(t), np.sin(t)], axis=1) - m0
+    value = (info.block - m0) @ D @ (info.block - m0)
+    assert value <= np.min(np.einsum("ki,ij,kj->k", arc, D, arc)) + 1e-12
+
+
+def test_market_player_simplex_rows_certify(ad_game, monkeypatch):
+    # the simplex's sum(u) = 1 is two rows, each dependent on the other: the
+    # active-set loop must end certified, not in its dependent-row exit
+    results = []
+    solve_qp = diagnostics._dual_active_set
+
+    def recording(*args):
+        results.append(solve_qp(*args))
+        return results[-1]
+
+    monkeypatch.setattr(diagnostics, "_dual_active_set", recording)
+    market = ad_game.num_players - 1
+    for x in (ad_game.project_private(np.full(ad_game.n, 0.5)), ad_start(ad_game)):
+        results.clear()
+        info = solve_best_response(ad_game, x, market)
+        assert info.certified and results and all(r is not None for r in results)
+        assert info.block.sum() == pytest.approx(1.0, abs=1e-12) and np.all(info.block >= 0.0)
 
 
 def test_exact_best_response_on_nonneg_and_free_sets():
@@ -191,8 +276,8 @@ def test_exact_best_response_on_nonneg_and_free_sets():
         game = library.QuadraticGnepSpec(BlockLayout((2,)), [library.QuadraticPlayerSpec(
             2.0 * np.eye(2), -2.0 * m0, pset, [(np.zeros((2, 2)), np.ones(2), -1.0)])],
             "orthant-quadratic").to_game()
-        info = _exact_best_response(game, np.zeros(2), 0, 1e-8)
-        assert info is not None and info.certified
+        info = solve_best_response(game, np.zeros(2), 0)
+        assert info.certified
         np.testing.assert_allclose(info.block, want, atol=1e-14)
         assert info.multipliers[0] > 0.0
 
