@@ -363,27 +363,105 @@ class PlayerProblem:
 @dataclass(frozen=True)
 class QuadraticStack:
     """The one record of a quadratic game's structure: player ``i``
-    minimizes ``0.5 x'Q[i] x + b[i]'x`` under constraints whose affine parts
+    minimizes ``0.5 x'Q_i x + b[i]'x`` under constraints whose affine parts
     are the rows ``C x + D`` of its segment of the game's constraint rows.
+
+    The ``Q_i`` are stored by band, as a Jacobi sweep reads them: row ``r``
+    of ``G`` is row ``r`` of the ``Q_i`` of the player owning entry ``r``,
+    so every player's own rows sit in one ``(n, n)`` matrix, and ``bands``
+    holds every player's own columns ``Q_i[:, sl_i]``, one C-ordered
+    ``(p, n, w)`` array per run of ``p`` consecutive players with blocks of
+    width ``w`` (the runs of ``layout.segments``). That is the whole of a
+    ``Q_i`` whose entries outside its own rows and columns are all +0.0, as
+    in a band-coupled game; any other ``Q_i`` is also kept whole in
+    ``dense``. :meth:`from_dense` builds the stack, :meth:`products` takes
+    every ``Q_i @ x`` from it and :meth:`matrix` rebuilds one ``Q_i``.
 
     ``hessians`` maps each curved player (one with a nonzero constraint
     Hessian) to its ``(m, n, n)`` constraint Hessians; affine players have no
-    entry. The players' oracles read views of these arrays, so the stack
-    holds no second copy, and a curved player's constraint values and
-    Jacobians come from its oracles.
+    entry. The players' oracles read this stack, so it holds no second copy
+    of their data, and a curved player's constraint values and Jacobians
+    come from its oracles.
     """
 
-    Q: Array                      # (N, n, n)
+    layout: BlockLayout
+    G: Array                      # (n, n) own rows
+    bands: tuple[Array, ...]      # (p, n, w) own columns, per run of block width w
     b: Array                      # (N, n)
     C: Array                      # (M, n)
     D: Array                      # (M,)
+    dense: dict[int, Array] = field(default_factory=dict)
     hessians: dict[int, Array] = field(default_factory=dict)
+
+    @staticmethod
+    def from_dense(layout: BlockLayout, Qs: Sequence[Array], b: Array, C: Array, D: Array,
+                   hessians: dict[int, Array]) -> "QuadraticStack":
+        """The stack of the ``(n, n)`` matrices ``Qs``, copied into bands."""
+        n, slices = layout.n, layout.slices
+        G, dense = np.empty((n, n)), {}
+        for i, (Q, sl) in enumerate(zip(Qs, slices)):
+            G[sl] = Q[sl]
+            off = np.array(Q, dtype=float)
+            off[sl] = off[:, sl] = 0.0
+            if off.view(np.uint64).any():   # a nonzero, a -0.0 or a NaN off the band
+                dense[i] = np.array(Q, dtype=float)
+        bands = tuple(np.stack([Qs[i][:, slices[i]] for i in range(players.start, players.stop)])
+                      for players, _, _ in layout.segments._runs)
+        return QuadraticStack(layout, G, bands, b, C, D, dense, hessians)
 
     @cached_property
     def jacobian(self) -> Array:
         """The constraint Jacobian of the affine players, ``C + 0.0``
         (turning a -0.0 into +0.0, as their oracles do)."""
         return self.C + 0.0
+
+    @cached_property
+    def _runs(self) -> tuple[tuple[slice, int, Array], ...]:
+        """``(entries, w, band)`` of each run of ``bands``."""
+        return tuple((entries, w, K) for (_, entries, w), K in
+                     zip(self.layout.segments._runs, self.bands))
+
+    @cached_property
+    def _player_bands(self) -> tuple[Array, ...]:
+        """Each player's band as a ``(1, n, w)`` view."""
+        return tuple(K[k:k + 1] for K in self.bands for k in range(len(K)))
+
+    def products(self, x: Array, player: int | None = None) -> Array:
+        """``Q_i @ x`` of every player, stacked ``(N, n)``, or of ``player``
+        alone, ``(1, n)``: each band times its player's block (one gemv per
+        player, batched per run), its own entries overwritten by ``G @ x``,
+        and a dense ``Q_i @ x`` for a player kept in ``dense``.
+
+        ``G @ x`` is one gemv of the dense shape, so the own entries, which
+        are all the iterates read, are bit for bit the dense ``Q_i @ x``'s;
+        the other entries sum only the band's ``w`` terms and may round
+        differently. The batched sweep and the players' oracles both take
+        their products from here, so they agree bit for bit.
+        """
+        if player is None:
+            runs, own, src, dense = self._runs, self.layout.own_entries, slice(None), self.dense
+        elif player in self.dense:
+            return (self.dense[player] @ x)[None]
+        else:
+            sl, K = self.layout.slices[player], self._player_bands[player]
+            runs, own, src, dense = ((sl, K.shape[2], K),), sl, sl, {}
+        parts = [np.matmul(K, x[entries].reshape(-1, w, 1)) for entries, w, K in runs]
+        out = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(-1, self.layout.n)
+        out.ravel()[own] = (self.G @ x)[src]
+        for i, Q in dense.items():
+            out[i] = Q @ x
+        return out
+
+    def matrix(self, i: int) -> Array:
+        """Player ``i``'s ``Q_i`` as a dense C-ordered ``(n, n)`` array, the
+        same bytes it was built from."""
+        if i in self.dense:
+            return self.dense[i]
+        sl = self.layout.slices[i]
+        Q = np.zeros((self.layout.n, self.layout.n))
+        Q[:, sl] = self._player_bands[i][0]
+        Q[sl] = self.G[sl]
+        return Q
 
 
 @dataclass(frozen=True)
@@ -479,6 +557,15 @@ class GameInstance:
             out[sl] = self.players[i].private_set.project(x[sl])
         return out
 
+    @cached_property
+    def constant_own_columns(self) -> tuple[Array | None, ...]:
+        """For each group of :attr:`own_blocks` whose players all have
+        constant constraint Jacobians, their stacked own-block columns of
+        ``QuadraticStack.jacobian``, taken once; None for any other group."""
+        return tuple(self.quadratic.jacobian[rows[:, :, None], cols[:, None, :]]
+                     if all(self.constant_jacobian(i) for i in players) else None
+                     for players, rows, cols, _ in self.own_blocks)
+
     def constant_jacobian(self, i: int) -> bool:
         """Player ``i``'s constraint Jacobian does not depend on ``x``: the
         game has stacked quadratic data and the player is not curved."""
@@ -491,9 +578,10 @@ class GameInstance:
 
 def _attach_quadratic_stack(game: GameInstance, q: QuadraticStack) -> GameInstance:
     """``game`` with its players' quadratic data ``q`` attached; the
-    players' oracles must read views of these very arrays."""
+    players' oracles must read this very stack."""
     N, n, M = game.num_players, game.n, game.total_constraints
-    if (q.Q.shape, q.b.shape, q.C.shape, q.D.shape) != ((N, n, n), (N, n), (M, n), (M,)):
+    if (q.layout != game.layout
+            or (q.G.shape, q.b.shape, q.C.shape, q.D.shape) != ((n, n), (N, n), (M, n), (M,))):
         raise ValueError("stacked quadratic data does not match the players")
     object.__setattr__(game, "quadratic", q)
     return game

@@ -185,13 +185,14 @@ def _set_rows(pset) -> tuple[Array, Array]:
 
 def _own_hessian(game: GameInstance, player: int, x: Array, mu: Array) -> Array:
     """The own block of the player's Lagrangian Hessian at ``x`` with
-    multipliers ``mu``: ``Q[sl, sl] + sum_j mu_j A_j[sl, sl]`` from the
-    stacked quadratic data, else the symmetrised central-difference Jacobian
-    of the own-block Lagrangian gradient."""
+    multipliers ``mu``: ``Q_i[sl, sl] + sum_j mu_j A_j[sl, sl]`` from the
+    stacked quadratic data (``Q_i[sl, sl]`` is ``G[sl, sl]``), else the
+    symmetrised central-difference Jacobian of the own-block Lagrangian
+    gradient."""
     sl = game.layout.block_slice(player)
     q = game.quadratic
     if q is not None:
-        H = q.Q[player][sl, sl]
+        H = q.G[sl, sl]
         A = q.hessians.get(player)
         return H if A is None else H + np.tensordot(mu, A[:, sl, sl], axes=1)
     p = game.players[player]

@@ -94,35 +94,38 @@ class QuadraticGnepSpec:
     def to_game(self) -> GameInstance:
         """The game, with its quadratic data stacked over players
         (:class:`~gnepsolve.core.QuadraticStack`, the one record of its
-        structure); each player's oracles read views of the stacked arrays.
-        Constraint Hessians are kept only for a player with a nonzero one."""
+        structure); each player's oracles read the stack. Constraint
+        Hessians are kept only for a player with a nonzero one."""
         self.validate_psd()
         n, N = self.layout.n, len(self.players)
-        Q = np.array([spec.Q for spec in self.players], dtype=float).reshape(N, n, n)
         b = np.array([spec.b for spec in self.players], dtype=float).reshape(N, n)
         rows = [con for spec in self.players for con in spec.constraints]
         C = np.array([c for _, c, _ in rows], dtype=float).reshape(len(rows), n)
         D = np.array([d for _, _, d in rows], dtype=float).reshape(len(rows))
-        players, hessians, start = [], {}, 0
+        hessians = {i: np.array([a for a, _, _ in spec.constraints],
+                                dtype=float).reshape(len(spec.constraints), n, n)
+                    for i, spec in enumerate(self.players)
+                    if any(np.any(a) for a, _, _ in spec.constraints)}
+        q = QuadraticStack.from_dense(
+            self.layout, [np.asarray(spec.Q, dtype=float).reshape(n, n) for spec in self.players],
+            b, C, D, hessians)
+        players, start = [], 0
         for i, spec in enumerate(self.players):
             m = len(spec.constraints)
-            Qi, bi, Ci, Di = Q[i], b[i], C[start:start + m], D[start:start + m]
+            bi, Ci, Di = b[i], C[start:start + m], D[start:start + m]
             start += m
 
-            def objective(x, Q=Qi, b=bi):
-                return 0.5 * float(x @ (Q @ x)) + float(b @ x)
+            def objective(x, q=q, i=i, b=bi):
+                return 0.5 * float(x @ q.products(x, i)[0]) + float(b @ x)
 
-            def gradient(x, Q=Qi, b=bi):
-                return Q @ x + b
+            def gradient(x, q=q, i=i, b=bi):
+                return q.products(x, i)[0] + b
 
-            if any(np.any(a) for a, _, _ in spec.constraints):
-                A = hessians[i] = np.array([a for a, _, _ in spec.constraints],
-                                           dtype=float).reshape(m, n, n)
-
-                def constraints(x, A=A, C=Ci, D=Di):
+            if i in hessians:
+                def constraints(x, A=hessians[i], C=Ci, D=Di):
                     return 0.5 * np.einsum("i,mij,j->m", x, A, x) + C @ x + D
 
-                def constraint_jacobian(x, A=A, C=Ci):
+                def constraint_jacobian(x, A=hessians[i], C=Ci):
                     return np.einsum("mij,j->mi", A, x) + C
             else:
                 # Affine constraints. For finite x the zero quadratic terms
@@ -136,8 +139,7 @@ class QuadraticGnepSpec:
 
             players.append(PlayerProblem(objective, gradient, constraints, constraint_jacobian,
                                          spec.private_set, m))
-        return _attach_quadratic_stack(GameInstance(tuple(players), self.layout, self.name),
-                                       QuadraticStack(Q, b, C, D, hessians))
+        return _attach_quadratic_stack(GameInstance(tuple(players), self.layout, self.name), q)
 
 
 # ---------------------------------------------------------------------------

@@ -233,15 +233,15 @@ class LipschitzEstimator:
     """Smoothness estimation, exact for a quadratic game.
 
     A game with stacked quadratic data (``game.quadratic``) gets exact
-    constants from it: the spectral norm of each ``Q[i]`` (one per call: a
-    stacked Gram would hold all N), and constraint bounds from the curved
-    players' Hessians (zero for affine players). Every other game gets
-    constants from sampled difference quotients
-    ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded point pairs
-    drawn in a box around the current iterate, inflated by a safety factor,
-    and each player's largest Jacobian norm at the sampled points (one call
-    per pair, so memory does not grow with the sample count). The box is
-    refreshed when the iterate leaves its core.
+    constants from it: the spectral norm of each ``Q_i`` (one per call, each
+    rebuilt dense from the stack: a stacked Gram would hold all N), and
+    constraint bounds from the curved players' Hessians (zero for affine
+    players). Every other game gets constants from sampled difference
+    quotients ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded
+    point pairs drawn in a box around the current iterate, inflated by a
+    safety factor, and each player's largest Jacobian norm at the sampled
+    points (one call per pair, so memory does not grow with the sample
+    count). The box is refreshed when the iterate leaves its core.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):
@@ -267,7 +267,7 @@ class LipschitzEstimator:
             supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
             gg[i] = a_norms
             self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
-        self._bind(np.concatenate([spectral_norms(Q[None]) for Q in q.Q]), gg)
+        self._bind(np.concatenate([spectral_norms(q.matrix(i)[None]) for i in range(N)]), gg)
 
     def _bind(self, L_theta: Array, gg: list[Array]):
         self._L_theta = L_theta

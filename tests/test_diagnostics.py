@@ -116,7 +116,7 @@ def _one_qp(game, x, i):
     sl = game.layout.block_slice(i)
     base = np.array(x, dtype=float, copy=True)
     own = base[sl]
-    H = game.quadratic.Q[i][sl, sl]
+    H = game.quadratic.matrix(i)[sl, sl]
     q = p.gradient(base)[sl] - H @ own
     g = p.constraints(base)
     relax = np.maximum(g, 0.0)
@@ -247,6 +247,20 @@ def test_best_response_on_a_ball_with_an_anisotropic_objective(stacked):
     arc = np.stack([np.cos(t), np.sin(t)], axis=1) - m0
     value = (info.block - m0) @ D @ (info.block - m0)
     assert value <= np.min(np.einsum("ki,ij,kj->k", arc, D, arc)) + 1e-12
+
+
+def test_best_response_takes_its_curvature_from_a_curved_constraint():
+    # a linear objective on the unit disk, as a quadratic coupling row: the
+    # model Hessian's only curvature is mu_j A_j[sl, sl]; with it the steps
+    # reach the boundary point along -b, without it they end uncertified
+    box = SimpleSet.box(np.full(2, -10.0), np.full(2, 10.0))
+    game = library.QuadraticGnepSpec(BlockLayout((2,)), [library.QuadraticPlayerSpec(
+        np.zeros((2, 2)), np.array([-1.0, -2.0]), box, [(2.0 * np.eye(2), np.zeros(2), -1.0)])],
+        "disk-linear").to_game()
+    assert list(game.quadratic.hessians) == [0]
+    info = solve_best_response(game, np.zeros(2), 0)
+    assert info.certified
+    np.testing.assert_allclose(info.block, np.array([1.0, 2.0]) / math.sqrt(5.0), atol=1e-10)
 
 
 def test_market_player_simplex_rows_certify(ad_game, monkeypatch):

@@ -49,25 +49,42 @@ def _signed(rng, shape):
     return v
 
 
+def _objective(kind, sl, rng, n):
+    """``B B'`` for a ``dense`` player; for a ``band`` one with every entry
+    outside the rows and columns ``sl`` set to +0.0, and for ``band-signed``
+    with one of those set to -0.0, whose bytes then no longer fit the band."""
+    B = rng.standard_normal((n, n))
+    Q = B @ B.T
+    if kind != "dense":
+        off = np.ones((n, n), dtype=bool)
+        off[sl] = off[:, sl] = False
+        Q[off] = 0.0
+        if kind == "band-signed" and off.any():
+            Q[tuple(np.argwhere(off)[0])] = -0.0
+    return Q
+
+
 @st.composite
 def affine_specs(draw):
     """Random quadratic specs with affine constraints: 1-6 players, blocks
-    of 1-3 variables, 0-3 constraints each, on box, nonneg, simplex and ball
-    sets; the numbers come from a drawn seed."""
+    of 1-5 variables, 0-3 constraints each, on box, nonneg, simplex and ball
+    sets, each player's objective dense or zero outside its own rows and
+    columns; the numbers come from a drawn seed."""
     N = draw(st.integers(1, 6))
-    dims = draw(st.lists(st.integers(1, 3), min_size=N, max_size=N))
+    dims = draw(st.lists(st.integers(1, 5), min_size=N, max_size=N))
     ms = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
     kinds = draw(st.lists(st.sampled_from(["box", "nonneg", "simplex", "ball"]),
                           min_size=N, max_size=N))
+    shapes = draw(st.lists(st.sampled_from(["band", "band", "dense", "band-signed"]),
+                           min_size=N, max_size=N))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layout = G.BlockLayout(tuple(dims))
     n = layout.n
     players = []
-    for dim, m, kind in zip(dims, ms, kinds):
-        B = rng.standard_normal((n, n))
+    for dim, m, kind, shape, sl in zip(dims, ms, kinds, shapes, layout.slices):
         cons = [(np.zeros((n, n)), _signed(rng, n), float(_signed(rng, 1)[0])) for _ in range(m)]
-        players.append(library.QuadraticPlayerSpec(B @ B.T, _signed(rng, n),
-                                                   _sets(kind, dim, rng), cons))
+        players.append(library.QuadraticPlayerSpec(_objective(shape, sl, rng, n),
+                                                   _signed(rng, n), _sets(kind, dim, rng), cons))
     return library.QuadraticGnepSpec(layout, players, "random-affine"), rng
 
 
@@ -82,6 +99,31 @@ def test_batched_sweep_is_bitwise_the_closure_sweep(drawn):
               game.project_private(3.0 * rng.standard_normal(game.n))]
     for x in points:
         assert point_bits(evaluate_point(game, x)) == point_bits(evaluate_point(twin, x))
+
+
+@settings(deadline=None, max_examples=60)
+@given(affine_specs())
+def test_band_products_are_the_dense_products(drawn):
+    # the own entries of every gradient (all the iterates read) are bit for
+    # bit the dense Q_i @ x; the other entries sum only a band's terms, so
+    # they agree within twice the rounding bound of an n-term dot product
+    spec, rng = drawn
+    game = spec.to_game()
+    q, n = game.quadratic, game.n
+    Q = np.array([p.Q for p in spec.players])
+    b = np.array([p.b for p in spec.players])
+    own = game.layout.own_entries
+    for i, (p, sl) in enumerate(zip(spec.players, game.layout.slices)):
+        off = np.ones((n, n), dtype=bool)
+        off[sl] = off[:, sl] = False
+        assert (i in q.dense) == bool(np.any(p.Q[off] != 0.0) or np.any(np.signbit(p.Q[off])))
+        assert q.matrix(i).tobytes() == p.Q.tobytes()
+    for x in (_signed(rng, n), game.project_private(3.0 * rng.standard_normal(n))):
+        grads = evaluate_point(game, x).theta_grads
+        dense = np.matmul(Q, x) + b
+        assert grads.ravel()[own].tobytes() == dense.ravel()[own].tobytes()
+        tol = 2 * n * np.finfo(float).eps * (np.matmul(np.abs(Q), np.abs(x)) + np.abs(b))
+        assert np.all(np.abs(grads - dense) <= tol)
 
 
 def bits(values):
@@ -209,7 +251,7 @@ def held_arrays(game):
         out += [getattr(p, f) for f in p.__dataclass_fields__
                 if isinstance(getattr(p, f), np.ndarray)]
     q = game.quadratic
-    return out + [q.Q, q.b, q.C, q.D, *q.hessians.values()]
+    return out + [q.G, *q.bands, q.b, q.C, q.D, *q.dense.values(), *q.hessians.values()]
 
 
 @pytest.mark.parametrize("spec, curved", [
@@ -218,21 +260,26 @@ def held_arrays(game):
     (library.example3_spec(), [0, 1]),
 ], ids=["quad-wide", "a18", "example3"])
 def test_players_read_views_of_the_stacked_data(spec, curved):
-    # the players' oracles share the stacked arrays' memory: the stack costs
-    # no second copy of the Qs; only curved players keep constraint
-    # Hessians, and no array of the instance is an all-zero (m, n, n) one
+    # the players' oracles read the stack itself, which rebuilds every Q
+    # byte for byte from its bands: these games are band-coupled, so no Q
+    # is kept dense, and no array shares memory with the spec's; only
+    # curved players keep constraint Hessians, and no array of the instance
+    # is an all-zero (m, n, n) one
     game = spec.to_game()
-    q = game.quadratic
-    assert sorted(q.hessians) == curved
+    q, n = game.quadratic, game.n
+    assert sorted(q.hessians) == curved and q.dense == {}
     for i, (ps, p) in enumerate(zip(spec.players, game.players)):
-        assert q.Q[i].tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
+        assert q.matrix(i).tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
         for fn in (p.objective, p.gradient):
-            assert any(np.shares_memory(q.Q[i], d) for d in fn.__defaults__)
+            assert any(d is q for d in fn.__defaults__)
+            assert any(np.shares_memory(q.b, d) for d in fn.__defaults__[1:])
         if i in q.hessians:
             assert any(np.shares_memory(q.hessians[i], d) for d in p.constraints.__defaults__)
-    for a in held_arrays(game):
-        assert not (a.ndim == 3 and a.shape[1:] == (game.n, game.n) and not np.any(a))
-    assert q.C.shape == (game.total_constraints, game.n)
+    held = held_arrays(game)
+    assert all(not np.shares_memory(a, ps.Q) for a in held for ps in spec.players)
+    for a in held:
+        assert not (a.ndim == 3 and a.shape[1:] == (n, n) and not np.any(a))
+    assert q.C.shape == (game.total_constraints, n)
 
 
 def test_stack_lists_exactly_the_curved_players():
