@@ -373,9 +373,10 @@ class QuadraticStack:
     ``(p, n, w)`` array per run of ``p`` consecutive players with blocks of
     width ``w`` (the runs of ``layout.segments``). That is the whole of a
     ``Q_i`` whose entries outside its own rows and columns are all +0.0, as
-    in a band-coupled game; any other ``Q_i`` is also kept whole in
-    ``dense``. :meth:`from_dense` builds the stack, :meth:`products` takes
-    every ``Q_i @ x`` from it and :meth:`matrix` rebuilds one ``Q_i``.
+    in a band-coupled game; any other ``Q_i`` is also kept whole, the
+    players ``dense_players`` stacked in one ``(k, n, n)`` array ``dense``.
+    :meth:`from_dense` builds the stack, :meth:`products` takes every
+    ``Q_i @ x`` from it and :meth:`matrix` rebuilds one ``Q_i``.
 
     ``hessians`` maps each curved player (one with a nonzero constraint
     Hessian) to its ``(m, n, n)`` constraint Hessians; affine players have no
@@ -390,7 +391,8 @@ class QuadraticStack:
     b: Array                      # (N, n)
     C: Array                      # (M, n)
     D: Array                      # (M,)
-    dense: dict[int, Array] = field(default_factory=dict)
+    dense_players: tuple[int, ...]
+    dense: Array                  # (k, n, n) whole Q_i of dense_players
     hessians: dict[int, Array] = field(default_factory=dict)
 
     @staticmethod
@@ -398,16 +400,18 @@ class QuadraticStack:
                    hessians: dict[int, Array]) -> "QuadraticStack":
         """The stack of the ``(n, n)`` matrices ``Qs``, copied into bands."""
         n, slices = layout.n, layout.slices
-        G, dense = np.empty((n, n)), {}
+        G, dense = np.empty((n, n)), []
         for i, (Q, sl) in enumerate(zip(Qs, slices)):
             G[sl] = Q[sl]
             off = np.array(Q, dtype=float)
             off[sl] = off[:, sl] = 0.0
             if off.view(np.uint64).any():   # a nonzero, a -0.0 or a NaN off the band
-                dense[i] = np.array(Q, dtype=float)
+                dense.append(i)
         bands = tuple(np.stack([Qs[i][:, slices[i]] for i in range(players.start, players.stop)])
                       for players, _, _ in layout.segments._runs)
-        return QuadraticStack(layout, G, bands, b, C, D, dense, hessians)
+        return QuadraticStack(layout, G, bands, b, C, D, tuple(dense),
+                              np.array([Qs[i] for i in dense], dtype=float).reshape(-1, n, n),
+                              hessians)
 
     @cached_property
     def jacobian(self) -> Array:
@@ -430,7 +434,8 @@ class QuadraticStack:
         """``Q_i @ x`` of every player, stacked ``(N, n)``, or of ``player``
         alone, ``(1, n)``: each band times its player's block (one gemv per
         player, batched per run), its own entries overwritten by ``G @ x``,
-        and a dense ``Q_i @ x`` for a player kept in ``dense``.
+        and the dense players' rows by one batched ``dense @ x`` (all that
+        is taken when every player is dense).
 
         ``G @ x`` is one gemv of the dense shape, so the own entries, which
         are all the iterates read, are bit for bit the dense ``Q_i @ x``'s;
@@ -439,24 +444,26 @@ class QuadraticStack:
         their products from here, so they agree bit for bit.
         """
         if player is None:
-            runs, own, src, dense = self._runs, self.layout.own_entries, slice(None), self.dense
-        elif player in self.dense:
-            return (self.dense[player] @ x)[None]
+            if len(self.dense_players) == self.layout.num_blocks:
+                return np.matmul(self.dense, x)
+            runs, own, own_rows = self._runs, self.layout.own_entries, self.G @ x
+        elif player in self.dense_players:
+            return (self.dense[self.dense_players.index(player)] @ x)[None]
         else:
             sl, K = self.layout.slices[player], self._player_bands[player]
-            runs, own, src, dense = ((sl, K.shape[2], K),), sl, sl, {}
+            runs, own, own_rows = ((sl, K.shape[2], K),), sl, (self.G @ x)[sl]
         parts = [np.matmul(K, x[entries].reshape(-1, w, 1)) for entries, w, K in runs]
         out = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(-1, self.layout.n)
-        out.ravel()[own] = (self.G @ x)[src]
-        for i, Q in dense.items():
-            out[i] = Q @ x
+        out.ravel()[own] = own_rows
+        if player is None and self.dense_players:
+            out[self.dense_players, :] = np.matmul(self.dense, x)
         return out
 
     def matrix(self, i: int) -> Array:
         """Player ``i``'s ``Q_i`` as a dense C-ordered ``(n, n)`` array, the
         same bytes it was built from."""
-        if i in self.dense:
-            return self.dense[i]
+        if i in self.dense_players:
+            return self.dense[self.dense_players.index(i)]
         sl = self.layout.slices[i]
         Q = np.zeros((self.layout.n, self.layout.n))
         Q[:, sl] = self._player_bands[i][0]
@@ -556,15 +563,6 @@ class GameInstance:
             sl = self.layout.slices[i]
             out[sl] = self.players[i].private_set.project(x[sl])
         return out
-
-    @cached_property
-    def constant_own_columns(self) -> tuple[Array | None, ...]:
-        """For each group of :attr:`own_blocks` whose players all have
-        constant constraint Jacobians, their stacked own-block columns of
-        ``QuadraticStack.jacobian``, taken once; None for any other group."""
-        return tuple(self.quadratic.jacobian[rows[:, :, None], cols[:, None, :]]
-                     if all(self.constant_jacobian(i) for i in players) else None
-                     for players, rows, cols, _ in self.own_blocks)
 
     def constant_jacobian(self, i: int) -> bool:
         """Player ``i``'s constraint Jacobian does not depend on ``x``: the

@@ -166,11 +166,12 @@ def evaluate_point(game: GameInstance, x: Array) -> PointEval:
     sweep: every ``Q_i @ x`` from the band-stored stack
     (:meth:`~gnepsolve.core.QuadraticStack.products`: one ``G @ x`` for
     the players' own rows and one batched product per run of column bands,
-    about ``2 n^2`` numbers read instead of ``N n^2``), from which every
-    gradient and objective value follows, and one batched product for the
-    affine constraint rows. Each of these is bit for bit what the player's
-    own oracle returns, as both take their products from the stack. Every other game calls each
-    player's oracles in turn. A non-finite value raises
+    about ``2 n^2`` numbers read instead of ``N n^2``, plus one batched
+    product over any players kept dense), from which every gradient and
+    objective value follows, and one batched product for the affine
+    constraint rows. Each of these is bit for bit what the player's own
+    oracle returns, as both take their products from the stack. Every
+    other game calls each player's oracles in turn. A non-finite value raises
     :class:`OracleFailure` naming the first player, and its first field in
     the order value, gradient, constraint value, Jacobian.
     """
@@ -240,9 +241,8 @@ def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> 
     ``x``: bit for bit ``J[s, sl].T @ lam[s]``, a gemv on the own columns
     alone, which rounds differently from a slice of the full product."""
     J, out = point.g_jacobians, np.zeros(game.n)
-    for (_, rows, cols, _), fixed in zip(game.own_blocks, game.constant_own_columns):
-        own = J[rows[:, :, None], cols[:, None, :]] if fixed is None else fixed
-        out[cols] = np.matmul(lam[rows][:, None, :], own)[:, 0, :]
+    for _, rows, cols, _ in game.own_blocks:
+        out[cols] = np.matmul(lam[rows][:, None, :], J[rows[:, :, None], cols[:, None, :]])[:, 0, :]
     return out
 
 

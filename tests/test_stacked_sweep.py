@@ -116,7 +116,9 @@ def test_band_products_are_the_dense_products(drawn):
     for i, (p, sl) in enumerate(zip(spec.players, game.layout.slices)):
         off = np.ones((n, n), dtype=bool)
         off[sl] = off[:, sl] = False
-        assert (i in q.dense) == bool(np.any(p.Q[off] != 0.0) or np.any(np.signbit(p.Q[off])))
+        off_band = p.Q[off]
+        kept_dense = bool(np.any(off_band != 0.0) or np.any(np.signbit(off_band)))
+        assert (i in q.dense_players) == kept_dense
         assert q.matrix(i).tobytes() == p.Q.tobytes()
     for x in (_signed(rng, n), game.project_private(3.0 * rng.standard_normal(n))):
         grads = evaluate_point(game, x).theta_grads
@@ -187,9 +189,10 @@ def test_segment_reductions_are_the_per_segment_products(counts, layout, seed):
 @given(affine_specs())
 def test_stacked_consumers_are_the_per_player_forms(drawn):
     # the grouped reductions over players' constraint rows and blocks (row
-    # counts 0-3 and block sizes 1-3 mixed in one game), the Lagrangian
-    # values and the projected-gradient x-part against their per-player
-    # forms, all bit for bit
+    # counts 0-3 and block sizes 1-5 mixed in one game, with band-coupled,
+    # band-signed and dense objectives mixed too), the Lagrangian values and
+    # the projected-gradient x-part against their per-player forms, all bit
+    # for bit
     spec, rng = drawn
     game = spec.to_game()
     n, M = game.n, game.total_constraints
@@ -251,7 +254,7 @@ def held_arrays(game):
         out += [getattr(p, f) for f in p.__dataclass_fields__
                 if isinstance(getattr(p, f), np.ndarray)]
     q = game.quadratic
-    return out + [q.G, *q.bands, q.b, q.C, q.D, *q.dense.values(), *q.hessians.values()]
+    return out + [q.G, *q.bands, q.b, q.C, q.D, q.dense, *q.hessians.values()]
 
 
 @pytest.mark.parametrize("spec, curved", [
@@ -264,10 +267,11 @@ def test_players_read_views_of_the_stacked_data(spec, curved):
     # byte for byte from its bands: these games are band-coupled, so no Q
     # is kept dense, and no array shares memory with the spec's; only
     # curved players keep constraint Hessians, and no array of the instance
-    # is an all-zero (m, n, n) one
+    # is an all-zero (m, n, n) one with m > 0 (the empty dense stack holds
+    # no numbers)
     game = spec.to_game()
     q, n = game.quadratic, game.n
-    assert sorted(q.hessians) == curved and q.dense == {}
+    assert sorted(q.hessians) == curved and q.dense_players == ()
     for i, (ps, p) in enumerate(zip(spec.players, game.players)):
         assert q.matrix(i).tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
         for fn in (p.objective, p.gradient):
@@ -278,7 +282,7 @@ def test_players_read_views_of_the_stacked_data(spec, curved):
     held = held_arrays(game)
     assert all(not np.shares_memory(a, ps.Q) for a in held for ps in spec.players)
     for a in held:
-        assert not (a.ndim == 3 and a.shape[1:] == (n, n) and not np.any(a))
+        assert not (a.ndim == 3 and len(a) and a.shape[1:] == (n, n) and not np.any(a))
     assert q.C.shape == (game.total_constraints, n)
 
 

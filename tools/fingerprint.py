@@ -4,17 +4,26 @@ Each run of a fixed set is solved and every recorded field is hashed
 (SHA-256): the status and outer-iteration count, the final x, z, lam and mu,
 every ``TraceRow`` field stacked over the rows, the initial trace fields,
 the exit census, the violation counts and the kept violation messages. The
-run set is the test suite's twenty planted quadratic games, the quad-wide
-game (40 players) at seeds 1-3, a18 and example3 from the suite's starts,
-the suite's Arrow-Debreu run, power from ``const:5`` and every built-in from
-``const:0.5`` at 400 outer iterations.
+run set, with the solver configuration each is run with elsewhere:
+
+- the twenty planted quadratic games of the test suite and of the
+  quad-certify workload, and the quad-wide game (40 players) at seeds 1-3
+  under quad-wide's budget: shapes, seeds and configuration are imported
+  from ``perfbench/workloads.py``;
+- the test suite's a18, Arrow-Debreu and example3 runs (example3 from its
+  three starts, and tightly from the origin), with the starts from
+  ``tests/conftest.py``;
+- power from ``const:5`` at 400 outer iterations, as the test suite runs it;
+- every built-in from ``const:0.5`` at 400 outer iterations.
 
     PYTHONPATH=src python tools/fingerprint.py            # hashes of this checkout
     python tools/fingerprint.py --diff OLD NEW              # two checkouts, field by field
 
-``--diff`` runs the set once in each checkout (each from its own ``src``)
-and prints, for every field that differs, its largest relative change when
-it is numeric. Set ``OPENBLAS_NUM_THREADS=1`` for reproducible bits.
+The run set is always this checkout's; ``--diff`` solves it once with each
+checkout's ``src`` (and checks that each side imported its own
+``gnepsolve``), and prints, for every field that differs, its largest
+relative change when it is numeric. Set ``OPENBLAS_NUM_THREADS=1`` for
+reproducible bits.
 """
 
 from __future__ import annotations
@@ -33,36 +42,40 @@ from pathlib import Path
 import numpy as np
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_set():
     """``(name, game, x0, config)`` of every run, in a fixed order."""
+    sys.path += [str(ROOT), str(ROOT / "tests")]
     import gnepsolve as G
     from gnepsolve import library
+    from conftest import ad_start
+    from perfbench.workloads import QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER, WIDE_SHAPE, fast_config
 
     runs = []
-    for si, (N, npp, mpp) in enumerate([(1, 2, 2), (2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 2, 2)]):
+    for si, (N, npp, mpp) in enumerate(QUAD_SHAPES):
         for s in range(4):
-            game, plant = library.gen_random_quadratic_with_plant(N, npp, mpp, seed=100 + 7 * s + si)
+            game, plant = library.gen_random_quadratic_with_plant(
+                N, npp, mpp, seed=QUAD_BASE + 7 * s + si)
             runs.append((f"quad-suite/{game.name}", game, plant,
-                         G.SolverConfig(outer_tol=1e-6, max_outer=30000)))
+                         fast_config(outer_tol=1e-6, max_outer=30000)))
     for seed in (1, 2, 3):
-        game, plant = library.gen_random_quadratic_with_plant(40, 4, 2, seed=seed)
+        game, plant = library.gen_random_quadratic_with_plant(*WIDE_SHAPE, seed=seed)
         runs.append((f"quad-wide/s{seed}", game, plant,
-                     G.SolverConfig(outer_tol=1e-6, max_outer=300)))
+                     fast_config(outer_tol=1e-6, max_outer=WIDE_MAX_OUTER)))
     a18 = library.make_a18_electricity()
-    runs.append(("a18", a18, np.zeros(a18.n), G.SolverConfig(max_outer=2500)))
+    runs.append(("a18", a18, np.zeros(a18.n), fast_config(max_outer=2500)))
     ex3 = library.make_example3()
     for x0 in [(0.0, 0.0), (2.0, 1.0), (-1.0, -1.0)]:
         runs.append((f"example3/{x0}", ex3, np.array(x0), G.SolverConfig()))
+    runs.append(("example3/tight", ex3, np.zeros(2),
+                 fast_config(outer_tol=1e-8, max_outer=40000)))
     ad = library.gen_arrow_debreu(5, 2, 3, seed=0)
-    x0 = np.zeros(ad.n)
-    x0[:15] = 1.0
-    for j in range(2):
-        x0[(5 + j) * 3:(6 + j) * 3] = np.sqrt(10.0 * (j + 1)) / np.sqrt(3)
-    x0[-3:] = 1.0 / 3
     gamma = G.GammaPolicy.fixed(np.array([30.0] * 5 + [260.0] * 2 + [300.0]))
-    runs.append(("arrow-debreu", ad, x0, G.SolverConfig(max_outer=60000, gamma=gamma)))
+    runs.append(("arrow-debreu", ad, ad_start(ad), fast_config(max_outer=60000, gamma=gamma)))
     power = library.builtin_instance("power")
-    runs.append(("power/const:5", power, np.full(power.n, 5.0), G.SolverConfig(max_outer=1500)))
+    runs.append(("power/const:5", power, np.full(power.n, 5.0), G.SolverConfig(max_outer=400)))
     for name in library.BUILTIN_NAMES:
         game = library.builtin_instance(name)
         runs.append((f"builtin/{name}@0.5", game, np.full(game.n, 0.5),
@@ -101,6 +114,7 @@ def fingerprint(save: Path | None = None) -> dict[str, dict[str, str]]:
     save the numeric fields to ``save`` (an ``.npz``) when given."""
     import gnepsolve as G
 
+    print(f"gnepsolve\t{G.__file__}")
     hashes, arrays = {}, {}
     for name, game, x0, config in run_set():
         rec = record(G.solve(game, x0, config))
@@ -134,6 +148,9 @@ def diff(old: Path, new: Path) -> int:
             env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
             proc = subprocess.run([sys.executable, __file__, "--json", "--save", str(save)],
                                   env=env, capture_output=True, text=True, check=True)
+            imported = Path(proc.stdout.splitlines()[0].split("\t")[1]).resolve()
+            if not imported.is_relative_to(root.resolve()):
+                raise RuntimeError(f"{side} side imported {imported}, not from {root}")
             with np.load(save) as npz:
                 results.append((json.loads(proc.stdout.splitlines()[-1]), dict(npz)))
     (old_h, old_a), (new_h, new_a) = results
@@ -144,8 +161,10 @@ def diff(old: Path, new: Path) -> int:
             print(f"{name}: identical ({len(old_h[name])} fields)")
         for k in fields_changed:
             key = f"{name}|{k}"
-            size = (f", largest relative change {largest_relative_change(old_a[key], new_a[key]):.3g}"
-                    if key in old_a and key in new_a else "")
+            size = ""
+            if key in old_a and key in new_a:
+                rel = largest_relative_change(old_a[key], new_a[key])
+                size = f", largest relative change {rel:.3g}"
             print(f"{name}: {k} differs{size}")
         changed += len(fields_changed)
     print(f"{changed} differing fields over {len(old_h)} runs")
