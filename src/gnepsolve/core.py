@@ -114,9 +114,10 @@ class BlockLayout:
                                for i, s in enumerate(self.slices)])
 
 
-def _grouped(keys: Sequence) -> list[Array]:
-    """Indices of equal ``keys``, one array per distinct key, in key order."""
-    return [np.array([i for i, k in enumerate(keys) if k == key]) for key in sorted(set(keys))]
+def _equal_runs(keys: Sequence) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each maximal run of consecutive equal ``keys``."""
+    starts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]] + [len(keys)]
+    return list(zip(starts, starts[1:]))
 
 
 @dataclass(frozen=True)
@@ -148,19 +149,12 @@ class Segments:
         """Whether each segment holds an entry."""
         return np.asarray(self.counts) > 0
 
-    def entries(self, players: Array) -> Array:
-        """``(len(players), w)`` indices of the entries of the segments of
-        ``players``, which all hold ``w`` entries."""
-        return np.asarray(self.bounds)[players][:, None] + np.arange(self.counts[players[0]])
-
     @cached_property
     def _runs(self) -> tuple[tuple[slice, slice, int], ...]:
         """``(players, entries, w)`` slices of each maximal run of consecutive
         segments of one nonzero length ``w``."""
         c, b = self.counts, self.bounds
-        starts = [i for i in range(len(c)) if i == 0 or c[i] != c[i - 1]] + [len(c)]
-        return tuple((slice(i, j), slice(b[i], b[j]), c[i])
-                     for i, j in zip(starts, starts[1:]) if c[i])
+        return tuple((slice(i, j), slice(b[i], b[j]), c[i]) for i, j in _equal_runs(c) if c[i])
 
     def repeat(self, v: Array) -> Array:
         """Per-segment values ``v`` repeated over each segment's entries."""
@@ -519,18 +513,13 @@ class GameInstance:
         return self.rows.total
 
     @cached_property
-    def own_blocks(self) -> tuple[tuple[Array, Array, Array, Array], ...]:
-        """``(players, rows, cols, turned)`` for the players with constraints,
-        grouped by their row count ``w`` and block dimension ``d``: ``rows``
-        (p, w) indexes their constraint rows, ``cols`` (p, d) their blocks of
-        the joint vector, so ``J[rows[:, :, None], cols[:, None, :]]`` stacks
-        the own-block columns of their constraint Jacobians; ``turned`` (p, n)
-        is every column, turned to start at the player's block."""
-        blocks = self.layout.segments
-        groups = [(players, self.rows.entries(players), blocks.entries(players))
-                  for players in _grouped(list(zip(self.rows.counts, blocks.counts)))
-                  if self.rows.counts[players[0]]]
-        return tuple((*g, (g[2][:, :1] + np.arange(self.n)) % self.n) for g in groups)
+    def constrained_runs(self) -> tuple[tuple[slice, slice, slice], ...]:
+        """``(players, rows, cols)`` slices of each maximal run of consecutive
+        players with constraints and one shape (row count, block width): the
+        players, their constraint rows and their blocks; see :func:`own_columns`."""
+        m, b = self.rows, self.layout.segments
+        return tuple((slice(i, j), slice(m.bounds[i], m.bounds[j]), slice(b.bounds[i], b.bounds[j]))
+                     for i, j in _equal_runs(list(zip(m.counts, b.counts))) if m.counts[i])
 
     @cached_property
     def _clip_bounds(self) -> tuple[Array, Array, tuple[int, ...]]:
@@ -583,6 +572,18 @@ def _attach_quadratic_stack(game: GameInstance, q: QuadraticStack) -> GameInstan
         raise ValueError("stacked quadratic data does not match the players")
     object.__setattr__(game, "quadratic", q)
     return game
+
+
+def own_columns(J: Array, run: tuple[slice, slice, slice]) -> Array:
+    """The own-block columns ``J[s, sl]`` of the players of ``run`` (one of
+    :attr:`GameInstance.constrained_runs`) as one read-only ``(p, w, d)`` view
+    of the contiguous ``J``, no copy: each block keeps ``J``'s row stride, so
+    a product with it rounds as one with ``J[s, sl]`` does."""
+    players, rows, cols = run
+    p, (s0, s1) = players.stop - players.start, J.strides
+    w, d = (rows.stop - rows.start) // p, (cols.stop - cols.start) // p
+    return np.ndarray((p, w, d), J.dtype, memoryview(J).toreadonly(),
+                      rows.start * s0 + cols.start * s1, (w * s0 + d * s1, s0, s1))
 
 
 def constraint_violation(g: Array) -> float:

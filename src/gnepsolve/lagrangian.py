@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, DualStack, GameInstance, OracleFailure, PlayerDualState, row_dots
+from .core import (Array, DualStack, GameInstance, OracleFailure, PlayerDualState, own_columns,
+                   row_dots)
 
 __all__ = [
     "PenaltyParams",
@@ -237,12 +238,13 @@ def lagrangian_values(point: PointEval, d: DualStack, penalty: PenaltyParams) ->
 
 
 def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> Array:
-    """Player ``i``'s own-block columns of ``J_i.T @ lam_i``, stacked like
-    ``x``: bit for bit ``J[s, sl].T @ lam[s]``, a gemv on the own columns
-    alone, which rounds differently from a slice of the full product."""
+    """Player ``i``'s own-block columns of ``J_i.T @ lam_i``, stacked like ``x``:
+    bit for bit ``J[s, sl].T @ lam[s]``, a gemv per player batched per run on the
+    view :func:`own_columns` (a full product or a gathered copy rounds differently)."""
     J, out = point.g_jacobians, np.zeros(game.n)
-    for _, rows, cols, _ in game.own_blocks:
-        out[cols] = np.matmul(lam[rows][:, None, :], J[rows[:, :, None], cols[:, None, :]])[:, 0, :]
+    for players, rows, cols in game.constrained_runs:
+        blocks = own_columns(J, (players, rows, cols))
+        out[cols] = np.matmul(lam[rows].reshape(len(blocks), 1, -1), blocks).ravel()
     return out
 
 

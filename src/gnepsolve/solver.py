@@ -37,6 +37,7 @@ from .core import (
     constraint_violation,
     initial_state,
     max_abs,
+    own_columns,
     stack_rows,
     vec_norm,
 )
@@ -339,11 +340,7 @@ class LipschitzEstimator:
         if game.quadratic is None and self._needs_resample(x):
             self._resample(x)
         if jac_norms is None:
-            jac_norms = np.zeros(game.num_players)
-            for i, p in enumerate(game.players):
-                if p.m:
-                    J = np.atleast_2d(np.asarray(p.constraint_jacobian(x), dtype=float))
-                    jac_norms[i] = spectral_norms(J[None])[0]
+            jac_norms = _jac_norms(evaluate_point(game, x), game.constrained_runs)[0]
         jn = np.asarray(jac_norms, dtype=float)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         L_gfun = (jn + self._jac_growth * margin if game.quadratic is not None
@@ -603,17 +600,18 @@ class SolveResult:
         return self.outer_iterations
 
 
-def _jac_norms(point: PointEval, groups: tuple[tuple[Array, Array, Array, Array], ...],
-               known: tuple[Array, Array]) -> tuple[Array, Array]:
+def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...],
+               known: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
     """Spectral norms of each player's constraint Jacobian ``J[s]`` and of its
-    own-block columns ``J[s, sl]``, bit for bit: at ``point`` for the players in
-    ``groups`` (grouped as ``game.own_blocks``), the others from ``known``."""
-    full, own = known[0].copy(), known[1].copy()
+    own-block columns ``J[s, sl]``, bit for bit, from views of ``J``: at ``point``
+    for the players of ``runs`` (``game.constrained_runs``), the others from
+    ``known`` (zero by default)."""
+    full, own = (k.copy() for k in known or (np.zeros(len(point.theta)),) * 2)
     J = point.g_jacobians
-    for players, rows, cols, turned in groups:
-        full[players] = spectral_norms(J[rows])
-        # Rows turned to start at the player's block keep J's row stride.
-        own[players] = spectral_norms(J[rows[:, :, None], turned[:, None, :]][:, :, :cols.shape[1]])
+    for players, rows, cols in runs:
+        blocks = own_columns(J, (players, rows, cols))
+        full[players] = spectral_norms(J[rows].reshape(len(blocks), -1, J.shape[1]))
+        own[players] = spectral_norms(blocks)
     return full, own
 
 
@@ -658,11 +656,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                            0, np.inf, message=str(exc))
 
     x, duals = state.x, state.duals
-    # Norms of a constant Jacobian are computed once, for the whole run.
-    varying = tuple(tuple(a[v] for a in group) for group in game.own_blocks
-                    if (v := np.array([not game.constant_jacobian(i) for i in group[0]])).any())
-    zeros = np.zeros(game.num_players)
-    jac_full, jac_own = _jac_norms(point, game.own_blocks, (zeros, zeros))
+    # Norms of constant Jacobians are computed once, unless a run also holds a varying one.
+    varying = tuple(run for run in game.constrained_runs
+                    if not all(map(game.constant_jacobian, range(run[0].start, run[0].stop))))
+    jac_full, jac_own = _jac_norms(point, game.constrained_runs)
     trace = SolveTrace(
         initial_L=lagrangian_values(point, duals, penalty),
         initial_feas=constraint_violation(point.g_values),

@@ -125,6 +125,47 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
         assert jac_max.tobytes() == np.array(want).tobytes()
 
 
+def mixed_run_game():
+    """Three players of one shape (two variables, two constraint rows), so
+    one run: the middle one's rows are curved (a disk in its own block plus
+    an affine part), the outer two's affine."""
+    layout, rng = BlockLayout((2, 2, 2)), np.random.default_rng(7)
+    n, players = layout.n, []
+    for i, sl in enumerate(layout.slices):
+        Q = np.zeros((n, n))
+        B = rng.standard_normal((2, 2))
+        Q[sl, sl] = B @ B.T + np.eye(2)
+        A = np.zeros((n, n))
+        A[sl, sl] = 2.0 * np.eye(2) * (i == 1)
+        cons = [(A, rng.standard_normal(n), -1.0 - j) for j in range(2)]
+        players.append(QuadraticPlayerSpec(Q, rng.standard_normal(n),
+                                           SimpleSet.box(np.full(2, -2.0), np.full(2, 2.0)), cons))
+    return QuadraticGnepSpec(layout, players, "mixed-run").to_game()
+
+
+def test_run_mixing_affine_and_curved_players_matches_fresh_norms(monkeypatch):
+    # a run holding a varying Jacobian has all its norms recomputed, those of
+    # its constant players too; every row must carry, for every player, the
+    # bits of a fresh per-player computation at that row's iterate
+    game = mixed_run_game()
+    assert len(game.constrained_runs) == 1
+    assert [game.constant_jacobian(i) for i in range(3)] == [True, False, True]
+    iterates, solve_inner = [], G.solver.solve_inner
+
+    def recording_inner(*args):
+        iterates.append(solve_inner(*args))
+        return iterates[-1]
+
+    monkeypatch.setattr(G.solver, "solve_inner", recording_inner)
+    res = G.solve(game, np.zeros(game.n), G.SolverConfig(max_outer=40))
+    assert len(res.trace.rows) == len(iterates) > 10
+    for row, inner in zip(res.trace.rows, iterates):
+        full, own = fresh_jacobian_norms(game, inner.x_next)
+        assert row.jac_norm.tobytes() == full.tobytes()
+        assert row.jac_own_norm.tobytes() == own.tobytes()
+    assert len({row.jac_own_norm[1] for row in res.trace.rows}) > 10   # the curved player's moved
+
+
 def test_trace_quantities_match_their_single_implementations(a18_game):
     # the trace's Lagrangian values, projected-gradient blocks, feasibility
     # and stopping residual are the quantities the public functions compute,

@@ -85,15 +85,15 @@ def test_spectral_norms_match_per_matrix_formula_and_svd(k, w, d, log_scales, ze
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=6),
        st.integers(0, 10**6))
 def test_jac_norms_match_the_formula_on_each_players_slices(shapes, seed):
-    # grouped by shape, own-block columns kept at the row stride of J[s, sl]:
-    # a strided column's dot product rounds differently from a contiguous one's
+    # batched per run of one shape, own-block columns viewed at the row stride
+    # of J[s, sl]: a strided column's dot product rounds differently from a
+    # contiguous one's
     players = tuple(PlayerProblem(None, None, None, None, SimpleSet.free(d), m) for m, d in shapes)
     game = GameInstance(players, BlockLayout(tuple(d for _, d in shapes)))
     J = np.random.default_rng(seed).standard_normal((game.total_constraints, game.n))
     point = PointEval(np.zeros(game.n), np.zeros(len(players)), np.zeros((len(players), game.n)),
                       np.zeros(game.total_constraints), J)
-    none = np.zeros(len(players))
-    full, own = G.solver._jac_norms(point, game.own_blocks, (none, none))
+    full, own = G.solver._jac_norms(point, game.constrained_runs)
     blocks = [J[a:b] for a, b in zip(game.rows.bounds, game.rows.bounds[1:])]
     assert full.tobytes() == np.array([spectral_norm_reference(B) for B in blocks]).tobytes()
     assert own.tobytes() == np.array([spectral_norm_reference(B[:, sl]) for B, sl

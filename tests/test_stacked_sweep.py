@@ -67,12 +67,12 @@ def _objective(kind, sl, rng, n):
 @st.composite
 def affine_specs(draw):
     """Random quadratic specs with affine constraints: 1-6 players, blocks
-    of 1-5 variables, 0-3 constraints each, on box, nonneg, simplex and ball
+    of 1-5 variables, 0-5 constraints each, on box, nonneg, simplex and ball
     sets, each player's objective dense or zero outside its own rows and
     columns; the numbers come from a drawn seed."""
     N = draw(st.integers(1, 6))
     dims = draw(st.lists(st.integers(1, 5), min_size=N, max_size=N))
-    ms = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
+    ms = draw(st.lists(st.integers(0, 5), min_size=N, max_size=N))
     kinds = draw(st.lists(st.sampled_from(["box", "nonneg", "simplex", "ball"]),
                           min_size=N, max_size=N))
     shapes = draw(st.lists(st.sampled_from(["band", "band", "dense", "band-signed"]),
@@ -189,7 +189,7 @@ def test_segment_reductions_are_the_per_segment_products(counts, layout, seed):
 @given(affine_specs())
 def test_stacked_consumers_are_the_per_player_forms(drawn):
     # the grouped reductions over players' constraint rows and blocks (row
-    # counts 0-3 and block sizes 1-5 mixed in one game, with band-coupled,
+    # counts 0-5 and block sizes 1-5 mixed in one game, with band-coupled,
     # band-signed and dense objectives mixed too), the Lagrangian values and
     # the projected-gradient x-part against their per-player forms, all bit
     # for bit
@@ -210,11 +210,37 @@ def test_stacked_consumers_are_the_per_player_forms(drawn):
                                 PlayerDualState(z[s], lam[s], mu[s]), pen.alpha, pen.beta)
          for i, s in enumerate(rows)])
     qx = projected_gradient_parts(game, point, duals, pen)[0]
+    assert bits(qx) == bits(per_player_qx(game, point, lam))
+
+
+def per_player_qx(game, point, lam):
+    """Each player's projected-gradient x-part from its own slices: the
+    step residual of ``grads[i, sl] + J[s, sl].T @ lam[s]``."""
+    x, J, grads, b = point.x, point.g_jacobians, point.theta_grads, game.rows.bounds
     want = []
-    for i, (p, s, sl) in enumerate(zip(game.players, rows, game.layout.slices)):
+    for i, (p, sl) in enumerate(zip(game.players, game.layout.slices)):
+        s = slice(b[i], b[i + 1])
         own = grads[i, sl] + (J[s, sl].T @ lam[s] if p.m else 0.0)
         want.append(np.linalg.norm(x[sl] - p.private_set.project(x[sl] - own)))
-    assert bits(qx) == bits(want)
+    return want
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 4), (2, 2, 4), (2, 3, 6)])
+def test_projected_gradient_x_part_sums_many_rows_as_each_player_does(shape):
+    # with four or more rows a player's own-block product J[s, sl].T @ lam[s]
+    # rounds by J's row stride (a gathered copy of the columns does not), so
+    # the batched x-part must read the columns in place; interior points, so
+    # that no projection hides a last-bit difference
+    for seed in range(10):
+        game = library.gen_random_quadratic(*shape, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x = np.concatenate([p.private_set.sample_interior(rng) for p in game.players])
+            point = evaluate_point(game, x)
+            lam = rng.exponential(size=game.total_constraints)
+            duals = DualStack(np.zeros_like(lam), lam, lam, game.rows)
+            qx = projected_gradient_parts(game, point, duals, PenaltyParams())[0]
+            assert bits(qx) == bits(per_player_qx(game, point, lam))
 
 
 @pytest.mark.parametrize("make_game", [

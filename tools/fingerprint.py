@@ -10,6 +10,9 @@ run set, with the solver configuration each is run with elsewhere:
   quad-certify workload, and the quad-wide game (40 players) at seeds 1-3
   under quad-wide's budget: shapes, seeds and configuration are imported
   from ``perfbench/workloads.py``;
+- one random-quadratic game with four constraint rows per player and
+  one-variable blocks (3x1x4, seed 101) from its plant, as the quad-suite
+  games are run: its own-block Jacobian products sum four or more rows;
 - the test suite's a18, Arrow-Debreu and example3 runs (example3 from its
   three starts, and tightly from the origin), with the starts from
   ``tests/conftest.py``;
@@ -64,6 +67,8 @@ def run_set():
         game, plant = library.gen_random_quadratic_with_plant(*WIDE_SHAPE, seed=seed)
         runs.append((f"quad-wide/s{seed}", game, plant,
                      fast_config(outer_tol=1e-6, max_outer=WIDE_MAX_OUTER)))
+    game, plant = library.gen_random_quadratic_with_plant(3, 1, 4, seed=101)
+    runs.append((f"rows4/{game.name}", game, plant, fast_config(outer_tol=1e-6, max_outer=30000)))
     a18 = library.make_a18_electricity()
     runs.append(("a18", a18, np.zeros(a18.n), fast_config(max_outer=2500)))
     ex3 = library.make_example3()
