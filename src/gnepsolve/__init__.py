@@ -18,9 +18,7 @@ from .lagrangian import (
     QuadraticAnchor,
     build_anchor,
     evaluate_point,
-    lagrangian_grad_x,
     lagrangian_value,
-    lagrangian_value_reduced,
 )
 from .solver import (
     GammaPolicy,
@@ -37,7 +35,6 @@ from .solver import (
     solve,
     solve_inner,
     step_duals,
-    step_z,
     stopping_residual,
     verify_run_bounds,
 )

@@ -619,12 +619,14 @@ def max_abs(v: Array) -> float:
 
 @dataclass
 class PlayerDualState:
-    """Per-player perturbation variables and multipliers.
+    """Per-player perturbation variables and multipliers of the regularized
+    Lagrangian, as a result document and the diagnostics hold them.
 
     ``lam`` is the multiplier of the relaxed inequality constraints and must
     stay nonnegative; ``mu`` is the multiplier of the perturbation equality.
-    When the solver starts from ``lam == mu``, every completed outer iteration
-    restores ``lam == mu`` and ``z == 0`` exactly.
+    :func:`~gnepsolve.solver.solve` carries ``lam`` alone and exports
+    ``z = 0`` and ``mu = lam``; a state read from a document or built for a
+    diagnostic may hold any ``z`` and ``mu``.
     """
 
     z: Array
@@ -638,13 +640,14 @@ class PlayerDualState:
 
 @dataclass(frozen=True)
 class DualStack:
-    """Every player's dual state stacked over the constraint rows ``rows``.
+    """Every player's dual state stacked over the constraint rows ``rows``:
+    the duals of a solve's final state, of a result document, or of a state
+    handed to the diagnostics.
 
     Indexing gives player ``i``'s :class:`PlayerDualState` as views of the
     stacked arrays, so a stack reads like a list of dual states: an in-place
     write to a player's ``lam`` (``stack[i].lam += 1``) changes the stack,
-    rebinding the attribute does not. The solver never writes into these
-    arrays; every step makes new ones.
+    rebinding the attribute does not.
     """
 
     z: Array

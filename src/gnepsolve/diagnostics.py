@@ -26,7 +26,8 @@ from .lagrangian import (
     PointEval,
     evaluate_point,
     lagrangian_from_values,
-    projected_gradient_parts,
+    projected_gradient_lam,
+    projected_gradient_x,
 )
 
 __all__ = [
@@ -368,14 +369,26 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
 def projected_gradient_blocks(game: GameInstance, state: IterateState,
                               penalty: PenaltyParams,
                               point: PointEval | None = None) -> list[dict]:
-    """Norms of the four projected-gradient blocks per player (see
-    :func:`~gnepsolve.lagrangian.projected_gradient_parts`) and their sum."""
+    """Per-player norms of the four projected-gradient blocks of the
+    regularized Lagrangian at ``state``, for any ``z`` and ``mu``, and their sum.
+
+    The x-block and the lam-block are the solver's
+    (:func:`~gnepsolve.lagrangian.projected_gradient_x` and
+    :func:`~gnepsolve.lagrangian.projected_gradient_lam`); the z-block is
+    ``mu - lam + alpha z`` and the mu-block ``z + beta (lam - mu)``, both
+    exactly zero at the duals a solve exports (``z = 0``, ``mu = lam``).
+    """
     if point is None:
         point = evaluate_point(game, state.x)
-    parts = projected_gradient_parts(game, point, state.duals, penalty)
-    return [{"qx": float(qx), "qz": float(qz), "qlam": float(qlam), "qmu": float(qmu),
-             "total": float(qx + qz + qlam + qmu)}
-            for qx, qz, qlam, qmu in zip(*parts)]
+    d = state.duals
+    qx = projected_gradient_x(game, point, d.lam)
+    qlam = projected_gradient_lam(d.rows, d.lam,
+                                  point.g_values - d.z - penalty.beta * (d.lam - d.mu))
+    qz, qmu = d.rows.norm(np.array([d.mu - d.lam + penalty.alpha * d.z,
+                                    d.z + penalty.beta * (d.lam - d.mu)]))
+    return [{"qx": float(x_i), "qz": float(z_i), "qlam": float(lam_i), "qmu": float(mu_i),
+             "total": float(x_i + z_i + lam_i + mu_i)}
+            for x_i, z_i, lam_i, mu_i in zip(qx, qz, qlam, qmu)]
 
 
 def projected_gradient_norm(game: GameInstance, state: IterateState,

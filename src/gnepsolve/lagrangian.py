@@ -11,11 +11,12 @@ softly; the negative proximal term makes the function strongly concave in
 each multiplier block, which keeps multiplier steps bounded even when the
 multiplier set of a player is unbounded.
 
-Minimizing over ``z`` in closed form gives the reduced version::
-
-    theta_nu(x) + lam.g_nu(x) - (1 + alpha*beta) / (2*alpha) ||lam - mu||^2
-
-which agrees with the full form at ``z = (lam - mu) / alpha``.
+The solver starts from zero duals, where the exact ``z`` step gives
+``z = (lam - mu) / alpha = 0`` and the exact multiplier step leaves
+``mu = lam``; there the function is ``theta_nu(x) + lam.g_nu(x)``, which
+:func:`lagrangian_values` evaluates for every player. The general form
+(:func:`lagrangian_from_values`) serves states with arbitrary ``z`` and
+``mu``: the saddle check and the validation of result documents.
 
 All evaluations here are pure functions of immutable inputs; per-player
 calls may run concurrently.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Array, DualStack, GameInstance, OracleFailure, PlayerDualState, own_columns,
+from .core import (Array, GameInstance, OracleFailure, PlayerDualState, Segments, own_columns,
                    row_dots)
 
 __all__ = [
@@ -36,12 +37,11 @@ __all__ = [
     "lagrangian_from_values",
     "lagrangian_value",
     "lagrangian_values",
-    "lagrangian_value_reduced",
-    "lagrangian_grad_x",
     "QuadraticAnchor",
     "PointEval",
     "evaluate_point",
-    "projected_gradient_parts",
+    "projected_gradient_x",
+    "projected_gradient_lam",
     "build_anchor",
 ]
 
@@ -64,24 +64,16 @@ def _check_finite(value, player: int, what: str):
         raise OracleFailure(f"player {player}: non-finite {what}", player=player)
 
 
-def _from_dots(theta, lam_gz, mu_z, zz, dd, alpha, beta):
-    """The regularized Lagrangian from the objective value and the dot
-    products ``lam.(g - z)``, ``mu.z``, ``z.z`` and ``(lam - mu).(lam - mu)``;
-    the one implementation of the formula above, for scalars and for arrays
-    over players alike."""
-    return theta + (lam_gz + mu_z) + 0.5 * alpha * zz - 0.5 * beta * dd
-
-
 def lagrangian_from_values(theta: float, g: Array, dual: PlayerDualState,
                            alpha: float, beta: float) -> float:
-    """Player's regularized Lagrangian from its objective value ``theta`` and
-    constraint values ``g``. A player without constraints (``g`` empty) gets
-    ``theta`` unchanged."""
+    """Player's regularized Lagrangian (the formula above) from its objective
+    value ``theta`` and constraint values ``g``. A player without constraints
+    (``g`` empty) gets ``theta`` unchanged."""
     if not g.size:
         return theta
     diff = dual.lam - dual.mu
-    return float(_from_dots(theta, float(dual.lam @ (g - dual.z)), float(dual.mu @ dual.z),
-                            float(dual.z @ dual.z), float(diff @ diff), alpha, beta))
+    return float(theta + (float(dual.lam @ (g - dual.z)) + float(dual.mu @ dual.z))
+                 + 0.5 * alpha * float(dual.z @ dual.z) - 0.5 * beta * float(diff @ diff))
 
 
 def _checked_values(game: GameInstance, player: int, x: Array, lam: Array) -> tuple[float, Array]:
@@ -104,34 +96,6 @@ def lagrangian_value(
     """Evaluate player ``player``'s regularized Lagrangian at ``(x, dual)``."""
     theta, g = _checked_values(game, player, x, dual.lam)
     return lagrangian_from_values(theta, g, dual, penalty.alpha, penalty.beta)
-
-
-def lagrangian_value_reduced(
-    game: GameInstance, player: int, x: Array, lam: Array, mu: Array, penalty: PenaltyParams
-) -> float:
-    """Evaluate the reduced form obtained by exact minimization over ``z``."""
-    val, g = _checked_values(game, player, x, lam)
-    if g.size:
-        a, b = penalty.alpha, penalty.beta
-        diff = lam - mu
-        val += float(lam @ g) - (1.0 + a * b) / (2.0 * a) * float(diff @ diff)
-    return val
-
-
-def lagrangian_grad_x(game: GameInstance, player: int, x: Array, lam: Array) -> Array:
-    """Full x-gradient: ``grad theta + J(x)^T lam``.
-
-    The perturbation and proximal terms do not depend on ``x``, so only the
-    multiplier ``lam`` enters.
-    """
-    p = game.players[player]
-    grad = np.asarray(p.gradient(x), dtype=float)
-    _check_finite(grad, player, "objective gradient")
-    if p.m:
-        J = np.asarray(p.constraint_jacobian(x), dtype=float)
-        _check_finite(J, player, "constraint Jacobian")
-        grad = grad + J.T @ lam
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +191,12 @@ def _raise_first_nonfinite(game: GameInstance, fields: tuple[Array, Array, Array
             _check_finite(value, i, what)
 
 
-def lagrangian_values(point: PointEval, d: DualStack, penalty: PenaltyParams) -> Array:
-    """Every player's regularized Lagrangian at ``point`` and duals ``d``."""
-    rows = d.rows
-    diff = d.lam - d.mu
-    dots = rows.dot(np.array([d.lam, d.mu, d.z, diff]),
-                    np.array([point.g_values - d.z, d.z, d.z, diff]))
-    vals = _from_dots(point.theta, *dots, penalty.alpha, penalty.beta)
-    return np.where(rows.nonempty, vals, point.theta)
+def lagrangian_values(point: PointEval, lam: Array, rows: Segments) -> Array:
+    """Every player's Lagrangian ``theta + lam.g`` at ``point`` and the
+    multipliers ``lam`` stacked over the constraint rows ``rows``: the
+    regularized form at ``z = 0`` and ``mu = lam``. A player without
+    constraints gets ``theta`` unchanged (``-0.0 + 0.0`` would not be)."""
+    return np.where(rows.nonempty, point.theta + rows.dot(lam, point.g_values), point.theta)
 
 
 def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> Array:
@@ -248,25 +210,23 @@ def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> 
     return out
 
 
-def projected_gradient_parts(game: GameInstance, point: PointEval, d: DualStack,
-                             penalty: PenaltyParams) -> tuple[Array, Array, Array, Array]:
-    """Per-player norms ``(qx, qz, qlam, qmu)`` of the four projected-gradient
-    blocks of the regularized Lagrangian at ``point`` and duals ``d``.
-
-    The x-block is the projected own-gradient step residual, the z-block is
-    ``mu - lam + alpha z``, the lam-block the projected dual step residual,
-    and the mu-block ``z + beta (lam - mu)``. Right after the exact dual
-    steps the z and mu blocks vanish identically.
-    """
+def projected_gradient_x(game: GameInstance, point: PointEval, lam: Array) -> Array:
+    """Per-player norm of the x-block of the projected gradient at ``point``
+    and multipliers ``lam``: the projected own-gradient step residual. The
+    other duals do not enter the x-gradient."""
     # A player without constraints adds +0.0 here, which no norm below sees.
     grad_own = (point.theta_grads.ravel()[game.layout.own_entries]
-                + _own_jacobian_products(game, point, d.lam))
+                + _own_jacobian_products(game, point, lam))
     x_step = point.x - game.project_private(point.x - grad_own)
-    grad_lam = point.g_values - d.z - penalty.beta * (d.lam - d.mu)
-    qlam, qz, qmu = d.rows.norm(np.array([d.lam - np.maximum(d.lam + grad_lam, 0.0),
-                                          d.mu - d.lam + penalty.alpha * d.z,
-                                          d.z + penalty.beta * (d.lam - d.mu)]))
-    return game.layout.segments.norm(x_step), qz, qlam, qmu
+    return game.layout.segments.norm(x_step)
+
+
+def projected_gradient_lam(rows: Segments, lam: Array, grad_lam: Array) -> Array:
+    """Per-player norm of the lam-block of the projected gradient, the
+    projected multiplier step residual ``lam - max(lam + grad_lam, 0)``, for
+    the lam-gradient ``grad_lam = g - z - beta (lam - mu)`` (``g`` itself at
+    ``z = 0`` and ``mu = lam``)."""
+    return rows.norm(lam - np.maximum(lam + grad_lam, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +251,12 @@ class QuadraticAnchor:
     """
 
     y: Array
-    values: Array            # (N,) L_nu(y, duals)
+    values: Array            # (N,) L_nu(y, lam)
     grads: Array             # (N, n) full gradient of L_nu at y, row nu
     gamma: Array             # (N,)
     own_grad: Array          # (n,) player-own blocks of grads, stacked
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
-    duals: DualStack         # dual states frozen into the anchor
-    penalty: PenaltyParams
+    lam: Array               # (M,) multipliers frozen into the anchor
 
     def model_values(self, x: Array) -> Array:
         """Every player's model value at ``x``."""
@@ -309,18 +268,12 @@ class QuadraticAnchor:
         return self.own_grad + self.gamma_by_coord * (u - self.y)
 
 
-def build_anchor(
-    game: GameInstance,
-    duals: DualStack,
-    penalty: PenaltyParams,
-    gamma: Array,
-    point: PointEval,
-    values: Array,
-) -> QuadraticAnchor:
+def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
+                 values: Array) -> QuadraticAnchor:
     """Assemble the surrogate anchor from a completed oracle sweep and the
-    players' Lagrangian values there, ``lagrangian_values(point, duals, penalty)``."""
-    grads = game.rows.vecmat_add(point.theta_grads, duals.lam, point.g_jacobians)
+    players' Lagrangian values there, ``lagrangian_values(point, lam, game.rows)``."""
+    grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
     gamma = np.asarray(gamma, dtype=float)
     return QuadraticAnchor(point.x, values, grads, gamma,
                            grads.ravel()[game.layout.own_entries],
-                           game.layout.segments.repeat(gamma), duals, penalty)
+                           game.layout.segments.repeat(gamma), lam)

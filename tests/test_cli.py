@@ -1,6 +1,7 @@
 """Command-line harness: flags, artifacts, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -231,6 +232,28 @@ def test_result_documents_byte_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_alpha_reaches_neither_the_iterates_nor_the_dual_fields(tmp_path, capsys):
+    # solve keeps z = 0 and mu = lam, so alpha enters no iterate: documents
+    # solved at alpha 0.1 and 1e4 differ only in config.alpha, every z is
+    # +0.0 and every mu is lambda, and the trace CSVs are the same bytes
+    docs, traces = [], []
+    for alpha in ("0.1", "10000"):
+        out, trace = tmp_path / f"{alpha}.json", tmp_path / f"{alpha}.csv"
+        code, _, _ = run_cli(capsys, "solve", "--problem", "example3", "--x0", "const:0",
+                             "--alpha", alpha, "--out", str(out), "--trace", str(trace),
+                             "--skip-best-response")
+        assert code == 0
+        docs.append(json.loads(out.read_text()))
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+    assert [doc["config"].pop("alpha") for doc in docs] == [0.1, 10000.0]
+    # compared as text: the skipped best-response gaps are NaN
+    assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+    for block in docs[0]["duals"]:
+        assert all(z == 0.0 and math.copysign(1.0, z) == 1.0 for z in block["z"])
+        assert json.dumps(block["mu"]) == json.dumps(block["lambda"])
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 import gnepsolve as G
-from gnepsolve.core import BlockLayout, DualStack, PlayerDualState, SimpleSet
+from gnepsolve.core import BlockLayout, PlayerDualState, SimpleSet
 from gnepsolve.lagrangian import (
     PenaltyParams,
     build_anchor,
     evaluate_point,
-    lagrangian_grad_x,
     lagrangian_value,
-    lagrangian_value_reduced,
     lagrangian_values,
 )
 from gnepsolve.core import central_gradient
@@ -167,6 +165,21 @@ def test_evaluate_point_names_the_first_nonfinite_field_on_the_batched_path(fiel
 # ---------------------------------------------------------------------------
 
 
+def lagrangian_value_reduced(game, player, x, lam, mu, penalty):
+    """The reduced form, the regularized Lagrangian minimized over ``z`` in
+    closed form at ``z = (lam - mu) / alpha``::
+
+        theta(x) + lam.g(x) - (1 + alpha*beta) / (2*alpha) ||lam - mu||^2
+    """
+    p = game.players[player]
+    val = float(p.objective(x))
+    if p.m:
+        a, b = penalty.alpha, penalty.beta
+        diff = lam - mu
+        val += float(lam @ p.constraints(x)) - (1.0 + a * b) / (2.0 * a) * float(diff @ diff)
+    return val
+
+
 def test_reduced_equals_objective_plus_constraint_at_equal_multipliers(pen2):
     game = two_circle_game()
     x = np.array([0.2, 0.9])
@@ -204,6 +217,16 @@ def test_reduced_matches_full_at_optimal_z(pen2):
 # ---------------------------------------------------------------------------
 
 
+def lagrangian_grad_x(game, player, x, lam):
+    """Full x-gradient ``grad theta + J(x)^T lam``: the perturbation and
+    proximal terms do not depend on ``x``, so only ``lam`` enters."""
+    p = game.players[player]
+    grad = np.asarray(p.gradient(x), dtype=float)
+    if p.m:
+        grad = grad + np.asarray(p.constraint_jacobian(x), dtype=float).T @ lam
+    return grad
+
+
 def test_grad_equals_objective_gradient_without_multiplier(pen2):
     game = two_circle_game()
     x = np.array([0.4, -0.3])
@@ -237,23 +260,23 @@ def test_grad_matches_finite_differences(pen2):
 # ---------------------------------------------------------------------------
 
 
-def make_anchor(game, x, duals, pen, gamma):
-    duals = DualStack.of(duals)
+def make_anchor(game, x, lam, gamma):
     point = evaluate_point(game, x)
-    return build_anchor(game, duals, pen, gamma, point, lagrangian_values(point, duals, pen))
+    return build_anchor(game, lam, gamma, point, lagrangian_values(point, lam, game.rows))
 
 
 def test_model_identity_at_anchor(pen2):
-    # the anchor's values come from the same formula as lagrangian_value, so
-    # they agree bit for bit, also off the solver's z = 0, lam = mu identities
+    # the anchor's values are the general lagrangian_value at the solver's
+    # z = 0 and mu = lam, bit for bit (example3: one row per player)
     game = library.make_example3()
     y = np.array([0.5, -0.2])
-    for duals in ([dual([0.0], [1.0], [1.0]), dual([0.0], [0.5], [0.5])],
-                  [dual([0.3], [1.1], [0.2]), dual([-0.7], [0.4], [1.9])]):
-        anchor = make_anchor(game, y, duals, pen2, np.array([3.0, 4.0]))
+    for lam in ([1.0, 0.5], [1.1, 0.4], [0.0, 0.0]):
+        lam = np.array(lam)
+        anchor = make_anchor(game, y, lam, np.array([3.0, 4.0]))
         for i in range(2):
             assert anchor.model_values(y)[i] == anchor.values[i]
-            assert anchor.values[i] == lagrangian_value(game, i, y, duals[i], pen2)
+            assert anchor.values[i] == lagrangian_value(game, i, y, dual([0.0], lam[i], lam[i]),
+                                                        pen2)
 
 
 def test_model_majorizes_near_anchor(pen2):
@@ -262,9 +285,10 @@ def test_model_majorizes_near_anchor(pen2):
     game = library.make_example3()
     y = np.array([0.3, 0.4])
     duals = [dual([0.0], [2.0], [2.0]), dual([0.0], [1.0], [1.0])]
-    est = G.LipschitzEstimator(game).estimate(y, DualStack.of(duals).lam)
+    lam = np.array([2.0, 1.0])
+    est = G.LipschitzEstimator(game).estimate(y, lam)
     gamma = est.L.copy()
-    anchor = make_anchor(game, y, duals, pen2, gamma)
+    anchor = make_anchor(game, y, lam, gamma)
     rng = np.random.default_rng(3)
     for _ in range(100):
         d = rng.standard_normal(2)
@@ -277,9 +301,8 @@ def test_model_majorizes_near_anchor(pen2):
 def test_model_strong_convexity_midpoint(pen2):
     game = library.make_example3()
     y = np.zeros(2)
-    duals = [dual([0.0], [0.0], [0.0]), dual([0.0], [0.0], [0.0])]
     gamma = np.array([5.0, 7.0])
-    anchor = make_anchor(game, y, duals, pen2, gamma)
+    anchor = make_anchor(game, y, np.zeros(2), gamma)
     rng = np.random.default_rng(9)
     for _ in range(30):
         a, b = rng.standard_normal(2), rng.standard_normal(2)
@@ -294,9 +317,8 @@ def test_model_strong_convexity_midpoint(pen2):
 def test_model_block_gradient_affine_and_fd(pen2):
     game = library.make_example3()
     y = np.array([0.8, 0.1])
-    duals = [dual([0.0], [1.5], [1.5]), dual([0.0], [0.2], [0.2])]
     gamma = np.array([4.0, 6.0])
-    anchor = make_anchor(game, y, duals, pen2, gamma)
+    anchor = make_anchor(game, y, np.array([1.5, 0.2]), gamma)
     layout = game.layout
     # at the anchor the proximal part vanishes
     for i in range(2):
@@ -338,5 +360,5 @@ def test_solver_hands_anchor_the_values_at_its_point(monkeypatch, make_game, x0)
     res = G.solve(game, x0, G.SolverConfig(max_outer=30))
     assert len(anchors) == res.outer_iterations > 1
     for anchor in anchors:
-        fresh = lagrangian_values(evaluate_point(game, anchor.y), anchor.duals, anchor.penalty)
+        fresh = lagrangian_values(evaluate_point(game, anchor.y), anchor.lam, game.rows)
         assert anchor.values.tobytes() == fresh.tobytes()

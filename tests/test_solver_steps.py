@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gnepsolve as G
-from gnepsolve.core import (BlockLayout, DualStack, GameInstance, PlayerDualState, PlayerProblem,
-                            SimpleSet, initial_state)
+from gnepsolve.core import (BlockLayout, GameInstance, PlayerDualState, PlayerProblem, SimpleSet,
+                            initial_state)
 from gnepsolve.lagrangian import (PenaltyParams, PointEval, build_anchor, evaluate_point,
                                    lagrangian_value, lagrangian_values)
 from gnepsolve.solver import (
@@ -23,7 +23,6 @@ from gnepsolve.solver import (
     solve_inner,
     spectral_norms,
     step_duals,
-    step_z,
     stopping_residual,
 )
 from gnepsolve import library
@@ -156,17 +155,15 @@ def test_sigma_schedule_diminishes_and_tau_below_one():
 # ---------------------------------------------------------------------------
 
 
-def _anchor_for(game, x, duals, pen, gamma):
+def _anchor_for(game, x, lam, gamma):
     point = evaluate_point(game, x)
-    return build_anchor(game, duals, pen, gamma, point, lagrangian_values(point, duals, pen))
+    return build_anchor(game, lam, gamma, point, lagrangian_values(point, lam, game.rows))
 
 
 def test_inner_step_fixed_point_and_determinism():
     game = single_player_quadratic()
-    pen = PenaltyParams()
-    duals = DualStack.of([PlayerDualState.zeros(0)])
     x = np.array([2.0, -1.0])
-    anchor = _anchor_for(game, x, duals, pen, np.array([2.0]))
+    anchor = _anchor_for(game, x, np.zeros(0), np.array([2.0]))
     sigma = np.array([0.3])
     # closed form: one sweep contracts toward the model minimizer y - grad/gamma
     target = x - anchor.grads[0] / 2.0
@@ -187,7 +184,7 @@ def test_inner_residual_geometric_decrease():
     gamma, _ = choose_gamma(est, pen, GammaPolicy.auto())
     cfg = SolverConfig(sigma=SigmaSchedule.constant(0.5 * sigma_cap(float(gamma.min()), float(gamma.max()))))
     sigma = choose_sigma(est, cfg, 0, gamma=gamma)
-    anchor = _anchor_for(game, state.x, state.duals, pen, gamma)
+    anchor = _anchor_for(game, state.x, state.duals.lam, gamma)
     u = state.x + 1.0
     res = []
     for _ in range(60):
@@ -204,11 +201,9 @@ def test_solve_inner_matches_projected_model_minimizer():
     # one player, box-constrained quadratic: the block update must land on
     # the projection of the model minimizer
     game = single_player_quadratic(lo=-0.5, hi=0.5)
-    pen = PenaltyParams()
-    duals = DualStack.of([PlayerDualState.zeros(0)])
     x = np.array([0.4, -0.3])
     gamma = np.array([2.0])
-    anchor = _anchor_for(game, x, duals, pen, gamma)
+    anchor = _anchor_for(game, x, np.zeros(0), gamma)
     cfg = SolverConfig(sigma=SigmaSchedule.constant())
     result = solve_inner(game, anchor, cfg)
     target = game.players[0].private_set.project(x - anchor.grads[0] / gamma[0])
@@ -253,12 +248,9 @@ def test_solve_inner_is_the_fixed_point_of_the_reference_sweep(blocks, seed):
     game = GameInstance(tuple(_coupled_player(rng, s, n) for s in sets),
                         BlockLayout(tuple(dim for _, dim in blocks)))
     N = game.num_players
-    pen = PenaltyParams()
-    duals = DualStack.of([PlayerDualState(np.zeros(1), lam, lam.copy())
-                          for lam in rng.uniform(0.0, 3.0, (N, 1))])
+    lam = rng.uniform(0.0, 3.0, N)   # one constraint row per player
     gamma = rng.uniform(0.5, 50.0, N)
-    anchor = _anchor_for(game, game.project_private(rng.uniform(-5.0, 5.0, n)),
-                         duals, pen, gamma)
+    anchor = _anchor_for(game, game.project_private(rng.uniform(-5.0, 5.0, n)), lam, gamma)
     cfg = SolverConfig(sigma=SigmaSchedule.constant())
     sigma = choose_sigma(_est(gamma, np.zeros(N)), cfg, 0, gamma=gamma)
     u = anchor.y
@@ -273,10 +265,8 @@ def test_solve_inner_is_the_fixed_point_of_the_reference_sweep(blocks, seed):
 
 def test_solve_inner_stalls_at_stationary_anchor():
     game = single_player_quadratic()
-    pen = PenaltyParams()
-    duals = DualStack.of([PlayerDualState.zeros(0)])
     x = np.zeros(2)   # already the minimizer: no strict descent exists
-    anchor = _anchor_for(game, x, duals, pen, np.array([2.0]))
+    anchor = _anchor_for(game, x, np.zeros(0), np.array([2.0]))
     cfg = SolverConfig(sigma=SigmaSchedule.constant())
     result = solve_inner(game, anchor, cfg)
     assert result.exit_kind == "stall"
@@ -299,101 +289,48 @@ def test_solve_inner_descent_on_example3_value_never_rises():
 # ---------------------------------------------------------------------------
 
 
-def test_step_z_examples():
-    pen = PenaltyParams(alpha=10.0)
-    d = DualStack.of([PlayerDualState(np.zeros(2), np.array([2.0, 0.0]), np.zeros(2))])
-    out = step_z(d, pen)
-    np.testing.assert_allclose(out[0].z, [0.2, 0.0], atol=0)
-    d_eq = DualStack.of([PlayerDualState(np.ones(2), np.array([1.0, 1.0]), np.array([1.0, 1.0]))])
-    np.testing.assert_array_equal(step_z(d_eq, pen)[0].z, [0.0, 0.0])
-
-
-def test_step_z_minimizes_value():
-    game = library.make_example3()
-    pen = PenaltyParams()
-    x = np.array([0.3, 0.2])
-    d = PlayerDualState(np.zeros(1), np.array([2.0]), np.array([0.5]))
-    z_opt = step_z(DualStack.of([d, PlayerDualState.zeros(1)]), pen)[0].z
-    base = lagrangian_value(game, 0, x, PlayerDualState(z_opt, d.lam, d.mu), pen)
-    for delta in (1e-3, -1e-3):
-        v = lagrangian_value(game, 0, x, PlayerDualState(z_opt + delta, d.lam, d.mu), pen)
-        assert v > base
-
-
 def test_step_duals_examples():
-    game = library.make_example3()
-    pen = PenaltyParams(beta=1.0)
-
-    # clamp at zero: mu=0, g=-1 -> lam=0
-    layout = BlockLayout((1,))
-    p = PlayerProblem(
-        objective=lambda x: 0.0, gradient=lambda x: np.zeros(1),
-        constraints=lambda x: np.array([-1.0]),
-        constraint_jacobian=lambda x: np.zeros((1, 1)),
-        private_set=SimpleSet.free(1), m=1)
-    toy = GameInstance((p,), layout, "toy")
-    out = step_duals(np.zeros(1), DualStack.of([PlayerDualState.zeros(1)]), PenaltyParams(),
-                     toy)
-    np.testing.assert_array_equal(out[0].lam, [0.0])
-
-    # direct arithmetic: mu=0.5, g=0.25, beta=1 -> lam=0.75
-    p2 = PlayerProblem(
-        objective=lambda x: 0.0, gradient=lambda x: np.zeros(1),
-        constraints=lambda x: np.array([0.25]),
-        constraint_jacobian=lambda x: np.zeros((1, 1)),
-        private_set=SimpleSet.free(1), m=1)
-    toy2 = GameInstance((p2,), layout, "toy2")
-    d0 = DualStack.of([PlayerDualState(np.zeros(1), np.array([0.5]), np.array([0.5]))])
-    out2 = step_duals(np.zeros(1), d0, PenaltyParams(), toy2)
-    np.testing.assert_allclose(out2[0].lam, [0.75])
-    np.testing.assert_array_equal(out2[0].lam, out2[0].mu)
+    # clamp at zero: lam=0, g=-1 -> lam=0
+    np.testing.assert_array_equal(step_duals(np.zeros(1), np.array([-1.0]), 1.0), [0.0])
+    # direct arithmetic: lam=0.5, g=0.25, beta=1 -> lam=0.75
+    np.testing.assert_allclose(step_duals(np.array([0.5]), np.array([0.25]), 1.0), [0.75])
 
 
 def test_step_duals_maximizes_value():
+    # the step maximizes the general Lagrangian over lam at z = 0 and mu the
+    # old multipliers, which is where the solver takes it
     game = library.make_example3()
     pen = PenaltyParams()
     x = np.array([0.9, 0.1])
-    duals = DualStack.of([PlayerDualState(np.zeros(1), np.array([1.2]), np.array([1.2])),
-                          PlayerDualState.zeros(1)])
-    duals = step_z(duals, pen)
-    new = step_duals(x, duals, pen, game)
-    base = lagrangian_value(game, 0, x, PlayerDualState(new[0].z, new[0].lam, duals[0].mu), pen)
+    old = np.array([1.2])
+    new = step_duals(old, np.asarray(game.players[0].constraints(x), dtype=float), pen.beta)
+    z = np.zeros(1)
+    base = lagrangian_value(game, 0, x, PlayerDualState(z, new, old), pen)
     for delta in (1e-3, -1e-3):
-        lam_p = np.maximum(new[0].lam + delta, 0.0)
-        if np.array_equal(lam_p, new[0].lam):
+        lam_p = np.maximum(new + delta, 0.0)
+        if np.array_equal(lam_p, new):
             continue
-        v = lagrangian_value(game, 0, x, PlayerDualState(new[0].z, lam_p, duals[0].mu), pen)
+        v = lagrangian_value(game, 0, x, PlayerDualState(z, lam_p, old), pen)
         assert v < base
 
 
 _DUAL_VECTORS = st.integers(1, 4).flatmap(lambda m: st.tuples(
-    *[st.lists(st.floats(lo, 10.0), min_size=m, max_size=m) for lo in (0.0, 0.0, -10.0)]))
+    *[st.lists(st.floats(lo, 10.0), min_size=m, max_size=m) for lo in (0.0, -10.0)]))
 
 
 @settings(deadline=None, max_examples=100)
-@given(_DUAL_VECTORS, st.floats(0.01, 100.0), st.floats(0.01, 100.0))
-def test_dual_steps_from_unequal_multipliers(vectors, alpha, beta):
-    # lam != mu and z != 0 on entry: the z step is (lam - mu) / alpha exactly,
-    # and the multiplier step max(mu + g / beta, 0) whether g comes from the
-    # oracle or is handed in; afterwards lam == mu and lam >= 0
-    lam, mu, g = (np.array(v) for v in vectors)
-    m = lam.shape[0]
-    toy = GameInstance((PlayerProblem(
-        objective=lambda x: 0.0, gradient=lambda x: np.zeros(1),
-        constraints=lambda x: g.copy(), constraint_jacobian=lambda x: np.zeros((m, 1)),
-        private_set=SimpleSet.free(1), m=m),), BlockLayout((1,)), "toy")
-    pen = PenaltyParams(alpha=alpha, beta=beta)
-    duals = DualStack.of([PlayerDualState(np.full(m, 0.5), lam, mu)])
-    stepped = step_z(duals, pen)[0]
-    np.testing.assert_array_equal(stepped.z, (lam - mu) / alpha)
-    np.testing.assert_array_equal(stepped.lam, lam)
-    np.testing.assert_array_equal(stepped.mu, mu)
-    want = np.maximum(mu + g / beta, 0.0)
-    for out in (step_duals(np.zeros(1), duals, pen, toy),
-                step_duals(np.zeros(1), duals, pen, toy, g_values=g)):
-        np.testing.assert_array_equal(out[0].lam, want)
-        np.testing.assert_array_equal(out[0].lam, out[0].mu)
-        assert np.all(out[0].lam >= 0.0)
+@given(_DUAL_VECTORS, st.floats(0.01, 100.0))
+def test_dual_steps_from_unequal_multipliers(vectors, beta):
+    # the general multiplier step from a proximal centre mu is
+    # max(mu + g / beta, 0), whatever lam is on entry; step_duals takes it
+    # from the multipliers it is handed, exactly, without writing them, and
+    # its result is nonnegative
+    mu, g = (np.array(v) for v in vectors)
+    kept = mu.copy()
+    out = step_duals(mu, g, beta)
+    np.testing.assert_array_equal(out, np.maximum(kept + g / beta, 0.0))
+    np.testing.assert_array_equal(mu, kept)
+    assert np.all(out >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +342,7 @@ def test_stopping_residual_cases():
     game = library.make_example3()
     a = initial_state(game, np.array([1.0, 2.0]))
     b = a.copy()
-    assert stopping_residual(a, b, game) == 0.0
+    assert stopping_residual(a, b) == 0.0
     b.duals[1].lam += 0.3
-    assert stopping_residual(a, b, game) == pytest.approx(0.3)
-    assert stopping_residual(b, a, game) == pytest.approx(0.3)
+    assert stopping_residual(a, b) == pytest.approx(0.3)
+    assert stopping_residual(b, a) == pytest.approx(0.3)

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import gnepsolve as G
 from gnepsolve import lagrangian, library
-from gnepsolve.core import DualStack, PlayerDualState, Segments
+from gnepsolve.core import PlayerDualState, Segments
 from gnepsolve.lagrangian import (PenaltyParams, evaluate_point, lagrangian_from_values,
-                                  lagrangian_values, projected_gradient_parts)
+                                  lagrangian_values, projected_gradient_x)
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -190,27 +190,26 @@ def test_segment_reductions_are_the_per_segment_products(counts, layout, seed):
 def test_stacked_consumers_are_the_per_player_forms(drawn):
     # the grouped reductions over players' constraint rows and blocks (row
     # counts 0-5 and block sizes 1-5 mixed in one game, with band-coupled,
-    # band-signed and dense objectives mixed too), the Lagrangian values and
-    # the projected-gradient x-part against their per-player forms, all bit
-    # for bit
+    # band-signed and dense objectives mixed too), the Lagrangian values
+    # (the general per-player formula at z = 0 and mu = lam) and the
+    # projected-gradient x-part against their per-player forms, all bit for bit
     spec, rng = drawn
     game = spec.to_game()
     n, M = game.n, game.total_constraints
     x = game.project_private(3.0 * rng.standard_normal(n))
     point = evaluate_point(game, x)
-    z, lam, mu = _signed(rng, M), np.abs(_signed(rng, M)), np.abs(_signed(rng, M))
-    duals = DualStack(z, lam, mu, game.rows)
+    lam = np.abs(_signed(rng, M))
     J, grads = point.g_jacobians, point.theta_grads
     check_segment_reductions(game.rows, rng, J, grads)
     check_segment_reductions(game.layout.segments, rng)
     rows = [slice(lo, hi) for lo, hi in zip(game.rows.bounds, game.rows.bounds[1:])]
     pen = PenaltyParams(float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.5, 5.0)))
-    assert bits(lagrangian_values(point, duals, pen)) == bits(
+    assert bits(lagrangian_values(point, lam, game.rows)) == bits(
         [lagrangian_from_values(point.theta[i], point.g_values[s],
-                                PlayerDualState(z[s], lam[s], mu[s]), pen.alpha, pen.beta)
+                                PlayerDualState(np.zeros_like(lam[s]), lam[s], lam[s]),
+                                pen.alpha, pen.beta)
          for i, s in enumerate(rows)])
-    qx = projected_gradient_parts(game, point, duals, pen)[0]
-    assert bits(qx) == bits(per_player_qx(game, point, lam))
+    assert bits(projected_gradient_x(game, point, lam)) == bits(per_player_qx(game, point, lam))
 
 
 def per_player_qx(game, point, lam):
@@ -238,8 +237,7 @@ def test_projected_gradient_x_part_sums_many_rows_as_each_player_does(shape):
             x = np.concatenate([p.private_set.sample_interior(rng) for p in game.players])
             point = evaluate_point(game, x)
             lam = rng.exponential(size=game.total_constraints)
-            duals = DualStack(np.zeros_like(lam), lam, lam, game.rows)
-            qx = projected_gradient_parts(game, point, duals, PenaltyParams())[0]
+            qx = projected_gradient_x(game, point, lam)
             assert bits(qx) == bits(per_player_qx(game, point, lam))
 
 

@@ -1,10 +1,12 @@
 """Fingerprint solver runs field by field, and diff two checkouts.
 
 Each run of a fixed set is solved and every recorded field is hashed
-(SHA-256): the status and outer-iteration count, the final x, z, lam and mu,
-every ``TraceRow`` field stacked over the rows, the initial trace fields,
-the exit census, the violation counts and the kept violation messages. The
-run set, with the solver configuration each is run with elsewhere:
+(SHA-256): the status and outer-iteration count, the final x, the exported
+duals z, lam and mu (``solve`` carries lam alone and exports z as zeros and
+mu as a copy of lam), every ``TraceRow`` field stacked over the rows, the
+initial trace fields, the exit census, the violation counts and the kept
+violation messages. The run set, with the solver configuration each is run
+with elsewhere:
 
 - the twenty planted quadratic games of the test suite and of the
   quad-certify workload, and the quad-wide game (40 players) at seeds 1-3
@@ -24,9 +26,10 @@ run set, with the solver configuration each is run with elsewhere:
 
 The run set is always this checkout's; ``--diff`` solves it once with each
 checkout's ``src`` (and checks that each side imported its own
-``gnepsolve``), and prints, for every field that differs, its largest
-relative change when it is numeric. Set ``OPENBLAS_NUM_THREADS=1`` for
-reproducible bits.
+``gnepsolve``), and prints, over the runs and fields of both sides, every
+field that differs, with its largest relative change when it is numeric,
+and every run or field that one side lacks, as ``only in old`` or ``only in
+new``. Set ``OPENBLAS_NUM_THREADS=1`` for reproducible bits.
 """
 
 from __future__ import annotations
@@ -160,19 +163,29 @@ def diff(old: Path, new: Path) -> int:
                 results.append((json.loads(proc.stdout.splitlines()[-1]), dict(npz)))
     (old_h, old_a), (new_h, new_a) = results
     changed = 0
-    for name in old_h:
-        fields_changed = [k for k in old_h[name] if old_h[name][k] != new_h.get(name, {}).get(k)]
+    runs = list({**old_h, **new_h})   # old's order, then runs only in new
+    for name in runs:
+        if name not in old_h or name not in new_h:
+            side = "old" if name in old_h else "new"
+            print(f"{name}: run only in {side}")
+            changed += len((old_h if side == "old" else new_h)[name])
+            continue
+        old_f, new_f = old_h[name], new_h[name]
+        fields_changed = [k for k in {**old_f, **new_f} if old_f.get(k) != new_f.get(k)]
         if not fields_changed:
-            print(f"{name}: identical ({len(old_h[name])} fields)")
+            print(f"{name}: identical ({len(old_f)} fields)")
         for k in fields_changed:
             key = f"{name}|{k}"
+            if k not in old_f or k not in new_f:
+                print(f"{name}: {k} only in {'old' if k in old_f else 'new'}")
+                continue
             size = ""
             if key in old_a and key in new_a:
                 rel = largest_relative_change(old_a[key], new_a[key])
                 size = f", largest relative change {rel:.3g}"
             print(f"{name}: {k} differs{size}")
         changed += len(fields_changed)
-    print(f"{changed} differing fields over {len(old_h)} runs")
+    print(f"{changed} differing fields over {len(runs)} runs")
     return changed
 
 
