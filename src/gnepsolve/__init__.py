@@ -35,7 +35,6 @@ from .solver import (
     solve,
     solve_inner,
     step_duals,
-    stopping_residual,
     verify_run_bounds,
 )
 from .diagnostics import (

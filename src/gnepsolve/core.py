@@ -369,8 +369,8 @@ class QuadraticStack:
     ``Q_i`` whose entries outside its own rows and columns are all +0.0, as
     in a band-coupled game; any other ``Q_i`` is also kept whole, the
     players ``dense_players`` stacked in one ``(k, n, n)`` array ``dense``.
-    :meth:`from_dense` builds the stack, :meth:`products` takes every
-    ``Q_i @ x`` from it and :meth:`matrix` rebuilds one ``Q_i``.
+    :meth:`from_dense` builds the stack and :meth:`products` takes every
+    ``Q_i @ x`` from it.
 
     ``hessians`` maps each curved player (one with a nonzero constraint
     Hessian) to its ``(m, n, n)`` constraint Hessians; affine players have no
@@ -452,17 +452,6 @@ class QuadraticStack:
         if player is None and self.dense_players:
             out[self.dense_players, :] = np.matmul(self.dense, x)
         return out
-
-    def matrix(self, i: int) -> Array:
-        """Player ``i``'s ``Q_i`` as a dense C-ordered ``(n, n)`` array, the
-        same bytes it was built from."""
-        if i in self.dense_players:
-            return self.dense[self.dense_players.index(i)]
-        sl = self.layout.slices[i]
-        Q = np.zeros((self.layout.n, self.layout.n))
-        Q[:, sl] = self._player_bands[i][0]
-        Q[sl] = self.G[sl]
-        return Q
 
 
 @dataclass(frozen=True)

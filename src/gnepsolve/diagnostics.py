@@ -23,7 +23,6 @@ from .core import (Array, GameInstance, IterateState, PlayerDualState, central_j
                    constraint_violation, max_abs)
 from .lagrangian import (
     PenaltyParams,
-    PointEval,
     evaluate_point,
     lagrangian_from_values,
     projected_gradient_lam,
@@ -367,8 +366,7 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
 
 
 def projected_gradient_blocks(game: GameInstance, state: IterateState,
-                              penalty: PenaltyParams,
-                              point: PointEval | None = None) -> list[dict]:
+                              penalty: PenaltyParams) -> list[dict]:
     """Per-player norms of the four projected-gradient blocks of the
     regularized Lagrangian at ``state``, for any ``z`` and ``mu``, and their sum.
 
@@ -378,8 +376,7 @@ def projected_gradient_blocks(game: GameInstance, state: IterateState,
     ``mu - lam + alpha z`` and the mu-block ``z + beta (lam - mu)``, both
     exactly zero at the duals a solve exports (``z = 0``, ``mu = lam``).
     """
-    if point is None:
-        point = evaluate_point(game, state.x)
+    point = evaluate_point(game, state.x)
     d = state.duals
     qx = projected_gradient_x(game, point, d.lam)
     qlam = projected_gradient_lam(d.rows, d.lam,

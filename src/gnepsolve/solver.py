@@ -39,6 +39,7 @@ from .core import (
     GameInstance,
     IterateState,
     OracleFailure,
+    QuadraticStack,
     constraint_violation,
     initial_state,
     max_abs,
@@ -72,7 +73,6 @@ __all__ = [
     "inner_residual",
     "solve_inner",
     "step_duals",
-    "stopping_residual",
     "solve",
     "SolveResult",
     "SolveTrace",
@@ -239,13 +239,34 @@ def spectral_norms(mats: Array) -> Array:
     return np.sqrt(np.where(top > 0.0, top, 0.0))
 
 
+def _objective_norms(q: QuadraticStack) -> Array:
+    """``||Q_i||_2`` of every player, with no ``(n, n)`` matrix for a band
+    player: ``Q_i = E G[sl] + K_off E'`` (``E`` the identity columns of its
+    block, ``K_off`` its band with the own rows zeroed, orthogonal to ``E``),
+    so with the thin QR ``K_off = Q_K R_K``, ``||Q_i|| = ||[G[sl]; R_K E']||``,
+    whose Gram is at most ``2w x 2w``: O(n w^2) per player, batched per run."""
+    norms = []
+    for entries, w, K in q._runs:
+        p = len(K)
+        player, own = np.arange(p)[:, None], np.arange(entries.start, entries.stop).reshape(p, w)
+        K_off = K.copy()
+        K_off[player, own] = 0.0
+        M = np.zeros((p, 2 * w, q.layout.n))
+        M[:, :w] = q.G[entries].reshape(p, w, -1)
+        M[player, w:, own] = np.linalg.qr(K_off, mode="r").transpose(0, 2, 1)
+        norms.append(spectral_norms(M))
+    L = np.concatenate(norms)
+    if q.dense_players:
+        L[list(q.dense_players)] = spectral_norms(q.dense)
+    return L
+
+
 class LipschitzEstimator:
     """Smoothness estimation, exact for a quadratic game.
 
     A game with stacked quadratic data (``game.quadratic``) gets exact
-    constants from it: the spectral norm of each ``Q_i`` (one per call, each
-    rebuilt dense from the stack: a stacked Gram would hold all N), and
-    constraint bounds from the curved players' Hessians (zero for affine
+    constants from it: each ``||Q_i||_2`` from its band (:func:`_objective_norms`)
+    and constraint bounds from the curved players' Hessians (zero for affine
     players). Every other game gets constants from sampled difference
     quotients ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded
     point pairs drawn in a box around the current iterate, inflated by a
@@ -277,7 +298,7 @@ class LipschitzEstimator:
             supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
             gg[i] = a_norms
             self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
-        self._bind(np.concatenate([spectral_norms(q.matrix(i)[None]) for i in range(N)]), gg)
+        self._bind(_objective_norms(q), gg)
 
     def _bind(self, L_theta: Array, gg: list[Array]):
         self._L_theta = L_theta
@@ -520,12 +541,6 @@ def step_duals(lam: Array, g: Array, beta: float) -> Array:
     constraint rows: the general step ``max(mu + g / beta, 0)`` at the
     solver's ``z = 0`` and ``mu = lam``."""
     return np.maximum(lam + g / beta, 0.0)
-
-
-def stopping_residual(prev: IterateState, next_state: IterateState) -> float:
-    """The larger of the primal and the multiplier max-norm moves."""
-    return max(max_abs(next_state.x - prev.x),
-               max_abs(next_state.duals.lam - prev.duals.lam))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import gnepsolve as G
 from gnepsolve import library
+from gnepsolve.core import max_abs
 
 
 def fast_config(**kw):
@@ -23,6 +24,25 @@ def spectral_norm_reference(mat):
     work = mat if mat.shape[0] <= mat.shape[1] else mat.T
     gram = work @ work.T
     return float(np.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram))))))
+
+
+def stopping_residual(prev, next_state):
+    """The larger of the primal and the multiplier max-norm moves between two
+    states: the quantity ``solve`` stops on, from the states alone."""
+    return max(max_abs(next_state.x - prev.x), max_abs(next_state.duals.lam - prev.duals.lam))
+
+
+def dense_objective(q, i):
+    """Player ``i``'s ``Q_i`` rebuilt as a dense C-ordered ``(n, n)`` array
+    from the stack ``q`` (its band and its own rows of ``G``, or its entry of
+    ``dense``): the same bytes it was built from."""
+    if i in q.dense_players:
+        return q.dense[q.dense_players.index(i)]
+    sl = q.layout.slices[i]
+    Q = np.zeros((q.layout.n, q.layout.n))
+    Q[:, sl] = q._player_bands[i][0]
+    Q[sl] = q.G[sl]
+    return Q
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from gnepsolve.diagnostics import (
     solve_best_response,
 )
 from gnepsolve import library
-from conftest import ad_start, fast_config
+from conftest import ad_start, dense_objective, fast_config
 
 
 def quadratic_single(minimizer):
@@ -116,7 +116,7 @@ def _one_qp(game, x, i):
     sl = game.layout.block_slice(i)
     base = np.array(x, dtype=float, copy=True)
     own = base[sl]
-    H = game.quadratic.matrix(i)[sl, sl]
+    H = dense_objective(game.quadratic, i)[sl, sl]
     q = p.gradient(base)[sl] - H @ own
     g = p.constraints(base)
     relax = np.maximum(g, 0.0)

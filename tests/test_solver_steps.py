@@ -23,10 +23,9 @@ from gnepsolve.solver import (
     solve_inner,
     spectral_norms,
     step_duals,
-    stopping_residual,
 )
 from gnepsolve import library
-from conftest import spectral_norm_reference
+from conftest import spectral_norm_reference, stopping_residual
 
 
 def single_player_quadratic(n=2, lo=-10.0, hi=10.0):

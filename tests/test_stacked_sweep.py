@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import gnepsolve as G
 from gnepsolve import lagrangian, library
 from gnepsolve.core import PlayerDualState, Segments
+from gnepsolve.solver import _objective_norms, spectral_norms
 from gnepsolve.lagrangian import (PenaltyParams, evaluate_point, lagrangian_from_values,
                                   lagrangian_values, projected_gradient_x)
+from conftest import dense_objective
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -52,15 +54,22 @@ def _signed(rng, shape):
 def _objective(kind, sl, rng, n):
     """``B B'`` for a ``dense`` player; for a ``band`` one with every entry
     outside the rows and columns ``sl`` set to +0.0, and for ``band-signed``
-    with one of those set to -0.0, whose bytes then no longer fit the band."""
+    with one of those set to -0.0, whose bytes then no longer fit the band.
+    ``band-zeros`` is a band with some entries outside the own block set to
+    +0.0 or -0.0 (symmetrically), and ``zero`` a band of +0.0 and -0.0."""
     B = rng.standard_normal((n, n))
-    Q = B @ B.T
+    Q = 0.0 * B if kind == "zero" else B @ B.T
     if kind != "dense":
         off = np.ones((n, n), dtype=bool)
         off[sl] = off[:, sl] = False
         Q[off] = 0.0
         if kind == "band-signed" and off.any():
             Q[tuple(np.argwhere(off)[0])] = -0.0
+        if kind == "band-zeros":
+            cross = ~off & (rng.uniform(size=(n, n)) < 0.3)
+            cross[sl, sl] = False
+            cross |= cross.T
+            Q[cross] = np.where(rng.uniform(size=(n, n)) < 0.5, 0.0, -0.0)[cross]
     return Q
 
 
@@ -119,7 +128,7 @@ def test_band_products_are_the_dense_products(drawn):
         off_band = p.Q[off]
         kept_dense = bool(np.any(off_band != 0.0) or np.any(np.signbit(off_band)))
         assert (i in q.dense_players) == kept_dense
-        assert q.matrix(i).tobytes() == p.Q.tobytes()
+        assert dense_objective(q, i).tobytes() == p.Q.tobytes()
     for x in (_signed(rng, n), game.project_private(3.0 * rng.standard_normal(n))):
         grads = evaluate_point(game, x).theta_grads
         dense = np.matmul(Q, x) + b
@@ -297,7 +306,7 @@ def test_players_read_views_of_the_stacked_data(spec, curved):
     q, n = game.quadratic, game.n
     assert sorted(q.hessians) == curved and q.dense_players == ()
     for i, (ps, p) in enumerate(zip(spec.players, game.players)):
-        assert q.matrix(i).tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
+        assert dense_objective(q, i).tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
         for fn in (p.objective, p.gradient):
             assert any(d is q for d in fn.__defaults__)
             assert any(np.shares_memory(q.b, d) for d in fn.__defaults__[1:])
@@ -317,3 +326,54 @@ def test_stack_lists_exactly_the_curved_players():
     assert sorted(ad.quadratic.hessians) == list(range(7))
     assert all(np.any(A) and A.shape == (1, ad.n, ad.n) for A in ad.quadratic.hessians.values())
     assert library.gen_random_quadratic(3, 2, 2, seed=4).quadratic.hessians == {}
+
+
+@st.composite
+def objective_stacks(draw):
+    """Unconstrained quadratic specs of 1-6 players with blocks of 1-5
+    variables (so one-player games and blocks with 2w >= n occur), whose
+    stacks are all band, all dense or mixed; bands may be zero and hold
+    +0.0 and -0.0 entries."""
+    N = draw(st.integers(1, 6))
+    dims = draw(st.lists(st.integers(1, 5), min_size=N, max_size=N))
+    pool = draw(st.sampled_from([("band", "band-zeros", "zero"), ("dense", "band-signed"),
+                                 ("band", "band-zeros", "zero", "dense", "band-signed")]))
+    shapes = draw(st.lists(st.sampled_from(pool), min_size=N, max_size=N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = G.BlockLayout(tuple(dims))
+    n = layout.n
+    return library.QuadraticGnepSpec(layout, [
+        library.QuadraticPlayerSpec(_objective(shape, sl, rng, n), np.zeros(n), _sets("box", dim, rng))
+        for dim, shape, sl in zip(dims, shapes, layout.slices)])
+
+
+@settings(deadline=None, max_examples=100)
+@given(objective_stacks())
+def test_objective_norms_are_the_dense_norms(spec):
+    # the norms from each band's rank-2w factors are those of the whole Q_i
+    # rebuilt dense, within 1e-12 relative (and exactly 0 for a zero Q_i)
+    q = spec.to_game().quadratic
+    want = np.concatenate([spectral_norms(dense_objective(q, i)[None])
+                           for i in range(q.layout.num_blocks)])
+    got = _objective_norms(q)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_quadratic_estimator_solves_no_eigenproblem_larger_than_2w(monkeypatch):
+    # quad-wide's shape (40 players, blocks of 4, n = 160): the estimator's
+    # set-up takes every ||Q_i|| from Grams of at most 2w x 2w = 8 x 8, and
+    # still matches the norms of the dense Q_i
+    game, _ = library.gen_random_quadratic_with_plant(40, 4, 2, seed=1)
+    q, eigvalsh, shapes = game.quadratic, np.linalg.eigvalsh, []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    got = G.LipschitzEstimator(game).estimate(np.zeros(game.n), np.zeros(game.total_constraints))
+    monkeypatch.undo()
+    assert shapes and max(max(s) for s in shapes) <= 8
+    want = np.concatenate([spectral_norms(dense_objective(q, i)[None]) for i in range(40)])
+    assert np.all(np.abs(got.L_theta - want) <= 1e-12 * want)
