@@ -41,6 +41,7 @@ __all__ = [
     "PointEval",
     "evaluate_point",
     "projected_gradient_x",
+    "projected_step_lam",
     "projected_gradient_lam",
     "build_anchor",
 ]
@@ -191,12 +192,15 @@ def _raise_first_nonfinite(game: GameInstance, fields: tuple[Array, Array, Array
             _check_finite(value, i, what)
 
 
-def lagrangian_values(point: PointEval, lam: Array, rows: Segments) -> Array:
+def lagrangian_values(point: PointEval, lam: Array, rows: Segments,
+                      lam_g: Array | None = None) -> Array:
     """Every player's Lagrangian ``theta + lam.g`` at ``point`` and the
     multipliers ``lam`` stacked over the constraint rows ``rows``: the
     regularized form at ``z = 0`` and ``mu = lam``. A player without
-    constraints gets ``theta`` unchanged (``-0.0 + 0.0`` would not be)."""
-    return np.where(rows.nonempty, point.theta + rows.dot(lam, point.g_values), point.theta)
+    constraints gets ``theta`` unchanged (``-0.0 + 0.0`` would not be).
+    A caller holding ``lam_g = rows.dot(lam, point.g_values)`` may pass it."""
+    lam_g = rows.dot(lam, point.g_values) if lam_g is None else lam_g
+    return np.where(rows.nonempty, point.theta + lam_g, point.theta)
 
 
 def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> Array:
@@ -221,12 +225,16 @@ def projected_gradient_x(game: GameInstance, point: PointEval, lam: Array) -> Ar
     return game.layout.segments.norm(x_step)
 
 
+def projected_step_lam(lam: Array, grad_lam: Array) -> Array:
+    """The projected multiplier step ``lam - max(lam + grad_lam, 0)`` over the
+    constraint rows, for ``grad_lam = g - z - beta (lam - mu)``: ``g`` at the solver's duals."""
+    return lam - np.maximum(lam + grad_lam, 0.0)
+
+
 def projected_gradient_lam(rows: Segments, lam: Array, grad_lam: Array) -> Array:
     """Per-player norm of the lam-block of the projected gradient, the
-    projected multiplier step residual ``lam - max(lam + grad_lam, 0)``, for
-    the lam-gradient ``grad_lam = g - z - beta (lam - mu)`` (``g`` itself at
-    ``z = 0`` and ``mu = lam``)."""
-    return rows.norm(lam - np.maximum(lam + grad_lam, 0.0))
+    per-player norm of :func:`projected_step_lam`."""
+    return rows.norm(projected_step_lam(lam, grad_lam))
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +277,12 @@ class QuadraticAnchor:
 
 
 def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
-                 values: Array) -> QuadraticAnchor:
+                 values: Array, gamma_by_coord: Array | None = None) -> QuadraticAnchor:
     """Assemble the surrogate anchor from a completed oracle sweep and the
-    players' Lagrangian values there, ``lagrangian_values(point, lam, game.rows)``."""
+    players' Lagrangian values there, ``lagrangian_values(point, lam, game.rows)``;
+    a caller holding ``gamma`` repeated over each block may pass it."""
     grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
     gamma = np.asarray(gamma, dtype=float)
-    return QuadraticAnchor(point.x, values, grads, gamma,
-                           grads.ravel()[game.layout.own_entries],
-                           game.layout.segments.repeat(gamma), lam)
+    return QuadraticAnchor(point.x, values, grads, gamma, grads.ravel()[game.layout.own_entries],
+                           game.layout.segments.repeat(gamma) if gamma_by_coord is None
+                           else gamma_by_coord, lam)

@@ -16,14 +16,15 @@ constraint row:
    the outer tolerance in the max norm.
 
 The regularized Lagrangian (:mod:`gnepsolve.lagrangian`) also carries a
-perturbation ``z`` and a proximal centre ``mu``. From zero duals its exact
-``z`` step gives ``z = (lam - mu) / alpha = 0`` and its multiplier step
-leaves ``mu = lam``, so both stay fixed and ``alpha`` enters no iterate:
-the solver carries ``lam`` alone, evaluates the Lagrangian as
-``theta + lam.g``, and exports ``z = 0`` and ``mu = lam`` with the final
-state. The trace records monitored value-decrease, multiplier-coupling and
+perturbation ``z`` and a proximal centre ``mu``; from zero duals its exact
+steps keep ``z = 0`` and ``mu = lam``, so ``alpha`` enters no iterate: the
+solver carries ``lam`` alone and exports ``z = 0`` and ``mu = lam``. The
+trace records monitored value-decrease, multiplier-coupling and
 projected-gradient bounds, so claims about the dynamics can be asserted (or
-falsified) on real runs.
+falsified) on real runs. Values fixed by construction are computed once:
+``gamma`` per run when the estimate cannot move (stacked quadratic data, no
+curved player), and each iteration's sums over constraint rows in one
+stacked reduction (:func:`solve_inner`).
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from .lagrangian import (
     build_anchor,
     evaluate_point,
     lagrangian_values,
-    projected_gradient_lam,
     projected_gradient_x,
+    projected_step_lam,
 )
 
 __all__ = [
@@ -358,6 +359,11 @@ class LipschitzEstimator:
 
     # -- public entry --------------------------------------------------------
 
+    @property
+    def fixed(self) -> bool:
+        """Every estimate is the first: quadratic data and no curved player."""
+        return self.game.quadratic is not None and not self.game.quadratic.hessians
+
     def estimate(self, x: Array, lam: Array,
                  jac_norms: Array | None = None) -> LipschitzEstimates:
         """Constants at iterate ``x`` with current multipliers ``lam``,
@@ -395,12 +401,9 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
     if policy.kind == "auto":
         gamma = policy.safety * bound
     else:
-        gamma = np.broadcast_to(policy.values, bound.shape).astype(float).copy()
-        for i in range(bound.shape[0]):
-            if gamma[i] < bound[i]:
-                warnings.append(
-                    f"player {i}: fixed gamma {gamma[i]:.6g} below decrease bound {bound[i]:.6g}"
-                )
+        gamma = np.broadcast_to(policy.values, bound.shape).astype(float)
+        warnings = [f"player {i}: fixed gamma {gamma[i]:.6g} below decrease bound {bound[i]:.6g}"
+                    for i in np.flatnonzero(gamma < bound)]
     floor = max(_GAMMA_FLOOR, 1e-3 * float(gamma.max(initial=0.0)))
     gamma = np.maximum(gamma, floor)
     return gamma, warnings
@@ -479,6 +482,9 @@ class InnerResult:
     exit_kind: str       # descent | true | forced | stall
     point: PointEval     # the oracle sweep at x_next
     values: Array        # L at (x_next, the anchor's multipliers)
+    lam: Array           # the dual step at x_next from the anchor's multipliers
+    dlam: Array          # lam - anchor.lam
+    sums: Array          # (4, N): lam.g; squared norms of dlam, lam and its projected step
 
 
 def _exit_verdict(anchor: QuadraticAnchor, u: Array, true_values: Array,
@@ -519,15 +525,25 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     value genuinely rose, the point is accepted with ``exit_kind="forced"``
     (the run record keeps the value trace, so a genuine increase stays
     visible).
+
+    The dual step :func:`step_duals` runs before the exit test, which does
+    not read it, so that one ``game.rows.dot`` over a leading axis of five
+    gives ``lam.g`` at the old and the new multipliers and the squared norms
+    of the multiplier move, the new multipliers and their projected step.
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
     point = evaluate_point(game, u)
-    values = lagrangian_values(point, anchor.lam, game.rows)
+    lam, g = anchor.lam, point.g_values
+    lam_new = step_duals(lam, g, cfg.beta)
+    dlam, step = lam_new - lam, projected_step_lam(lam_new, g)
+    sums = game.rows.dot(np.array([lam, lam_new, dlam, lam_new, step]),
+                         np.array([g, g, dlam, lam_new, step]))
+    values = lagrangian_values(point, lam, game.rows, sums[0])
     verdict = _exit_verdict(anchor, u, values, slack=1e-14)
     if verdict == "undecided":
         verdict = ("stall" if max_abs(u - anchor.y) <= cfg.outer_tol
                    else _exit_verdict(anchor, u, values))
-    return InnerResult(u, verdict, point, values)
+    return InnerResult(u, verdict, point, values, lam_new, dlam, sums[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -686,53 +702,53 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     for k in range(cfg.max_outer):
         try:
-            est = estimator.estimate(x, lam, jac_norms=jac_full)   # oracles: not quieted
+            if k == 0 or not estimator.fixed:   # else the first gamma serves every row
+                est = estimator.estimate(x, lam, jac_norms=jac_full)   # oracles: not quieted
+                with np.errstate(**QUIET):
+                    gamma, _ = choose_gamma(est, penalty, cfg.gamma)
+                    gamma_by_coord = game.layout.segments.repeat(gamma)
             with np.errstate(**QUIET):
-                gamma, _ = choose_gamma(est, penalty, cfg.gamma)
-                anchor = build_anchor(game, lam, gamma, point, L_values)
+                anchor = build_anchor(game, lam, gamma, point, L_values, gamma_by_coord)
                 inner = solve_inner(game, anchor, cfg)
-                next_point = inner.point
-                lam_new = step_duals(lam, next_point.g_values, cfg.beta)
         except OracleFailure as exc:
             status, message = "oracle-failure", str(exc)
             break
 
         with np.errstate(**QUIET):
             dx = inner.x_next - x
-            dlam = lam_new - lam
-            dx_inf, dlambda_inf = max_abs(dx), max_abs(dlam)
+            x, lam, point = inner.x_next, inner.lam, inner.point
+            dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
             residual = max(dx_inf, dlambda_inf)
-            dlam_2, lam_norm2 = rows.norm(np.array([dlam, lam_new]))
+            dlam_2, lam_norm2, qlam = np.sqrt(inner.sums[1:])
+            L_values = lagrangian_values(point, lam, rows, inner.sums[0])
             if varying:
-                jac_full, jac_own = _jac_norms(next_point, varying, (jac_full, jac_own))
+                jac_full, jac_own = _jac_norms(point, varying, (jac_full, jac_own))
             trace.rows.append(TraceRow(
                 k=k + 1,
-                L_values=lagrangian_values(next_point, lam_new, rows),
+                L_values=L_values,
                 dx_inf=dx_inf,
                 dlambda_inf=dlambda_inf,
-                feas=constraint_violation(next_point.g_values),
+                feas=constraint_violation(point.g_values),
                 exit_kind=inner.exit_kind,
                 L_x_step=inner.values,
                 dx_2=vec_norm(dx),
                 dlam_2=dlam_2,
                 lam_norm2=lam_norm2,
-                lam_norm_inf=rows.max_abs(lam_new),
+                lam_norm_inf=rows.max_abs(lam),
                 jac_norm=jac_full,
                 jac_own_norm=jac_own,
-                qx=projected_gradient_x(game, next_point, lam_new),
-                qlam=projected_gradient_lam(rows, lam_new, next_point.g_values),
+                qx=projected_gradient_x(game, point, lam),
+                qlam=qlam,
                 gamma=gamma,
                 M_theta_own=est.L_theta,
                 M_g_own=est.M_g_own,
             ))
 
-        x, lam, point, L_values = inner.x_next, lam_new, next_point, trace.rows[-1].L_values
-
         if residual <= cfg.outer_tol:
             status = "converged"
             break
         if inner.exit_kind == "stall":
-            lam_now = float(np.max(trace.rows[-1].lam_norm_inf, initial=0.0))
+            lam_now = max_abs(lam)
             if stall_streak == 0:
                 stall_start_residual = residual
                 stall_start_lam = lam_now

@@ -12,8 +12,9 @@ import gnepsolve as G
 from gnepsolve import cli
 from gnepsolve.core import BlockLayout, SimpleSet
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
+from gnepsolve.lagrangian import evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
-from conftest import fast_config, spectral_norm_reference, stopping_residual
+from conftest import ad_start, fast_config, spectral_norm_reference, stopping_residual
 
 
 def test_example3_converges_from_all_starts(ex3_runs):
@@ -167,33 +168,48 @@ def test_run_mixing_affine_and_curved_players_matches_fresh_norms(monkeypatch):
     assert len({row.jac_own_norm[1] for row in res.trace.rows}) > 10   # the curved player's moved
 
 
-def test_trace_quantities_match_their_single_implementations(a18_game):
-    # the trace's Lagrangian values, projected-gradient blocks, feasibility
-    # and stopping residual are the quantities the public functions compute,
-    # bit for bit; the state after k iterations is the state of a k-capped run
-    K = 20
-    x0 = np.zeros(a18_game.n)
-    pen = fast_config().penalty()
-    res = G.solve(a18_game, x0, fast_config(max_outer=K))
-    assert res.status == "max_outer" and len(res.trace.rows) == K
-    states = [G.initial_state(a18_game, x0)]
-    states += [G.solve(a18_game, x0, fast_config(max_outer=k)).state for k in range(1, K)]
+def test_trace_quantities_match_their_single_implementations(a18_game, ad_game):
+    # the trace's Lagrangian values (after each iteration and at its primal
+    # step), multiplier norms, projected-gradient blocks, feasibility and
+    # stopping residual are the quantities the public functions compute, bit
+    # for bit; the state after k iterations is the state of a k-capped run.
+    # a18; an affine quad-suite game, whose gamma is computed once per run,
+    # from the origin, where its rows are active; Arrow-Debreu, curved
+    quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
+    ad_gamma = G.GammaPolicy.fixed(np.array([30.0] * 5 + [260.0] * 2 + [300.0]))
+    for game, x0, cfg in [(a18_game, np.zeros(a18_game.n), {}),
+                          (quad, np.zeros(quad.n), {"outer_tol": 1e-6}),
+                          (ad_game, ad_start(ad_game), {"gamma": ad_gamma})]:
+        check_trace_quantities(game, x0, cfg)
+
+
+def check_trace_quantities(game, x0, cfg, K=20):
+    pen, rows = fast_config().penalty(), game.rows
+    res = G.solve(game, x0, fast_config(max_outer=K, **cfg))
+    assert res.status == "max_outer" and len(res.trace.rows) == K, game.name
+    states = [G.initial_state(game, x0)]
+    states += [G.solve(game, x0, fast_config(max_outer=k, **cfg)).state for k in range(1, K)]
     states.append(res.state)
 
     def values(st):
-        return np.array([G.lagrangian_value(a18_game, i, st.x, d, pen)
+        return np.array([G.lagrangian_value(game, i, st.x, d, pen)
                          for i, d in enumerate(st.duals)])
 
     assert res.trace.initial_L.tobytes() == values(states[0]).tobytes()
-    for row, st in zip(res.trace.rows, states[1:]):
+    for row, prev, st in zip(res.trace.rows, states, states[1:]):
         assert row.L_values.tobytes() == values(st).tobytes()
+        at_step = lagrangian_values(evaluate_point(game, st.x), prev.duals.lam, rows)
+        assert row.L_x_step.tobytes() == at_step.tobytes()
+        assert row.dlam_2.tobytes() == rows.norm(st.duals.lam - prev.duals.lam).tobytes()
+        assert row.lam_norm2.tobytes() == rows.norm(st.duals.lam).tobytes()
+    assert any(np.any(row.dlam_2 > 0) for row in res.trace.rows), game.name
     last = res.trace.rows[-1]
-    blocks = projected_gradient_blocks(a18_game, res.state, pen)
+    blocks = projected_gradient_blocks(game, res.state, pen)
     for key in ("qx", "qlam"):
         assert getattr(last, key).tobytes() == np.array([b[key] for b in blocks]).tobytes()
-    assert np.any(last.qlam > 0)
-    kkt = kkt_residual(a18_game, res.state.x, [d.lam for d in res.state.duals])
-    assert last.feas > 0 and last.feas == max(feas for _, _, feas in kkt)
+    assert np.any(last.qlam > 0), game.name
+    kkt = kkt_residual(game, res.state.x, [d.lam for d in res.state.duals])
+    assert last.feas > 0 and last.feas == max(feas for _, _, feas in kkt), game.name
     assert res.final_residual == stopping_residual(states[-2], res.state)
     assert res.final_residual == max(last.dx_inf, last.dlambda_inf)
 
@@ -223,6 +239,42 @@ def test_rows_keep_the_constants_of_their_iteration(monkeypatch):
     assert len({m for m, _, _ in produced}) >= 3
     assert [[r.M_g_own.tobytes(), r.M_theta_own.tobytes(), r.gamma.tobytes()]
             for r in res.trace.rows] == produced
+
+
+def test_affine_quadratic_rows_take_the_constants_of_one_estimate(monkeypatch):
+    # stacked quadratic data with no curved player fixes the estimate: solve
+    # takes it, gamma and gamma's repeat over the blocks once per run, and
+    # every row's gamma is still what a fresh estimate at that iteration's
+    # (x_k, lam_k) gives. A curved game (example3) estimates every iteration.
+    calls, anchors = [], []
+    estimate, solve_inner = G.LipschitzEstimator.estimate, G.solver.solve_inner
+
+    def counting_estimate(self, *args, **kwargs):
+        calls.append(self.game.name)
+        return estimate(self, *args, **kwargs)
+
+    def recording_inner(game, anchor, cfg):
+        anchors.append(anchor)
+        return solve_inner(game, anchor, cfg)
+
+    monkeypatch.setattr(G.LipschitzEstimator, "estimate", counting_estimate)
+    monkeypatch.setattr(G.solver, "solve_inner", recording_inner)
+    game, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
+    assert G.LipschitzEstimator(game).fixed
+    res = G.solve(game, np.zeros(game.n), fast_config())
+    assert calls == [game.name] and len(anchors) == res.outer_iterations > 100
+    assert len({anchor.lam.tobytes() for anchor in anchors}) > 100   # lam_k moves
+    pen = fast_config().penalty()
+    for row, anchor in zip(res.trace.rows, anchors):
+        gamma, _ = G.choose_gamma(estimate(G.LipschitzEstimator(game), anchor.y, anchor.lam),
+                                  pen, G.GammaPolicy.auto())
+        assert row.gamma.tobytes() == anchor.gamma.tobytes() == gamma.tobytes()
+        assert anchor.gamma_by_coord.tobytes() == game.layout.segments.repeat(gamma).tobytes()
+    calls.clear()
+    ex3 = G.library.make_example3()
+    assert not G.LipschitzEstimator(ex3).fixed
+    res = G.solve(ex3, np.zeros(2), fast_config(max_outer=50))
+    assert len(calls) == res.outer_iterations > 1
 
 
 def test_one_block_update_per_outer_iteration(tmp_path):

@@ -130,6 +130,13 @@ def test_choose_gamma_fixed_below_bound_warns():
     gamma, warn = choose_gamma(_est([2.0], [2.0]), pen, GammaPolicy.fixed([1.0]))
     assert gamma[0] == pytest.approx(1.0)
     assert len(warn) == 1 and "below" in warn[0]
+    # one message per player below its bound, in player order; a broadcast value
+    est = _est([2.0, 0.5, 1.0 / 3.0], [2.0, 0.0, 0.0])
+    gamma, warn = choose_gamma(est, pen, GammaPolicy.fixed([1.0, 1.0, 0.25]))
+    assert warn == ["player 0: fixed gamma 1 below decrease bound 14",
+                    "player 2: fixed gamma 0.25 below decrease bound 0.333333"]
+    gamma, warn = choose_gamma(est, pen, GammaPolicy.fixed(0.4))
+    assert gamma.tolist() == [0.4] * 3 and [w[:9] for w in warn] == ["player 0:", "player 1:"]
 
 
 def test_sigma_cap_value():
