@@ -339,7 +339,9 @@ class PlayerProblem:
     Full gradients (not just the own block) are required because the
     surrogate-model machinery needs cross-block derivative information.
     A player carries no structure beyond its oracles: a quadratic game keeps
-    its data in one :class:`QuadraticStack` on the :class:`GameInstance`.
+    its data in one :class:`QuadraticStack` on the :class:`GameInstance`, and
+    a game that evaluates every player at once keeps that in its
+    ``batched_oracle``, whose rows the players' oracles return.
     """
 
     objective: Callable[[Array], float]
@@ -454,19 +456,28 @@ class QuadraticStack:
         return out
 
 
+# Every player's objective values (N,), gradients (N, n), constraint values
+# (M,) and Jacobians (M, n) at one joint point, stacked over players.
+Sweep = Callable[[Array], tuple[Array, Array, Array, Array]]
+
+
 @dataclass(frozen=True)
 class GameInstance:
     """An N-player game: players, block layout, and a display name.
 
-    ``quadratic`` holds the stacked data of a game built from a quadratic
-    spec (:class:`QuadraticStack`, attached by
-    :meth:`~gnepsolve.library.QuadraticGnepSpec.to_game`); the oracle sweep
-    then runs as a few whole-array products instead of one oracle call per
-    player. It is not a constructor argument: the stack must be the very
-    data the players' oracles read, or the solver and the certifier would
-    judge different games. A game built directly has none: the solver then
-    samples its smoothness constants, and the best-response reference takes
-    its model Hessians by finite differences.
+    ``batched_oracle`` evaluates every player at one joint point at once
+    (a :data:`Sweep`, unchecked); ``None`` means one oracle call per player
+    in turn. The built-in generators attach one: a game built from a
+    quadratic spec (:meth:`~gnepsolve.library.QuadraticGnepSpec.to_game`)
+    takes a few whole-array products of its stacked data, and ``power``
+    (:func:`~gnepsolve.library.gen_power_allocation`) its rate terms for
+    every link at once. ``quadratic`` holds the stacked data of a quadratic
+    spec (:class:`QuadraticStack`). Neither is a constructor argument: the
+    players' oracles must read the very same data and computation, or the
+    solver and the certifier would judge different games. A game built
+    directly has neither: its sweep calls each player's oracles in turn, the
+    solver samples its smoothness constants, and the best-response reference
+    takes its model Hessians by finite differences.
     """
 
     players: tuple[PlayerProblem, ...]
@@ -474,6 +485,7 @@ class GameInstance:
     name: str = "game"
     quadratic: QuadraticStack | None = field(default=None, init=False, repr=False,
                                              compare=False)
+    batched_oracle: Sweep | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.players) == 0:
@@ -560,6 +572,13 @@ def _attach_quadratic_stack(game: GameInstance, q: QuadraticStack) -> GameInstan
             or (q.G.shape, q.b.shape, q.C.shape, q.D.shape) != ((n, n), (N, n), (M, n), (M,))):
         raise ValueError("stacked quadratic data does not match the players")
     object.__setattr__(game, "quadratic", q)
+    return game
+
+
+def _attach_batched_oracle(game: GameInstance, sweep: Sweep) -> GameInstance:
+    """``game`` with its batched oracle ``sweep`` attached; the players'
+    oracles must return its rows bit for bit."""
+    object.__setattr__(game, "batched_oracle", sweep)
     return game
 
 

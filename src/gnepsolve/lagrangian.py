@@ -40,6 +40,7 @@ __all__ = [
     "QuadraticAnchor",
     "PointEval",
     "evaluate_point",
+    "raw_sweep",
     "projected_gradient_x",
     "projected_step_lam",
     "projected_gradient_lam",
@@ -121,51 +122,37 @@ class PointEval:
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
                  "constraint Jacobian")
 QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}   # left to finiteness checks
+_sum = np.add.reduce
 
 
 def evaluate_point(game: GameInstance, x: Array) -> PointEval:
     """Every player's objective value and gradient, constraint values and
-    Jacobian at ``x``.
+    Jacobian at ``x``, from one :func:`raw_sweep`.
 
-    A game with stacked quadratic data (``game.quadratic``, every game built
-    from a :class:`~gnepsolve.library.QuadraticGnepSpec`) takes one batched
-    sweep: every ``Q_i @ x`` from the band-stored stack
-    (:meth:`~gnepsolve.core.QuadraticStack.products`: one ``G @ x`` for
-    the players' own rows and one batched product per run of column bands,
-    about ``2 n^2`` numbers read instead of ``N n^2``, plus one batched
-    product over any players kept dense), from which every gradient and
-    objective value follows, and one batched product for the affine
-    constraint rows. Each of these is bit for bit what the player's own
-    oracle returns, as both take their products from the stack. Every
-    other game calls each player's oracles in turn. A non-finite value raises
-    :class:`OracleFailure` naming the first player, and its first field in
-    the order value, gradient, constraint value, Jacobian.
+    A non-finite value raises :class:`OracleFailure` naming the first
+    player, and its first field in the order value, gradient, constraint
+    value, Jacobian. The check is one pass, the sum of every field, and
+    only a sum that is not finite (a non-finite entry, or finite entries
+    whose sum overflows) looks at the fields one by one.
     """
     x = np.array(x, dtype=float, copy=True)
     with np.errstate(**QUIET):   # ends in the finiteness check below
-        if game.quadratic is not None:
-            fields = _stacked_sweep(game, x)
-        else:
-            fields = _oracle_sweep(game, x)
-    if not all(np.isfinite(f).all() for f in fields):
+        fields = theta, grads, g, jac = raw_sweep(game, x)
+        total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
+    if not math.isfinite(total):
         _raise_first_nonfinite(game, fields)
     return PointEval(x, *fields)
 
 
-def _stacked_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
-    q, rows = game.quadratic, game.rows
-    QX = q.products(x)
-    grads = QX + q.b
-    theta = 0.5 * row_dots(QX, x) + row_dots(q.b, x)
-    g = rows.matvec(q.C, x) + 0.0 + q.D
-    jac = q.jacobian
-    if q.hessians:
-        jac = jac.copy()
-        for i in q.hessians:
-            p, s = game.players[i], slice(rows.bounds[i], rows.bounds[i + 1])
-            g[s] = p.constraints(x)
-            jac[s] = p.constraint_jacobian(x)
-    return theta, grads, g, jac
+def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
+    """The fields of :class:`PointEval` at ``x``, unchecked: the game's
+    batched oracle (``game.batched_oracle``) if it has one, else each
+    player's oracles in turn. The built-in batched oracles agree with the
+    players' oracles bit for bit, as the oracles return rows of the same
+    computation."""
+    if game.batched_oracle is not None:
+        return game.batched_oracle(x)
+    return _oracle_sweep(game, x)
 
 
 def _oracle_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:

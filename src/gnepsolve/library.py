@@ -26,7 +26,10 @@ from .core import (
     PlayerProblem,
     QuadraticStack,
     SimpleSet,
+    Sweep,
+    _attach_batched_oracle,
     _attach_quadratic_stack,
+    row_dots,
 )
 
 __all__ = [
@@ -139,7 +142,38 @@ class QuadraticGnepSpec:
 
             players.append(PlayerProblem(objective, gradient, constraints, constraint_jacobian,
                                          spec.private_set, m))
-        return _attach_quadratic_stack(GameInstance(tuple(players), self.layout, self.name), q)
+        game = _attach_quadratic_stack(GameInstance(tuple(players), self.layout, self.name), q)
+        return _attach_batched_oracle(game, _stacked_sweep(game))
+
+
+def _stacked_sweep(game: GameInstance) -> Sweep:
+    """The batched oracle of a game with stacked quadratic data: every
+    ``Q_i @ x`` from the band-stored stack
+    (:meth:`~gnepsolve.core.QuadraticStack.products`: one ``G @ x`` for the
+    players' own rows and one batched product per run of column bands, about
+    ``2 n^2`` numbers read instead of ``N n^2``, plus one batched product over
+    any players kept dense), from which every gradient and objective value
+    follows, and one batched product for the affine constraint rows. Each is
+    bit for bit what the player's own oracle returns, as both take their
+    products from the stack; a curved player's constraint values and
+    Jacobian come from its oracles."""
+    q, rows = game.quadratic, game.rows
+    curved = [(game.players[i], slice(rows.bounds[i], rows.bounds[i + 1])) for i in q.hessians]
+
+    def sweep(x):
+        QX = q.products(x)
+        grads = QX + q.b
+        theta = 0.5 * row_dots(QX, x) + row_dots(q.b, x)
+        g = rows.matvec(q.C, x) + 0.0 + q.D
+        jac = q.jacobian
+        if curved:
+            jac = jac.copy()
+            for p, s in curved:
+                g[s] = p.constraints(x)
+                jac[s] = p.constraint_jacobian(x)
+        return theta, grads, g, jac
+
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +474,11 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
     matrix ``gains[nu, mu, i]``. Encoded feasible-negative: the constraint
     value is ``target - rate``. Gains are sampled log-uniform on [1e-2, 1]
     when not supplied.
+
+    The game's batched oracle computes the rate terms of every link at once
+    (one ``einsum`` over the gains for the interference); each link's
+    constraint oracles take the same computation for that link alone, whose
+    rows round as the whole one's, so the two agree bit for bit.
     """
     if n_links < 1 or n_channels < 1:
         raise ValueError("need at least one link and one channel")
@@ -450,7 +489,7 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
         rng = np.random.default_rng(seed)
         gains = np.exp(rng.uniform(np.log(1e-2), np.log(1.0),
                                    size=(n_links, n_links, n_channels)))
-    gains = np.asarray(gains, dtype=float)
+    gains = np.array(gains, dtype=float)
     if gains.shape != (n_links, n_links, n_channels):
         raise ValueError(f"gains must have shape {(n_links, n_links, n_channels)}")
     if np.any(gains <= 0):
@@ -462,40 +501,54 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
     layout = BlockLayout((n_channels,) * n_links)
     n = layout.n
     ln2 = math.log(2.0)
+    links = np.arange(n_links)
+    h_own = gains[links, links]    # (n_links, n_channels)
+    every = slice(None)
+
+    def rate_terms(x, ls):
+        """Each link of ``ls`` (a slice) with its own gains ``h``, powers
+        ``p``, gain rows ``cross``, interference-plus-noise ``den`` and
+        SINR ``s``, per channel: the one implementation of the rate terms,
+        whose rows do not depend on which other links are taken."""
+        pw = x.reshape(n_links, n_channels)
+        h, p, cross = h_own[ls], pw[ls], gains[ls]
+        den = noise_power + np.einsum("nmc,mc->nc", cross, pw) - h * p
+        return h, p, cross, den, h * p / den
+
+    def shortfalls(terms, ls):
+        """Constraint values ``target - rate`` of the links ``ls``."""
+        return targets[ls] - np.sum(np.log1p(terms[4]), axis=1) / ln2
+
+    def jacobians(terms, ls):
+        """Constraint Jacobians ``(k, n)`` of the links ``ls``."""
+        h, p, cross, den, s = terms
+        common = 1.0 / ((1.0 + s) * ln2)
+        jac = (common * h * p)[:, None, :] * cross / (den ** 2)[:, None, :]
+        jac[np.arange(len(p)), links[ls]] = -common * h / den
+        return jac.reshape(len(p), n)
+
+    own_ones = np.zeros((n_links, n))
+    own_ones.ravel()[layout.own_entries] = 1.0
+
+    def sweep(x):
+        terms = rate_terms(x, every)
+        return (np.sum(x.reshape(n_links, n_channels), axis=1), own_ones.copy(),
+                shortfalls(terms, every), jacobians(terms, every))
 
     def make_link(nu: int) -> PlayerProblem:
-        own = slice(nu * n_channels, (nu + 1) * n_channels)
-        h_own = gains[nu, nu, :].copy()
-        h_cross = gains[nu].copy()     # (n_links, n_channels)
-        target = float(targets[nu])
-
-        def rate_terms(x):
-            pw = x.reshape(n_links, n_channels)
-            den = noise_power + np.einsum("mc,mc->c", h_cross, pw) - h_cross[nu] * pw[nu]
-            s = h_own * pw[nu] / den
-            return s, den, pw
+        own, row = slice(nu * n_channels, (nu + 1) * n_channels), slice(nu, nu + 1)
 
         def objective(x):
             return float(np.sum(x[own]))
 
         def gradient(x):
-            g = np.zeros(n)
-            g[own] = 1.0
-            return g
+            return own_ones[nu].copy()
 
         def constraints(x):
-            s, _, _ = rate_terms(x)
-            return np.array([target - float(np.sum(np.log1p(s)) / ln2)])
+            return shortfalls(rate_terms(x, row), row)
 
         def constraint_jacobian(x):
-            s, den, pw = rate_terms(x)
-            row = np.zeros((n_links, n_channels))
-            common = 1.0 / ((1.0 + s) * ln2)
-            row[nu] = -common * h_own / den
-            for mu in range(n_links):
-                if mu != nu:
-                    row[mu] = common * h_own * pw[nu] * h_cross[mu] / den ** 2
-            return row.reshape(1, n)
+            return jacobians(rate_terms(x, row), row)
 
         return PlayerProblem(
             objective=objective,
@@ -507,7 +560,8 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
         )
 
     players = tuple(make_link(nu) for nu in range(n_links))
-    return GameInstance(players, layout, f"power-{n_links}x{n_channels}")
+    return _attach_batched_oracle(GameInstance(players, layout, f"power-{n_links}x{n_channels}"),
+                                  sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .lagrangian import (
     lagrangian_values,
     projected_gradient_x,
     projected_step_lam,
+    raw_sweep,
 )
 
 __all__ = [
@@ -184,6 +185,8 @@ class SolverConfig:
 
 # Point pairs drawn per smoothness sample of a non-quadratic player.
 _SAMPLE_PAIRS = 200
+# Point pairs whose oracle sweeps are stacked at once while sampling.
+_PAIR_CHUNK = 32
 # Safety factor on the sampled smoothness constants.
 _INFLATION = 2.0
 # Bounds the run of consecutive stalled inner exits before the outer loop
@@ -272,8 +275,12 @@ class LipschitzEstimator:
     quotients ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded
     point pairs drawn in a box around the current iterate, inflated by a
     safety factor, and each player's largest Jacobian norm at the sampled
-    points (one call per pair, so memory does not grow with the sample
-    count). The box is refreshed when the iterate leaves its core.
+    points. Each sampled point takes one raw oracle sweep of every player
+    (:func:`~gnepsolve.lagrangian.raw_sweep`), and the quotients and norms
+    over all pairs are batched reductions, each bit for bit the per-pair
+    one; memory grows with the sample count times the size of a sweep's
+    gradients and Jacobians. The box is refreshed when the iterate leaves
+    its core.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):
@@ -330,32 +337,41 @@ class LipschitzEstimator:
             self._box_halfwidth = 2.0 * self._box_halfwidth
         if not good:
             raise RuntimeError("degenerate sampling region: all point pairs collapsed")
-        L_theta, ggs, jac_maxes = [], [], []
-        for i, p in enumerate(game.players):
-            lt = 0.0
-            gg = np.zeros(p.m)
-            jac_max = 0.0
-            for a, b, dist in good:
-                ratio = float(np.linalg.norm(p.gradient(a) - p.gradient(b))) / dist
-                if not np.isfinite(ratio):
-                    raise OracleFailure(
-                        f"player {i}: non-finite gradient while sampling smoothness",
-                        player=i)
-                lt = max(lt, ratio)
-                if p.m:
-                    Ja = np.asarray(p.constraint_jacobian(a), dtype=float)
-                    Jb = np.asarray(p.constraint_jacobian(b), dtype=float)
-                    if not (np.all(np.isfinite(Ja)) and np.all(np.isfinite(Jb))):
-                        raise OracleFailure(
-                            f"player {i}: non-finite Jacobian while sampling smoothness",
-                            player=i)
-                    gg = np.maximum(gg, np.linalg.norm(Ja - Jb, axis=1) / dist)
-                    jac_max = max(jac_max, float(spectral_norms(np.stack([Ja, Jb])).max()))
-            L_theta.append(_INFLATION * lt)
-            ggs.append(_INFLATION * gg)
-            jac_maxes.append(jac_max)
-        self._bind(np.array(L_theta), ggs)
-        self._jac_max = np.array(jac_maxes)
+        dist = np.array([dist for _, _, dist in good])
+        M, n = game.total_constraints, game.n
+        ratios, oks, failed = [], [], False
+        row_lip, jac_max = np.zeros(M), np.zeros(game.num_players)
+        for start in range(0, len(good), _PAIR_CHUNK):   # bounds the stacked sweeps' size
+            chunk, d = good[start:start + _PAIR_CHUNK], dist[start:start + _PAIR_CHUNK, None]
+            with np.errstate(**QUIET):   # ends in the finiteness checks below
+                sweeps = [raw_sweep(game, x) for a, b, _ in chunk for x in (a, b)]
+                grads = np.array([s[1] for s in sweeps])   # (2 pairs, N, n), a and b alternating
+                jacs = np.array([s[3] for s in sweeps])    # (2 pairs, M, n)
+                dg = grads[0::2] - grads[1::2]
+                # per pair and player: ||dg|| as one BLAS dot each, as np.linalg.norm takes it
+                ratio = np.sqrt(np.matmul(dg[..., None, :], dg[..., :, None]))[..., 0, 0] / d
+                ok = np.isfinite(jacs).all(axis=2).reshape(len(chunk), 2, M).all(axis=1)
+                ratios.append(ratio)
+                oks.append(ok)
+                # past a failure the remaining pairs are only checked: it is raised below
+                failed = failed or not (np.isfinite(ratio).all() and ok.all())
+                if failed:
+                    continue
+                # per pair and row: ||dJ_row|| as the sum np.linalg.norm(axis=1) takes
+                dj = jacs[0::2] - jacs[1::2]
+                row_lip = np.maximum(row_lip, (np.sqrt(np.add.reduce(dj * dj, axis=2)) / d).max(
+                    axis=0, initial=0.0))
+                for players, rows, m in game.rows._runs:   # per run of equal row count m
+                    norms = spectral_norms(jacs[:, rows].reshape(-1, m, n)).reshape(len(sweeps), -1)
+                    jac_max[players] = np.maximum(jac_max[players], norms.max(axis=0))
+        ratio = np.concatenate(ratios)
+        if failed:
+            _raise_first_sampling_failure(game, ratio, np.concatenate(oks))
+        bounds = game.rows.bounds
+        self._bind(_INFLATION * ratio.max(axis=0, initial=0.0),
+                   [_INFLATION * row_lip[bounds[i]:bounds[i + 1]]
+                    for i in range(game.num_players)])
+        self._jac_max = jac_max
 
     # -- public entry --------------------------------------------------------
 
@@ -391,6 +407,23 @@ class LipschitzEstimator:
 # ---------------------------------------------------------------------------
 
 _GAMMA_FLOOR = 1e-2
+
+
+def _raise_first_sampling_failure(game: GameInstance, ratio: Array, jac_ok: Array):
+    """Raise :class:`OracleFailure` for the first player, and its first
+    sampled pair, whose gradient difference quotient ``ratio`` (pairs, N) is
+    not finite or whose Jacobians are not (``jac_ok``, pairs by rows),
+    the gradient first."""
+    bounds = game.rows.bounds
+    for i in range(game.num_players):
+        rows = slice(bounds[i], bounds[i + 1])
+        for k in range(len(ratio)):
+            if not np.isfinite(ratio[k, i]):
+                raise OracleFailure(
+                    f"player {i}: non-finite gradient while sampling smoothness", player=i)
+            if not jac_ok[k, rows].all():
+                raise OracleFailure(
+                    f"player {i}: non-finite Jacobian while sampling smoothness", player=i)
 
 
 def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
@@ -658,8 +691,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     the last completed iteration.
 
     Each outer iteration works on whole arrays over players: the oracle
-    sweep (:func:`~gnepsolve.lagrangian.evaluate_point`, one batched sweep
-    for a game with stacked quadratic data), the anchor, the multiplier step
+    sweep (:func:`~gnepsolve.lagrangian.evaluate_point`, one call of the
+    game's batched oracle when it has one), the anchor, the multiplier step
     and the trace row's values and norms, with the multipliers stacked over
     the constraint rows (``game.rows``). Every per-player
     reduction is bit for bit the per-player one, so the iterates do not

@@ -1,5 +1,7 @@
 """Value, reduced form, gradients, and the anchored quadratic model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,26 @@ def test_evaluate_point_names_the_first_nonfinite_field(field, message):
         evaluate_point(game, np.zeros(3))
     assert str(err.value) == message
     assert err.value.player == 1
+
+
+def test_evaluate_point_returns_a_finite_point_whose_sum_overflows():
+    # every value is finite but their sum is not: the one-pass check looks at
+    # the fields one by one, finds nothing, and the point is returned as swept
+    big = 1.5e308
+    player = G.PlayerProblem(
+        objective=lambda x: big,
+        gradient=lambda x: np.full(2, big),
+        constraints=lambda x: np.array([big]),
+        constraint_jacobian=lambda x: np.full((1, 2), -big),
+        private_set=SimpleSet.free(1), m=1)
+    game = G.GameInstance((player, player), BlockLayout((1, 1)), "big")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = evaluate_point(game, np.zeros(2))
+    assert point.theta.tolist() == [big, big]
+    assert point.theta_grads.tolist() == [[big, big]] * 2
+    assert point.g_values.tolist() == [big, big]
+    assert point.g_jacobians.tolist() == [[-big, -big]] * 2
 
 
 def _overflowing_spec(field):

@@ -64,6 +64,142 @@ def test_sampled_estimates_scale_with_inflation(monkeypatch):
     np.testing.assert_allclose(e2.grad_g_lip, 2.0 * e1.grad_g_lip, rtol=1e-12)
 
 
+def per_pair_resample(est, x):
+    """The sampler one player and one point pair at a time, with each
+    player's own oracles: the reference for ``LipschitzEstimator._resample``."""
+    est._box_center, est._box_halfwidth = np.array(x, copy=True), 2.0 + 0.25 * np.abs(x)
+    game = est.game
+    for attempt in range(2):
+        pts_a = [est._draw_point() for _ in range(G.solver._SAMPLE_PAIRS)]
+        pts_b = [est._draw_point() for _ in range(G.solver._SAMPLE_PAIRS)]
+        good = [(a, b, dist) for a, b in zip(pts_a, pts_b)
+                if (dist := float(np.linalg.norm(a - b))) > 1e-10]
+        if good:
+            break
+        est._box_halfwidth = 2.0 * est._box_halfwidth
+    L_theta, ggs, jac_maxes = [], [], []
+    for i, p in enumerate(game.players):
+        lt, gg, jac_max = 0.0, np.zeros(p.m), 0.0
+        for a, b, dist in good:
+            ratio = float(np.linalg.norm(p.gradient(a) - p.gradient(b))) / dist
+            if not np.isfinite(ratio):
+                raise G.OracleFailure(
+                    f"player {i}: non-finite gradient while sampling smoothness", player=i)
+            lt = max(lt, ratio)
+            if p.m:
+                Ja = np.asarray(p.constraint_jacobian(a), dtype=float)
+                Jb = np.asarray(p.constraint_jacobian(b), dtype=float)
+                if not (np.all(np.isfinite(Ja)) and np.all(np.isfinite(Jb))):
+                    raise G.OracleFailure(
+                        f"player {i}: non-finite Jacobian while sampling smoothness", player=i)
+                gg = np.maximum(gg, np.linalg.norm(Ja - Jb, axis=1) / dist)
+                jac_max = max(jac_max, float(spectral_norms(np.stack([Ja, Jb])).max()))
+        L_theta.append(G.solver._INFLATION * lt)
+        ggs.append(G.solver._INFLATION * gg)
+        jac_maxes.append(jac_max)
+    est._bind(np.array(L_theta), ggs)
+    est._jac_max = np.array(jac_maxes)
+
+
+def sampled_user_game(bad=None):
+    """A user-built game with no batched oracle and x-dependent gradients and
+    Jacobians: blocks (2, 1, 2, 1) with 2, 0, 2 and 2 constraints (runs of
+    equal row counts, a player without rows, Jacobians with two rows). ``bad``
+    maps ``(player, "gradient" or "jacobian")`` to a predicate of ``x``: that
+    oracle turns NaN (gradient) or inf (Jacobian) where it holds."""
+    bad = bad or {}
+    layout = BlockLayout((2, 1, 2, 1))
+    n, rng = layout.n, np.random.default_rng(11)
+    sets = [SimpleSet.box(np.full(2, -2.0), np.full(2, 2.0)), SimpleSet.nonneg(1),
+            SimpleSet.box(np.full(2, -1.0), np.full(2, 3.0)), SimpleSet.free(1)]
+
+    def player(i, m):
+        w, v = rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
+        A, c = rng.uniform(0.1, 1.0, (m, n)), rng.standard_normal((m, n))
+        never = lambda x: False   # noqa: E731
+        bad_grad, bad_jac = bad.get((i, "gradient"), never), bad.get((i, "jacobian"), never)
+
+        def gradient(x):
+            return w * x + v * np.cos(x) + (np.nan if bad_grad(x) else 0.0)
+
+        def constraint_jacobian(x):
+            return 2.0 * A * x + c * np.exp(0.1 * x) + (np.inf if bad_jac(x) else 0.0)
+
+        return PlayerProblem(
+            objective=lambda x: float(0.5 * w @ (x * x) + v @ np.sin(x)),
+            gradient=gradient,
+            constraints=lambda x: (A * x) @ x + 10.0 * c @ (np.exp(0.1 * x) - 1.0) - 1.0,
+            constraint_jacobian=constraint_jacobian,
+            private_set=sets[i], m=m)
+
+    return GameInstance(tuple(player(i, m) for i, m in enumerate((2, 0, 2, 2))), layout, "user")
+
+
+def sampled_constants(est):
+    return [est._L_theta.tobytes(), est._gg.tobytes(), est._M_g_own.tobytes(),
+            est._jac_max.tobytes(), est._box_halfwidth.tobytes(),
+            str(est.rng.bit_generator.state)]
+
+
+@pytest.mark.parametrize("make_game, start", [
+    (lambda: library.builtin_instance("power"), 0.0),
+    (lambda: library.builtin_instance("power"), 5.0),
+    (sampled_user_game, 0.5),
+], ids=["power-const0", "power-const5", "user-game"])
+def test_batched_sampler_matches_the_per_pair_reference(make_game, start):
+    # the batched sampler (one raw sweep per sampled point, reductions over
+    # all pairs at once) gives the per-pair loop's constants bit for bit, over
+    # successive resamples of one estimator (the draws continue the same
+    # stream): at the start, at a solve's iterate and at the start again
+    game = make_game()
+    x0 = initial_state(game, np.full(game.n, start)).x
+    x_run = G.solve(game, x0, SolverConfig(max_outer=200)).state.x
+    batched, reference = LipschitzEstimator(game, seed=3), LipschitzEstimator(game, seed=3)
+    for x in (x0, x_run, x0):
+        batched._resample(x)
+        per_pair_resample(reference, x)
+        assert sampled_constants(batched) == sampled_constants(reference)
+    assert np.count_nonzero(batched._jac_max) == sum(p.m > 0 for p in game.players)
+
+
+def _always(x):
+    return True
+
+
+@pytest.mark.parametrize("bad, message", [
+    # an earlier player's failure at a later pair comes first
+    ({(2, "gradient"): _always, (0, "jacobian"): lambda x: x[0] > 1.5},
+     "player 0: non-finite Jacobian while sampling smoothness"),
+    # ... also when it is drawn only at pair 158, in a later chunk of pairs
+    ({(2, "gradient"): _always, (0, "jacobian"): lambda x: x[5] > 2.58},
+     "player 0: non-finite Jacobian while sampling smoothness"),
+    ({(3, "gradient"): _always, (2, "jacobian"): _always},
+     "player 2: non-finite Jacobian while sampling smoothness"),
+    # both at one pair: the gradient first
+    ({(2, "gradient"): lambda x: x[0] > 0.5, (2, "jacobian"): lambda x: x[0] > 0.5},
+     "player 2: non-finite gradient while sampling smoothness"),
+    # one player, disjoint regions: the region the draws reach first (x[0] < -1)
+    ({(2, "gradient"): lambda x: x[0] > 1.0, (2, "jacobian"): lambda x: x[0] < -1.0},
+     "player 2: non-finite Jacobian while sampling smoothness"),
+    ({(2, "gradient"): lambda x: x[0] < -1.0, (2, "jacobian"): lambda x: x[0] > 1.0},
+     "player 2: non-finite gradient while sampling smoothness"),
+    ({(1, "gradient"): lambda x: x[0] > 1.9},
+     "player 1: non-finite gradient while sampling smoothness"),
+])
+def test_batched_sampler_names_the_first_failing_player_and_pair(bad, message):
+    # injected NaN gradients or inf Jacobians: the first failing (player,
+    # pair), the gradient before the Jacobian, is reported as the per-pair
+    # loop reports it; the raw sweeps raise no warning
+    game = sampled_user_game(bad)
+    x = np.full(game.n, 0.5)
+    failures = []
+    for resample in (LipschitzEstimator._resample, per_pair_resample):
+        with pytest.raises(G.OracleFailure) as err:
+            resample(LipschitzEstimator(game, seed=3), x)
+        failures.append((str(err.value), err.value.player))
+    assert failures[0] == failures[1] == (message, int(message.split()[1][:-1]))
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 9),
        st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),

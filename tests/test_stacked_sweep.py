@@ -1,11 +1,13 @@
-"""The batched oracle sweep of stacked quadratic games against the closure sweep.
+"""The built-in batched oracles against the per-player closure sweep.
 
 A game built from a ``QuadraticGnepSpec`` carries its data stacked over
-players (``game.quadratic``), and ``evaluate_point`` then computes every
-player's values from a few whole-array products. The same players without
-the stacked data take the per-player closure loop; both must give the same
-bits.
+players (``game.quadratic``), and its batched oracle computes every
+player's values from a few whole-array products; ``power`` computes its rate
+terms for every link at once. The same players without the batched oracle
+take the per-player closure loop; both must give the same bits.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +28,13 @@ _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 def closure_twin(game):
     """The same players, layout and name, without the stacked data."""
     return G.GameInstance(game.players, game.layout, game.name)
+
+
+def detach_batched_oracle(game):
+    """Drop ``game``'s batched oracle in place (keeping any stacked data), so
+    that its sweeps take the per-player oracle loop."""
+    assert game.batched_oracle is not None
+    object.__setattr__(game, "batched_oracle", None)
 
 
 def point_bits(point):
@@ -254,12 +263,15 @@ def test_projected_gradient_x_part_sums_many_rows_as_each_player_does(shape):
     library.make_example3,
     library.make_a18_electricity,
     lambda: library.gen_arrow_debreu(5, 2, 3, seed=0),
-], ids=["example3", "a18", "arrow-debreu"])
-def test_builtin_batched_sweeps_are_bitwise_the_closure_sweeps(make_game, monkeypatch):
+    lambda: library.gen_power_allocation(3, 4, 1.5, 0.3162, seed=2),
+    lambda: library.gen_power_allocation(2, 2, 1.0, 0.3162, seed=4),
+], ids=["example3", "a18", "arrow-debreu", "power-3x4", "power-2x2"])
+def test_builtin_batched_sweeps_are_bitwise_the_closure_sweeps(make_game):
     # example3 and arrow-debreu have curved (quadratic) constraints, whose
     # values and Jacobians the batched sweep takes from the players' oracles;
-    # all three agree bit for bit, and the iterates of a short solve do not
-    # depend on which sweep runs
+    # power's links read rows of its batched rate terms (zero powers among
+    # the projected points); all agree bit for bit, and the iterates of a
+    # short solve do not depend on which sweep runs
     game = make_game()
     twin = closure_twin(game)
     rng = np.random.default_rng(5)
@@ -269,10 +281,61 @@ def test_builtin_batched_sweeps_are_bitwise_the_closure_sweeps(make_game, monkey
     x0 = game.project_private(np.full(game.n, 0.5))
     cfg = G.SolverConfig(max_outer=40)
     a = G.solve(game, x0, cfg)
-    monkeypatch.setattr(lagrangian, "_stacked_sweep", lagrangian._oracle_sweep)
+    detach_batched_oracle(game)   # the same game, swept by the per-player loop
     b = G.solve(game, x0, cfg)
     assert a.state.x.tobytes() == b.state.x.tobytes()
     assert [r.L_values.tobytes() for r in a.trace.rows] == [r.L_values.tobytes() for r in b.trace.rows]
+
+
+@st.composite
+def power_points(draw):
+    """A power game of 1-4 links on 1-5 channels with drawn gains, rate
+    targets and noise, and a nonnegative point with some zero powers."""
+    L, C = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    gains = draw(st.lists(st.floats(1e-3, 10.0), min_size=L * L * C, max_size=L * L * C))
+    targets = draw(st.lists(st.floats(0.1, 5.0), min_size=L, max_size=L))
+    noise = draw(st.floats(1e-2, 2.0))
+    x = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=L * C,
+                      max_size=L * C))
+    gains = np.reshape(gains, (L, L, C))
+    game = library.gen_power_allocation(L, C, targets, noise, gains=gains)
+    return game, np.array(x), (gains, np.array(targets), noise ** 2)
+
+
+def link_reference(gains, targets, noise_power, nu, x):
+    """Link ``nu``'s constraint value and Jacobian row, one link at a time."""
+    L, _, C = gains.shape
+    pw, h_own, h_cross = x.reshape(L, C), gains[nu, nu], gains[nu]
+    den = noise_power + np.einsum("mc,mc->c", h_cross, pw) - h_cross[nu] * pw[nu]
+    s = h_own * pw[nu] / den
+    common = 1.0 / ((1.0 + s) * math.log(2.0))
+    row = np.zeros((L, C))
+    row[nu] = -common * h_own / den
+    for mu in range(L):
+        if mu != nu:
+            row[mu] = common * h_own * pw[nu] * h_cross[mu] / den ** 2
+    return targets[nu] - float(np.sum(np.log1p(s)) / math.log(2.0)), row.reshape(1, L * C)
+
+
+@settings(deadline=None, max_examples=100)
+@given(power_points())
+def test_power_batched_sweep_is_bitwise_its_links_and_the_oracle_loop(drawn):
+    # the batched sweep, each link's own four oracles and the per-player loop
+    # read the one implementation of the rate terms, so every bit agrees;
+    # it is also bit for bit the link-at-a-time formula
+    game, x, data = drawn
+    fields = game.batched_oracle(x)
+    loop = lagrangian._oracle_sweep(game, x)
+    assert [f.tobytes() for f in fields] == [f.tobytes() for f in loop]
+    theta, grads, g, jac = fields
+    for i, p in enumerate(game.players):
+        assert np.float64(p.objective(x)).tobytes() == theta[i].tobytes()
+        assert p.gradient(x).tobytes() == grads[i].tobytes()
+        assert p.constraints(x).tobytes() == g[i:i + 1].tobytes()
+        assert p.constraint_jacobian(x).tobytes() == jac[i:i + 1].tobytes()
+        value, row = link_reference(*data, i, x)
+        assert np.float64(value).tobytes() == g[i].tobytes()
+        assert row.tobytes() == jac[i:i + 1].tobytes()
 
 
 def held_arrays(game):
