@@ -176,10 +176,11 @@ class Segments:
         return np.sqrt(self.dot(a, a))
 
     def max_abs(self, a: Array) -> Array:
-        """Per-segment :func:`max_abs`."""
-        out = np.zeros(len(self.counts))
+        """Per-segment :func:`max_abs`, over the last axis."""
+        lead = a.shape[:-1]
+        out = np.zeros(lead + (len(self.counts),))
         for players, entries, w in self._runs:
-            out[players] = np.abs(a[entries].reshape(-1, w)).max(axis=1)
+            out[..., players] = np.abs(a[..., entries].reshape(lead + (-1, w))).max(axis=-1)
         return out
 
     def matvec(self, A: Array, x: Array) -> Array:
@@ -540,18 +541,21 @@ class GameInstance:
         return lower, upper, tuple(rest)
 
     def project_private(self, x: Array) -> Array:
-        """Project each player's block onto its private set.
+        """Project each player's block onto its private set, over any leading axes.
 
         Box and nonneg blocks are projected by one clip over stacked bounds,
         bit for bit what :meth:`SimpleSet.project` gives block by block;
-        simplex and ball blocks are projected one at a time.
+        simplex and ball blocks are projected one at a time, row by row.
         """
         x = np.asarray(x, dtype=float)
         lower, upper, rest = self._clip_bounds
+        if x.ndim > 1:   # broadcast (stride-0) bounds take a clip loop that keeps -0.0
+            lower, upper = (np.tile(b, x.shape[:-1] + (1,)) for b in (lower, upper))
         out = np.clip(x, lower, upper)
         for i in rest:
-            sl = self.layout.slices[i]
-            out[sl] = self.players[i].private_set.project(x[sl])
+            sl, project = self.layout.slices[i], self.players[i].private_set.project
+            for row in np.ndindex(x.shape[:-1]):
+                out[row + (sl,)] = project(x[row + (sl,)])
         return out
 
     def constant_jacobian(self, i: int) -> bool:
@@ -583,15 +587,16 @@ def _attach_batched_oracle(game: GameInstance, sweep: Sweep) -> GameInstance:
 
 
 def own_columns(J: Array, run: tuple[slice, slice, slice]) -> Array:
-    """The own-block columns ``J[s, sl]`` of the players of ``run`` (one of
-    :attr:`GameInstance.constrained_runs`) as one read-only ``(p, w, d)`` view
-    of the contiguous ``J``, no copy: each block keeps ``J``'s row stride, so
-    a product with it rounds as one with ``J[s, sl]`` does."""
+    """The own-block columns ``J[..., s, sl]`` of the players of ``run`` (one of
+    :attr:`GameInstance.constrained_runs`) as one read-only ``(..., p, w, d)``
+    view of the contiguous ``J``, no copy: each block keeps ``J``'s row stride,
+    so a product with it rounds as one with ``J[s, sl]`` does."""
     players, rows, cols = run
-    p, (s0, s1) = players.stop - players.start, J.strides
+    p, (s0, s1) = players.stop - players.start, J.strides[-2:]
     w, d = (rows.stop - rows.start) // p, (cols.stop - cols.start) // p
-    return np.ndarray((p, w, d), J.dtype, memoryview(J).toreadonly(),
-                      rows.start * s0 + cols.start * s1, (w * s0 + d * s1, s0, s1))
+    return np.ndarray(J.shape[:-2] + (p, w, d), J.dtype, memoryview(J).toreadonly(),
+                      rows.start * s0 + cols.start * s1,
+                      J.strides[:-2] + (w * s0 + d * s1, s0, s1))
 
 
 def constraint_violation(g: Array) -> float:

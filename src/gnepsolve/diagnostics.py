@@ -378,7 +378,8 @@ def projected_gradient_blocks(game: GameInstance, state: IterateState,
     """
     point = evaluate_point(game, state.x)
     d = state.duals
-    qx = projected_gradient_x(game, point, d.lam)
+    own_grad = point.theta_grads.ravel()[game.layout.own_entries]
+    qx = projected_gradient_x(game, point.x, d.lam, own_grad, point.g_jacobians)
     qlam = projected_gradient_lam(d.rows, d.lam,
                                   point.g_values - d.z - penalty.beta * (d.lam - d.mu))
     qz, qmu = d.rows.norm(np.array([d.mu - d.lam + penalty.alpha * d.z,

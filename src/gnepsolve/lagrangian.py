@@ -190,25 +190,30 @@ def lagrangian_values(point: PointEval, lam: Array, rows: Segments,
     return np.where(rows.nonempty, point.theta + lam_g, point.theta)
 
 
-def _own_jacobian_products(game: GameInstance, point: PointEval, lam: Array) -> Array:
-    """Player ``i``'s own-block columns of ``J_i.T @ lam_i``, stacked like ``x``:
-    bit for bit ``J[s, sl].T @ lam[s]``, a gemv per player batched per run on the
-    view :func:`own_columns` (a full product or a gathered copy rounds differently)."""
-    J, out = point.g_jacobians, np.zeros(game.n)
+def _own_jacobian_products(game: GameInstance, J: Array, lam: Array) -> Array:
+    """Player ``i``'s own-block columns of ``J_i.T @ lam_i``, stacked like ``x``
+    over the leading axes of ``lam`` (``J`` shared or stacked along them): bit for
+    bit ``J[s, sl].T @ lam[s]``, a gemv per player batched per run on the view
+    :func:`own_columns` (a full product or a gathered copy rounds differently)."""
+    lead = lam.shape[:-1]
+    out = np.zeros(lead + (game.n,))
     for players, rows, cols in game.constrained_runs:
         blocks = own_columns(J, (players, rows, cols))
-        out[cols] = np.matmul(lam[rows].reshape(len(blocks), 1, -1), blocks).ravel()
+        products = np.matmul(lam[..., rows].reshape(lead + (-1, 1, blocks.shape[-2])), blocks)
+        out[..., cols] = products.reshape(lead + (-1,))
     return out
 
 
-def projected_gradient_x(game: GameInstance, point: PointEval, lam: Array) -> Array:
-    """Per-player norm of the x-block of the projected gradient at ``point``
-    and multipliers ``lam``: the projected own-gradient step residual. The
-    other duals do not enter the x-gradient."""
+def projected_gradient_x(game: GameInstance, x: Array, lam: Array, grad_own: Array,
+                         J: Array) -> Array:
+    """Per-player norm of the x-block of the projected gradient at ``x`` and
+    multipliers ``lam``, from the objective gradients' own blocks ``grad_own``
+    (stacked like ``x``) and the constraint Jacobian ``J``: the projected
+    own-gradient step residual. Over leading axes of ``x``, ``lam`` and
+    ``grad_own`` (``J`` stacked along them or shared) each row is bit for bit
+    the one-point value. The other duals do not enter the x-gradient."""
     # A player without constraints adds +0.0 here, which no norm below sees.
-    grad_own = (point.theta_grads.ravel()[game.layout.own_entries]
-                + _own_jacobian_products(game, point, lam))
-    x_step = point.x - game.project_private(point.x - grad_own)
+    x_step = x - game.project_private(x - (grad_own + _own_jacobian_products(game, J, lam)))
     return game.layout.segments.norm(x_step)
 
 

@@ -21,10 +21,11 @@ steps keep ``z = 0`` and ``mu = lam``, so ``alpha`` enters no iterate: the
 solver carries ``lam`` alone and exports ``z = 0`` and ``mu = lam``. The
 trace records monitored value-decrease, multiplier-coupling and
 projected-gradient bounds, so claims about the dynamics can be asserted (or
-falsified) on real runs. Values fixed by construction are computed once:
-``gamma`` per run when the estimate cannot move (stacked quadratic data, no
-curved player), and each iteration's sums over constraint rows in one
-stacked reduction (:func:`solve_inner`).
+falsified) on real runs; its rows are built in blocks after the iterations
+they record. Values fixed by construction are computed once: ``gamma`` per
+run when the estimate cannot move (stacked quadratic data, no curved
+player), and each iteration's two sums over constraint rows in one stacked
+reduction (:func:`solve_inner`).
 """
 
 from __future__ import annotations
@@ -517,7 +518,7 @@ class InnerResult:
     values: Array        # L at (x_next, the anchor's multipliers)
     lam: Array           # the dual step at x_next from the anchor's multipliers
     dlam: Array          # lam - anchor.lam
-    sums: Array          # (4, N): lam.g; squared norms of dlam, lam and its projected step
+    sums: Array          # (2, N): lam.g at the anchor's multipliers and at lam
 
 
 def _exit_verdict(anchor: QuadraticAnchor, u: Array, true_values: Array,
@@ -560,23 +561,20 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     visible).
 
     The dual step :func:`step_duals` runs before the exit test, which does
-    not read it, so that one ``game.rows.dot`` over a leading axis of five
-    gives ``lam.g`` at the old and the new multipliers and the squared norms
-    of the multiplier move, the new multipliers and their projected step.
+    not read it, so that one ``game.rows.dot`` over a leading axis of two
+    gives ``lam.g`` at the old and the new multipliers.
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
     point = evaluate_point(game, u)
     lam, g = anchor.lam, point.g_values
     lam_new = step_duals(lam, g, cfg.beta)
-    dlam, step = lam_new - lam, projected_step_lam(lam_new, g)
-    sums = game.rows.dot(np.array([lam, lam_new, dlam, lam_new, step]),
-                         np.array([g, g, dlam, lam_new, step]))
+    sums = game.rows.dot(np.array([lam, lam_new]), np.array([g, g]))
     values = lagrangian_values(point, lam, game.rows, sums[0])
     verdict = _exit_verdict(anchor, u, values, slack=1e-14)
     if verdict == "undecided":
         verdict = ("stall" if max_abs(u - anchor.y) <= cfg.outer_tol
                    else _exit_verdict(anchor, u, values))
-    return InnerResult(u, verdict, point, values, lam_new, dlam, sums[1:])
+    return InnerResult(u, verdict, point, values, lam_new, lam_new - lam, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +669,29 @@ def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...],
     return full, own
 
 
+@np.errstate(**QUIET)   # a diverging run records non-finite values
+def _trace_rows(game: GameInstance, pending: list[tuple], stacked_jacobians: bool
+                ) -> list[TraceRow]:
+    """The trace rows of ``pending`` iterations, each ``(k, L_values, dx_inf,
+    dlambda_inf, exit_kind, L_x_step, dx, x, lam, dlam, g, grad_own, J,
+    jac_norm, jac_own_norm, gamma, est)``, over a leading axis of rows, bit for
+    bit the one-row values; ``J`` is stacked if ``stacked_jacobians``, else constant."""
+    (ks, L, dx_inf, dlam_inf, kinds, L_x, dx, x, lam, dlam, g, grad_own, J, jac, jac_own, gamma,
+     est) = zip(*pending)
+    dx, lam, g = np.array(dx), np.array(lam), np.array(g)
+    qx = projected_gradient_x(game, np.array(x), lam, np.array(grad_own),
+                              np.array(J) if stacked_jacobians else J[0])
+    moves = np.stack([np.array(dlam), lam, projected_step_lam(lam, g)], axis=1)
+    dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
+    feas = np.maximum(g, 0.0).max(axis=1, initial=0.0)
+    dx_2 = np.sqrt(np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0])   # one dot per row
+    lam_norm_inf = game.rows.max_abs(lam)
+    return [TraceRow(ks[j], L[j], dx_inf[j], dlam_inf[j], float(feas[j]), kinds[j], L_x[j],
+                     float(dx_2[j]), dlam_2[j], lam_norm2[j], lam_norm_inf[j], jac[j], jac_own[j],
+                     qx[j], qlam[j], gamma[j], est[j].L_theta, est[j].M_g_own)
+            for j in range(len(pending))]
+
+
 # ---------------------------------------------------------------------------
 # Outer loop
 # ---------------------------------------------------------------------------
@@ -692,11 +713,14 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     Each outer iteration works on whole arrays over players: the oracle
     sweep (:func:`~gnepsolve.lagrangian.evaluate_point`, one call of the
-    game's batched oracle when it has one), the anchor, the multiplier step
-    and the trace row's values and norms, with the multipliers stacked over
-    the constraint rows (``game.rows``). Every per-player
-    reduction is bit for bit the per-player one, so the iterates do not
-    depend on how the work is batched.
+    game's batched oracle when it has one), the anchor and the multiplier
+    step, with the multipliers stacked over the constraint rows
+    (``game.rows``). What only the trace reads (projected-gradient blocks,
+    feasibility, norms) waits: each iteration keeps its row's raw arrays, and
+    one pass over a leading axis of rows builds them every ``_BOUND_ROWS``
+    rows and when the loop ends. Every per-player reduction is bit for bit
+    the per-player one, so neither the iterates nor the trace depend on how
+    the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -733,49 +757,36 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     stall_start_lam = np.inf
     message = ""
 
+    pending = []   # raw material of the rows not yet built
     for k in range(cfg.max_outer):
+        fresh = k == 0 or not estimator.fixed   # else the first gamma serves every row
         try:
-            if k == 0 or not estimator.fixed:   # else the first gamma serves every row
+            if fresh:
                 est = estimator.estimate(x, lam, jac_norms=jac_full)   # oracles: not quieted
-                with np.errstate(**QUIET):
+            with np.errstate(**QUIET):
+                if fresh:
                     gamma, _ = choose_gamma(est, penalty, cfg.gamma)
                     gamma_by_coord = game.layout.segments.repeat(gamma)
-            with np.errstate(**QUIET):
                 anchor = build_anchor(game, lam, gamma, point, L_values, gamma_by_coord)
                 inner = solve_inner(game, anchor, cfg)
+                dx = inner.x_next - x
+                x, lam, point = inner.x_next, inner.lam, inner.point
+                L_values = lagrangian_values(point, lam, rows, inner.sums[1])
+                if varying:
+                    jac_full, jac_own = _jac_norms(point, varying, (jac_full, jac_own))
         except OracleFailure as exc:
             status, message = "oracle-failure", str(exc)
             break
 
-        with np.errstate(**QUIET):
-            dx = inner.x_next - x
-            x, lam, point = inner.x_next, inner.lam, inner.point
-            dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
-            residual = max(dx_inf, dlambda_inf)
-            dlam_2, lam_norm2, qlam = np.sqrt(inner.sums[1:])
-            L_values = lagrangian_values(point, lam, rows, inner.sums[0])
-            if varying:
-                jac_full, jac_own = _jac_norms(point, varying, (jac_full, jac_own))
-            trace.rows.append(TraceRow(
-                k=k + 1,
-                L_values=L_values,
-                dx_inf=dx_inf,
-                dlambda_inf=dlambda_inf,
-                feas=constraint_violation(point.g_values),
-                exit_kind=inner.exit_kind,
-                L_x_step=inner.values,
-                dx_2=vec_norm(dx),
-                dlam_2=dlam_2,
-                lam_norm2=lam_norm2,
-                lam_norm_inf=rows.max_abs(lam),
-                jac_norm=jac_full,
-                jac_own_norm=jac_own,
-                qx=projected_gradient_x(game, point, lam),
-                qlam=qlam,
-                gamma=gamma,
-                M_theta_own=est.L_theta,
-                M_g_own=est.M_g_own,
-            ))
+        dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
+        residual = max(dx_inf, dlambda_inf)
+        pending.append((k + 1, L_values, dx_inf, dlambda_inf, inner.exit_kind, inner.values, dx,
+                        x, lam, inner.dlam, point.g_values,
+                        point.theta_grads.ravel()[game.layout.own_entries],
+                        point.g_jacobians, jac_full, jac_own, gamma, est))
+        if len(pending) == _BOUND_ROWS:
+            trace.rows += _trace_rows(game, pending, bool(varying))
+            pending = []
 
         if residual <= cfg.outer_tol:
             status = "converged"
@@ -802,6 +813,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         else:
             stall_streak = 0
 
+    if pending:
+        trace.rows += _trace_rows(game, pending, bool(varying))
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(
@@ -820,7 +833,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 # ---------------------------------------------------------------------------
 
 _SLACK = 1e-9
-# Rows compared at once by verify_run_bounds; bounds its temporaries' size.
+# Trace rows built at once by solve and checked at once by verify_run_bounds.
 _BOUND_ROWS = 64
 # Messages kept per monitored bound; the counts cover every violation.
 _KEPT_MESSAGES = 20

@@ -251,12 +251,20 @@ def test_random_quadratic_deterministic():
         np.testing.assert_array_equal(a.constraints(x), b.constraints(x))
 
 
-def test_random_quadratic_planted_point_strictly_feasible():
-    for seed in range(5):
-        game, plant = library.gen_random_quadratic_with_plant(3, 2, 2, seed=seed)
-        for p in game.players:
-            assert np.all(p.constraints(plant) < 0)
-            assert p.private_set.contains(game.layout.get_block(plant, 0) * 0 + plant[:2])
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_random_quadratic_planted_point_strictly_feasible(N, w, m, seed):
+    # every constraint row strictly negative at the plant, the plant inside
+    # every player's box (its own block), and every own block of Q_i
+    # symmetric with curvature at least 1
+    spec, plant = library.random_quadratic_spec(N, w, m, seed=seed)
+    game = spec.to_game()
+    for p, ps, sl in zip(game.players, spec.players, game.layout.slices):
+        assert p.m == m and np.all(p.constraints(plant) < 0)
+        assert p.private_set.contains(plant[sl], tol=0.0)
+        own = ps.Q[sl, sl]
+        assert np.array_equal(own, own.T)
+        assert np.linalg.eigvalsh(own).min() >= 1.0 - 1e-12
 
 
 def test_random_quadratic_single_player_matches_reference():

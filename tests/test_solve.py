@@ -10,7 +10,7 @@ import pytest
 
 import gnepsolve as G
 from gnepsolve import cli
-from gnepsolve.core import BlockLayout, SimpleSet
+from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation, vec_norm
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
@@ -59,6 +59,34 @@ def test_oracle_failure_status():
     res = G.solve(game, np.zeros(1), fast_config(max_outer=50))
     assert res.status == "oracle-failure"
     assert "non-finite" in res.message
+
+
+def test_runs_ending_mid_block_keep_every_row():
+    # solve builds its trace rows in blocks of _BOUND_ROWS and the rest when
+    # the loop ends: a converged run and an oracle failure, both past one
+    # block and short of the next, keep one row per completed iteration
+    B = G.solver._BOUND_ROWS
+    game, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
+    converged = G.solve(game, np.zeros(game.n), fast_config())
+    layout = BlockLayout((1,))
+    # x moves up by 1 per iteration (gradient -1, gamma 1); the objective is
+    # not finite from x = B + 7 on, so iteration B + 7 fails its oracle sweep
+    player = G.PlayerProblem(
+        objective=lambda x: float("nan") if x[0] > B + 6.5 else -float(x[0]),
+        gradient=lambda x: np.array([-1.0]),
+        constraints=lambda x: np.zeros(0),
+        constraint_jacobian=lambda x: np.zeros((0, 1)),
+        private_set=SimpleSet.free(1), m=0)
+    failing = G.solve(G.GameInstance((player,), layout, "nan-past-a-block"), np.zeros(1),
+                      fast_config(gamma=G.GammaPolicy.fixed(1.0), max_outer=10 * B))
+    assert converged.status == "converged" and failing.status == "oracle-failure"
+    assert failing.outer_iterations == B + 6
+    for res in (converged, failing):
+        assert B < res.outer_iterations < 2 * B
+        assert len(res.trace.rows) == res.outer_iterations
+        assert [r.k for r in res.trace.rows] == list(range(1, res.outer_iterations + 1))
+    assert failing.state.x.tolist() == [B + 6.0]
+    assert [r.dx_2 for r in failing.trace.rows] == [1.0] * (B + 6)
 
 
 def fresh_jacobian_norms(game, x):
@@ -174,16 +202,18 @@ def test_trace_quantities_match_their_single_implementations(a18_game, ad_game):
     # stopping residual are the quantities the public functions compute, bit
     # for bit; the state after k iterations is the state of a k-capped run.
     # a18; an affine quad-suite game, whose gamma is computed once per run,
-    # from the origin, where its rows are active; Arrow-Debreu, curved
+    # from the origin, where its rows are active, run past the first block of
+    # trace rows that solve builds at once; Arrow-Debreu, curved
     quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     ad_gamma = G.GammaPolicy.fixed(np.array([30.0] * 5 + [260.0] * 2 + [300.0]))
-    for game, x0, cfg in [(a18_game, np.zeros(a18_game.n), {}),
-                          (quad, np.zeros(quad.n), {"outer_tol": 1e-6}),
-                          (ad_game, ad_start(ad_game), {"gamma": ad_gamma})]:
-        check_trace_quantities(game, x0, cfg)
+    for game, x0, cfg, K in [(a18_game, np.zeros(a18_game.n), {}, 20),
+                             (quad, np.zeros(quad.n), {"outer_tol": 1e-6},
+                              G.solver._BOUND_ROWS + 6),
+                             (ad_game, ad_start(ad_game), {"gamma": ad_gamma}, 20)]:
+        check_trace_quantities(game, x0, cfg, K)
 
 
-def check_trace_quantities(game, x0, cfg, K=20):
+def check_trace_quantities(game, x0, cfg, K):
     pen, rows = fast_config().penalty(), game.rows
     res = G.solve(game, x0, fast_config(max_outer=K, **cfg))
     assert res.status == "max_outer" and len(res.trace.rows) == K, game.name
@@ -202,6 +232,14 @@ def check_trace_quantities(game, x0, cfg, K=20):
         assert row.L_x_step.tobytes() == at_step.tobytes()
         assert row.dlam_2.tobytes() == rows.norm(st.duals.lam - prev.duals.lam).tobytes()
         assert row.lam_norm2.tobytes() == rows.norm(st.duals.lam).tobytes()
+        # the rows' monitor-only quantities, built by solve over blocks of rows
+        blocks = projected_gradient_blocks(game, st, pen)
+        for key in ("qx", "qlam"):
+            assert getattr(row, key).tobytes() == np.array([b[key] for b in blocks]).tobytes()
+        feas = constraint_violation(evaluate_point(game, st.x).g_values)
+        assert np.array([row.feas, row.dx_2]).tobytes() == np.array(
+            [feas, vec_norm(st.x - prev.x)]).tobytes()
+        assert row.lam_norm_inf.tobytes() == rows.max_abs(st.duals.lam).tobytes()
     assert any(np.any(row.dlam_2 > 0) for row in res.trace.rows), game.name
     last = res.trace.rows[-1]
     blocks = projected_gradient_blocks(game, res.state, pen)

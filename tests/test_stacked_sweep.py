@@ -227,7 +227,13 @@ def test_stacked_consumers_are_the_per_player_forms(drawn):
                                 PlayerDualState(np.zeros_like(lam[s]), lam[s], lam[s]),
                                 pen.alpha, pen.beta)
          for i, s in enumerate(rows)])
-    assert bits(projected_gradient_x(game, point, lam)) == bits(per_player_qx(game, point, lam))
+    assert bits(point_qx(game, point, lam)) == bits(per_player_qx(game, point, lam))
+
+
+def point_qx(game, point, lam):
+    """:func:`projected_gradient_x` at one oracle sweep ``point``."""
+    own_grad = point.theta_grads.ravel()[game.layout.own_entries]
+    return projected_gradient_x(game, point.x, lam, own_grad, point.g_jacobians)
 
 
 def per_player_qx(game, point, lam):
@@ -240,6 +246,54 @@ def per_player_qx(game, point, lam):
         own = grads[i, sl] + (J[s, sl].T @ lam[s] if p.m else 0.0)
         want.append(np.linalg.norm(x[sl] - p.private_set.project(x[sl] - own)))
     return want
+
+
+def check_qx_block(game, rng, R):
+    """:func:`projected_gradient_x` over a leading axis of ``R`` points, with
+    their Jacobians stacked (and shared, when every Jacobian is constant),
+    against one call per point, bit for bit."""
+    X = np.array([game.project_private(3.0 * rng.standard_normal(game.n)) for _ in range(R)])
+    points = [evaluate_point(game, x) for x in X]
+    lam = rng.exponential(size=(R, game.total_constraints))
+    own = np.array([p.theta_grads.ravel()[game.layout.own_entries] for p in points])
+    J = np.array([p.g_jacobians for p in points])
+    want = bits([point_qx(game, p, row) for p, row in zip(points, lam)])
+    assert bits(projected_gradient_x(game, X, lam, own, J)) == want
+    if all(map(game.constant_jacobian, range(game.num_players))):
+        assert bits(projected_gradient_x(game, X, lam, own, J[0])) == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(affine_specs(), st.integers(1, 4), st.integers(1, 3))
+def test_leading_axis_helpers_are_the_per_row_calls(drawn, R, S):
+    # the forms the trace rows are built with, over (R, .) and (S, R, .):
+    # the projection (box and nonneg blocks clipped at once, simplex and ball
+    # blocks row by row), the per-segment largest entry over constraint rows
+    # and blocks, and the projected-gradient x-part, each bit for bit its
+    # per-row call
+    spec, rng = drawn
+    game = spec.to_game()
+    V = 3.0 * _signed(rng, (S, R, game.n))
+    assert bits(game.project_private(V)) == bits([[game.project_private(v) for v in s] for s in V])
+    for seg, a in ((game.rows, _signed(rng, (S, R, game.total_constraints))),
+                   (game.layout.segments, V)):
+        assert bits(seg.max_abs(a[0])) == bits([seg.max_abs(row) for row in a[0]])
+        assert bits(seg.max_abs(a)) == bits([[seg.max_abs(row) for row in s] for s in a])
+    check_qx_block(game, rng, R)
+
+
+@pytest.mark.parametrize("make_game", [
+    lambda: library.gen_random_quadratic(3, 1, 4, seed=101),
+    lambda: library.gen_arrow_debreu(3, 2, 3, seed=0),
+    lambda: library.builtin_instance("power"),
+], ids=["randquad-3x1x4", "arrow-debreu", "power"])
+@settings(deadline=None, max_examples=15)
+@given(R=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_projected_gradient_x_block_is_the_per_point_values(make_game, R, seed):
+    # four rows per one-variable block, whose own-column products round by
+    # J's row stride; a simplex block and curved budgets (Jacobians stacked);
+    # power's Jacobians, which move with x
+    check_qx_block(make_game(), np.random.default_rng(seed), R)
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 4), (2, 2, 4), (2, 3, 6)])
@@ -255,7 +309,7 @@ def test_projected_gradient_x_part_sums_many_rows_as_each_player_does(shape):
             x = np.concatenate([p.private_set.sample_interior(rng) for p in game.players])
             point = evaluate_point(game, x)
             lam = rng.exponential(size=game.total_constraints)
-            qx = projected_gradient_x(game, point, lam)
+            qx = point_qx(game, point, lam)
             assert bits(qx) == bits(per_player_qx(game, point, lam))
 
 
