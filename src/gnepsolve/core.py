@@ -599,10 +599,12 @@ def own_columns(J: Array, run: tuple[slice, slice, slice]) -> Array:
                       J.strides[:-2] + (w * s0 + d * s1, s0, s1))
 
 
-def constraint_violation(g: Array) -> float:
-    """Largest positive entry of the constraint values ``g``; 0 when every
-    constraint holds. A NaN entry propagates."""
-    return float(np.maximum(g, 0.0).max(initial=0.0))
+def constraint_violation(g: Array) -> float | Array:
+    """Largest positive entry of the constraint values ``g`` over its last
+    axis, one per point over any leading axes (a float for one point); 0
+    when every constraint holds. A NaN entry propagates."""
+    v = np.maximum(g, 0.0).max(axis=-1, initial=0.0)
+    return float(v) if v.ndim == 0 else v
 
 
 def stack_rows(blocks: Sequence[Array]) -> Array:

@@ -665,10 +665,10 @@ def random_quadratic_spec(n_players: int, n_per: int, m_per: int,
                           seed: int = 0) -> tuple[QuadraticGnepSpec, Array]:
     """Seeded quadratic game spec plus its strictly feasible planted point.
 
-    Own blocks are positive definite (curvature >= 1) and cross-block
-    influence is damped, so the joint best-response map is contractive and
-    the equilibrium unique. Coupling constraints are affine and strictly
-    satisfied at the planted point.
+    Own blocks are positive definite (curvature >= 1), cross-block terms are
+    scaled by ``0.3 / (N - 1)``, and each player's affine rows, in the whole
+    joint vector, hold strictly at the planted point. So the feasible sets
+    move with the rivals: no contraction or unique equilibrium is implied.
     """
     if min(n_players, n_per, m_per) < 1:
         raise ValueError("all generator sizes must be >= 1")

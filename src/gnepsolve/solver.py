@@ -22,10 +22,10 @@ solver carries ``lam`` alone and exports ``z = 0`` and ``mu = lam``. The
 trace records monitored value-decrease, multiplier-coupling and
 projected-gradient bounds, so claims about the dynamics can be asserted (or
 falsified) on real runs; its rows are built in blocks after the iterations
-they record. Values fixed by construction are computed once: ``gamma`` per
-run when the estimate cannot move (stacked quadratic data, no curved
-player), and each iteration's two sums over constraint rows in one stacked
-reduction (:func:`solve_inner`).
+they record, and :func:`verify_run_bounds` checks whole trace columns. Data
+that cannot move (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the
+Jacobian norms and ``J`` once per run; each iteration's two sums over
+constraint rows are one stacked reduction (:func:`solve_inner`).
 """
 
 from __future__ import annotations
@@ -378,8 +378,9 @@ class LipschitzEstimator:
 
     @property
     def fixed(self) -> bool:
-        """Every estimate is the first: quadratic data and no curved player."""
-        return self.game.quadratic is not None and not self.game.quadratic.hessians
+        """Every estimate is the first: every player's constraint Jacobian is
+        constant (``game.constant_jacobian``: quadratic data, not curved)."""
+        return all(map(self.game.constant_jacobian, range(self.game.num_players)))
 
     def estimate(self, x: Array, lam: Array,
                  jac_norms: Array | None = None) -> LipschitzEstimates:
@@ -522,26 +523,25 @@ class InnerResult:
 
 
 def _exit_verdict(anchor: QuadraticAnchor, u: Array, true_values: Array,
-                  slack: float | None = None) -> str:
-    """Exit test at a block update ``u`` whose true Lagrangian values at the
+                  stall_tol: float) -> str:
+    """Exit label of a block update ``u`` whose true Lagrangian values at the
     anchor's multipliers are ``true_values``.
 
-    Strict surrogate descent for every player is not always achievable: when
-    rivals' moves raise a player's anchored Lagrangian through the
-    cross-block terms, every point near the fixed point has a larger
-    surrogate value. Such players are accepted on a direct (non-strict) true
-    value comparison; if even the true value rose the exit is "forced" (the
-    block update is the fixed-point step; the rise is recorded).
-
-    Returns "descent", "true" or "forced"; "undecided" when a failing
-    surrogate margin is at most ``slack``.
+    "descent" when every surrogate margin is negative; "stall" when a
+    failing margin is zero up to rounding (at most 1e-14) and ``u`` is within
+    ``stall_tol`` of the anchor (no descent exists there). Else the failing
+    players are judged on a direct (non-strict) true value comparison:
+    "true" if it holds, "forced" if even the true value rose (the block
+    update is the fixed-point step; the rise is recorded). Strict surrogate
+    descent is not always achievable: rivals' moves can raise a player's
+    anchored Lagrangian through the cross-block terms.
     """
     margins = anchor.model_values(u) - anchor.values
     need_true = ~(margins < 0.0)
     if not need_true.any():
         return "descent"
-    if slack is not None and (margins[need_true] <= slack).any():
-        return "undecided"
+    if (margins[need_true] <= 1e-14).any() and max_abs(u - anchor.y) <= stall_tol:
+        return "stall"
     return "true" if (true_values[need_true] <= anchor.values[need_true]).all() else "forced"
 
 
@@ -551,14 +551,11 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
 
     This is the fixed point the reference sweep :func:`inner_step` converges
     to. The oracle sweep at the new point runs here, and its Lagrangian
-    values at the anchor's multipliers are the exit test's true values. The test
-    first runs with a 1e-14 slack, so a surrogate margin that is zero up to
-    rounding leaves it undecided; an undecided step that stays within the
-    outer tolerance of the anchor is a stall (no descent exists there), and
-    any other is labelled by the true-value comparison. If some player's
-    value genuinely rose, the point is accepted with ``exit_kind="forced"``
-    (the run record keeps the value trace, so a genuine increase stays
-    visible).
+    values at the anchor's multipliers are the exit test's true values
+    (:func:`_exit_verdict`, stalling within the outer tolerance). If some
+    player's value genuinely rose, the point is accepted with
+    ``exit_kind="forced"`` (the run record keeps the value trace, so a
+    genuine increase stays visible).
 
     The dual step :func:`step_duals` runs before the exit test, which does
     not read it, so that one ``game.rows.dot`` over a leading axis of two
@@ -570,11 +567,8 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     lam_new = step_duals(lam, g, cfg.beta)
     sums = game.rows.dot(np.array([lam, lam_new]), np.array([g, g]))
     values = lagrangian_values(point, lam, game.rows, sums[0])
-    verdict = _exit_verdict(anchor, u, values, slack=1e-14)
-    if verdict == "undecided":
-        verdict = ("stall" if max_abs(u - anchor.y) <= cfg.outer_tol
-                   else _exit_verdict(anchor, u, values))
-    return InnerResult(u, verdict, point, values, lam_new, lam_new - lam, sums)
+    return InnerResult(u, _exit_verdict(anchor, u, values, cfg.outer_tol), point, values,
+                       lam_new, lam_new - lam, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +648,12 @@ class SolveResult:
         return self.outer_iterations
 
 
-def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...],
-               known: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
+def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...]
+               ) -> tuple[Array, Array]:
     """Spectral norms of each player's constraint Jacobian ``J[s]`` and of its
     own-block columns ``J[s, sl]``, bit for bit, from views of ``J``: at ``point``
-    for the players of ``runs`` (``game.constrained_runs``), the others from
-    ``known`` (zero by default)."""
-    full, own = (k.copy() for k in known or (np.zeros(len(point.theta)),) * 2)
+    for the players of ``runs`` (``game.constrained_runs``), zero for the others."""
+    full, own = np.zeros(len(point.theta)), np.zeros(len(point.theta))
     J = point.g_jacobians
     for players, rows, cols in runs:
         blocks = own_columns(J, (players, rows, cols))
@@ -670,20 +663,19 @@ def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...],
 
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
-def _trace_rows(game: GameInstance, pending: list[tuple], stacked_jacobians: bool
-                ) -> list[TraceRow]:
+def _trace_rows(game: GameInstance, pending: list[tuple], fixed: bool) -> list[TraceRow]:
     """The trace rows of ``pending`` iterations, each ``(k, L_values, dx_inf,
     dlambda_inf, exit_kind, L_x_step, dx, x, lam, dlam, g, grad_own, J,
     jac_norm, jac_own_norm, gamma, est)``, over a leading axis of rows, bit for
-    bit the one-row values; ``J`` is stacked if ``stacked_jacobians``, else constant."""
+    bit the one-row values; every row's ``J`` is the first if ``fixed``, else stacked."""
     (ks, L, dx_inf, dlam_inf, kinds, L_x, dx, x, lam, dlam, g, grad_own, J, jac, jac_own, gamma,
      est) = zip(*pending)
     dx, lam, g = np.array(dx), np.array(lam), np.array(g)
     qx = projected_gradient_x(game, np.array(x), lam, np.array(grad_own),
-                              np.array(J) if stacked_jacobians else J[0])
+                              J[0] if fixed else np.array(J))
     moves = np.stack([np.array(dlam), lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
-    feas = np.maximum(g, 0.0).max(axis=1, initial=0.0)
+    feas = constraint_violation(g)
     dx_2 = np.sqrt(np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0])   # one dot per row
     lam_norm_inf = game.rows.max_abs(lam)
     return [TraceRow(ks[j], L[j], dx_inf[j], dlam_inf[j], float(feas[j]), kinds[j], L_x[j],
@@ -734,13 +726,13 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     except OracleFailure as exc:
         trace = SolveTrace(np.zeros(game.num_players), np.inf,
                            np.zeros(game.num_players), np.zeros(game.num_players))
+        trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, np.inf, message=str(exc))
 
     x, lam = state.x, state.duals.lam
-    # Norms of constant Jacobians are computed once, unless a run also holds a varying one.
-    varying = tuple(run for run in game.constrained_runs
-                    if not all(map(game.constant_jacobian, range(run[0].start, run[0].stop))))
+    # Data that cannot move: gamma, the Jacobian norms and J are the first ones.
+    fixed = estimator.fixed
     jac_full, jac_own = _jac_norms(point, game.constrained_runs)
     trace = SolveTrace(
         initial_L=lagrangian_values(point, lam, rows),
@@ -759,7 +751,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     pending = []   # raw material of the rows not yet built
     for k in range(cfg.max_outer):
-        fresh = k == 0 or not estimator.fixed   # else the first gamma serves every row
+        fresh = k == 0 or not fixed
         try:
             if fresh:
                 est = estimator.estimate(x, lam, jac_norms=jac_full)   # oracles: not quieted
@@ -772,8 +764,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 dx = inner.x_next - x
                 x, lam, point = inner.x_next, inner.lam, inner.point
                 L_values = lagrangian_values(point, lam, rows, inner.sums[1])
-                if varying:
-                    jac_full, jac_own = _jac_norms(point, varying, (jac_full, jac_own))
+                if not fixed:
+                    jac_full, jac_own = _jac_norms(point, game.constrained_runs)
         except OracleFailure as exc:
             status, message = "oracle-failure", str(exc)
             break
@@ -785,7 +777,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                         point.theta_grads.ravel()[game.layout.own_entries],
                         point.g_jacobians, jac_full, jac_own, gamma, est))
         if len(pending) == _BOUND_ROWS:
-            trace.rows += _trace_rows(game, pending, bool(varying))
+            trace.rows += _trace_rows(game, pending, fixed)
             pending = []
 
         if residual <= cfg.outer_tol:
@@ -814,7 +806,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             stall_streak = 0
 
     if pending:
-        trace.rows += _trace_rows(game, pending, bool(varying))
+        trace.rows += _trace_rows(game, pending, fixed)
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(
@@ -833,16 +825,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 # ---------------------------------------------------------------------------
 
 _SLACK = 1e-9
-# Trace rows built at once by solve and checked at once by verify_run_bounds.
+# Trace rows built at once by solve.
 _BOUND_ROWS = 64
 # Messages kept per monitored bound; the counts cover every violation.
 _KEPT_MESSAGES = 20
-
-
-def _first_hits(mask: Array, kept: list[str]) -> Array:
-    """(row, player) pairs of the first True entries of ``mask``, in row-major
-    order, as many as ``kept`` has room for."""
-    return np.argwhere(mask)[:max(_KEPT_MESSAGES - len(kept), 0)]
 
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
@@ -863,9 +849,11 @@ def verify_run_bounds(trace: SolveTrace, cfg: SolverConfig,
       projected-gradient norm bounded by the assembled constant times the
       primal move (the z- and mu-blocks vanish at ``z = 0``, ``mu = lam``).
 
-    Returns the first messages of each bound (at most 20, in (k, player)
-    order, by constraint row for ``dual-identity``; an empty list means the
-    bound always held) and the number of violations of each.
+    The row bounds are whole-array masks over the trace's columns, entry by
+    entry the arithmetic of one row and player at a time. Returns the first
+    messages of each bound (at most 20, in (k, player) order, by constraint
+    row for ``dual-identity``; an empty list means the bound always held)
+    and the number of violations of each.
     """
     out: dict[str, list[str]] = {k: [] for k in ("decrease", "x-descent", "dual-identity",
                                                  "multiplier-coupling", "projected-gradient")}
@@ -883,57 +871,41 @@ def verify_run_bounds(trace: SolveTrace, cfg: SolverConfig,
         return out, counts
     beta = cfg.beta
 
-    def stack(part: list[TraceRow], name: str) -> Array:
-        """One field over ``part``: (rows, players), or (rows,) for scalars."""
-        return np.array([getattr(r, name) for r in part])
+    def column(name: str) -> Array:
+        """One field over every row: (rows, players), or (rows,) for scalars."""
+        return np.array([getattr(r, name) for r in rows])
 
-    jac_own_max = np.maximum(trace.initial_jac_own_norm, stack(rows, "jac_own_norm").max(axis=0))
-    jac_run_max = np.maximum(trace.initial_jac_norm, stack(rows, "jac_norm").max(axis=0))
-    m_theta_max = stack(rows, "M_theta_own").max(axis=0)
-    m_g_max = stack(rows, "M_g_own").max(axis=0)
+    def report(kind: str, mask: Array, message) -> None:
+        """Count the violations ``mask`` (rows by players) of one bound, and
+        keep the first messages; np.argwhere keeps the (k, player) order."""
+        counts[kind] = int(np.count_nonzero(mask))
+        out[kind] = [f"k={ks[j]} player={i}: {message(j, i)}"
+                     for j, i in np.argwhere(mask)[:_KEPT_MESSAGES]]
+
+    # Columns are dropped once their bounds are checked: a long trace
+    # never has them all stacked at once.
+    ks, L, L_x = column("k"), column("L_values"), column("L_x_step")
+    prev_L = np.vstack([trace.initial_L, L[:-1]])
+    report("decrease", L > prev_L + _SLACK,
+           lambda j, i: f"L rose {prev_L[j, i]:.12g} -> {L[j, i]:.12g}")
+    accepted = np.array([r.exit_kind in ("descent", "true") for r in rows])[:, None]
+    report("x-descent", accepted & (L_x > prev_L + _SLACK), lambda j, i:
+           f"accepted block update raised L {prev_L[j, i]:.12g} -> {L_x[j, i]:.12g}")
+    del L, L_x, prev_L, accepted
+    checked = (ks >= 2)[:, None]
+    dx_2, dlam_2, jac = column("dx_2")[:, None], column("dlam_2"), column("jac_norm")
+    bound = np.maximum(np.vstack([trace.initial_jac_norm, jac[:-1]]), jac) / beta * dx_2 + _SLACK
+    report("multiplier-coupling", checked & (dlam_2 > bound),
+           lambda j, i: f"|dlam| {dlam_2[j, i]:.3e} > {bound[j, i]:.3e}")
+    jac_run_max = np.maximum(trace.initial_jac_norm, jac.max(axis=0))
+    del dlam_2, bound, jac
+    jac_own_max = np.maximum(trace.initial_jac_own_norm, column("jac_own_norm").max(axis=0))
     # The initial multipliers are zero, and a norm is never below zero.
-    lam_run_max = stack(rows, "lam_norm2").max(axis=0)
-
-    # Whole-array comparisons over blocks of rows, entry by entry the same
-    # float arithmetic as one row and player at a time; np.argwhere keeps the
-    # (k, player) message order.
-    last_L, last_jac = trace.initial_L, trace.initial_jac_norm
-    for start in range(0, len(rows), _BOUND_ROWS):
-        part = rows[start:start + _BOUND_ROWS]
-        ks = [r.k for r in part]
-        L, jac = stack(part, "L_values"), stack(part, "jac_norm")
-        prev_L = np.vstack([last_L, L[:-1]])
-        prev_jac = np.vstack([last_jac, jac[:-1]])
-        last_L, last_jac = L[-1], jac[-1]
-        rose = L > prev_L + _SLACK
-        counts["decrease"] += int(np.count_nonzero(rose))
-        for j, i in _first_hits(rose, out["decrease"]):
-            out["decrease"].append(
-                f"k={ks[j]} player={i}: L rose {prev_L[j, i]:.12g} -> {L[j, i]:.12g}")
-        L_x = stack(part, "L_x_step")
-        accepted = np.array([r.exit_kind in ("descent", "true") for r in part])[:, None]
-        raised = accepted & (L_x > prev_L + _SLACK)
-        counts["x-descent"] += int(np.count_nonzero(raised))
-        for j, i in _first_hits(raised, out["x-descent"]):
-            out["x-descent"].append(
-                f"k={ks[j]} player={i}: accepted block update raised L "
-                f"{prev_L[j, i]:.12g} -> {L_x[j, i]:.12g}")
-
-        checked = np.array([k >= 2 for k in ks])[:, None]
-        dx_2 = stack(part, "dx_2")[:, None]
-        dlam_2 = stack(part, "dlam_2")
-        bound = (np.maximum(prev_jac, jac) / beta) * dx_2 + _SLACK
-        coupled = checked & (dlam_2 > bound)
-        counts["multiplier-coupling"] += int(np.count_nonzero(coupled))
-        for j, i in _first_hits(coupled, out["multiplier-coupling"]):
-            out["multiplier-coupling"].append(
-                f"k={ks[j]} player={i}: |dlam| {dlam_2[j, i]:.3e} > {bound[j, i]:.3e}")
-        C_dx = (2.0 + stack(part, "gamma") + m_theta_max + m_g_max * lam_run_max
-                + jac_own_max * jac_run_max / beta + jac_run_max) * dx_2
-        pg = stack(part, "qx") + stack(part, "qlam")
-        pg_high = checked & (pg > C_dx + _SLACK)
-        counts["projected-gradient"] += int(np.count_nonzero(pg_high))
-        for j, i in _first_hits(pg_high, out["projected-gradient"]):
-            out["projected-gradient"].append(
-                f"k={ks[j]} player={i}: |pg| {pg[j, i]:.3e} > C*dx {C_dx[j, i]:.3e}")
+    lam_run_max = column("lam_norm2").max(axis=0)
+    C_dx = (2.0 + column("gamma") + column("M_theta_own").max(axis=0)
+            + column("M_g_own").max(axis=0) * lam_run_max
+            + jac_own_max * jac_run_max / beta + jac_run_max) * dx_2
+    pg = column("qx") + column("qlam")
+    report("projected-gradient", checked & (pg > C_dx + _SLACK),
+           lambda j, i: f"|pg| {pg[j, i]:.3e} > C*dx {C_dx[j, i]:.3e}")
     return out, counts

@@ -61,6 +61,33 @@ def test_oracle_failure_status():
     assert "non-finite" in res.message
 
 
+BOUND_KINDS = ("decrease", "x-descent", "dual-identity", "multiplier-coupling",
+               "projected-gradient")
+
+
+def start_failure_game():
+    """One player with one constraint row whose objective is not finite
+    anywhere, so the oracle sweep at the start point fails."""
+    player = G.PlayerProblem(
+        objective=lambda x: float("nan"),
+        gradient=lambda x: np.array([1.0]),
+        constraints=lambda x: np.array([x[0] - 1.0]),
+        constraint_jacobian=lambda x: np.ones((1, 1)),
+        private_set=SimpleSet.free(1), m=1)
+    return G.GameInstance((player,), BlockLayout((1,)), "nan-at-start")
+
+
+def test_start_point_oracle_failure_reports_every_bound():
+    # a run that fails before its first iteration still checks every
+    # monitored bound: on no rows and zero duals, none is violated
+    res = G.solve(start_failure_game(), np.zeros(1), fast_config())
+    assert res.status == "oracle-failure" and "non-finite" in res.message
+    assert res.outer_iterations == 0 and res.trace.rows == []
+    assert res.final_residual == np.inf
+    assert res.trace.violations == {kind: [] for kind in BOUND_KINDS}
+    assert res.trace.violation_counts == dict.fromkeys(BOUND_KINDS, 0)
+
+
 def test_runs_ending_mid_block_keep_every_row():
     # solve builds its trace rows in blocks of _BOUND_ROWS and the rest when
     # the loop ends: a converged run and an oracle failure, both past one
@@ -373,8 +400,7 @@ def equilibrium_by_multiplier_grid():
 def _run_bounds_one_at_a_time(trace, game, cfg, duals):
     """verify_run_bounds as one loop per row and player, the reference for
     its whole-array form."""
-    out = {"decrease": [], "x-descent": [], "dual-identity": [],
-           "multiplier-coupling": [], "projected-gradient": []}
+    out = {kind: [] for kind in BOUND_KINDS}
     for i, d in enumerate(duals):
         for j in range(d.lam.shape[0]):
             z, lam, mu = d.z[j:j + 1], d.lam[j:j + 1], d.mu[j:j + 1]
@@ -382,6 +408,8 @@ def _run_bounds_one_at_a_time(trace, game, cfg, duals):
                 out["dual-identity"].append(f"player={i} row={j}: z {float(z[0])!r}, "
                                             f"lam {float(lam[0])!r}, mu {float(mu[0])!r}")
     rows, N = trace.rows, game.num_players
+    if not rows:
+        return out
     beta, slack = cfg.beta, 1e-9
     prev_L = trace.initial_L
     for r in rows:
@@ -423,13 +451,23 @@ def _run_bounds_one_at_a_time(trace, game, cfg, duals):
 
 @pytest.mark.parametrize("run", ["a18_run", "ex3_tight"])
 def test_run_bounds_match_the_one_at_a_time_checks(request, run):
-    # the recorded run, and a damaged copy that trips every check across the
-    # blocks of rows that verify_run_bounds compares at once, with exported
-    # duals that break the identities by a sign bit and by one ulp;
-    # example3's Jacobian norms change from row to row
+    # the recorded run, and a damaged copy that trips every check over
+    # more rows than solve builds at once, with exported duals that break
+    # the identities by a sign bit and by one ulp; example3's Jacobian norms
+    # change from row to row. Then the edge traces: one row, and none (an
+    # oracle failure at the start point), each also damaged.
     game = request.getfixturevalue("a18_game" if run == "a18_run" else "ex3_game")
     result = request.getfixturevalue(run)
     cfg = fast_config()
+
+    def check(trace, game, duals):
+        got, counts = G.verify_run_bounds(trace, cfg, duals)
+        want = _run_bounds_one_at_a_time(trace, game, cfg, duals)
+        # the first 20 messages of each bound, and every violation counted
+        assert got == {kind: messages[:20] for kind, messages in want.items()}
+        assert counts == {kind: len(messages) for kind, messages in want.items()}
+        return counts
+
     damaged = copy.deepcopy(result.trace)
     for j, r in enumerate(damaged.rows):
         if j % 3 == 0:
@@ -445,13 +483,22 @@ def test_run_bounds_match_the_one_at_a_time_checks(request, run):
     damaged_duals.mu[-1] = np.nextafter(damaged_duals.lam[-1], np.inf)
     assert len(damaged.rows) > G.solver._BOUND_ROWS
     for trace, duals in ((result.trace, result.state.duals), (damaged, damaged_duals)):
-        got, counts = G.verify_run_bounds(trace, cfg, duals)
-        want = _run_bounds_one_at_a_time(trace, game, cfg, duals)
-        # the first 20 messages of each bound, and every violation counted
-        assert got == {kind: messages[:20] for kind, messages in want.items()}
-        assert counts == {kind: len(messages) for kind, messages in want.items()}
+        counts = check(trace, game, duals)
     assert all(counts.values())
     assert max(counts.values()) > 20
+    bad_start = start_failure_game()
+    for g, res in ((game, G.solve(game, np.zeros(game.n), fast_config(max_outer=1))),
+                   (bad_start, G.solve(bad_start, np.zeros(1), cfg))):
+        assert len(res.trace.rows) == res.outer_iterations == (g is game)
+        damaged = copy.deepcopy(res.trace)
+        for r in damaged.rows:
+            r.L_values = damaged.initial_L + 1.0
+        damaged_duals = res.state.duals.copy()
+        damaged_duals.z[0] = -0.0
+        check(res.trace, g, res.state.duals)
+        counts = check(damaged, g, damaged_duals)
+        assert counts["dual-identity"] == 1
+        assert counts["decrease"] == len(damaged.rows) * g.num_players
 
 
 def test_diverging_run_ends_in_the_oracle_check_without_warnings():

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import gnepsolve as G
 from gnepsolve.core import (BlockLayout, GameInstance, PlayerDualState, PlayerProblem, SimpleSet,
-                            initial_state)
-from gnepsolve.lagrangian import (PenaltyParams, PointEval, build_anchor, evaluate_point,
-                                   lagrangian_value, lagrangian_values)
+                            initial_state, max_abs)
+from gnepsolve.lagrangian import (PenaltyParams, PointEval, QuadraticAnchor, build_anchor,
+                                   evaluate_point, lagrangian_value, lagrangian_values)
 from gnepsolve.solver import (
     GammaPolicy,
     LipschitzEstimator,
     SigmaSchedule,
     SolverConfig,
+    _exit_verdict,
     choose_gamma,
     choose_sigma,
     contraction_factor,
@@ -413,6 +414,40 @@ def test_solve_inner_stalls_at_stationary_anchor():
     result = solve_inner(game, anchor, cfg)
     assert result.exit_kind == "stall"
     np.testing.assert_allclose(result.x_next, x, atol=1e-10)
+
+
+def _margin_anchor(margin, t):
+    """A hand-built anchor of two one-variable players at ``y = 0`` whose
+    surrogate margins at ``u = (t, 0)``, for a power of two ``t``, are
+    exactly ``margin`` for player 0 (zero gradient) and negative for player 1."""
+    gamma = np.full(2, 2.0 * margin / t ** 2)
+    return QuadraticAnchor(np.zeros(2), np.zeros(2), np.array([[0.0, 0.0], [-1.0, 0.0]]),
+                           gamma, np.zeros(2), gamma.copy(), np.zeros(0))
+
+
+def test_exit_labels_at_their_edges():
+    # the label's conditions in order: descent when every margin is
+    # negative; else stall when a failing margin is at most 1e-14 and the
+    # step is within the tolerance; else true or forced by the true values
+    t = 2.0 ** -10
+    u = np.array([t, 0.0])
+    kept, risen = np.zeros(2), np.array([1e-3, 0.0])
+    anchor = _margin_anchor(1e-14, t)
+    margins = anchor.model_values(u) - anchor.values
+    assert margins[0] == 1e-14 and margins[1] < 0.0 and max_abs(u - anchor.y) == t
+    for true_values in (kept, risen):
+        assert _exit_verdict(anchor, u, true_values, t) == "stall"
+    below = np.nextafter(t, 0.0)   # the step is one ulp above this tolerance
+    assert _exit_verdict(anchor, u, kept, below) == "true"
+    assert _exit_verdict(anchor, u, risen, below) == "forced"
+    anchor = _margin_anchor(2e-14, t)
+    assert (anchor.model_values(u) - anchor.values)[0] == 2e-14
+    assert _exit_verdict(anchor, u, kept, t) == "true"
+    assert _exit_verdict(anchor, u, risen, t) == "forced"
+    anchor.grads[0, 0] = -1.0
+    assert np.all(anchor.model_values(u) - anchor.values < 0.0)
+    for true_values in (kept, risen):
+        assert _exit_verdict(anchor, u, true_values, t) == "descent"
 
 
 def test_solve_inner_descent_on_example3_value_never_rises():
