@@ -38,6 +38,7 @@ __all__ = [
     "lagrangian_value",
     "lagrangian_values",
     "QuadraticAnchor",
+    "surrogate_values",
     "PointEval",
     "evaluate_point",
     "raw_sweep",
@@ -179,15 +180,17 @@ def _raise_first_nonfinite(game: GameInstance, fields: tuple[Array, Array, Array
             _check_finite(value, i, what)
 
 
-def lagrangian_values(point: PointEval, lam: Array, rows: Segments,
-                      lam_g: Array | None = None) -> Array:
-    """Every player's Lagrangian ``theta + lam.g`` at ``point`` and the
-    multipliers ``lam`` stacked over the constraint rows ``rows``: the
+def lagrangian_values(theta: Array, g: Array, lam: Array, rows: Segments) -> Array:
+    """Every player's Lagrangian ``theta + lam.g`` from its objective value
+    ``theta`` (N,) and the constraint values ``g`` at a point, at the
+    multipliers ``lam``, both stacked over the constraint rows ``rows``: the
     regularized form at ``z = 0`` and ``mu = lam``. A player without
     constraints gets ``theta`` unchanged (``-0.0 + 0.0`` would not be).
-    A caller holding ``lam_g = rows.dot(lam, point.g_values)`` may pass it."""
-    lam_g = rows.dot(lam, point.g_values) if lam_g is None else lam_g
-    return np.where(rows.nonempty, point.theta + lam_g, point.theta)
+    Leading axes of ``theta``, ``g`` and ``lam`` broadcast, and the sums
+    over every leading entry are one :meth:`~gnepsolve.core.Segments.dot`,
+    each entry bit for bit the one-point value."""
+    lam, g = np.broadcast_arrays(lam, g)
+    return np.where(rows.nonempty, theta + rows.dot(lam, g), theta)
 
 
 def _own_jacobian_products(game: GameInstance, J: Array, lam: Array) -> Array:
@@ -242,39 +245,45 @@ class QuadraticAnchor:
 
         Lhat_nu(x) = L_nu(y) + grad_x L_nu(y) . (x - y) + gamma_nu/2 ||x - y||^2
 
-    The values ``L_nu(y)`` are handed in by the caller, which already holds
-    them; the full gradients are assembled once per outer iteration. The
-    anchor is read-only after construction.
+    The full gradients are assembled once per outer iteration; the values
+    ``L_nu(y)`` are not held here, as only the exit labels read them
+    (:meth:`model_values` takes them). The anchor is read-only after
+    construction.
 
     The model gradient is affine with slope ``gamma_nu * I``; its Lipschitz
     constant and strong-convexity modulus both equal ``gamma_nu``.
     """
 
     y: Array
-    values: Array            # (N,) L_nu(y, lam)
     grads: Array             # (N, n) full gradient of L_nu at y, row nu
     gamma: Array             # (N,)
     own_grad: Array          # (n,) player-own blocks of grads, stacked
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
     lam: Array               # (M,) multipliers frozen into the anchor
 
-    def model_values(self, x: Array) -> Array:
-        """Every player's model value at ``x``."""
+    def model_values(self, x: Array, values: Array) -> Array:
+        """Every player's model value at ``x``, from the values ``L_nu(y)``."""
         d = x - self.y
-        return self.values + row_dots(self.grads, d) + 0.5 * self.gamma * (d @ d)
+        return surrogate_values(values, row_dots(self.grads, d), self.gamma, d @ d)
 
     def own_model_grad(self, u: Array) -> Array:
         """Stacked own-block model gradients of all players at ``u``."""
         return self.own_grad + self.gamma_by_coord * (u - self.y)
 
 
+def surrogate_values(values: Array, slope: Array, gamma: Array, dd: Array) -> Array:
+    """The model values ``L_nu(y) + grad_x L_nu(y).d + gamma_nu/2 d.d`` from the
+    anchor values, the slopes ``grads @ d`` and ``dd = d.d``: the one
+    implementation of the model, over any leading axes that broadcast."""
+    return values + slope + 0.5 * gamma * dd
+
+
 def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
-                 values: Array, gamma_by_coord: Array | None = None) -> QuadraticAnchor:
-    """Assemble the surrogate anchor from a completed oracle sweep and the
-    players' Lagrangian values there, ``lagrangian_values(point, lam, game.rows)``;
-    a caller holding ``gamma`` repeated over each block may pass it."""
+                 gamma_by_coord: Array | None = None) -> QuadraticAnchor:
+    """Assemble the surrogate anchor from a completed oracle sweep; a caller
+    holding ``gamma`` repeated over each block may pass it."""
     grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
     gamma = np.asarray(gamma, dtype=float)
-    return QuadraticAnchor(point.x, values, grads, gamma, grads.ravel()[game.layout.own_entries],
+    return QuadraticAnchor(point.x, grads, gamma, grads.ravel()[game.layout.own_entries],
                            game.layout.segments.repeat(gamma) if gamma_by_coord is None
                            else gamma_by_coord, lam)

@@ -7,13 +7,16 @@ constraint row:
    surrogate anchored at ``x`` over its private set (Jacobi decomposition:
    all blocks move from a shared snapshot). The surrogate's own-block
    Hessian is ``gamma_nu I``, so that minimizer is one projection,
-   ``project_private(x - own_grad / gamma)``; the exit descent test then
-   labels the step (surrogate descent, verified non-increase of the true
-   value, a forced step, or a stall at the anchor);
+   ``project_private(x - own_grad / gamma)``;
 2. the multipliers are updated by exact maximization,
    ``lam = max(lam + g(x_new) / beta, 0)``;
 3. stop when neither the primal blocks nor the multipliers moved more than
    the outer tolerance in the max norm.
+
+An exit test labels each step (surrogate descent, verified non-increase of
+the true value, a forced step, or a stall at the anchor). The label changes
+the run only as a stall, so an iteration labels its step only when a stall
+is possible; the trace labels every row.
 
 The regularized Lagrangian (:mod:`gnepsolve.lagrangian`) also carries a
 perturbation ``z`` and a proximal centre ``mu``; from zero duals its exact
@@ -21,11 +24,12 @@ steps keep ``z = 0`` and ``mu = lam``, so ``alpha`` enters no iterate: the
 solver carries ``lam`` alone and exports ``z = 0`` and ``mu = lam``. The
 trace records monitored value-decrease, multiplier-coupling and
 projected-gradient bounds, so claims about the dynamics can be asserted (or
-falsified) on real runs; its rows are built in blocks after the iterations
-they record, and :func:`verify_run_bounds` checks whole trace columns. Data
-that cannot move (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the
-Jacobian norms and ``J`` once per run; each iteration's two sums over
-constraint rows are one stacked reduction (:func:`solve_inner`).
+falsified) on real runs; its rows, with their Lagrangian values and exit
+labels, are built in blocks after the iterations they record, and
+:func:`verify_run_bounds` checks whole trace columns. Data that cannot move
+(:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the Jacobian norms and
+``J`` once per run. An iteration computes what the next iterate and the
+stopping tests read, and one row dot, the model slopes along its step.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .core import (
     initial_state,
     max_abs,
     own_columns,
+    row_dots,
     stack_rows,
     vec_norm,
 )
@@ -60,6 +65,7 @@ from .lagrangian import (
     projected_gradient_x,
     projected_step_lam,
     raw_sweep,
+    surrogate_values,
 )
 
 __all__ = [
@@ -281,7 +287,8 @@ class LipschitzEstimator:
     over all pairs are batched reductions, each bit for bit the per-pair
     one; memory grows with the sample count times the size of a sweep's
     gradients and Jacobians. The box is refreshed when the iterate leaves
-    its core.
+    its core. If no sampled pair is apart after two draws, the joint private
+    set is one point, and the sampled constants are zero.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):
@@ -336,8 +343,10 @@ class LipschitzEstimator:
             if good:
                 break
             self._box_halfwidth = 2.0 * self._box_halfwidth
-        if not good:
-            raise RuntimeError("degenerate sampling region: all point pairs collapsed")
+        if not good:   # the joint private set is one point: a quotient over it bounds nothing
+            self._bind(np.zeros(game.num_players), [np.zeros(p.m) for p in game.players])
+            self._jac_max = np.zeros(game.num_players)
+            return
         dist = np.array([dist for _, _, dist in good])
         M, n = game.total_constraints, game.n
         ratios, oks, failed = [], [], False
@@ -514,61 +523,58 @@ def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameIn
 @dataclass
 class InnerResult:
     x_next: Array
-    exit_kind: str       # descent | true | forced | stall
     point: PointEval     # the oracle sweep at x_next
-    values: Array        # L at (x_next, the anchor's multipliers)
     lam: Array           # the dual step at x_next from the anchor's multipliers
     dlam: Array          # lam - anchor.lam
-    sums: Array          # (2, N): lam.g at the anchor's multipliers and at lam
 
 
-def _exit_verdict(anchor: QuadraticAnchor, u: Array, true_values: Array,
-                  stall_tol: float) -> str:
-    """Exit label of a block update ``u`` whose true Lagrangian values at the
-    anchor's multipliers are ``true_values``.
+def _exit_labels(values: Array, L_x: Array, slope: Array, gamma: Array, dd: Array,
+                 dx_inf: Array, stall_tol: float) -> list[str]:
+    """Exit labels of block updates over a leading axis of rows (rows by
+    players; ``dd`` and ``dx_inf`` by row): the step ``d`` of each row from an
+    anchor with Lagrangian values ``values``, model slopes ``slope`` (``grads
+    @ d``), proximal weights ``gamma`` and ``dd = d.d``, whose true values at
+    the anchor's multipliers are ``L_x`` and whose max-norm is ``dx_inf``.
 
     "descent" when every surrogate margin is negative; "stall" when a
-    failing margin is zero up to rounding (at most 1e-14) and ``u`` is within
-    ``stall_tol`` of the anchor (no descent exists there). Else the failing
-    players are judged on a direct (non-strict) true value comparison:
-    "true" if it holds, "forced" if even the true value rose (the block
-    update is the fixed-point step; the rise is recorded). Strict surrogate
-    descent is not always achievable: rivals' moves can raise a player's
-    anchored Lagrangian through the cross-block terms.
+    failing margin is zero up to rounding (at most 1e-14) and the step is
+    within ``stall_tol`` of the anchor (no descent exists there). Else the
+    failing players are judged on a direct (non-strict) true value
+    comparison: "true" if it holds, "forced" if even the true value rose (the
+    block update is the fixed-point step; the rise is recorded). Strict
+    surrogate descent is not always achievable: rivals' moves can raise a
+    player's anchored Lagrangian through the cross-block terms. A NaN margin
+    fails, and a NaN value comparison does not hold.
     """
-    margins = anchor.model_values(u) - anchor.values
-    need_true = ~(margins < 0.0)
-    if not need_true.any():
-        return "descent"
-    if (margins[need_true] <= 1e-14).any() and max_abs(u - anchor.y) <= stall_tol:
-        return "stall"
-    return "true" if (true_values[need_true] <= anchor.values[need_true]).all() else "forced"
+    margins = surrogate_values(values, slope, gamma, dd[:, None]) - values
+    failing = ~(margins < 0.0)
+    stall = (failing & (margins <= 1e-14)).any(axis=1) & (dx_inf <= stall_tol)
+    kept = ((L_x <= values) | ~failing).all(axis=1)
+    return ["descent" if not f else "stall" if s else "true" if t else "forced"
+            for f, s, t in zip(failing.any(axis=1).tolist(), stall.tolist(), kept.tolist())]
+
+
+def _self_dots(v: Array) -> Array:
+    """``v[j] @ v[j]`` for every row of the 2-D ``v``, one dot per row."""
+    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) -> InnerResult:
-    """The Jacobi block update: every player's surrogate minimizer over its
-    private set, ``project_private(y - own_grad / gamma)``, in one projection.
+    """The Jacobi block update and the dual step: every player's surrogate
+    minimizer over its private set, ``project_private(y - own_grad / gamma)``,
+    in one projection, then the oracle sweep there and the multiplier step
+    :func:`step_duals` from the anchor's multipliers.
 
     This is the fixed point the reference sweep :func:`inner_step` converges
-    to. The oracle sweep at the new point runs here, and its Lagrangian
-    values at the anchor's multipliers are the exit test's true values
-    (:func:`_exit_verdict`, stalling within the outer tolerance). If some
-    player's value genuinely rose, the point is accepted with
-    ``exit_kind="forced"`` (the run record keeps the value trace, so a
-    genuine increase stays visible).
-
-    The dual step :func:`step_duals` runs before the exit test, which does
-    not read it, so that one ``game.rows.dot`` over a leading axis of two
-    gives ``lam.g`` at the old and the new multipliers.
+    to. The step is accepted whatever its exit label: the label
+    (:func:`_exit_labels`) and the Lagrangian values it is judged on are
+    the trace's, built after the iteration by :func:`solve`, which labels a
+    step inside the iteration only where a stall can end the run.
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
     point = evaluate_point(game, u)
-    lam, g = anchor.lam, point.g_values
-    lam_new = step_duals(lam, g, cfg.beta)
-    sums = game.rows.dot(np.array([lam, lam_new]), np.array([g, g]))
-    values = lagrangian_values(point, lam, game.rows, sums[0])
-    return InnerResult(u, _exit_verdict(anchor, u, values, cfg.outer_tol), point, values,
-                       lam_new, lam_new - lam, sums)
+    lam = step_duals(anchor.lam, point.g_values, cfg.beta)
+    return InnerResult(u, point, lam, lam - anchor.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +636,12 @@ class SolveTrace:
     violations: dict[str, list[str]] = field(default_factory=dict)
     violation_counts: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def last_L(self) -> Array:
+        """The Lagrangian values after the last recorded iteration, the
+        values the next row's exit label is judged against."""
+        return self.rows[-1].L_values if self.rows else self.initial_L
+
 
 @dataclass
 class SolveResult:
@@ -663,20 +675,31 @@ def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...]
 
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
-def _trace_rows(game: GameInstance, pending: list[tuple], fixed: bool) -> list[TraceRow]:
-    """The trace rows of ``pending`` iterations, each ``(k, L_values, dx_inf,
-    dlambda_inf, exit_kind, L_x_step, dx, x, lam, dlam, g, grad_own, J,
-    jac_norm, jac_own_norm, gamma, est)``, over a leading axis of rows, bit for
-    bit the one-row values; every row's ``J`` is the first if ``fixed``, else stacked."""
-    (ks, L, dx_inf, dlam_inf, kinds, L_x, dx, x, lam, dlam, g, grad_own, J, jac, jac_own, gamma,
-     est) = zip(*pending)
+def _trace_rows(game: GameInstance, pending: list[tuple], fixed: bool, prev_L: Array,
+                stall_tol: float) -> list[TraceRow]:
+    """The trace rows of ``pending`` iterations, each ``(k, dx_inf,
+    dlambda_inf, dx, x, anchor lam, lam, dlam, theta, g, grad_own, J,
+    jac_norm, jac_own_norm, gamma, est, slope)``, over a leading axis of rows,
+    bit for bit the one-row values; every row's ``J`` is the first if
+    ``fixed``, else stacked. The Lagrangian values at the primal step and
+    after the dual step are one :func:`lagrangian_values` call over a
+    leading axis of (rows, 2), and each row's exit label is judged against
+    the values after the previous row, ``prev_L`` for the first."""
+    (ks, dx_inf, dlam_inf, dx, x, lam_prev, lam, dlam, theta, g, grad_own, J, jac, jac_own, gamma,
+     est, slope) = zip(*pending)
     dx, lam, g = np.array(dx), np.array(lam), np.array(g)
+    lams = np.stack([np.array(lam_prev), lam], axis=1)   # (rows, 2, M)
+    L_x, L = lagrangian_values(np.array(theta)[:, None], g[:, None], lams,
+                               game.rows).transpose(1, 0, 2)
+    dd = _self_dots(dx)
+    kinds = _exit_labels(np.vstack([prev_L, L[:-1]]), L_x, np.array(slope), np.array(gamma), dd,
+                         np.array(dx_inf), stall_tol)
     qx = projected_gradient_x(game, np.array(x), lam, np.array(grad_own),
                               J[0] if fixed else np.array(J))
     moves = np.stack([np.array(dlam), lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
     feas = constraint_violation(g)
-    dx_2 = np.sqrt(np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0])   # one dot per row
+    dx_2 = np.sqrt(dd)
     lam_norm_inf = game.rows.max_abs(lam)
     return [TraceRow(ks[j], L[j], dx_inf[j], dlam_inf[j], float(feas[j]), kinds[j], L_x[j],
                      float(dx_2[j]), dlam_2[j], lam_norm2[j], lam_norm_inf[j], jac[j], jac_own[j],
@@ -707,12 +730,14 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     sweep (:func:`~gnepsolve.lagrangian.evaluate_point`, one call of the
     game's batched oracle when it has one), the anchor and the multiplier
     step, with the multipliers stacked over the constraint rows
-    (``game.rows``). What only the trace reads (projected-gradient blocks,
-    feasibility, norms) waits: each iteration keeps its row's raw arrays, and
-    one pass over a leading axis of rows builds them every ``_BOUND_ROWS``
-    rows and when the loop ends. Every per-player reduction is bit for bit
-    the per-player one, so neither the iterates nor the trace depend on how
-    the work is batched.
+    (``game.rows``). What only the trace reads (Lagrangian values, exit
+    labels, projected-gradient blocks, feasibility, norms) waits: each
+    iteration keeps its row's raw arrays, and one pass over a leading axis
+    of rows builds them every ``_BOUND_ROWS`` rows and when the loop ends.
+    An iteration labels its own step only when ``dx_inf <= outer_tol <
+    dlambda_inf``, the one case in which a stall label changes the run.
+    Every per-player reduction is bit for bit the per-player one, so neither
+    the iterates nor the trace depend on how the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -735,12 +760,11 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     fixed = estimator.fixed
     jac_full, jac_own = _jac_norms(point, game.constrained_runs)
     trace = SolveTrace(
-        initial_L=lagrangian_values(point, lam, rows),
+        initial_L=lagrangian_values(point.theta, point.g_values, lam, rows),
         initial_feas=constraint_violation(point.g_values),
         initial_jac_norm=jac_full,
         initial_jac_own_norm=jac_own,
     )
-    L_values = trace.initial_L   # at ``point`` and the current multipliers
 
     residual = np.inf
     status = "max_outer"
@@ -759,31 +783,41 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 if fresh:
                     gamma, _ = choose_gamma(est, penalty, cfg.gamma)
                     gamma_by_coord = game.layout.segments.repeat(gamma)
-                anchor = build_anchor(game, lam, gamma, point, L_values, gamma_by_coord)
+                anchor = build_anchor(game, lam, gamma, point, gamma_by_coord)
                 inner = solve_inner(game, anchor, cfg)
                 dx = inner.x_next - x
-                x, lam, point = inner.x_next, inner.lam, inner.point
-                L_values = lagrangian_values(point, lam, rows, inner.sums[1])
+                dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
+                slope = row_dots(anchor.grads, dx)
+                # A label changes the run only as a stall, which needs
+                # dx_inf <= outer_tol; a dlambda_inf as small has converged.
+                stalled = False
+                if dx_inf <= cfg.outer_tol < dlambda_inf:
+                    both = lagrangian_values(np.array([point.theta, inner.point.theta]),
+                                             np.array([point.g_values, inner.point.g_values]),
+                                             lam, rows)
+                    stalled = _exit_labels(both[:1], both[1:], slope[None], gamma[None],
+                                           _self_dots(dx[None]), np.array([dx_inf]),
+                                           cfg.outer_tol) == ["stall"]
                 if not fixed:
-                    jac_full, jac_own = _jac_norms(point, game.constrained_runs)
+                    jac_full, jac_own = _jac_norms(inner.point, game.constrained_runs)
         except OracleFailure as exc:
             status, message = "oracle-failure", str(exc)
             break
 
-        dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
+        pending.append((k + 1, dx_inf, dlambda_inf, dx, inner.x_next, lam, inner.lam, inner.dlam,
+                        inner.point.theta, inner.point.g_values,
+                        inner.point.theta_grads.ravel()[game.layout.own_entries],
+                        inner.point.g_jacobians, jac_full, jac_own, gamma, est, slope))
+        x, lam, point = inner.x_next, inner.lam, inner.point
         residual = max(dx_inf, dlambda_inf)
-        pending.append((k + 1, L_values, dx_inf, dlambda_inf, inner.exit_kind, inner.values, dx,
-                        x, lam, inner.dlam, point.g_values,
-                        point.theta_grads.ravel()[game.layout.own_entries],
-                        point.g_jacobians, jac_full, jac_own, gamma, est))
         if len(pending) == _BOUND_ROWS:
-            trace.rows += _trace_rows(game, pending, fixed)
+            trace.rows += _trace_rows(game, pending, fixed, trace.last_L, cfg.outer_tol)
             pending = []
 
         if residual <= cfg.outer_tol:
             status = "converged"
             break
-        if inner.exit_kind == "stall":
+        if stalled:
             lam_now = max_abs(lam)
             if stall_streak == 0:
                 stall_start_residual = residual
@@ -806,7 +840,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             stall_streak = 0
 
     if pending:
-        trace.rows += _trace_rows(game, pending, fixed)
+        trace.rows += _trace_rows(game, pending, fixed, trace.last_L, cfg.outer_tol)
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(

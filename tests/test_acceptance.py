@@ -19,7 +19,7 @@ from gnepsolve import library
 from gnepsolve.cli import trace_csv_lines
 from gnepsolve.diagnostics import (best_response_gap, kkt_residual, projected_gradient_blocks,
                                    saddle_check)
-from gnepsolve.lagrangian import PenaltyParams, build_anchor, evaluate_point, lagrangian_values
+from gnepsolve.lagrangian import PenaltyParams, build_anchor, evaluate_point
 from gnepsolve.solver import (
     GammaPolicy,
     LipschitzEstimator,
@@ -218,7 +218,7 @@ def test_criterion_6_inner_contraction():
     sigma = choose_sigma(est, cfg, 0, gamma=gamma)
     tau = est.tau
     point = evaluate_point(game, warm.state.x)
-    anchor = build_anchor(game, lam, gamma, point, lagrangian_values(point, lam, game.rows))
+    anchor = build_anchor(game, lam, gamma, point)
     xhat = warm.state.x.copy()
     for _ in range(100_000):
         nxt = inner_step(xhat, anchor, sigma, game)

@@ -283,8 +283,10 @@ def test_grad_matches_finite_differences(pen2):
 
 
 def make_anchor(game, x, lam, gamma):
+    """The anchor at ``x`` and its Lagrangian values there."""
     point = evaluate_point(game, x)
-    return build_anchor(game, lam, gamma, point, lagrangian_values(point, lam, game.rows))
+    return (build_anchor(game, lam, gamma, point),
+            lagrangian_values(point.theta, point.g_values, lam, game.rows))
 
 
 def test_model_identity_at_anchor(pen2):
@@ -294,11 +296,10 @@ def test_model_identity_at_anchor(pen2):
     y = np.array([0.5, -0.2])
     for lam in ([1.0, 0.5], [1.1, 0.4], [0.0, 0.0]):
         lam = np.array(lam)
-        anchor = make_anchor(game, y, lam, np.array([3.0, 4.0]))
+        anchor, values = make_anchor(game, y, lam, np.array([3.0, 4.0]))
         for i in range(2):
-            assert anchor.model_values(y)[i] == anchor.values[i]
-            assert anchor.values[i] == lagrangian_value(game, i, y, dual([0.0], lam[i], lam[i]),
-                                                        pen2)
+            assert anchor.model_values(y, values)[i] == values[i]
+            assert values[i] == lagrangian_value(game, i, y, dual([0.0], lam[i], lam[i]), pen2)
 
 
 def test_model_majorizes_near_anchor(pen2):
@@ -310,13 +311,13 @@ def test_model_majorizes_near_anchor(pen2):
     lam = np.array([2.0, 1.0])
     est = G.LipschitzEstimator(game).estimate(y, lam)
     gamma = est.L.copy()
-    anchor = make_anchor(game, y, lam, gamma)
+    anchor, values = make_anchor(game, y, lam, gamma)
     rng = np.random.default_rng(3)
     for _ in range(100):
         d = rng.standard_normal(2)
         x = y + d / max(1.0, np.linalg.norm(d))
         for i in range(2):
-            assert anchor.model_values(x)[i] >= lagrangian_value(
+            assert anchor.model_values(x, values)[i] >= lagrangian_value(
                 game, i, x, duals[i], pen2) - 1e-9
 
 
@@ -324,14 +325,14 @@ def test_model_strong_convexity_midpoint(pen2):
     game = library.make_example3()
     y = np.zeros(2)
     gamma = np.array([5.0, 7.0])
-    anchor = make_anchor(game, y, np.zeros(2), gamma)
+    anchor, values = make_anchor(game, y, np.zeros(2), gamma)
     rng = np.random.default_rng(9)
     for _ in range(30):
         a, b = rng.standard_normal(2), rng.standard_normal(2)
         mid = 0.5 * (a + b)
         for i in range(2):
-            lhs = anchor.model_values(mid)[i]
-            rhs = (0.5 * (anchor.model_values(a)[i] + anchor.model_values(b)[i])
+            lhs = anchor.model_values(mid, values)[i]
+            rhs = (0.5 * (anchor.model_values(a, values)[i] + anchor.model_values(b, values)[i])
                    - gamma[i] / 8.0 * np.linalg.norm(a - b) ** 2)
             assert lhs <= rhs + 1e-10
 
@@ -340,7 +341,7 @@ def test_model_block_gradient_affine_and_fd(pen2):
     game = library.make_example3()
     y = np.array([0.8, 0.1])
     gamma = np.array([4.0, 6.0])
-    anchor = make_anchor(game, y, np.array([1.5, 0.2]), gamma)
+    anchor, values = make_anchor(game, y, np.array([1.5, 0.2]), gamma)
     layout = game.layout
     # at the anchor the proximal part vanishes
     for i in range(2):
@@ -358,7 +359,8 @@ def test_model_block_gradient_affine_and_fd(pen2):
         for kloc, kglob in enumerate(range(sl.start, sl.stop)):
             e = np.zeros(2)
             e[kglob] = h
-            fd = (anchor.model_values(u + e)[i] - anchor.model_values(u - e)[i]) / (2 * h)
+            fd = (anchor.model_values(u + e, values)[i]
+                  - anchor.model_values(u - e, values)[i]) / (2 * h)
             assert fd == pytest.approx(anchor.own_model_grad(u)[sl][kloc],
                                        rel=1e-6, abs=1e-6)
 
@@ -369,8 +371,9 @@ def test_model_block_gradient_affine_and_fd(pen2):
     (library.make_example3, np.zeros(2)),
 ], ids=["a18", "power-2x2", "example3"])
 def test_solver_hands_anchor_the_values_at_its_point(monkeypatch, make_game, x0):
-    # the solver passes the Lagrangian values its trace holds for the current
-    # point and duals; they must be what a fresh evaluation there gives
+    # each row's exit label is judged against the Lagrangian values at its
+    # anchor: row k-1's L_values, initial_L for row 1. They must be what a
+    # fresh evaluation at the anchor's point and multipliers gives
     game = make_game()
     anchors = []
 
@@ -381,6 +384,8 @@ def test_solver_hands_anchor_the_values_at_its_point(monkeypatch, make_game, x0)
     monkeypatch.setattr(G.solver, "build_anchor", recording_build_anchor)
     res = G.solve(game, x0, G.SolverConfig(max_outer=30))
     assert len(anchors) == res.outer_iterations > 1
-    for anchor in anchors:
-        fresh = lagrangian_values(evaluate_point(game, anchor.y), anchor.lam, game.rows)
-        assert anchor.values.tobytes() == fresh.tobytes()
+    judged = [res.trace.initial_L] + [row.L_values for row in res.trace.rows[:-1]]
+    for anchor, values in zip(anchors, judged):
+        point = evaluate_point(game, anchor.y)
+        fresh = lagrangian_values(point.theta, point.g_values, anchor.lam, game.rows)
+        assert values.tobytes() == fresh.tobytes()

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -88,6 +89,36 @@ def test_start_point_oracle_failure_reports_every_bound():
     assert res.trace.violation_counts == dict.fromkeys(BOUND_KINDS, 0)
 
 
+def one_point_game(bound):
+    """One player whose private set is the single point x = 1, with the
+    non-quadratic objective (x - 3)^2 and the constraint x - bound <= 0:
+    its smoothness constants are sampled, and no sampled pair is apart."""
+    player = G.PlayerProblem(
+        objective=lambda x: float((x[0] - 3.0) ** 2),
+        gradient=lambda x: np.array([2.0 * (x[0] - 3.0)]),
+        constraints=lambda x: np.array([x[0] - bound]),
+        constraint_jacobian=lambda x: np.array([[1.0]]),
+        private_set=SimpleSet.box([1.0], [1.0]), m=1)
+    return G.GameInstance((player,), BlockLayout((1,)), f"one-point-{bound}")
+
+
+def test_one_point_private_set_with_slack_constraint_converges():
+    # the sampler finds no pair of points apart; the run binds zero sampled
+    # constants and goes on, where it raised a bare RuntimeError before
+    res = G.solve(one_point_game(2.0), np.zeros(1))
+    assert res.status == "converged" and res.state.x.tolist() == [1.0]
+    assert res.state.duals.lam.tolist() == [0.0]
+
+
+def test_one_point_private_set_with_violated_constraint_stalls():
+    # x is pinned at 1, where x - 0.5 <= 0 fails: the multiplier grows by
+    # 0.5 per iteration and the run ends stalled-stationary, not in a traceback
+    res = G.solve(one_point_game(0.5), np.zeros(1))
+    assert res.status == "stalled-stationary" and res.state.x.tolist() == [1.0]
+    assert [r.exit_kind for r in res.trace.rows] == ["stall"] * res.outer_iterations
+    assert res.state.duals.lam.tolist() == [0.5 * res.outer_iterations]
+
+
 def test_runs_ending_mid_block_keep_every_row():
     # solve builds its trace rows in blocks of _BOUND_ROWS and the rest when
     # the loop ends: a converged run and an oracle failure, both past one
@@ -95,17 +126,7 @@ def test_runs_ending_mid_block_keep_every_row():
     B = G.solver._BOUND_ROWS
     game, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     converged = G.solve(game, np.zeros(game.n), fast_config())
-    layout = BlockLayout((1,))
-    # x moves up by 1 per iteration (gradient -1, gamma 1); the objective is
-    # not finite from x = B + 7 on, so iteration B + 7 fails its oracle sweep
-    player = G.PlayerProblem(
-        objective=lambda x: float("nan") if x[0] > B + 6.5 else -float(x[0]),
-        gradient=lambda x: np.array([-1.0]),
-        constraints=lambda x: np.zeros(0),
-        constraint_jacobian=lambda x: np.zeros((0, 1)),
-        private_set=SimpleSet.free(1), m=0)
-    failing = G.solve(G.GameInstance((player,), layout, "nan-past-a-block"), np.zeros(1),
-                      fast_config(gamma=G.GammaPolicy.fixed(1.0), max_outer=10 * B))
+    failing = G.solve(*nan_past_a_block())
     assert converged.status == "converged" and failing.status == "oracle-failure"
     assert failing.outer_iterations == B + 6
     for res in (converged, failing):
@@ -114,6 +135,101 @@ def test_runs_ending_mid_block_keep_every_row():
         assert [r.k for r in res.trace.rows] == list(range(1, res.outer_iterations + 1))
     assert failing.state.x.tolist() == [B + 6.0]
     assert [r.dx_2 for r in failing.trace.rows] == [1.0] * (B + 6)
+
+
+def nan_past_a_block():
+    """``(game, x0, config)`` of a run whose oracle sweep fails at iteration
+    ``_BOUND_ROWS + 7``: x moves up by 1 per iteration (gradient -1, gamma
+    1), and the objective is not finite from x = _BOUND_ROWS + 7 on."""
+    B = G.solver._BOUND_ROWS
+    player = G.PlayerProblem(
+        objective=lambda x: float("nan") if x[0] > B + 6.5 else -float(x[0]),
+        gradient=lambda x: np.array([-1.0]),
+        constraints=lambda x: np.zeros(0),
+        constraint_jacobian=lambda x: np.zeros((0, 1)),
+        private_set=SimpleSet.free(1), m=0)
+    return (G.GameInstance((player,), BlockLayout((1,)), "nan-past-a-block"), np.zeros(1),
+            fast_config(gamma=G.GammaPolicy.fixed(1.0), max_outer=10 * B))
+
+
+def record_blocks(monkeypatch):
+    """Record every ``_trace_rows`` call of ``solve``: its arguments and the
+    rows it built."""
+    blocks, trace_rows = [], G.solver._trace_rows
+
+    def recording(*args):
+        blocks.append((args, trace_rows(*args)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(G.solver, "_trace_rows", recording)
+    return blocks
+
+
+def test_block_rows_are_the_one_row_rows(monkeypatch):
+    # every trace row, its exit label, L_values and L_x_step among its
+    # fields, is bit for bit what the block pass gives on that row alone,
+    # judged against the previous row's values: a quad-suite run past one
+    # block, random-quadratic's default run (its last 100 rows stall) and
+    # an oracle failure in mid-block
+    B = G.solver._BOUND_ROWS
+    quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
+    rq = G.library.builtin_instance("random-quadratic")
+    kinds, trace_rows = set(), G.solver._trace_rows
+    blocks = record_blocks(monkeypatch)
+    for game, x0, cfg, status in [(quad, np.zeros(quad.n), fast_config(), "converged"),
+                                  (rq, np.zeros(rq.n), G.SolverConfig(), "stalled-stationary"),
+                                  (*nan_past_a_block(), "oracle-failure")]:
+        blocks.clear()
+        res = G.solve(game, x0, cfg)
+        assert res.status == status and res.outer_iterations > B, game.name
+        built_rows = [row for _, built in blocks for row in built]
+        assert len(built_rows) == len(res.trace.rows)
+        assert all(a is b for a, b in zip(built_rows, res.trace.rows))
+        for (game_, pending, fixed, prev_L, stall_tol), built in blocks:
+            for raw, row in zip(pending, built):
+                alone, = trace_rows(game_, [raw], fixed, prev_L, stall_tol)
+                assert alone.exit_kind == row.exit_kind
+                for f in fields(G.solver.TraceRow):
+                    assert (np.asarray(getattr(alone, f.name)).tobytes()
+                            == np.asarray(getattr(row, f.name)).tobytes()), (game.name, f.name)
+                prev_L = row.L_values
+        kinds.update(row.exit_kind for row in res.trace.rows)
+        if game is rq:
+            assert res.outer_iterations == 297
+            assert [row.exit_kind for row in res.trace.rows[-101:]] == ["forced"] + ["stall"] * 100
+    assert kinds == {"descent", "true", "forced", "stall"}
+
+
+def test_values_and_labels_are_computed_once_per_block(monkeypatch):
+    # a run that never stalls evaluates the Lagrangian and the segment sums
+    # once per block of trace rows, not once per iteration: run lengths with
+    # the same number of blocks make the same calls
+    B = G.solver._BOUND_ROWS
+    game, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(G.solver, "lagrangian_values",
+                        counting("lagrangian_values", G.solver.lagrangian_values))
+    monkeypatch.setattr(G.solver, "_exit_labels", counting("_exit_labels", G.solver._exit_labels))
+    monkeypatch.setattr(G.core.Segments, "dot", counting("dot", G.core.Segments.dot))
+    counts = {}
+    for rows in (B - 7, B, B + 1, B + 40):
+        calls.update(lagrangian_values=0, _exit_labels=0, dot=0)
+        res = G.solve(game, np.zeros(game.n), fast_config(max_outer=rows))
+        assert res.status == "max_outer" and res.outer_iterations == rows
+        blocks = -(-rows // B)
+        assert calls["lagrangian_values"] == 1 + blocks   # initial_L, then one per block
+        assert calls["_exit_labels"] == blocks            # no iteration labelled its own step
+        counts[rows] = (blocks, calls["dot"])
+    assert counts[B - 7] == counts[B] and counts[B + 1] == counts[B + 40]
+    per_block = counts[B + 1][1] - counts[B][1]
+    assert 0 < per_block < B and counts[B][1] - per_block < B
 
 
 def fresh_jacobian_norms(game, x):
@@ -255,7 +371,8 @@ def check_trace_quantities(game, x0, cfg, K):
     assert res.trace.initial_L.tobytes() == values(states[0]).tobytes()
     for row, prev, st in zip(res.trace.rows, states, states[1:]):
         assert row.L_values.tobytes() == values(st).tobytes()
-        at_step = lagrangian_values(evaluate_point(game, st.x), prev.duals.lam, rows)
+        at = evaluate_point(game, st.x)
+        at_step = lagrangian_values(at.theta, at.g_values, prev.duals.lam, rows)
         assert row.L_x_step.tobytes() == at_step.tobytes()
         assert row.dlam_2.tobytes() == rows.norm(st.duals.lam - prev.duals.lam).tobytes()
         assert row.lam_norm2.tobytes() == rows.norm(st.duals.lam).tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gnepsolve as G
 from gnepsolve.core import (BlockLayout, GameInstance, PlayerDualState, PlayerProblem, SimpleSet,
-                            initial_state, max_abs)
+                            initial_state, max_abs, row_dots)
 from gnepsolve.lagrangian import (PenaltyParams, PointEval, QuadraticAnchor, build_anchor,
                                    evaluate_point, lagrangian_value, lagrangian_values)
 from gnepsolve.solver import (
@@ -14,7 +14,7 @@ from gnepsolve.solver import (
     LipschitzEstimator,
     SigmaSchedule,
     SolverConfig,
-    _exit_verdict,
+    _exit_labels,
     choose_gamma,
     choose_sigma,
     contraction_factor,
@@ -299,8 +299,27 @@ def test_sigma_schedule_diminishes_and_tau_below_one():
 
 
 def _anchor_for(game, x, lam, gamma):
-    point = evaluate_point(game, x)
-    return build_anchor(game, lam, gamma, point, lagrangian_values(point, lam, game.rows))
+    return build_anchor(game, lam, gamma, evaluate_point(game, x))
+
+
+def _label(anchor, values, u, true_values, stall_tol):
+    """The exit label of the block update ``u`` from ``anchor``, whose values
+    are ``values`` and whose true values at ``u`` are ``true_values``: the
+    label function on one row."""
+    d = u - anchor.y
+    return _exit_labels(values[None], true_values[None], row_dots(anchor.grads, d)[None],
+                        anchor.gamma[None], np.array([d @ d]), np.array([max_abs(d)]),
+                        stall_tol)[0]
+
+
+def _step_label(game, anchor, result, stall_tol):
+    """The exit label of ``solve_inner``'s step ``result`` from ``anchor``,
+    judged on fresh Lagrangian values at the anchor's multipliers."""
+    def values_at(point):
+        return lagrangian_values(point.theta, point.g_values, anchor.lam, game.rows)
+
+    return _label(anchor, values_at(evaluate_point(game, anchor.y)), result.x_next,
+                  values_at(result.point), stall_tol)
 
 
 def test_inner_step_fixed_point_and_determinism():
@@ -351,7 +370,7 @@ def test_solve_inner_matches_projected_model_minimizer():
     result = solve_inner(game, anchor, cfg)
     target = game.players[0].private_set.project(x - anchor.grads[0] / gamma[0])
     np.testing.assert_allclose(result.x_next, target, atol=1e-8)
-    assert result.exit_kind != "stall"
+    assert _step_label(game, anchor, result, cfg.outer_tol) != "stall"
 
 
 def _coupled_player(rng, s, n):
@@ -403,7 +422,8 @@ def test_solve_inner_is_the_fixed_point_of_the_reference_sweep(blocks, seed):
             break
     result = solve_inner(game, anchor, cfg)
     np.testing.assert_allclose(result.x_next, u, rtol=0, atol=1e-10)
-    assert result.exit_kind in ("descent", "true", "forced", "stall")
+    assert _step_label(game, anchor, result, cfg.outer_tol) in (
+        "descent", "true", "forced", "stall")
 
 
 def test_solve_inner_stalls_at_stationary_anchor():
@@ -412,17 +432,51 @@ def test_solve_inner_stalls_at_stationary_anchor():
     anchor = _anchor_for(game, x, np.zeros(0), np.array([2.0]))
     cfg = SolverConfig(sigma=SigmaSchedule.constant())
     result = solve_inner(game, anchor, cfg)
-    assert result.exit_kind == "stall"
+    assert _step_label(game, anchor, result, cfg.outer_tol) == "stall"
     np.testing.assert_allclose(result.x_next, x, atol=1e-10)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31), st.data())
+def test_a_players_step_reads_only_its_own_data(N, n_per, m_per, seed, data):
+    # the distributed claim: player nu's projection reads the broadcast x,
+    # its own oracles, rows and multipliers, and its multiplier step reads
+    # the broadcast new point and its own rows. Every rival's objective
+    # rows, constraint rows and box are redrawn, with x, lam, nu's data,
+    # every shape (so the batching by runs and its rounding) and the fixed
+    # gamma kept: nu's entries of u, and of the new lam at the same
+    # broadcast point, keep their bits
+    nu = data.draw(st.integers(0, N - 1))
+    spec, _ = library.random_quadratic_spec(N, n_per, m_per, seed)
+    rivals, _ = library.random_quadratic_spec(N, n_per, m_per, seed + 1)
+    rng = np.random.default_rng(seed)
+    for p in rivals.players:
+        lo = rng.uniform(-3.0, 0.0, n_per)
+        p.private_set = SimpleSet.box(lo, lo + rng.uniform(0.5, 4.0, n_per))
+    rivals.players[nu] = spec.players[nu]
+    x, lam = rng.uniform(-2.0, 2.0, spec.layout.n), rng.uniform(0.0, 3.0, N * m_per)
+    policy, cfg = GammaPolicy.fixed(rng.uniform(0.5, 50.0, N)), SolverConfig()
+    steps = []
+    for game in (spec.to_game(), rivals.to_game()):
+        gamma, _ = choose_gamma(LipschitzEstimator(game).estimate(x, lam), cfg.penalty(), policy)
+        steps.append((game, solve_inner(game, build_anchor(game, lam, gamma,
+                                                           evaluate_point(game, x)), cfg)))
+    (game, own), (other, moved) = steps
+    sl, rows = game.layout.block_slice(nu), slice(*game.rows.bounds[nu:nu + 2])
+    assert not np.array_equal(own.x_next, moved.x_next)   # the rivals' steps did change
+    assert own.x_next[sl].tobytes() == moved.x_next[sl].tobytes()
+    lam_other = step_duals(lam, evaluate_point(other, own.x_next).g_values, cfg.beta)
+    assert own.lam[rows].tobytes() == lam_other[rows].tobytes()
 
 
 def _margin_anchor(margin, t):
     """A hand-built anchor of two one-variable players at ``y = 0`` whose
     surrogate margins at ``u = (t, 0)``, for a power of two ``t``, are
-    exactly ``margin`` for player 0 (zero gradient) and negative for player 1."""
+    exactly ``margin`` for player 0 (zero gradient) and negative for player 1,
+    from the anchor values zero."""
     gamma = np.full(2, 2.0 * margin / t ** 2)
-    return QuadraticAnchor(np.zeros(2), np.zeros(2), np.array([[0.0, 0.0], [-1.0, 0.0]]),
-                           gamma, np.zeros(2), gamma.copy(), np.zeros(0))
+    return QuadraticAnchor(np.zeros(2), np.array([[0.0, 0.0], [-1.0, 0.0]]), gamma, np.zeros(2),
+                           gamma.copy(), np.zeros(0))
 
 
 def test_exit_labels_at_their_edges():
@@ -431,23 +485,23 @@ def test_exit_labels_at_their_edges():
     # step is within the tolerance; else true or forced by the true values
     t = 2.0 ** -10
     u = np.array([t, 0.0])
-    kept, risen = np.zeros(2), np.array([1e-3, 0.0])
+    values, kept, risen = np.zeros(2), np.zeros(2), np.array([1e-3, 0.0])
     anchor = _margin_anchor(1e-14, t)
-    margins = anchor.model_values(u) - anchor.values
+    margins = anchor.model_values(u, values) - values
     assert margins[0] == 1e-14 and margins[1] < 0.0 and max_abs(u - anchor.y) == t
     for true_values in (kept, risen):
-        assert _exit_verdict(anchor, u, true_values, t) == "stall"
+        assert _label(anchor, values, u, true_values, t) == "stall"
     below = np.nextafter(t, 0.0)   # the step is one ulp above this tolerance
-    assert _exit_verdict(anchor, u, kept, below) == "true"
-    assert _exit_verdict(anchor, u, risen, below) == "forced"
+    assert _label(anchor, values, u, kept, below) == "true"
+    assert _label(anchor, values, u, risen, below) == "forced"
     anchor = _margin_anchor(2e-14, t)
-    assert (anchor.model_values(u) - anchor.values)[0] == 2e-14
-    assert _exit_verdict(anchor, u, kept, t) == "true"
-    assert _exit_verdict(anchor, u, risen, t) == "forced"
+    assert (anchor.model_values(u, values) - values)[0] == 2e-14
+    assert _label(anchor, values, u, kept, t) == "true"
+    assert _label(anchor, values, u, risen, t) == "forced"
     anchor.grads[0, 0] = -1.0
-    assert np.all(anchor.model_values(u) - anchor.values < 0.0)
+    assert np.all(anchor.model_values(u, values) - values < 0.0)
     for true_values in (kept, risen):
-        assert _exit_verdict(anchor, u, true_values, t) == "descent"
+        assert _label(anchor, values, u, true_values, t) == "descent"
 
 
 def test_solve_inner_descent_on_example3_value_never_rises():

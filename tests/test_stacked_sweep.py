@@ -222,7 +222,7 @@ def test_stacked_consumers_are_the_per_player_forms(drawn):
     check_segment_reductions(game.layout.segments, rng)
     rows = [slice(lo, hi) for lo, hi in zip(game.rows.bounds, game.rows.bounds[1:])]
     pen = PenaltyParams(float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.5, 5.0)))
-    assert bits(lagrangian_values(point, lam, game.rows)) == bits(
+    assert bits(lagrangian_values(point.theta, point.g_values, lam, game.rows)) == bits(
         [lagrangian_from_values(point.theta[i], point.g_values[s],
                                 PlayerDualState(np.zeros_like(lam[s]), lam[s], lam[s]),
                                 pen.alpha, pen.beta)
