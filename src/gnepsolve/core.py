@@ -551,7 +551,7 @@ class GameInstance:
         lower, upper, rest = self._clip_bounds
         if x.ndim > 1:   # broadcast (stride-0) bounds take a clip loop that keeps -0.0
             lower, upper = (np.tile(b, x.shape[:-1] + (1,)) for b in (lower, upper))
-        out = np.clip(x, lower, upper)
+        out = x.clip(lower, upper)   # the ufunc np.clip ends in, without its wrapper
         for i in rest:
             sl, project = self.layout.slices[i], self.players[i].private_set.project
             for row in np.ndindex(x.shape[:-1]):

@@ -41,6 +41,7 @@ __all__ = [
     "surrogate_values",
     "PointEval",
     "evaluate_point",
+    "checked_sweep",
     "raw_sweep",
     "projected_gradient_x",
     "projected_step_lam",
@@ -136,10 +137,17 @@ def evaluate_point(game: GameInstance, x: Array) -> PointEval:
     only a sum that is not finite (a non-finite entry, or finite entries
     whose sum overflows) looks at the fields one by one.
     """
-    x = np.array(x, dtype=float, copy=True)
-    with np.errstate(**QUIET):   # ends in the finiteness check below
-        fields = theta, grads, g, jac = raw_sweep(game, x)
-        total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
+    with np.errstate(**QUIET):   # ends in the finiteness check
+        return checked_sweep(game, np.array(x, dtype=float, copy=True))
+
+
+def checked_sweep(game: GameInstance, x: Array) -> PointEval:
+    """:func:`evaluate_point` at ``x`` without its copy of ``x`` and its
+    ``errstate``: for a caller that runs under ``np.errstate(**QUIET)`` and
+    hands over a float array that nothing else writes, which the returned
+    point keeps."""
+    fields = theta, grads, g, jac = raw_sweep(game, x)
+    total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
     if not math.isfinite(total):
         _raise_first_nonfinite(game, fields)
     return PointEval(x, *fields)

@@ -15,8 +15,8 @@ constraint row:
 
 An exit test labels each step (surrogate descent, verified non-increase of
 the true value, a forced step, or a stall at the anchor). The label changes
-the run only as a stall, so an iteration labels its step only when a stall
-is possible; the trace labels every row.
+the run only as a stall (:class:`_StallWatch`), which reads the labels the
+trace block pass gives every row; no iteration labels its own step.
 
 The regularized Lagrangian (:mod:`gnepsolve.lagrangian`) also carries a
 perturbation ``z`` and a proximal centre ``mu``; from zero duals its exact
@@ -28,8 +28,8 @@ falsified) on real runs; its rows, with their Lagrangian values and exit
 labels, are built in blocks after the iterations they record, and
 :func:`verify_run_bounds` checks whole trace columns. Data that cannot move
 (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the Jacobian norms and
-``J`` once per run. An iteration computes what the next iterate and the
-stopping tests read, and one row dot, the model slopes along its step.
+``J`` once per run. An iteration computes the next iterate and its
+stopping residual, and one row dot, the model slopes along its step.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .lagrangian import (
     PointEval,
     QuadraticAnchor,
     build_anchor,
+    checked_sweep,
     evaluate_point,
     lagrangian_values,
     projected_gradient_x,
@@ -196,8 +197,8 @@ _SAMPLE_PAIRS = 200
 _PAIR_CHUNK = 32
 # Safety factor on the sampled smoothness constants.
 _INFLATION = 2.0
-# Bounds the run of consecutive stalled inner exits before the outer loop
-# checks that the multiplier drift still decays or drains.
+# Bounds the run of consecutive stall labels before the stall stop checks
+# that the multiplier drift still decays or drains.
 _STALL_PATIENCE = 100
 
 
@@ -409,7 +410,10 @@ class LipschitzEstimator:
         L_gfun = (jn + self._jac_growth * margin if game.quadratic is not None
                   else _INFLATION * np.maximum(jn, self._jac_max))
         # L_theta and gg change only at a resample; the multiplier term moves.
-        L = self._L_theta + game.rows.dot(self._gg, lam)
+        # A zero bound times an overflowed multiplier is NaN, and so is the
+        # next iterate, which the next oracle sweep rejects.
+        with np.errstate(**QUIET):
+            L = self._L_theta + game.rows.dot(self._gg, lam)
         return LipschitzEstimates(self._L_theta, self._gg, L, L_gfun, self._M_g_own)
 
 
@@ -554,6 +558,41 @@ def _exit_labels(values: Array, L_x: Array, slope: Array, gamma: Array, dd: Arra
             for f, s, t in zip(failing.any(axis=1).tolist(), stall.tolist(), kept.tolist())]
 
 
+@dataclass
+class _StallWatch:
+    """The stall stop, fed the trace rows in order. ``_STALL_PATIENCE``
+    stall labels in a row whose multiplier drift neither decays (the
+    residual at most 98% of the streak's first) nor drains (``max |lam|``
+    down by ``0.25 * _STALL_PATIENCE * tol``) stop the run: the primal is
+    pinned, and growing multipliers mean no finite stationary multiplier
+    nearby. A streak whose drift does either starts over."""
+
+    tol: float
+    streak: int = 0
+    start_residual: float = np.inf
+    start_lam: float = np.inf
+
+    def stops(self, rows) -> bool:
+        """Feed ``rows``; True at the row that stops the run, whose
+        successors are not read. Only a stall row's residual and ``max
+        |lam|`` are read, equal bit for bit to the loop's."""
+        for r in rows:
+            if r.exit_kind != "stall":
+                self.streak = 0
+                continue
+            residual, lam_inf = max(r.dx_inf, r.dlambda_inf), r.lam_norm_inf.max(initial=0.0)
+            if self.streak == 0:
+                self.start_residual, self.start_lam = residual, lam_inf
+            self.streak += 1
+            if self.streak >= _STALL_PATIENCE:
+                decaying = residual <= 0.98 * self.start_residual
+                draining = lam_inf <= self.start_lam - 0.25 * _STALL_PATIENCE * self.tol
+                if not (decaying or draining):
+                    return True
+                self.streak = 0
+        return False
+
+
 def _self_dots(v: Array) -> Array:
     """``v[j] @ v[j]`` for every row of the 2-D ``v``, one dot per row."""
     return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
@@ -568,11 +607,14 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     This is the fixed point the reference sweep :func:`inner_step` converges
     to. The step is accepted whatever its exit label: the label
     (:func:`_exit_labels`) and the Lagrangian values it is judged on are
-    the trace's, built after the iteration by :func:`solve`, which labels a
-    step inside the iteration only where a stall can end the run.
+    the trace's, built after the iteration by :func:`solve`. Runs under the
+    caller's ``errstate``: the sweep at the new point
+    (:func:`~gnepsolve.lagrangian.checked_sweep`) takes no ``errstate`` of
+    its own, and a non-finite oracle value raises
+    :class:`~gnepsolve.core.OracleFailure` whatever it is.
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
-    point = evaluate_point(game, u)
+    point = checked_sweep(game, u)   # u is a fresh array: no copy
     lam = step_duals(anchor.lam, point.g_values, cfg.beta)
     return InnerResult(u, point, lam, lam - anchor.lam)
 
@@ -727,17 +769,19 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     the last completed iteration.
 
     Each outer iteration works on whole arrays over players: the oracle
-    sweep (:func:`~gnepsolve.lagrangian.evaluate_point`, one call of the
-    game's batched oracle when it has one), the anchor and the multiplier
-    step, with the multipliers stacked over the constraint rows
-    (``game.rows``). What only the trace reads (Lagrangian values, exit
-    labels, projected-gradient blocks, feasibility, norms) waits: each
-    iteration keeps its row's raw arrays, and one pass over a leading axis
-    of rows builds them every ``_BOUND_ROWS`` rows and when the loop ends.
-    An iteration labels its own step only when ``dx_inf <= outer_tol <
-    dlambda_inf``, the one case in which a stall label changes the run.
-    Every per-player reduction is bit for bit the per-player one, so neither
-    the iterates nor the trace depend on how the work is batched.
+    sweep (one call of the game's batched oracle when it has one), the
+    anchor and the multiplier step, with the multipliers stacked over the
+    constraint rows (``game.rows``). What only the trace reads (Lagrangian
+    values, exit labels, projected-gradient blocks, feasibility, norms)
+    waits: each iteration keeps its row's raw arrays, and one pass over a
+    leading axis of rows builds them every ``_BOUND_ROWS`` rows and when the
+    loop ends. No iteration labels its own step. The stall stop
+    (:class:`_StallWatch`) reads the built rows' labels; its streak grows by
+    at most one per row, so the pending rows are built early only when the
+    last of them could complete a run of ``_STALL_PATIENCE`` stalls, and a
+    stop lands on the iteration that completes it. Every per-player
+    reduction is bit for bit the per-player one, so neither the iterates,
+    the trace nor the stop depend on how the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -768,9 +812,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     residual = np.inf
     status = "max_outer"
-    stall_streak = 0
-    stall_start_residual = np.inf
-    stall_start_lam = np.inf
+    watch = _StallWatch(cfg.outer_tol)
     message = ""
 
     pending = []   # raw material of the rows not yet built
@@ -788,16 +830,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 dx = inner.x_next - x
                 dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
                 slope = row_dots(anchor.grads, dx)
-                # A label changes the run only as a stall, which needs
-                # dx_inf <= outer_tol; a dlambda_inf as small has converged.
-                stalled = False
-                if dx_inf <= cfg.outer_tol < dlambda_inf:
-                    both = lagrangian_values(np.array([point.theta, inner.point.theta]),
-                                             np.array([point.g_values, inner.point.g_values]),
-                                             lam, rows)
-                    stalled = _exit_labels(both[:1], both[1:], slope[None], gamma[None],
-                                           _self_dots(dx[None]), np.array([dx_inf]),
-                                           cfg.outer_tol) == ["stall"]
                 if not fixed:
                     jac_full, jac_own = _jac_norms(inner.point, game.constrained_runs)
         except OracleFailure as exc:
@@ -810,34 +842,18 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                         inner.point.g_jacobians, jac_full, jac_own, gamma, est, slope))
         x, lam, point = inner.x_next, inner.lam, inner.point
         residual = max(dx_inf, dlambda_inf)
-        if len(pending) == _BOUND_ROWS:
-            trace.rows += _trace_rows(game, pending, fixed, trace.last_L, cfg.outer_tol)
-            pending = []
-
         if residual <= cfg.outer_tol:
             status = "converged"
             break
-        if stalled:
-            lam_now = max_abs(lam)
-            if stall_streak == 0:
-                stall_start_residual = residual
-                stall_start_lam = lam_now
-            stall_streak += 1
-            # The primal is pinned; keep going while the multiplier motion is
-            # productive (drift decaying, or multipliers draining back toward
-            # their fixed point). A pinned primal with steadily growing
-            # multipliers means no finite stationary multiplier exists nearby.
-            if stall_streak >= _STALL_PATIENCE:
-                decaying = residual <= 0.98 * stall_start_residual
-                draining = lam_now <= stall_start_lam - 0.25 * _STALL_PATIENCE * cfg.outer_tol
-                if not (decaying or draining):
-                    status = "stalled-stationary"
-                    message = ("primal blocks pinned at a fixed point while the "
-                               "multiplier drift is not decaying")
-                    break
-                stall_streak = 0
-        else:
-            stall_streak = 0
+        if len(pending) == _BOUND_ROWS or watch.streak + len(pending) >= _STALL_PATIENCE:
+            built = _trace_rows(game, pending, fixed, trace.last_L, cfg.outer_tol)
+            trace.rows += built
+            pending = []
+            if watch.stops(built):
+                status = "stalled-stationary"
+                message = ("primal blocks pinned at a fixed point while the "
+                           "multiplier drift is not decaying")
+                break
 
     if pending:
         trace.rows += _trace_rows(game, pending, fixed, trace.last_L, cfg.outer_tol)

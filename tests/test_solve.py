@@ -5,6 +5,7 @@ import csv
 import json
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_one_point_private_set_with_violated_constraint_stalls():
     assert res.state.duals.lam.tolist() == [0.5 * res.outer_iterations]
 
 
+def test_overflowed_multiplier_ends_in_an_oracle_failure_without_a_warning():
+    # the constraint value 1e308 over beta = 1e-3 overflows the multiplier
+    # to inf in one step; the sampled (zero) bound times inf is NaN in the
+    # next estimate, which the next oracle sweep rejects, with no NumPy
+    # warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = G.solve(one_point_game(-1e308), np.zeros(1), G.SolverConfig(beta=1e-3))
+    assert res.status == "oracle-failure" and "non-finite" in res.message
+    assert res.outer_iterations == 1 and res.state.duals.lam.tolist() == [np.inf]
+
+
 def test_runs_ending_mid_block_keep_every_row():
     # solve builds its trace rows in blocks of _BOUND_ROWS and the rest when
     # the loop ends: a converged run and an oracle failure, both past one
@@ -230,6 +243,16 @@ def test_values_and_labels_are_computed_once_per_block(monkeypatch):
     assert counts[B - 7] == counts[B] and counts[B + 1] == counts[B + 40]
     per_block = counts[B + 1][1] - counts[B][1]
     assert 0 < per_block < B and counts[B][1] - per_block < B
+    # a converging tail whose steps could stall (dx_inf <= tol < dlambda_inf)
+    # and never do: still one label pass per block, none per iteration
+    game, plant = G.library.gen_random_quadratic_with_plant(3, 2, 1, seed=103)
+    calls.update(lagrangian_values=0, _exit_labels=0)
+    res = G.solve(game, plant, fast_config(outer_tol=1e-6, max_outer=30000))
+    blocks = -(-res.outer_iterations // B)
+    assert res.status == "converged" and res.outer_iterations == 1605
+    assert sum(r.dx_inf <= 1e-6 < r.dlambda_inf for r in res.trace.rows) == 376
+    assert "stall" not in {r.exit_kind for r in res.trace.rows}
+    assert calls["lagrangian_values"] == 1 + blocks and calls["_exit_labels"] == blocks
 
 
 def fresh_jacobian_norms(game, x):
@@ -669,6 +692,74 @@ def test_pinned_primal_with_drifting_multipliers_ends_stalled_stationary():
     assert kinds[-101] != "stall"
     assert res.message == ("primal blocks pinned at a fixed point while the "
                            "multiplier drift is not decaying")
+
+
+def stall_rows(steps):
+    """Trace rows of ``(exit label, residual, max |lam|)`` steps, as the stall
+    stop reads them: the residual as ``dlambda_inf`` (``dx_inf`` is zero) and
+    ``max |lam|`` spread over two players."""
+    return [SimpleNamespace(exit_kind=kind, dx_inf=0.0, dlambda_inf=residual,
+                            lam_norm_inf=np.array([lam_inf, 0.5 * lam_inf]))
+            for kind, residual, lam_inf in steps]
+
+
+def fed_until_stop(watch, rows):
+    """The number of rows ``watch`` reads before it stops, None if it never does."""
+    for j, row in enumerate(rows, 1):
+        if watch.stops([row]):
+            return j
+    return None
+
+
+def test_stall_stop_reads_the_drift_of_a_run_of_stalls():
+    P, tol = G.solver._STALL_PATIENCE, 1e-4
+    # drift that neither decays nor drains: the 100th stall in a row stops,
+    # counted from the last other label
+    growing = [("forced", 1.0, 0.0)] + [("stall", 1.0, 0.5 * j) for j in range(2 * P)]
+    assert fed_until_stop(G.solver._StallWatch(tol), stall_rows(growing)) == 1 + P
+    interrupted = growing[:P] + [("true", 1.0, 0.0)] + growing[P:]
+    assert fed_until_stop(G.solver._StallWatch(tol), stall_rows(interrupted)) == 2 * P + 1
+    # a residual down by 2% over the run resets the streak, and the run goes
+    # on; a fall just short of 2% does not
+    for last, stops in ((0.98, None), (np.nextafter(0.98, 1.0), P)):
+        steps = [("stall", 1.0, 1.0)] * (P - 1) + [("stall", last, 1.0)]
+        watch = G.solver._StallWatch(tol)
+        assert fed_until_stop(watch, stall_rows(steps)) == stops
+        if stops is None:
+            assert watch.streak == 0
+            # the next run of 100 starts from the step after the reset
+            assert fed_until_stop(watch, stall_rows([("stall", last, 1.0)] * P)) == P
+    # multipliers draining by 0.25 * 100 * tol over the run reset it too
+    drop = 0.25 * P * tol
+    for end, stops in ((5.0 - drop, None), (np.nextafter(5.0 - drop, 6.0), P)):
+        steps = [("stall", 1.0, 5.0)] * (P - 1) + [("stall", 1.0, end)]
+        assert fed_until_stop(G.solver._StallWatch(tol), stall_rows(steps)) == stops
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 100, 128])
+def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
+    # the stop reads the labels of the built rows, built early when the
+    # last pending row could end a run of stalls: whatever the block size,
+    # each run stops where it does with the default one, with the same bytes
+    def runs():
+        rq = G.library.builtin_instance("random-quadratic")
+        rows4, plant = G.library.gen_random_quadratic_with_plant(3, 1, 4, seed=101)
+        return [(rq, np.zeros(rq.n), G.SolverConfig()),
+                (one_point_game(0.5), np.zeros(1), G.SolverConfig()),
+                (rows4, plant, fast_config(outer_tol=1e-6, max_outer=30000))]
+
+    expected = [G.solve(*run) for run in runs()]
+    monkeypatch.setattr(G.solver, "_BOUND_ROWS", block)
+    for want, run in zip(expected, runs()):
+        got = G.solve(*run)
+        assert got.status == want.status == "stalled-stationary", run[0].name
+        assert got.outer_iterations == want.outer_iterations
+        assert got.state.x.tobytes() == want.state.x.tobytes()
+        assert got.state.duals.lam.tobytes() == want.state.duals.lam.tobytes()
+        for f in fields(G.solver.TraceRow):
+            assert (np.array([getattr(r, f.name) for r in got.trace.rows]).tobytes()
+                    == np.array([getattr(r, f.name) for r in want.trace.rows]).tobytes()), f.name
+    assert [r.outer_iterations for r in expected] == [297, 100, 1042]
 
 
 def test_x0_outside_private_sets_is_projected():

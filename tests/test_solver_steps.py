@@ -455,13 +455,38 @@ def test_a_players_step_reads_only_its_own_data(N, n_per, m_per, seed, data):
         p.private_set = SimpleSet.box(lo, lo + rng.uniform(0.5, 4.0, n_per))
     rivals.players[nu] = spec.players[nu]
     x, lam = rng.uniform(-2.0, 2.0, spec.layout.n), rng.uniform(0.0, 3.0, N * m_per)
-    policy, cfg = GammaPolicy.fixed(rng.uniform(0.5, 50.0, N)), SolverConfig()
-    steps = []
-    for game in (spec.to_game(), rivals.to_game()):
-        gamma, _ = choose_gamma(LipschitzEstimator(game).estimate(x, lam), cfg.penalty(), policy)
-        steps.append((game, solve_inner(game, build_anchor(game, lam, gamma,
-                                                           evaluate_point(game, x)), cfg)))
-    (game, own), (other, moved) = steps
+    assert_step_reads_only_own_data(spec.to_game(), rivals.to_game(), nu, x, lam,
+                                    GammaPolicy.fixed(rng.uniform(0.5, 50.0, N)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**31), st.data())
+def test_a_links_step_reads_only_its_own_data_on_power(N, C, seed, data):
+    # the same claim on the power game, whose smoothness constants are
+    # sampled from every link's data, so under a fixed gamma: every rival's
+    # target and gain row gains[mu] are redrawn, link nu's kept
+    nu = data.draw(st.integers(0, N - 1))
+    rng = np.random.default_rng(seed)
+    gains, rival_gains = np.exp(rng.uniform(np.log(1e-2), 0.0, (2, N, N, C)))
+    targets, rival_targets = rng.uniform(0.5, 2.0, (2, N))
+    rival_gains[nu], rival_targets[nu] = gains[nu], targets[nu]
+    game, other = (library.gen_power_allocation(N, C, t, 0.3162, gains=g)
+                   for g, t in ((gains, targets), (rival_gains, rival_targets)))
+    assert_step_reads_only_own_data(game, other, nu, rng.uniform(0.0, 2.0, N * C),
+                                    rng.uniform(0.0, 3.0, N),
+                                    GammaPolicy.fixed(rng.uniform(0.5, 50.0, N)))
+
+
+def assert_step_reads_only_own_data(game, other, nu, x, lam, policy):
+    """Player ``nu``'s step from ``(x, lam)`` under the fixed-gamma ``policy``
+    is the same in ``game`` and in ``other``, which differs only in the
+    rivals' data: nu's entries of u keep their bits, and so do its entries
+    of the new lam at the same broadcast point (the rivals' steps move it)."""
+    cfg, steps = SolverConfig(), []
+    for g in (game, other):
+        gamma, _ = choose_gamma(LipschitzEstimator(g).estimate(x, lam), cfg.penalty(), policy)
+        steps.append(solve_inner(g, build_anchor(g, lam, gamma, evaluate_point(g, x)), cfg))
+    own, moved = steps
     sl, rows = game.layout.block_slice(nu), slice(*game.rows.bounds[nu:nu + 2])
     assert not np.array_equal(own.x_next, moved.x_next)   # the rivals' steps did change
     assert own.x_next[sl].tobytes() == moved.x_next[sl].tobytes()
