@@ -372,8 +372,9 @@ class QuadraticStack:
     ``Q_i`` whose entries outside its own rows and columns are all +0.0, as
     in a band-coupled game; any other ``Q_i`` is also kept whole, the
     players ``dense_players`` stacked in one ``(k, n, n)`` array ``dense``.
-    :meth:`from_dense` builds the stack and :meth:`products` takes every
-    ``Q_i @ x`` from it.
+    :meth:`~gnepsolve.library.QuadraticGnepSpec.to_game` builds the stack
+    from its players' bands, which hold ``Q_i`` in this form, and
+    :meth:`products` takes every ``Q_i @ x`` from it.
 
     ``hessians`` maps each curved player (one with a nonzero constraint
     Hessian) to its ``(m, n, n)`` constraint Hessians; affine players have no
@@ -391,24 +392,6 @@ class QuadraticStack:
     dense_players: tuple[int, ...]
     dense: Array                  # (k, n, n) whole Q_i of dense_players
     hessians: dict[int, Array] = field(default_factory=dict)
-
-    @staticmethod
-    def from_dense(layout: BlockLayout, Qs: Sequence[Array], b: Array, C: Array, D: Array,
-                   hessians: dict[int, Array]) -> "QuadraticStack":
-        """The stack of the ``(n, n)`` matrices ``Qs``, copied into bands."""
-        n, slices = layout.n, layout.slices
-        G, dense = np.empty((n, n)), []
-        for i, (Q, sl) in enumerate(zip(Qs, slices)):
-            G[sl] = Q[sl]
-            off = np.array(Q, dtype=float)
-            off[sl] = off[:, sl] = 0.0
-            if off.view(np.uint64).any():   # a nonzero, a -0.0 or a NaN off the band
-                dense.append(i)
-        bands = tuple(np.stack([Qs[i][:, slices[i]] for i in range(players.start, players.stop)])
-                      for players, _, _ in layout.segments._runs)
-        return QuadraticStack(layout, G, bands, b, C, D, tuple(dense),
-                              np.array([Qs[i] for i in dense], dtype=float).reshape(-1, n, n),
-                              hessians)
 
     @cached_property
     def jacobian(self) -> Array:

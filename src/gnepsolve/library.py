@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,56 +64,128 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class QuadraticPlayerSpec:
-    Q: Array                       # (n, n) symmetric
-    b: Array                       # (n,)
-    private_set: SimpleSet
-    constraints: list[tuple[Array, Array, float]] = field(default_factory=list)
+    """One player: minimize ``0.5 x'Q x + b'x`` over its private set subject
+    to the rows ``0.5 x'A_j x + c_j'x + d_j <= 0`` of ``constraints``, each
+    ``(A_j, c_j, d_j)``; ``A_j`` is ``None`` for an affine row.
+
+    ``Q`` is held as the stack reads it (:class:`~gnepsolve.core.QuadraticStack`):
+    its own rows ``rows = Q[sl]`` ``(w, n)`` and own columns ``cols = Q[:, sl]``
+    ``(n, w)``, ``sl`` the player's ``block``, and whole (``dense``) only when
+    it has an entry off that band (a nonzero, a -0.0 or a NaN). ``Q`` may be
+    given whole, ``(n, n)``: the :class:`QuadraticGnepSpec` splits it once,
+    at construction. A generator passes ``band=(sl, rows, cols)`` instead,
+    and no ``(n, n)`` array is made. ``Q`` reads the whole matrix back, made
+    on demand from the band.
+    """
+
+    def __init__(self, Q: Array | None, b: Array, private_set: SimpleSet,
+                 constraints: list[tuple[Array | None, Array, float]] | None = None,
+                 band: tuple[slice, Array, Array] | None = None):
+        self.b, self.private_set = b, private_set
+        self.constraints = [] if constraints is None else constraints
+        self.dense = Q
+        self.block, self.rows, self.cols = band or (None, None, None)
+
+    def _split(self, sl: slice, n: int):
+        """Hold the given whole ``Q`` by its band of block ``sl``, and keep
+        it whole only when an entry off the band is not +0.0."""
+        Q = np.asarray(self.dense, dtype=float).reshape(n, n)
+        off = Q.copy()
+        off[sl] = off[:, sl] = 0.0
+        self.block, self.rows, self.cols = sl, Q[sl].copy(), Q[:, sl].copy()
+        self.dense = Q if off.view(np.uint64).any() else None
+
+    @property
+    def Q(self) -> Array:
+        """The whole ``(n, n)`` matrix: the one kept, or a new one from the band."""
+        if self.rows is None or self.dense is not None:
+            return self.dense
+        Q = np.zeros((len(self.cols), len(self.cols)))
+        Q[:, self.block] = self.cols
+        Q[self.block] = self.rows
+        return Q
 
 
 @dataclass
 class QuadraticGnepSpec:
+    """A quadratic game; each player whose ``Q`` was given whole is split
+    into its band here, so a player put into ``players`` later must come
+    split (as one taken from a spec of the same layout)."""
+
     layout: BlockLayout
     players: list[QuadraticPlayerSpec]
     name: str = "quadratic-game"
+
+    def __post_init__(self):
+        for p, sl in zip(self.players, self.layout.slices):
+            if p.rows is None:
+                p._split(sl, self.layout.n)
 
     def validate_psd(self, tol: float = 1e-10):
         """Own-block convexity: smallest own-block eigenvalue >= -tol."""
         for i, p in enumerate(self.players):
             sl = self.layout.block_slice(i)
-            own = p.Q[sl, sl]
+            own = p.rows[:, sl]
             if own.size and float(np.min(np.linalg.eigvalsh(own))) < -tol:
                 raise AdmissibilityError(
                     f"player {i}: objective own block has eigenvalue "
                     f"{float(np.min(np.linalg.eigvalsh(own))):.3e} < -{tol:g}")
             for j, (A, _, _) in enumerate(p.constraints):
+                if A is None:
+                    continue
                 own_a = A[sl, sl]
                 if own_a.size and float(np.min(np.linalg.eigvalsh(own_a))) < -tol:
                     raise AdmissibilityError(
                         f"player {i} constraint {j}: own block has eigenvalue "
                         f"{float(np.min(np.linalg.eigvalsh(own_a))):.3e} < -{tol:g}")
 
+    def validate_symmetric(self, tol: float = 1e-10):
+        """Every ``Q_i`` and ``A_j`` symmetric, each entry within ``tol``
+        times the largest magnitude (at least 1) of its mirror: the oracles
+        return ``Q x`` and ``A x + c``, the gradients of ``0.5 x'Q x`` and
+        ``0.5 x'A x + c'x`` only then. A band ``Q_i`` is symmetric when its
+        own columns are its own rows transposed (its own block included)."""
+        for i, p in enumerate(self.players):
+            Q, Qt = (p.cols, p.rows.T) if p.dense is None else (p.dense, p.dense.T)
+            checks = [(f"player {i}: objective", f"players[{i}].Q", Q, Qt)]
+            checks += [(f"player {i} constraint {j}: Hessian", f"players[{i}].constraints[{j}].A", A, A.T)
+                       for j, (A, _, _) in enumerate(p.constraints) if A is not None]
+            for what, where, M, Mt in checks:
+                gap = float(np.max(np.abs(M - Mt), initial=0.0))
+                if gap > tol * max(1.0, float(np.max(np.abs(M), initial=0.0))):
+                    raise AdmissibilityError(f"{what} is not symmetric ({where}: an entry "
+                                             f"differs from its mirror by {gap:.3e})")
+
     def to_game(self) -> GameInstance:
         """The game, with its quadratic data stacked over players
         (:class:`~gnepsolve.core.QuadraticStack`, the one record of its
-        structure); each player's oracles read the stack. Constraint
-        Hessians are kept only for a player with a nonzero one."""
+        structure): the players' own rows concatenated into ``G``, their
+        own columns stacked per run of equal block width, and the ``Q``s
+        kept whole stacked in ``dense``; each player's oracles read the
+        stack. Constraint Hessians are kept only for a player with a
+        nonzero one (a ``None`` one is zero)."""
+        self.validate_symmetric()
         self.validate_psd()
-        n, N = self.layout.n, len(self.players)
-        b = np.array([spec.b for spec in self.players], dtype=float).reshape(N, n)
-        rows = [con for spec in self.players for con in spec.constraints]
+        n, N, specs = self.layout.n, len(self.players), self.players
+        b = np.array([spec.b for spec in specs], dtype=float).reshape(N, n)
+        rows = [con for spec in specs for con in spec.constraints]
         C = np.array([c for _, c, _ in rows], dtype=float).reshape(len(rows), n)
         D = np.array([d for _, _, d in rows], dtype=float).reshape(len(rows))
-        hessians = {i: np.array([a for a, _, _ in spec.constraints],
+        hessians = {i: np.array([np.zeros((n, n)) if a is None else a
+                                 for a, _, _ in spec.constraints],
                                 dtype=float).reshape(len(spec.constraints), n, n)
-                    for i, spec in enumerate(self.players)
-                    if any(np.any(a) for a, _, _ in spec.constraints)}
-        q = QuadraticStack.from_dense(
-            self.layout, [np.asarray(spec.Q, dtype=float).reshape(n, n) for spec in self.players],
-            b, C, D, hessians)
+                    for i, spec in enumerate(specs)
+                    if any(a is not None and np.any(a) for a, _, _ in spec.constraints)}
+        dense = tuple(i for i, spec in enumerate(specs) if spec.dense is not None)
+        q = QuadraticStack(
+            self.layout, np.concatenate([spec.rows for spec in specs]),
+            tuple(np.stack([spec.cols for spec in specs[run]])
+                  for run, _, _ in self.layout.segments._runs),
+            b, C, D, dense,
+            np.array([specs[i].dense for i in dense], dtype=float).reshape(-1, n, n), hessians)
         players, start = [], 0
-        for i, spec in enumerate(self.players):
+        for i, spec in enumerate(specs):
             m = len(spec.constraints)
             bi, Ci, Di = b[i], C[start:start + m], D[start:start + m]
             start += m
@@ -227,12 +299,18 @@ def _finite(obj, shape: tuple[int, ...]) -> Array:
 
 
 def _matrix_from_json(obj, n: int) -> Array:
+    """An ``(n, n)`` matrix given as nested lists, or as
+    ``{"triplets": [[i, j, v], ...]}`` with the entries not listed 0.0 and
+    each ``(i, j)`` at most once."""
     if isinstance(obj, dict):
-        out = np.zeros((n, n))
+        out, seen = np.zeros((n, n)), set()
         for i, j, v in obj.get("triplets", []):
             i, j = _count(i), _count(j)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"triplet index ({i}, {j}) outside {n}x{n}")
+            if (i, j) in seen:
+                raise ValueError(f"triplet index ({i}, {j}) given twice")
+            seen.add((i, j))
             out[i, j] = v
         return _finite(out, (n, n))
     return _finite(obj, (n, n))
@@ -266,6 +344,9 @@ def _list(path, obj, where: str) -> list:
 
 
 def save_quadratic(spec: QuadraticGnepSpec, path: str | Path):
+    """Write a qgnep/1 file: each ``Q`` whole, and a ``None`` ``A_j`` as
+    its all-zero matrix."""
+    zero = [[0.0] * spec.layout.n] * spec.layout.n
     doc = {
         "version": _QGNEP_VERSION,
         "name": spec.name,
@@ -276,7 +357,7 @@ def save_quadratic(spec: QuadraticGnepSpec, path: str | Path):
                 "b": p.b.tolist(),
                 "set": _set_to_json(p.private_set),
                 "constraints": [
-                    {"A": A.tolist(), "c": c.tolist(), "d": float(d)}
+                    {"A": zero if A is None else A.tolist(), "c": c.tolist(), "d": float(d)}
                     for A, c, d in p.constraints
                 ],
             }
@@ -288,7 +369,8 @@ def save_quadratic(spec: QuadraticGnepSpec, path: str | Path):
 
 def load_quadratic_spec(path: str | Path) -> QuadraticGnepSpec:
     """Read a qgnep/1 file. A missing or malformed field raises a
-    :class:`FormatError` that names it (``players[0].constraints[1].d``)."""
+    :class:`FormatError` that names it (``players[0].constraints[1].d``).
+    An ``A`` whose every entry is +0.0 is held as ``None`` (an affine row)."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
@@ -325,7 +407,7 @@ def load_quadratic_spec(path: str | Path) -> QuadraticGnepSpec:
             A = _field(path, cd, "A", f"{cwhere}.A", lambda v: _matrix_from_json(v, n))
             c = _field(path, cd, "c", f"{cwhere}.c", lambda v: _finite(v, (n,)))
             d = _field(path, cd, "d", f"{cwhere}.d", lambda v: float(_finite(v, ())))
-            cons.append((A, c, d))
+            cons.append((A if A.view(np.uint64).any() else None, c, d))
         players.append(QuadraticPlayerSpec(Q, b, pset, cons))
     return QuadraticGnepSpec(layout, players, name)
 
@@ -424,15 +506,14 @@ def a18_spec() -> QuadraticGnepSpec:
             b += (_A18_COST - _A18_INTERCEPT[r]) * u
         cons: list[tuple[Array, Array, float]] = []
         base = 6 * player
-        zero = np.zeros((n, n))
         for i in range(6):
             c = np.zeros(n)
             c[base + i] = -1.0
-            cons.append((zero, c, 0.0))
+            cons.append((None, c, 0.0))
         for plant in range(2):
             c = np.zeros(n)
             c[base + 3 * plant: base + 3 * plant + 3] = 1.0
-            cons.append((zero, c, -_A18_CAP[plant]))
+            cons.append((None, c, -_A18_CAP[plant]))
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -440,7 +521,7 @@ def a18_spec() -> QuadraticGnepSpec:
                 # price(j) - price(i) <= 1
                 c = price_gradient(j) - price_gradient(i)
                 d = (_A18_INTERCEPT[j] - _A18_INTERCEPT[i]) - 1.0
-                cons.append((zero, c, d))
+                cons.append((None, c, d))
         players.append(QuadraticPlayerSpec(Q, b, SimpleSet.free(6), cons))
     return QuadraticGnepSpec(layout, players, "a18")
 
@@ -669,6 +750,9 @@ def random_quadratic_spec(n_players: int, n_per: int, m_per: int,
     scaled by ``0.3 / (N - 1)``, and each player's affine rows, in the whole
     joint vector, hold strictly at the planted point. So the feasible sets
     move with the rivals: no contraction or unique equilibrium is implied.
+    Each ``Q_i`` is written straight into its band (own rows and columns),
+    its rivals' cross blocks drawn in one call, the same numbers in the same
+    order as one ``(w, w)`` draw per rival; the affine rows carry no Hessian.
     """
     if min(n_players, n_per, m_per) < 1:
         raise ValueError("all generator sizes must be >= 1")
@@ -679,26 +763,23 @@ def random_quadratic_spec(n_players: int, n_per: int, m_per: int,
     cross_scale = 0.3 / max(1, n_players - 1)
     players = []
     for i in range(n_players):
-        sl = layout.block_slice(i)
-        Q = np.zeros((n, n))
+        sl, rivals = layout.block_slice(i), np.arange(n_players) != i
+        rows, cols = np.zeros((n_per, n_players, n_per)), np.zeros((n_players, n_per, n_per))
         B = rng.standard_normal((n_per, n_per))
-        Q[sl, sl] = B @ B.T / n_per + np.eye(n_per)
-        for j in range(n_players):
-            if j == i:
-                continue
-            slj = layout.block_slice(j)
-            C = cross_scale * rng.standard_normal((n_per, n_per))
-            Q[sl, slj] += C
-            Q[slj, sl] += C.T
+        rows[:, i] = cols[i] = B @ B.T / n_per + np.eye(n_per)
+        C = cross_scale * rng.standard_normal((n_players - 1, n_per, n_per))
+        rows[:, rivals] += C.transpose(1, 0, 2)
+        cols[rivals] += C.transpose(0, 2, 1)
         b = rng.standard_normal(n)
         cons = []
         for _ in range(m_per):
             c = rng.standard_normal(n)
             c /= np.linalg.norm(c)
             d = -float(c @ plant) - rng.uniform(0.1, 1.0)
-            cons.append((np.zeros((n, n)), c, d))
+            cons.append((None, c, d))
         box = SimpleSet.box(np.full(n_per, -10.0), np.full(n_per, 10.0))
-        players.append(QuadraticPlayerSpec(Q, b, box, cons))
+        players.append(QuadraticPlayerSpec(None, b, box, cons,
+                                           band=(sl, rows.reshape(n_per, n), cols.reshape(n, n_per))))
     spec = QuadraticGnepSpec(layout, players,
                              f"randquad-{n_players}x{n_per}x{m_per}-s{seed}")
     return spec, plant

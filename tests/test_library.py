@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,7 @@ def test_qgnep_round_trip_bitwise(tmp_path):
         np.testing.assert_array_equal(a.Q, b.Q)
         np.testing.assert_array_equal(a.b, b.b)
         for (A1, c1, d1), (A2, c2, d2) in zip(a.constraints, b.constraints):
+            assert A1 is None and A2 is None   # affine rows: no Hessian, saved as zeros
             np.testing.assert_array_equal(A1, A2)
             np.testing.assert_array_equal(c1, c2)
             assert d1 == d2
@@ -303,13 +305,114 @@ def test_qgnep_round_trip_bitwise(tmp_path):
 
 def test_qgnep_rejects_indefinite_own_block(tmp_path):
     spec, _ = library.random_quadratic_spec(2, 2, 1, seed=3)
-    spec.players[0].Q[0, 0] = -0.1
-    spec.players[0].Q[1, 1] = -0.1
+    p = spec.players[0]
+    for part in (p.rows, p.cols):   # its own block Q[:2, :2] is in both
+        part[0, 0] = part[1, 1] = -0.1
     path = tmp_path / "bad.qgnep.json"
     library.save_quadratic(spec, path)
     with pytest.raises(AdmissibilityError) as err:
         library.load_quadratic(path)
     assert "player 0" in str(err.value)
+
+
+def test_random_quadratic_build_allocates_a_small_multiple_of_its_stack():
+    # the generator writes each Q_i into its band and gives affine rows no
+    # Hessian, so building the 60-player game allocates at most 3x the
+    # stack's bytes (a dense Q_i per player and a zero (n, n) Hessian per
+    # row peaked at 67x: 85 MB for a 1.3 MB stack)
+    library.gen_random_quadratic_with_plant(2, 4, 2, seed=1)   # imports and caches
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        game, _ = library.gen_random_quadratic_with_plant(60, 4, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    q = game.quadratic
+    assert peak < 3 * sum(a.nbytes for a in (q.G, *q.bands, q.b, q.C, q.D, q.dense))
+
+
+def test_affine_rows_without_hessian_validate_build_and_round_trip(tmp_path):
+    # A = None: validate_psd skips the row, to_game gives it the affine
+    # oracles, and the file writes the all-zero matrix, so its bytes are
+    # those of the same game with zero Hessians; loading gives None back
+    spec, _ = library.random_quadratic_spec(2, 2, 2, seed=31)
+    n = spec.layout.n
+    assert all(A is None for p in spec.players for A, _, _ in p.constraints)
+    spec.validate_psd()
+    game = spec.to_game()
+    assert game.quadratic.hessians == {} and all(game.constant_jacobian(i) for i in range(2))
+    zeros = library.QuadraticGnepSpec(spec.layout, [library.QuadraticPlayerSpec(
+        p.Q, p.b, p.private_set, [(np.zeros((n, n)), c, d) for _, c, d in p.constraints])
+        for p in spec.players], spec.name)
+    path, zero_path = tmp_path / "none.json", tmp_path / "zeros.json"
+    library.save_quadratic(spec, path)
+    library.save_quadratic(zeros, zero_path)
+    assert path.read_bytes() == zero_path.read_bytes()
+    loaded = library.load_quadratic_spec(path)
+    assert all(A is None for p in loaded.players for A, _, _ in p.constraints)
+    # an A holding a -0.0 keeps its array (and its bits), and is still affine
+    doc = json.loads(path.read_text())
+    doc["players"][0]["constraints"][1]["A"][0][0] = -0.0
+    path.write_text(json.dumps(doc))
+    A = library.load_quadratic_spec(path).players[0].constraints[1][0]
+    assert A.shape == (n, n) and np.signbit(A[0, 0]) and not np.any(A)
+    assert library.load_quadratic(path).quadratic.hessians == {}
+
+
+def test_asymmetric_data_fails_to_load_naming_the_player(tmp_path):
+    # the oracles return Q x and A x + c, the gradients of 0.5 x'Q x and
+    # 0.5 x'A x + c'x only for symmetric Q and A: with Q_0 = [[1, 2], [0, 1]]
+    # player 0's gradient at (0.3, 0.7) was (1.7, 0.7), the central
+    # differences (1.0, 1.0). Player 0's Q is kept whole (Q_0[1, 1] is off
+    # its band); player 1's Q = [[0, 0], [3, 1]] is a band whose own column
+    # is not its own row
+    def spec(Q0, Q1, A=None):
+        cons = [] if A is None else [(A, np.zeros(2), -1.0)]
+        return library.QuadraticGnepSpec(G.BlockLayout((1, 1)), [
+            library.QuadraticPlayerSpec(np.array(Q0), np.zeros(2), G.SimpleSet.free(1)),
+            library.QuadraticPlayerSpec(np.array(Q1), np.zeros(2), G.SimpleSet.free(1), cons)])
+
+    path = tmp_path / "asymmetric.json"
+    library.save_quadratic(spec([[1.0, 2.0], [0.0, 1.0]], np.eye(2)), path)
+    assert library.load_quadratic_spec(path).players[0].dense is not None
+    with pytest.raises(AdmissibilityError) as err:
+        library.load_quadratic(path)
+    assert "players[0].Q" in str(err.value) and "not symmetric" in str(err.value)
+    band = spec(np.eye(2), [[0.0, 0.0], [3.0, 1.0]])
+    assert band.players[1].dense is None
+    with pytest.raises(AdmissibilityError, match=r"players\[1\]\.Q"):
+        band.to_game()
+    with pytest.raises(AdmissibilityError, match=r"player 1 constraint 0.*constraints\[0\]\.A"):
+        spec(np.eye(2), np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])).to_game()
+    # a mirror within 1e-10 of the largest entry (at least 1) is symmetric
+    spec([[1.0, 2.0], [2.0 + 1e-11, 1.0]], np.eye(2), np.array([[1e3, 1.0], [1.0 + 1e-8, 1.0]])).to_game()
+
+
+def test_duplicate_triplet_raises_format_error_naming_the_field(tmp_path):
+    # a matrix given as {"triplets": [[i, j, v], ...]} lists each entry at
+    # most once; a second (i, j) is an error, not a silent overwrite
+    path = tmp_path / "triplets.json"
+    doc = {"version": "qgnep/1", "layout": [1, 1], "players": [
+        {"Q": {"triplets": [[0, 0, 2.0], [0, 1, 0.5], [1, 0, 0.5]]}, "b": [0.0, 0.0],
+         "set": {"kind": "nonneg", "dim": 1},
+         "constraints": [{"A": {"triplets": []}, "c": [1.0, 1.0], "d": -1.0}]},
+        {"Q": {"triplets": [[1, 1, 2.0]]}, "b": [0.0, 0.0], "set": {"kind": "nonneg", "dim": 1}}]}
+    path.write_text(json.dumps(doc))
+    loaded = library.load_quadratic_spec(path)
+    assert loaded.players[0].Q.tolist() == [[2.0, 0.5], [0.5, 0.0]]
+    assert loaded.players[0].constraints[0][0] is None
+    for parent, where in ((doc["players"][0]["Q"], "players[0].Q"),
+                          (doc["players"][0]["constraints"][0]["A"], "players[0].constraints[0].A")):
+        saved = list(parent["triplets"])
+        parent["triplets"] = saved + [[0, 0, 3.0], [0, 0, 3.0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(library.FormatError) as err:
+            library.load_quadratic_spec(path)
+        assert repr(where) in str(err.value) and "(0, 0) given twice" in str(err.value)
+        parent["triplets"] = saved
 
 
 def test_qgnep_parse_error_names_field(tmp_path):
@@ -357,9 +460,11 @@ def _spec_bits(spec):
     def set_bits(s):
         return (s.kind, s.dim, None if s.lower is None else s.lower.tobytes(),
                 None if s.upper is None else s.upper.tobytes())
+    def hessian_bits(A):   # a None A (an all-+0.0 one, loaded) is saved as zeros
+        return (np.zeros((spec.layout.n,) * 2) if A is None else A).tobytes()
     return (spec.name, spec.layout.dims,
             [(p.Q.tobytes(), p.b.tobytes(), set_bits(p.private_set),
-              [(A.tobytes(), c.tobytes(), np.float64(d).tobytes()) for A, c, d in p.constraints])
+              [(hessian_bits(A), c.tobytes(), np.float64(d).tobytes()) for A, c, d in p.constraints])
              for p in spec.players])
 
 
@@ -497,7 +602,8 @@ def test_generator_closures_match_einsum_form():
     for spec in specs:
         game = spec.to_game()
         for i, (ps, p) in enumerate(zip(spec.players, game.players)):
-            A = np.array([a for a, _, _ in ps.constraints])
+            A = np.array([np.zeros((game.n, game.n)) if a is None else a
+                          for a, _, _ in ps.constraints])
             C = np.array([c for _, c, _ in ps.constraints])
             D = np.array([d for _, _, d in ps.constraints])
             assert game.constant_jacobian(i) == (not np.any(A))

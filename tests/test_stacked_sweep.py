@@ -20,7 +20,7 @@ from gnepsolve.core import PlayerDualState, Segments
 from gnepsolve.solver import _objective_norms, spectral_norms
 from gnepsolve.lagrangian import (PenaltyParams, evaluate_point, lagrangian_from_values,
                                   lagrangian_values, projected_gradient_x)
-from conftest import dense_objective
+from conftest import QUAD_SHAPES, dense_objective
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -418,10 +418,11 @@ def test_players_read_views_of_the_stacked_data(spec, curved):
     # is kept dense, and no array shares memory with the spec's; only
     # curved players keep constraint Hessians, and no array of the instance
     # is an all-zero (m, n, n) one with m > 0 (the empty dense stack holds
-    # no numbers)
+    # no numbers); the spec holds each Q by its band alone
     game = spec.to_game()
     q, n = game.quadratic, game.n
     assert sorted(q.hessians) == curved and q.dense_players == ()
+    assert all(ps.dense is None for ps in spec.players)
     for i, (ps, p) in enumerate(zip(spec.players, game.players)):
         assert dense_objective(q, i).tobytes() == np.asarray(ps.Q, dtype=float).tobytes()
         for fn in (p.objective, p.gradient):
@@ -430,10 +431,77 @@ def test_players_read_views_of_the_stacked_data(spec, curved):
         if i in q.hessians:
             assert any(np.shares_memory(q.hessians[i], d) for d in p.constraints.__defaults__)
     held = held_arrays(game)
-    assert all(not np.shares_memory(a, ps.Q) for a in held for ps in spec.players)
+    spec_arrays = [s for ps in spec.players for s in (ps.Q, ps.rows, ps.cols)]
+    assert all(not np.shares_memory(a, s) for a in held for s in spec_arrays)
     for a in held:
         assert not (a.ndim == 3 and len(a) and a.shape[1:] == (n, n) and not np.any(a))
     assert q.C.shape == (game.total_constraints, n)
+
+
+def densified(spec):
+    """The same game with every ``Q_i`` given whole (``spec.Q``, made from
+    its band) and every affine row's Hessian as an all-zero ``(n, n)``
+    array: the game the band arrays and ``None`` Hessians stand for."""
+    n = spec.layout.n
+    return library.QuadraticGnepSpec(spec.layout, [
+        library.QuadraticPlayerSpec(ps.Q, ps.b, ps.private_set,
+                                    [(np.zeros((n, n)) if A is None else A, c, d)
+                                     for A, c, d in ps.constraints])
+        for ps in spec.players], spec.name)
+
+
+def dense_loop_spec(N, w, m, seed):
+    """``random_quadratic_spec`` drawn one rival block at a time into a
+    dense ``Q_i`` per player, with an all-zero Hessian per affine row: the
+    reference for its band form."""
+    rng = np.random.default_rng(seed)
+    layout = G.BlockLayout((w,) * N)
+    n = layout.n
+    plant = rng.uniform(-1.0, 1.0, n)
+    players = []
+    for i, sl in enumerate(layout.slices):
+        Q = np.zeros((n, n))
+        B = rng.standard_normal((w, w))
+        Q[sl, sl] = B @ B.T / w + np.eye(w)
+        for j, slj in enumerate(layout.slices):
+            if j != i:
+                C = 0.3 / max(1, N - 1) * rng.standard_normal((w, w))
+                Q[sl, slj] += C
+                Q[slj, sl] += C.T
+        b, cons = rng.standard_normal(n), []
+        for _ in range(m):
+            c = rng.standard_normal(n)
+            c /= np.linalg.norm(c)
+            cons.append((np.zeros((n, n)), c, -float(c @ plant) - rng.uniform(0.1, 1.0)))
+        players.append(library.QuadraticPlayerSpec(
+            Q, b, G.SimpleSet.box(np.full(w, -10.0), np.full(w, 10.0)), cons))
+    return library.QuadraticGnepSpec(layout, players), plant
+
+
+def stack_bits(q):
+    return ([a.tobytes() for a in (q.G, *q.bands, q.b, q.C, q.D, q.dense)],
+            [a.shape for a in (q.G, *q.bands, q.dense)], q.dense_players,
+            {i: A.tobytes() for i, A in q.hessians.items()})
+
+
+@pytest.mark.parametrize("shape, seed", [
+    (shape, 100 + 7 * s + si) for si, shape in enumerate(QUAD_SHAPES) for s in range(4)
+] + [((40, 4, 2), seed) for seed in (1, 2, 3)])
+def test_band_built_stack_is_the_densified_specs(shape, seed):
+    # the generator writes each Q_i into its band and gives affine rows no
+    # Hessian; the stack is byte for byte the one the whole Q_i and zero
+    # Hessians give, which a spec splits at construction, and the one the
+    # generator's dense loop form gives, with the same plant
+    spec, plant = library.random_quadratic_spec(*shape, seed=seed)
+    whole = densified(spec)
+    loop, loop_plant = dense_loop_spec(*shape, seed)
+    assert all(ps.dense is None for ps in whole.players + loop.players)
+    q = spec.to_game().quadratic
+    assert stack_bits(q) == stack_bits(whole.to_game().quadratic)
+    assert stack_bits(q) == stack_bits(loop.to_game().quadratic)
+    assert plant.tobytes() == loop_plant.tobytes()
+    for i, ps in enumerate(spec.players):
+        assert dense_objective(q, i).tobytes() == ps.Q.tobytes()
 
 
 def test_stack_lists_exactly_the_curved_players():

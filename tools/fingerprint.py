@@ -5,8 +5,11 @@ Each run of a fixed set is solved and every recorded field is hashed
 duals z, lam and mu (``solve`` carries lam alone and exports z as zeros and
 mu as a copy of lam), every ``TraceRow`` field stacked over the rows, the
 initial trace fields, the exit census, the violation counts and the kept
-violation messages. The run set, with the solver configuration each is run
-with elsewhere:
+violation messages; for a game with stacked quadratic data, also every
+array of its stack (``G``, each run's ``bands``, ``b``, ``C``, ``D``,
+``dense`` and each curved player's ``hessians``) and its dense players, so
+a diff covers the build as well as the solve. The run set, with the
+solver configuration each is run with elsewhere:
 
 - the twenty planted quadratic games of the test suite and of the
   quad-certify workload, and the quad-wide game (40 players) at seeds 1-3
@@ -109,6 +112,19 @@ def record(res) -> dict[str, object]:
     return out
 
 
+def stack_record(game) -> dict[str, object]:
+    """Every fingerprinted array of ``game``'s stacked quadratic data; none
+    for a game without it."""
+    q = game.quadratic
+    if q is None:
+        return {}
+    out: dict[str, object] = {f"stack.{k}": getattr(q, k) for k in ("G", "b", "C", "D", "dense")}
+    out.update({f"stack.bands[{k}]": K for k, K in enumerate(q.bands)})
+    out.update({f"stack.hessians[{i}]": A for i, A in sorted(q.hessians.items())})
+    out["stack.dense_players"] = list(q.dense_players)
+    return out
+
+
 def digest(value) -> str:
     if isinstance(value, np.ndarray):
         data = str(value.shape).encode() + np.ascontiguousarray(value).tobytes()
@@ -125,7 +141,7 @@ def fingerprint(save: Path | None = None) -> dict[str, dict[str, str]]:
     print(f"gnepsolve\t{G.__file__}")
     hashes, arrays = {}, {}
     for name, game, x0, config in run_set():
-        rec = record(G.solve(game, x0, config))
+        rec = {**record(G.solve(game, x0, config)), **stack_record(game)}
         hashes[name] = {k: digest(v) for k, v in rec.items()}
         for k, v in rec.items():
             print(f"{name}\t{k}\t{hashes[name][k]}")
