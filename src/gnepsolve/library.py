@@ -593,31 +593,36 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
         whose rows do not depend on which other links are taken."""
         pw = x.reshape(n_links, n_channels)
         h, p, cross = h_own[ls], pw[ls], gains[ls]
-        den = noise_power + np.einsum("nmc,mc->nc", cross, pw) - h * p
-        return h, p, cross, den, h * p / den
+        hp = h * p
+        den = noise_power + np.einsum("nmc,mc->nc", cross, pw) - hp
+        return h, p, cross, den, hp / den
 
     def shortfalls(terms, ls):
         """Constraint values ``target - rate`` of the links ``ls``."""
-        return targets[ls] - np.sum(np.log1p(terms[4]), axis=1) / ln2
+        return targets[ls] - np.add.reduce(np.log1p(terms[4]), axis=1) / ln2
 
-    def jacobians(terms, ls):
-        """Constraint Jacobians ``(k, n)`` of the links ``ls``."""
+    def jacobians(terms, own):
+        """Constraint Jacobians ``(k, n)`` of the links of ``terms``, whose
+        own-power entries are ``jac[own]`` (``own`` indexes ``(k, n_links,
+        n_channels)``)."""
         h, p, cross, den, s = terms
-        common = 1.0 / ((1.0 + s) * ln2)
-        jac = (common * h * p)[:, None, :] * cross / (den ** 2)[:, None, :]
-        jac[np.arange(len(p)), links[ls]] = -common * h / den
+        ch = 1.0 / ((1.0 + s) * ln2) * h
+        jac = (ch * p)[:, None, :] * cross / (den ** 2)[:, None, :]
+        jac[own] = -ch / den
         return jac.reshape(len(p), n)
 
     own_ones = np.zeros((n_links, n))
     own_ones.ravel()[layout.own_entries] = 1.0
+    every_own = (links, links)
 
     def sweep(x):
         terms = rate_terms(x, every)
-        return (np.sum(x.reshape(n_links, n_channels), axis=1), own_ones.copy(),
-                shortfalls(terms, every), jacobians(terms, every))
+        return (np.add.reduce(x.reshape(n_links, n_channels), axis=1), own_ones.copy(),
+                shortfalls(terms, every), jacobians(terms, every_own))
 
     def make_link(nu: int) -> PlayerProblem:
         own, row = slice(nu * n_channels, (nu + 1) * n_channels), slice(nu, nu + 1)
+        row_own = (0, nu)
 
         def objective(x):
             return float(np.sum(x[own]))
@@ -629,7 +634,7 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
             return shortfalls(rate_terms(x, row), row)
 
         def constraint_jacobian(x):
-            return jacobians(rate_terms(x, row), row)
+            return jacobians(rate_terms(x, row), row_own)
 
         return PlayerProblem(
             objective=objective,

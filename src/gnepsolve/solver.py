@@ -29,7 +29,11 @@ labels, are built in blocks after the iterations they record, and
 :func:`verify_run_bounds` checks whole trace columns. Data that cannot move
 (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the Jacobian norms and
 ``J`` once per run. An iteration computes the next iterate and its
-stopping residual, and one row dot, the model slopes along its step.
+stopping residual, and one row dot, the model slopes along its step; with
+moving data also each player's full-Jacobian norm, which the next estimate
+reads. The own-block norms, which only the projected-gradient bound reads,
+come from the block pass over the rows' stacked ``J``. One ``errstate``
+spans the whole loop.
 """
 
 from __future__ import annotations
@@ -237,17 +241,17 @@ class LipschitzEstimates:
 
 
 def spectral_norms(mats: Array) -> Array:
-    """Largest singular value of each matrix of the stack ``mats`` (k, w, d): a
+    """Largest singular value of each matrix of the stack ``mats`` (..., w, d): a
     lone row's or column's 2-norm, else the root of the top eigenvalue of the
     smaller Gram matrix (exact: power iteration is slow on clustered ones). Bit
     for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
-    k, w, d = mats.shape
+    *lead, w, d = mats.shape
     if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
-        v = mats.reshape(k, w * d)   # a view: a strided dot product rounds differently
-        top = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+        v = mats.reshape(*lead, w * d)   # a view: a strided dot product rounds differently
+        top = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
     else:
-        work = mats if w <= d else mats.transpose(0, 2, 1)
-        top = np.linalg.eigvalsh(np.matmul(work, work.transpose(0, 2, 1))).max(axis=-1)
+        work = mats if w <= d else np.swapaxes(mats, -1, -2)
+        top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)
     return np.sqrt(np.where(top > 0.0, top, 0.0))
 
 
@@ -297,6 +301,7 @@ class LipschitzEstimator:
         self.rng = np.random.default_rng(seed)
         self._box_center: Array | None = None
         self._box_halfwidth: Array | None = None
+        self._box_core: Array | None = None   # 0.5 * halfwidth: leaving it resamples
         N = game.num_players
         # Per-player constants: exact for a quadratic game, bound anew by
         # every resample otherwise (never written in place, so an estimate
@@ -327,7 +332,7 @@ class LipschitzEstimator:
     def _needs_resample(self, x: Array) -> bool:
         if self._box_center is None:
             return True
-        return bool((np.abs(x - self._box_center) > 0.5 * self._box_halfwidth).any())
+        return bool((np.abs(x - self._box_center) > self._box_core).any())
 
     def _draw_point(self) -> Array:
         raw = self._box_center + self.rng.uniform(-1.0, 1.0, self.game.n) * self._box_halfwidth
@@ -344,6 +349,7 @@ class LipschitzEstimator:
             if good:
                 break
             self._box_halfwidth = 2.0 * self._box_halfwidth
+        self._box_core = 0.5 * self._box_halfwidth
         if not good:   # the joint private set is one point: a quotient over it bounds nothing
             self._bind(np.zeros(game.num_players), [np.zeros(p.m) for p in game.players])
             self._jac_max = np.zeros(game.num_players)
@@ -404,11 +410,10 @@ class LipschitzEstimator:
         if game.quadratic is None and self._needs_resample(x):
             self._resample(x)
         if jac_norms is None:
-            jac_norms = _jac_norms(evaluate_point(game, x), game.constrained_runs)[0]
-        jn = np.asarray(jac_norms, dtype=float)
+            jac_norms = _jac_norms(evaluate_point(game, x), game.constrained_runs)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
-        L_gfun = (jn + self._jac_growth * margin if game.quadratic is not None
-                  else _INFLATION * np.maximum(jn, self._jac_max))
+        L_gfun = (jac_norms + self._jac_growth * margin if game.quadratic is not None
+                  else _INFLATION * np.maximum(jac_norms, self._jac_max))
         # L_theta and gg change only at a resample; the multiplier term moves.
         # A zero bound times an overflowed multiplier is NaN, and so is the
         # next iterate, which the next oracle sweep rejects.
@@ -702,32 +707,42 @@ class SolveResult:
         return self.outer_iterations
 
 
-def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...]
-               ) -> tuple[Array, Array]:
-    """Spectral norms of each player's constraint Jacobian ``J[s]`` and of its
-    own-block columns ``J[s, sl]``, bit for bit, from views of ``J``: at ``point``
-    for the players of ``runs`` (``game.constrained_runs``), zero for the others."""
-    full, own = np.zeros(len(point.theta)), np.zeros(len(point.theta))
-    J = point.g_jacobians
-    for players, rows, cols in runs:
-        blocks = own_columns(J, (players, rows, cols))
-        full[players] = spectral_norms(J[rows].reshape(len(blocks), -1, J.shape[1]))
-        own[players] = spectral_norms(blocks)
-    return full, own
+def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...]) -> Array:
+    """Spectral norm of each player's constraint Jacobian ``J[s]`` at ``point``,
+    bit for bit, from views of ``J``: for the players of ``runs``
+    (``game.constrained_runs``), zero for the others. The one Jacobian
+    quantity an iteration computes: the next estimate reads it."""
+    full, J = np.zeros(len(point.theta)), point.g_jacobians
+    for players, rows, _ in runs:
+        full[players] = spectral_norms(J[rows].reshape(players.stop - players.start, -1, J.shape[1]))
+    return full
+
+
+def _own_jac_norms(game: GameInstance, J: Array) -> Array:
+    """Spectral norm of each player's own-block columns ``J[..., s, sl]`` over
+    any leading axes of the contiguous ``J``, bit for bit the one-point norms
+    (:func:`~gnepsolve.core.own_columns` keeps ``J``'s strides); zero for a
+    player without constraints."""
+    own = np.zeros(J.shape[:-2] + (game.num_players,))
+    for run in game.constrained_runs:
+        own[..., run[0]] = spectral_norms(own_columns(J, run))
+    return own
 
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
-def _trace_rows(game: GameInstance, pending: list[tuple], fixed: bool, prev_L: Array,
-                stall_tol: float) -> list[TraceRow]:
+def _trace_rows(game: GameInstance, pending: list[tuple], fixed_own: Array | None,
+                prev_L: Array, stall_tol: float) -> list[TraceRow]:
     """The trace rows of ``pending`` iterations, each ``(k, dx_inf,
     dlambda_inf, dx, x, anchor lam, lam, dlam, theta, g, grad_own, J,
-    jac_norm, jac_own_norm, gamma, est, slope)``, over a leading axis of rows,
-    bit for bit the one-row values; every row's ``J`` is the first if
-    ``fixed``, else stacked. The Lagrangian values at the primal step and
-    after the dual step are one :func:`lagrangian_values` call over a
-    leading axis of (rows, 2), and each row's exit label is judged against
-    the values after the previous row, ``prev_L`` for the first."""
-    (ks, dx_inf, dlam_inf, dx, x, lam_prev, lam, dlam, theta, g, grad_own, J, jac, jac_own, gamma,
+    jac_norm, gamma, est, slope)``, over a leading axis of rows, bit for bit
+    the one-row values. Data that cannot move passes its own-block Jacobian
+    norms ``fixed_own``, and every row's ``J`` is the first; else the rows'
+    ``J`` are stacked and their own-block norms taken from the stack. The
+    Lagrangian values at the primal step and after the dual step are one
+    :func:`lagrangian_values` call over a leading axis of (rows, 2), and each
+    row's exit label is judged against the values after the previous row,
+    ``prev_L`` for the first."""
+    (ks, dx_inf, dlam_inf, dx, x, lam_prev, lam, dlam, theta, g, grad_own, J, jac, gamma,
      est, slope) = zip(*pending)
     dx, lam, g = np.array(dx), np.array(lam), np.array(g)
     lams = np.stack([np.array(lam_prev), lam], axis=1)   # (rows, 2, M)
@@ -736,8 +751,12 @@ def _trace_rows(game: GameInstance, pending: list[tuple], fixed: bool, prev_L: A
     dd = _self_dots(dx)
     kinds = _exit_labels(np.vstack([prev_L, L[:-1]]), L_x, np.array(slope), np.array(gamma), dd,
                          np.array(dx_inf), stall_tol)
-    qx = projected_gradient_x(game, np.array(x), lam, np.array(grad_own),
-                              J[0] if fixed else np.array(J))
+    if fixed_own is None:
+        J = np.array(J)
+        jac_own = _own_jac_norms(game, J)
+    else:
+        J, jac_own = J[0], [fixed_own] * len(pending)
+    qx = projected_gradient_x(game, np.array(x), lam, np.array(grad_own), J)
     moves = np.stack([np.array(dlam), lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
     feas = constraint_violation(g)
@@ -772,10 +791,15 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     sweep (one call of the game's batched oracle when it has one), the
     anchor and the multiplier step, with the multipliers stacked over the
     constraint rows (``game.rows``). What only the trace reads (Lagrangian
-    values, exit labels, projected-gradient blocks, feasibility, norms)
-    waits: each iteration keeps its row's raw arrays, and one pass over a
-    leading axis of rows builds them every ``_BOUND_ROWS`` rows and when the
-    loop ends. No iteration labels its own step. The stall stop
+    values, exit labels, projected-gradient blocks, feasibility, norms,
+    the own-block Jacobian norms among them) waits: each iteration keeps its
+    row's raw arrays, and one pass over a leading axis of rows builds them
+    every ``_BOUND_ROWS`` rows and when the loop ends. No iteration labels
+    its own step. With moving Jacobians an iteration takes each player's
+    full-Jacobian norm, which the next Lipschitz estimate reads; with data
+    that cannot move it takes none. The loop runs under one
+    ``np.errstate(**QUIET)``: a diverging run ends in an oracle sweep's
+    finiteness check, not in a NumPy warning. The stall stop
     (:class:`_StallWatch`) reads the built rows' labels; its streak grows by
     at most one per row, so the pending rows are built early only when the
     last of them could complete a run of ``_STALL_PATIENCE`` stalls, and a
@@ -802,7 +826,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     x, lam = state.x, state.duals.lam
     # Data that cannot move: gamma, the Jacobian norms and J are the first ones.
     fixed = estimator.fixed
-    jac_full, jac_own = _jac_norms(point, game.constrained_runs)
+    with np.errstate(**QUIET):   # an overflowed norm is the next sweep's oracle failure
+        jac_full = _jac_norms(point, game.constrained_runs)
+        jac_own = _own_jac_norms(game, point.g_jacobians)
+    fixed_own = jac_own if fixed else None
     trace = SolveTrace(
         initial_L=lagrangian_values(point.theta, point.g_values, lam, rows),
         initial_feas=constraint_violation(point.g_values),
@@ -816,13 +843,12 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     message = ""
 
     pending = []   # raw material of the rows not yet built
-    for k in range(cfg.max_outer):
-        fresh = k == 0 or not fixed
-        try:
-            if fresh:
-                est = estimator.estimate(x, lam, jac_norms=jac_full)   # oracles: not quieted
-            with np.errstate(**QUIET):
+    with np.errstate(**QUIET):   # a diverging run ends in the oracle sweep's checks
+        for k in range(cfg.max_outer):
+            fresh = k == 0 or not fixed
+            try:
                 if fresh:
+                    est = estimator.estimate(x, lam, jac_norms=jac_full)
                     gamma, _ = choose_gamma(est, penalty, cfg.gamma)
                     gamma_by_coord = game.layout.segments.repeat(gamma)
                 anchor = build_anchor(game, lam, gamma, point, gamma_by_coord)
@@ -831,32 +857,32 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
                 slope = row_dots(anchor.grads, dx)
                 if not fixed:
-                    jac_full, jac_own = _jac_norms(inner.point, game.constrained_runs)
-        except OracleFailure as exc:
-            status, message = "oracle-failure", str(exc)
-            break
-
-        pending.append((k + 1, dx_inf, dlambda_inf, dx, inner.x_next, lam, inner.lam, inner.dlam,
-                        inner.point.theta, inner.point.g_values,
-                        inner.point.theta_grads.ravel()[game.layout.own_entries],
-                        inner.point.g_jacobians, jac_full, jac_own, gamma, est, slope))
-        x, lam, point = inner.x_next, inner.lam, inner.point
-        residual = max(dx_inf, dlambda_inf)
-        if residual <= cfg.outer_tol:
-            status = "converged"
-            break
-        if len(pending) == _BOUND_ROWS or watch.streak + len(pending) >= _STALL_PATIENCE:
-            built = _trace_rows(game, pending, fixed, trace.last_L, cfg.outer_tol)
-            trace.rows += built
-            pending = []
-            if watch.stops(built):
-                status = "stalled-stationary"
-                message = ("primal blocks pinned at a fixed point while the "
-                           "multiplier drift is not decaying")
+                    jac_full = _jac_norms(inner.point, game.constrained_runs)
+            except OracleFailure as exc:
+                status, message = "oracle-failure", str(exc)
                 break
 
+            pending.append((k + 1, dx_inf, dlambda_inf, dx, inner.x_next, lam, inner.lam,
+                            inner.dlam, inner.point.theta, inner.point.g_values,
+                            inner.point.theta_grads.ravel()[game.layout.own_entries],
+                            inner.point.g_jacobians, jac_full, gamma, est, slope))
+            x, lam, point = inner.x_next, inner.lam, inner.point
+            residual = max(dx_inf, dlambda_inf)
+            if residual <= cfg.outer_tol:
+                status = "converged"
+                break
+            if len(pending) == _BOUND_ROWS or watch.streak + len(pending) >= _STALL_PATIENCE:
+                built = _trace_rows(game, pending, fixed_own, trace.last_L, cfg.outer_tol)
+                trace.rows += built
+                pending = []
+                if watch.stops(built):
+                    status = "stalled-stationary"
+                    message = ("primal blocks pinned at a fixed point while the "
+                               "multiplier drift is not decaying")
+                    break
+
     if pending:
-        trace.rows += _trace_rows(game, pending, fixed, trace.last_L, cfg.outer_tol)
+        trace.rows += _trace_rows(game, pending, fixed_own, trace.last_L, cfg.outer_tol)
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(

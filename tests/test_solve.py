@@ -132,6 +132,25 @@ def test_overflowed_multiplier_ends_in_an_oracle_failure_without_a_warning():
     assert res.outer_iterations == 1 and res.state.duals.lam.tolist() == [np.inf]
 
 
+def test_start_point_overflow_ends_in_an_oracle_failure_without_a_warning():
+    # the Jacobian 1e200 * 2 * (x - 0.5) is finite at the start 0.9, but its
+    # squared norm overflows: the run ends in the first oracle sweep's check
+    # after 0 iterations, with no NumPy warning on the way
+    player = G.PlayerProblem(
+        objective=lambda x: float(x[0]),
+        gradient=lambda x: np.array([1.0]),
+        constraints=lambda x: np.array([1e200 * (x[0] - 0.5) ** 2 - 1.0]),
+        constraint_jacobian=lambda x: np.array([[1e200 * (2.0 * (x[0] - 0.5))]]),
+        private_set=SimpleSet.box([0.0], [1.0]), m=1)
+    game = G.GameInstance((player,), BlockLayout((1,)), "overflowing-norm")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = G.solve(game, np.array([0.9]))
+    assert res.status == "oracle-failure" and "non-finite" in res.message
+    assert res.outer_iterations == 0 and res.trace.rows == []
+    assert res.trace.initial_jac_norm.tolist() == [np.inf]
+
+
 def test_runs_ending_mid_block_keep_every_row():
     # solve builds its trace rows in blocks of _BOUND_ROWS and the rest when
     # the loop ends: a converged run and an oracle failure, both past one
@@ -182,25 +201,32 @@ def test_block_rows_are_the_one_row_rows(monkeypatch):
     # every trace row, its exit label, L_values and L_x_step among its
     # fields, is bit for bit what the block pass gives on that row alone,
     # judged against the previous row's values: a quad-suite run past one
-    # block, random-quadratic's default run (its last 100 rows stall) and
-    # an oracle failure in mid-block
+    # block, random-quadratic's default run (its last 100 rows stall), an
+    # oracle failure in mid-block and a power run past one block, whose
+    # own-block Jacobian norms the block pass takes from the stacked J
     B = G.solver._BOUND_ROWS
     quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     rq = G.library.builtin_instance("random-quadratic")
+    power = G.library.builtin_instance("power")
     kinds, trace_rows = set(), G.solver._trace_rows
     blocks = record_blocks(monkeypatch)
     for game, x0, cfg, status in [(quad, np.zeros(quad.n), fast_config(), "converged"),
                                   (rq, np.zeros(rq.n), G.SolverConfig(), "stalled-stationary"),
-                                  (*nan_past_a_block(), "oracle-failure")]:
+                                  (*nan_past_a_block(), "oracle-failure"),
+                                  (power, np.zeros(power.n), G.SolverConfig(max_outer=2 * B + 9),
+                                   "max_outer")]:
         blocks.clear()
         res = G.solve(game, x0, cfg)
         assert res.status == status and res.outer_iterations > B, game.name
         built_rows = [row for _, built in blocks for row in built]
         assert len(built_rows) == len(res.trace.rows)
         assert all(a is b for a, b in zip(built_rows, res.trace.rows))
-        for (game_, pending, fixed, prev_L, stall_tol), built in blocks:
+        if game is power:   # moving data: no fixed own-block norms, J stacked per block
+            assert [len(pending) for (_, pending, *_), _ in blocks] == [B, B, 9]
+            assert all(fixed_own is None for (_, _, fixed_own, *_), _ in blocks)
+        for (game_, pending, fixed_own, prev_L, stall_tol), built in blocks:
             for raw, row in zip(pending, built):
-                alone, = trace_rows(game_, [raw], fixed, prev_L, stall_tol)
+                alone, = trace_rows(game_, [raw], fixed_own, prev_L, stall_tol)
                 assert alone.exit_kind == row.exit_kind
                 for f in fields(G.solver.TraceRow):
                     assert (np.asarray(getattr(alone, f.name)).tobytes()
@@ -284,11 +310,18 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
     # power's Jacobians change with x: each row's norms, computed stacked by
     # shape, and each resample's largest norm over its sampled points,
     # computed one sampled pair at a time, are the bits of the per-matrix formula.
-    # A k-capped run ends at the state its last row describes.
+    # A k-capped run ends at the state its last row describes, and every row
+    # carries the fresh norms at its own iterate.
     game = G.library.builtin_instance("power")
     x0 = np.full(game.n, 5.0)
-    drawn, resamples = [], []
+    drawn, resamples, iterates = [], [], []
     draw, resample = G.LipschitzEstimator._draw_point, G.LipschitzEstimator._resample
+    solve_inner = G.solver.solve_inner
+
+    def recording_inner(*args):
+        inner = solve_inner(*args)
+        iterates.append(inner.x_next)
+        return inner
 
     def recording_draw(self):
         drawn.append(draw(self))
@@ -301,13 +334,20 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
 
     monkeypatch.setattr(G.LipschitzEstimator, "_draw_point", recording_draw)
     monkeypatch.setattr(G.LipschitzEstimator, "_resample", recording_resample)
+    monkeypatch.setattr(G.solver, "solve_inner", recording_inner)
     for K in (1, 150, 400):
         before = len(resamples)
+        iterates.clear()
         res = G.solve(game, x0, G.SolverConfig(max_outer=K))
         assert res.outer_iterations == K
         full, own = fresh_jacobian_norms(game, res.state.x)
         assert res.trace.rows[-1].jac_norm.tobytes() == full.tobytes()
         assert res.trace.rows[-1].jac_own_norm.tobytes() == own.tobytes()
+        assert len(iterates) == K
+        for row, x in zip(res.trace.rows, iterates):
+            full, own = fresh_jacobian_norms(game, x)
+            assert row.jac_norm.tobytes() == full.tobytes()
+            assert row.jac_own_norm.tobytes() == own.tobytes()
     assert len(resamples) - before >= 3   # the 400-iteration run resamples
     full, own = fresh_jacobian_norms(game, G.initial_state(game, x0).x)
     assert res.trace.initial_jac_norm.tobytes() == full.tobytes()

@@ -228,11 +228,19 @@ def test_jac_norms_match_the_formula_on_each_players_slices(shapes, seed):
     J = np.random.default_rng(seed).standard_normal((game.total_constraints, game.n))
     point = PointEval(np.zeros(game.n), np.zeros(len(players)), np.zeros((len(players), game.n)),
                       np.zeros(game.total_constraints), J)
-    full, own = G.solver._jac_norms(point, game.constrained_runs)
+    full = G.solver._jac_norms(point, game.constrained_runs)
+    own = G.solver._own_jac_norms(game, J)
     blocks = [J[a:b] for a, b in zip(game.rows.bounds, game.rows.bounds[1:])]
     assert full.tobytes() == np.array([spectral_norm_reference(B) for B in blocks]).tobytes()
     assert own.tobytes() == np.array([spectral_norm_reference(B[:, sl]) for B, sl
                                       in zip(blocks, game.layout.slices)]).tobytes()
+    # own-block norms over a leading axis of stacked Jacobians: each row's bits
+    # are the one-point norms
+    stacked = np.stack([J, np.random.default_rng(seed + 1).standard_normal(J.shape), J[::-1]])
+    rows = G.solver._own_jac_norms(game, stacked)
+    assert rows.shape == (3, len(players))
+    for Jr, row in zip(stacked, rows):
+        assert row.tobytes() == G.solver._own_jac_norms(game, np.ascontiguousarray(Jr)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@ solver configuration each is run with elsewhere:
   three starts, and tightly from the origin), with the starts from
   ``tests/conftest.py``;
 - power from ``const:5`` at 400 outer iterations, as the test suite runs it;
+- power-cli's run: power from ``const:0`` under the CLI's default
+  configuration, capped at ``POWER_MAX_OUTER`` outer iterations, as the
+  power-cli workload solves it (its iterate stays in the first sampled box);
 - every built-in from ``const:0.5`` at 400 outer iterations.
 
     PYTHONPATH=src python tools/fingerprint.py            # hashes of this checkout
@@ -60,7 +63,8 @@ def run_set():
     import gnepsolve as G
     from gnepsolve import library
     from conftest import ad_start
-    from perfbench.workloads import QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER, WIDE_SHAPE, fast_config
+    from perfbench.workloads import (POWER_MAX_OUTER, QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER,
+                                     WIDE_SHAPE, fast_config)
 
     runs = []
     for si, (N, npp, mpp) in enumerate(QUAD_SHAPES):
@@ -87,6 +91,7 @@ def run_set():
     runs.append(("arrow-debreu", ad, ad_start(ad), fast_config(max_outer=60000, gamma=gamma)))
     power = library.builtin_instance("power")
     runs.append(("power/const:5", power, np.full(power.n, 5.0), G.SolverConfig(max_outer=400)))
+    runs.append(("power-cli", power, np.zeros(power.n), G.SolverConfig(max_outer=POWER_MAX_OUTER)))
     for name in library.BUILTIN_NAMES:
         game = library.builtin_instance(name)
         runs.append((f"builtin/{name}@0.5", game, np.full(game.n, 0.5),
