@@ -190,12 +190,10 @@ def trace_csv_lines(result, num_players: int) -> list[str]:
     header = ("k," + ",".join(f"L_{i + 1}" for i in range(num_players))
               + ",dx_inf,dlambda_inf,feas,inner_iters")
     lines = [header]
-    for r in result.trace.rows:
-        parts = [str(r.k)]
-        parts += [_format_float(v) for v in r.L_values]
-        parts += [_format_float(r.dx_inf), _format_float(r.dlambda_inf),
-                  _format_float(r.feas), "1"]
-        lines.append(",".join(parts))
+    cols = result.trace.columns
+    for k, L, *scalars in zip(*(cols[f].tolist() for f in ("k", "L_values", "dx_inf",
+                                                          "dlambda_inf", "feas"))):
+        lines.append(",".join([str(k), *map(_format_float, L + scalars), "1"]))
     return lines
 
 

@@ -24,22 +24,18 @@ steps keep ``z = 0`` and ``mu = lam``, so ``alpha`` enters no iterate: the
 solver carries ``lam`` alone and exports ``z = 0`` and ``mu = lam``. The
 trace records monitored value-decrease, multiplier-coupling and
 projected-gradient bounds, so claims about the dynamics can be asserted (or
-falsified) on real runs; its rows, with their Lagrangian values and exit
-labels, are built in blocks after the iterations they record, and
-:func:`verify_run_bounds` checks whole trace columns. Data that cannot move
+falsified) on real runs; its columns, one array per :class:`TraceRow`
+field, are built in blocks after the iterations they record, and
+:func:`verify_run_bounds` checks them whole. Data that cannot move
 (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the Jacobian norms and
-``J`` once per run. An iteration computes the next iterate and its
-stopping residual, and one row dot, the model slopes along its step; with
-moving data also each player's full-Jacobian norm, which the next estimate
-reads. The own-block norms, which only the projected-gradient bound reads,
-come from the block pass over the rows' stacked ``J``. One ``errstate``
-spans the whole loop.
+``J`` once per run; :func:`solve` says what an iteration computes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -538,7 +534,7 @@ class InnerResult:
 
 
 def _exit_labels(values: Array, L_x: Array, slope: Array, gamma: Array, dd: Array,
-                 dx_inf: Array, stall_tol: float) -> list[str]:
+                 dx_inf: Array, stall_tol: float) -> Array:
     """Exit labels of block updates over a leading axis of rows (rows by
     players; ``dd`` and ``dx_inf`` by row): the step ``d`` of each row from an
     anchor with Lagrangian values ``values``, model slopes ``slope`` (``grads
@@ -559,13 +555,12 @@ def _exit_labels(values: Array, L_x: Array, slope: Array, gamma: Array, dd: Arra
     failing = ~(margins < 0.0)
     stall = (failing & (margins <= 1e-14)).any(axis=1) & (dx_inf <= stall_tol)
     kept = ((L_x <= values) | ~failing).all(axis=1)
-    return ["descent" if not f else "stall" if s else "true" if t else "forced"
-            for f, s, t in zip(failing.any(axis=1).tolist(), stall.tolist(), kept.tolist())]
+    return np.select([~failing.any(axis=1), stall, kept], ["descent", "stall", "true"], "forced")
 
 
 @dataclass
 class _StallWatch:
-    """The stall stop, fed the trace rows in order. ``_STALL_PATIENCE``
+    """The stall stop, fed the trace columns block by block. ``_STALL_PATIENCE``
     stall labels in a row whose multiplier drift neither decays (the
     residual at most 98% of the streak's first) nor drains (``max |lam|``
     down by ``0.25 * _STALL_PATIENCE * tol``) stop the run: the primal is
@@ -577,15 +572,16 @@ class _StallWatch:
     start_residual: float = np.inf
     start_lam: float = np.inf
 
-    def stops(self, rows) -> bool:
-        """Feed ``rows``; True at the row that stops the run, whose
-        successors are not read. Only a stall row's residual and ``max
-        |lam|`` are read, equal bit for bit to the loop's."""
-        for r in rows:
-            if r.exit_kind != "stall":
+    def stops(self, block: dict[str, Array]) -> bool:
+        """Feed the rows of the trace columns ``block``; True at the row that
+        stops the run, whose successors are not read. Only a stall row's
+        residual and ``max |lam|`` are read, equal bit for bit to the loop's."""
+        for j, kind in enumerate(block["exit_kind"].tolist()):
+            if kind != "stall":
                 self.streak = 0
                 continue
-            residual, lam_inf = max(r.dx_inf, r.dlambda_inf), r.lam_norm_inf.max(initial=0.0)
+            residual = max(block["dx_inf"][j], block["dlambda_inf"][j])
+            lam_inf = block["lam_norm_inf"][j].max(initial=0.0)
             if self.streak == 0:
                 self.start_residual, self.start_lam = residual, lam_inf
             self.streak += 1
@@ -644,7 +640,7 @@ def step_duals(lam: Array, g: Array, beta: float) -> Array:
 
 @dataclass
 class TraceRow:
-    """One completed outer iteration (state after the multiplier step)."""
+    """One completed outer iteration (state after the multiplier step): a trace row."""
 
     k: int
     L_values: Array
@@ -667,27 +663,46 @@ class TraceRow:
 
 
 @dataclass
-class SolveTrace:
-    """Per-iteration records plus run-level context for the invariant checks.
+class _Rows(Sequence):
+    """Rows of trace columns in field order, each built when it is read."""
 
-    ``violations`` keeps the first messages of each monitored bound (see
-    :func:`verify_run_bounds`), an empty list when it always held;
-    ``violation_counts`` counts them all.
+    columns: dict[str, Array]
+
+    def __len__(self) -> int:
+        return len(self.columns["k"])
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        return TraceRow(*(col[j] for col in self.columns.values()))
+
+    def __iter__(self):
+        return map(TraceRow, *self.columns.values())
+
+
+@dataclass
+class SolveTrace:
+    """Per-iteration columns plus run-level context for the invariant checks.
+
+    ``columns`` holds one array per :class:`TraceRow` field, in its order,
+    rows first, and ``rows`` views them. ``violations`` keeps the first
+    messages of each monitored bound (see :func:`verify_run_bounds`); an
+    empty list means it always held. ``violation_counts`` counts them all.
     """
 
     initial_L: Array
     initial_feas: float
     initial_jac_norm: Array
     initial_jac_own_norm: Array
-    rows: list[TraceRow] = field(default_factory=list)
+    columns: dict[str, Array] = field(
+        default_factory=lambda: {f.name: np.zeros(0) for f in fields(TraceRow)})
     violations: dict[str, list[str]] = field(default_factory=dict)
     violation_counts: dict[str, int] = field(default_factory=dict)
 
     @property
-    def last_L(self) -> Array:
-        """The Lagrangian values after the last recorded iteration, the
-        values the next row's exit label is judged against."""
-        return self.rows[-1].L_values if self.rows else self.initial_L
+    def rows(self) -> _Rows:
+        """The recorded iterations, one :class:`TraceRow` per row read."""
+        return _Rows(self.columns)
 
 
 @dataclass
@@ -731,8 +746,8 @@ def _own_jac_norms(game: GameInstance, J: Array) -> Array:
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
 def _trace_rows(game: GameInstance, pending: list[tuple], fixed_own: Array | None,
-                prev_L: Array, stall_tol: float) -> list[TraceRow]:
-    """The trace rows of ``pending`` iterations, each ``(k, dx_inf,
+                prev_L: Array, stall_tol: float) -> dict[str, Array]:
+    """The trace columns of ``pending`` iterations, each ``(k, dx_inf,
     dlambda_inf, dx, x, anchor lam, lam, dlam, theta, g, grad_own, J,
     jac_norm, gamma, est, slope)``, over a leading axis of rows, bit for bit
     the one-row values. Data that cannot move passes its own-block Jacobian
@@ -744,28 +759,25 @@ def _trace_rows(game: GameInstance, pending: list[tuple], fixed_own: Array | Non
     ``prev_L`` for the first."""
     (ks, dx_inf, dlam_inf, dx, x, lam_prev, lam, dlam, theta, g, grad_own, J, jac, gamma,
      est, slope) = zip(*pending)
-    dx, lam, g = np.array(dx), np.array(lam), np.array(g)
+    dx, lam, g, gamma = np.array(dx), np.array(lam), np.array(g), np.array(gamma)
     lams = np.stack([np.array(lam_prev), lam], axis=1)   # (rows, 2, M)
     L_x, L = lagrangian_values(np.array(theta)[:, None], g[:, None], lams,
                                game.rows).transpose(1, 0, 2)
-    dd = _self_dots(dx)
-    kinds = _exit_labels(np.vstack([prev_L, L[:-1]]), L_x, np.array(slope), np.array(gamma), dd,
-                         np.array(dx_inf), stall_tol)
-    if fixed_own is None:
-        J = np.array(J)
-        jac_own = _own_jac_norms(game, J)
-    else:
-        J, jac_own = J[0], [fixed_own] * len(pending)
-    qx = projected_gradient_x(game, np.array(x), lam, np.array(grad_own), J)
+    dd, dx_inf = _self_dots(dx), np.array(dx_inf)
+    J = np.array(J) if fixed_own is None else J[0]
+    jac_own = _own_jac_norms(game, J) if fixed_own is None else np.array([fixed_own] * len(ks))
     moves = np.stack([np.array(dlam), lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
-    feas = constraint_violation(g)
-    dx_2 = np.sqrt(dd)
-    lam_norm_inf = game.rows.max_abs(lam)
-    return [TraceRow(ks[j], L[j], dx_inf[j], dlam_inf[j], float(feas[j]), kinds[j], L_x[j],
-                     float(dx_2[j]), dlam_2[j], lam_norm2[j], lam_norm_inf[j], jac[j], jac_own[j],
-                     qx[j], qlam[j], gamma[j], est[j].L_theta, est[j].M_g_own)
-            for j in range(len(pending))]
+    return dict(
+        k=np.array(ks), L_values=L, dx_inf=dx_inf, dlambda_inf=np.array(dlam_inf),
+        feas=constraint_violation(g),
+        exit_kind=_exit_labels(np.vstack([prev_L, L[:-1]]), L_x, np.array(slope), gamma, dd,
+                               dx_inf, stall_tol),
+        L_x_step=L_x, dx_2=np.sqrt(dd), dlam_2=dlam_2, lam_norm2=lam_norm2,
+        lam_norm_inf=game.rows.max_abs(lam), jac_norm=np.array(jac), jac_own_norm=jac_own,
+        qx=projected_gradient_x(game, np.array(x), lam, np.array(grad_own), J), qlam=qlam,
+        gamma=gamma, M_theta_own=np.array([e.L_theta for e in est]),
+        M_g_own=np.array([e.M_g_own for e in est]))
 
 
 # ---------------------------------------------------------------------------
@@ -779,33 +791,32 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     The run carries one multiplier per constraint row, from zero; the final
     state's duals hold it as ``lam``, with ``z`` zero and ``mu`` a copy of
     ``lam`` (the values the regularized Lagrangian's exact ``z`` and ``mu``
-    steps keep from zero duals). Returns status ``converged``
-    when the stopping residual drops below ``outer_tol``, ``max_outer`` at the
-    iteration cap, ``stalled-stationary`` when the primal blocks are pinned at
-    a fixed point while the multipliers keep drifting (no finite-multiplier
-    stationary point nearby), ``oracle-failure`` when an oracle returns a
-    non-finite value mid-run. A failed run keeps the trace and the state of
-    the last completed iteration.
+    steps keep from zero duals). Returns status ``converged`` when the
+    stopping residual drops below ``outer_tol``, ``max_outer`` at the
+    iteration cap, ``stalled-stationary`` when the primal blocks are pinned
+    at a fixed point while the multipliers keep drifting (no
+    finite-multiplier stationary point nearby), ``oracle-failure`` when an
+    oracle returns a non-finite value mid-run or a proximal weight comes out
+    NaN (the message names the NaN smoothness constant). A failed run keeps
+    the trace and the state of the last completed iteration.
 
     Each outer iteration works on whole arrays over players: the oracle
     sweep (one call of the game's batched oracle when it has one), the
     anchor and the multiplier step, with the multipliers stacked over the
-    constraint rows (``game.rows``). What only the trace reads (Lagrangian
-    values, exit labels, projected-gradient blocks, feasibility, norms,
-    the own-block Jacobian norms among them) waits: each iteration keeps its
-    row's raw arrays, and one pass over a leading axis of rows builds them
-    every ``_BOUND_ROWS`` rows and when the loop ends. No iteration labels
-    its own step. With moving Jacobians an iteration takes each player's
-    full-Jacobian norm, which the next Lipschitz estimate reads; with data
-    that cannot move it takes none. The loop runs under one
-    ``np.errstate(**QUIET)``: a diverging run ends in an oracle sweep's
-    finiteness check, not in a NumPy warning. The stall stop
-    (:class:`_StallWatch`) reads the built rows' labels; its streak grows by
-    at most one per row, so the pending rows are built early only when the
-    last of them could complete a run of ``_STALL_PATIENCE`` stalls, and a
-    stop lands on the iteration that completes it. Every per-player
-    reduction is bit for bit the per-player one, so neither the iterates,
-    the trace nor the stop depend on how the work is batched.
+    constraint rows (``game.rows``). What only the trace reads waits: each
+    iteration keeps its row's raw arrays, one pass over a leading axis of
+    rows builds their columns (:func:`_trace_rows`) every ``_BOUND_ROWS``
+    rows and when the loop ends, and the blocks are stacked once, at the
+    end. No iteration labels its own step. With moving Jacobians an
+    iteration takes each player's full-Jacobian norm, which the next
+    Lipschitz estimate reads. One ``np.errstate(**QUIET)`` spans the loop: a
+    diverging run ends in a finiteness check, not in a NumPy warning. The
+    stall stop (:class:`_StallWatch`) reads each built block's labels; its
+    streak grows by at most one per row, so the pending rows are built early
+    only when the last of them could complete a run of ``_STALL_PATIENCE``
+    stalls, and a stop lands on the iteration that completes it. Every
+    per-player reduction is bit for bit the per-player one, so neither the
+    iterates, the trace nor the stop depend on how the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -842,7 +853,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     watch = _StallWatch(cfg.outer_tol)
     message = ""
 
-    pending = []   # raw material of the rows not yet built
+    pending, blocks, prev_L = [], [], trace.initial_L   # raw rows, built columns, last L
     with np.errstate(**QUIET):   # a diverging run ends in the oracle sweep's checks
         for k in range(cfg.max_outer):
             fresh = k == 0 or not fixed
@@ -850,6 +861,11 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 if fresh:
                     est = estimator.estimate(x, lam, jac_norms=jac_full)
                     gamma, _ = choose_gamma(est, penalty, cfg.gamma)
+                    if np.isnan(gamma).any():   # name the first NaN constant, not a NaN step
+                        i = int(np.flatnonzero(np.isnan(est.L) | np.isnan(est.L_gfun))[0])
+                        raise OracleFailure(f"player {i}: NaN proximal weight from smoothness "
+                                            f"estimate {est.L[i]:.6g} and constraint-Jacobian "
+                                            f"norm bound {est.L_gfun[i]:.6g}", player=i)
                     gamma_by_coord = game.layout.segments.repeat(gamma)
                 anchor = build_anchor(game, lam, gamma, point, gamma_by_coord)
                 inner = solve_inner(game, anchor, cfg)
@@ -872,17 +888,18 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 status = "converged"
                 break
             if len(pending) == _BOUND_ROWS or watch.streak + len(pending) >= _STALL_PATIENCE:
-                built = _trace_rows(game, pending, fixed_own, trace.last_L, cfg.outer_tol)
-                trace.rows += built
-                pending = []
-                if watch.stops(built):
+                blocks.append(_trace_rows(game, pending, fixed_own, prev_L, cfg.outer_tol))
+                prev_L, pending = blocks[-1]["L_values"][-1], []
+                if watch.stops(blocks[-1]):
                     status = "stalled-stationary"
                     message = ("primal blocks pinned at a fixed point while the "
                                "multiplier drift is not decaying")
                     break
 
     if pending:
-        trace.rows += _trace_rows(game, pending, fixed_own, trace.last_L, cfg.outer_tol)
+        blocks.append(_trace_rows(game, pending, fixed_own, prev_L, cfg.outer_tol))
+    if blocks:   # field by field: a field's blocks are freed as its column is made
+        trace.columns = {f: np.concatenate([b.pop(f) for b in blocks]) for f in list(blocks[0])}
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(
@@ -890,7 +907,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         state=state,
         trace=trace,
         wall_time=time.perf_counter() - t0,
-        outer_iterations=len(trace.rows),
+        outer_iterations=len(trace.columns["k"]),
         final_residual=residual,
         message=message,
     )
@@ -942,14 +959,9 @@ def verify_run_bounds(trace: SolveTrace, cfg: SolverConfig,
         out["dual-identity"].append(f"player={i} row={j - duals.rows.bounds[i]}: "
                                     f"z {float(z[j])!r}, lam {float(lam[j])!r}, "
                                     f"mu {float(mu[j])!r}")
-    rows = trace.rows
-    if not rows:
+    cols, ks, beta = trace.columns, trace.columns["k"], cfg.beta
+    if not len(ks):
         return out, counts
-    beta = cfg.beta
-
-    def column(name: str) -> Array:
-        """One field over every row: (rows, players), or (rows,) for scalars."""
-        return np.array([getattr(r, name) for r in rows])
 
     def report(kind: str, mask: Array, message) -> None:
         """Count the violations ``mask`` (rows by players) of one bound, and
@@ -958,30 +970,26 @@ def verify_run_bounds(trace: SolveTrace, cfg: SolverConfig,
         out[kind] = [f"k={ks[j]} player={i}: {message(j, i)}"
                      for j, i in np.argwhere(mask)[:_KEPT_MESSAGES]]
 
-    # Columns are dropped once their bounds are checked: a long trace
-    # never has them all stacked at once.
-    ks, L, L_x = column("k"), column("L_values"), column("L_x_step")
+    L, L_x = cols["L_values"], cols["L_x_step"]
     prev_L = np.vstack([trace.initial_L, L[:-1]])
     report("decrease", L > prev_L + _SLACK,
            lambda j, i: f"L rose {prev_L[j, i]:.12g} -> {L[j, i]:.12g}")
-    accepted = np.array([r.exit_kind in ("descent", "true") for r in rows])[:, None]
+    accepted = np.isin(cols["exit_kind"], ("descent", "true"))[:, None]
     report("x-descent", accepted & (L_x > prev_L + _SLACK), lambda j, i:
            f"accepted block update raised L {prev_L[j, i]:.12g} -> {L_x[j, i]:.12g}")
-    del L, L_x, prev_L, accepted
     checked = (ks >= 2)[:, None]
-    dx_2, dlam_2, jac = column("dx_2")[:, None], column("dlam_2"), column("jac_norm")
+    dx_2, dlam_2, jac = cols["dx_2"][:, None], cols["dlam_2"], cols["jac_norm"]
     bound = np.maximum(np.vstack([trace.initial_jac_norm, jac[:-1]]), jac) / beta * dx_2 + _SLACK
     report("multiplier-coupling", checked & (dlam_2 > bound),
            lambda j, i: f"|dlam| {dlam_2[j, i]:.3e} > {bound[j, i]:.3e}")
     jac_run_max = np.maximum(trace.initial_jac_norm, jac.max(axis=0))
-    del dlam_2, bound, jac
-    jac_own_max = np.maximum(trace.initial_jac_own_norm, column("jac_own_norm").max(axis=0))
+    jac_own_max = np.maximum(trace.initial_jac_own_norm, cols["jac_own_norm"].max(axis=0))
     # The initial multipliers are zero, and a norm is never below zero.
-    lam_run_max = column("lam_norm2").max(axis=0)
-    C_dx = (2.0 + column("gamma") + column("M_theta_own").max(axis=0)
-            + column("M_g_own").max(axis=0) * lam_run_max
+    lam_run_max = cols["lam_norm2"].max(axis=0)
+    C_dx = (2.0 + cols["gamma"] + cols["M_theta_own"].max(axis=0)
+            + cols["M_g_own"].max(axis=0) * lam_run_max
             + jac_own_max * jac_run_max / beta + jac_run_max) * dx_2
-    pg = column("qx") + column("qlam")
+    pg = cols["qx"] + cols["qlam"]
     report("projected-gradient", checked & (pg > C_dx + _SLACK),
            lambda j, i: f"|pg| {pg[j, i]:.3e} > C*dx {C_dx[j, i]:.3e}")
     return out, counts

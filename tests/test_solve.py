@@ -3,9 +3,10 @@
 import copy
 import csv
 import json
+import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,7 +85,8 @@ def test_start_point_oracle_failure_reports_every_bound():
     # monitored bound: on no rows and zero duals, none is violated
     res = G.solve(start_failure_game(), np.zeros(1), fast_config())
     assert res.status == "oracle-failure" and "non-finite" in res.message
-    assert res.outer_iterations == 0 and res.trace.rows == []
+    assert res.outer_iterations == 0
+    assert all(len(col) == 0 for col in res.trace.columns.values())
     assert res.final_residual == np.inf
     assert res.trace.violations == {kind: [] for kind in BOUND_KINDS}
     assert res.trace.violation_counts == dict.fromkeys(BOUND_KINDS, 0)
@@ -123,19 +125,22 @@ def test_one_point_private_set_with_violated_constraint_stalls():
 def test_overflowed_multiplier_ends_in_an_oracle_failure_without_a_warning():
     # the constraint value 1e308 over beta = 1e-3 overflows the multiplier
     # to inf in one step; the sampled (zero) bound times inf is NaN in the
-    # next estimate, which the next oracle sweep rejects, with no NumPy
-    # warning on the way
+    # next estimate, whose NaN proximal weight ends the run before the
+    # step, with no NumPy warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = G.solve(one_point_game(-1e308), np.zeros(1), G.SolverConfig(beta=1e-3))
-    assert res.status == "oracle-failure" and "non-finite" in res.message
+    assert res.status == "oracle-failure"
+    assert res.message == ("player 0: NaN proximal weight from smoothness estimate nan "
+                           "and constraint-Jacobian norm bound 2")
     assert res.outer_iterations == 1 and res.state.duals.lam.tolist() == [np.inf]
 
 
 def test_start_point_overflow_ends_in_an_oracle_failure_without_a_warning():
     # the Jacobian 1e200 * 2 * (x - 0.5) is finite at the start 0.9, but its
-    # squared norm overflows: the run ends in the first oracle sweep's check
-    # after 0 iterations, with no NumPy warning on the way
+    # squared norm overflows: the sampled bound inf times the zero multiplier
+    # makes the smoothness estimate NaN, and the run ends naming it and the
+    # Jacobian norm bound after 0 iterations, with no NumPy warning on the way
     player = G.PlayerProblem(
         objective=lambda x: float(x[0]),
         gradient=lambda x: np.array([1.0]),
@@ -146,8 +151,11 @@ def test_start_point_overflow_ends_in_an_oracle_failure_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = G.solve(game, np.array([0.9]))
-    assert res.status == "oracle-failure" and "non-finite" in res.message
-    assert res.outer_iterations == 0 and res.trace.rows == []
+    assert res.status == "oracle-failure"
+    assert res.message == ("player 0: NaN proximal weight from smoothness estimate nan "
+                           "and constraint-Jacobian norm bound inf")
+    assert res.outer_iterations == 0
+    assert all(len(col) == 0 for col in res.trace.columns.values())
     assert res.trace.initial_jac_norm.tolist() == [np.inf]
 
 
@@ -169,6 +177,44 @@ def test_runs_ending_mid_block_keep_every_row():
     assert [r.dx_2 for r in failing.trace.rows] == [1.0] * (B + 6)
 
 
+def test_trace_rows_are_views_of_the_columns():
+    # the trace holds one column per TraceRow field, one row per completed
+    # iteration, over a run past one block, a stalled run and a mid-block
+    # oracle failure; trace.rows builds each row from the columns' entries
+    quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
+    for game, x0, cfg, status in [(quad, np.zeros(quad.n), fast_config(), "converged"),
+                                  (one_point_game(0.5), np.zeros(1), G.SolverConfig(),
+                                   "stalled-stationary"),
+                                  (*nan_past_a_block(), "oracle-failure")]:
+        res = G.solve(game, x0, cfg)
+        assert res.status == status and res.outer_iterations > G.solver._BOUND_ROWS, game.name
+        cols, rows = res.trace.columns, res.trace.rows
+        assert list(cols) == [f.name for f in fields(G.solver.TraceRow)]
+        assert {len(col) for col in cols.values()} == {len(rows)} == {res.outer_iterations}
+        for j, row in enumerate(rows):
+            for f, col in cols.items():
+                assert np.asarray(getattr(row, f)).tobytes() == np.asarray(col[j]).tobytes()
+            assert np.shares_memory(row.L_values, cols["L_values"])
+        assert rows[-1].k == res.outer_iterations
+        assert [r.k for r in rows[-3:]] == cols["k"][-3:].tolist()
+
+
+def test_reading_the_rows_holds_one_row_at_a_time(a18_run):
+    # a row is built when it is read: walking every row of a long trace
+    # allocates a small fraction of what its columns hold (a list of every
+    # row would take about seven times their bytes)
+    nbytes = sum(col.nbytes for col in a18_run.trace.columns.values())
+    assert a18_run.outer_iterations >= 1000
+    tracemalloc.start()
+    try:
+        census = Counter(row.exit_kind for row in a18_run.trace.rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(census.values()) == a18_run.outer_iterations
+    assert peak < nbytes / 10, (peak, nbytes)
+
+
 def nan_past_a_block():
     """``(game, x0, config)`` of a run whose oracle sweep fails at iteration
     ``_BOUND_ROWS + 7``: x moves up by 1 per iteration (gradient -1, gamma
@@ -186,12 +232,13 @@ def nan_past_a_block():
 
 def record_blocks(monkeypatch):
     """Record every ``_trace_rows`` call of ``solve``: its arguments and the
-    rows it built."""
+    columns it built (a copy of the block, which solve empties)."""
     blocks, trace_rows = [], G.solver._trace_rows
 
     def recording(*args):
-        blocks.append((args, trace_rows(*args)))
-        return blocks[-1][1]
+        built = trace_rows(*args)
+        blocks.append((args, dict(built)))
+        return built
 
     monkeypatch.setattr(G.solver, "_trace_rows", recording)
     return blocks
@@ -218,24 +265,24 @@ def test_block_rows_are_the_one_row_rows(monkeypatch):
         blocks.clear()
         res = G.solve(game, x0, cfg)
         assert res.status == status and res.outer_iterations > B, game.name
-        built_rows = [row for _, built in blocks for row in built]
-        assert len(built_rows) == len(res.trace.rows)
-        assert all(a is b for a, b in zip(built_rows, res.trace.rows))
+        for f, col in res.trace.columns.items():   # the trace is the blocks, stacked
+            stacked = np.concatenate([built[f] for _, built in blocks])
+            assert stacked.shape == col.shape and stacked.tobytes() == col.tobytes()
         if game is power:   # moving data: no fixed own-block norms, J stacked per block
             assert [len(pending) for (_, pending, *_), _ in blocks] == [B, B, 9]
             assert all(fixed_own is None for (_, _, fixed_own, *_), _ in blocks)
         for (game_, pending, fixed_own, prev_L, stall_tol), built in blocks:
-            for raw, row in zip(pending, built):
-                alone, = trace_rows(game_, [raw], fixed_own, prev_L, stall_tol)
-                assert alone.exit_kind == row.exit_kind
+            for j, raw in enumerate(pending):
+                alone = trace_rows(game_, [raw], fixed_own, prev_L, stall_tol)
+                assert alone["exit_kind"][0] == built["exit_kind"][j]
                 for f in fields(G.solver.TraceRow):
-                    assert (np.asarray(getattr(alone, f.name)).tobytes()
-                            == np.asarray(getattr(row, f.name)).tobytes()), (game.name, f.name)
-                prev_L = row.L_values
-        kinds.update(row.exit_kind for row in res.trace.rows)
+                    assert (np.asarray(alone[f.name][0]).tobytes()
+                            == np.asarray(built[f.name][j]).tobytes()), (game.name, f.name)
+                prev_L = built["L_values"][j]
+        kinds.update(res.trace.columns["exit_kind"].tolist())
         if game is rq:
             assert res.outer_iterations == 297
-            assert [row.exit_kind for row in res.trace.rows[-101:]] == ["forced"] + ["stall"] * 100
+            assert res.trace.columns["exit_kind"][-101:].tolist() == ["forced"] + ["stall"] * 100
     assert kinds == {"descent", "true", "forced", "stall"}
 
 
@@ -649,19 +696,20 @@ def test_run_bounds_match_the_one_at_a_time_checks(request, run):
         return counts
 
     damaged = copy.deepcopy(result.trace)
-    for j, r in enumerate(damaged.rows):
+    cols = damaged.columns
+    for j in range(len(cols["k"])):
         if j % 3 == 0:
-            r.L_values = r.L_values + 1e-3 * (1 + j % 5)
+            cols["L_values"][j] = cols["L_values"][j] + 1e-3 * (1 + j % 5)
         if j % 4 == 1:
-            r.L_x_step = r.L_x_step + 1e-2
+            cols["L_x_step"][j] = cols["L_x_step"][j] + 1e-2
         if j % 5 == 2:
-            r.dlam_2 = r.dlam_2 * 1e6 + 1.0
+            cols["dlam_2"][j] = cols["dlam_2"][j] * 1e6 + 1.0
         if j % 6 == 4:
-            r.qx = r.qx + 1e3
+            cols["qx"][j] = cols["qx"][j] + 1e3
     damaged_duals = result.state.duals.copy()
     damaged_duals.z[0] = -0.0
     damaged_duals.mu[-1] = np.nextafter(damaged_duals.lam[-1], np.inf)
-    assert len(damaged.rows) > G.solver._BOUND_ROWS
+    assert len(cols["k"]) > G.solver._BOUND_ROWS
     for trace, duals in ((result.trace, result.state.duals), (damaged, damaged_duals)):
         counts = check(trace, game, duals)
     assert all(counts.values())
@@ -671,14 +719,13 @@ def test_run_bounds_match_the_one_at_a_time_checks(request, run):
                    (bad_start, G.solve(bad_start, np.zeros(1), cfg))):
         assert len(res.trace.rows) == res.outer_iterations == (g is game)
         damaged = copy.deepcopy(res.trace)
-        for r in damaged.rows:
-            r.L_values = damaged.initial_L + 1.0
+        damaged.columns["L_values"][:] = damaged.initial_L + 1.0
         damaged_duals = res.state.duals.copy()
         damaged_duals.z[0] = -0.0
         check(res.trace, g, res.state.duals)
         counts = check(damaged, g, damaged_duals)
         assert counts["dual-identity"] == 1
-        assert counts["decrease"] == len(damaged.rows) * g.num_players
+        assert counts["decrease"] == len(damaged.columns["k"]) * g.num_players
 
 
 def test_diverging_run_ends_in_the_oracle_check_without_warnings():
@@ -734,20 +781,22 @@ def test_pinned_primal_with_drifting_multipliers_ends_stalled_stationary():
                            "multiplier drift is not decaying")
 
 
-def stall_rows(steps):
-    """Trace rows of ``(exit label, residual, max |lam|)`` steps, as the stall
-    stop reads them: the residual as ``dlambda_inf`` (``dx_inf`` is zero) and
-    ``max |lam|`` spread over two players."""
-    return [SimpleNamespace(exit_kind=kind, dx_inf=0.0, dlambda_inf=residual,
-                            lam_norm_inf=np.array([lam_inf, 0.5 * lam_inf]))
-            for kind, residual, lam_inf in steps]
+def stall_columns(steps):
+    """Trace columns of ``(exit label, residual, max |lam|)`` steps, as the
+    stall stop reads them: the residual as ``dlambda_inf`` (``dx_inf`` is
+    zero) and ``max |lam|`` spread over two players."""
+    kinds, residuals, lam_infs = zip(*steps)
+    return {"exit_kind": np.array(kinds), "dx_inf": np.zeros(len(steps)),
+            "dlambda_inf": np.array(residuals),
+            "lam_norm_inf": np.array([[lam_inf, 0.5 * lam_inf] for lam_inf in lam_infs])}
 
 
-def fed_until_stop(watch, rows):
-    """The number of rows ``watch`` reads before it stops, None if it never does."""
-    for j, row in enumerate(rows, 1):
-        if watch.stops([row]):
-            return j
+def fed_until_stop(watch, columns):
+    """The number of rows ``watch`` reads, one row per block, before it
+    stops; None if it never does."""
+    for j in range(len(columns["exit_kind"])):
+        if watch.stops({f: col[j:j + 1] for f, col in columns.items()}):
+            return j + 1
     return None
 
 
@@ -756,24 +805,24 @@ def test_stall_stop_reads_the_drift_of_a_run_of_stalls():
     # drift that neither decays nor drains: the 100th stall in a row stops,
     # counted from the last other label
     growing = [("forced", 1.0, 0.0)] + [("stall", 1.0, 0.5 * j) for j in range(2 * P)]
-    assert fed_until_stop(G.solver._StallWatch(tol), stall_rows(growing)) == 1 + P
+    assert fed_until_stop(G.solver._StallWatch(tol), stall_columns(growing)) == 1 + P
     interrupted = growing[:P] + [("true", 1.0, 0.0)] + growing[P:]
-    assert fed_until_stop(G.solver._StallWatch(tol), stall_rows(interrupted)) == 2 * P + 1
+    assert fed_until_stop(G.solver._StallWatch(tol), stall_columns(interrupted)) == 2 * P + 1
     # a residual down by 2% over the run resets the streak, and the run goes
     # on; a fall just short of 2% does not
     for last, stops in ((0.98, None), (np.nextafter(0.98, 1.0), P)):
         steps = [("stall", 1.0, 1.0)] * (P - 1) + [("stall", last, 1.0)]
         watch = G.solver._StallWatch(tol)
-        assert fed_until_stop(watch, stall_rows(steps)) == stops
+        assert fed_until_stop(watch, stall_columns(steps)) == stops
         if stops is None:
             assert watch.streak == 0
             # the next run of 100 starts from the step after the reset
-            assert fed_until_stop(watch, stall_rows([("stall", last, 1.0)] * P)) == P
+            assert fed_until_stop(watch, stall_columns([("stall", last, 1.0)] * P)) == P
     # multipliers draining by 0.25 * 100 * tol over the run reset it too
     drop = 0.25 * P * tol
     for end, stops in ((5.0 - drop, None), (np.nextafter(5.0 - drop, 6.0), P)):
         steps = [("stall", 1.0, 5.0)] * (P - 1) + [("stall", 1.0, end)]
-        assert fed_until_stop(G.solver._StallWatch(tol), stall_rows(steps)) == stops
+        assert fed_until_stop(G.solver._StallWatch(tol), stall_columns(steps)) == stops
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 100, 128])
@@ -796,9 +845,8 @@ def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
         assert got.outer_iterations == want.outer_iterations
         assert got.state.x.tobytes() == want.state.x.tobytes()
         assert got.state.duals.lam.tobytes() == want.state.duals.lam.tobytes()
-        for f in fields(G.solver.TraceRow):
-            assert (np.array([getattr(r, f.name) for r in got.trace.rows]).tobytes()
-                    == np.array([getattr(r, f.name) for r in want.trace.rows]).tobytes()), f.name
+        for f, col in want.trace.columns.items():
+            assert got.trace.columns[f].tobytes() == col.tobytes(), f
     assert [r.outer_iterations for r in expected] == [297, 100, 1042]
 
 

@@ -473,7 +473,20 @@ def test_a_links_step_reads_only_its_own_data_on_power(N, C, seed, data):
     # the same claim on the power game, whose smoothness constants are
     # sampled from every link's data, so under a fixed gamma: every rival's
     # target and gain row gains[mu] are redrawn, link nu's kept
-    nu = data.draw(st.integers(0, N - 1))
+    assert_links_step_reads_only_its_own_data(N, C, seed, data.draw(st.integers(0, N - 1)))
+
+
+def test_a_links_step_reads_only_its_own_data_when_the_rivals_clip_alike():
+    # a draw whose rival link projects to the same point in both games (0 in
+    # one coordinate, 1.766 in the other): the rivals' unprojected steps
+    # still differ, and link nu's bits are kept
+    assert_links_step_reads_only_its_own_data(N=2, C=1, seed=97, nu=1)
+
+
+def assert_links_step_reads_only_its_own_data(N, C, seed, nu):
+    """Link ``nu``'s step on a power game of ``N`` links and ``C`` channels
+    drawn from ``seed``, against the same game with every rival's target
+    and gain row redrawn."""
     rng = np.random.default_rng(seed)
     gains, rival_gains = np.exp(rng.uniform(np.log(1e-2), 0.0, (2, N, N, C)))
     targets, rival_targets = rng.uniform(0.5, 2.0, (2, N))
@@ -489,14 +502,18 @@ def assert_step_reads_only_own_data(game, other, nu, x, lam, policy):
     """Player ``nu``'s step from ``(x, lam)`` under the fixed-gamma ``policy``
     is the same in ``game`` and in ``other``, which differs only in the
     rivals' data: nu's entries of u keep their bits, and so do its entries
-    of the new lam at the same broadcast point (the rivals' steps move it)."""
-    cfg, steps = SolverConfig(), []
+    of the new lam at the same broadcast point (the rivals' steps move it).
+    The rivals' steps before the projection must differ, or nothing was
+    tested; after it they may not (a box can clip both to one corner)."""
+    cfg, anchors, steps = SolverConfig(), [], []
     for g in (game, other):
         gamma, _ = choose_gamma(LipschitzEstimator(g).estimate(x, lam), cfg.penalty(), policy)
-        steps.append(solve_inner(g, build_anchor(g, lam, gamma, evaluate_point(g, x)), cfg))
+        anchors.append(build_anchor(g, lam, gamma, evaluate_point(g, x)))
+        steps.append(solve_inner(g, anchors[-1], cfg))
     own, moved = steps
     sl, rows = game.layout.block_slice(nu), slice(*game.rows.bounds[nu:nu + 2])
-    assert not np.array_equal(own.x_next, moved.x_next)   # the rivals' steps did change
+    unprojected = [a.y - a.own_grad / a.gamma_by_coord for a in anchors]
+    assert not np.array_equal(*unprojected)   # the rivals' steps did change
     assert own.x_next[sl].tobytes() == moved.x_next[sl].tobytes()
     lam_other = step_duals(lam, evaluate_point(other, own.x_next).g_values, cfg.beta)
     assert own.lam[rows].tobytes() == lam_other[rows].tobytes()

@@ -3,7 +3,7 @@
 Each run of a fixed set is solved and every recorded field is hashed
 (SHA-256): the status and outer-iteration count, the final x, the exported
 duals z, lam and mu (``solve`` carries lam alone and exports z as zeros and
-mu as a copy of lam), every ``TraceRow`` field stacked over the rows, the
+mu as a copy of lam), every trace column (one per ``TraceRow`` field), the
 initial trace fields, the exit census, the violation counts and the kept
 violation messages; for a game with stacked quadratic data, also every
 array of its stack (``G``, each run's ``bands``, ``b``, ``C``, ``D``,
@@ -99,19 +99,28 @@ def run_set():
     return runs
 
 
+def trace_columns(trace) -> dict[str, np.ndarray]:
+    """The columns of a non-empty trace; a checkout from before the trace
+    held columns (a ``--diff`` side) has its rows stacked field by field."""
+    if hasattr(trace, "columns"):
+        return trace.columns
+    return {f.name: np.array([getattr(r, f.name) for r in trace.rows])
+            for f in fields(trace.rows[0])}
+
+
 def record(res) -> dict[str, object]:
     """Every fingerprinted field of one solve result."""
     out: dict[str, object] = {"status": res.status, "outer_iterations": res.outer_iterations,
                               "x": res.state.x}
     d = res.state.duals
     out.update(z=d.z, lam=d.lam, mu=d.mu)
-    rows = res.trace.rows
-    for f in fields(rows[0]) if rows else ():
-        vals = [getattr(r, f.name) for r in rows]
-        out[f"row.{f.name}"] = vals if isinstance(vals[0], str) else np.array(vals, dtype=float)
+    columns = trace_columns(res.trace) if res.outer_iterations else {}
+    for name, col in columns.items():
+        out[f"row.{name}"] = col.tolist() if name == "exit_kind" else col.astype(float)
     for name in ("initial_L", "initial_feas", "initial_jac_norm", "initial_jac_own_norm"):
         out[f"trace.{name}"] = np.asarray(getattr(res.trace, name), dtype=float)
-    out["exit_census"] = dict(sorted(Counter(r.exit_kind for r in rows).items()))
+    labels = columns["exit_kind"].tolist() if columns else []
+    out["exit_census"] = dict(sorted(Counter(labels).items()))
     out["violation_counts"] = dict(sorted(res.trace.violation_counts.items()))
     out["violations"] = dict(sorted(res.trace.violations.items()))
     return out
