@@ -62,7 +62,7 @@ class BlockLayout:
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"block dims must be positive, got {self.dims}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.dims)
 
@@ -410,12 +410,20 @@ class QuadraticStack:
         """Each player's band as a ``(1, n, w)`` view."""
         return tuple(K[k:k + 1] for K in self.bands for k in range(len(K)))
 
+    @cached_property
+    def b_own(self) -> Array:
+        """Every player's own block of its ``b`` row, stacked like ``x``."""
+        return self.b.ravel()[self.layout.own_entries]
+
     def products(self, x: Array, player: int | None = None) -> Array:
-        """``Q_i @ x`` of every player, stacked ``(N, n)``, or of ``player``
-        alone, ``(1, n)``: each band times its player's block (one gemv per
-        player, batched per run), its own entries overwritten by ``G @ x``,
-        and the dense players' rows by one batched ``dense @ x`` (all that
-        is taken when every player is dense).
+        """``Q_i @ x`` of every player, stacked ``(..., N, n)`` over any
+        leading axes of ``x``, or of ``player`` alone at one point,
+        ``(1, n)``: each band times its player's block (one gemv per player,
+        batched per run), its own entries overwritten by ``G @ x``, and the
+        dense players' rows by one batched ``dense @ x`` (all that is taken
+        when every player is dense). Each point's products are bit for bit
+        those of a call at that point alone: every gemv keeps its shape and
+        strides.
 
         ``G @ x`` is one gemv of the dense shape, so the own entries, which
         are all the iterates read, are bit for bit the dense ``Q_i @ x``'s;
@@ -423,20 +431,23 @@ class QuadraticStack:
         differently. The batched sweep and the players' oracles both take
         their products from here, so they agree bit for bit.
         """
+        lead = x.shape[:-1]
         if player is None:
             if len(self.dense_players) == self.layout.num_blocks:
-                return np.matmul(self.dense, x)
-            runs, own, own_rows = self._runs, self.layout.own_entries, self.G @ x
+                return np.matmul(self.dense, x[..., None, :, None])[..., 0]
+            runs, own = self._runs, self.layout.own_entries
+            own_rows = np.matmul(self.G, x[..., None])[..., 0]
         elif player in self.dense_players:
             return (self.dense[self.dense_players.index(player)] @ x)[None]
         else:
             sl, K = self.layout.slices[player], self._player_bands[player]
             runs, own, own_rows = ((sl, K.shape[2], K),), sl, (self.G @ x)[sl]
-        parts = [np.matmul(K, x[entries].reshape(-1, w, 1)) for entries, w, K in runs]
-        out = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(-1, self.layout.n)
-        out.ravel()[own] = own_rows
+        parts = [np.matmul(K, x[..., entries].reshape(lead + (-1, w, 1))) for entries, w, K in runs]
+        out = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-3)).reshape(
+            lead + (-1, self.layout.n))
+        out.reshape(lead + (-1,))[..., own] = own_rows
         if player is None and self.dense_players:
-            out[self.dense_players, :] = np.matmul(self.dense, x)
+            out[..., self.dense_players, :] = np.matmul(self.dense, x[..., None, :, None])[..., 0]
         return out
 
 
@@ -562,6 +573,22 @@ def _attach_quadratic_stack(game: GameInstance, q: QuadraticStack) -> GameInstan
     return game
 
 
+def quadratic_constraints(game: GameInstance, x: Array) -> tuple[Array, Array]:
+    """Constraint values and Jacobians at ``x`` of a game with stacked
+    quadratic data: the affine rows ``C x + 0.0 + D`` (one gemv per player,
+    batched per run) and the constant Jacobian ``C + 0.0``, each curved
+    player's rows from its oracles, bit for bit what the players' oracles
+    return."""
+    q, bounds = game.quadratic, game.rows.bounds
+    g, jac = game.rows.matvec(q.C, x) + 0.0 + q.D, q.jacobian
+    if q.hessians:
+        jac = jac.copy()
+        for i in q.hessians:
+            s, p = slice(bounds[i], bounds[i + 1]), game.players[i]
+            g[s], jac[s] = p.constraints(x), p.constraint_jacobian(x)
+    return g, jac
+
+
 def _attach_batched_oracle(game: GameInstance, sweep: Sweep) -> GameInstance:
     """``game`` with its batched oracle ``sweep`` attached; the players'
     oracles must return its rows bit for bit."""
@@ -596,9 +623,10 @@ def stack_rows(blocks: Sequence[Array]) -> Array:
 
 
 def row_dots(A: Array, x: Array) -> Array:
-    """``A[i] @ x`` for every row of the 2-D ``A``: bit for bit the per-row
-    dot product, which ``A @ x`` (one gemv) is not."""
-    return np.matmul(A[:, None, :], x)[:, 0]
+    """``A[..., i, :] @ x[..., :]`` for every row ``i`` of ``A``, over any
+    leading axes that broadcast: bit for bit the per-row dot product, which
+    ``A @ x`` (one gemv) is not."""
+    return np.matmul(A[..., None, :], x[..., None, :, None])[..., 0, 0]
 
 
 def vec_norm(v: Array) -> float:

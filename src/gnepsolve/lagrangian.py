@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Array, GameInstance, OracleFailure, PlayerDualState, Segments, own_columns,
-                   row_dots)
+                   quadratic_constraints, row_dots)
 
 __all__ = [
     "PenaltyParams",
@@ -42,6 +42,7 @@ __all__ = [
     "PointEval",
     "evaluate_point",
     "checked_sweep",
+    "own_sweep",
     "raw_sweep",
     "projected_gradient_x",
     "projected_step_lam",
@@ -112,13 +113,18 @@ class PointEval:
     """Raw oracle output of every player at one joint point, stacked over
     players: gradients as one ``(N, n)`` array, constraint values and
     Jacobians over the game's constraint rows ``game.rows``, player ``i``
-    owning the segment ``rows.bounds[i]:rows.bounds[i + 1]``."""
+    owning the segment ``rows.bounds[i]:rows.bounds[i + 1]``.
+
+    ``grad_own`` stacks every player's own block of its gradient row, like
+    ``x``. An own-block point (:func:`own_sweep`) holds no objective value
+    and no full gradient: its ``theta`` and ``theta_grads`` are ``None``."""
 
     x: Array
-    theta: Array                 # (N,) objective values
-    theta_grads: Array           # (N, n) objective gradients
+    theta: Array | None          # (N,) objective values
+    theta_grads: Array | None    # (N, n) objective gradients
     g_values: Array              # (M,) constraint values
     g_jacobians: Array           # (M, n) constraint Jacobians
+    grad_own: Array | None = None   # (n,) own blocks of theta_grads
 
 
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
@@ -150,7 +156,25 @@ def checked_sweep(game: GameInstance, x: Array) -> PointEval:
     total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
     if not math.isfinite(total):
         _raise_first_nonfinite(game, fields)
-    return PointEval(x, *fields)
+    return PointEval(x, *fields, grads.ravel()[game.layout.own_entries])
+
+
+def own_sweep(game: GameInstance, x: Array) -> PointEval:
+    """What an iteration of a game with stacked quadratic data reads at
+    ``x``: every player's own-block objective gradient ``G x + b_own`` (bit
+    for bit the own entries of the full sweep's), the constraint values and
+    the Jacobians, as an own-block point. Like :func:`checked_sweep` it
+    takes no copy and no ``errstate``; a non-finite value among them raises
+    :class:`OracleFailure` naming the first player and field of the full
+    sweep at ``x``. The objective values and the rival blocks of the
+    gradients are not taken: the trace block pass checks them."""
+    q = game.quadratic
+    grad_own = np.matmul(q.G, x) + q.b_own
+    g, jac = quadratic_constraints(game, x)
+    total = _sum(grad_own, None) + _sum(g, None) + (_sum(jac, None) if q.hessians else 0.0)
+    if not math.isfinite(total):
+        _raise_first_nonfinite(game, raw_sweep(game, x))
+    return PointEval(x, None, None, g, jac, grad_own)
 
 
 def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
@@ -255,15 +279,16 @@ class QuadraticAnchor:
 
     The full gradients are assembled once per outer iteration; the values
     ``L_nu(y)`` are not held here, as only the exit labels read them
-    (:meth:`model_values` takes them). The anchor is read-only after
-    construction.
+    (:meth:`model_values` takes them). An anchor at an own-block point holds
+    the own blocks alone (``grads`` is ``None``). The anchor is read-only
+    after construction.
 
     The model gradient is affine with slope ``gamma_nu * I``; its Lipschitz
     constant and strong-convexity modulus both equal ``gamma_nu``.
     """
 
     y: Array
-    grads: Array             # (N, n) full gradient of L_nu at y, row nu
+    grads: Array | None      # (N, n) full gradient of L_nu at y, row nu
     gamma: Array             # (N,)
     own_grad: Array          # (n,) player-own blocks of grads, stacked
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
@@ -289,9 +314,21 @@ def surrogate_values(values: Array, slope: Array, gamma: Array, dd: Array) -> Ar
 def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
                  gamma_by_coord: Array | None = None) -> QuadraticAnchor:
     """Assemble the surrogate anchor from a completed oracle sweep; a caller
-    holding ``gamma`` repeated over each block may pass it."""
-    grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
+    holding ``gamma`` repeated over each block may pass it. At an own-block
+    point the anchor takes the own blocks alone: each gradient's own entries
+    of ``J_i.T @ lam_i`` still come from the full gemv and are added to the
+    same bits as in the full gradient (a gemv over the own columns alone
+    rounds differently)."""
+    if point.theta_grads is None:
+        grads, own_grad, J, n = None, point.grad_own.copy(), point.g_jacobians, game.n
+        for players, rows, cols in game.constrained_runs:
+            p = players.stop - players.start
+            full = np.matmul(lam[rows].reshape(p, 1, -1), J[rows].reshape(p, -1, n))
+            own_grad[cols] += full.ravel()[game.layout.own_entries[cols] - players.start * n]
+    else:
+        grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
+        own_grad = grads.ravel()[game.layout.own_entries]
     gamma = np.asarray(gamma, dtype=float)
-    return QuadraticAnchor(point.x, grads, gamma, grads.ravel()[game.layout.own_entries],
+    return QuadraticAnchor(point.x, grads, gamma, own_grad,
                            game.layout.segments.repeat(gamma) if gamma_by_coord is None
                            else gamma_by_coord, lam)

@@ -29,6 +29,7 @@ from .core import (
     Sweep,
     _attach_batched_oracle,
     _attach_quadratic_stack,
+    quadratic_constraints,
     row_dots,
 )
 
@@ -229,21 +230,12 @@ def _stacked_sweep(game: GameInstance) -> Sweep:
     bit for bit what the player's own oracle returns, as both take their
     products from the stack; a curved player's constraint values and
     Jacobian come from its oracles."""
-    q, rows = game.quadratic, game.rows
-    curved = [(game.players[i], slice(rows.bounds[i], rows.bounds[i + 1])) for i in q.hessians]
+    q = game.quadratic
 
     def sweep(x):
         QX = q.products(x)
-        grads = QX + q.b
-        theta = 0.5 * row_dots(QX, x) + row_dots(q.b, x)
-        g = rows.matvec(q.C, x) + 0.0 + q.D
-        jac = q.jacobian
-        if curved:
-            jac = jac.copy()
-            for p, s in curved:
-                g[s] = p.constraints(x)
-                jac[s] = p.constraint_jacobian(x)
-        return theta, grads, g, jac
+        return (0.5 * row_dots(QX, x) + row_dots(q.b, x), QX + q.b,
+                *quadratic_constraints(game, x))
 
     return sweep
 

@@ -28,14 +28,17 @@ falsified) on real runs; its columns, one array per :class:`TraceRow`
 field, are built in blocks after the iterations they record, and
 :func:`verify_run_bounds` checks them whole. Data that cannot move
 (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the Jacobian norms and
-``J`` once per run; :func:`solve` says what an iteration computes.
+``J`` once per run, and its constant columns are one row each. A game with
+stacked quadratic data steps on its own-block rows, and its objective
+values and model slopes are the block pass's; :func:`solve` says what an
+iteration computes.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,6 +66,7 @@ from .lagrangian import (
     checked_sweep,
     evaluate_point,
     lagrangian_values,
+    own_sweep,
     projected_gradient_x,
     projected_step_lam,
     raw_sweep,
@@ -406,7 +410,7 @@ class LipschitzEstimator:
         if game.quadratic is None and self._needs_resample(x):
             self._resample(x)
         if jac_norms is None:
-            jac_norms = _jac_norms(evaluate_point(game, x), game.constrained_runs)
+            jac_norms = _jac_norms(game, evaluate_point(game, x).g_jacobians)
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         L_gfun = (jac_norms + self._jac_growth * margin if game.quadratic is not None
                   else _INFLATION * np.maximum(jac_norms, self._jac_max))
@@ -603,7 +607,9 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     """The Jacobi block update and the dual step: every player's surrogate
     minimizer over its private set, ``project_private(y - own_grad / gamma)``,
     in one projection, then the oracle sweep there and the multiplier step
-    :func:`step_duals` from the anchor's multipliers.
+    :func:`step_duals` from the anchor's multipliers. An anchor holding its
+    own blocks alone (built at an own-block point) takes the own-block sweep
+    (:func:`~gnepsolve.lagrangian.own_sweep`), any other the full one.
 
     This is the fixed point the reference sweep :func:`inner_step` converges
     to. The step is accepted whatever its exit label: the label
@@ -615,7 +621,8 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     :class:`~gnepsolve.core.OracleFailure` whatever it is.
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
-    point = checked_sweep(game, u)   # u is a fresh array: no copy
+    # u is a fresh array: no copy
+    point = (checked_sweep if anchor.grads is not None else own_sweep)(game, u)
     lam = step_duals(anchor.lam, point.g_values, cfg.beta)
     return InnerResult(u, point, lam, lam - anchor.lam)
 
@@ -662,6 +669,11 @@ class TraceRow:
     M_g_own: Array
 
 
+def _empty_columns() -> dict[str, Array]:
+    """The trace columns of no row."""
+    return {f.name: np.zeros(0) for f in fields(TraceRow)}
+
+
 @dataclass
 class _Rows(Sequence):
     """Rows of trace columns in field order, each built when it is read."""
@@ -694,8 +706,7 @@ class SolveTrace:
     initial_feas: float
     initial_jac_norm: Array
     initial_jac_own_norm: Array
-    columns: dict[str, Array] = field(
-        default_factory=lambda: {f.name: np.zeros(0) for f in fields(TraceRow)})
+    columns: dict[str, Array] = field(default_factory=_empty_columns)
     violations: dict[str, list[str]] = field(default_factory=dict)
     violation_counts: dict[str, int] = field(default_factory=dict)
 
@@ -722,13 +733,13 @@ class SolveResult:
         return self.outer_iterations
 
 
-def _jac_norms(point: PointEval, runs: tuple[tuple[slice, slice, slice], ...]) -> Array:
-    """Spectral norm of each player's constraint Jacobian ``J[s]`` at ``point``,
-    bit for bit, from views of ``J``: for the players of ``runs``
-    (``game.constrained_runs``), zero for the others. The one Jacobian
-    quantity an iteration computes: the next estimate reads it."""
-    full, J = np.zeros(len(point.theta)), point.g_jacobians
-    for players, rows, _ in runs:
+def _jac_norms(game: GameInstance, J: Array) -> Array:
+    """Spectral norm of each player's constraint Jacobian ``J[s]``, bit for
+    bit, from views of ``J``: for the players of ``game.constrained_runs``,
+    zero for the others. The one Jacobian quantity an iteration computes:
+    the next estimate reads it."""
+    full = np.zeros(game.num_players)
+    for players, rows, _ in game.constrained_runs:
         full[players] = spectral_norms(J[rows].reshape(players.stop - players.start, -1, J.shape[1]))
     return full
 
@@ -744,40 +755,96 @@ def _own_jac_norms(game: GameInstance, J: Array) -> Array:
     return own
 
 
+def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: Array,
+                    lam: Array, J: Array, dx: Array) -> tuple[Array, Array]:
+    """For a game with stacked quadratic data, the objective values at each
+    row's point ``x[j]`` and the model slopes ``((Q x_a + b) + J_a.T lam_a)
+    . dx[j]`` at its anchor: the previous row's point, multipliers ``lam``
+    and Jacobians ``J`` (shared (M, n) or stacked by row), ``anchor`` for
+    the first row. Bit for bit what a full sweep at each point and
+    :func:`build_anchor`'s gradients give. The rows go in chunks, whose
+    products are taken over a leading axis of their points; one ``(rows, N,
+    n)`` stack holds at most ``_STACK_BYTES``. Returns the rows before the
+    first whose objective value or gradient has a non-finite entry."""
+    q, N, n = game.quadratic, game.num_players, game.n
+    step = max(1, _STACK_BYTES // (8 * N * n))
+    x_a, lam_a, J_a = anchor
+    full = game.rows.vecmat_add(q.products(x_a) + q.b, lam_a, J_a)   # the anchor's gradients
+    thetas, slopes = [np.zeros((0, N))], [np.zeros((0, N))]
+    for s in range(0, len(x), step):
+        X = x[s:s + step]
+        grads = q.products(X)
+        theta = 0.5 * row_dots(grads, X) + row_dots(q.b, X)
+        grads += q.b
+        finite = np.isfinite(theta).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
+        kept = len(finite) if finite.all() else int(np.argmin(finite))
+        if kept:
+            thetas.append(theta[:kept])
+            slopes.append(row_dots(full, dx[s])[None])
+            Jk = J if J.ndim == 2 else J[s:s + kept]
+            for players, entries, w in game.rows._runs:   # vecmat_add's gemvs, row by row
+                grads[:kept, players] += np.matmul(
+                    lam[s:s + kept, entries].reshape(kept, -1, 1, w),
+                    Jk[..., entries, :].reshape(Jk.shape[:-2] + (-1, w, n))).reshape(kept, -1, n)
+            slopes.append(row_dots(grads[:kept - 1], dx[s + 1:s + kept]))
+            full = grads[kept - 1]
+        if kept < len(finite):
+            break
+    return np.concatenate(thetas), np.concatenate(slopes)
+
+
 @np.errstate(**QUIET)   # a diverging run records non-finite values
-def _trace_rows(game: GameInstance, pending: list[tuple], fixed_own: Array | None,
+def _trace_rows(game: GameInstance, pending: list[tuple], constants: dict[str, Array] | None,
                 prev_L: Array, stall_tol: float) -> dict[str, Array]:
-    """The trace columns of ``pending`` iterations, each ``(k, dx_inf,
-    dlambda_inf, dx, x, anchor lam, lam, dlam, theta, g, grad_own, J,
-    jac_norm, gamma, est, slope)``, over a leading axis of rows, bit for bit
-    the one-row values. Data that cannot move passes its own-block Jacobian
-    norms ``fixed_own``, and every row's ``J`` is the first; else the rows'
+    """The trace columns of ``pending`` iterations over a leading axis of
+    rows, bit for bit the one-row values. Each row is ``(k, dx_inf,
+    dlambda_inf, dx, x_prev, x, lam_prev, lam, dlam, g, grad_own, J_prev,
+    J)``, the state before it (its anchor) and after it; data that can move
+    adds ``(jac_norm, gamma, est)``, and a game without stacked quadratic
+    data adds ``(theta, slope)``, which its iterations computed. A game with
+    stacked quadratic data has them computed here (:func:`_objective_rows`),
+    and only the rows before the first whose objective value or gradient is
+    not finite are built. Data that cannot move passes its per-run columns
+    ``constants``, each one ``(N,)`` row that every row's column is a
+    read-only view of, and every row's ``J`` is the first; else the rows'
     ``J`` are stacked and their own-block norms taken from the stack. The
     Lagrangian values at the primal step and after the dual step are one
     :func:`lagrangian_values` call over a leading axis of (rows, 2), and each
     row's exit label is judged against the values after the previous row,
     ``prev_L`` for the first."""
-    (ks, dx_inf, dlam_inf, dx, x, lam_prev, lam, dlam, theta, g, grad_own, J, jac, gamma,
-     est, slope) = zip(*pending)
-    dx, lam, g, gamma = np.array(dx), np.array(lam), np.array(g), np.array(gamma)
-    lams = np.stack([np.array(lam_prev), lam], axis=1)   # (rows, 2, M)
-    L_x, L = lagrangian_values(np.array(theta)[:, None], g[:, None], lams,
-                               game.rows).transpose(1, 0, 2)
+    cols = list(zip(*pending))
+    ks, dx_inf, dlam_inf, dx, x_prev, x, lam_prev, lam, dlam, g, grad_own, J_prev, J = cols[:13]
+    dx, x, lam_prev, lam, g = map(np.array, (dx, x, lam_prev, lam, g))
+    J = J[0] if constants is not None else np.array(J)
+    if game.quadratic is None:
+        theta, slope = map(np.array, cols[-2:])
+    else:
+        theta, slope = _objective_rows(game, (x_prev[0], lam_prev[0], J_prev[0]), x, lam, J, dx)
+        if len(theta) < len(pending):
+            return (_trace_rows(game, pending[:len(theta)], constants, prev_L, stall_tol)
+                    if len(theta) else _empty_columns())
+    if constants is not None:
+        run = {f: np.broadcast_to(v, (len(ks),) + v.shape) for f, v in constants.items()}
+    else:
+        jac, gamma, est = cols[13:16]
+        run = dict(jac_norm=np.array(jac), jac_own_norm=_own_jac_norms(game, J),
+                   gamma=np.array(gamma), M_theta_own=np.array([e.L_theta for e in est]),
+                   M_g_own=np.array([e.M_g_own for e in est]))
+    lams = np.stack([lam_prev, lam], axis=1)   # (rows, 2, M)
+    L_x, L = lagrangian_values(theta[:, None], g[:, None], lams, game.rows).transpose(1, 0, 2)
     dd, dx_inf = _self_dots(dx), np.array(dx_inf)
-    J = np.array(J) if fixed_own is None else J[0]
-    jac_own = _own_jac_norms(game, J) if fixed_own is None else np.array([fixed_own] * len(ks))
     moves = np.stack([np.array(dlam), lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
     return dict(
         k=np.array(ks), L_values=L, dx_inf=dx_inf, dlambda_inf=np.array(dlam_inf),
         feas=constraint_violation(g),
-        exit_kind=_exit_labels(np.vstack([prev_L, L[:-1]]), L_x, np.array(slope), gamma, dd,
+        exit_kind=_exit_labels(np.vstack([prev_L, L[:-1]]), L_x, slope, run["gamma"], dd,
                                dx_inf, stall_tol),
         L_x_step=L_x, dx_2=np.sqrt(dd), dlam_2=dlam_2, lam_norm2=lam_norm2,
-        lam_norm_inf=game.rows.max_abs(lam), jac_norm=np.array(jac), jac_own_norm=jac_own,
-        qx=projected_gradient_x(game, np.array(x), lam, np.array(grad_own), J), qlam=qlam,
-        gamma=gamma, M_theta_own=np.array([e.L_theta for e in est]),
-        M_g_own=np.array([e.M_g_own for e in est]))
+        lam_norm_inf=game.rows.max_abs(lam), jac_norm=run["jac_norm"],
+        jac_own_norm=run["jac_own_norm"],
+        qx=projected_gradient_x(game, x, lam, np.array(grad_own), J), qlam=qlam,
+        gamma=run["gamma"], M_theta_own=run["M_theta_own"], M_g_own=run["M_g_own"])
 
 
 # ---------------------------------------------------------------------------
@@ -800,14 +867,24 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     NaN (the message names the NaN smoothness constant). A failed run keeps
     the trace and the state of the last completed iteration.
 
-    Each outer iteration works on whole arrays over players: the oracle
-    sweep (one call of the game's batched oracle when it has one), the
-    anchor and the multiplier step, with the multipliers stacked over the
-    constraint rows (``game.rows``). What only the trace reads waits: each
+    Each outer iteration works on whole arrays over players, and computes
+    what the next iterate and the stopping test read: the anchor's own-block
+    gradients, one projection, the constraint values (and any moving
+    Jacobian) at the new point, the multiplier step and the max norms, with
+    the multipliers stacked over the constraint rows (``game.rows``). A game
+    with stacked quadratic data iterates on own-block points
+    (:func:`~gnepsolve.lagrangian.own_sweep`); its objective values, the
+    rival blocks of its gradients and the model slopes are the trace's, and
+    so is their finiteness check: the first row where one is not finite ends
+    the run as an oracle failure at that iteration would, and any
+    iterations run past it are dropped. Any other game takes a full oracle
+    sweep per iteration (one call of its batched oracle when it has one) and
+    the model slopes along its step. What only the trace reads waits: each
     iteration keeps its row's raw arrays, one pass over a leading axis of
     rows builds their columns (:func:`_trace_rows`) every ``_BOUND_ROWS``
     rows and when the loop ends, and the blocks are stacked once, at the
-    end. No iteration labels its own step. With moving Jacobians an
+    end; a ``fixed`` game's per-run constants are one row each, viewed by
+    every row. No iteration labels its own step. With moving Jacobians an
     iteration takes each player's full-Jacobian norm, which the next
     Lipschitz estimate reads. One ``np.errstate(**QUIET)`` spans the loop: a
     diverging run ends in a finiteness check, not in a NumPy warning. The
@@ -836,17 +913,18 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     x, lam = state.x, state.duals.lam
     # Data that cannot move: gamma, the Jacobian norms and J are the first ones.
-    fixed = estimator.fixed
+    fixed, quad = estimator.fixed, game.quadratic is not None
     with np.errstate(**QUIET):   # an overflowed norm is the next sweep's oracle failure
-        jac_full = _jac_norms(point, game.constrained_runs)
+        jac_full = _jac_norms(game, point.g_jacobians)
         jac_own = _own_jac_norms(game, point.g_jacobians)
-    fixed_own = jac_own if fixed else None
     trace = SolveTrace(
         initial_L=lagrangian_values(point.theta, point.g_values, lam, rows),
         initial_feas=constraint_violation(point.g_values),
         initial_jac_norm=jac_full,
         initial_jac_own_norm=jac_own,
     )
+    if quad:   # iterate on own blocks: the trace block pass takes the rest
+        point = replace(point, theta=None, theta_grads=None)
 
     residual = np.inf
     status = "max_outer"
@@ -854,6 +932,22 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     message = ""
 
     pending, blocks, prev_L = [], [], trace.initial_L   # raw rows, built columns, last L
+    constants, dropped = None, None   # a fixed game's run columns; a row the block pass drops
+
+    def build() -> dict[str, Array]:
+        """The pending rows' columns, kept in ``blocks`` when not empty; sets
+        ``dropped`` to the first row the block pass did not build, if any."""
+        nonlocal pending, prev_L, dropped
+        block = _trace_rows(game, pending, constants, prev_L, cfg.outer_tol)
+        kept = len(block["k"])
+        if kept:
+            blocks.append(block)
+            prev_L = block["L_values"][-1]
+        if kept < len(pending):
+            dropped = pending[kept]
+        pending = []
+        return block
+
     with np.errstate(**QUIET):   # a diverging run ends in the oracle sweep's checks
         for k in range(cfg.max_outer):
             fresh = k == 0 or not fixed
@@ -867,39 +961,56 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                                             f"estimate {est.L[i]:.6g} and constraint-Jacobian "
                                             f"norm bound {est.L_gfun[i]:.6g}", player=i)
                     gamma_by_coord = game.layout.segments.repeat(gamma)
+                    if fixed:
+                        constants = dict(jac_norm=jac_full, jac_own_norm=jac_own, gamma=gamma,
+                                         M_theta_own=est.L_theta, M_g_own=est.M_g_own)
                 anchor = build_anchor(game, lam, gamma, point, gamma_by_coord)
                 inner = solve_inner(game, anchor, cfg)
+                new = inner.point
                 dx = inner.x_next - x
                 dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
-                slope = row_dots(anchor.grads, dx)
+                row = (k + 1, dx_inf, dlambda_inf, dx, x, inner.x_next, lam, inner.lam,
+                       inner.dlam, new.g_values, new.grad_own, point.g_jacobians, new.g_jacobians)
                 if not fixed:
-                    jac_full = _jac_norms(inner.point, game.constrained_runs)
+                    jac_full = _jac_norms(game, new.g_jacobians)
+                    row += (jac_full, gamma, est)
+                if not quad:
+                    row += (new.theta, row_dots(anchor.grads, dx))
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)
                 break
 
-            pending.append((k + 1, dx_inf, dlambda_inf, dx, inner.x_next, lam, inner.lam,
-                            inner.dlam, inner.point.theta, inner.point.g_values,
-                            inner.point.theta_grads.ravel()[game.layout.own_entries],
-                            inner.point.g_jacobians, jac_full, gamma, est, slope))
-            x, lam, point = inner.x_next, inner.lam, inner.point
+            pending.append(row)
+            x, lam, point = inner.x_next, inner.lam, new
             residual = max(dx_inf, dlambda_inf)
             if residual <= cfg.outer_tol:
                 status = "converged"
                 break
             if len(pending) == _BOUND_ROWS or watch.streak + len(pending) >= _STALL_PATIENCE:
-                blocks.append(_trace_rows(game, pending, fixed_own, prev_L, cfg.outer_tol))
-                prev_L, pending = blocks[-1]["L_values"][-1], []
-                if watch.stops(blocks[-1]):
+                block = build()
+                if dropped is not None:
+                    break
+                if watch.stops(block):
                     status = "stalled-stationary"
                     message = ("primal blocks pinned at a fixed point while the "
                                "multiplier drift is not decaying")
                     break
 
     if pending:
-        blocks.append(_trace_rows(game, pending, fixed_own, prev_L, cfg.outer_tol))
+        build()
+    if dropped is not None:   # the run ends before it, as an oracle failure there would
+        _, _, _, _, x, x_dropped, lam, *_ = dropped
+        status = "oracle-failure"
+        try:   # the full sweep there names the player and field
+            evaluate_point(game, x_dropped)
+        except OracleFailure as exc:
+            message = str(exc)
+        residual = (max(blocks[-1]["dx_inf"][-1], blocks[-1]["dlambda_inf"][-1]) if blocks
+                    else np.inf)
     if blocks:   # field by field: a field's blocks are freed as its column is made
-        trace.columns = {f: np.concatenate([b.pop(f) for b in blocks]) for f in list(blocks[0])}
+        run, n_rows = constants or {}, sum(len(b["k"]) for b in blocks)
+        trace.columns = {f: np.broadcast_to(run[f], (n_rows,) + run[f].shape) if f in run
+                         else np.concatenate([b.pop(f) for b in blocks]) for f in list(blocks[0])}
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(
@@ -908,7 +1019,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         trace=trace,
         wall_time=time.perf_counter() - t0,
         outer_iterations=len(trace.columns["k"]),
-        final_residual=residual,
+        final_residual=float(residual),
         message=message,
     )
 
@@ -920,6 +1031,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 _SLACK = 1e-9
 # Trace rows built at once by solve.
 _BOUND_ROWS = 64
+# Bytes of one (rows, N, n) stack of objective gradients in the trace block pass.
+_STACK_BYTES = 1 << 18
 # Messages kept per monitored bound; the counts cover every violation.
 _KEPT_MESSAGES = 20
 

@@ -83,6 +83,20 @@ def ad_start(game, I=5, J=2, K=3):
     return x0
 
 
+def free_affine_game():
+    """Two players with free one-variable blocks: player 0 minimizes
+    ``0.5 x1^2 + x1`` under the row ``x1 + x2 - 1 <= 0``, player 1 minimizes
+    ``0.5 x2^2 + x2`` with no row. Under a fixed gamma of 0.1 each step
+    overshoots ninefold, and from ``(1, 1)`` player 0's objective value
+    overflows while every gradient is still finite."""
+    layout = G.BlockLayout((1, 1))
+    players = [library.QuadraticPlayerSpec(np.diag([1.0, 0.0]), np.array([1.0, 0.0]),
+                                           G.SimpleSet.free(1), [(None, [1.0, 1.0], -1.0)]),
+               library.QuadraticPlayerSpec(np.diag([0.0, 1.0]), np.array([0.0, 1.0]),
+                                           G.SimpleSet.free(1))]
+    return library.QuadraticGnepSpec(layout, players, "free-affine").to_game()
+
+
 @pytest.fixture(scope="session")
 def ad_game():
     return library.gen_arrow_debreu(5, 2, 3, seed=0)

@@ -17,7 +17,8 @@ from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation, vec_nor
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
-from conftest import ad_start, fast_config, spectral_norm_reference, stopping_residual
+from conftest import (ad_start, fast_config, free_affine_game, spectral_norm_reference,
+                      stopping_residual)
 
 
 def test_example3_converges_from_all_starts(ex3_runs):
@@ -351,6 +352,20 @@ def test_fixed_jacobian_norms_match_fresh_norms():
         for r in res.trace.rows:
             assert r.jac_norm.tobytes() == full.tobytes()
             assert r.jac_own_norm.tobytes() == own.tobytes()
+
+
+def test_fixed_run_constants_are_stored_once():
+    # data that cannot move gives its per-run columns one row each: every
+    # row of gamma, M_theta_own, M_g_own and the Jacobian norms is a read-only
+    # view of that row, past one block of rows too
+    game, plant = G.library.gen_random_quadratic_with_plant(3, 2, 2, seed=4)
+    res = G.solve(game, plant, fast_config(max_outer=200))
+    assert res.outer_iterations > G.solver._BOUND_ROWS
+    for f in ("gamma", "M_theta_own", "M_g_own", "jac_norm", "jac_own_norm"):
+        col = res.trace.columns[f]
+        assert col.shape == (res.outer_iterations, game.num_players), f
+        assert col.strides[0] == 0 and not col.flags.writeable, f
+        assert col.tobytes() == np.tile(col[0], (len(col), 1)).tobytes(), f
 
 
 def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
@@ -739,6 +754,29 @@ def test_diverging_run_ends_in_the_oracle_check_without_warnings():
                       G.SolverConfig(gamma=G.GammaPolicy.fixed(0.5), max_outer=200))
     assert res.status == "oracle-failure" and res.outer_iterations == 6
     assert res.message == "player 0: non-finite objective value"
+
+
+def test_a_failure_the_block_pass_finds_ends_the_run_at_its_iteration(monkeypatch):
+    # player 0's objective value overflows at iteration 138 while every
+    # gradient stays finite, so the loop runs on, and the block pass that
+    # builds the rows after the second block finds it: the run ends as an
+    # oracle failure at iteration 138 would, with the 137 rows and the state
+    # before it, the rows the loop ran past it dropped and no NumPy warning
+    B = G.solver._BOUND_ROWS
+    blocks = record_blocks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = G.solve(free_affine_game(), np.ones(2),
+                      G.SolverConfig(gamma=G.GammaPolicy.fixed(0.1)))
+    assert res.status == "oracle-failure"
+    assert res.message == "player 0: non-finite objective value"
+    assert res.outer_iterations == len(res.trace.rows) == 137 == 2 * B + 9
+    assert res.state.x.tobytes() == np.array([-2.499792023329836e+153,
+                                              -1.0770944519017236e+131]).tobytes()
+    assert res.state.duals.lam.tobytes() == np.zeros(1).tobytes()
+    assert res.final_residual == max(res.trace.rows[-1].dx_inf, res.trace.rows[-1].dlambda_inf)
+    (_, pending, *_), built = blocks[-1]
+    assert len(built["k"]) == 9 < len(pending)
 
 
 def test_shared_constraint_game_matches_grid_reference():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import gnepsolve as G
 from gnepsolve.core import (BlockLayout, GameInstance, PlayerDualState, PlayerProblem, SimpleSet,
                             initial_state, max_abs, row_dots)
-from gnepsolve.lagrangian import (PenaltyParams, PointEval, QuadraticAnchor, build_anchor,
+from gnepsolve.lagrangian import (PenaltyParams, QuadraticAnchor, build_anchor,
                                    evaluate_point, lagrangian_value, lagrangian_values)
 from gnepsolve.solver import (
     GammaPolicy,
@@ -226,9 +226,7 @@ def test_jac_norms_match_the_formula_on_each_players_slices(shapes, seed):
     players = tuple(PlayerProblem(None, None, None, None, SimpleSet.free(d), m) for m, d in shapes)
     game = GameInstance(players, BlockLayout(tuple(d for _, d in shapes)))
     J = np.random.default_rng(seed).standard_normal((game.total_constraints, game.n))
-    point = PointEval(np.zeros(game.n), np.zeros(len(players)), np.zeros((len(players), game.n)),
-                      np.zeros(game.total_constraints), J)
-    full = G.solver._jac_norms(point, game.constrained_runs)
+    full = G.solver._jac_norms(game, J)
     own = G.solver._own_jac_norms(game, J)
     blocks = [J[a:b] for a, b in zip(game.rows.bounds, game.rows.bounds[1:])]
     assert full.tobytes() == np.array([spectral_norm_reference(B) for B in blocks]).tobytes()

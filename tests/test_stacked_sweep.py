@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import gnepsolve as G
 from gnepsolve import lagrangian, library
-from gnepsolve.core import PlayerDualState, Segments
+from gnepsolve.core import PlayerDualState, Segments, row_dots
 from gnepsolve.solver import _objective_norms, spectral_norms
-from gnepsolve.lagrangian import (PenaltyParams, evaluate_point, lagrangian_from_values,
-                                  lagrangian_values, projected_gradient_x)
+from gnepsolve.lagrangian import (PenaltyParams, build_anchor, evaluate_point,
+                                  lagrangian_from_values, lagrangian_values, projected_gradient_x)
 from conftest import QUAD_SHAPES, dense_objective
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
@@ -280,6 +280,80 @@ def test_leading_axis_helpers_are_the_per_row_calls(drawn, R, S):
         assert bits(seg.max_abs(a[0])) == bits([seg.max_abs(row) for row in a[0]])
         assert bits(seg.max_abs(a)) == bits([[seg.max_abs(row) for row in s] for s in a])
     check_qx_block(game, rng, R)
+
+
+@settings(deadline=None, max_examples=40)
+@given(affine_specs(), st.integers(1, 4), st.integers(1, 3))
+def test_own_block_sweep_and_products_over_leading_axes_are_the_one_point_forms(drawn, R, S):
+    # every Q_i @ x over (R, n) and (S, R, n) points, band, band-signed and
+    # dense players mixed; an own-block point's gradients and constraint
+    # fields, and the own-block anchor built on it, against the full sweep's
+    spec, rng = drawn
+    game = spec.to_game()
+    q = game.quadratic
+    X = 3.0 * _signed(rng, (S, R, game.n))
+    assert bits(q.products(X[0])) == bits([q.products(x) for x in X[0]])
+    assert bits(q.products(X)) == bits([[q.products(x) for x in s] for s in X])
+    lam = np.abs(_signed(rng, game.total_constraints))
+    gamma = rng.uniform(0.5, 5.0, game.num_players)
+    for x in X[0]:
+        full, own = evaluate_point(game, x), lagrangian.own_sweep(game, x)
+        assert own.theta is None and own.theta_grads is None
+        for f in ("grad_own", "g_values", "g_jacobians"):
+            assert bits(getattr(own, f)) == bits(getattr(full, f)), f
+        assert bits(build_anchor(game, lam, gamma, own).own_grad) == bits(
+            build_anchor(game, lam, gamma, full).own_grad)
+
+
+def shaped_game(shapes, seed):
+    """Three players (blocks of 2, 3 and 1 variables in boxes, 2, 0 and 1
+    affine rows) whose objectives have ``shapes`` (see :func:`_objective`)."""
+    rng = np.random.default_rng(seed)
+    layout, players = G.BlockLayout((2, 3, 1)), []
+    for shape, sl, d, m in zip(shapes, layout.slices, layout.dims, (2, 0, 1)):
+        Q = _objective(shape, sl, rng, layout.n)
+        Q[sl, sl] += 3.0 * np.eye(d)
+        players.append(library.QuadraticPlayerSpec(
+            Q, rng.standard_normal(layout.n), G.SimpleSet.box(-np.ones(d), np.ones(d)),
+            [(None, rng.standard_normal(layout.n), -0.5) for _ in range(m)]))
+    return library.QuadraticGnepSpec(layout, players, "-".join(shapes)).to_game()
+
+
+@pytest.mark.parametrize("make_game, dense", [
+    (lambda: library.gen_random_quadratic(2, 3, 2, seed=116), 0),
+    (lambda: shaped_game(("dense",) * 3, 1), 3),
+    (lambda: shaped_game(("band", "dense", "band-signed"), 2), 2),
+    (library.make_example3, 0),
+], ids=["band", "all-dense", "mixed", "example3"])
+def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypatch, make_game,
+                                                                        dense):
+    # a run's rows, in chunks of three points: products over a leading axis
+    # of points are the per-point products, and the block pass's objective
+    # values and model slopes (led by each chunk's anchor, carried from
+    # chunk to chunk) are the full sweep's values at each row's point and
+    # the slopes of the full anchor at the previous one; example3's
+    # Jacobians move and are stacked by row
+    game = make_game()
+    q, N, n = game.quadratic, game.num_players, game.n
+    assert len(q.dense_players) == dense
+    blocks, trace_rows = [], G.solver._trace_rows
+    monkeypatch.setattr(G.solver, "_trace_rows", lambda *args: (blocks.append(args[1]),
+                                                                trace_rows(*args))[1])
+    monkeypatch.setattr(G.solver, "_STACK_BYTES", 3 * 8 * N * n)
+    res = G.solve(game, np.zeros(n), G.SolverConfig(max_outer=70, outer_tol=1e-14))
+    assert res.outer_iterations == 70 and len(blocks) == 2
+    for pending in blocks:
+        _, _, _, dx, x_prev, x, lam_prev, lam, _, _, _, J_prev, J, *_ = map(list, zip(*pending))
+        X = np.array(x)
+        assert bits(q.products(X)) == bits([q.products(p) for p in X])
+        J = J[0] if G.LipschitzEstimator(game).fixed else np.array(J)
+        theta, slope = G.solver._objective_rows(game, (x_prev[0], lam_prev[0], J_prev[0]), X,
+                                                np.array(lam), J, np.array(dx))
+        assert len(theta) == len(slope) == len(pending)
+        for j in range(len(pending)):
+            assert bits(theta[j]) == bits(evaluate_point(game, x[j]).theta)
+            anchor = build_anchor(game, lam_prev[j], np.ones(N), evaluate_point(game, x_prev[j]))
+            assert bits(slope[j]) == bits(row_dots(anchor.grads, dx[j]))
 
 
 @pytest.mark.parametrize("make_game", [

@@ -21,6 +21,11 @@ solver configuration each is run with elsewhere:
 - the test suite's a18, Arrow-Debreu and example3 runs (example3 from its
   three starts, and tightly from the origin), with the starts from
   ``tests/conftest.py``;
+- two runs that end in an oracle failure mid-run, as the test suite runs
+  them: example3 diverging from the origin under a fixed gamma of 0.5 (at
+  iteration 6), and the free-affine game of ``tests/conftest.py`` from
+  ``(1, 1)`` under a fixed gamma of 0.1, whose objective value overflows
+  past two blocks of trace rows while its gradients stay finite (137 rows);
 - power from ``const:5`` at 400 outer iterations, as the test suite runs it;
 - power-cli's run: power from ``const:0`` under the CLI's default
   configuration, capped at ``POWER_MAX_OUTER`` outer iterations, as the
@@ -62,7 +67,7 @@ def run_set():
     sys.path += [str(ROOT), str(ROOT / "tests")]
     import gnepsolve as G
     from gnepsolve import library
-    from conftest import ad_start
+    from conftest import ad_start, free_affine_game
     from perfbench.workloads import (POWER_MAX_OUTER, QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER,
                                      WIDE_SHAPE, fast_config)
 
@@ -86,6 +91,10 @@ def run_set():
         runs.append((f"example3/{x0}", ex3, np.array(x0), G.SolverConfig()))
     runs.append(("example3/tight", ex3, np.zeros(2),
                  fast_config(outer_tol=1e-8, max_outer=40000)))
+    runs.append(("example3/diverging", ex3, np.zeros(2),
+                 G.SolverConfig(gamma=G.GammaPolicy.fixed(0.5), max_outer=200)))
+    runs.append(("free-affine", free_affine_game(), np.ones(2),
+                 G.SolverConfig(gamma=G.GammaPolicy.fixed(0.1))))
     ad = library.gen_arrow_debreu(5, 2, 3, seed=0)
     gamma = G.GammaPolicy.fixed(np.array([30.0] * 5 + [260.0] * 2 + [300.0]))
     runs.append(("arrow-debreu", ad, ad_start(ad), fast_config(max_outer=60000, gamma=gamma)))
