@@ -114,6 +114,15 @@ class BlockLayout:
                                for i, s in enumerate(self.slices)])
 
 
+def run_matvec(runs: Sequence[Array], x: Array) -> Array:
+    """``A[s] @ x`` for every segment ``s`` of the rows of ``A``, stacked,
+    from its :meth:`Segments.row_runs` ``runs``: one gemv per segment, as
+    the per-player product gives, batched per run, and the runs' products
+    concatenated only when there are several (the runs hold every row)."""
+    parts = [np.matmul(B, x).ravel() for B in runs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)])
+
+
 def _equal_runs(keys: Sequence) -> list[tuple[int, int]]:
     """``(start, stop)`` of each maximal run of consecutive equal ``keys``."""
     starts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]] + [len(keys)]
@@ -183,13 +192,12 @@ class Segments:
             out[..., players] = np.abs(a[..., entries].reshape(lead + (-1, w))).max(axis=-1)
         return out
 
-    def matvec(self, A: Array, x: Array) -> Array:
-        """``A[s] @ x`` for every segment ``s`` of the rows of ``A``, stacked:
-        one gemv per segment, as the per-player product gives."""
-        A, out = np.ascontiguousarray(A), np.zeros(self.total)
-        for _, entries, w in self._runs:
-            out[entries] = np.matmul(A[entries].reshape(-1, w, A.shape[1]), x).ravel()
-        return out
+    def row_runs(self, A: Array) -> tuple[Array, ...]:
+        """The segments of the rows of ``A`` as one ``(p, w, d)`` array per
+        run, views of ``A`` in C order (copied into it first if it is not),
+        for :func:`run_matvec`."""
+        A = np.ascontiguousarray(A)
+        return tuple(A[entries].reshape(-1, w, A.shape[1]) for _, entries, w in self._runs)
 
     def vecmat_add(self, base: Array, a: Array, A: Array) -> Array:
         """``base[i] + A[s].T @ a[s]`` for every player ``i`` whose segment
@@ -400,6 +408,19 @@ class QuadraticStack:
         return self.C + 0.0
 
     @cached_property
+    def ones(self) -> tuple[Array, Array]:
+        """Ones as long as the joint vector and as the constraint rows: a dot
+        product with them sums a vector, one BLAS call."""
+        return np.ones(self.layout.n), np.ones(len(self.D))
+
+    @cached_property
+    def affine_offset(self) -> Array:
+        """``D + 0.0``: the affine rows ``C x + affine_offset`` are bit for bit
+        ``C x + 0.0 + D``, one add fewer (adding +0.0 only turns a -0.0 into
+        +0.0, and a zero sum rounds to +0.0 either way)."""
+        return self.D + 0.0
+
+    @cached_property
     def _runs(self) -> tuple[tuple[slice, int, Array], ...]:
         """``(entries, w, band)`` of each run of ``bands``."""
         return tuple((entries, w, K) for (_, entries, w), K in
@@ -415,14 +436,16 @@ class QuadraticStack:
         """Every player's own block of its ``b`` row, stacked like ``x``."""
         return self.b.ravel()[self.layout.own_entries]
 
-    def products(self, x: Array, player: int | None = None) -> Array:
+    def products(self, x: Array, player: int | None = None,
+                 own_rows: Array | None = None) -> Array:
         """``Q_i @ x`` of every player, stacked ``(..., N, n)`` over any
         leading axes of ``x``, or of ``player`` alone at one point,
         ``(1, n)``: each band times its player's block (one gemv per player,
-        batched per run), its own entries overwritten by ``G @ x``, and the
-        dense players' rows by one batched ``dense @ x`` (all that is taken
-        when every player is dense). Each point's products are bit for bit
-        those of a call at that point alone: every gemv keeps its shape and
+        batched per run), its own entries overwritten by ``G @ x`` (or by
+        ``own_rows``, a caller's ``G @ x`` at every point), and the dense
+        players' rows by one batched ``dense @ x`` (all that is taken when
+        every player is dense). Each point's products are bit for bit those
+        of a call at that point alone: every gemv keeps its shape and
         strides.
 
         ``G @ x`` is one gemv of the dense shape, so the own entries, which
@@ -436,7 +459,8 @@ class QuadraticStack:
             if len(self.dense_players) == self.layout.num_blocks:
                 return np.matmul(self.dense, x[..., None, :, None])[..., 0]
             runs, own = self._runs, self.layout.own_entries
-            own_rows = np.matmul(self.G, x[..., None])[..., 0]
+            if own_rows is None:
+                own_rows = np.matmul(self.G, x[..., None])[..., 0]
         elif player in self.dense_players:
             return (self.dense[self.dense_players.index(player)] @ x)[None]
         else:
@@ -518,6 +542,22 @@ class GameInstance:
                      for i, j in _equal_runs(list(zip(m.counts, b.counts))) if m.counts[i])
 
     @cached_property
+    def own_gathers(self) -> tuple[tuple[slice, slice, int, Array], ...]:
+        """``(rows, cols, p, own)`` of each run of :attr:`constrained_runs`:
+        its constraint rows and blocks, its ``p`` players, and the flat
+        indices of their own-block entries in a ``(p, n)`` array of their
+        gradient rows."""
+        n, own = self.n, self.layout.own_entries
+        return tuple((rows, cols, players.stop - players.start, own[cols] - players.start * n)
+                     for players, rows, cols in self.constrained_runs)
+
+    @cached_property
+    def _affine_rows(self) -> tuple[Array, ...]:
+        """The stacked quadratic data's ``C`` as one ``(p, w, n)`` view per
+        run of :attr:`rows` (:meth:`Segments.row_runs`)."""
+        return self.rows.row_runs(self.quadratic.C)
+
+    @cached_property
     def _clip_bounds(self) -> tuple[Array, Array, tuple[int, ...]]:
         """Stacked bounds of the box and nonneg blocks (other blocks unbounded)
         and the indices of the simplex and ball blocks."""
@@ -576,11 +616,11 @@ def _attach_quadratic_stack(game: GameInstance, q: QuadraticStack) -> GameInstan
 def quadratic_constraints(game: GameInstance, x: Array) -> tuple[Array, Array]:
     """Constraint values and Jacobians at ``x`` of a game with stacked
     quadratic data: the affine rows ``C x + 0.0 + D`` (one gemv per player,
-    batched per run) and the constant Jacobian ``C + 0.0``, each curved
-    player's rows from its oracles, bit for bit what the players' oracles
-    return."""
+    batched per run on views of ``C`` bound once per game) and the constant
+    Jacobian ``C + 0.0``, each curved player's rows from its oracles, bit for
+    bit what the players' oracles return."""
     q, bounds = game.quadratic, game.rows.bounds
-    g, jac = game.rows.matvec(q.C, x) + 0.0 + q.D, q.jacobian
+    g, jac = run_matvec(game._affine_rows, x) + q.affine_offset, q.jacobian
     if q.hessians:
         jac = jac.copy()
         for i in q.hessians:

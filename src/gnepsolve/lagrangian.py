@@ -117,7 +117,8 @@ class PointEval:
 
     ``grad_own`` stacks every player's own block of its gradient row, like
     ``x``. An own-block point (:func:`own_sweep`) holds no objective value
-    and no full gradient: its ``theta`` and ``theta_grads`` are ``None``."""
+    and no full gradient: its ``theta`` and ``theta_grads`` are ``None``, and
+    ``own_rows`` holds the ``G @ x`` its ``grad_own`` adds ``b_own`` to."""
 
     x: Array
     theta: Array | None          # (N,) objective values
@@ -125,6 +126,7 @@ class PointEval:
     g_values: Array              # (M,) constraint values
     g_jacobians: Array           # (M, n) constraint Jacobians
     grad_own: Array | None = None   # (n,) own blocks of theta_grads
+    own_rows: Array | None = None   # (n,) G @ x of an own-block point
 
 
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
@@ -167,14 +169,17 @@ def own_sweep(game: GameInstance, x: Array) -> PointEval:
     takes no copy and no ``errstate``; a non-finite value among them raises
     :class:`OracleFailure` naming the first player and field of the full
     sweep at ``x``. The objective values and the rival blocks of the
-    gradients are not taken: the trace block pass checks them."""
+    gradients are not taken: the trace block pass checks them, and takes
+    its products' own rows from the point's ``own_rows``."""
     q = game.quadratic
-    grad_own = np.matmul(q.G, x) + q.b_own
+    own_rows = np.matmul(q.G, x)
+    grad_own = own_rows + q.b_own
     g, jac = quadratic_constraints(game, x)
-    total = _sum(grad_own, None) + _sum(g, None) + (_sum(jac, None) if q.hessians else 0.0)
+    ones_n, ones_m = q.ones   # the sums as dot products: one BLAS call each
+    total = grad_own.dot(ones_n) + g.dot(ones_m) + (_sum(jac, None) if q.hessians else 0.0)
     if not math.isfinite(total):
         _raise_first_nonfinite(game, raw_sweep(game, x))
-    return PointEval(x, None, None, g, jac, grad_own)
+    return PointEval(x, None, None, g, jac, grad_own, own_rows)
 
 
 def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
@@ -320,11 +325,14 @@ def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
     same bits as in the full gradient (a gemv over the own columns alone
     rounds differently)."""
     if point.theta_grads is None:
-        grads, own_grad, J, n = None, point.grad_own.copy(), point.g_jacobians, game.n
-        for players, rows, cols in game.constrained_runs:
-            p = players.stop - players.start
-            full = np.matmul(lam[rows].reshape(p, 1, -1), J[rows].reshape(p, -1, n))
-            own_grad[cols] += full.ravel()[game.layout.own_entries[cols] - players.start * n]
+        grads, own_grad, J, n = None, point.grad_own, point.g_jacobians, game.n
+        for rows, cols, p, own in game.own_gathers:
+            terms = np.matmul(lam[rows].reshape(p, 1, -1), J[rows].reshape(p, -1, n)).ravel()[own]
+            if cols.stop - cols.start == n:   # the run holds every block: one add, no copy
+                own_grad = own_grad + terms
+            else:
+                own_grad = own_grad.copy() if own_grad is point.grad_own else own_grad
+                own_grad[cols] += terms
     else:
         grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
         own_grad = grads.ravel()[game.layout.own_entries]

@@ -569,7 +569,10 @@ class _StallWatch:
     residual at most 98% of the streak's first) nor drains (``max |lam|``
     down by ``0.25 * _STALL_PATIENCE * tol``) stop the run: the primal is
     pinned, and growing multipliers mean no finite stationary multiplier
-    nearby. A streak whose drift does either starts over."""
+    nearby. A streak whose drift does either starts over. ``streak`` is the
+    stall run the rows fed so far end in: the next rows can stop the run
+    only once they and it hold ``_STALL_PATIENCE`` stalls, each a row whose
+    ``dx_inf`` is within ``tol``, which is when :func:`solve` builds them."""
 
     tol: float
     streak: int = 0
@@ -756,14 +759,15 @@ def _own_jac_norms(game: GameInstance, J: Array) -> Array:
 
 
 def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: Array,
-                    lam: Array, J: Array, dx: Array) -> tuple[Array, Array]:
+                    lam: Array, J: Array, dx: Array, own_rows: Array) -> tuple[Array, Array]:
     """For a game with stacked quadratic data, the objective values at each
     row's point ``x[j]`` and the model slopes ``((Q x_a + b) + J_a.T lam_a)
     . dx[j]`` at its anchor: the previous row's point, multipliers ``lam``
     and Jacobians ``J`` (shared (M, n) or stacked by row), ``anchor`` for
     the first row. Bit for bit what a full sweep at each point and
     :func:`build_anchor`'s gradients give. The rows go in chunks, whose
-    products are taken over a leading axis of their points; one ``(rows, N,
+    products are taken over a leading axis of their points, with their
+    ``G @ x`` rows ``own_rows``, which the iterations kept; one ``(rows, N,
     n)`` stack holds at most ``_STACK_BYTES``. Returns the rows before the
     first whose objective value or gradient has a non-finite entry."""
     q, N, n = game.quadratic, game.num_players, game.n
@@ -773,7 +777,7 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: A
     thetas, slopes = [np.zeros((0, N))], [np.zeros((0, N))]
     for s in range(0, len(x), step):
         X = x[s:s + step]
-        grads = q.products(X)
+        grads = q.products(X, own_rows=own_rows[s:s + step])
         theta = 0.5 * row_dots(grads, X) + row_dots(q.b, X)
         grads += q.b
         finite = np.isfinite(theta).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
@@ -793,6 +797,16 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: A
     return np.concatenate(thetas), np.concatenate(slopes)
 
 
+def _block_rows(row: tuple, fixed: bool) -> int:
+    """Rows per trace block of a run whose first pending row is ``row``
+    (every row of a run holds arrays of the same shapes): as many as fit
+    their arrays in ``_BLOCK_BYTES``, from one to ``_BOUND_ROWS``. A
+    ``fixed`` run's ``J`` is every row's, so it is not counted."""
+    held = row[:11] + row[13:] if fixed else row
+    nbytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+    return min(_BOUND_ROWS, max(1, _BLOCK_BYTES // nbytes))
+
+
 @np.errstate(**QUIET)   # a diverging run records non-finite values
 def _trace_rows(game: GameInstance, pending: list[tuple], constants: dict[str, Array] | None,
                 prev_L: Array, stall_tol: float) -> dict[str, Array]:
@@ -802,16 +816,16 @@ def _trace_rows(game: GameInstance, pending: list[tuple], constants: dict[str, A
     J)``, the state before it (its anchor) and after it; data that can move
     adds ``(jac_norm, gamma, est)``, and a game without stacked quadratic
     data adds ``(theta, slope)``, which its iterations computed. A game with
-    stacked quadratic data has them computed here (:func:`_objective_rows`),
-    and only the rows before the first whose objective value or gradient is
-    not finite are built. Data that cannot move passes its per-run columns
-    ``constants``, each one ``(N,)`` row that every row's column is a
-    read-only view of, and every row's ``J`` is the first; else the rows'
-    ``J`` are stacked and their own-block norms taken from the stack. The
-    Lagrangian values at the primal step and after the dual step are one
-    :func:`lagrangian_values` call over a leading axis of (rows, 2), and each
-    row's exit label is judged against the values after the previous row,
-    ``prev_L`` for the first."""
+    stacked quadratic data adds its ``G @ x`` instead and has them computed
+    here (:func:`_objective_rows`), and only the rows before the first whose
+    objective value or gradient is not finite are built. Data that cannot
+    move passes its per-run columns ``constants``, each one ``(N,)`` row
+    that every row's column is a read-only view of, and every row's ``J`` is
+    the first; else the rows' ``J`` are stacked and their own-block norms
+    taken from the stack. The Lagrangian values at the primal step and after
+    the dual step are one :func:`lagrangian_values` call over a leading axis
+    of (rows, 2), and each row's exit label is judged against the values
+    after the previous row, ``prev_L`` for the first."""
     cols = list(zip(*pending))
     ks, dx_inf, dlam_inf, dx, x_prev, x, lam_prev, lam, dlam, g, grad_own, J_prev, J = cols[:13]
     dx, x, lam_prev, lam, g = map(np.array, (dx, x, lam_prev, lam, g))
@@ -819,7 +833,8 @@ def _trace_rows(game: GameInstance, pending: list[tuple], constants: dict[str, A
     if game.quadratic is None:
         theta, slope = map(np.array, cols[-2:])
     else:
-        theta, slope = _objective_rows(game, (x_prev[0], lam_prev[0], J_prev[0]), x, lam, J, dx)
+        theta, slope = _objective_rows(game, (x_prev[0], lam_prev[0], J_prev[0]), x, lam, J, dx,
+                                       np.array(cols[-1]))
         if len(theta) < len(pending):
             return (_trace_rows(game, pending[:len(theta)], constants, prev_L, stall_tol)
                     if len(theta) else _empty_columns())
@@ -881,19 +896,24 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     sweep per iteration (one call of its batched oracle when it has one) and
     the model slopes along its step. What only the trace reads waits: each
     iteration keeps its row's raw arrays, one pass over a leading axis of
-    rows builds their columns (:func:`_trace_rows`) every ``_BOUND_ROWS``
-    rows and when the loop ends, and the blocks are stacked once, at the
-    end; a ``fixed`` game's per-run constants are one row each, viewed by
-    every row. No iteration labels its own step. With moving Jacobians an
-    iteration takes each player's full-Jacobian norm, which the next
-    Lipschitz estimate reads. One ``np.errstate(**QUIET)`` spans the loop: a
-    diverging run ends in a finiteness check, not in a NumPy warning. The
-    stall stop (:class:`_StallWatch`) reads each built block's labels; its
-    streak grows by at most one per row, so the pending rows are built early
-    only when the last of them could complete a run of ``_STALL_PATIENCE``
-    stalls, and a stop lands on the iteration that completes it. Every
-    per-player reduction is bit for bit the per-player one, so neither the
-    iterates, the trace nor the stop depend on how the work is batched.
+    rows builds their columns (:func:`_trace_rows`) when the pending rows'
+    arrays reach ``_BLOCK_BYTES``, at most every ``_BOUND_ROWS`` rows
+    (:func:`_block_rows`), and when the loop ends, and the blocks are
+    stacked once, at the end; a ``fixed`` game's per-run constants are one
+    row each, viewed by every row. No iteration labels its own step. With
+    moving Jacobians an iteration takes each player's full-Jacobian norm,
+    which the next Lipschitz estimate reads. One ``np.errstate(**QUIET)``
+    spans the loop: a diverging run ends in a finiteness check, not in a
+    NumPy warning. The stall stop (:class:`_StallWatch`) reads each built
+    block's labels; its streak grows by at most one per row, and a stall
+    label needs ``dx_inf <= outer_tol`` (:func:`_exit_labels`). So the loop
+    counts the trailing pending rows within that tolerance, and builds the
+    pending rows early when the count, plus the stop's streak if the count
+    spans every pending row, reaches ``_STALL_PATIENCE``: only then could
+    the last row complete a run of stalls, and a stop lands on the iteration
+    that completes it. Every per-player reduction is bit for bit the
+    per-player one, so neither the iterates, the trace nor the stop depend
+    on how the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -933,11 +953,12 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     pending, blocks, prev_L = [], [], trace.initial_L   # raw rows, built columns, last L
     constants, dropped = None, None   # a fixed game's run columns; a row the block pass drops
+    block_rows, still = 0, 0   # rows per block (from the first row); trailing rows within tol
 
     def build() -> dict[str, Array]:
         """The pending rows' columns, kept in ``blocks`` when not empty; sets
         ``dropped`` to the first row the block pass did not build, if any."""
-        nonlocal pending, prev_L, dropped
+        nonlocal pending, prev_L, dropped, still
         block = _trace_rows(game, pending, constants, prev_L, cfg.outer_tol)
         kept = len(block["k"])
         if kept:
@@ -945,7 +966,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             prev_L = block["L_values"][-1]
         if kept < len(pending):
             dropped = pending[kept]
-        pending = []
+        pending, still = [], 0
         return block
 
     with np.errstate(**QUIET):   # a diverging run ends in the oracle sweep's checks
@@ -974,8 +995,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 if not fixed:
                     jac_full = _jac_norms(game, new.g_jacobians)
                     row += (jac_full, gamma, est)
-                if not quad:
-                    row += (new.theta, row_dots(anchor.grads, dx))
+                row += (new.own_rows,) if quad else (new.theta, row_dots(anchor.grads, dx))
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)
                 break
@@ -986,7 +1006,11 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
             if residual <= cfg.outer_tol:
                 status = "converged"
                 break
-            if len(pending) == _BOUND_ROWS or watch.streak + len(pending) >= _STALL_PATIENCE:
+            block_rows = block_rows or _block_rows(row, fixed)
+            still = still + 1 if dx_inf <= cfg.outer_tol else 0   # a stall label needs it
+            # the longest run of stalls the last pending row could end
+            stalls = still + (watch.streak if still == len(pending) else 0)
+            if len(pending) == block_rows or stalls >= _STALL_PATIENCE:
                 block = build()
                 if dropped is not None:
                     break
@@ -1029,8 +1053,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 # ---------------------------------------------------------------------------
 
 _SLACK = 1e-9
-# Trace rows built at once by solve.
-_BOUND_ROWS = 64
+# Most trace rows built at once by solve, and the bytes of the arrays the
+# pending rows hold that size a block below it (see _block_rows).
+_BOUND_ROWS = 256
+_BLOCK_BYTES = 1 << 19
 # Bytes of one (rows, N, n) stack of objective gradients in the trace block pass.
 _STACK_BYTES = 1 << 18
 # Messages kept per monitored bound; the counts cover every violation.

@@ -26,6 +26,14 @@ def spectral_norm_reference(mat):
     return float(np.sqrt(max(0.0, float(np.max(np.linalg.eigvalsh(gram))))))
 
 
+def blocks_of(monkeypatch, rows):
+    """Cap ``solve``'s trace blocks at ``rows``, the size a small game's
+    blocks then take (its rows fit the byte budget many times): for a test
+    written for one block size. Returns ``rows``."""
+    monkeypatch.setattr(G.solver, "_BOUND_ROWS", rows)
+    return rows
+
+
 def stopping_residual(prev, next_state):
     """The larger of the primal and the multiplier max-norm moves between two
     states: the quantity ``solve`` stops on, from the states alone."""

@@ -17,8 +17,8 @@ from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation, vec_nor
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
-from conftest import (ad_start, fast_config, free_affine_game, spectral_norm_reference,
-                      stopping_residual)
+from conftest import (ad_start, blocks_of, fast_config, free_affine_game,
+                      spectral_norm_reference, stopping_residual)
 
 
 def test_example3_converges_from_all_starts(ex3_runs):
@@ -160,11 +160,11 @@ def test_start_point_overflow_ends_in_an_oracle_failure_without_a_warning():
     assert res.trace.initial_jac_norm.tolist() == [np.inf]
 
 
-def test_runs_ending_mid_block_keep_every_row():
-    # solve builds its trace rows in blocks of _BOUND_ROWS and the rest when
-    # the loop ends: a converged run and an oracle failure, both past one
-    # block and short of the next, keep one row per completed iteration
-    B = G.solver._BOUND_ROWS
+def test_runs_ending_mid_block_keep_every_row(monkeypatch):
+    # solve builds its trace rows in blocks (of 64 rows here) and the rest
+    # when the loop ends: a converged run and an oracle failure, both past
+    # one block and short of the next, keep one row per completed iteration
+    B = blocks_of(monkeypatch, 64)
     game, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     converged = G.solve(game, np.zeros(game.n), fast_config())
     failing = G.solve(*nan_past_a_block())
@@ -178,10 +178,12 @@ def test_runs_ending_mid_block_keep_every_row():
     assert [r.dx_2 for r in failing.trace.rows] == [1.0] * (B + 6)
 
 
-def test_trace_rows_are_views_of_the_columns():
+def test_trace_rows_are_views_of_the_columns(monkeypatch):
     # the trace holds one column per TraceRow field, one row per completed
-    # iteration, over a run past one block, a stalled run and a mid-block
-    # oracle failure; trace.rows builds each row from the columns' entries
+    # iteration, over a run past one block (of 64 rows), a stalled run and a
+    # mid-block oracle failure; trace.rows builds each row from the columns'
+    # entries
+    blocks_of(monkeypatch, 64)
     quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     for game, x0, cfg, status in [(quad, np.zeros(quad.n), fast_config(), "converged"),
                                   (one_point_game(0.5), np.zeros(1), G.SolverConfig(),
@@ -251,8 +253,9 @@ def test_block_rows_are_the_one_row_rows(monkeypatch):
     # judged against the previous row's values: a quad-suite run past one
     # block, random-quadratic's default run (its last 100 rows stall), an
     # oracle failure in mid-block and a power run past one block, whose
-    # own-block Jacobian norms the block pass takes from the stacked J
-    B = G.solver._BOUND_ROWS
+    # own-block Jacobian norms the block pass takes from the stacked J;
+    # blocks of 64 rows
+    B = blocks_of(monkeypatch, 64)
     quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     rq = G.library.builtin_instance("random-quadratic")
     power = G.library.builtin_instance("power")
@@ -289,9 +292,9 @@ def test_block_rows_are_the_one_row_rows(monkeypatch):
 
 def test_values_and_labels_are_computed_once_per_block(monkeypatch):
     # a run that never stalls evaluates the Lagrangian and the segment sums
-    # once per block of trace rows, not once per iteration: run lengths with
-    # the same number of blocks make the same calls
-    B = G.solver._BOUND_ROWS
+    # once per block of trace rows (64 here), not once per iteration: run
+    # lengths with the same number of blocks make the same calls
+    B = blocks_of(monkeypatch, 64)
     game, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     calls = {}
 
@@ -354,10 +357,11 @@ def test_fixed_jacobian_norms_match_fresh_norms():
             assert r.jac_own_norm.tobytes() == own.tobytes()
 
 
-def test_fixed_run_constants_are_stored_once():
+def test_fixed_run_constants_are_stored_once(monkeypatch):
     # data that cannot move gives its per-run columns one row each: every
     # row of gamma, M_theta_own, M_g_own and the Jacobian norms is a read-only
-    # view of that row, past one block of rows too
+    # view of that row, past one block of rows (64 here) too
+    blocks_of(monkeypatch, 64)
     game, plant = G.library.gen_random_quadratic_with_plant(3, 2, 2, seed=4)
     res = G.solve(game, plant, fast_config(max_outer=200))
     assert res.outer_iterations > G.solver._BOUND_ROWS
@@ -464,14 +468,15 @@ def test_run_mixing_affine_and_curved_players_matches_fresh_norms(monkeypatch):
     assert len({row.jac_own_norm[1] for row in res.trace.rows}) > 10   # the curved player's moved
 
 
-def test_trace_quantities_match_their_single_implementations(a18_game, ad_game):
+def test_trace_quantities_match_their_single_implementations(monkeypatch, a18_game, ad_game):
     # the trace's Lagrangian values (after each iteration and at its primal
     # step), multiplier norms, projected-gradient blocks, feasibility and
     # stopping residual are the quantities the public functions compute, bit
     # for bit; the state after k iterations is the state of a k-capped run.
     # a18; an affine quad-suite game, whose gamma is computed once per run,
     # from the origin, where its rows are active, run past the first block of
-    # trace rows that solve builds at once; Arrow-Debreu, curved
+    # trace rows that solve builds at once (64 here); Arrow-Debreu, curved
+    blocks_of(monkeypatch, 64)
     quad, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     ad_gamma = G.GammaPolicy.fixed(np.array([30.0] * 5 + [260.0] * 2 + [300.0]))
     for game, x0, cfg, K in [(a18_game, np.zeros(a18_game.n), {}, 20),
@@ -761,8 +766,9 @@ def test_a_failure_the_block_pass_finds_ends_the_run_at_its_iteration(monkeypatc
     # gradient stays finite, so the loop runs on, and the block pass that
     # builds the rows after the second block finds it: the run ends as an
     # oracle failure at iteration 138 would, with the 137 rows and the state
-    # before it, the rows the loop ran past it dropped and no NumPy warning
-    B = G.solver._BOUND_ROWS
+    # before it, the rows the loop ran past it dropped and no NumPy warning;
+    # blocks of 64 rows
+    B = blocks_of(monkeypatch, 64)
     blocks = record_blocks(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -863,11 +869,14 @@ def test_stall_stop_reads_the_drift_of_a_run_of_stalls():
         assert fed_until_stop(G.solver._StallWatch(tol), stall_columns(steps)) == stops
 
 
-@pytest.mark.parametrize("block", [1, 7, 64, 100, 128])
+@pytest.mark.parametrize("block", [1, 7, 64, 100, 128, 256, 1000, None],
+                         ids=lambda b: "default" if b is None else str(b))
 def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
     # the stop reads the labels of the built rows, built early when the
-    # last pending row could end a run of stalls: whatever the block size,
-    # each run stops where it does with the default one, with the same bytes
+    # trailing pending rows could end a run of stalls: whatever the block
+    # size (the default byte-sized blocks, 256 rows and blocks of up to 1000
+    # rows, past the stop's 100 among them), each run stops where it does
+    # when every row is built alone, with the same bytes
     def runs():
         rq = G.library.builtin_instance("random-quadratic")
         rows4, plant = G.library.gen_random_quadratic_with_plant(3, 1, 4, seed=101)
@@ -875,8 +884,12 @@ def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
                 (one_point_game(0.5), np.zeros(1), G.SolverConfig()),
                 (rows4, plant, fast_config(outer_tol=1e-6, max_outer=30000))]
 
+    blocks_of(monkeypatch, 1)
     expected = [G.solve(*run) for run in runs()]
-    monkeypatch.setattr(G.solver, "_BOUND_ROWS", block)
+    monkeypatch.undo()
+    blocks = record_blocks(monkeypatch)
+    if block is not None:
+        blocks_of(monkeypatch, block)
     for want, run in zip(expected, runs()):
         got = G.solve(*run)
         assert got.status == want.status == "stalled-stationary", run[0].name
@@ -886,6 +899,65 @@ def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
         for f, col in want.trace.columns.items():
             assert got.trace.columns[f].tobytes() == col.tobytes(), f
     assert [r.outer_iterations for r in expected] == [297, 100, 1042]
+    cap, longest, P = block or G.solver._BOUND_ROWS, max(block_sizes(blocks)), 100
+    assert longest <= cap and (longest > P) == (cap > P)   # blocks past the stop's 100 rows
+
+
+def block_sizes(blocks):
+    return [len(pending) for (_, pending, *_), _ in blocks]
+
+
+def test_trace_blocks_fit_the_byte_budget(monkeypatch):
+    # a block holds as many rows as the arrays they hold fit in the byte
+    # budget, at most 256: each row of quad-wide's 40x4x2 game holds dx,
+    # x_prev, x, grad_own and G @ x (n floats each), lam_prev, lam, dlam and
+    # g (M each), and J once for every row, so its blocks take at most 64
+    # rows that fit the budget, one row more would not; a small planted game's
+    # blocks take 256 rows
+    blocks = record_blocks(monkeypatch)
+    wide, plant = G.library.gen_random_quadratic_with_plant(40, 4, 2, seed=1)
+    res = G.solve(wide, plant, fast_config(outer_tol=1e-6, max_outer=300))
+    assert res.outer_iterations == 300
+    sizes, row_bytes = block_sizes(blocks), 8 * (5 * wide.n + 4 * wide.total_constraints)
+    B = sizes[0]
+    assert sizes == [B] * (300 // B) + [300 % B]
+    assert B <= 64 and B * row_bytes <= G.solver._BLOCK_BYTES < (B + 1) * row_bytes
+    blocks.clear()
+    small, plant = G.library.gen_random_quadratic_with_plant(2, 2, 1, seed=9)
+    res = G.solve(small, plant, fast_config(max_outer=600))
+    assert res.outer_iterations == 600 and block_sizes(blocks) == [256, 256, 88]
+
+
+def test_blocks_end_early_only_where_a_stall_stop_could_land(monkeypatch):
+    # s116's 3,417 rows (a quad-certify game): every block but the last is
+    # full, unless its trailing rows within the step tolerance (which a
+    # stall label needs), with the stall run the built rows end in when they
+    # are every pending row, could complete a run of 100 stalls at its last
+    # row, and at no earlier row
+    blocks = record_blocks(monkeypatch)
+    tol = 1e-6
+    game, plant = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=116)
+    res = G.solve(game, plant, fast_config(outer_tol=tol, max_outer=30000))
+    assert res.status == "converged" and res.outer_iterations == 3417
+
+    def could_stop(dx_inf, streak):
+        """Whether the stop could land on the last of rows ``dx_inf``."""
+        still = len(dx_inf) - next((j + 1 for j in reversed(range(len(dx_inf)))
+                                    if not dx_inf[j] <= tol), 0)
+        return still + (streak if still == len(dx_inf) else 0) >= G.solver._STALL_PATIENCE
+
+    streak, early = 0, 0   # the stall run the built rows end in
+    for (_, pending, *_), built in blocks[:-1]:
+        dx_inf = [row[1] for row in pending]
+        assert not any(could_stop(dx_inf[:j], streak) for j in range(1, len(dx_inf)))
+        if len(pending) < G.solver._BOUND_ROWS:
+            assert could_stop(dx_inf, streak)
+            early += 1
+        for kind in built["exit_kind"].tolist():
+            streak = streak + 1 if kind == "stall" else 0
+        # under 100, so no stop check reset it: it is the stop's streak
+        assert streak < G.solver._STALL_PATIENCE
+    assert early >= 5 and block_sizes(blocks).count(G.solver._BOUND_ROWS) >= 10
 
 
 def test_x0_outside_private_sets_is_projected():

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 import gnepsolve as G
 from gnepsolve import lagrangian, library
-from gnepsolve.core import PlayerDualState, Segments, row_dots
+from gnepsolve.core import PlayerDualState, Segments, row_dots, run_matvec
 from gnepsolve.solver import _objective_norms, spectral_norms
 from gnepsolve.lagrangian import (PenaltyParams, build_anchor, evaluate_point,
                                   lagrangian_from_values, lagrangian_values, projected_gradient_x)
-from conftest import QUAD_SHAPES, dense_objective
+from conftest import QUAD_SHAPES, blocks_of, dense_objective
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -163,9 +163,10 @@ def _laid_out(values, layout):
 
 
 def check_segment_reductions(segs, rng, A=None, base=None, layout="c"):
-    """Segments' dot, norm, max_abs (and matvec and vecmat_add on ``A`` and
-    ``base``) against one product per segment of C-ordered operands, bit for
-    bit, with the operands passed in ``layout``."""
+    """Segments' dot, norm, max_abs (and the matvec of its row runs and
+    vecmat_add on ``A`` and ``base``) against one product per segment of
+    C-ordered operands, bit for bit, with the operands passed in
+    ``layout``."""
     parts = [slice(lo, hi) for lo, hi in zip(segs.bounds, segs.bounds[1:])]
     a, b = _signed(rng, (3, segs.total)), _signed(rng, (3, segs.total))
     la, lb = _laid_out(a, layout), _laid_out(b, layout)
@@ -177,7 +178,7 @@ def check_segment_reductions(segs, rng, A=None, base=None, layout="c"):
         A = _signed(rng, (segs.total, 7))
         base = _signed(rng, (len(parts), 7))
     x, lA = _signed(rng, A.shape[1]), _laid_out(A, layout)
-    assert bits(segs.matvec(lA, x)) == bits(np.concatenate([A[s] @ x for s in parts]))
+    assert bits(run_matvec(segs.row_runs(lA), x)) == bits(np.concatenate([A[s] @ x for s in parts]))
     assert bits(segs.vecmat_add(base, la[0], lA)) == bits(
         [base[i] + A[s].T @ a[0, s] if s.stop > s.start else base[i]
          for i, s in enumerate(parts)])
@@ -286,14 +287,19 @@ def test_leading_axis_helpers_are_the_per_row_calls(drawn, R, S):
 @given(affine_specs(), st.integers(1, 4), st.integers(1, 3))
 def test_own_block_sweep_and_products_over_leading_axes_are_the_one_point_forms(drawn, R, S):
     # every Q_i @ x over (R, n) and (S, R, n) points, band, band-signed and
-    # dense players mixed; an own-block point's gradients and constraint
-    # fields, and the own-block anchor built on it, against the full sweep's
+    # dense players mixed, also given the points' own rows G @ x as the
+    # own-block sweep keeps them; an own-block point's gradients and
+    # constraint fields, and the own-block anchor built on it, against the
+    # full sweep's
     spec, rng = drawn
     game = spec.to_game()
     q = game.quadratic
     X = 3.0 * _signed(rng, (S, R, game.n))
     assert bits(q.products(X[0])) == bits([q.products(x) for x in X[0]])
     assert bits(q.products(X)) == bits([[q.products(x) for x in s] for s in X])
+    kept = np.array([[lagrangian.own_sweep(game, x).own_rows for x in s] for s in X])
+    assert bits(q.products(X[0], own_rows=kept[0])) == bits(q.products(X[0]))
+    assert bits(q.products(X, own_rows=kept)) == bits(q.products(X))
     lam = np.abs(_signed(rng, game.total_constraints))
     gamma = rng.uniform(0.5, 5.0, game.num_players)
     for x in X[0]:
@@ -301,6 +307,7 @@ def test_own_block_sweep_and_products_over_leading_axes_are_the_one_point_forms(
         assert own.theta is None and own.theta_grads is None
         for f in ("grad_own", "g_values", "g_jacobians"):
             assert bits(getattr(own, f)) == bits(getattr(full, f)), f
+        assert bits(own.own_rows + q.b_own) == bits(own.grad_own)
         assert bits(build_anchor(game, lam, gamma, own).own_grad) == bits(
             build_anchor(game, lam, gamma, full).own_grad)
 
@@ -327,11 +334,12 @@ def shaped_game(shapes, seed):
 ], ids=["band", "all-dense", "mixed", "example3"])
 def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypatch, make_game,
                                                                         dense):
-    # a run's rows, in chunks of three points: products over a leading axis
-    # of points are the per-point products, and the block pass's objective
-    # values and model slopes (led by each chunk's anchor, carried from
-    # chunk to chunk) are the full sweep's values at each row's point and
-    # the slopes of the full anchor at the previous one; example3's
+    # a run's rows, in blocks of 64 rows and chunks of three points:
+    # products over a leading axis of points are the per-point products, and
+    # the block pass's objective values and model slopes (led by each
+    # chunk's anchor, carried from chunk to chunk, from the rows' G @ x that
+    # the iterations kept) are the full sweep's values at each row's point
+    # and the slopes of the full anchor at the previous one; example3's
     # Jacobians move and are stacked by row
     game = make_game()
     q, N, n = game.quadratic, game.num_players, game.n
@@ -340,15 +348,16 @@ def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypat
     monkeypatch.setattr(G.solver, "_trace_rows", lambda *args: (blocks.append(args[1]),
                                                                 trace_rows(*args))[1])
     monkeypatch.setattr(G.solver, "_STACK_BYTES", 3 * 8 * N * n)
+    blocks_of(monkeypatch, 64)
     res = G.solve(game, np.zeros(n), G.SolverConfig(max_outer=70, outer_tol=1e-14))
     assert res.outer_iterations == 70 and len(blocks) == 2
     for pending in blocks:
-        _, _, _, dx, x_prev, x, lam_prev, lam, _, _, _, J_prev, J, *_ = map(list, zip(*pending))
+        _, _, _, dx, x_prev, x, lam_prev, lam, _, _, _, J_prev, J, *rest = map(list, zip(*pending))
         X = np.array(x)
         assert bits(q.products(X)) == bits([q.products(p) for p in X])
         J = J[0] if G.LipschitzEstimator(game).fixed else np.array(J)
         theta, slope = G.solver._objective_rows(game, (x_prev[0], lam_prev[0], J_prev[0]), X,
-                                                np.array(lam), J, np.array(dx))
+                                                np.array(lam), J, np.array(dx), np.array(rest[-1]))
         assert len(theta) == len(slope) == len(pending)
         for j in range(len(pending)):
             assert bits(theta[j]) == bits(evaluate_point(game, x[j]).theta)
