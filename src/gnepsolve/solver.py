@@ -570,19 +570,17 @@ class _StallWatch:
     down by ``0.25 * _STALL_PATIENCE * tol``) stop the run: the primal is
     pinned, and growing multipliers mean no finite stationary multiplier
     nearby. A streak whose drift does either starts over. ``streak`` is the
-    stall run the rows fed so far end in: the next rows can stop the run
-    only once they and it hold ``_STALL_PATIENCE`` stalls, each a row whose
-    ``dx_inf`` is within ``tol``, which is when :func:`solve` builds them."""
+    stall run the rows fed so far end in, carried into the next block."""
 
     tol: float
     streak: int = 0
     start_residual: float = np.inf
     start_lam: float = np.inf
 
-    def stops(self, block: dict[str, Array]) -> bool:
-        """Feed the rows of the trace columns ``block``; True at the row that
-        stops the run, whose successors are not read. Only a stall row's
-        residual and ``max |lam|`` are read, equal bit for bit to the loop's."""
+    def stops(self, block: dict[str, Array]) -> int | None:
+        """Feed the rows of the trace columns ``block``; the index of the row
+        that stops the run, whose successors are not read, or None. Only a
+        stall row's residual and ``max |lam|`` are read."""
         for j, kind in enumerate(block["exit_kind"].tolist()):
             if kind != "stall":
                 self.streak = 0
@@ -596,9 +594,9 @@ class _StallWatch:
                 decaying = residual <= 0.98 * self.start_residual
                 draining = lam_inf <= self.start_lam - 0.25 * _STALL_PATIENCE * self.tol
                 if not (decaying or draining):
-                    return True
+                    return j
                 self.streak = 0
-        return False
+        return None
 
 
 def _self_dots(v: Array) -> Array:
@@ -797,68 +795,75 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: A
     return np.concatenate(thetas), np.concatenate(slopes)
 
 
-def _block_rows(row: tuple, fixed: bool) -> int:
+def _block_rows(row: tuple) -> int:
     """Rows per trace block of a run whose first pending row is ``row``
     (every row of a run holds arrays of the same shapes): as many as fit
-    their arrays in ``_BLOCK_BYTES``, from one to ``_BOUND_ROWS``. A
-    ``fixed`` run's ``J`` is every row's, so it is not counted."""
-    held = row[:11] + row[13:] if fixed else row
-    nbytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+    their arrays in ``_BLOCK_BYTES``, from one to ``_BOUND_ROWS``."""
+    nbytes = sum(a.nbytes for a in row if isinstance(a, np.ndarray))
     return min(_BOUND_ROWS, max(1, _BLOCK_BYTES // nbytes))
 
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
-def _trace_rows(game: GameInstance, pending: list[tuple], constants: dict[str, Array] | None,
-                prev_L: Array, stall_tol: float) -> dict[str, Array]:
+def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
+                constants: dict[str, Array] | None, stall_tol: float) -> dict[str, Array]:
     """The trace columns of ``pending`` iterations over a leading axis of
-    rows, bit for bit the one-row values. Each row is ``(k, dx_inf,
-    dlambda_inf, dx, x_prev, x, lam_prev, lam, dlam, g, grad_own, J_prev,
-    J)``, the state before it (its anchor) and after it; data that can move
-    adds ``(jac_norm, gamma, est)``, and a game without stacked quadratic
-    data adds ``(theta, slope)``, which its iterations computed. A game with
-    stacked quadratic data adds its ``G @ x`` instead and has them computed
-    here (:func:`_objective_rows`), and only the rows before the first whose
+    rows, bit for bit the one-row values. ``anchor`` is ``(k, x, lam, J,
+    L_values)`` of the row before the first. A row keeps what cannot be
+    derived: ``(x, lam, g, own)``, its state, constraint values and, with
+    stacked quadratic data, its ``G @ x``, else its own-block objective
+    gradients; data that can move adds ``(J, jac_norm, gamma, est)``, and a
+    game without stacked quadratic data ``(theta, slope)``. Each row's
+    ``k``, step ``dx`` and multiplier move ``dlam`` (the loop's
+    subtractions) follow from the anchor and the stacked states, and a
+    quadratic row's own-block gradients are ``own + b_own``, as in
+    :func:`~gnepsolve.lagrangian.own_sweep`. A game with stacked quadratic
+    data has its objective values and slopes computed here
+    (:func:`_objective_rows`), and only the rows before the first whose
     objective value or gradient is not finite are built. Data that cannot
     move passes its per-run columns ``constants``, each one ``(N,)`` row
     that every row's column is a read-only view of, and every row's ``J`` is
-    the first; else the rows' ``J`` are stacked and their own-block norms
+    the anchor's; else the rows' ``J`` are stacked and their own-block norms
     taken from the stack. The Lagrangian values at the primal step and after
     the dual step are one :func:`lagrangian_values` call over a leading axis
     of (rows, 2), and each row's exit label is judged against the values
-    after the previous row, ``prev_L`` for the first."""
+    after the previous row, the anchor's for the first."""
+    k_a, x_a, lam_a, J_a, prev_L = anchor
     cols = list(zip(*pending))
-    ks, dx_inf, dlam_inf, dx, x_prev, x, lam_prev, lam, dlam, g, grad_own, J_prev, J = cols[:13]
-    dx, x, lam_prev, lam, g = map(np.array, (dx, x, lam_prev, lam, g))
-    J = J[0] if constants is not None else np.array(J)
+    x, lam, g, own = map(np.array, cols[:4])
+    lams = np.stack([np.vstack([lam_a, lam[:-1]]), lam], axis=1)   # (rows, 2, M)
+    dx, dlam = x - np.vstack([x_a, x[:-1]]), lam - lams[:, 0]
+    # max_abs of each row, as the loop takes it
+    dx_inf, dlam_inf = (np.maximum.reduce(np.abs(v), axis=1, initial=0.0) for v in (dx, dlam))
+    J = J_a if constants is not None else np.array(cols[4])
     if game.quadratic is None:
         theta, slope = map(np.array, cols[-2:])
     else:
-        theta, slope = _objective_rows(game, (x_prev[0], lam_prev[0], J_prev[0]), x, lam, J, dx,
-                                       np.array(cols[-1]))
+        theta, slope = _objective_rows(game, (x_a, lam_a, J_a), x, lam, J, dx, own)
         if len(theta) < len(pending):
-            return (_trace_rows(game, pending[:len(theta)], constants, prev_L, stall_tol)
+            return (_trace_rows(game, anchor, pending[:len(theta)], constants, stall_tol)
                     if len(theta) else _empty_columns())
+        own += game.quadratic.b_own
+    qx, dd = projected_gradient_x(game, x, lam, own, J), _self_dots(dx)
+    del x, own, dx   # what follows then peaks lower
     if constants is not None:
-        run = {f: np.broadcast_to(v, (len(ks),) + v.shape) for f, v in constants.items()}
+        run = {f: np.broadcast_to(v, (len(pending),) + v.shape) for f, v in constants.items()}
     else:
-        jac, gamma, est = cols[13:16]
+        jac, gamma, est = cols[5:8]
         run = dict(jac_norm=np.array(jac), jac_own_norm=_own_jac_norms(game, J),
                    gamma=np.array(gamma), M_theta_own=np.array([e.L_theta for e in est]),
                    M_g_own=np.array([e.M_g_own for e in est]))
-    lams = np.stack([lam_prev, lam], axis=1)   # (rows, 2, M)
     L_x, L = lagrangian_values(theta[:, None], g[:, None], lams, game.rows).transpose(1, 0, 2)
-    dd, dx_inf = _self_dots(dx), np.array(dx_inf)
-    moves = np.stack([np.array(dlam), lam, projected_step_lam(lam, g)], axis=1)
+    moves = np.stack([dlam, lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
     return dict(
-        k=np.array(ks), L_values=L, dx_inf=dx_inf, dlambda_inf=np.array(dlam_inf),
+        k=k_a + np.arange(1, len(pending) + 1), L_values=L, dx_inf=dx_inf, dlambda_inf=dlam_inf,
         feas=constraint_violation(g),
         exit_kind=_exit_labels(np.vstack([prev_L, L[:-1]]), L_x, slope, run["gamma"], dd,
                                dx_inf, stall_tol),
         L_x_step=L_x, dx_2=np.sqrt(dd), dlam_2=dlam_2, lam_norm2=lam_norm2,
         lam_norm_inf=game.rows.max_abs(lam), jac_norm=run["jac_norm"],
         jac_own_norm=run["jac_own_norm"],
-        qx=projected_gradient_x(game, x, lam, np.array(grad_own), J), qlam=qlam,
+        qx=qx, qlam=qlam,
         gamma=run["gamma"], M_theta_own=run["M_theta_own"], M_g_own=run["M_g_own"])
 
 
@@ -890,30 +895,26 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     with stacked quadratic data iterates on own-block points
     (:func:`~gnepsolve.lagrangian.own_sweep`); its objective values, the
     rival blocks of its gradients and the model slopes are the trace's, and
-    so is their finiteness check: the first row where one is not finite ends
-    the run as an oracle failure at that iteration would, and any
-    iterations run past it are dropped. Any other game takes a full oracle
-    sweep per iteration (one call of its batched oracle when it has one) and
-    the model slopes along its step. What only the trace reads waits: each
-    iteration keeps its row's raw arrays, one pass over a leading axis of
-    rows builds their columns (:func:`_trace_rows`) when the pending rows'
+    so is their finiteness check. Any other game takes a full oracle sweep
+    per iteration (one call of its batched oracle when it has one) and the
+    model slopes along its step. With moving Jacobians an iteration takes
+    each player's full-Jacobian norm, which the next Lipschitz estimate
+    reads. No iteration labels its own step: each keeps only the arrays of
+    its row that cannot be derived (see :func:`_trace_rows`), and one pass
+    over a leading axis of rows builds their columns when the pending rows'
     arrays reach ``_BLOCK_BYTES``, at most every ``_BOUND_ROWS`` rows
-    (:func:`_block_rows`), and when the loop ends, and the blocks are
+    (:func:`_block_rows`), and when the loop ends. The stall stop
+    (:class:`_StallWatch`) is fed each built block but a converged row. A
+    run ends at a trace row: at the row that stops it, or before the first
+    row the block pass cannot build, which ends it as an oracle failure at
+    that iteration would; the rows the loop ran past it are dropped, and the
+    final state and residual are the last kept row's. The blocks are
     stacked once, at the end; a ``fixed`` game's per-run constants are one
-    row each, viewed by every row. No iteration labels its own step. With
-    moving Jacobians an iteration takes each player's full-Jacobian norm,
-    which the next Lipschitz estimate reads. One ``np.errstate(**QUIET)``
-    spans the loop: a diverging run ends in a finiteness check, not in a
-    NumPy warning. The stall stop (:class:`_StallWatch`) reads each built
-    block's labels; its streak grows by at most one per row, and a stall
-    label needs ``dx_inf <= outer_tol`` (:func:`_exit_labels`). So the loop
-    counts the trailing pending rows within that tolerance, and builds the
-    pending rows early when the count, plus the stop's streak if the count
-    spans every pending row, reaches ``_STALL_PATIENCE``: only then could
-    the last row complete a run of stalls, and a stop lands on the iteration
-    that completes it. Every per-player reduction is bit for bit the
-    per-player one, so neither the iterates, the trace nor the stop depend
-    on how the work is batched.
+    row each, viewed by every row. One ``np.errstate(**QUIET)`` spans the
+    loop: a diverging run ends in a finiteness check, not in a NumPy
+    warning. Every per-player reduction is bit for bit the per-player one,
+    so neither the iterates, the trace nor the stop depend on how the work
+    is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -946,34 +947,45 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     if quad:   # iterate on own blocks: the trace block pass takes the rest
         point = replace(point, theta=None, theta_grads=None)
 
-    residual = np.inf
-    status = "max_outer"
+    status, message = "max_outer", ""
     watch = _StallWatch(cfg.outer_tol)
-    message = ""
+    # raw rows, built columns, and (k, x, lam, J, L_values) of the last built row
+    pending, blocks, before = [], [], (0, x, lam, point.g_jacobians, trace.initial_L)
+    constants, block_rows = None, 0   # a fixed game's run columns; rows per block
 
-    pending, blocks, prev_L = [], [], trace.initial_L   # raw rows, built columns, last L
-    constants, dropped = None, None   # a fixed game's run columns; a row the block pass drops
-    block_rows, still = 0, 0   # rows per block (from the first row); trailing rows within tol
-
-    def build() -> dict[str, Array]:
-        """The pending rows' columns, kept in ``blocks`` when not empty; sets
-        ``dropped`` to the first row the block pass did not build, if any."""
-        nonlocal pending, prev_L, dropped, still
-        block = _trace_rows(game, pending, constants, prev_L, cfg.outer_tol)
+    def build() -> bool:
+        """Build the pending rows' columns and feed them to the stall stop;
+        True when the run ends at one of them: at the row that stops it, or
+        before the first row the block pass cannot build, the rows past it
+        dropped."""
+        nonlocal pending, before, status, message
+        block = _trace_rows(game, before, pending, constants, cfg.outer_tol)
         kept = len(block["k"])
+        fed = kept - (status == "converged" and kept == len(pending))   # not the converged row
+        stop = watch.stops({f: col[:fed] for f, col in block.items()})
+        ends = stop is not None or kept < len(pending)
+        if stop is not None:
+            kept, status = stop + 1, "stalled-stationary"
+            message = ("primal blocks pinned at a fixed point while the "
+                       "multiplier drift is not decaying")
+        elif kept < len(pending):   # as an oracle failure at that iteration would
+            status = "oracle-failure"
+            try:   # the full sweep there names the player and field
+                evaluate_point(game, pending[kept][0])
+            except OracleFailure as exc:
+                message = str(exc)
         if kept:
-            blocks.append(block)
-            prev_L = block["L_values"][-1]
-        if kept < len(pending):
-            dropped = pending[kept]
-        pending, still = [], 0
-        return block
+            blocks.append({f: col[:kept] for f, col in block.items()})
+            last = pending[kept - 1]
+            before = (before[0] + kept, last[0], last[1], before[3] if fixed else last[4],
+                      block["L_values"][kept - 1])
+        pending = []
+        return ends
 
     with np.errstate(**QUIET):   # a diverging run ends in the oracle sweep's checks
         for k in range(cfg.max_outer):
-            fresh = k == 0 or not fixed
             try:
-                if fresh:
+                if k == 0 or not fixed:
                     est = estimator.estimate(x, lam, jac_norms=jac_full)
                     gamma, _ = choose_gamma(est, penalty, cfg.gamma)
                     if np.isnan(gamma).any():   # name the first NaN constant, not a NaN step
@@ -990,51 +1002,35 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 new = inner.point
                 dx = inner.x_next - x
                 dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
-                row = (k + 1, dx_inf, dlambda_inf, dx, x, inner.x_next, lam, inner.lam,
-                       inner.dlam, new.g_values, new.grad_own, point.g_jacobians, new.g_jacobians)
+                row = (inner.x_next, inner.lam, new.g_values,
+                       new.own_rows if quad else new.grad_own)
                 if not fixed:
                     jac_full = _jac_norms(game, new.g_jacobians)
-                    row += (jac_full, gamma, est)
-                row += (new.own_rows,) if quad else (new.theta, row_dots(anchor.grads, dx))
+                    row += (new.g_jacobians, jac_full, gamma, est)
+                if not quad:
+                    row += (new.theta, row_dots(anchor.grads, dx))
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)
                 break
 
             pending.append(row)
             x, lam, point = inner.x_next, inner.lam, new
-            residual = max(dx_inf, dlambda_inf)
-            if residual <= cfg.outer_tol:
+            if max(dx_inf, dlambda_inf) <= cfg.outer_tol:
                 status = "converged"
                 break
-            block_rows = block_rows or _block_rows(row, fixed)
-            still = still + 1 if dx_inf <= cfg.outer_tol else 0   # a stall label needs it
-            # the longest run of stalls the last pending row could end
-            stalls = still + (watch.streak if still == len(pending) else 0)
-            if len(pending) == block_rows or stalls >= _STALL_PATIENCE:
-                block = build()
-                if dropped is not None:
-                    break
-                if watch.stops(block):
-                    status = "stalled-stationary"
-                    message = ("primal blocks pinned at a fixed point while the "
-                               "multiplier drift is not decaying")
-                    break
+            block_rows = block_rows or _block_rows(row)
+            if len(pending) == block_rows and build():
+                break
 
     if pending:
         build()
-    if dropped is not None:   # the run ends before it, as an oracle failure there would
-        _, _, _, _, x, x_dropped, lam, *_ = dropped
-        status = "oracle-failure"
-        try:   # the full sweep there names the player and field
-            evaluate_point(game, x_dropped)
-        except OracleFailure as exc:
-            message = str(exc)
-        residual = (max(blocks[-1]["dx_inf"][-1], blocks[-1]["dlambda_inf"][-1]) if blocks
-                    else np.inf)
+    x, lam = before[1], before[2]   # the state of the last kept row
     if blocks:   # field by field: a field's blocks are freed as its column is made
         run, n_rows = constants or {}, sum(len(b["k"]) for b in blocks)
         trace.columns = {f: np.broadcast_to(run[f], (n_rows,) + run[f].shape) if f in run
                          else np.concatenate([b.pop(f) for b in blocks]) for f in list(blocks[0])}
+    cols = trace.columns
+    residual = max(cols["dx_inf"][-1], cols["dlambda_inf"][-1]) if len(cols["k"]) else np.inf
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(
@@ -1104,10 +1100,12 @@ def verify_run_bounds(trace: SolveTrace, cfg: SolverConfig,
 
     def report(kind: str, mask: Array, message) -> None:
         """Count the violations ``mask`` (rows by players) of one bound, and
-        keep the first messages; np.argwhere keeps the (k, player) order."""
+        keep the first messages of a mask that holds any; np.argwhere keeps
+        the (k, player) order."""
         counts[kind] = int(np.count_nonzero(mask))
-        out[kind] = [f"k={ks[j]} player={i}: {message(j, i)}"
-                     for j, i in np.argwhere(mask)[:_KEPT_MESSAGES]]
+        if counts[kind]:
+            out[kind] = [f"k={ks[j]} player={i}: {message(j, i)}"
+                         for j, i in np.argwhere(mask)[:_KEPT_MESSAGES]]
 
     L, L_x = cols["L_values"], cols["L_x_step"]
     prev_L = np.vstack([trace.initial_L, L[:-1]])

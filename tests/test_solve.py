@@ -6,7 +6,7 @@ import json
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -269,23 +269,26 @@ def test_block_rows_are_the_one_row_rows(monkeypatch):
         blocks.clear()
         res = G.solve(game, x0, cfg)
         assert res.status == status and res.outer_iterations > B, game.name
-        for f, col in res.trace.columns.items():   # the trace is the blocks, stacked
-            stacked = np.concatenate([built[f] for _, built in blocks])
+        for f, col in res.trace.columns.items():   # the trace is the blocks, stacked, to its end
+            stacked = np.concatenate([built[f] for _, built in blocks])[:len(col)]
             assert stacked.shape == col.shape and stacked.tobytes() == col.tobytes()
         if game is power:   # moving data: no fixed own-block norms, J stacked per block
-            assert [len(pending) for (_, pending, *_), _ in blocks] == [B, B, 9]
-            assert all(fixed_own is None for (_, _, fixed_own, *_), _ in blocks)
-        for (game_, pending, fixed_own, prev_L, stall_tol), built in blocks:
+            assert block_sizes(blocks) == [B, B, 9]
+            assert all(constants is None for (_, _, _, constants, _), _ in blocks)
+        for (game_, anchor, pending, constants, stall_tol), built in blocks:
             for j, raw in enumerate(pending):
-                alone = trace_rows(game_, [raw], fixed_own, prev_L, stall_tol)
+                alone = trace_rows(game_, anchor, [raw], constants, stall_tol)
                 assert alone["exit_kind"][0] == built["exit_kind"][j]
                 for f in fields(G.solver.TraceRow):
                     assert (np.asarray(alone[f.name][0]).tobytes()
                             == np.asarray(built[f.name][j]).tobytes()), (game.name, f.name)
-                prev_L = built["L_values"][j]
+                # the next row's anchor: this row's k, state, J and values
+                # (a fixed run's J is the block anchor's)
+                J = anchor[3] if constants is not None else raw[4]
+                anchor = (built["k"][j], raw[0], raw[1], J, built["L_values"][j])
         kinds.update(res.trace.columns["exit_kind"].tolist())
         if game is rq:
-            assert res.outer_iterations == 297
+            assert res.outer_iterations == 297 and block_sizes(blocks) == [B] * 5   # 23 dropped
             assert res.trace.columns["exit_kind"][-101:].tolist() == ["forced"] + ["stall"] * 100
     assert kinds == {"descent", "true", "forced", "stall"}
 
@@ -781,7 +784,7 @@ def test_a_failure_the_block_pass_finds_ends_the_run_at_its_iteration(monkeypatc
                                               -1.0770944519017236e+131]).tobytes()
     assert res.state.duals.lam.tobytes() == np.zeros(1).tobytes()
     assert res.final_residual == max(res.trace.rows[-1].dx_inf, res.trace.rows[-1].dlambda_inf)
-    (_, pending, *_), built = blocks[-1]
+    (_, _, pending, *_), built = blocks[-1]
     assert len(built["k"]) == 9 < len(pending)
 
 
@@ -825,6 +828,33 @@ def test_pinned_primal_with_drifting_multipliers_ends_stalled_stationary():
                            "multiplier drift is not decaying")
 
 
+def test_a_stall_stop_ends_the_run_before_a_later_oracle_failure(monkeypatch):
+    # the one-point game stops at row 100, inside a 256-row block; its
+    # oracle turns NaN at the 150th objective call, so the loop runs on
+    # until that sweep fails and the block is built only then: the run still
+    # ends at the stop's row, with its state, the rows past it dropped
+    blocks_of(monkeypatch, 256)
+    want = G.solve(one_point_game(0.5), np.zeros(1))
+    game, calls = one_point_game(0.5), []
+    player = game.players[0]
+
+    def objective(x):
+        calls.append(None)
+        return float("nan") if len(calls) >= 150 else player.objective(x)
+
+    game = G.GameInstance((replace(player, objective=objective),), game.layout, game.name)
+    res = G.solve(game, np.zeros(1))
+    assert len(calls) == 150   # the start's sweep and 149 iterations' sweeps
+    assert want.status == res.status == "stalled-stationary"
+    assert res.message == ("primal blocks pinned at a fixed point while the "
+                           "multiplier drift is not decaying")
+    assert want.outer_iterations == res.outer_iterations == len(res.trace.rows) == 100
+    assert res.state.x.tobytes() == want.state.x.tobytes()
+    assert res.state.duals.lam.tobytes() == want.state.duals.lam.tobytes()
+    for f, col in want.trace.columns.items():
+        assert res.trace.columns[f].tobytes() == col.tobytes(), f
+
+
 def stall_columns(steps):
     """Trace columns of ``(exit label, residual, max |lam|)`` steps, as the
     stall stop reads them: the residual as ``dlambda_inf`` (``dx_inf`` is
@@ -839,7 +869,7 @@ def fed_until_stop(watch, columns):
     """The number of rows ``watch`` reads, one row per block, before it
     stops; None if it never does."""
     for j in range(len(columns["exit_kind"])):
-        if watch.stops({f: col[j:j + 1] for f, col in columns.items()}):
+        if watch.stops({f: col[j:j + 1] for f, col in columns.items()}) is not None:
             return j + 1
     return None
 
@@ -872,11 +902,11 @@ def test_stall_stop_reads_the_drift_of_a_run_of_stalls():
 @pytest.mark.parametrize("block", [1, 7, 64, 100, 128, 256, 1000, None],
                          ids=lambda b: "default" if b is None else str(b))
 def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
-    # the stop reads the labels of the built rows, built early when the
-    # trailing pending rows could end a run of stalls: whatever the block
-    # size (the default byte-sized blocks, 256 rows and blocks of up to 1000
-    # rows, past the stop's 100 among them), each run stops where it does
-    # when every row is built alone, with the same bytes
+    # the stop reads the labels of each built block, and the run ends at the
+    # row that stops it, the rows the loop ran past it dropped: whatever the
+    # block size (the default byte-sized blocks, 256 rows and blocks of up to
+    # 1000 rows, past the stop's 100 among them), each run stops where it
+    # does when every row is built alone, with the same bytes
     def runs():
         rq = G.library.builtin_instance("random-quadratic")
         rows4, plant = G.library.gen_random_quadratic_with_plant(3, 1, 4, seed=101)
@@ -899,65 +929,48 @@ def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
         for f, col in want.trace.columns.items():
             assert got.trace.columns[f].tobytes() == col.tobytes(), f
     assert [r.outer_iterations for r in expected] == [297, 100, 1042]
-    cap, longest, P = block or G.solver._BOUND_ROWS, max(block_sizes(blocks)), 100
-    assert longest <= cap and (longest > P) == (cap > P)   # blocks past the stop's 100 rows
+    # every run stops inside a block that the loop filled: no block ends early
+    assert set(block_sizes(blocks)) == {block or G.solver._BOUND_ROWS}
 
 
 def block_sizes(blocks):
-    return [len(pending) for (_, pending, *_), _ in blocks]
+    return [len(pending) for (_, _, pending, *_), _ in blocks]
 
 
 def test_trace_blocks_fit_the_byte_budget(monkeypatch):
     # a block holds as many rows as the arrays they hold fit in the byte
-    # budget, at most 256: each row of quad-wide's 40x4x2 game holds dx,
-    # x_prev, x, grad_own and G @ x (n floats each), lam_prev, lam, dlam and
-    # g (M each), and J once for every row, so its blocks take at most 64
-    # rows that fit the budget, one row more would not; a small planted game's
-    # blocks take 256 rows
+    # budget, at most 256: each row of quad-wide's 40x4x2 game holds x and
+    # G @ x (n floats each), lam and g (M each), and no J (every row's is
+    # the start's), so its blocks take the rows that fit the budget, fewer
+    # than 256, one row more would not; a small planted game's blocks take
+    # 256 rows
     blocks = record_blocks(monkeypatch)
     wide, plant = G.library.gen_random_quadratic_with_plant(40, 4, 2, seed=1)
     res = G.solve(wide, plant, fast_config(outer_tol=1e-6, max_outer=300))
     assert res.outer_iterations == 300
-    sizes, row_bytes = block_sizes(blocks), 8 * (5 * wide.n + 4 * wide.total_constraints)
+    sizes, row_bytes = block_sizes(blocks), 8 * (2 * wide.n + 2 * wide.total_constraints)
     B = sizes[0]
     assert sizes == [B] * (300 // B) + [300 % B]
-    assert B <= 64 and B * row_bytes <= G.solver._BLOCK_BYTES < (B + 1) * row_bytes
+    assert B < G.solver._BOUND_ROWS and B * row_bytes <= G.solver._BLOCK_BYTES < (B + 1) * row_bytes
     blocks.clear()
     small, plant = G.library.gen_random_quadratic_with_plant(2, 2, 1, seed=9)
     res = G.solve(small, plant, fast_config(max_outer=600))
     assert res.outer_iterations == 600 and block_sizes(blocks) == [256, 256, 88]
 
 
-def test_blocks_end_early_only_where_a_stall_stop_could_land(monkeypatch):
-    # s116's 3,417 rows (a quad-certify game): every block but the last is
-    # full, unless its trailing rows within the step tolerance (which a
-    # stall label needs), with the stall run the built rows end in when they
-    # are every pending row, could complete a run of 100 stalls at its last
-    # row, and at no earlier row
+def test_blocks_are_full_except_the_last(monkeypatch):
+    # s116's 3,417 rows (a quad-certify game): blocks are sized by bytes
+    # alone, so every block but the last holds 256 rows, and the stall stop
+    # is fed every row but the converged one
     blocks = record_blocks(monkeypatch)
-    tol = 1e-6
+    fed, stops = [], G.solver._StallWatch.stops
+    monkeypatch.setattr(G.solver._StallWatch, "stops",
+                        lambda watch, block: (fed.append(len(block["k"])), stops(watch, block))[1])
     game, plant = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=116)
-    res = G.solve(game, plant, fast_config(outer_tol=tol, max_outer=30000))
+    res = G.solve(game, plant, fast_config(outer_tol=1e-6, max_outer=30000))
     assert res.status == "converged" and res.outer_iterations == 3417
-
-    def could_stop(dx_inf, streak):
-        """Whether the stop could land on the last of rows ``dx_inf``."""
-        still = len(dx_inf) - next((j + 1 for j in reversed(range(len(dx_inf)))
-                                    if not dx_inf[j] <= tol), 0)
-        return still + (streak if still == len(dx_inf) else 0) >= G.solver._STALL_PATIENCE
-
-    streak, early = 0, 0   # the stall run the built rows end in
-    for (_, pending, *_), built in blocks[:-1]:
-        dx_inf = [row[1] for row in pending]
-        assert not any(could_stop(dx_inf[:j], streak) for j in range(1, len(dx_inf)))
-        if len(pending) < G.solver._BOUND_ROWS:
-            assert could_stop(dx_inf, streak)
-            early += 1
-        for kind in built["exit_kind"].tolist():
-            streak = streak + 1 if kind == "stall" else 0
-        # under 100, so no stop check reset it: it is the stop's streak
-        assert streak < G.solver._STALL_PATIENCE
-    assert early >= 5 and block_sizes(blocks).count(G.solver._BOUND_ROWS) >= 10
+    assert block_sizes(blocks) == [256] * 13 + [89]
+    assert fed == [256] * 13 + [88]
 
 
 def test_x0_outside_private_sets_is_projected():

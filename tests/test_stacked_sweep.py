@@ -345,19 +345,21 @@ def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypat
     q, N, n = game.quadratic, game.num_players, game.n
     assert len(q.dense_players) == dense
     blocks, trace_rows = [], G.solver._trace_rows
-    monkeypatch.setattr(G.solver, "_trace_rows", lambda *args: (blocks.append(args[1]),
+    monkeypatch.setattr(G.solver, "_trace_rows", lambda *args: (blocks.append(args[1:3]),
                                                                 trace_rows(*args))[1])
     monkeypatch.setattr(G.solver, "_STACK_BYTES", 3 * 8 * N * n)
     blocks_of(monkeypatch, 64)
     res = G.solve(game, np.zeros(n), G.SolverConfig(max_outer=70, outer_tol=1e-14))
     assert res.outer_iterations == 70 and len(blocks) == 2
-    for pending in blocks:
-        _, _, _, dx, x_prev, x, lam_prev, lam, _, _, _, J_prev, J, *rest = map(list, zip(*pending))
+    for (_, x_a, lam_a, J_a, _), pending in blocks:
+        x, lam, _, own_rows, *moving = map(list, zip(*pending))
+        x_prev, lam_prev = [x_a] + x[:-1], [lam_a] + lam[:-1]
         X = np.array(x)
+        dx = X - np.array(x_prev)   # the loop's steps
         assert bits(q.products(X)) == bits([q.products(p) for p in X])
-        J = J[0] if G.LipschitzEstimator(game).fixed else np.array(J)
-        theta, slope = G.solver._objective_rows(game, (x_prev[0], lam_prev[0], J_prev[0]), X,
-                                                np.array(lam), J, np.array(dx), np.array(rest[-1]))
+        J = J_a if G.LipschitzEstimator(game).fixed else np.array(moving[0])
+        theta, slope = G.solver._objective_rows(game, (x_a, lam_a, J_a), X, np.array(lam), J,
+                                                dx, np.array(own_rows))
         assert len(theta) == len(slope) == len(pending)
         for j in range(len(pending)):
             assert bits(theta[j]) == bits(evaluate_point(game, x[j]).theta)

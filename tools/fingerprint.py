@@ -26,6 +26,9 @@ solver configuration each is run with elsewhere:
   iteration 6), and the free-affine game of ``tests/conftest.py`` from
   ``(1, 1)`` under a fixed gamma of 0.1, whose objective value overflows
   past two blocks of trace rows while its gradients stay finite (137 rows);
+- random-quadratic from ``const:0`` under the default configuration, as
+  the test suite runs it: a stall stop at iteration 297, inside a block of
+  trace rows, whose later rows the loop ran are dropped;
 - power from ``const:5`` at 400 outer iterations, as the test suite runs it;
 - power-cli's run: power from ``const:0`` under the CLI's default
   configuration, capped at ``POWER_MAX_OUTER`` outer iterations, as the
@@ -98,6 +101,8 @@ def run_set():
     ad = library.gen_arrow_debreu(5, 2, 3, seed=0)
     gamma = G.GammaPolicy.fixed(np.array([30.0] * 5 + [260.0] * 2 + [300.0]))
     runs.append(("arrow-debreu", ad, ad_start(ad), fast_config(max_outer=60000, gamma=gamma)))
+    rq = library.builtin_instance("random-quadratic")
+    runs.append(("random-quadratic/const:0", rq, np.zeros(rq.n), G.SolverConfig()))
     power = library.builtin_instance("power")
     runs.append(("power/const:5", power, np.full(power.n, 5.0), G.SolverConfig(max_outer=400)))
     runs.append(("power-cli", power, np.zeros(power.n), G.SolverConfig(max_outer=POWER_MAX_OUTER)))
