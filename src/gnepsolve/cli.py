@@ -191,9 +191,10 @@ def trace_csv_lines(result, num_players: int) -> list[str]:
               + ",dx_inf,dlambda_inf,feas,inner_iters")
     lines = [header]
     cols = result.trace.columns
+    # .tolist() gives Python floats, whose repr is _format_float's
     for k, L, *scalars in zip(*(cols[f].tolist() for f in ("k", "L_values", "dx_inf",
                                                           "dlambda_inf", "feas"))):
-        lines.append(",".join([str(k), *map(_format_float, L + scalars), "1"]))
+        lines.append(",".join([str(k), *map(repr, L + scalars), "1"]))
     return lines
 
 

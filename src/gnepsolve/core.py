@@ -119,8 +119,9 @@ def run_matvec(runs: Sequence[Array], x: Array) -> Array:
     from its :meth:`Segments.row_runs` ``runs``: one gemv per segment, as
     the per-player product gives, batched per run, and the runs' products
     concatenated only when there are several (the runs hold every row)."""
-    parts = [np.matmul(B, x).ravel() for B in runs]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)])
+    if len(runs) == 1:
+        return np.matmul(runs[0], x).ravel()
+    return np.concatenate([np.matmul(B, x).ravel() for B in runs] or [np.zeros(0)])
 
 
 def _equal_runs(keys: Sequence) -> list[tuple[int, int]]:
@@ -322,8 +323,11 @@ def project_simplex(v: Array) -> Array:
     n = v.shape[0]
     u = np.sort(v)[::-1]
     cssv = np.cumsum(u)
-    rho_candidates = np.nonzero(u * np.arange(1, n + 1) > (cssv - 1.0))[0]
-    rho = rho_candidates[-1]
+    candidates = u * np.arange(1, n + 1) > (cssv - 1.0)
+    # The largest entry always qualifies (u > u - 1), though a huge or
+    # non-finite one fails the rounded test: a non-finite v gives NaN entries.
+    candidates[0] = True
+    rho = np.nonzero(candidates)[0][-1]
     theta = (cssv[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
@@ -408,12 +412,6 @@ class QuadraticStack:
         return self.C + 0.0
 
     @cached_property
-    def ones(self) -> tuple[Array, Array]:
-        """Ones as long as the joint vector and as the constraint rows: a dot
-        product with them sums a vector, one BLAS call."""
-        return np.ones(self.layout.n), np.ones(len(self.D))
-
-    @cached_property
     def affine_offset(self) -> Array:
         """``D + 0.0``: the affine rows ``C x + affine_offset`` are bit for bit
         ``C x + 0.0 + D``, one add fewer (adding +0.0 only turns a -0.0 into
@@ -430,6 +428,23 @@ class QuadraticStack:
     def _player_bands(self) -> tuple[Array, ...]:
         """Each player's band as a ``(1, n, w)`` view."""
         return tuple(K[k:k + 1] for K in self.bands for k in range(len(K)))
+
+    @cached_property
+    def smoothness(self) -> tuple[Array, dict[int, Array], Array]:
+        """The exact smoothness constants, computed once and read-only: every
+        ``||Q_i||_2`` (:func:`objective_norms`), each curved player's
+        constraint Hessian norms, and every player's Jacobian-growth bound
+        over a box, ``||dJ||_F <= sqrt(sum_j ||A_j||^2 supp_j) r`` with
+        ``supp_j`` the support size of ``A_j`` (zero for an affine player)."""
+        hessian_norms, growth = {}, np.zeros(self.layout.num_blocks)
+        for i, A in self.hessians.items():
+            a_norms = hessian_norms[i] = spectral_norms(A)
+            supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
+            growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
+        L_theta = objective_norms(self)
+        for a in (L_theta, growth, *hessian_norms.values()):
+            a.setflags(write=False)
+        return L_theta, hessian_norms, growth
 
     @cached_property
     def b_own(self) -> Array:
@@ -473,6 +488,43 @@ class QuadraticStack:
         if player is None and self.dense_players:
             out[..., self.dense_players, :] = np.matmul(self.dense, x[..., None, :, None])[..., 0]
         return out
+
+
+def spectral_norms(mats: Array) -> Array:
+    """Largest singular value of each matrix of the stack ``mats`` (..., w, d): a
+    lone row's or column's 2-norm, else the root of the top eigenvalue of the
+    smaller Gram matrix (exact: power iteration is slow on clustered ones). Bit
+    for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
+    *lead, w, d = mats.shape
+    if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
+        v = mats.reshape(*lead, w * d)   # a view: a strided dot product rounds differently
+        top = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+    else:
+        work = mats if w <= d else np.swapaxes(mats, -1, -2)
+        top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)
+    return np.sqrt(np.where(top > 0.0, top, 0.0))
+
+
+def objective_norms(q: QuadraticStack) -> Array:
+    """``||Q_i||_2`` of every player, with no ``(n, n)`` matrix for a band
+    player: ``Q_i = E G[sl] + K_off E'`` (``E`` the identity columns of its
+    block, ``K_off`` its band with the own rows zeroed, orthogonal to ``E``),
+    so with the thin QR ``K_off = Q_K R_K``, ``||Q_i|| = ||[G[sl]; R_K E']||``,
+    whose Gram is at most ``2w x 2w``: O(n w^2) per player, batched per run."""
+    norms = []
+    for entries, w, K in q._runs:
+        p = len(K)
+        player, own = np.arange(p)[:, None], np.arange(entries.start, entries.stop).reshape(p, w)
+        K_off = K.copy()
+        K_off[player, own] = 0.0
+        M = np.zeros((p, 2 * w, q.layout.n))
+        M[:, :w] = q.G[entries].reshape(p, w, -1)
+        M[player, w:, own] = np.linalg.qr(K_off, mode="r").transpose(0, 2, 1)
+        norms.append(spectral_norms(M))
+    L = np.concatenate(norms)
+    if q.dense_players:
+        L[list(q.dense_players)] = spectral_norms(q.dense)
+    return L
 
 
 # Every player's objective values (N,), gradients (N, n), constraint values

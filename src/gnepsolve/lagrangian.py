@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Array, GameInstance, OracleFailure, PlayerDualState, Segments, own_columns,
-                   quadratic_constraints, row_dots)
+from .core import Array, GameInstance, OracleFailure, PlayerDualState, Segments, own_columns, row_dots
 
 __all__ = [
     "PenaltyParams",
@@ -42,7 +41,6 @@ __all__ = [
     "PointEval",
     "evaluate_point",
     "checked_sweep",
-    "own_sweep",
     "raw_sweep",
     "projected_gradient_x",
     "projected_step_lam",
@@ -116,17 +114,14 @@ class PointEval:
     owning the segment ``rows.bounds[i]:rows.bounds[i + 1]``.
 
     ``grad_own`` stacks every player's own block of its gradient row, like
-    ``x``. An own-block point (:func:`own_sweep`) holds no objective value
-    and no full gradient: its ``theta`` and ``theta_grads`` are ``None``, and
-    ``own_rows`` holds the ``G @ x`` its ``grad_own`` adds ``b_own`` to."""
+    ``x``."""
 
     x: Array
-    theta: Array | None          # (N,) objective values
-    theta_grads: Array | None    # (N, n) objective gradients
-    g_values: Array              # (M,) constraint values
-    g_jacobians: Array           # (M, n) constraint Jacobians
-    grad_own: Array | None = None   # (n,) own blocks of theta_grads
-    own_rows: Array | None = None   # (n,) G @ x of an own-block point
+    theta: Array          # (N,) objective values
+    theta_grads: Array    # (N, n) objective gradients
+    g_values: Array       # (M,) constraint values
+    g_jacobians: Array    # (M, n) constraint Jacobians
+    grad_own: Array       # (n,) own blocks of theta_grads
 
 
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
@@ -159,27 +154,6 @@ def checked_sweep(game: GameInstance, x: Array) -> PointEval:
     if not math.isfinite(total):
         _raise_first_nonfinite(game, fields)
     return PointEval(x, *fields, grads.ravel()[game.layout.own_entries])
-
-
-def own_sweep(game: GameInstance, x: Array) -> PointEval:
-    """What an iteration of a game with stacked quadratic data reads at
-    ``x``: every player's own-block objective gradient ``G x + b_own`` (bit
-    for bit the own entries of the full sweep's), the constraint values and
-    the Jacobians, as an own-block point. Like :func:`checked_sweep` it
-    takes no copy and no ``errstate``; a non-finite value among them raises
-    :class:`OracleFailure` naming the first player and field of the full
-    sweep at ``x``. The objective values and the rival blocks of the
-    gradients are not taken: the trace block pass checks them, and takes
-    its products' own rows from the point's ``own_rows``."""
-    q = game.quadratic
-    own_rows = np.matmul(q.G, x)
-    grad_own = own_rows + q.b_own
-    g, jac = quadratic_constraints(game, x)
-    ones_n, ones_m = q.ones   # the sums as dot products: one BLAS call each
-    total = grad_own.dot(ones_n) + g.dot(ones_m) + (_sum(jac, None) if q.hessians else 0.0)
-    if not math.isfinite(total):
-        _raise_first_nonfinite(game, raw_sweep(game, x))
-    return PointEval(x, None, None, g, jac, grad_own, own_rows)
 
 
 def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
@@ -284,16 +258,15 @@ class QuadraticAnchor:
 
     The full gradients are assembled once per outer iteration; the values
     ``L_nu(y)`` are not held here, as only the exit labels read them
-    (:meth:`model_values` takes them). An anchor at an own-block point holds
-    the own blocks alone (``grads`` is ``None``). The anchor is read-only
-    after construction.
+    (:meth:`model_values` takes them). The anchor is read-only after
+    construction.
 
     The model gradient is affine with slope ``gamma_nu * I``; its Lipschitz
     constant and strong-convexity modulus both equal ``gamma_nu``.
     """
 
     y: Array
-    grads: Array | None      # (N, n) full gradient of L_nu at y, row nu
+    grads: Array             # (N, n) full gradient of L_nu at y, row nu
     gamma: Array             # (N,)
     own_grad: Array          # (n,) player-own blocks of grads, stacked
     gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
@@ -319,23 +292,9 @@ def surrogate_values(values: Array, slope: Array, gamma: Array, dd: Array) -> Ar
 def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
                  gamma_by_coord: Array | None = None) -> QuadraticAnchor:
     """Assemble the surrogate anchor from a completed oracle sweep; a caller
-    holding ``gamma`` repeated over each block may pass it. At an own-block
-    point the anchor takes the own blocks alone: each gradient's own entries
-    of ``J_i.T @ lam_i`` still come from the full gemv and are added to the
-    same bits as in the full gradient (a gemv over the own columns alone
-    rounds differently)."""
-    if point.theta_grads is None:
-        grads, own_grad, J, n = None, point.grad_own, point.g_jacobians, game.n
-        for rows, cols, p, own in game.own_gathers:
-            terms = np.matmul(lam[rows].reshape(p, 1, -1), J[rows].reshape(p, -1, n)).ravel()[own]
-            if cols.stop - cols.start == n:   # the run holds every block: one add, no copy
-                own_grad = own_grad + terms
-            else:
-                own_grad = own_grad.copy() if own_grad is point.grad_own else own_grad
-                own_grad[cols] += terms
-    else:
-        grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
-        own_grad = grads.ravel()[game.layout.own_entries]
+    holding ``gamma`` repeated over each block may pass it."""
+    grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
+    own_grad = grads.ravel()[game.layout.own_entries]
     gamma = np.asarray(gamma, dtype=float)
     return QuadraticAnchor(point.x, grads, gamma, own_grad,
                            game.layout.segments.repeat(gamma) if gamma_by_coord is None

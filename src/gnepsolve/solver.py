@@ -29,16 +29,16 @@ field, are built in blocks after the iterations they record, and
 :func:`verify_run_bounds` checks them whole. Data that cannot move
 (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the Jacobian norms and
 ``J`` once per run, and its constant columns are one row each. A game with
-stacked quadratic data steps on its own-block rows, and its objective
-values and model slopes are the block pass's; :func:`solve` says what an
-iteration computes.
+stacked quadratic data steps on its joint row ``[x; lam]``, and its
+objective values, model slopes and finiteness check are the block pass's;
+:func:`solve` says what an iteration computes.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +53,9 @@ from .core import (
     initial_state,
     max_abs,
     own_columns,
+    quadratic_constraints,
     row_dots,
+    spectral_norms,
     stack_rows,
     vec_norm,
 )
@@ -66,7 +68,6 @@ from .lagrangian import (
     checked_sweep,
     evaluate_point,
     lagrangian_values,
-    own_sweep,
     projected_gradient_x,
     projected_step_lam,
     raw_sweep,
@@ -240,50 +241,14 @@ class LipschitzEstimates:
     tau: float = np.nan
 
 
-def spectral_norms(mats: Array) -> Array:
-    """Largest singular value of each matrix of the stack ``mats`` (..., w, d): a
-    lone row's or column's 2-norm, else the root of the top eigenvalue of the
-    smaller Gram matrix (exact: power iteration is slow on clustered ones). Bit
-    for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
-    *lead, w, d = mats.shape
-    if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
-        v = mats.reshape(*lead, w * d)   # a view: a strided dot product rounds differently
-        top = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
-    else:
-        work = mats if w <= d else np.swapaxes(mats, -1, -2)
-        top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)
-    return np.sqrt(np.where(top > 0.0, top, 0.0))
-
-
-def _objective_norms(q: QuadraticStack) -> Array:
-    """``||Q_i||_2`` of every player, with no ``(n, n)`` matrix for a band
-    player: ``Q_i = E G[sl] + K_off E'`` (``E`` the identity columns of its
-    block, ``K_off`` its band with the own rows zeroed, orthogonal to ``E``),
-    so with the thin QR ``K_off = Q_K R_K``, ``||Q_i|| = ||[G[sl]; R_K E']||``,
-    whose Gram is at most ``2w x 2w``: O(n w^2) per player, batched per run."""
-    norms = []
-    for entries, w, K in q._runs:
-        p = len(K)
-        player, own = np.arange(p)[:, None], np.arange(entries.start, entries.stop).reshape(p, w)
-        K_off = K.copy()
-        K_off[player, own] = 0.0
-        M = np.zeros((p, 2 * w, q.layout.n))
-        M[:, :w] = q.G[entries].reshape(p, w, -1)
-        M[player, w:, own] = np.linalg.qr(K_off, mode="r").transpose(0, 2, 1)
-        norms.append(spectral_norms(M))
-    L = np.concatenate(norms)
-    if q.dense_players:
-        L[list(q.dense_players)] = spectral_norms(q.dense)
-    return L
-
-
 class LipschitzEstimator:
     """Smoothness estimation, exact for a quadratic game.
 
     A game with stacked quadratic data (``game.quadratic``) gets exact
-    constants from it: each ``||Q_i||_2`` from its band (:func:`_objective_norms`)
-    and constraint bounds from the curved players' Hessians (zero for affine
-    players). Every other game gets constants from sampled difference
+    constants from it, computed once per game
+    (:attr:`~gnepsolve.core.QuadraticStack.smoothness`): each ``||Q_i||_2``
+    from its band and constraint bounds from the curved players' Hessians
+    (zero for affine players). Every other game gets constants from sampled difference
     quotients ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded
     point pairs drawn in a box around the current iterate, inflated by a
     safety factor, and each player's largest Jacobian norm at the sampled
@@ -307,20 +272,15 @@ class LipschitzEstimator:
         # every resample otherwise (never written in place, so an estimate
         # handed out earlier keeps its values).
         gg = [np.zeros(p.m) for p in game.players]   # constraint-gradient Lipschitz bounds
-        self._jac_growth = np.zeros(N)
         self._jac_max = np.zeros(N)
-        q = game.quadratic
-        if q is None:
+        if game.quadratic is None:
+            self._jac_growth = np.zeros(N)
             self._bind(np.zeros(N), gg)
             return
-        for i, A in q.hessians.items():
-            a_norms = spectral_norms(A)
-            # Jacobian-growth bound over a box: ||dJ||_F <= sqrt(sum_j
-            # ||A_j||^2 * supp_j) * r, with supp_j the support size of A_j.
-            supp = np.array([int(np.count_nonzero(np.any(a, axis=0))) for a in A])
+        L_theta, hessian_norms, self._jac_growth = game.quadratic.smoothness
+        for i, a_norms in hessian_norms.items():
             gg[i] = a_norms
-            self._jac_growth[i] = float(np.sqrt(np.sum(a_norms ** 2 * np.maximum(supp, 1))))
-        self._bind(_objective_norms(q), gg)
+        self._bind(L_theta, gg)
 
     def _bind(self, L_theta: Array, gg: list[Array]):
         self._L_theta = L_theta
@@ -608,9 +568,7 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     """The Jacobi block update and the dual step: every player's surrogate
     minimizer over its private set, ``project_private(y - own_grad / gamma)``,
     in one projection, then the oracle sweep there and the multiplier step
-    :func:`step_duals` from the anchor's multipliers. An anchor holding its
-    own blocks alone (built at an own-block point) takes the own-block sweep
-    (:func:`~gnepsolve.lagrangian.own_sweep`), any other the full one.
+    :func:`step_duals` from the anchor's multipliers.
 
     This is the fixed point the reference sweep :func:`inner_step` converges
     to. The step is accepted whatever its exit label: the label
@@ -619,13 +577,56 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     caller's ``errstate``: the sweep at the new point
     (:func:`~gnepsolve.lagrangian.checked_sweep`) takes no ``errstate`` of
     its own, and a non-finite oracle value raises
-    :class:`~gnepsolve.core.OracleFailure` whatever it is.
+    :class:`~gnepsolve.core.OracleFailure` whatever it is. :func:`solve`
+    steps a game with stacked quadratic data by :func:`_quadratic_step`,
+    bit for bit this step.
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
-    # u is a fresh array: no copy
-    point = (checked_sweep if anchor.grads is not None else own_sweep)(game, u)
+    point = checked_sweep(game, u)   # u is a fresh array: no copy
     lam = step_duals(anchor.lam, point.g_values, cfg.beta)
     return InnerResult(u, point, lam, lam - anchor.lam)
+
+
+def _jacobian_gathers(game: GameInstance, J: Array) -> tuple:
+    """Each run of :attr:`~gnepsolve.core.GameInstance.own_gathers` with the
+    rows of ``J`` it reads as one ``(p, w, n)`` view, its blocks ``None``
+    when they are every block (one add, no slice): the operands of
+    :func:`_quadratic_step`'s gather, bound once for a Jacobian that cannot
+    move."""
+    n = game.n
+    return tuple((rows, None if cols.stop - cols.start == n else cols, p, own,
+                  J[rows].reshape(p, -1, n)) for rows, cols, p, own in game.own_gathers)
+
+
+def _quadratic_step(game: GameInstance, x: Array, lam: Array, own_rows: Array, gathers: tuple,
+                    gamma_by_coord: Array, beta: float) -> tuple[Array, ...]:
+    """One iteration of a game with stacked quadratic data from ``x`` and
+    ``lam``, the halves of its joint row ``z = [x; lam]``, bit for bit
+    :func:`solve_inner` from the anchor
+    :func:`~gnepsolve.lagrangian.build_anchor` builds at ``(x, lam)``: the
+    own-block gradients ``own_rows + b_own`` (``own_rows`` the ``G @ x``
+    of ``x``) plus each player's own entries of ``J_i.T @ lam_i``, gathered
+    from the full gemv (a gemv over the own columns alone rounds
+    differently) on the Jacobian's views ``gathers``
+    (:func:`_jacobian_gathers`), then the projection and the dual step
+    ``max(lam + g / beta, 0)`` at the new point, both written into the new
+    row. Returns the new row and its halves, the constraint values and
+    Jacobian at its point, and its ``G @ x``. Checks nothing: the trace
+    block pass finds a non-finite value (:func:`_objective_rows`)."""
+    q, n = game.quadratic, game.n
+    grad = own_rows + q.b_own
+    for rows, cols, p, own, J in gathers:
+        terms = np.matmul(lam[rows].reshape(p, 1, -1), J).ravel()[own]
+        if cols is None:
+            grad += terms
+        else:
+            grad[cols] += terms
+    new = np.empty(n + len(lam))
+    u, lam_new = new[:n], new[n:]
+    u[:] = game.project_private(x - grad / gamma_by_coord)
+    g, J = quadratic_constraints(game, u)
+    np.maximum(lam + g / beta, 0.0, out=lam_new)
+    return new, u, lam_new, g, J, np.matmul(q.G, u)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +758,8 @@ def _own_jac_norms(game: GameInstance, J: Array) -> Array:
 
 
 def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: Array,
-                    lam: Array, J: Array, dx: Array, own_rows: Array) -> tuple[Array, Array]:
+                    lam: Array, g: Array, J: Array, dx: Array,
+                    own_rows: Array) -> tuple[Array, Array]:
     """For a game with stacked quadratic data, the objective values at each
     row's point ``x[j]`` and the model slopes ``((Q x_a + b) + J_a.T lam_a)
     . dx[j]`` at its anchor: the previous row's point, multipliers ``lam``
@@ -767,7 +769,10 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: A
     products are taken over a leading axis of their points, with their
     ``G @ x`` rows ``own_rows``, which the iterations kept; one ``(rows, N,
     n)`` stack holds at most ``_STACK_BYTES``. Returns the rows before the
-    first whose objective value or gradient has a non-finite entry."""
+    first with a non-finite entry among the fields of a full sweep at its
+    point: its objective values and gradients (the own entries the
+    iteration read included), its constraint values ``g`` and, stacked by
+    row, its Jacobian."""
     q, N, n = game.quadratic, game.num_players, game.n
     step = max(1, _STACK_BYTES // (8 * N * n))
     x_a, lam_a, J_a = anchor
@@ -778,7 +783,10 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: A
         grads = q.products(X, own_rows=own_rows[s:s + step])
         theta = 0.5 * row_dots(grads, X) + row_dots(q.b, X)
         grads += q.b
-        finite = np.isfinite(theta).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
+        finite = (np.isfinite(theta).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
+                  & np.isfinite(g[s:s + step]).all(axis=1))
+        if J.ndim == 3:
+            finite &= np.isfinite(J[s:s + step]).all(axis=(1, 2))
         kept = len(finite) if finite.all() else int(np.argmin(finite))
         if kept:
             thetas.append(theta[:kept])
@@ -816,10 +824,10 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     ``k``, step ``dx`` and multiplier move ``dlam`` (the loop's
     subtractions) follow from the anchor and the stacked states, and a
     quadratic row's own-block gradients are ``own + b_own``, as in
-    :func:`~gnepsolve.lagrangian.own_sweep`. A game with stacked quadratic
-    data has its objective values and slopes computed here
-    (:func:`_objective_rows`), and only the rows before the first whose
-    objective value or gradient is not finite are built. Data that cannot
+    :func:`_quadratic_step`. A game with stacked quadratic data has its
+    objective values and slopes computed here (:func:`_objective_rows`),
+    and only the rows before the first with a non-finite objective value,
+    gradient, constraint value or moving Jacobian are built. Data that cannot
     move passes its per-run columns ``constants``, each one ``(N,)`` row
     that every row's column is a read-only view of, and every row's ``J`` is
     the anchor's; else the rows' ``J`` are stacked and their own-block norms
@@ -838,7 +846,7 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     if game.quadratic is None:
         theta, slope = map(np.array, cols[-2:])
     else:
-        theta, slope = _objective_rows(game, (x_a, lam_a, J_a), x, lam, J, dx, own)
+        theta, slope = _objective_rows(game, (x_a, lam_a, J_a), x, lam, g, J, dx, own)
         if len(theta) < len(pending):
             return (_trace_rows(game, anchor, pending[:len(theta)], constants, stall_tol)
                     if len(theta) else _empty_columns())
@@ -892,12 +900,15 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     gradients, one projection, the constraint values (and any moving
     Jacobian) at the new point, the multiplier step and the max norms, with
     the multipliers stacked over the constraint rows (``game.rows``). A game
-    with stacked quadratic data iterates on own-block points
-    (:func:`~gnepsolve.lagrangian.own_sweep`); its objective values, the
-    rival blocks of its gradients and the model slopes are the trace's, and
-    so is their finiteness check. Any other game takes a full oracle sweep
-    per iteration (one call of its batched oracle when it has one) and the
-    model slopes along its step. With moving Jacobians an iteration takes
+    with stacked quadratic data takes one step on its joint row ``[x; lam]``
+    (:func:`_quadratic_step`): the own-block gradients from the row's ``G @
+    x``, the projection and the dual step into the new row, its ``G @ x``,
+    and a stop test of one max-abs over the row's move. Its objective values,
+    the rival blocks of its gradients and the model slopes are the trace's,
+    and so is the finiteness check of every field a full sweep would check.
+    Any other game takes a full checked oracle sweep per iteration (one call
+    of its batched oracle when it has one) and the model slopes along its
+    step. With moving Jacobians an iteration takes
     each player's full-Jacobian norm, which the next Lipschitz estimate
     reads. No iteration labels its own step: each keeps only the arrays of
     its row that cannot be derived (see :func:`_trace_rows`), and one pass
@@ -907,8 +918,9 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     (:class:`_StallWatch`) is fed each built block but a converged row. A
     run ends at a trace row: at the row that stops it, or before the first
     row the block pass cannot build, which ends it as an oracle failure at
-    that iteration would; the rows the loop ran past it are dropped, and the
-    final state and residual are the last kept row's. The blocks are
+    that iteration would, with the full sweep's message there; the rows the
+    loop ran past it are dropped, and the final state and residual are the
+    last kept row's. The blocks are
     stacked once, at the end; a ``fixed`` game's per-run constants are one
     row each, viewed by every row. One ``np.errstate(**QUIET)`` spans the
     loop: a diverging run ends in a finiteness check, not in a NumPy
@@ -932,25 +944,26 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, np.inf, message=str(exc))
 
-    x, lam = state.x, state.duals.lam
+    x, lam, J, n, q = state.x, state.duals.lam, point.g_jacobians, game.n, game.quadratic
     # Data that cannot move: gamma, the Jacobian norms and J are the first ones.
-    fixed, quad = estimator.fixed, game.quadratic is not None
+    fixed = estimator.fixed
     with np.errstate(**QUIET):   # an overflowed norm is the next sweep's oracle failure
-        jac_full = _jac_norms(game, point.g_jacobians)
-        jac_own = _own_jac_norms(game, point.g_jacobians)
+        jac_full = _jac_norms(game, J)
+        jac_own = _own_jac_norms(game, J)
+        if q is not None:   # the joint row [x; lam], the G @ x of its point, J's views
+            z, own_rows = np.concatenate([x, lam]), np.matmul(q.G, x)
+            gathers = _jacobian_gathers(game, J)
     trace = SolveTrace(
         initial_L=lagrangian_values(point.theta, point.g_values, lam, rows),
         initial_feas=constraint_violation(point.g_values),
         initial_jac_norm=jac_full,
         initial_jac_own_norm=jac_own,
     )
-    if quad:   # iterate on own blocks: the trace block pass takes the rest
-        point = replace(point, theta=None, theta_grads=None)
 
     status, message = "max_outer", ""
     watch = _StallWatch(cfg.outer_tol)
     # raw rows, built columns, and (k, x, lam, J, L_values) of the last built row
-    pending, blocks, before = [], [], (0, x, lam, point.g_jacobians, trace.initial_L)
+    pending, blocks, before = [], [], (0, x, lam, J, trace.initial_L)
     constants, block_rows = None, 0   # a fixed game's run columns; rows per block
 
     def build() -> bool:
@@ -982,7 +995,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         pending = []
         return ends
 
-    with np.errstate(**QUIET):   # a diverging run ends in the oracle sweep's checks
+    with np.errstate(**QUIET):   # a diverging run ends in a finiteness check
         for k in range(cfg.max_outer):
             try:
                 if k == 0 or not fixed:
@@ -997,25 +1010,31 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                     if fixed:
                         constants = dict(jac_norm=jac_full, jac_own_norm=jac_own, gamma=gamma,
                                          M_theta_own=est.L_theta, M_g_own=est.M_g_own)
-                anchor = build_anchor(game, lam, gamma, point, gamma_by_coord)
-                inner = solve_inner(game, anchor, cfg)
-                new = inner.point
-                dx = inner.x_next - x
-                dx_inf, dlambda_inf = max_abs(dx), max_abs(inner.dlam)
-                row = (inner.x_next, inner.lam, new.g_values,
-                       new.own_rows if quad else new.grad_own)
+                if q is not None:
+                    new, x, lam, g, J, own_rows = _quadratic_step(
+                        game, x, lam, own_rows, gathers, gamma_by_coord, cfg.beta)
+                    if not fixed:
+                        gathers = _jacobian_gathers(game, J)
+                    residual, z = max_abs(new - z), new   # a NaN never converges
+                    row = (x, lam, g, own_rows)
+                else:
+                    anchor = build_anchor(game, lam, gamma, point, gamma_by_coord)
+                    inner = solve_inner(game, anchor, cfg)
+                    point, dx = inner.point, inner.x_next - x
+                    residual = max(max_abs(dx), max_abs(inner.dlam))
+                    x, lam, J = inner.x_next, inner.lam, point.g_jacobians
+                    row = (x, lam, point.g_values, point.grad_own)
                 if not fixed:
-                    jac_full = _jac_norms(game, new.g_jacobians)
-                    row += (new.g_jacobians, jac_full, gamma, est)
-                if not quad:
-                    row += (new.theta, row_dots(anchor.grads, dx))
+                    jac_full = _jac_norms(game, J)
+                    row += (J, jac_full, gamma, est)
+                if q is None:
+                    row += (point.theta, row_dots(anchor.grads, dx))
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)
                 break
 
             pending.append(row)
-            x, lam, point = inner.x_next, inner.lam, new
-            if max(dx_inf, dlambda_inf) <= cfg.outer_tol:
+            if residual <= cfg.outer_tol:
                 status = "converged"
                 break
             block_rows = block_rows or _block_rows(row)

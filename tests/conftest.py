@@ -17,7 +17,7 @@ def fast_config(**kw):
 def spectral_norm_reference(mat):
     """Largest singular value of one matrix, from the exact symmetric
     eigendecomposition of its smaller Gram matrix: the per-matrix formula
-    that ``solver.spectral_norms`` computes for a whole stack."""
+    that ``core.spectral_norms`` computes for a whole stack."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0 or not np.any(mat):
         return 0.0
@@ -32,6 +32,33 @@ def blocks_of(monkeypatch, rows):
     written for one block size. Returns ``rows``."""
     monkeypatch.setattr(G.solver, "_BOUND_ROWS", rows)
     return rows
+
+
+def record_blocks(monkeypatch):
+    """Record every ``_trace_rows`` call of ``solve``: its arguments and the
+    columns it built (a copy of the block, which solve empties)."""
+    blocks, trace_rows = [], G.solver._trace_rows
+
+    def recording(*args):
+        built = trace_rows(*args)
+        blocks.append((args, dict(built)))
+        return built
+
+    monkeypatch.setattr(G.solver, "_trace_rows", recording)
+    return blocks
+
+
+def row_states(blocks, rows):
+    """``(x, lam)`` before and after each of the first ``rows`` trace rows,
+    from the recorded ``blocks`` (:func:`record_blocks`): a row's anchor is
+    the row before it, the block's anchor for its first row, as the trace
+    block pass derives it."""
+    states = []
+    for (_, (_, x, lam, *_), pending, *_), _ in blocks:
+        for row in pending:
+            states.append(((x, lam), (row[0], row[1])))
+            x, lam = row[0], row[1]
+    return states[:rows]
 
 
 def stopping_residual(prev, next_state):

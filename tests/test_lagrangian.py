@@ -17,6 +17,7 @@ from gnepsolve.lagrangian import (
 from gnepsolve.core import central_gradient
 from gnepsolve import library
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
+from conftest import record_blocks, row_states
 
 
 def two_circle_game():
@@ -373,19 +374,18 @@ def test_model_block_gradient_affine_and_fd(pen2):
 def test_solver_hands_anchor_the_values_at_its_point(monkeypatch, make_game, x0):
     # each row's exit label is judged against the Lagrangian values at its
     # anchor: row k-1's L_values, initial_L for row 1. They must be what a
-    # fresh evaluation at the anchor's point and multipliers gives
+    # fresh evaluation at the anchor's point and multipliers (row k-1's x and
+    # lam, the start's for row 1, as the trace block pass reads them) gives
     game = make_game()
-    anchors = []
-
-    def recording_build_anchor(*args):
-        anchors.append(build_anchor(*args))
-        return anchors[-1]
-
-    monkeypatch.setattr(G.solver, "build_anchor", recording_build_anchor)
+    blocks = record_blocks(monkeypatch)
     res = G.solve(game, x0, G.SolverConfig(max_outer=30))
+    anchors = [before for before, _ in row_states(blocks, res.outer_iterations)]
     assert len(anchors) == res.outer_iterations > 1
+    start = G.initial_state(game, x0)
+    assert anchors[0][0].tobytes() == start.x.tobytes()
+    assert anchors[0][1].tobytes() == start.duals.lam.tobytes()
     judged = [res.trace.initial_L] + [row.L_values for row in res.trace.rows[:-1]]
-    for anchor, values in zip(anchors, judged):
-        point = evaluate_point(game, anchor.y)
-        fresh = lagrangian_values(point.theta, point.g_values, anchor.lam, game.rows)
+    for (y, lam), values in zip(anchors, judged):
+        point = evaluate_point(game, y)
+        fresh = lagrangian_values(point.theta, point.g_values, lam, game.rows)
         assert values.tobytes() == fresh.tobytes()

@@ -17,8 +17,8 @@ from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation, vec_nor
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
-from conftest import (ad_start, blocks_of, fast_config, free_affine_game,
-                      spectral_norm_reference, stopping_residual)
+from conftest import (ad_start, blocks_of, fast_config, free_affine_game, record_blocks,
+                      row_states, spectral_norm_reference, stopping_residual)
 
 
 def test_example3_converges_from_all_starts(ex3_runs):
@@ -233,20 +233,6 @@ def nan_past_a_block():
             fast_config(gamma=G.GammaPolicy.fixed(1.0), max_outer=10 * B))
 
 
-def record_blocks(monkeypatch):
-    """Record every ``_trace_rows`` call of ``solve``: its arguments and the
-    columns it built (a copy of the block, which solve empties)."""
-    blocks, trace_rows = [], G.solver._trace_rows
-
-    def recording(*args):
-        built = trace_rows(*args)
-        blocks.append((args, dict(built)))
-        return built
-
-    monkeypatch.setattr(G.solver, "_trace_rows", recording)
-    return blocks
-
-
 def test_block_rows_are_the_one_row_rows(monkeypatch):
     # every trace row, its exit label, L_values and L_x_step among its
     # fields, is bit for bit what the block pass gives on that row alone,
@@ -451,21 +437,17 @@ def mixed_run_game():
 def test_run_mixing_affine_and_curved_players_matches_fresh_norms(monkeypatch):
     # a run holding a varying Jacobian has all its norms recomputed, those of
     # its constant players too; every row must carry, for every player, the
-    # bits of a fresh per-player computation at that row's iterate
+    # bits of a fresh per-player computation at that row's iterate (its x in
+    # the trace)
     game = mixed_run_game()
     assert len(game.constrained_runs) == 1
     assert [game.constant_jacobian(i) for i in range(3)] == [True, False, True]
-    iterates, solve_inner = [], G.solver.solve_inner
-
-    def recording_inner(*args):
-        iterates.append(solve_inner(*args))
-        return iterates[-1]
-
-    monkeypatch.setattr(G.solver, "solve_inner", recording_inner)
+    blocks = record_blocks(monkeypatch)
     res = G.solve(game, np.zeros(game.n), G.SolverConfig(max_outer=40))
+    iterates = [x for _, (x, _) in row_states(blocks, res.outer_iterations)]
     assert len(res.trace.rows) == len(iterates) > 10
-    for row, inner in zip(res.trace.rows, iterates):
-        full, own = fresh_jacobian_norms(game, inner.x_next)
+    for row, x in zip(res.trace.rows, iterates):
+        full, own = fresh_jacobian_norms(game, x)
         assert row.jac_norm.tobytes() == full.tobytes()
         assert row.jac_own_norm.tobytes() == own.tobytes()
     assert len({row.jac_own_norm[1] for row in res.trace.rows}) > 10   # the curved player's moved
@@ -560,31 +542,35 @@ def test_affine_quadratic_rows_take_the_constants_of_one_estimate(monkeypatch):
     # stacked quadratic data with no curved player fixes the estimate: solve
     # takes it, gamma and gamma's repeat over the blocks once per run, and
     # every row's gamma is still what a fresh estimate at that iteration's
-    # (x_k, lam_k) gives. A curved game (example3) estimates every iteration.
-    calls, anchors = [], []
-    estimate, solve_inner = G.LipschitzEstimator.estimate, G.solver.solve_inner
+    # anchor (x_k, lam_k), row k's x and lam in the trace, gives; the row's
+    # step is the reference step from that anchor with that gamma repeated
+    # over the blocks. A curved game (example3) estimates every iteration.
+    calls = []
+    estimate = G.LipschitzEstimator.estimate
 
     def counting_estimate(self, *args, **kwargs):
         calls.append(self.game.name)
         return estimate(self, *args, **kwargs)
 
-    def recording_inner(game, anchor, cfg):
-        anchors.append(anchor)
-        return solve_inner(game, anchor, cfg)
-
     monkeypatch.setattr(G.LipschitzEstimator, "estimate", counting_estimate)
-    monkeypatch.setattr(G.solver, "solve_inner", recording_inner)
+    blocks = record_blocks(monkeypatch)
     game, _ = G.library.gen_random_quadratic_with_plant(2, 3, 2, seed=102)
     assert G.LipschitzEstimator(game).fixed
-    res = G.solve(game, np.zeros(game.n), fast_config())
-    assert calls == [game.name] and len(anchors) == res.outer_iterations > 100
-    assert len({anchor.lam.tobytes() for anchor in anchors}) > 100   # lam_k moves
-    pen = fast_config().penalty()
-    for row, anchor in zip(res.trace.rows, anchors):
-        gamma, _ = G.choose_gamma(estimate(G.LipschitzEstimator(game), anchor.y, anchor.lam),
+    cfg = fast_config()
+    res = G.solve(game, np.zeros(game.n), cfg)
+    states = row_states(blocks, res.outer_iterations)
+    assert calls == [game.name] and len(states) == res.outer_iterations > 100
+    assert len({lam.tobytes() for (_, lam), _ in states}) > 100   # lam_k moves
+    pen = cfg.penalty()
+    for row, ((y, lam), (x_next, lam_next)) in zip(res.trace.rows, states):
+        gamma, _ = G.choose_gamma(estimate(G.LipschitzEstimator(game), y, lam),
                                   pen, G.GammaPolicy.auto())
-        assert row.gamma.tobytes() == anchor.gamma.tobytes() == gamma.tobytes()
+        assert row.gamma.tobytes() == gamma.tobytes()
+        anchor = G.build_anchor(game, lam, row.gamma, evaluate_point(game, y))
         assert anchor.gamma_by_coord.tobytes() == game.layout.segments.repeat(gamma).tobytes()
+        step = G.solve_inner(game, anchor, cfg)
+        assert step.x_next.tobytes() == x_next.tobytes()
+        assert step.lam.tobytes() == lam_next.tobytes()
     calls.clear()
     ex3 = G.library.make_example3()
     assert not G.LipschitzEstimator(ex3).fixed
@@ -786,6 +772,48 @@ def test_a_failure_the_block_pass_finds_ends_the_run_at_its_iteration(monkeypatc
     assert res.final_residual == max(res.trace.rows[-1].dx_inf, res.trace.rows[-1].dlambda_inf)
     (_, _, pending, *_), built = blocks[-1]
     assert len(built["k"]) == 9 < len(pending)
+
+
+def constraint_overflow_game():
+    """Two players with free one-variable blocks minimizing ``0.5 x1^2 + x1``
+    and ``0.5 x2^2 + x2``; player 1 has the curved row ``-1e100 x1^2 - 1 <=
+    0``, never active (its multiplier stays zero) and concave only in its
+    rival's block. Under a fixed gamma of 0.1 each step overshoots ninefold,
+    and from ``(1, 1)`` the row's value overflows to -inf at iteration 109,
+    while the objective values, the gradients and the Jacobian are still
+    finite."""
+    A = np.zeros((2, 2))
+    A[0, 0] = -2e100
+    players = [QuadraticPlayerSpec(np.diag([1.0, 0.0]), np.array([1.0, 0.0]), SimpleSet.free(1)),
+               QuadraticPlayerSpec(np.diag([0.0, 1.0]), np.array([0.0, 1.0]), SimpleSet.free(1),
+                                   [(A, np.zeros(2), -1.0)])]
+    return QuadraticGnepSpec(BlockLayout((1, 1)), players, "constraint-overflow").to_game()
+
+
+def test_a_constraint_value_that_turns_non_finite_ends_the_run_before_it(monkeypatch):
+    # the loop runs past iteration 109, whose constraint value is -inf, to
+    # the end of its 64-row block; the block pass finds it there, and the run
+    # ends as the per-iteration check ended it: 108 rows, their last state,
+    # and the full sweep's message at iteration 109, with no NumPy warning
+    B = blocks_of(monkeypatch, 64)
+    blocks = record_blocks(monkeypatch)
+    game = constraint_overflow_game()
+    assert not G.LipschitzEstimator(game).fixed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = G.solve(game, np.ones(2), G.SolverConfig(gamma=G.GammaPolicy.fixed(0.1)))
+    assert res.status == "oracle-failure"
+    assert res.message == "player 1: non-finite constraint value"
+    assert res.outer_iterations == len(res.trace.rows) == 108 == B + 44
+    assert res.state.x.tobytes() == np.full(2, 2.2867622545673627e+103).tobytes()
+    assert res.state.duals.lam.tobytes() == np.zeros(1).tobytes()
+    assert res.final_residual == 2.540846949519292e+103
+    (_, _, pending, *_), built = blocks[-1]
+    assert len(built["k"]) == 44 < len(pending)
+    x, _, g, *_ = pending[44]   # iteration 109
+    point = G.lagrangian.raw_sweep(game, x)
+    assert np.isfinite(point[0]).all() and np.isfinite(point[1]).all()
+    assert np.isfinite(point[3]).all() and g.tolist() == [-np.inf]
 
 
 def test_shared_constraint_game_matches_grid_reference():

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import gnepsolve as G
 from gnepsolve import lagrangian, library
 from gnepsolve.core import PlayerDualState, Segments, row_dots, run_matvec
-from gnepsolve.solver import _objective_norms, spectral_norms
+from gnepsolve.core import objective_norms, spectral_norms
 from gnepsolve.lagrangian import (PenaltyParams, build_anchor, evaluate_point,
                                   lagrangian_from_values, lagrangian_values, projected_gradient_x)
-from conftest import QUAD_SHAPES, blocks_of, dense_objective
+from conftest import QUAD_SHAPES, blocks_of, dense_objective, row_states
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -285,31 +285,98 @@ def test_leading_axis_helpers_are_the_per_row_calls(drawn, R, S):
 
 @settings(deadline=None, max_examples=40)
 @given(affine_specs(), st.integers(1, 4), st.integers(1, 3))
-def test_own_block_sweep_and_products_over_leading_axes_are_the_one_point_forms(drawn, R, S):
+def test_quadratic_step_and_products_over_leading_axes_are_the_one_point_forms(drawn, R, S):
     # every Q_i @ x over (R, n) and (S, R, n) points, band, band-signed and
     # dense players mixed, also given the points' own rows G @ x as the
-    # own-block sweep keeps them; an own-block point's gradients and
-    # constraint fields, and the own-block anchor built on it, against the
-    # full sweep's
+    # quadratic step keeps them; the step from each point (several runs of
+    # constraint rows, players without rows, simplex and ball blocks)
+    # against the reference path, bit for bit
     spec, rng = drawn
     game = spec.to_game()
     q = game.quadratic
     X = 3.0 * _signed(rng, (S, R, game.n))
     assert bits(q.products(X[0])) == bits([q.products(x) for x in X[0]])
     assert bits(q.products(X)) == bits([[q.products(x) for x in s] for s in X])
-    kept = np.array([[lagrangian.own_sweep(game, x).own_rows for x in s] for s in X])
+    kept = np.array([[np.matmul(q.G, x) for x in s] for s in X])
     assert bits(q.products(X[0], own_rows=kept[0])) == bits(q.products(X[0]))
     assert bits(q.products(X, own_rows=kept)) == bits(q.products(X))
     lam = np.abs(_signed(rng, game.total_constraints))
     gamma = rng.uniform(0.5, 5.0, game.num_players)
     for x in X[0]:
-        full, own = evaluate_point(game, x), lagrangian.own_sweep(game, x)
-        assert own.theta is None and own.theta_grads is None
-        for f in ("grad_own", "g_values", "g_jacobians"):
-            assert bits(getattr(own, f)) == bits(getattr(full, f)), f
-        assert bits(own.own_rows + q.b_own) == bits(own.grad_own)
-        assert bits(build_anchor(game, lam, gamma, own).own_grad) == bits(
-            build_anchor(game, lam, gamma, full).own_grad)
+        check_quadratic_step(game, x, lam, gamma, float(rng.uniform(0.5, 5.0)))
+
+
+def check_quadratic_step(game, x, lam, gamma, beta):
+    """``solve``'s step of a game with stacked quadratic data from ``(x,
+    lam)`` (``solver._quadratic_step``, from the ``G @ x`` it keeps) against
+    the reference path: the full sweep at ``x``, ``build_anchor`` and
+    ``solve_inner``, bit for bit. The new row is the new point and
+    multipliers, its halves views of it; the constraint values and
+    Jacobian are the sweep's there, and its ``G @ x`` plus ``b_own`` is the
+    sweep's own-block gradients there."""
+    q, point = game.quadratic, evaluate_point(game, x)
+    want = G.solve_inner(game, build_anchor(game, lam, gamma, point), G.SolverConfig(beta=beta))
+    new, x_new, lam_new, g, J, own_rows = G.solver._quadratic_step(
+        game, x, lam, np.matmul(q.G, x), G.solver._jacobian_gathers(game, point.g_jacobians),
+        game.layout.segments.repeat(gamma), beta)
+    assert bits(new) == bits(np.concatenate([want.x_next, want.lam]))
+    assert x_new.base is new and lam_new.base is new
+    assert bits(x_new) == bits(want.x_next) and bits(lam_new) == bits(want.lam)
+    assert bits(g) == bits(want.point.g_values) and bits(J) == bits(want.point.g_jacobians)
+    assert bits(own_rows + q.b_own) == bits(want.point.grad_own)
+
+
+def assorted_game():
+    """Five players: a simplex block and a ball block with two affine rows
+    each (one run of constraint rows), the ball player's ``Q`` dense; a box
+    player without rows; a nonneg player with a curved row and an affine
+    one; a box player with three affine rows: three runs."""
+    rng = np.random.default_rng(11)
+    layout = G.BlockLayout((2, 2, 1, 3, 1))
+    n, players = layout.n, []
+    sets = [G.SimpleSet.simplex(2), G.SimpleSet.ball(2, 1.5), G.SimpleSet.box([-1.0], [1.0]),
+            G.SimpleSet.nonneg(3), G.SimpleSet.box([-2.0], [2.0])]
+    for i, (sl, pset, shape, m) in enumerate(zip(layout.slices, sets,
+                                                 ("band", "dense", "band", "band", "band"),
+                                                 (2, 2, 0, 2, 3))):
+        Q = _objective(shape, sl, rng, n)
+        Q[sl, sl] += 2.0 * np.eye(sl.stop - sl.start)
+        cons = [(None, rng.standard_normal(n), 0.2 + rng.uniform()) for _ in range(m)]
+        if i == 3:
+            A = np.zeros((n, n))
+            A[sl, sl] = 2.0 * np.eye(3)
+            cons[0] = (A, rng.standard_normal(n), 0.5)
+        players.append(library.QuadraticPlayerSpec(Q, rng.standard_normal(n), pset, cons))
+    return library.QuadraticGnepSpec(layout, players, "assorted").to_game()
+
+
+def test_quadratic_step_rows_are_the_reference_steps(monkeypatch):
+    # every row of a run of the assorted game (three runs of constraint
+    # rows, a player without rows, simplex and ball blocks, a curved and a
+    # dense player) is the reference step (the full sweep at row k-1's
+    # point, build_anchor at its multipliers with row k's gamma, solve_inner)
+    # bit for bit, as is the step at points off the run
+    game = assorted_game()
+    q = game.quadratic
+    assert len(game.constrained_runs) == 3 and game.rows.counts[2] == 0
+    assert q.dense_players == (1,) and list(q.hessians) == [3]
+    blocks = []
+    trace_rows = G.solver._trace_rows
+    monkeypatch.setattr(G.solver, "_trace_rows",
+                        lambda *args: (blocks.append((args, None)), trace_rows(*args))[1])
+    cfg = G.SolverConfig(max_outer=60, outer_tol=1e-14)
+    res = G.solve(game, np.zeros(game.n), cfg)
+    states = row_states(blocks, res.outer_iterations)
+    assert res.outer_iterations == len(states) == 60
+    for row, ((y, lam), (x_next, lam_next)) in zip(res.trace.rows, states):
+        want = G.solve_inner(game, build_anchor(game, lam, row.gamma, evaluate_point(game, y)), cfg)
+        assert bits(x_next) == bits(want.x_next) and bits(lam_next) == bits(want.lam)
+    assert len({bits(lam) for (_, lam), _ in states}) > 30   # the multipliers move
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        check_quadratic_step(game, 3.0 * rng.standard_normal(game.n),
+                             rng.exponential(size=game.total_constraints),
+                             rng.uniform(0.5, 5.0, game.num_players), 1.0)
 
 
 def shaped_game(shapes, seed):
@@ -352,14 +419,14 @@ def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypat
     res = G.solve(game, np.zeros(n), G.SolverConfig(max_outer=70, outer_tol=1e-14))
     assert res.outer_iterations == 70 and len(blocks) == 2
     for (_, x_a, lam_a, J_a, _), pending in blocks:
-        x, lam, _, own_rows, *moving = map(list, zip(*pending))
+        x, lam, g, own_rows, *moving = map(list, zip(*pending))
         x_prev, lam_prev = [x_a] + x[:-1], [lam_a] + lam[:-1]
         X = np.array(x)
         dx = X - np.array(x_prev)   # the loop's steps
         assert bits(q.products(X)) == bits([q.products(p) for p in X])
         J = J_a if G.LipschitzEstimator(game).fixed else np.array(moving[0])
-        theta, slope = G.solver._objective_rows(game, (x_a, lam_a, J_a), X, np.array(lam), J,
-                                                dx, np.array(own_rows))
+        theta, slope = G.solver._objective_rows(game, (x_a, lam_a, J_a), X, np.array(lam),
+                                                np.array(g), J, dx, np.array(own_rows))
         assert len(theta) == len(slope) == len(pending)
         for j in range(len(pending)):
             assert bits(theta[j]) == bits(evaluate_point(game, x[j]).theta)
@@ -625,7 +692,7 @@ def test_objective_norms_are_the_dense_norms(spec):
     q = spec.to_game().quadratic
     want = np.concatenate([spectral_norms(dense_objective(q, i)[None])
                            for i in range(q.layout.num_blocks)])
-    got = _objective_norms(q)
+    got = objective_norms(q)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * want)
 

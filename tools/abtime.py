@@ -9,7 +9,11 @@ generators from the constants of this checkout's ``perfbench/workloads.py``:
 - ``quad-certify``: the twenty planted quadratic games, solved from their
   plants as the workload's jobs solve them (the certification is not run);
 - ``quad-wide``: the 40-player game drawn with ``--seed``, run for the
-  workload's budget of outer iterations.
+  workload's budget of outer iterations;
+- ``power-cli``: power from ``const:0`` under the CLI's default
+  configuration, capped at ``POWER_MAX_OUTER`` outer iterations, as the
+  workload's ``gnepsolve solve`` call solves it (its diagnostics, result
+  document and trace CSV are not made).
 
 A pair is one pass of every solve on each side; the side that runs first
 alternates from pair to pair. The script prints each side's minimum and
@@ -34,6 +38,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -50,12 +56,16 @@ def load(root: Path, name: str):
 
 def runs(G, workload: str, seed: int) -> list:
     """``(game, x0, config)`` of every solve of one pass, built by ``G``."""
-    from perfbench.workloads import QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER, WIDE_SHAPE
+    from perfbench.workloads import (POWER_MAX_OUTER, QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER,
+                                     WIDE_SHAPE)
 
     def config(max_outer):   # perfbench's fast_config, from this side's classes
         return G.SolverConfig(sigma=G.SigmaSchedule.constant(), outer_tol=1e-6,
                               max_outer=max_outer)
 
+    if workload == "power-cli":
+        game = G.library.builtin_instance("power")
+        return [(game, np.zeros(game.n), G.SolverConfig(max_outer=POWER_MAX_OUTER))]
     if workload == "quad-wide":
         return [(*G.library.gen_random_quadratic_with_plant(*WIDE_SHAPE, seed=seed),
                  config(WIDE_MAX_OUTER))]
@@ -90,7 +100,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the reference)")
     parser.add_argument("b", type=Path, help="checkout B")
-    parser.add_argument("--workload", choices=("quad-certify", "quad-wide"),
+    parser.add_argument("--workload", choices=("quad-certify", "quad-wide", "power-cli"),
                         default="quad-certify")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1, help="quad-wide's instance seed")
