@@ -613,7 +613,7 @@ def _quadratic_step(game: GameInstance, x: Array, lam: Array, own_rows: Array, g
     row. Returns the new row and its halves, the constraint values and
     Jacobian at its point, and its ``G @ x``. Checks nothing: the trace
     block pass finds a non-finite value (:func:`_objective_rows`)."""
-    q, n = game.quadratic, game.n
+    q, n = game.quadratic, len(x)
     grad = own_rows + q.b_own
     for rows, cols, p, own, J in gathers:
         terms = np.matmul(lam[rows].reshape(p, 1, -1), J).ravel()[own]
@@ -837,7 +837,8 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     after the previous row, the anchor's for the first."""
     k_a, x_a, lam_a, J_a, prev_L = anchor
     cols = list(zip(*pending))
-    x, lam, g, own = map(np.array, cols[:4])
+    # one concatenation per field: np.array over many small arrays is slower
+    x, lam, g, own = (np.concatenate(c).reshape(len(c), c[0].size) for c in cols[:4])
     lams = np.stack([np.vstack([lam_a, lam[:-1]]), lam], axis=1)   # (rows, 2, M)
     dx, dlam = x - np.vstack([x_a, x[:-1]]), lam - lams[:, 0]
     # max_abs of each row, as the loop takes it
