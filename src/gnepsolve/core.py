@@ -732,8 +732,7 @@ def vec_norm(v: Array) -> float:
 def max_abs(v: Array) -> float:
     """Largest absolute entry of ``v``, 0.0 when empty: the ufunc reduction
     that ``np.max(np.abs(v), initial=0.0)`` ends in, called directly, with
-    no keywords to parse (the max of entries takes no initial value but on
-    no entry)."""
+    no keywords to parse."""
     a = np.abs(v).ravel()
     return float(np.maximum.reduce(a)) if a.size else 0.0
 

@@ -48,7 +48,6 @@ from .core import (
     GameInstance,
     IterateState,
     OracleFailure,
-    QuadraticStack,
     constraint_violation,
     initial_state,
     max_abs,
@@ -577,9 +576,8 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
     caller's ``errstate``: the sweep at the new point
     (:func:`~gnepsolve.lagrangian.checked_sweep`) takes no ``errstate`` of
     its own, and a non-finite oracle value raises
-    :class:`~gnepsolve.core.OracleFailure` whatever it is. :func:`solve`
-    steps a game with stacked quadratic data by :func:`_quadratic_step`,
-    bit for bit this step.
+    :class:`~gnepsolve.core.OracleFailure` whatever it is. A game with
+    stacked quadratic data takes the same step by :func:`_quadratic_step`.
     """
     u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
     point = checked_sweep(game, u)   # u is a fresh array: no copy
@@ -588,11 +586,9 @@ def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) 
 
 
 def _jacobian_gathers(game: GameInstance, J: Array) -> tuple:
-    """Each run of :attr:`~gnepsolve.core.GameInstance.own_gathers` with the
-    rows of ``J`` it reads as one ``(p, w, n)`` view, its blocks ``None``
-    when they are every block (one add, no slice): the operands of
-    :func:`_quadratic_step`'s gather, bound once for a Jacobian that cannot
-    move."""
+    """:attr:`~gnepsolve.core.GameInstance.own_gathers` with each run's rows
+    of ``J`` as one ``(p, w, n)`` view, and its blocks ``None`` when they are
+    every block (one add, no slice): bound once for a ``J`` that cannot move."""
     n = game.n
     return tuple((rows, None if cols.stop - cols.start == n else cols, p, own,
                   J[rows].reshape(p, -1, n)) for rows, cols, p, own in game.own_gathers)
@@ -600,19 +596,16 @@ def _jacobian_gathers(game: GameInstance, J: Array) -> tuple:
 
 def _quadratic_step(game: GameInstance, x: Array, lam: Array, own_rows: Array, gathers: tuple,
                     gamma_by_coord: Array, beta: float) -> tuple[Array, ...]:
-    """One iteration of a game with stacked quadratic data from ``x`` and
-    ``lam``, the halves of its joint row ``z = [x; lam]``, bit for bit
-    :func:`solve_inner` from the anchor
-    :func:`~gnepsolve.lagrangian.build_anchor` builds at ``(x, lam)``: the
-    own-block gradients ``own_rows + b_own`` (``own_rows`` the ``G @ x``
-    of ``x``) plus each player's own entries of ``J_i.T @ lam_i``, gathered
-    from the full gemv (a gemv over the own columns alone rounds
-    differently) on the Jacobian's views ``gathers``
-    (:func:`_jacobian_gathers`), then the projection and the dual step
-    ``max(lam + g / beta, 0)`` at the new point, both written into the new
-    row. Returns the new row and its halves, the constraint values and
-    Jacobian at its point, and its ``G @ x``. Checks nothing: the trace
-    block pass finds a non-finite value (:func:`_objective_rows`)."""
+    """One iteration of a game with stacked quadratic data from the halves
+    ``x`` and ``lam`` of its joint row, bit for bit :func:`solve_inner` from
+    :func:`~gnepsolve.lagrangian.build_anchor` at ``(x, lam)``: the
+    own-block gradients ``own_rows + b_own`` (``own_rows = G @ x``) plus
+    each player's own entries of the full gemv ``J_i.T @ lam_i`` (one over
+    the own columns alone rounds differently; ``gathers`` from
+    :func:`_jacobian_gathers`), the projection and the dual step written
+    into the new row. Returns the new row and its halves, the constraint
+    values and Jacobian at its point, and its ``G @ x``. Checks nothing:
+    the trace block pass finds a non-finite value (:func:`_objective_rows`)."""
     q, n = game.quadratic, len(x)
     grad = own_rows + q.b_own
     for rows, cols, p, own, J in gathers:
