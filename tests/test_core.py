@@ -61,6 +61,19 @@ def test_simplex_projection_generic_matches_grid():
     np.testing.assert_allclose(got, ref, atol=5e-3)
 
 
+def test_simplex_projection_of_a_huge_or_non_finite_entry_raises_nothing():
+    # the largest entry always qualifies in exact arithmetic, but fails the
+    # rounded test when it is huge (1e20 - 1 rounds to 1e20) or not finite:
+    # the projection stays finite for a finite block, and a NaN or +inf
+    # entry gives NaN entries, for the finiteness checks downstream to find
+    s = SimpleSet.simplex(2)
+    assert np.isfinite(s.project(np.array([1e20, 1.0]))).all()
+    assert s.project(np.array([-np.inf, 1.0])).tolist() == [0.0, 1.0]
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"):   # inf - inf, as under solve's errstate
+            assert np.isnan(s.project(np.array([bad, 1.0]))).any()
+
+
 def test_ball_projection_fixed_point():
     b = SimpleSet.ball(3, radius=2.0)
     v = np.array([3.0, -1.0, 4.0])

@@ -816,6 +816,27 @@ def test_a_constraint_value_that_turns_non_finite_ends_the_run_before_it(monkeyp
     assert np.isfinite(point[3]).all() and g.tolist() == [-np.inf]
 
 
+def test_a_diverging_game_with_a_simplex_player_ends_in_an_oracle_failure():
+    # player 0 (free) overshoots 99-fold per step and drags the simplex
+    # player's gradient with it; the loop runs past the row whose objective
+    # value overflows, projecting the simplex block of huge and then
+    # non-finite steps, which raises nothing: the run ends before that row
+    # (an IndexError out of the simplex projection before)
+    Q1, Q2 = np.zeros((3, 3)), np.zeros((3, 3))
+    Q1[0, 0] = 1.0
+    Q2[1:, 1:], Q2[1, 0], Q2[0, 1] = np.eye(2), 0.5, 0.5
+    players = [QuadraticPlayerSpec(Q1, np.array([1.0, 0.0, 0.0]), SimpleSet.free(1)),
+               QuadraticPlayerSpec(Q2, np.zeros(3), SimpleSet.simplex(2))]
+    game = QuadraticGnepSpec(BlockLayout((1, 2)), players, "simplex-diverging").to_game()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = G.solve(game, np.array([1.0, 0.5, 0.5]),
+                      G.SolverConfig(gamma=G.GammaPolicy.fixed(0.01)))
+    assert res.status == "oracle-failure"
+    assert res.message == "player 0: non-finite objective value"
+    assert res.outer_iterations == 77 and res.state.x[1:].tolist() == [0.0, 1.0]
+
+
 def test_shared_constraint_game_matches_grid_reference():
     game = shared_constraint_game()
     x_ref, lam_ref = equilibrium_by_multiplier_grid()
