@@ -938,7 +938,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, np.inf, message=str(exc))
 
-    x, lam, J, n, q = state.x, state.duals.lam, point.g_jacobians, game.n, game.quadratic
+    x, lam, J, q = state.x, state.duals.lam, point.g_jacobians, game.quadratic
     # Data that cannot move: gamma, the Jacobian norms and J are the first ones.
     fixed = estimator.fixed
     with np.errstate(**QUIET):   # an overflowed norm is the next sweep's oracle failure
