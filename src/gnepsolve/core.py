@@ -626,8 +626,9 @@ class GameInstance:
                 rest.append(i)
         return lower, upper, tuple(rest)
 
-    def project_private(self, x: Array) -> Array:
-        """Project each player's block onto its private set, over any leading axes.
+    def project_private(self, x: Array, out: Array | None = None) -> Array:
+        """Project each player's block onto its private set, over any leading
+        axes, into ``out`` if given.
 
         Box and nonneg blocks are projected by one clip over stacked bounds,
         bit for bit what :meth:`SimpleSet.project` gives block by block;
@@ -637,7 +638,7 @@ class GameInstance:
         lower, upper, rest = self._clip_bounds
         if x.ndim > 1:   # broadcast (stride-0) bounds take a clip loop that keeps -0.0
             lower, upper = (np.tile(b, x.shape[:-1] + (1,)) for b in (lower, upper))
-        out = x.clip(lower, upper)   # the ufunc np.clip ends in, without its wrapper
+        out = x.clip(lower, upper, out=out)
         for i in rest:
             sl, project = self.layout.slices[i], self.players[i].private_set.project
             for row in np.ndindex(x.shape[:-1]):

@@ -616,7 +616,7 @@ def _quadratic_step(game: GameInstance, x: Array, lam: Array, own_rows: Array, g
             grad[cols] += terms
     new = np.empty(n + len(lam))
     u, lam_new = new[:n], new[n:]
-    u[:] = game.project_private(x - grad / gamma_by_coord)
+    game.project_private(x - grad / gamma_by_coord, out=u)
     g, J = quadratic_constraints(game, u)
     np.maximum(lam + g / beta, 0.0, out=lam_new)
     return new, u, lam_new, g, J, np.matmul(q.G, u)
