@@ -566,8 +566,8 @@ def test_affine_quadratic_rows_take_the_constants_of_one_estimate(monkeypatch):
         gamma, _ = G.choose_gamma(estimate(G.LipschitzEstimator(game), y, lam),
                                   pen, G.GammaPolicy.auto())
         assert row.gamma.tobytes() == gamma.tobytes()
-        anchor = G.build_anchor(game, lam, row.gamma, evaluate_point(game, y))
-        assert anchor.gamma_by_coord.tobytes() == game.layout.segments.repeat(gamma).tobytes()
+        anchor = G.build_anchor(game, lam, gamma, evaluate_point(game, y),
+                                game.layout.segments.repeat(gamma))
         step = G.solve_inner(game, anchor, cfg)
         assert step.x_next.tobytes() == x_next.tobytes()
         assert step.lam.tobytes() == lam_next.tobytes()
