@@ -15,8 +15,6 @@ from .core import (
 )
 from .lagrangian import (
     PenaltyParams,
-    QuadraticAnchor,
-    build_anchor,
     evaluate_point,
     lagrangian_value,
 )
@@ -29,12 +27,7 @@ from .solver import (
     SolveTrace,
     SolverConfig,
     choose_gamma,
-    choose_sigma,
-    inner_residual,
-    inner_step,
     solve,
-    solve_inner,
-    step_duals,
     verify_run_bounds,
 )
 from .diagnostics import (

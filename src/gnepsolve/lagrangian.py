@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, GameInstance, OracleFailure, PlayerDualState, Segments, own_columns, row_dots
+from .core import Array, GameInstance, OracleFailure, PlayerDualState, Segments, own_columns
 
 __all__ = [
     "PenaltyParams",
     "lagrangian_from_values",
     "lagrangian_value",
     "lagrangian_values",
-    "QuadraticAnchor",
     "surrogate_values",
     "PointEval",
     "evaluate_point",
@@ -45,7 +44,6 @@ __all__ = [
     "projected_gradient_x",
     "projected_step_lam",
     "projected_gradient_lam",
-    "build_anchor",
 ]
 
 
@@ -111,17 +109,13 @@ class PointEval:
     """Raw oracle output of every player at one joint point, stacked over
     players: gradients as one ``(N, n)`` array, constraint values and
     Jacobians over the game's constraint rows ``game.rows``, player ``i``
-    owning the segment ``rows.bounds[i]:rows.bounds[i + 1]``.
-
-    ``grad_own`` stacks every player's own block of its gradient row, like
-    ``x``."""
+    owning the segment ``rows.bounds[i]:rows.bounds[i + 1]``."""
 
     x: Array
     theta: Array          # (N,) objective values
     theta_grads: Array    # (N, n) objective gradients
     g_values: Array       # (M,) constraint values
     g_jacobians: Array    # (M, n) constraint Jacobians
-    grad_own: Array       # (n,) own blocks of theta_grads
 
 
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
@@ -153,7 +147,7 @@ def checked_sweep(game: GameInstance, x: Array) -> PointEval:
     total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
     if not math.isfinite(total):
         _raise_first_nonfinite(game, fields)
-    return PointEval(x, *fields, grads.ravel()[game.layout.own_entries])
+    return PointEval(x, *fields)
 
 
 def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
@@ -248,54 +242,13 @@ def projected_gradient_lam(rows: Segments, lam: Array, grad_lam: Array) -> Array
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuadraticAnchor:
-    """Cached data of the per-player quadratic model at an anchor point ``y``.
-
-    The model for player ``nu`` is::
-
-        Lhat_nu(x) = L_nu(y) + grad_x L_nu(y) . (x - y) + gamma_nu/2 ||x - y||^2
-
-    The full gradients are assembled once per outer iteration; the values
-    ``L_nu(y)`` are not held here, as only the exit labels read them
-    (:meth:`model_values` takes them). The anchor is read-only after
-    construction.
-
-    The model gradient is affine with slope ``gamma_nu * I``; its Lipschitz
-    constant and strong-convexity modulus both equal ``gamma_nu``.
-    """
-
-    y: Array
-    grads: Array             # (N, n) full gradient of L_nu at y, row nu
-    gamma: Array             # (N,)
-    own_grad: Array          # (n,) player-own blocks of grads, stacked
-    gamma_by_coord: Array    # (n,) gamma_nu repeated over the player's block
-    lam: Array               # (M,) multipliers frozen into the anchor
-
-    def model_values(self, x: Array, values: Array) -> Array:
-        """Every player's model value at ``x``, from the values ``L_nu(y)``."""
-        d = x - self.y
-        return surrogate_values(values, row_dots(self.grads, d), self.gamma, d @ d)
-
-    def own_model_grad(self, u: Array) -> Array:
-        """Stacked own-block model gradients of all players at ``u``."""
-        return self.own_grad + self.gamma_by_coord * (u - self.y)
-
-
 def surrogate_values(values: Array, slope: Array, gamma: Array, dd: Array) -> Array:
-    """The model values ``L_nu(y) + grad_x L_nu(y).d + gamma_nu/2 d.d`` from the
-    anchor values, the slopes ``grads @ d`` and ``dd = d.d``: the one
-    implementation of the model, over any leading axes that broadcast."""
+    """Player ``nu``'s model at ``x = y + d``, anchored at ``y``,
+
+        Lhat_nu(x) = L_nu(y) + grad_x L_nu(y) . d + gamma_nu/2 ||d||^2,
+
+    from the anchor values ``L_nu(y)``, the slopes ``grads @ d`` and ``dd =
+    d.d``: the one implementation of the model, over any leading axes that
+    broadcast. Its own-block gradient is affine with slope ``gamma_nu I``,
+    so its minimizer over a private set is one projection."""
     return values + slope + 0.5 * gamma * dd
-
-
-def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
-                 gamma_by_coord: Array | None = None) -> QuadraticAnchor:
-    """Assemble the surrogate anchor from a completed oracle sweep; a caller
-    holding ``gamma`` repeated over each block may pass it."""
-    grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
-    own_grad = grads.ravel()[game.layout.own_entries]
-    gamma = np.asarray(gamma, dtype=float)
-    return QuadraticAnchor(point.x, grads, gamma, own_grad,
-                           game.layout.segments.repeat(gamma) if gamma_by_coord is None
-                           else gamma_by_coord, lam)

@@ -1,7 +1,7 @@
 """Alternating primal-dual solver with Jacobi gradient projection.
 
 One outer iteration from ``(x, lam)``, with ``lam`` one multiplier per
-constraint row:
+constraint row, is one Jacobi step on the joint row ``[x; lam]``:
 
 1. every player simultaneously moves to the minimizer of its quadratic
    surrogate anchored at ``x`` over its private set (Jacobi decomposition:
@@ -28,10 +28,10 @@ falsified) on real runs; its columns, one array per :class:`TraceRow`
 field, are built in blocks after the iterations they record, and
 :func:`verify_run_bounds` checks them whole. Data that cannot move
 (:attr:`LipschitzEstimator.fixed`) gives ``gamma``, the Jacobian norms and
-``J`` once per run, and its constant columns are one row each. A game with
-stacked quadratic data steps on its joint row ``[x; lam]``, and its
-objective values, model slopes and finiteness check are the block pass's;
-:func:`solve` says what an iteration computes.
+``J`` once per run, and its constant columns are one row each. The model
+slopes are the block pass's, as are, with stacked quadratic data, the
+objective values and finiteness check; :func:`solve` says what an
+iteration computes.
 """
 
 from __future__ import annotations
@@ -56,14 +56,10 @@ from .core import (
     row_dots,
     spectral_norms,
     stack_rows,
-    vec_norm,
 )
 from .lagrangian import (
     QUIET,
     PenaltyParams,
-    PointEval,
-    QuadraticAnchor,
-    build_anchor,
     checked_sweep,
     evaluate_point,
     lagrangian_values,
@@ -80,13 +76,6 @@ __all__ = [
     "LipschitzEstimates",
     "LipschitzEstimator",
     "choose_gamma",
-    "sigma_cap",
-    "choose_sigma",
-    "contraction_factor",
-    "inner_step",
-    "inner_residual",
-    "solve_inner",
-    "step_duals",
     "solve",
     "SolveResult",
     "SolveTrace",
@@ -133,8 +122,10 @@ class GammaPolicy:
 
 @dataclass(frozen=True)
 class SigmaSchedule:
-    """Step-size schedule of the reference sweep (:func:`inner_step`), whose
-    fixed point :func:`solve_inner` computes in closed form.
+    """Step-size schedule of an iterative inner sweep whose fixed point the
+    block update computes in closed form. Nothing in :mod:`gnepsolve` reads
+    it: it is kept because the benchmark's ``fast_config``
+    (``perfbench/workloads.py``) passes one to :class:`SolverConfig`.
 
     ``sigma0=None`` selects per-player steps proportional to the inverse
     proximal weights (uniform blockwise contraction); an explicit ``sigma0``
@@ -169,9 +160,9 @@ class SolverConfig:
     """Solver parameters. :func:`solve` reads ``beta`` but not ``alpha``,
     which its iterates do not depend on (its ``z`` stays zero); ``alpha``
     is kept for the diagnostics of states with any ``z`` and ``mu``, and is
-    written to result documents. Only the reference sweep
-    (:func:`choose_sigma` and :func:`inner_step`) reads ``sigma``;
-    :func:`solve` does not.
+    written to result documents. Nothing in :mod:`gnepsolve` reads
+    ``sigma`` (:class:`SigmaSchedule`); it stays for the benchmark's
+    ``fast_config``, which passes it.
     """
 
     alpha: float = 10.0
@@ -221,14 +212,7 @@ class LipschitzEstimates:
     bounds each constraint gradient's Lipschitz constant, stacked over the
     constraint rows. ``L_theta``, ``grad_g_lip`` and ``M_g_own`` are the
     estimator's own arrays, shared with every estimate until its next
-    resample binds new ones; they are read-only. ``sigma_hat``
-    and ``tau`` describe the contraction of the reference sweep once
-    :func:`choose_sigma` has fixed the proximal weights: the model gradient
-    is affine with slope ``gamma``, so
-
-        tau = sqrt(1 - 2 min(gamma) sigma_hat + sigma_hat^2 max(gamma)^2) < 1
-
-    whenever ``sigma_hat`` stays below the safeguard cap.
+    resample binds new ones; they are read-only.
     """
 
     L_theta: Array
@@ -236,8 +220,6 @@ class LipschitzEstimates:
     L: Array
     L_gfun: Array
     M_g_own: Array
-    sigma_hat: float = np.nan
-    tau: float = np.nan
 
 
 class LipschitzEstimator:
@@ -421,79 +403,9 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
     return gamma, warnings
 
 
-def sigma_cap(gamma_min: float, lhat_max: float) -> float:
-    """Safeguard on the largest per-player step size.
-
-    The geometric inner rate requires ``1 - 2 gamma_min s + s^2 Lhat_max^2 < 1``,
-    i.e. ``s < 2 gamma_min / Lhat_max^2``; the alternative stated bound is
-    ``s < 2 gamma_min^2 / Lhat_max``. The cap takes 90% of the smaller one,
-    which keeps the contraction factor strictly below one either way.
-    """
-    return 0.9 * min(2.0 * gamma_min / lhat_max ** 2, 2.0 * gamma_min ** 2 / lhat_max)
-
-
-def contraction_factor(gamma_min: float, lhat_max: float, sigma_hat: float) -> float:
-    return float(np.sqrt(max(0.0, 1.0 - 2.0 * gamma_min * sigma_hat
-                             + sigma_hat ** 2 * lhat_max ** 2)))
-
-
-def choose_sigma(est: LipschitzEstimates, cfg: SolverConfig, outer_k: int,
-                 gamma: Array) -> Array:
-    """Per-player step sizes from the schedule.
-
-    Each block's sweep map is affine in that block alone (the cross-block
-    model gradient is frozen at the anchor), so block ``nu`` contracts at
-    exactly ``|1 - sigma_nu gamma_nu|``. With ``sigma0=None`` every player
-    therefore gets ``sigma_nu = 0.9 / gamma_nu`` scaled by the schedule decay,
-    which keeps the rate uniform even when the proximal weights spread widely.
-    An explicit ``sigma0`` selects the single-step-size mode, clipped at the
-    conservative global cap so the stacked contraction formula certifies it.
-
-    Fills the contraction fields of ``est``: ``sigma_hat`` and the
-    stacked-formula ``tau`` (``gamma`` is the model gradient's exact Lipschitz
-    slope).
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    gmin = float(gamma.min())
-    gmax = float(gamma.max())
-    cap = sigma_cap(gmin, gmax)
-    decay = 1.0 / (1.0 + outer_k / cfg.sigma.decay) if cfg.sigma.kind == "diminishing" else 1.0
-    if cfg.sigma.sigma0 is None:
-        sigma = (0.9 * decay) / gamma
-    else:
-        sigma = np.full(gamma.shape[0], min(cfg.sigma.sigma0 * decay, cap))
-    est.sigma_hat = float(sigma.max())
-    est.tau = contraction_factor(gmin, gmax, est.sigma_hat)
-    return sigma
-
-
 # ---------------------------------------------------------------------------
-# Jacobi block update, and the reference sweep that converges to it
+# Jacobi block update on the joint row, and its exit labels
 # ---------------------------------------------------------------------------
-
-
-def inner_step(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstance) -> Array:
-    """One synchronous Jacobi sweep: every block steps from the same ``u``.
-
-    Block ``nu`` moves along its own model gradient (anchored Lagrangian
-    gradient plus ``gamma_nu (u_nu - y_nu)``) and projects onto its private
-    set. Deterministic: identical inputs produce identical output bits.
-    """
-    step = np.repeat(np.asarray(sigma, dtype=float), game.layout.dims)
-    return game.project_private(u - step * anchor.own_model_grad(u))
-
-
-def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstance) -> float:
-    """Distance moved by one more sweep; zero exactly at the fixed point."""
-    return vec_norm(inner_step(u, anchor, sigma, game) - u)
-
-
-@dataclass
-class InnerResult:
-    x_next: Array
-    point: PointEval     # the oracle sweep at x_next
-    lam: Array           # the dual step at x_next from the anchor's multipliers
-    dlam: Array          # lam - anchor.lam
 
 
 def _exit_labels(values: Array, L_x: Array, slope: Array, gamma: Array, dd: Array,
@@ -563,51 +475,45 @@ def _self_dots(v: Array) -> Array:
     return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def solve_inner(game: GameInstance, anchor: QuadraticAnchor, cfg: SolverConfig) -> InnerResult:
-    """The Jacobi block update and the dual step: every player's surrogate
-    minimizer over its private set, ``project_private(y - own_grad / gamma)``,
-    in one projection, then the oracle sweep there and the multiplier step
-    :func:`step_duals` from the anchor's multipliers.
-
-    This is the fixed point the reference sweep :func:`inner_step` converges
-    to. The step is accepted whatever its exit label: the label
-    (:func:`_exit_labels`) and the Lagrangian values it is judged on are
-    the trace's, built after the iteration by :func:`solve`. Runs under the
-    caller's ``errstate``: the sweep at the new point
-    (:func:`~gnepsolve.lagrangian.checked_sweep`) takes no ``errstate`` of
-    its own, and a non-finite oracle value raises
-    :class:`~gnepsolve.core.OracleFailure` whatever it is. A game with
-    stacked quadratic data takes the same step by :func:`_quadratic_step`.
-    """
-    u = game.project_private(anchor.y - anchor.own_grad / anchor.gamma_by_coord)
-    point = checked_sweep(game, u)   # u is a fresh array: no copy
-    lam = step_duals(anchor.lam, point.g_values, cfg.beta)
-    return InnerResult(u, point, lam, lam - anchor.lam)
-
-
 def _jacobian_gathers(game: GameInstance, J: Array) -> tuple:
     """:attr:`~gnepsolve.core.GameInstance.own_gathers` with each run's rows
     of ``J`` as one ``(p, w, n)`` view, and its blocks ``None`` when they are
-    every block (one add, no slice): bound once for a ``J`` that cannot move."""
+    every block (one add, no slice): bound once per solve for a ``J`` that
+    cannot move, and per step for one that moves."""
     n = game.n
     return tuple((rows, None if cols.stop - cols.start == n else cols, p, own,
                   J[rows].reshape(p, -1, n)) for rows, cols, p, own in game.own_gathers)
 
 
-def _quadratic_step(game: GameInstance, x: Array, lam: Array, own_rows: Array, gathers: tuple,
-                    gamma_by_coord: Array, beta: float) -> tuple[Array, ...]:
-    """One iteration of a game with stacked quadratic data from the halves
-    ``x`` and ``lam`` of its joint row, bit for bit :func:`solve_inner` from
-    :func:`~gnepsolve.lagrangian.build_anchor` at ``(x, lam)``: the
-    own-block gradients ``own_rows + b_own`` (``own_rows = G @ x``) plus
-    each player's own entries of the full gemv ``J_i.T @ lam_i`` (one over
-    the own columns alone rounds differently; ``gathers`` from
-    :func:`_jacobian_gathers`), the projection and the dual step written
-    into the new row. Returns the new row and its halves, the constraint
-    values and Jacobian at its point, and its ``G @ x``. Checks nothing:
-    the trace block pass finds a non-finite value (:func:`_objective_rows`)."""
+def _own_grads(game: GameInstance, obj: Array) -> Array:
+    """Every player's own-block objective gradients, stacked like ``x``, from
+    a row's objective data ``obj`` over any leading axes: ``G @ x + b_own``
+    with stacked quadratic data, else the own blocks of the oracle's ``(N,
+    n)`` gradients."""
+    q = game.quadratic
+    if q is None:
+        return obj.reshape(obj.shape[:-2] + (-1,))[..., game.layout.own_entries]
+    return obj + q.b_own
+
+
+def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: tuple,
+          gamma_by_coord: Array, beta: float) -> tuple[Array, tuple, Array]:
+    """One iteration from the halves ``x`` and ``lam`` of the joint row, with
+    ``obj`` the objective data at ``x`` (:func:`_own_grads`): the own-block
+    gradients plus each player's own entries of the full gemv ``J_i.T @
+    lam_i`` (one over the own columns alone rounds differently; ``gathers``
+    from :func:`_jacobian_gathers`), the projection and the dual step
+    written into the new row. The sweep at the new point is
+    :func:`~gnepsolve.core.quadratic_constraints` and its ``G @ x`` with
+    stacked quadratic data, which checks nothing (the trace block pass finds
+    a non-finite value, :func:`_objective_rows`), else the checked oracle
+    sweep, which raises :class:`~gnepsolve.core.OracleFailure`. Returns the
+    new row, the head of its trace row ``(x, lam, g, obj, theta)`` (the
+    halves of the new row, the constraint values, the objective data and
+    the oracle's objective values, ``None`` with stacked data) and the
+    constraint Jacobian at its point."""
     q, n = game.quadratic, len(x)
-    grad = own_rows + q.b_own
+    grad = _own_grads(game, obj)
     for rows, cols, p, own, J in gathers:
         terms = np.matmul(lam[rows].reshape(p, 1, -1), J).ravel()[own]
         if cols is None:
@@ -617,22 +523,13 @@ def _quadratic_step(game: GameInstance, x: Array, lam: Array, own_rows: Array, g
     new = np.empty(n + len(lam))
     u, lam_new = new[:n], new[n:]
     game.project_private(x - grad / gamma_by_coord, out=u)
-    g, J = quadratic_constraints(game, u)
+    if q is None:
+        point = checked_sweep(game, u)
+        g, J, obj, theta = point.g_values, point.g_jacobians, point.theta_grads, point.theta
+    else:
+        (g, J), obj, theta = quadratic_constraints(game, u), np.matmul(q.G, u), None
     np.maximum(lam + g / beta, 0.0, out=lam_new)
-    return new, u, lam_new, g, J, np.matmul(q.G, u)
-
-
-# ---------------------------------------------------------------------------
-# Exact dual step
-# ---------------------------------------------------------------------------
-
-
-def step_duals(lam: Array, g: Array, beta: float) -> Array:
-    """Exact maximization over the multipliers, ``max(lam + g / beta, 0)``,
-    for the constraint values ``g`` at the new point, both stacked over the
-    constraint rows: the general step ``max(mu + g / beta, 0)`` at the
-    solver's ``z = 0`` and ``mu = lam``."""
-    return np.maximum(lam + g / beta, 0.0)
+    return new, (u, lam_new, g, obj, theta), J
 
 
 # ---------------------------------------------------------------------------
@@ -750,39 +647,46 @@ def _own_jac_norms(game: GameInstance, J: Array) -> Array:
     return own
 
 
-def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: Array,
-                    lam: Array, g: Array, J: Array, dx: Array,
-                    own_rows: Array) -> tuple[Array, Array]:
-    """For a game with stacked quadratic data, the objective values at each
-    row's point ``x[j]`` and the model slopes ``((Q x_a + b) + J_a.T lam_a)
-    . dx[j]`` at its anchor: the previous row's point, multipliers ``lam``
-    and Jacobians ``J`` (shared (M, n) or stacked by row), ``anchor`` for
-    the first row. Bit for bit what a full sweep at each point and
-    :func:`build_anchor`'s gradients give. The rows go in chunks, whose
-    products are taken over a leading axis of their points, with their
-    ``G @ x`` rows ``own_rows``, which the iterations kept; one ``(rows, N,
-    n)`` stack holds at most ``_STACK_BYTES``. Returns the rows before the
-    first with a non-finite entry among the fields of a full sweep at its
-    point: its objective values and gradients (the own entries the
-    iteration read included), its constraint values ``g`` and, stacked by
-    row, its Jacobian."""
+def _objective_rows(game: GameInstance, anchor: tuple[Array, ...], x: Array, lam: Array,
+                    g: Array, J: Array, dx: Array, obj: Array,
+                    theta: Array | None) -> tuple[Array, Array]:
+    """The objective values at each row's point ``x[j]`` and the model slopes
+    ``(grad theta(x_a) + J_a.T lam_a) . dx[j]`` at its anchor: the previous
+    row's point, multipliers ``lam``, Jacobians ``J`` (shared (M, n) or
+    stacked by row) and objective data ``obj`` (:func:`_own_grads`),
+    ``anchor = (x, lam, J, obj)`` for the first row. Bit for bit the slopes
+    of the full gradients a full sweep at each anchor gives. A game without
+    stacked quadratic data hands its rows' oracle values ``theta`` and
+    gradients ``obj``, which the iterations' sweeps checked. With stacked
+    data they are computed here, from the rows' ``G @ x`` in ``obj``, and
+    only the rows before the first with a non-finite entry among the fields
+    of a full sweep at its point are returned: its objective values and
+    gradients (the own entries the iteration read included), its constraint
+    values ``g`` and, stacked by row, its Jacobian. The rows go in chunks,
+    whose products are taken over a leading axis of their points; one
+    ``(rows, N, n)`` stack holds at most ``_STACK_BYTES``."""
     q, N, n = game.quadratic, game.num_players, game.n
     step = max(1, _STACK_BYTES // (8 * N * n))
-    x_a, lam_a, J_a = anchor
-    full = game.rows.vecmat_add(q.products(x_a) + q.b, lam_a, J_a)   # the anchor's gradients
+    x_a, lam_a, J_a, obj_a = anchor
+    grads_a = obj_a if q is None else q.products(x_a, own_rows=obj_a) + q.b
+    full = game.rows.vecmat_add(grads_a, lam_a, J_a)   # the anchor's gradients
     thetas, slopes = [np.zeros((0, N))], [np.zeros((0, N))]
     for s in range(0, len(x), step):
-        X = x[s:s + step]
-        grads = q.products(X, own_rows=own_rows[s:s + step])
-        theta = 0.5 * row_dots(grads, X) + row_dots(q.b, X)
-        grads += q.b
-        finite = (np.isfinite(theta).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
-                  & np.isfinite(g[s:s + step]).all(axis=1))
-        if J.ndim == 3:
-            finite &= np.isfinite(J[s:s + step]).all(axis=(1, 2))
-        kept = len(finite) if finite.all() else int(np.argmin(finite))
+        if q is None:
+            values, grads = theta[s:s + step], obj[s:s + step].copy()
+            kept = len(grads)
+        else:
+            X = x[s:s + step]
+            grads = q.products(X, own_rows=obj[s:s + step])
+            values = 0.5 * row_dots(grads, X) + row_dots(q.b, X)
+            grads += q.b
+            finite = (np.isfinite(values).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
+                      & np.isfinite(g[s:s + step]).all(axis=1))
+            if J.ndim == 3:
+                finite &= np.isfinite(J[s:s + step]).all(axis=(1, 2))
+            kept = len(finite) if finite.all() else int(np.argmin(finite))
         if kept:
-            thetas.append(theta[:kept])
+            thetas.append(values[:kept])
             slopes.append(row_dots(full, dx[s])[None])
             Jk = J if J.ndim == 2 else J[s:s + kept]
             for players, entries, w in game.rows._runs:   # vecmat_add's gemvs, row by row
@@ -791,7 +695,7 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, Array, Array], x: A
                     Jk[..., entries, :].reshape(Jk.shape[:-2] + (-1, w, n))).reshape(kept, -1, n)
             slopes.append(row_dots(grads[:kept - 1], dx[s + 1:s + kept]))
             full = grads[kept - 1]
-        if kept < len(finite):
+        if kept < len(grads):
             break
     return np.concatenate(thetas), np.concatenate(slopes)
 
@@ -809,48 +713,42 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
                 constants: dict[str, Array] | None, stall_tol: float) -> dict[str, Array]:
     """The trace columns of ``pending`` iterations over a leading axis of
     rows, bit for bit the one-row values. ``anchor`` is ``(k, x, lam, J,
-    L_values)`` of the row before the first. A row keeps what cannot be
-    derived: ``(x, lam, g, own)``, its state, constraint values and, with
-    stacked quadratic data, its ``G @ x``, else its own-block objective
-    gradients; data that can move adds ``(J, jac_norm, gamma, est)``, and a
-    game without stacked quadratic data ``(theta, slope)``. Each row's
-    ``k``, step ``dx`` and multiplier move ``dlam`` (the loop's
-    subtractions) follow from the anchor and the stacked states, and a
-    quadratic row's own-block gradients are ``own + b_own``, as in
-    :func:`_quadratic_step`. A game with stacked quadratic data has its
-    objective values and slopes computed here (:func:`_objective_rows`),
-    and only the rows before the first with a non-finite objective value,
-    gradient, constraint value or moving Jacobian are built. Data that cannot
-    move passes its per-run columns ``constants``, each one ``(N,)`` row
-    that every row's column is a read-only view of, and every row's ``J`` is
-    the anchor's; else the rows' ``J`` are stacked and their own-block norms
-    taken from the stack. The Lagrangian values at the primal step and after
-    the dual step are one :func:`lagrangian_values` call over a leading axis
-    of (rows, 2), and each row's exit label is judged against the values
-    after the previous row, the anchor's for the first."""
-    k_a, x_a, lam_a, J_a, prev_L = anchor
+    L_values, obj)`` of the row before the first. A row keeps what cannot be
+    derived: ``(x, lam, g, obj, theta)`` from :func:`_step`, and data that
+    can move adds ``(J, jac_norm, gamma, est)``. Each row's ``k``, step
+    ``dx`` and multiplier move ``dlam`` (the loop's subtractions) follow from
+    the anchor and the stacked states, and its own-block gradients from
+    ``obj`` (:func:`_own_grads`), as in the step. The objective values with
+    stacked quadratic data and every game's model slopes are computed here
+    (:func:`_objective_rows`), and only the rows it returns are built. Data
+    that cannot move passes its per-run columns ``constants``, each one
+    ``(N,)`` row that every row's column is a read-only view of, and every
+    row's ``J`` is the anchor's; else the rows' ``J`` are stacked and their
+    own-block norms taken from the stack. The Lagrangian values at the
+    primal step and after the dual step are one :func:`lagrangian_values`
+    call over a leading axis of (rows, 2), and each row's exit label is
+    judged against the values after the previous row, the anchor's for the
+    first."""
+    k_a, x_a, lam_a, J_a, prev_L, obj_a = anchor
     cols = list(zip(*pending))
     # one concatenation per field: np.array over many small arrays is slower
-    x, lam, g, own = (np.concatenate(c).reshape(len(c), c[0].size) for c in cols[:4])
+    x, lam, g, obj = (np.concatenate(c).reshape((len(c),) + c[0].shape) for c in cols[:4])
     lams = np.stack([np.vstack([lam_a, lam[:-1]]), lam], axis=1)   # (rows, 2, M)
     dx, dlam = x - np.vstack([x_a, x[:-1]]), lam - lams[:, 0]
     # max_abs of each row, as the loop takes it
     dx_inf, dlam_inf = (np.maximum.reduce(np.abs(v), axis=1, initial=0.0) for v in (dx, dlam))
-    J = J_a if constants is not None else np.array(cols[4])
-    if game.quadratic is None:
-        theta, slope = map(np.array, cols[-2:])
-    else:
-        theta, slope = _objective_rows(game, (x_a, lam_a, J_a), x, lam, g, J, dx, own)
-        if len(theta) < len(pending):
-            return (_trace_rows(game, anchor, pending[:len(theta)], constants, stall_tol)
-                    if len(theta) else _empty_columns())
-        own += game.quadratic.b_own
-    qx, dd = projected_gradient_x(game, x, lam, own, J), _self_dots(dx)
-    del x, own, dx   # what follows then peaks lower
+    J = J_a if constants is not None else np.array(cols[5])
+    theta, slope = _objective_rows(game, (x_a, lam_a, J_a, obj_a), x, lam, g, J, dx, obj,
+                                   np.array(cols[4]) if game.quadratic is None else None)
+    if len(theta) < len(pending):
+        return (_trace_rows(game, anchor, pending[:len(theta)], constants, stall_tol)
+                if len(theta) else _empty_columns())
+    qx, dd = projected_gradient_x(game, x, lam, _own_grads(game, obj), J), _self_dots(dx)
+    del x, obj, dx   # what follows then peaks lower
     if constants is not None:
         run = {f: np.broadcast_to(v, (len(pending),) + v.shape) for f, v in constants.items()}
     else:
-        jac, gamma, est = cols[5:8]
+        jac, gamma, est = cols[6:9]
         run = dict(jac_norm=np.array(jac), jac_own_norm=_own_jac_norms(game, J),
                    gamma=np.array(gamma), M_theta_own=np.array([e.L_theta for e in est]),
                    M_g_own=np.array([e.M_g_own for e in est]))
@@ -890,21 +788,19 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     the trace and the state of the last completed iteration.
 
     Each outer iteration works on whole arrays over players, and computes
-    what the next iterate and the stopping test read: the anchor's own-block
-    gradients, one projection, the constraint values (and any moving
-    Jacobian) at the new point, the multiplier step and the max norms, with
-    the multipliers stacked over the constraint rows (``game.rows``). A game
-    with stacked quadratic data takes one step on its joint row ``[x; lam]``
-    (:func:`_quadratic_step`): the own-block gradients from the row's ``G @
-    x``, the projection and the dual step into the new row, its ``G @ x``,
-    and a stop test of one max-abs over the row's move. Its objective values,
-    the rival blocks of its gradients and the model slopes are the trace's,
-    and so is the finiteness check of every field a full sweep would check.
-    Any other game takes a full checked oracle sweep per iteration (one call
-    of its batched oracle when it has one) and the model slopes along its
-    step. With moving Jacobians an iteration takes
-    each player's full-Jacobian norm, which the next Lipschitz estimate
-    reads. No iteration labels its own step: each keeps only the arrays of
+    what the next iterate and the stopping test read, with the multipliers
+    stacked over the constraint rows (``game.rows``): one step on the joint
+    row ``[x; lam]`` (:func:`_step`), that is the own-block gradients, one
+    projection and the dual step into the new row, and a stop test of one
+    max-abs over the row's move. With stacked quadratic data the sweep at
+    the new point is its constraint rows and ``G @ x``, and the objective
+    values, the rival blocks of the gradients and the finiteness check of
+    every field a full sweep would check are the trace's. Any other game
+    takes a full checked oracle sweep (one call of its batched oracle when
+    it has one). The model slopes are the trace's for every game. With
+    moving Jacobians an iteration takes each player's full-Jacobian norm,
+    which the next Lipschitz estimate reads. No iteration labels its own
+    step: each keeps only the arrays of
     its row that cannot be derived (see :func:`_trace_rows`), and one pass
     over a leading axis of rows builds their columns when the pending rows'
     arrays reach ``_BLOCK_BYTES``, at most every ``_BOUND_ROWS`` rows
@@ -944,9 +840,9 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     with np.errstate(**QUIET):   # an overflowed norm is the next sweep's oracle failure
         jac_full = _jac_norms(game, J)
         jac_own = _own_jac_norms(game, J)
-        if q is not None:   # the joint row [x; lam], the G @ x of its point, J's views
-            z, own_rows = np.concatenate([x, lam]), np.matmul(q.G, x)
-            gathers = _jacobian_gathers(game, J)
+        # the joint row [x; lam], the objective data at its point, J's views
+        z, gathers = np.concatenate([x, lam]), _jacobian_gathers(game, J)
+        obj = point.theta_grads if q is None else np.matmul(q.G, x)
     trace = SolveTrace(
         initial_L=lagrangian_values(point.theta, point.g_values, lam, rows),
         initial_feas=constraint_violation(point.g_values),
@@ -956,8 +852,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     status, message = "max_outer", ""
     watch = _StallWatch(cfg.outer_tol)
-    # raw rows, built columns, and (k, x, lam, J, L_values) of the last built row
-    pending, blocks, before = [], [], (0, x, lam, J, trace.initial_L)
+    # raw rows, built columns, and (k, x, lam, J, L_values, obj) of the last built row
+    pending, blocks, before = [], [], (0, x, lam, J, trace.initial_L, obj)
     constants, block_rows = None, 0   # a fixed game's run columns; rows per block
 
     def build() -> bool:
@@ -984,8 +880,8 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         if kept:
             blocks.append({f: col[:kept] for f, col in block.items()})
             last = pending[kept - 1]
-            before = (before[0] + kept, last[0], last[1], before[3] if fixed else last[4],
-                      block["L_values"][kept - 1])
+            before = (before[0] + kept, last[0], last[1], before[3] if fixed else last[5],
+                      block["L_values"][kept - 1], last[3])
         pending = []
         return ends
 
@@ -1004,25 +900,12 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                     if fixed:
                         constants = dict(jac_norm=jac_full, jac_own_norm=jac_own, gamma=gamma,
                                          M_theta_own=est.L_theta, M_g_own=est.M_g_own)
-                if q is not None:
-                    new, x, lam, g, J, own_rows = _quadratic_step(
-                        game, x, lam, own_rows, gathers, gamma_by_coord, cfg.beta)
-                    if not fixed:
-                        gathers = _jacobian_gathers(game, J)
-                    residual, z = max_abs(new - z), new   # a NaN never converges
-                    row = (x, lam, g, own_rows)
-                else:
-                    anchor = build_anchor(game, lam, gamma, point, gamma_by_coord)
-                    inner = solve_inner(game, anchor, cfg)
-                    point, dx = inner.point, inner.x_next - x
-                    residual = max(max_abs(dx), max_abs(inner.dlam))
-                    x, lam, J = inner.x_next, inner.lam, point.g_jacobians
-                    row = (x, lam, point.g_values, point.grad_own)
+                new, row, J = _step(game, x, lam, obj, gathers, gamma_by_coord, cfg.beta)
+                x, lam, obj = row[0], row[1], row[3]
+                residual, z = max_abs(new - z), new   # a NaN never converges
                 if not fixed:
-                    jac_full = _jac_norms(game, J)
+                    gathers, jac_full = _jacobian_gathers(game, J), _jac_norms(game, J)
                     row += (J, jac_full, gamma, est)
-                if q is None:
-                    row += (point.theta, row_dots(anchor.grads, dx))
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)
                 break
@@ -1070,6 +953,13 @@ _BLOCK_BYTES = 1 << 19
 _STACK_BYTES = 1 << 18
 # Messages kept per monitored bound; the counts cover every violation.
 _KEPT_MESSAGES = 20
+
+
+def _column_max(col: Array) -> Array:
+    """``col.max(axis=0)`` of a trace column, taken from its one row when
+    every row is a view of it (a ``fixed`` run's constant columns): the max
+    of identical rows is that row."""
+    return col[0] if col.strides[0] == 0 else col.max(axis=0)
 
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
@@ -1132,12 +1022,12 @@ def verify_run_bounds(trace: SolveTrace, cfg: SolverConfig,
     bound = np.maximum(np.vstack([trace.initial_jac_norm, jac[:-1]]), jac) / beta * dx_2 + _SLACK
     report("multiplier-coupling", checked & (dlam_2 > bound),
            lambda j, i: f"|dlam| {dlam_2[j, i]:.3e} > {bound[j, i]:.3e}")
-    jac_run_max = np.maximum(trace.initial_jac_norm, jac.max(axis=0))
-    jac_own_max = np.maximum(trace.initial_jac_own_norm, cols["jac_own_norm"].max(axis=0))
+    jac_run_max = np.maximum(trace.initial_jac_norm, _column_max(jac))
+    jac_own_max = np.maximum(trace.initial_jac_own_norm, _column_max(cols["jac_own_norm"]))
     # The initial multipliers are zero, and a norm is never below zero.
     lam_run_max = cols["lam_norm2"].max(axis=0)
-    C_dx = (2.0 + cols["gamma"] + cols["M_theta_own"].max(axis=0)
-            + cols["M_g_own"].max(axis=0) * lam_run_max
+    C_dx = (2.0 + cols["gamma"] + _column_max(cols["M_theta_own"])
+            + _column_max(cols["M_g_own"]) * lam_run_max
             + jac_own_max * jac_run_max / beta + jac_run_max) * dx_2
     pg = cols["qx"] + cols["qlam"]
     report("projected-gradient", checked & (pg > C_dx + _SLACK),

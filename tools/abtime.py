@@ -59,9 +59,8 @@ def runs(G, workload: str, seed: int) -> list:
     from perfbench.workloads import (POWER_MAX_OUTER, QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER,
                                      WIDE_SHAPE)
 
-    def config(max_outer):   # perfbench's fast_config, from this side's classes
-        return G.SolverConfig(sigma=G.SigmaSchedule.constant(), outer_tol=1e-6,
-                              max_outer=max_outer)
+    def config(max_outer):   # perfbench's fast_config, less its sigma, which no solve reads
+        return G.SolverConfig(outer_tol=1e-6, max_outer=max_outer)
 
     if workload == "power-cli":
         game = G.library.builtin_instance("power")
