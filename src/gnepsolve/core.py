@@ -155,9 +155,14 @@ class Segments:
         return self.bounds[-1]
 
     @cached_property
+    def _count_array(self) -> Array:
+        """``counts`` as an array, made once."""
+        return np.asarray(self.counts)
+
+    @cached_property
     def nonempty(self) -> Array:
         """Whether each segment holds an entry."""
-        return np.asarray(self.counts) > 0
+        return self._count_array > 0
 
     @cached_property
     def _runs(self) -> tuple[tuple[slice, slice, int], ...]:
@@ -166,14 +171,24 @@ class Segments:
         c, b = self.counts, self.bounds
         return tuple((slice(i, j), slice(b[i], b[j]), c[i]) for i, j in _equal_runs(c) if c[i])
 
+    @cached_property
+    def _width(self) -> int:
+        """The length of every segment when one run holds them all, else 0."""
+        runs = self._runs
+        return runs[0][2] if len(runs) == 1 and runs[0][0] == slice(0, len(self.counts)) else 0
+
     def repeat(self, v: Array) -> Array:
         """Per-segment values ``v`` repeated over each segment's entries."""
-        return np.repeat(v, self.counts)
+        return np.repeat(v, self._count_array)
 
     def dot(self, a: Array, b: Array) -> Array:
         """``a[..., s] @ b[..., s]`` for every segment ``s`` of the last
-        axis; 0.0 for an empty one."""
+        axis; 0.0 for an empty one. When one run holds every segment, its
+        products are the result, with no output array to fill."""
         a, b, lead = np.ascontiguousarray(a), np.ascontiguousarray(b), a.shape[:-1]
+        if w := self._width:
+            return np.matmul(a.reshape(lead + (-1, 1, w)),
+                             b.reshape(lead + (-1, w, 1))).reshape(lead + (-1,))
         out = np.zeros(lead + (len(self.counts),))
         for players, entries, w in self._runs:
             ab = np.matmul(a[..., entries].reshape(lead + (-1, 1, w)),
@@ -594,13 +609,14 @@ class GameInstance:
                      for i, j in _equal_runs(list(zip(m.counts, b.counts))) if m.counts[i])
 
     @cached_property
-    def own_gathers(self) -> tuple[tuple[slice, slice, int, Array], ...]:
+    def own_gathers(self) -> tuple[tuple[slice, slice | None, int, Array], ...]:
         """``(rows, cols, p, own)`` of each run of :attr:`constrained_runs`:
-        its constraint rows and blocks, its ``p`` players, and the flat
-        indices of their own-block entries in a ``(p, n)`` array of their
-        gradient rows."""
+        its constraint rows and blocks (``None`` when they are every block),
+        its ``p`` players, and the flat indices of their own-block entries in
+        a ``(p, n)`` array of their gradient rows."""
         n, own = self.n, self.layout.own_entries
-        return tuple((rows, cols, players.stop - players.start, own[cols] - players.start * n)
+        return tuple((rows, None if cols.stop - cols.start == n else cols,
+                      players.stop - players.start, own[cols] - players.start * n)
                      for players, rows, cols in self.constrained_runs)
 
     @cached_property

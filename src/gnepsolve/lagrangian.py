@@ -121,7 +121,6 @@ class PointEval:
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
                  "constraint Jacobian")
 QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}   # left to finiteness checks
-_sum = np.add.reduce
 
 
 def evaluate_point(game: GameInstance, x: Array) -> PointEval:
@@ -130,24 +129,25 @@ def evaluate_point(game: GameInstance, x: Array) -> PointEval:
 
     A non-finite value raises :class:`OracleFailure` naming the first
     player, and its first field in the order value, gradient, constraint
-    value, Jacobian. The check is one pass, the sum of every field, and
-    only a sum that is not finite (a non-finite entry, or finite entries
-    whose sum overflows) looks at the fields one by one.
+    value, Jacobian. The check is one pass, the sum of every field's self
+    dot product, and only a sum that is not finite (a non-finite entry, or
+    finite entries whose squares overflow) looks at the fields one by one.
     """
     with np.errstate(**QUIET):   # ends in the finiteness check
-        return checked_sweep(game, np.array(x, dtype=float, copy=True))
+        x = np.array(x, dtype=float, copy=True)
+        return PointEval(x, *checked_sweep(game, x))
 
 
-def checked_sweep(game: GameInstance, x: Array) -> PointEval:
-    """:func:`evaluate_point` at ``x`` without its copy of ``x`` and its
-    ``errstate``: for a caller that runs under ``np.errstate(**QUIET)`` and
-    hands over a float array that nothing else writes, which the returned
-    point keeps."""
+def checked_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
+    """The fields of :class:`PointEval` at ``x`` after ``x``, checked as
+    :func:`evaluate_point` checks them, with no copy of ``x``, no
+    ``errstate`` and no :class:`PointEval`: for a caller that runs under
+    ``np.errstate(**QUIET)`` and hands over a float array."""
     fields = theta, grads, g, jac = raw_sweep(game, x)
-    total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
-    if not math.isfinite(total):
+    if not math.isfinite(np.vdot(theta, theta) + np.vdot(grads, grads) + np.vdot(g, g)
+                         + np.vdot(jac, jac)):
         _raise_first_nonfinite(game, fields)
-    return PointEval(x, *fields)
+    return fields
 
 
 def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:

@@ -36,6 +36,7 @@ iteration computes.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -233,13 +234,15 @@ class LipschitzEstimator:
     quotients ``max ||grad f(a) - grad f(b)|| / ||a - b||`` over seeded
     point pairs drawn in a box around the current iterate, inflated by a
     safety factor, and each player's largest Jacobian norm at the sampled
-    points. Each sampled point takes one raw oracle sweep of every player
+    points. The pairs are drawn in one call and projected in one. Each
+    sampled point takes one raw oracle sweep of every player
     (:func:`~gnepsolve.lagrangian.raw_sweep`), and the quotients and norms
     over all pairs are batched reductions, each bit for bit the per-pair
     one; memory grows with the sample count times the size of a sweep's
     gradients and Jacobians. The box is refreshed when the iterate leaves
     its core. If no sampled pair is apart after two draws, the joint private
-    set is one point, and the sampled constants are zero.
+    set is one point, and the sampled constants are zero. Between resamples
+    an estimate is a few whole-array operations on the bound arrays.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):
@@ -271,44 +274,45 @@ class LipschitzEstimator:
     # -- sampling machinery --------------------------------------------------
 
     def _needs_resample(self, x: Array) -> bool:
-        if self._box_center is None:
-            return True
-        return bool((np.abs(x - self._box_center) > self._box_core).any())
+        return self._box_center is None or np.count_nonzero(
+            np.abs(x - self._box_center) > self._box_core) > 0
 
-    def _draw_point(self) -> Array:
-        raw = self._box_center + self.rng.uniform(-1.0, 1.0, self.game.n) * self._box_halfwidth
-        return self.game.project_private(raw)
+    def _draw_pairs(self) -> Array:
+        """``(2, _SAMPLE_PAIRS, n)`` points in the box, projected: one draw,
+        which fills the array in the order of one draw per point."""
+        u = self.rng.uniform(-1.0, 1.0, (2, _SAMPLE_PAIRS, self.game.n))
+        return self.game.project_private(self._box_center + u * self._box_halfwidth)
 
     def _resample(self, x: Array):
         self._box_center, self._box_halfwidth = np.array(x, copy=True), 2.0 + 0.25 * np.abs(x)
         game = self.game
         for attempt in range(2):
-            pts_a = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
-            pts_b = [self._draw_point() for _ in range(_SAMPLE_PAIRS)]
-            good = [(a, b, dist) for a, b in zip(pts_a, pts_b)
-                    if (dist := float(np.linalg.norm(a - b))) > 1e-10]
-            if good:
+            pts = self._draw_pairs()
+            # per pair: ||a - b|| as one BLAS dot, as np.linalg.norm takes it
+            dist = np.sqrt(_self_dots(pts[0] - pts[1]))
+            apart = dist > 1e-10
+            if apart.any():
                 break
             self._box_halfwidth = 2.0 * self._box_halfwidth
         self._box_core = 0.5 * self._box_halfwidth
-        if not good:   # the joint private set is one point: a quotient over it bounds nothing
+        if not apart.any():   # a one-point joint private set: a quotient over it bounds nothing
             self._bind(np.zeros(game.num_players), [np.zeros(p.m) for p in game.players])
             self._jac_max = np.zeros(game.num_players)
             return
-        dist = np.array([dist for _, _, dist in good])
+        a, b, dist = pts[0][apart], pts[1][apart], dist[apart]
         M, n = game.total_constraints, game.n
         ratios, oks, failed = [], [], False
         row_lip, jac_max = np.zeros(M), np.zeros(game.num_players)
-        for start in range(0, len(good), _PAIR_CHUNK):   # bounds the stacked sweeps' size
-            chunk, d = good[start:start + _PAIR_CHUNK], dist[start:start + _PAIR_CHUNK, None]
+        for start in range(0, len(dist), _PAIR_CHUNK):   # bounds the stacked sweeps' size
+            chunk, d = slice(start, start + _PAIR_CHUNK), dist[start:start + _PAIR_CHUNK, None]
             with np.errstate(**QUIET):   # ends in the finiteness checks below
-                sweeps = [raw_sweep(game, x) for a, b, _ in chunk for x in (a, b)]
+                sweeps = [raw_sweep(game, p) for pair in zip(a[chunk], b[chunk]) for p in pair]
                 grads = np.array([s[1] for s in sweeps])   # (2 pairs, N, n), a and b alternating
                 jacs = np.array([s[3] for s in sweeps])    # (2 pairs, M, n)
                 dg = grads[0::2] - grads[1::2]
                 # per pair and player: ||dg|| as one BLAS dot each, as np.linalg.norm takes it
                 ratio = np.sqrt(np.matmul(dg[..., None, :], dg[..., :, None]))[..., 0, 0] / d
-                ok = np.isfinite(jacs).all(axis=2).reshape(len(chunk), 2, M).all(axis=1)
+                ok = np.isfinite(jacs).all(axis=2).reshape(len(d), 2, M).all(axis=1)
                 ratios.append(ratio)
                 oks.append(ok)
                 # past a failure the remaining pairs are only checked: it is raised below
@@ -345,7 +349,10 @@ class LipschitzEstimator:
         stacked over the constraint rows.
 
         ``jac_norms`` may pass precomputed spectral norms of each player's
-        constraint Jacobian at ``x`` to avoid an extra oracle sweep.
+        constraint Jacobian at ``x`` to avoid an extra oracle sweep. The
+        arithmetic runs under the caller's NumPy error state (``solve``'s
+        loop is quiet): a zero bound times an overflowed multiplier is NaN,
+        which :func:`choose_gamma` reports.
         """
         game = self.game
         if game.quadratic is None and self._needs_resample(x):
@@ -355,12 +362,10 @@ class LipschitzEstimator:
         margin = 0.5  # box radius covered by the function-Lipschitz bound
         L_gfun = (jac_norms + self._jac_growth * margin if game.quadratic is not None
                   else _INFLATION * np.maximum(jac_norms, self._jac_max))
-        # L_theta and gg change only at a resample; the multiplier term moves.
-        # A zero bound times an overflowed multiplier is NaN, and so is the
-        # next iterate, which the next oracle sweep rejects.
-        with np.errstate(**QUIET):
-            L = self._L_theta + game.rows.dot(self._gg, lam)
-        return LipschitzEstimates(self._L_theta, self._gg, L, L_gfun, self._M_g_own)
+        # L_theta and gg change only at a resample; the multiplier term moves
+        return LipschitzEstimates(self._L_theta, self._gg,
+                                  self._L_theta + game.rows.dot(self._gg, lam), L_gfun,
+                                  self._M_g_own)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +394,9 @@ def _raise_first_sampling_failure(game: GameInstance, ratio: Array, jac_ok: Arra
 
 def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
                  policy: GammaPolicy) -> tuple[Array, list[str]]:
-    """Proximal weights; auto applies the sufficient-decrease bound."""
+    """Proximal weights; auto applies the sufficient-decrease bound. A NaN
+    weight raises :class:`OracleFailure` naming the first player whose
+    smoothness estimate or constraint-Jacobian norm bound is NaN."""
     bound = est.L + 3.0 * est.L_gfun ** 2 / penalty.beta
     warnings: list[str] = []
     if policy.kind == "auto":
@@ -398,9 +405,13 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
         gamma = np.broadcast_to(policy.values, bound.shape).astype(float)
         warnings = [f"player {i}: fixed gamma {gamma[i]:.6g} below decrease bound {bound[i]:.6g}"
                     for i in np.flatnonzero(gamma < bound)]
-    floor = max(_GAMMA_FLOOR, 1e-3 * float(gamma.max(initial=0.0)))
-    gamma = np.maximum(gamma, floor)
-    return gamma, warnings
+    top = float(np.maximum.reduce(gamma))   # NaN when a weight is
+    if math.isnan(top):   # name the first NaN constant, not a NaN step
+        i = int(np.flatnonzero(np.isnan(est.L) | np.isnan(est.L_gfun))[0])
+        raise OracleFailure(f"player {i}: NaN proximal weight from smoothness estimate "
+                            f"{est.L[i]:.6g} and constraint-Jacobian norm bound "
+                            f"{est.L_gfun[i]:.6g}", player=i)
+    return np.maximum(gamma, max(_GAMMA_FLOOR, 1e-3 * top)), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +486,14 @@ def _self_dots(v: Array) -> Array:
     return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _jacobian_gathers(game: GameInstance, J: Array) -> tuple:
+def _jacobian_gathers(game: GameInstance, J: Array) -> list:
     """:attr:`~gnepsolve.core.GameInstance.own_gathers` with each run's rows
-    of ``J`` as one ``(p, w, n)`` view, and its blocks ``None`` when they are
-    every block (one add, no slice): bound once per solve for a ``J`` that
-    cannot move, and per step for one that moves."""
+    of ``J`` as one ``(p, w, n)`` view (blocks ``None`` when they are every
+    block: one add, no slice): bound once per solve for a ``J`` that cannot
+    move, and per step for one that moves."""
     n = game.n
-    return tuple((rows, None if cols.stop - cols.start == n else cols, p, own,
-                  J[rows].reshape(p, -1, n)) for rows, cols, p, own in game.own_gathers)
+    return [(rows, cols, p, own, J[rows].reshape(p, -1, n))
+            for rows, cols, p, own in game.own_gathers]
 
 
 def _own_grads(game: GameInstance, obj: Array) -> Array:
@@ -496,7 +507,7 @@ def _own_grads(game: GameInstance, obj: Array) -> Array:
     return obj + q.b_own
 
 
-def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: tuple,
+def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: list,
           gamma_by_coord: Array, beta: float) -> tuple[Array, tuple, Array]:
     """One iteration from the halves ``x`` and ``lam`` of the joint row, with
     ``obj`` the objective data at ``x`` (:func:`_own_grads`): the own-block
@@ -524,8 +535,7 @@ def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: tuple,
     u, lam_new = new[:n], new[n:]
     game.project_private(x - grad / gamma_by_coord, out=u)
     if q is None:
-        point = checked_sweep(game, u)
-        g, J, obj, theta = point.g_values, point.g_jacobians, point.theta_grads, point.theta
+        theta, obj, g, J = checked_sweep(game, u)
     else:
         (g, J), obj, theta = quadratic_constraints(game, u), np.matmul(q.G, u), None
     np.maximum(lam + g / beta, 0.0, out=lam_new)
@@ -629,9 +639,13 @@ def _jac_norms(game: GameInstance, J: Array) -> Array:
     """Spectral norm of each player's constraint Jacobian ``J[s]``, bit for
     bit, from views of ``J``: for the players of ``game.constrained_runs``,
     zero for the others. The one Jacobian quantity an iteration computes:
-    the next estimate reads it."""
-    full = np.zeros(game.num_players)
-    for players, rows, _ in game.constrained_runs:
+    the next estimate reads it. When one run holds every player, its norms
+    are the result."""
+    runs, N = game.constrained_runs, game.num_players
+    if len(runs) == 1 and runs[0][0] == slice(0, N):
+        return spectral_norms(J.reshape(N, -1, J.shape[1]))
+    full = np.zeros(N)
+    for players, rows, _ in runs:
         full[players] = spectral_norms(J[rows].reshape(players.stop - players.start, -1, J.shape[1]))
     return full
 
@@ -715,7 +729,8 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     rows, bit for bit the one-row values. ``anchor`` is ``(k, x, lam, J,
     L_values, obj)`` of the row before the first. A row keeps what cannot be
     derived: ``(x, lam, g, obj, theta)`` from :func:`_step`, and data that
-    can move adds ``(J, jac_norm, gamma, est)``. Each row's ``k``, step
+    can move adds ``(J, jac_norm, gamma, L_theta, M_g_own)``, the last two
+    the estimator's arrays (bound anew at each resample). Each row's ``k``, step
     ``dx`` and multiplier move ``dlam`` (the loop's subtractions) follow from
     the anchor and the stacked states, and its own-block gradients from
     ``obj`` (:func:`_own_grads`), as in the step. The objective values with
@@ -731,15 +746,18 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     first."""
     k_a, x_a, lam_a, J_a, prev_L, obj_a = anchor
     cols = list(zip(*pending))
-    # one concatenation per field: np.array over many small arrays is slower
-    x, lam, g, obj = (np.concatenate(c).reshape((len(c),) + c[0].shape) for c in cols[:4])
+
+    def stack(f: int) -> Array:   # one concatenation: np.array over many small arrays is slower
+        return np.concatenate(cols[f]).reshape((len(pending),) + cols[f][0].shape)
+
+    x, lam, g, obj = map(stack, range(4))
     lams = np.stack([np.vstack([lam_a, lam[:-1]]), lam], axis=1)   # (rows, 2, M)
     dx, dlam = x - np.vstack([x_a, x[:-1]]), lam - lams[:, 0]
     # max_abs of each row, as the loop takes it
     dx_inf, dlam_inf = (np.maximum.reduce(np.abs(v), axis=1, initial=0.0) for v in (dx, dlam))
-    J = J_a if constants is not None else np.array(cols[5])
+    J = J_a if constants is not None else stack(5)
     theta, slope = _objective_rows(game, (x_a, lam_a, J_a, obj_a), x, lam, g, J, dx, obj,
-                                   np.array(cols[4]) if game.quadratic is None else None)
+                                   stack(4) if game.quadratic is None else None)
     if len(theta) < len(pending):
         return (_trace_rows(game, anchor, pending[:len(theta)], constants, stall_tol)
                 if len(theta) else _empty_columns())
@@ -748,10 +766,8 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     if constants is not None:
         run = {f: np.broadcast_to(v, (len(pending),) + v.shape) for f, v in constants.items()}
     else:
-        jac, gamma, est = cols[6:9]
-        run = dict(jac_norm=np.array(jac), jac_own_norm=_own_jac_norms(game, J),
-                   gamma=np.array(gamma), M_theta_own=np.array([e.L_theta for e in est]),
-                   M_g_own=np.array([e.M_g_own for e in est]))
+        run = dict(jac_norm=stack(6), jac_own_norm=_own_jac_norms(game, J), gamma=stack(7),
+                   M_theta_own=stack(8), M_g_own=stack(9))
     L_x, L = lagrangian_values(theta[:, None], g[:, None], lams, game.rows).transpose(1, 0, 2)
     moves = np.stack([dlam, lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
@@ -799,8 +815,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     takes a full checked oracle sweep (one call of its batched oracle when
     it has one). The model slopes are the trace's for every game. With
     moving Jacobians an iteration takes each player's full-Jacobian norm,
-    which the next Lipschitz estimate reads. No iteration labels its own
-    step: each keeps only the arrays of
+    which the next Lipschitz estimate reads, and that estimate, ``gamma``
+    and its repeat over the blocks are a handful of whole-array operations
+    (:meth:`LipschitzEstimator.estimate`, :func:`choose_gamma`, which also
+    rejects a NaN weight). No iteration labels its own step: each keeps only the arrays of
     its row that cannot be derived (see :func:`_trace_rows`), and one pass
     over a leading axis of rows builds their columns when the pending rows'
     arrays reach ``_BLOCK_BYTES``, at most every ``_BOUND_ROWS`` rows
@@ -891,11 +909,6 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 if k == 0 or not fixed:
                     est = estimator.estimate(x, lam, jac_norms=jac_full)
                     gamma, _ = choose_gamma(est, penalty, cfg.gamma)
-                    if np.isnan(gamma).any():   # name the first NaN constant, not a NaN step
-                        i = int(np.flatnonzero(np.isnan(est.L) | np.isnan(est.L_gfun))[0])
-                        raise OracleFailure(f"player {i}: NaN proximal weight from smoothness "
-                                            f"estimate {est.L[i]:.6g} and constraint-Jacobian "
-                                            f"norm bound {est.L_gfun[i]:.6g}", player=i)
                     gamma_by_coord = game.layout.segments.repeat(gamma)
                     if fixed:
                         constants = dict(jac_norm=jac_full, jac_own_norm=jac_own, gamma=gamma,
@@ -905,7 +918,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 residual, z = max_abs(new - z), new   # a NaN never converges
                 if not fixed:
                     gathers, jac_full = _jacobian_gathers(game, J), _jac_norms(game, J)
-                    row += (J, jac_full, gamma, est)
+                    row += (J, jac_full, gamma, est.L_theta, est.M_g_own)
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)
                 break

@@ -5,7 +5,7 @@ import pytest
 
 import gnepsolve as G
 from gnepsolve import library
-from gnepsolve.core import max_abs
+from gnepsolve.core import BlockLayout, GameInstance, PlayerProblem, SimpleSet, max_abs
 
 
 def fast_config(**kw):
@@ -58,6 +58,48 @@ def row_states(blocks, rows):
             states.append(((x, lam), (row[0], row[1])))
             x, lam = row[0], row[1]
     return states[:rows]
+
+
+def detach_batched_oracle(game):
+    """Drop ``game``'s batched oracle in place (keeping any stacked data), so
+    that its sweeps take the per-player oracle loop; returns ``game``."""
+    assert game.batched_oracle is not None
+    object.__setattr__(game, "batched_oracle", None)
+    return game
+
+
+def sampled_user_game(bad=None):
+    """A user-built game with no batched oracle and x-dependent gradients and
+    Jacobians: blocks (2, 1, 2, 1) with 2, 0, 2 and 2 constraints (runs of
+    equal row counts, a player without rows, Jacobians with two rows). ``bad``
+    maps ``(player, "gradient" or "jacobian")`` to a predicate of ``x``: that
+    oracle turns NaN (gradient) or inf (Jacobian) where it holds."""
+    bad = bad or {}
+    layout = BlockLayout((2, 1, 2, 1))
+    n, rng = layout.n, np.random.default_rng(11)
+    sets = [SimpleSet.box(np.full(2, -2.0), np.full(2, 2.0)), SimpleSet.nonneg(1),
+            SimpleSet.box(np.full(2, -1.0), np.full(2, 3.0)), SimpleSet.free(1)]
+
+    def player(i, m):
+        w, v = rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
+        A, c = rng.uniform(0.1, 1.0, (m, n)), rng.standard_normal((m, n))
+        never = lambda x: False   # noqa: E731
+        bad_grad, bad_jac = bad.get((i, "gradient"), never), bad.get((i, "jacobian"), never)
+
+        def gradient(x):
+            return w * x + v * np.cos(x) + (np.nan if bad_grad(x) else 0.0)
+
+        def constraint_jacobian(x):
+            return 2.0 * A * x + c * np.exp(0.1 * x) + (np.inf if bad_jac(x) else 0.0)
+
+        return PlayerProblem(
+            objective=lambda x: float(0.5 * w @ (x * x) + v @ np.sin(x)),
+            gradient=gradient,
+            constraints=lambda x: (A * x) @ x + 10.0 * c @ (np.exp(0.1 * x) - 1.0) - 1.0,
+            constraint_jacobian=constraint_jacobian,
+            private_set=sets[i], m=m)
+
+    return GameInstance(tuple(player(i, m) for i, m in enumerate((2, 0, 2, 2))), layout, "user")
 
 
 def stopping_residual(prev, next_state):

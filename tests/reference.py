@@ -12,7 +12,8 @@ player's surrogate minimizer over its private set, one projection) and the
 exact dual step :func:`step_duals` at the new point. :func:`inner_step` is
 the iterative sweep whose fixed point that update is, with per-player step
 sizes from :func:`choose_sigma`. ``solve`` takes the same step on its joint
-row ``[x; lam]`` (``solver._step``), bit for bit.
+row ``[x; lam]`` (``solver._step``), bit for bit. :func:`draw_point` is the
+smoothness sampler's draw one point at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from gnepsolve.core import Array, GameInstance, row_dots, vec_norm
 from gnepsolve.lagrangian import PointEval, evaluate_point, surrogate_values
-from gnepsolve.solver import SolverConfig
+from gnepsolve.solver import LipschitzEstimator, SolverConfig
 
 
 @dataclass
@@ -132,3 +133,11 @@ def choose_sigma(cfg: SolverConfig, outer_k: int, gamma: Array) -> tuple[Array, 
     else:
         sigma = np.full(gamma.shape[0], min(schedule.sigma0 * decay, sigma_cap(gmin, gmax)))
     return sigma, contraction_factor(gmin, gmax, float(sigma.max()))
+
+
+def draw_point(est: LipschitzEstimator) -> Array:
+    """One point drawn in ``est``'s sampling box and projected on the private
+    sets: ``LipschitzEstimator._draw_pairs`` one point at a time, which draws
+    the same stream."""
+    raw = est._box_center + est.rng.uniform(-1.0, 1.0, est.game.n) * est._box_halfwidth
+    return est.game.project_private(raw)

@@ -18,8 +18,9 @@ from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
 import reference
-from conftest import (ad_start, blocks_of, fast_config, free_affine_game, record_blocks,
-                      row_states, spectral_norm_reference, stopping_residual)
+from conftest import (ad_start, blocks_of, detach_batched_oracle, fast_config, free_affine_game,
+                      record_blocks, row_states, sampled_user_game, spectral_norm_reference,
+                      stopping_residual)
 
 
 def test_example3_converges_from_all_starts(ex3_runs):
@@ -364,14 +365,15 @@ def test_fixed_run_constants_are_stored_once(monkeypatch):
 
 def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
     # power's Jacobians change with x: each row's norms, computed stacked by
-    # shape, and each resample's largest norm over its sampled points,
-    # computed one sampled pair at a time, are the bits of the per-matrix formula.
+    # shape, and each resample's largest norm over the points its batched
+    # draw gave, computed one sampled pair at a time, are the bits of the
+    # per-matrix formula.
     # A k-capped run ends at the state its last row describes, and every row
     # carries the fresh norms at its own iterate.
     game = G.library.builtin_instance("power")
     x0 = np.full(game.n, 5.0)
     drawn, resamples, iterates = [], [], []
-    draw, resample = G.LipschitzEstimator._draw_point, G.LipschitzEstimator._resample
+    draw, resample = G.LipschitzEstimator._draw_pairs, G.LipschitzEstimator._resample
     step = G.solver._step
 
     def recording_step(*args):
@@ -386,9 +388,9 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
     def recording_resample(self, x):
         drawn.clear()
         resample(self, x)
-        resamples.append((drawn[-2 * G.solver._SAMPLE_PAIRS:], self._jac_max))
+        resamples.append((drawn[-1], self._jac_max))
 
-    monkeypatch.setattr(G.LipschitzEstimator, "_draw_point", recording_draw)
+    monkeypatch.setattr(G.LipschitzEstimator, "_draw_pairs", recording_draw)
     monkeypatch.setattr(G.LipschitzEstimator, "_resample", recording_resample)
     monkeypatch.setattr(G.solver, "_step", recording_step)
     for K in (1, 150, 400):
@@ -408,9 +410,9 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
     full, own = fresh_jacobian_norms(game, G.initial_state(game, x0).x)
     assert res.trace.initial_jac_norm.tobytes() == full.tobytes()
     assert res.trace.initial_jac_own_norm.tobytes() == own.tobytes()
-    P = G.solver._SAMPLE_PAIRS
     for points, jac_max in resamples:
-        pairs = [(a, b) for a, b in zip(points[:P], points[P:]) if np.linalg.norm(a - b) > 1e-10]
+        assert points.shape == (2, G.solver._SAMPLE_PAIRS, game.n)
+        pairs = [(a, b) for a, b in zip(*points) if np.linalg.norm(a - b) > 1e-10]
         want = [max(max(spectral_norm_reference(p.constraint_jacobian(a)),
                         spectral_norm_reference(p.constraint_jacobian(b))) for a, b in pairs)
                 for p in game.players]
@@ -513,30 +515,34 @@ def check_trace_quantities(game, x0, cfg, K):
 
 
 def test_rows_keep_the_constants_of_their_iteration(monkeypatch):
-    # the rows hold the estimator's and choose_gamma's arrays uncopied: a
-    # resample must bind new arrays, not write into the ones earlier rows
-    # hold. power from 5 resamples its sampled constants several times.
-    produced = []
-    estimate, choose_gamma = G.LipschitzEstimator.estimate, G.solver.choose_gamma
-
-    def recording_estimate(self, *args, **kwargs):
-        est = estimate(self, *args, **kwargs)
-        produced.append([est.M_g_own.tobytes(), est.L_theta.tobytes()])
-        return est
-
-    def recording_gamma(*args, **kwargs):
-        gamma, warnings = choose_gamma(*args, **kwargs)
-        produced[-1].append(gamma.tobytes())
-        return gamma, warnings
-
-    monkeypatch.setattr(G.LipschitzEstimator, "estimate", recording_estimate)
-    monkeypatch.setattr(G.solver, "choose_gamma", recording_gamma)
-    game = G.library.builtin_instance("power")
-    res = G.solve(game, np.full(game.n, 5.0), G.SolverConfig(max_outer=400))
-    assert res.outer_iterations == len(produced) == 400
-    assert len({m for m, _, _ in produced}) >= 3
-    assert [[r.M_g_own.tobytes(), r.M_theta_own.tobytes(), r.gamma.tobytes()]
-            for r in res.trace.rows] == produced
+    # every row's gamma and smoothness constants are what a fresh estimator
+    # gives at that iteration's anchor (x_k, lam_k), row k's x and lam in the
+    # trace, estimating at every anchor in turn (so it resamples where the
+    # run did and draws the same stream), and its Jacobian norms the fresh
+    # norms at its point: the rows keep the estimator's arrays, and a
+    # resample binds new ones rather than writing into those earlier rows
+    # hold. power (with and without its batched oracle) from 5 resamples
+    # several times; a user-built game samples too, example3 does not.
+    blocks = record_blocks(monkeypatch)
+    cfg = G.SolverConfig(max_outer=400)
+    pen = cfg.penalty()
+    for game, start in [(G.library.builtin_instance("power"), 5.0),
+                        (detach_batched_oracle(G.library.builtin_instance("power")), 5.0),
+                        (sampled_user_game(), 0.5), (G.library.make_example3(), 0.0)]:
+        blocks.clear()
+        res = G.solve(game, np.full(game.n, start), cfg)
+        states = row_states(blocks, res.outer_iterations)
+        assert len(states) == res.outer_iterations > 100, game.name
+        reference_estimator = G.LipschitzEstimator(game, seed=cfg.seed)
+        for row, ((y, lam), (x_next, _)) in zip(res.trace.rows, states):
+            est = reference_estimator.estimate(y, lam)
+            gamma, _ = G.choose_gamma(est, pen, cfg.gamma)
+            assert row.gamma.tobytes() == gamma.tobytes()
+            assert row.M_theta_own.tobytes() == est.L_theta.tobytes()
+            assert row.M_g_own.tobytes() == est.M_g_own.tobytes()
+            assert row.jac_norm.tobytes() == fresh_jacobian_norms(game, x_next)[0].tobytes()
+        if game.name.startswith("power"):
+            assert len({row.M_g_own.tobytes() for row in res.trace.rows}) >= 3
 
 
 def test_affine_quadratic_rows_take_the_constants_of_one_estimate(monkeypatch):

@@ -19,8 +19,8 @@ from gnepsolve.solver import (
 )
 from gnepsolve import library
 from reference import (QuadraticAnchor, build_anchor, choose_sigma, contraction_factor,
-                       inner_residual, inner_step, sigma_cap, solve_inner, step_duals)
-from conftest import spectral_norm_reference, stopping_residual
+                       draw_point, inner_residual, inner_step, sigma_cap, solve_inner, step_duals)
+from conftest import sampled_user_game, spectral_norm_reference, stopping_residual
 
 
 def single_player_quadratic(n=2, lo=-10.0, hi=10.0):
@@ -65,8 +65,8 @@ def per_pair_resample(est, x):
     est._box_center, est._box_halfwidth = np.array(x, copy=True), 2.0 + 0.25 * np.abs(x)
     game = est.game
     for attempt in range(2):
-        pts_a = [est._draw_point() for _ in range(G.solver._SAMPLE_PAIRS)]
-        pts_b = [est._draw_point() for _ in range(G.solver._SAMPLE_PAIRS)]
+        pts_a = [draw_point(est) for _ in range(G.solver._SAMPLE_PAIRS)]
+        pts_b = [draw_point(est) for _ in range(G.solver._SAMPLE_PAIRS)]
         good = [(a, b, dist) for a, b in zip(pts_a, pts_b)
                 if (dist := float(np.linalg.norm(a - b))) > 1e-10]
         if good:
@@ -94,40 +94,6 @@ def per_pair_resample(est, x):
         jac_maxes.append(jac_max)
     est._bind(np.array(L_theta), ggs)
     est._jac_max = np.array(jac_maxes)
-
-
-def sampled_user_game(bad=None):
-    """A user-built game with no batched oracle and x-dependent gradients and
-    Jacobians: blocks (2, 1, 2, 1) with 2, 0, 2 and 2 constraints (runs of
-    equal row counts, a player without rows, Jacobians with two rows). ``bad``
-    maps ``(player, "gradient" or "jacobian")`` to a predicate of ``x``: that
-    oracle turns NaN (gradient) or inf (Jacobian) where it holds."""
-    bad = bad or {}
-    layout = BlockLayout((2, 1, 2, 1))
-    n, rng = layout.n, np.random.default_rng(11)
-    sets = [SimpleSet.box(np.full(2, -2.0), np.full(2, 2.0)), SimpleSet.nonneg(1),
-            SimpleSet.box(np.full(2, -1.0), np.full(2, 3.0)), SimpleSet.free(1)]
-
-    def player(i, m):
-        w, v = rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
-        A, c = rng.uniform(0.1, 1.0, (m, n)), rng.standard_normal((m, n))
-        never = lambda x: False   # noqa: E731
-        bad_grad, bad_jac = bad.get((i, "gradient"), never), bad.get((i, "jacobian"), never)
-
-        def gradient(x):
-            return w * x + v * np.cos(x) + (np.nan if bad_grad(x) else 0.0)
-
-        def constraint_jacobian(x):
-            return 2.0 * A * x + c * np.exp(0.1 * x) + (np.inf if bad_jac(x) else 0.0)
-
-        return PlayerProblem(
-            objective=lambda x: float(0.5 * w @ (x * x) + v @ np.sin(x)),
-            gradient=gradient,
-            constraints=lambda x: (A * x) @ x + 10.0 * c @ (np.exp(0.1 * x) - 1.0) - 1.0,
-            constraint_jacobian=constraint_jacobian,
-            private_set=sets[i], m=m)
-
-    return GameInstance(tuple(player(i, m) for i, m in enumerate((2, 0, 2, 2))), layout, "user")
 
 
 def sampled_constants(est):
@@ -274,6 +240,23 @@ def test_choose_gamma_fixed_below_bound_warns():
                     "player 2: fixed gamma 0.25 below decrease bound 0.333333"]
     gamma, warn = choose_gamma(est, pen, GammaPolicy.fixed(0.4))
     assert gamma.tolist() == [0.4] * 3 and [w[:9] for w in warn] == ["player 0:", "player 1:"]
+
+
+def test_choose_gamma_names_the_first_nan_weight():
+    # a NaN smoothness estimate or Jacobian-norm bound makes a NaN auto
+    # weight, which raises naming the first such player; a fixed weight is
+    # never NaN, whatever its bound
+    pen = PenaltyParams(10.0, 1.0)
+    for L, L_gfun, i in [([1.0, np.nan, np.nan], [0.0, 0.0, 1.0], 1),
+                         ([1.0, 2.0, 3.0], [0.0, 1.0, np.nan], 2)]:
+        with pytest.raises(G.OracleFailure) as err:
+            choose_gamma(_est(L, L_gfun), pen, GammaPolicy.auto())
+        assert err.value.player == i
+        assert str(err.value) == (f"player {i}: NaN proximal weight from smoothness estimate "
+                                  f"{L[i]:.6g} and constraint-Jacobian norm bound "
+                                  f"{L_gfun[i]:.6g}")
+    gamma, warn = choose_gamma(_est([1.0, np.nan], [0.0, 0.0]), pen, GammaPolicy.fixed(2.0))
+    assert gamma.tolist() == [2.0, 2.0] and warn == []
 
 
 def test_sigma_cap_value():

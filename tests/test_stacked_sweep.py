@@ -21,7 +21,8 @@ from gnepsolve.core import objective_norms, spectral_norms
 from gnepsolve.lagrangian import (PenaltyParams, evaluate_point,
                                   lagrangian_from_values, lagrangian_values, projected_gradient_x)
 import reference
-from conftest import QUAD_SHAPES, blocks_of, dense_objective, row_states
+from conftest import (QUAD_SHAPES, blocks_of, dense_objective, detach_batched_oracle,
+                      row_states)
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -29,13 +30,6 @@ _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 def closure_twin(game):
     """The same players, layout and name, without the stacked data."""
     return G.GameInstance(game.players, game.layout, game.name)
-
-
-def detach_batched_oracle(game):
-    """Drop ``game``'s batched oracle in place (keeping any stacked data), so
-    that its sweeps take the per-player oracle loop."""
-    assert game.batched_oracle is not None
-    object.__setattr__(game, "batched_oracle", None)
 
 
 def point_bits(point):

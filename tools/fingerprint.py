@@ -29,7 +29,10 @@ solver configuration each is run with elsewhere:
 - random-quadratic from ``const:0`` under the default configuration, as
   the test suite runs it: a stall stop at iteration 297, inside a block of
   trace rows, whose later rows the loop ran are dropped;
-- power from ``const:5`` at 400 outer iterations, as the test suite runs it;
+- power from ``const:5`` at 400 outer iterations, as the test suite runs it,
+  and the same run with its batched oracle detached
+  (``detach_batched_oracle`` of ``tests/conftest.py``), whose sweeps take
+  the per-player oracle loop, through several resamples;
 - power-cli's run: power from ``const:0`` under the CLI's default
   configuration, capped at ``POWER_MAX_OUTER`` outer iterations, as the
   power-cli workload solves it (its iterate stays in the first sampled box);
@@ -70,7 +73,7 @@ def run_set():
     sys.path += [str(ROOT), str(ROOT / "tests")]
     import gnepsolve as G
     from gnepsolve import library
-    from conftest import ad_start, free_affine_game
+    from conftest import ad_start, detach_batched_oracle, free_affine_game
     from perfbench.workloads import (POWER_MAX_OUTER, QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER,
                                      WIDE_SHAPE, fast_config)
 
@@ -105,6 +108,9 @@ def run_set():
     runs.append(("random-quadratic/const:0", rq, np.zeros(rq.n), G.SolverConfig()))
     power = library.builtin_instance("power")
     runs.append(("power/const:5", power, np.full(power.n, 5.0), G.SolverConfig(max_outer=400)))
+    per_player = detach_batched_oracle(library.builtin_instance("power"))
+    runs.append(("power/per-player/const:5", per_player, np.full(per_player.n, 5.0),
+                 G.SolverConfig(max_outer=400)))
     runs.append(("power-cli", power, np.zeros(power.n), G.SolverConfig(max_outer=POWER_MAX_OUTER)))
     for name in library.BUILTIN_NAMES:
         game = library.builtin_instance(name)
