@@ -171,29 +171,19 @@ class Segments:
         c, b = self.counts, self.bounds
         return tuple((slice(i, j), slice(b[i], b[j]), c[i]) for i, j in _equal_runs(c) if c[i])
 
-    @cached_property
-    def _width(self) -> int:
-        """The length of every segment when one run holds them all, else 0."""
-        runs = self._runs
-        return runs[0][2] if len(runs) == 1 and runs[0][0] == slice(0, len(self.counts)) else 0
-
     def repeat(self, v: Array) -> Array:
-        """Per-segment values ``v`` repeated over each segment's entries."""
-        return np.repeat(v, self._count_array)
+        """Per-segment values ``v`` (an array) repeated over each segment's
+        entries."""
+        return v.repeat(self._count_array)
 
     def dot(self, a: Array, b: Array) -> Array:
         """``a[..., s] @ b[..., s]`` for every segment ``s`` of the last
-        axis; 0.0 for an empty one. When one run holds every segment, its
-        products are the result, with no output array to fill."""
+        axis; 0.0 for an empty one."""
         a, b, lead = np.ascontiguousarray(a), np.ascontiguousarray(b), a.shape[:-1]
-        if w := self._width:
-            return np.matmul(a.reshape(lead + (-1, 1, w)),
-                             b.reshape(lead + (-1, w, 1))).reshape(lead + (-1,))
         out = np.zeros(lead + (len(self.counts),))
         for players, entries, w in self._runs:
-            ab = np.matmul(a[..., entries].reshape(lead + (-1, 1, w)),
-                           b[..., entries].reshape(lead + (-1, w, 1)))
-            out[..., players] = ab.reshape(lead + (-1,))
+            np.matmul(a[..., entries].reshape(lead + (-1, 1, w)),
+                      b[..., entries].reshape(lead + (-1, w, 1)), out=out[..., players, None, None])
         return out
 
     def norm(self, a: Array) -> Array:

@@ -121,6 +121,7 @@ class PointEval:
 _POINT_FIELDS = ("objective value", "objective gradient", "constraint value",
                  "constraint Jacobian")
 QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}   # left to finiteness checks
+_sum = np.add.reduce
 
 
 def evaluate_point(game: GameInstance, x: Array) -> PointEval:
@@ -129,9 +130,9 @@ def evaluate_point(game: GameInstance, x: Array) -> PointEval:
 
     A non-finite value raises :class:`OracleFailure` naming the first
     player, and its first field in the order value, gradient, constraint
-    value, Jacobian. The check is one pass, the sum of every field's self
-    dot product, and only a sum that is not finite (a non-finite entry, or
-    finite entries whose squares overflow) looks at the fields one by one.
+    value, Jacobian. The check is one pass, the sum of every field, and
+    only a sum that is not finite (a non-finite entry, or finite entries
+    whose sum overflows) looks at the fields one by one.
     """
     with np.errstate(**QUIET):   # ends in the finiteness check
         x = np.array(x, dtype=float, copy=True)
@@ -144,8 +145,8 @@ def checked_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Ar
     ``errstate`` and no :class:`PointEval`: for a caller that runs under
     ``np.errstate(**QUIET)`` and hands over a float array."""
     fields = theta, grads, g, jac = raw_sweep(game, x)
-    if not math.isfinite(np.vdot(theta, theta) + np.vdot(grads, grads) + np.vdot(g, g)
-                         + np.vdot(jac, jac)):
+    total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
+    if not math.isfinite(total):
         _raise_first_nonfinite(game, fields)
     return fields
 

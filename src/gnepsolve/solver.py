@@ -350,9 +350,10 @@ class LipschitzEstimator:
 
         ``jac_norms`` may pass precomputed spectral norms of each player's
         constraint Jacobian at ``x`` to avoid an extra oracle sweep. The
-        arithmetic runs under the caller's NumPy error state (``solve``'s
-        loop is quiet): a zero bound times an overflowed multiplier is NaN,
-        which :func:`choose_gamma` reports.
+        arithmetic runs under the caller's NumPy error state: a zero bound
+        times an overflowed multiplier is NaN, which :func:`choose_gamma`
+        reports, and ``solve`` calls this inside its quiet loop, so only a
+        caller that leaves NumPy's warnings on sees one here.
         """
         game = self.game
         if game.quadratic is None and self._needs_resample(x):

@@ -15,7 +15,7 @@ import gnepsolve as G
 from gnepsolve import cli
 from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation, vec_norm
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
-from gnepsolve.lagrangian import evaluate_point, lagrangian_values
+from gnepsolve.lagrangian import QUIET, evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
 import reference
 from conftest import (ad_start, blocks_of, detach_batched_oracle, fast_config, free_affine_game,
@@ -137,6 +137,25 @@ def test_overflowed_multiplier_ends_in_an_oracle_failure_without_a_warning():
     assert res.message == ("player 0: NaN proximal weight from smoothness estimate nan "
                            "and constraint-Jacobian norm bound 2")
     assert res.outer_iterations == 1 and res.state.duals.lam.tolist() == [np.inf]
+
+
+def test_estimate_of_an_overflowed_multiplier_runs_under_the_callers_error_state():
+    # estimate called on its own: the sampled (zero) bound times the
+    # overflowed multiplier is NaN, quietly under solve's error state, and
+    # the caller's own error state decides what else happens
+    def estimate():
+        return G.LipschitzEstimator(one_point_game(-1e308)).estimate(
+            np.ones(1), np.array([np.inf]), jac_norms=np.ones(1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(**QUIET):
+            est = estimate()
+        with np.errstate(invalid="warn"), pytest.raises(RuntimeWarning, match="invalid value"):
+            estimate()
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        estimate()
+    assert est.L_theta.tolist() == [0.0] and np.isnan(est.L).tolist() == [True]
 
 
 def test_start_point_overflow_ends_in_an_oracle_failure_without_a_warning():
