@@ -373,6 +373,8 @@ def _numeric_vector(value, length: int, what: str) -> np.ndarray:
         vec = None
     if vec is None or vec.shape != (length,):
         raise CliError(f"{what} must be a numeric vector of length {length}")
+    if not np.isfinite(vec).all():
+        raise CliError(f"{what} has a non-finite entry")
     return vec
 
 

@@ -13,7 +13,6 @@ the runtime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -82,12 +81,6 @@ class BlockLayout:
         if not 0 <= i < len(self.dims):
             raise IndexError(f"player index {i} out of range for {len(self.dims)} blocks")
         return self.slices[i]
-
-    def get_block(self, x: Array, i: int) -> Array:
-        """Extract player ``i``'s block of ``x``."""
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return x[self.block_slice(i)]
 
     def set_block(self, x: Array, i: int, values: Array) -> Array:
         """Return a copy of ``x`` with player ``i``'s block overwritten."""
@@ -187,7 +180,7 @@ class Segments:
         return out
 
     def norm(self, a: Array) -> Array:
-        """Per-segment :func:`vec_norm`, over the last axis."""
+        """Per-segment Euclidean norm, over the last axis."""
         return np.sqrt(self.dot(a, a))
 
     def max_abs(self, a: Array) -> Array:
@@ -206,13 +199,15 @@ class Segments:
         return tuple(A[entries].reshape(-1, w, A.shape[1]) for _, entries, w in self._runs)
 
     def vecmat_add(self, base: Array, a: Array, A: Array) -> Array:
-        """``base[i] + A[s].T @ a[s]`` for every player ``i`` whose segment
-        ``s`` of the rows of ``A`` is not empty, and ``base[i]`` otherwise."""
-        a, A, out = np.ascontiguousarray(a), np.ascontiguousarray(A), base.copy()
+        """Add ``A[s].T @ a[s]`` to ``base[i]`` in place for every player ``i``
+        with a nonempty segment ``s`` of the rows of ``A``, over the leading axes
+        of ``a`` and ``base`` (``A`` shared or stacked along them); returns ``base``."""
+        a, A, lead, d = np.ascontiguousarray(a), np.ascontiguousarray(A), a.shape[:-1], A.shape[-1]
         for players, entries, w in self._runs:
-            out[players] += np.matmul(a[entries].reshape(-1, 1, w),
-                                      A[entries].reshape(-1, w, A.shape[1])).reshape(-1, A.shape[1])
-        return out
+            base[..., players, :] += np.matmul(
+                a[..., entries].reshape(lead + (-1, 1, w)),
+                A[..., entries, :].reshape(A.shape[:-2] + (-1, w, d))).reshape(lead + (-1, d))
+        return base
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +296,12 @@ class SimpleSet:
     def contains(self, v: Array, tol: float = 1e-9) -> bool:
         return bool(np.linalg.norm(self.project(v) - v) <= tol)
 
-    def sample_interior(self, rng: np.random.Generator, scale: float = 1.0) -> Array:
+    def sample_interior(self, rng: np.random.Generator) -> Array:
         """Draw a point safely inside the set (used by validation sampling)."""
-        raw = rng.standard_normal(self.dim) * scale
+        raw = rng.standard_normal(self.dim)
         if self.kind == "box":
-            lo = np.where(np.isfinite(self.lower), self.lower, -2.0 * scale)
-            up = np.where(np.isfinite(self.upper), self.upper, 2.0 * scale)
+            lo = np.where(np.isfinite(self.lower), self.lower, -2.0)
+            up = np.where(np.isfinite(self.upper), self.upper, 2.0)
             width = up - lo
             pad = np.minimum(0.05 * width, 0.1)
             u = rng.uniform(size=self.dim)
@@ -502,8 +497,7 @@ def spectral_norms(mats: Array) -> Array:
     for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
     *lead, w, d = mats.shape
     if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
-        v = mats.reshape(*lead, w * d)   # a view: a strided dot product rounds differently
-        top = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+        top = self_dots(mats.reshape(*lead, w * d))   # a view: strided dots round differently
     else:
         work = mats if w <= d else np.swapaxes(mats, -1, -2)
         top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)
@@ -656,10 +650,6 @@ class GameInstance:
         game has stacked quadratic data and the player is not curved."""
         return self.quadratic is not None and i not in self.quadratic.hessians
 
-    def feasibility_violation(self, x: Array) -> float:
-        """Largest positive constraint value over all players; 0 if feasible."""
-        return constraint_violation(stack_rows([p.constraints(x) for p in self.players if p.m]))
-
 
 def _attach_quadratic_stack(game: GameInstance, q: QuadraticStack) -> GameInstance:
     """``game`` with its players' quadratic data ``q`` attached; the
@@ -728,12 +718,10 @@ def row_dots(A: Array, x: Array) -> Array:
     return np.matmul(A[..., None, :], x[..., None, :, None])[..., 0, 0]
 
 
-def vec_norm(v: Array) -> float:
-    """Euclidean norm of a 1-D float vector, bit for bit ``np.linalg.norm(v)``
-    without its per-call overhead; a strided view is copied first, as there,
-    because its dot product may round differently."""
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
+def self_dots(v: Array) -> Array:
+    """``v[..., :] @ v[..., :]`` over any leading axes of ``v``: one BLAS dot
+    per vector, as ``np.linalg.norm`` takes it, bit for bit."""
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
 def max_abs(v: Array) -> float:
@@ -760,10 +748,6 @@ class PlayerDualState:
     lam: Array
     mu: Array
 
-    @staticmethod
-    def zeros(m: int) -> "PlayerDualState":
-        return PlayerDualState(np.zeros(m), np.zeros(m), np.zeros(m))
-
 
 @dataclass(frozen=True)
 class DualStack:
@@ -787,11 +771,8 @@ class DualStack:
         return DualStack(np.zeros(rows.total), np.zeros(rows.total), np.zeros(rows.total), rows)
 
     @staticmethod
-    def of(duals: Sequence[PlayerDualState], rows: Segments | None = None) -> "DualStack":
-        """Per-player dual states stacked over the rows ``rows`` (by default
-        the players' multiplier lengths)."""
-        if rows is None:
-            rows = Segments(tuple(np.asarray(d.lam).shape[0] for d in duals))
+    def of(duals: Sequence[PlayerDualState], rows: Segments) -> "DualStack":
+        """Per-player dual states stacked over the rows ``rows``."""
         return DualStack(stack_rows([d.z for d in duals]), stack_rows([d.lam for d in duals]),
                          stack_rows([d.mu for d in duals]), rows)
 
@@ -865,10 +846,6 @@ class ValidationReport:
     convexity_violation: float
     all_finite: bool
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.all_finite and self.gradient_error <= 1e-6 and self.convexity_violation <= 1e-9
 
 
 def _rel_err(approx: Array, exact: Array) -> float:

@@ -15,7 +15,7 @@ embarrassingly parallel across players and samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -316,8 +316,11 @@ def best_response_gap(game: GameInstance, x: Array, player: int, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 
+_SADDLE_SLACK = 1e-6   # a sampled value beyond the centre by more than this violates
+
+
 def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams,
-                 samples: int = 1000, seed: int = 0, slack: float = 1e-6) -> int:
+                 samples: int = 1000, seed: int = 0) -> int:
     """Count sampled violations of the two saddle inequalities at ``state``.
 
     Multiplier samples draw ``lam`` uniformly from ``[0, 2 max(1, |lam*|)]``
@@ -345,7 +348,7 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
                 mu_s = d.mu + rng.uniform(-1.0, 1.0, p.m)
                 left = lagrangian_from_values(theta[i], gvals[i], PlayerDualState(d.z, lam_s, mu_s),
                                               alpha, beta)
-                if left > center[i] + slack:
+                if left > center[i] + _SADDLE_SLACK:
                     violations += 1
             sl = game.layout.block_slice(i)
             dev = p.private_set.project(x[sl] + rng.uniform(-1.0, 1.0, p.private_set.dim))
@@ -355,7 +358,7 @@ def saddle_check(game: GameInstance, state: IterateState, penalty: PenaltyParams
             g_dev = np.asarray(p.constraints(xdev), dtype=float) if p.m else np.zeros(0)
             right = lagrangian_from_values(float(p.objective(xdev)), g_dev,
                                            PlayerDualState(z_dev, d.lam, d.mu), alpha, beta)
-            if right < center[i] - slack:
+            if right < center[i] - _SADDLE_SLACK:
                 violations += 1
     return violations
 
@@ -423,25 +426,17 @@ class DiagnosticsReport:
         return max(vals, default=0.0)
 
     def as_dict(self) -> dict:
-        return {
-            "stationarity": self.stationarity,
-            "complementarity": self.complementarity,
-            "feasibility": self.feasibility,
-            "best_response_gaps": self.best_response_gaps,
-            "lam_norm_inf": self.lam_norm_inf,
-            "projected_gradient": self.projected_gradient,
-            "projected_gradient_total": self.projected_gradient_total,
-            "saddle_violations": self.saddle_violations,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
              with_best_response: bool = True, saddle_samples: int = 0,
              seed: int = 0) -> DiagnosticsReport:
-    """Assemble the per-player equilibrium report at a candidate state."""
-    lams = [d.lam for d in state.duals]
-    triples = kkt_residual(game, state.x, lams)
+    """Assemble the per-player equilibrium report at a candidate state. The
+    projected-gradient blocks come first: their checked sweep raises
+    ``OracleFailure`` where an oracle is not finite, before unchecked calls warn."""
+    pg = projected_gradient_blocks(game, state, penalty)
+    triples = kkt_residual(game, state.x, [d.lam for d in state.duals])
     gaps = []
     notes: list[str] = []
     for i in range(game.num_players):
@@ -452,7 +447,6 @@ def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
             gaps.append(gap)
         else:
             gaps.append(float("nan"))
-    pg = projected_gradient_blocks(game, state, penalty)
     report = DiagnosticsReport(
         stationarity=[t[0] for t in triples],
         complementarity=[t[1] for t in triples],

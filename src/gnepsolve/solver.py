@@ -55,6 +55,7 @@ from .core import (
     own_columns,
     quadratic_constraints,
     row_dots,
+    self_dots,
     spectral_norms,
     stack_rows,
 )
@@ -288,8 +289,7 @@ class LipschitzEstimator:
         game = self.game
         for attempt in range(2):
             pts = self._draw_pairs()
-            # per pair: ||a - b|| as one BLAS dot, as np.linalg.norm takes it
-            dist = np.sqrt(_self_dots(pts[0] - pts[1]))
+            dist = np.sqrt(self_dots(pts[0] - pts[1]))   # per pair: ||a - b||
             apart = dist > 1e-10
             if apart.any():
                 break
@@ -300,7 +300,7 @@ class LipschitzEstimator:
             self._jac_max = np.zeros(game.num_players)
             return
         a, b, dist = pts[0][apart], pts[1][apart], dist[apart]
-        M, n = game.total_constraints, game.n
+        M = game.total_constraints
         ratios, oks, failed = [], [], False
         row_lip, jac_max = np.zeros(M), np.zeros(game.num_players)
         for start in range(0, len(dist), _PAIR_CHUNK):   # bounds the stacked sweeps' size
@@ -310,8 +310,7 @@ class LipschitzEstimator:
                 grads = np.array([s[1] for s in sweeps])   # (2 pairs, N, n), a and b alternating
                 jacs = np.array([s[3] for s in sweeps])    # (2 pairs, M, n)
                 dg = grads[0::2] - grads[1::2]
-                # per pair and player: ||dg|| as one BLAS dot each, as np.linalg.norm takes it
-                ratio = np.sqrt(np.matmul(dg[..., None, :], dg[..., :, None]))[..., 0, 0] / d
+                ratio = np.sqrt(self_dots(dg)) / d   # per pair and player
                 ok = np.isfinite(jacs).all(axis=2).reshape(len(d), 2, M).all(axis=1)
                 ratios.append(ratio)
                 oks.append(ok)
@@ -323,9 +322,7 @@ class LipschitzEstimator:
                 dj = jacs[0::2] - jacs[1::2]
                 row_lip = np.maximum(row_lip, (np.sqrt(np.add.reduce(dj * dj, axis=2)) / d).max(
                     axis=0, initial=0.0))
-                for players, rows, m in game.rows._runs:   # per run of equal row count m
-                    norms = spectral_norms(jacs[:, rows].reshape(-1, m, n)).reshape(len(sweeps), -1)
-                    jac_max[players] = np.maximum(jac_max[players], norms.max(axis=0))
+                jac_max = np.maximum(jac_max, _jac_norms(game, jacs).max(axis=0))
         ratio = np.concatenate(ratios)
         if failed:
             _raise_first_sampling_failure(game, ratio, np.concatenate(oks))
@@ -482,11 +479,6 @@ class _StallWatch:
         return None
 
 
-def _self_dots(v: Array) -> Array:
-    """``v[j] @ v[j]`` for every row of the 2-D ``v``, one dot per row."""
-    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _jacobian_gathers(game: GameInstance, J: Array) -> list:
     """:attr:`~gnepsolve.core.GameInstance.own_gathers` with each run's rows
     of ``J`` as one ``(p, w, n)`` view (blocks ``None`` when they are every
@@ -637,17 +629,19 @@ class SolveResult:
 
 
 def _jac_norms(game: GameInstance, J: Array) -> Array:
-    """Spectral norm of each player's constraint Jacobian ``J[s]``, bit for
-    bit, from views of ``J``: for the players of ``game.constrained_runs``,
+    """Spectral norm of each player's constraint Jacobian ``J[..., s, :]``
+    over any leading axes of the contiguous ``J``, bit for bit the one-point
+    norms, from views of ``J``: for the players of ``game.constrained_runs``,
     zero for the others. The one Jacobian quantity an iteration computes:
     the next estimate reads it. When one run holds every player, its norms
     are the result."""
-    runs, N = game.constrained_runs, game.num_players
+    runs, N, lead, n = game.constrained_runs, game.num_players, J.shape[:-2], J.shape[-1]
     if len(runs) == 1 and runs[0][0] == slice(0, N):
-        return spectral_norms(J.reshape(N, -1, J.shape[1]))
-    full = np.zeros(N)
+        return spectral_norms(J.reshape(lead + (N, -1, n)))
+    full = np.zeros(lead + (N,))
     for players, rows, _ in runs:
-        full[players] = spectral_norms(J[rows].reshape(players.stop - players.start, -1, J.shape[1]))
+        full[..., players] = spectral_norms(
+            J[..., rows, :].reshape(lead + (players.stop - players.start, -1, n)))
     return full
 
 
@@ -683,7 +677,7 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, ...], x: Array, lam
     q, N, n = game.quadratic, game.num_players, game.n
     step = max(1, _STACK_BYTES // (8 * N * n))
     x_a, lam_a, J_a, obj_a = anchor
-    grads_a = obj_a if q is None else q.products(x_a, own_rows=obj_a) + q.b
+    grads_a = obj_a.copy() if q is None else q.products(x_a, own_rows=obj_a) + q.b
     full = game.rows.vecmat_add(grads_a, lam_a, J_a)   # the anchor's gradients
     thetas, slopes = [np.zeros((0, N))], [np.zeros((0, N))]
     for s in range(0, len(x), step):
@@ -703,11 +697,7 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, ...], x: Array, lam
         if kept:
             thetas.append(values[:kept])
             slopes.append(row_dots(full, dx[s])[None])
-            Jk = J if J.ndim == 2 else J[s:s + kept]
-            for players, entries, w in game.rows._runs:   # vecmat_add's gemvs, row by row
-                grads[:kept, players] += np.matmul(
-                    lam[s:s + kept, entries].reshape(kept, -1, 1, w),
-                    Jk[..., entries, :].reshape(Jk.shape[:-2] + (-1, w, n))).reshape(kept, -1, n)
+            game.rows.vecmat_add(grads[:kept], lam[s:s + kept], J if J.ndim == 2 else J[s:s + kept])
             slopes.append(row_dots(grads[:kept - 1], dx[s + 1:s + kept]))
             full = grads[kept - 1]
         if kept < len(grads):
@@ -762,7 +752,7 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     if len(theta) < len(pending):
         return (_trace_rows(game, anchor, pending[:len(theta)], constants, stall_tol)
                 if len(theta) else _empty_columns())
-    qx, dd = projected_gradient_x(game, x, lam, _own_grads(game, obj), J), _self_dots(dx)
+    qx, dd = projected_gradient_x(game, x, lam, _own_grads(game, obj), J), self_dots(dx)
     del x, obj, dx   # what follows then peaks lower
     if constants is not None:
         run = {f: np.broadcast_to(v, (len(pending),) + v.shape) for f, v in constants.items()}

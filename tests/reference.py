@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnepsolve.core import Array, GameInstance, row_dots, vec_norm
+from gnepsolve.core import Array, GameInstance, row_dots
 from gnepsolve.lagrangian import PointEval, evaluate_point, surrogate_values
 from gnepsolve.solver import LipschitzEstimator, SolverConfig
 
@@ -55,7 +55,7 @@ class QuadraticAnchor:
 def build_anchor(game: GameInstance, lam: Array, gamma: Array, point: PointEval,
                  gamma_by_coord: Array | None = None) -> QuadraticAnchor:
     """The surrogate anchor from a completed oracle sweep ``point``."""
-    grads = game.rows.vecmat_add(point.theta_grads, lam, point.g_jacobians)
+    grads = game.rows.vecmat_add(point.theta_grads.copy(), lam, point.g_jacobians)
     gamma = np.asarray(gamma, dtype=float)
     return QuadraticAnchor(point.x, grads, gamma, grads.ravel()[game.layout.own_entries],
                            game.layout.segments.repeat(gamma) if gamma_by_coord is None
@@ -102,7 +102,7 @@ def inner_step(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstan
 
 def inner_residual(u: Array, anchor: QuadraticAnchor, sigma: Array, game: GameInstance) -> float:
     """Distance moved by one more sweep; zero exactly at the fixed point."""
-    return vec_norm(inner_step(u, anchor, sigma, game) - u)
+    return float(np.linalg.norm(inner_step(u, anchor, sigma, game) - u))
 
 
 def sigma_cap(gamma_min: float, lhat_max: float) -> float:

@@ -424,7 +424,11 @@ _DELETE = object()
     (("problem", "seed"), "x", "problem reference"),
     (("config", "alpha"), float("nan"), "'alpha'"),
     (("config", "beta"), float("inf"), "'beta'"),
+    (("duals", 0, "lambda"), [float("inf")], "player 0 field 'lambda'"),
+    (("duals", 1, "mu"), [float("nan")], "player 1 field 'mu'"),
+    (("solution",), [float("-inf"), 0.0], "field 'solution'"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # rejected before NumPy sees it
 def test_validate_malformed_fields(ex3_result_doc, tmp_path, capsys, where, value, names):
     doc = json.loads(ex3_result_doc.read_text())
     parent = doc
@@ -440,6 +444,19 @@ def test_validate_malformed_fields(ex3_result_doc, tmp_path, capsys, where, valu
     assert code == 3
     assert stderr.startswith("error:")
     assert names in stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_overflowing_solution_is_an_oracle_failure(ex3_result_doc, tmp_path, capsys):
+    # finite, but the objective overflows: the checked sweep reports it before
+    # an unchecked oracle call warns
+    doc = json.loads(ex3_result_doc.read_text())
+    doc["solution"] = [1e308, -1e308]
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert "oracle fails" in stderr
 
 
 def test_validate_unreadable_input(capsys):

@@ -91,7 +91,6 @@ def test_a18_prices_at_origin(a18_game):
     g0 = a18_game.players[0].constraints(np.zeros(12))
     assert g0[10] == pytest.approx(4.0)   # price1 - price2 - 1 = 40 - 35 - 1
     assert max(g0) == pytest.approx(7.0)  # price1 - price3 - 1 = 40 - 32 - 1
-    assert a18_game.feasibility_violation(np.zeros(12)) == pytest.approx(7.0)
 
 
 def test_a18_oracles_match_scalar_reference(a18_game):

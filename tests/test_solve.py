@@ -13,7 +13,7 @@ import pytest
 
 import gnepsolve as G
 from gnepsolve import cli
-from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation, vec_norm
+from gnepsolve.core import BlockLayout, SimpleSet, constraint_violation
 from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import QUIET, evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
@@ -519,7 +519,7 @@ def check_trace_quantities(game, x0, cfg, K):
             assert getattr(row, key).tobytes() == np.array([b[key] for b in blocks]).tobytes()
         feas = constraint_violation(evaluate_point(game, st.x).g_values)
         assert np.array([row.feas, row.dx_2]).tobytes() == np.array(
-            [feas, vec_norm(st.x - prev.x)]).tobytes()
+            [feas, np.linalg.norm(st.x - prev.x)]).tobytes()
         assert row.lam_norm_inf.tobytes() == rows.max_abs(st.duals.lam).tobytes()
     assert any(np.any(row.dlam_2 > 0) for row in res.trace.rows), game.name
     last = res.trace.rows[-1]

@@ -192,13 +192,14 @@ def test_jac_norms_match_the_formula_on_each_players_slices(shapes, seed):
     assert full.tobytes() == np.array([spectral_norm_reference(B) for B in blocks]).tobytes()
     assert own.tobytes() == np.array([spectral_norm_reference(B[:, sl]) for B, sl
                                       in zip(blocks, game.layout.slices)]).tobytes()
-    # own-block norms over a leading axis of stacked Jacobians: each row's bits
-    # are the one-point norms
+    # full and own-block norms over a leading axis of stacked Jacobians: each
+    # row's bits are the one-point norms
     stacked = np.stack([J, np.random.default_rng(seed + 1).standard_normal(J.shape), J[::-1]])
-    rows = G.solver._own_jac_norms(game, stacked)
-    assert rows.shape == (3, len(players))
-    for Jr, row in zip(stacked, rows):
-        assert row.tobytes() == G.solver._own_jac_norms(game, np.ascontiguousarray(Jr)).tobytes()
+    for norms in (G.solver._jac_norms, G.solver._own_jac_norms):
+        rows = norms(game, stacked)
+        assert rows.shape == (3, len(players))
+        for Jr, row in zip(stacked, rows):
+            assert row.tobytes() == norms(game, np.ascontiguousarray(Jr)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,8 @@ def check_segment_reductions(segs, rng, A=None, base=None, layout="c"):
     """Segments' dot, norm, max_abs (and the matvec of its row runs and
     vecmat_add on ``A`` and ``base``) against one product per segment of
     C-ordered operands, bit for bit, with the operands passed in
-    ``layout``."""
+    ``layout``; vecmat_add over a leading axis of points, with ``A`` shared
+    or stacked along it, against its one-point sums."""
     parts = [slice(lo, hi) for lo, hi in zip(segs.bounds, segs.bounds[1:])]
     a, b = _signed(rng, (3, segs.total)), _signed(rng, (3, segs.total))
     la, lb = _laid_out(a, layout), _laid_out(b, layout)
@@ -174,9 +175,12 @@ def check_segment_reductions(segs, rng, A=None, base=None, layout="c"):
         base = _signed(rng, (len(parts), 7))
     x, lA = _signed(rng, A.shape[1]), _laid_out(A, layout)
     assert bits(run_matvec(segs.row_runs(lA), x)) == bits(np.concatenate([A[s] @ x for s in parts]))
-    assert bits(segs.vecmat_add(base, la[0], lA)) == bits(
+    assert bits(segs.vecmat_add(base.copy(), la[0], lA)) == bits(
         [base[i] + A[s].T @ a[0, s] if s.stop > s.start else base[i]
          for i, s in enumerate(parts)])
+    for As in (lA, np.stack([A, _signed(rng, A.shape), A[::-1]])):
+        assert bits(segs.vecmat_add(np.stack([base] * 3), la, As)) == bits(
+            [segs.vecmat_add(base.copy(), la[k], As if As.ndim == 2 else As[k]) for k in range(3)])
 
 
 def _run_patterns():

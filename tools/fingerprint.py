@@ -36,6 +36,10 @@ solver configuration each is run with elsewhere:
 - power-cli's run: power from ``const:0`` under the CLI's default
   configuration, capped at ``POWER_MAX_OUTER`` outer iterations, as the
   power-cli workload solves it (its iterate stays in the first sampled box);
+- the user-built game ``sampled_user_game`` of ``tests/conftest.py`` from
+  ``const:0.5`` at 200 outer iterations: the one sampled game whose
+  constrained players form several runs, so its resamples take the
+  Jacobian norms run by run;
 - every built-in from ``const:0.5`` at 400 outer iterations.
 
     PYTHONPATH=src python tools/fingerprint.py            # hashes of this checkout
@@ -73,7 +77,7 @@ def run_set():
     sys.path += [str(ROOT), str(ROOT / "tests")]
     import gnepsolve as G
     from gnepsolve import library
-    from conftest import ad_start, detach_batched_oracle, free_affine_game
+    from conftest import ad_start, detach_batched_oracle, free_affine_game, sampled_user_game
     from perfbench.workloads import (POWER_MAX_OUTER, QUAD_BASE, QUAD_SHAPES, WIDE_MAX_OUTER,
                                      WIDE_SHAPE, fast_config)
 
@@ -112,6 +116,9 @@ def run_set():
     runs.append(("power/per-player/const:5", per_player, np.full(per_player.n, 5.0),
                  G.SolverConfig(max_outer=400)))
     runs.append(("power-cli", power, np.zeros(power.n), G.SolverConfig(max_outer=POWER_MAX_OUTER)))
+    user = sampled_user_game()
+    runs.append(("sampled-user/const:0.5", user, np.full(user.n, 0.5),
+                 G.SolverConfig(max_outer=200)))
     for name in library.BUILTIN_NAMES:
         game = library.builtin_instance(name)
         runs.append((f"builtin/{name}@0.5", game, np.full(game.n, 0.5),
