@@ -495,13 +495,14 @@ def spectral_norms(mats: Array) -> Array:
     lone row's or column's 2-norm, else the root of the top eigenvalue of the
     smaller Gram matrix (exact: power iteration is slow on clustered ones). Bit
     for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
-    *lead, w, d = mats.shape
+    lead, (w, d) = mats.shape[:-2], mats.shape[-2:]
     if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
-        top = self_dots(mats.reshape(*lead, w * d))   # a view: strided dots round differently
-    else:
-        work = mats if w <= d else np.swapaxes(mats, -1, -2)
-        top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)
-    return np.sqrt(np.where(top > 0.0, top, 0.0))
+        # of a view (strided dots round differently): a sum of squares is +0.0 or
+        # more, or NaN, which fmax maps to 0 (no -0.0, whose sign fmax leaves open)
+        return np.sqrt(np.fmax(self_dots(mats.reshape(lead + (w * d,))), 0.0))
+    work = mats if w <= d else np.swapaxes(mats, -1, -2)
+    top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)
+    return np.sqrt(top, out=np.zeros(lead), where=top > 0.0)   # a NaN or negative top is 0
 
 
 def objective_norms(q: QuadraticStack) -> Array:
@@ -527,7 +528,11 @@ def objective_norms(q: QuadraticStack) -> Array:
 
 
 # Every player's objective values (N,), gradients (N, n), constraint values
-# (M,) and Jacobians (M, n) at one joint point, stacked over players.
+# (M,) and Jacobians (M, n) at one joint point, stacked over players. Power's
+# sweep also takes a stack of points, its fields then led by the stack's
+# axes (the smoothness sampler sweeps its point pairs so); the sweep of
+# stacked quadratic data (``library._stacked_sweep``) takes one point, as
+# games with exact smoothness constants are never sampled.
 Sweep = Callable[[Array], tuple[Array, Array, Array, Array]]
 
 

@@ -144,22 +144,26 @@ def checked_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Ar
     :func:`evaluate_point` checks them, with no copy of ``x``, no
     ``errstate`` and no :class:`PointEval`: for a caller that runs under
     ``np.errstate(**QUIET)`` and hands over a float array."""
-    fields = theta, grads, g, jac = raw_sweep(game, x)
-    total = _sum(theta, None) + _sum(grads, None) + _sum(g, None) + _sum(jac, None)
-    if not math.isfinite(total):
+    fields = raw_sweep(game, x)
+    if not math.isfinite(_sum(np.concatenate(fields, axis=None))):
         _raise_first_nonfinite(game, fields)
     return fields
 
 
 def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:
-    """The fields of :class:`PointEval` at ``x``, unchecked: the game's
-    batched oracle (``game.batched_oracle``) if it has one, else each
-    player's oracles in turn. The built-in batched oracles agree with the
-    players' oracles bit for bit, as the oracles return rows of the same
-    computation."""
+    """The fields of :class:`PointEval` at ``x``, unchecked, each over the
+    leading axes of a stack of points ``x``: one call of the game's batched
+    oracle (``game.batched_oracle``) if it has one, else each player's
+    oracles in turn at each point. The built-in batched oracles agree with
+    the players' oracles bit for bit, as the oracles return rows of the same
+    computation; only power's takes a stack (games with stacked quadratic
+    data are never sampled)."""
     if game.batched_oracle is not None:
         return game.batched_oracle(x)
-    return _oracle_sweep(game, x)
+    if x.ndim == 1:
+        return _oracle_sweep(game, x)
+    fields = zip(*(_oracle_sweep(game, p) for p in x.reshape(-1, game.n)))
+    return tuple(np.stack(f).reshape(x.shape[:-1] + f[0].shape) for f in fields)
 
 
 def _oracle_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]:

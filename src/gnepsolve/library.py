@@ -572,8 +572,9 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
         raise ValueError("noise must be nonzero")
 
     layout = BlockLayout((n_channels,) * n_links)
-    n = layout.n
-    ln2 = math.log(2.0)
+    n, shape = layout.n, (n_links, n_channels)
+    # 0-d operands: NumPy converts a Python float on every ufunc call
+    noise, one, ln2 = np.array(noise_power), np.array(1.0), np.array(math.log(2.0))
     links = np.arange(n_links)
     h_own = gains[links, links]    # (n_links, n_channels)
     every = slice(None)
@@ -581,40 +582,43 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
     def rate_terms(x, ls):
         """Each link of ``ls`` (a slice) with its own gains ``h``, powers
         ``p``, gain rows ``cross``, interference-plus-noise ``den`` and
-        SINR ``s``, per channel: the one implementation of the rate terms,
-        whose rows do not depend on which other links are taken."""
-        pw = x.reshape(n_links, n_channels)
-        h, p, cross = h_own[ls], pw[ls], gains[ls]
+        SINR ``s``, per channel, over any leading axes of ``x``: the one
+        implementation of the rate terms, whose rows do not depend on which
+        other links or points are taken."""
+        pw = x.reshape(x.shape[:-1] + shape)
+        h, p, cross = h_own[ls], pw[..., ls, :], gains[ls]
         hp = h * p
-        den = noise_power + np.einsum("nmc,mc->nc", cross, pw) - hp
+        den = noise + np.einsum("nmc,...mc->...nc", cross, pw) - hp
         return h, p, cross, den, hp / den
 
     def shortfalls(terms, ls):
         """Constraint values ``target - rate`` of the links ``ls``."""
-        return targets[ls] - np.add.reduce(np.log1p(terms[4]), axis=1) / ln2
+        return targets[ls] - np.add.reduce(np.log1p(terms[4]), -1) / ln2
 
     def jacobians(terms, own):
-        """Constraint Jacobians ``(k, n)`` of the links of ``terms``, whose
-        own-power entries are ``jac[own]`` (``own`` indexes ``(k, n_links,
-        n_channels)``)."""
+        """Constraint Jacobians ``(..., k, n)`` of the links of ``terms``,
+        whose own-power entries are ``jac[own]`` (``own`` indexes ``(...,
+        k, n_links, n_channels)``)."""
         h, p, cross, den, s = terms
-        ch = 1.0 / ((1.0 + s) * ln2) * h
-        jac = (ch * p)[:, None, :] * cross / (den ** 2)[:, None, :]
+        ch = one / ((one + s) * ln2) * h
+        jac = (ch * p)[..., None, :] * cross / (den ** 2)[..., None, :]
         jac[own] = -ch / den
-        return jac.reshape(len(p), n)
+        return jac.reshape(p.shape[:-1] + (n,))
 
     own_ones = np.zeros((n_links, n))
     own_ones.ravel()[layout.own_entries] = 1.0
-    every_own = (links, links)
+    every_own = (..., links, links, every)
 
     def sweep(x):
         terms = rate_terms(x, every)
-        return (np.add.reduce(x.reshape(n_links, n_channels), axis=1), own_ones.copy(),
-                shortfalls(terms, every), jacobians(terms, every_own))
+        grads = np.empty(x.shape[:-1] + own_ones.shape)   # broadcast_to(...).copy() is slower
+        grads[...] = own_ones
+        return (np.add.reduce(terms[1], -1), grads, shortfalls(terms, every),
+                jacobians(terms, every_own))
 
     def make_link(nu: int) -> PlayerProblem:
         own, row = slice(nu * n_channels, (nu + 1) * n_channels), slice(nu, nu + 1)
-        row_own = (0, nu)
+        row_own = (..., every, nu, every)
 
         def objective(x):
             return float(np.sum(x[own]))

@@ -190,10 +190,12 @@ class SolverConfig:
 
 # Point pairs drawn per smoothness sample of a non-quadratic player.
 _SAMPLE_PAIRS = 200
-# Point pairs whose oracle sweeps are stacked at once while sampling.
+# Point pairs swept at once while sampling: one raw sweep of a (2, 32, n)
+# stack of points, one batched-oracle call on power.
 _PAIR_CHUNK = 32
-# Safety factor on the sampled smoothness constants.
-_INFLATION = 2.0
+# Safety factor on the sampled smoothness constants (0-d: NumPy converts a
+# Python float operand on every ufunc call).
+_INFLATION = np.array(2.0)
 # Bounds the run of consecutive stall labels before the stall stop checks
 # that the multiplier drift still decays or drains.
 _STALL_PATIENCE = 100
@@ -236,11 +238,12 @@ class LipschitzEstimator:
     point pairs drawn in a box around the current iterate, inflated by a
     safety factor, and each player's largest Jacobian norm at the sampled
     points. The pairs are drawn in one call and projected in one. Each
-    sampled point takes one raw oracle sweep of every player
-    (:func:`~gnepsolve.lagrangian.raw_sweep`), and the quotients and norms
-    over all pairs are batched reductions, each bit for bit the per-pair
-    one; memory grows with the sample count times the size of a sweep's
-    gradients and Jacobians. The box is refreshed when the iterate leaves
+    chunk of ``_PAIR_CHUNK`` pairs takes one raw oracle sweep of its stacked
+    points (:func:`~gnepsolve.lagrangian.raw_sweep`: one call of power's
+    batched oracle, the per-point loop without one), and the quotients and
+    norms over all pairs are batched reductions, each bit for bit the
+    per-pair one; memory grows with the chunk size times the size of a
+    sweep's gradients and Jacobians. The box is refreshed when the iterate leaves
     its core. If no sampled pair is apart after two draws, the joint private
     set is one point, and the sampled constants are zero. Between resamples
     an estimate is a few whole-array operations on the bound arrays.
@@ -306,12 +309,10 @@ class LipschitzEstimator:
         for start in range(0, len(dist), _PAIR_CHUNK):   # bounds the stacked sweeps' size
             chunk, d = slice(start, start + _PAIR_CHUNK), dist[start:start + _PAIR_CHUNK, None]
             with np.errstate(**QUIET):   # ends in the finiteness checks below
-                sweeps = [raw_sweep(game, p) for pair in zip(a[chunk], b[chunk]) for p in pair]
-                grads = np.array([s[1] for s in sweeps])   # (2 pairs, N, n), a and b alternating
-                jacs = np.array([s[3] for s in sweeps])    # (2 pairs, M, n)
-                dg = grads[0::2] - grads[1::2]
+                _, grads, _, jacs = raw_sweep(game, np.stack([a[chunk], b[chunk]]))
+                dg = grads[0] - grads[1]   # (pairs, N, n)
                 ratio = np.sqrt(self_dots(dg)) / d   # per pair and player
-                ok = np.isfinite(jacs).all(axis=2).reshape(len(d), 2, M).all(axis=1)
+                ok = np.isfinite(jacs).all(axis=3).all(axis=0)   # per pair and row
                 ratios.append(ratio)
                 oks.append(ok)
                 # past a failure the remaining pairs are only checked: it is raised below
@@ -319,10 +320,10 @@ class LipschitzEstimator:
                 if failed:
                     continue
                 # per pair and row: ||dJ_row|| as the sum np.linalg.norm(axis=1) takes
-                dj = jacs[0::2] - jacs[1::2]
+                dj = jacs[0] - jacs[1]
                 row_lip = np.maximum(row_lip, (np.sqrt(np.add.reduce(dj * dj, axis=2)) / d).max(
                     axis=0, initial=0.0))
-                jac_max = np.maximum(jac_max, _jac_norms(game, jacs).max(axis=0))
+                jac_max = np.maximum(jac_max, _jac_norms(game, jacs).max(axis=(0, 1)))
         ratio = np.concatenate(ratios)
         if failed:
             _raise_first_sampling_failure(game, ratio, np.concatenate(oks))
@@ -371,6 +372,7 @@ class LipschitzEstimator:
 # ---------------------------------------------------------------------------
 
 _GAMMA_FLOOR = 1e-2
+_THREE = np.array(3.0)   # the decrease bound's factor, 0-d as _INFLATION
 
 
 def _raise_first_sampling_failure(game: GameInstance, ratio: Array, jac_ok: Array):
@@ -395,7 +397,7 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
     """Proximal weights; auto applies the sufficient-decrease bound. A NaN
     weight raises :class:`OracleFailure` naming the first player whose
     smoothness estimate or constraint-Jacobian norm bound is NaN."""
-    bound = est.L + 3.0 * est.L_gfun ** 2 / penalty.beta
+    bound = est.L + _THREE * est.L_gfun ** 2 / penalty.beta
     warnings: list[str] = []
     if policy.kind == "auto":
         gamma = policy.safety * bound
@@ -496,7 +498,7 @@ def _own_grads(game: GameInstance, obj: Array) -> Array:
     n)`` gradients."""
     q = game.quadratic
     if q is None:
-        return obj.reshape(obj.shape[:-2] + (-1,))[..., game.layout.own_entries]
+        return obj.reshape(obj.shape[:-2] + (-1,)).take(game.layout.own_entries, axis=-1)
     return obj + q.b_own
 
 

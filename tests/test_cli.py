@@ -459,6 +459,26 @@ def test_validate_overflowing_solution_is_an_oracle_failure(ex3_result_doc, tmp_
     assert "oracle fails" in stderr
 
 
+
+@pytest.mark.parametrize("key, value, line", [
+    ("lambda", [1e308], "stationarity:     inf"),
+    ("z", [1e200], "projected grad:   inf"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_huge_finite_duals_fail_without_numpy_warnings(ex3_result_doc, tmp_path, capsys,
+                                                                key, value, line):
+    # finite duals whose products overflow: the residuals read inf, no NumPy
+    # warning is raised, and the verdict fails them, the projected gradient
+    # included (the other residuals of the z document are within 1e-2)
+    doc = json.loads(ex3_result_doc.read_text())
+    doc["duals"][0][key] = value
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, stdout, _ = run_cli(capsys, "validate", str(bad), "--threshold", "1e-2")
+    assert code == 1
+    assert line in stdout
+    assert "verdict: EXCEEDS thresholds" in stdout
+
 def test_validate_unreadable_input(capsys):
     code, _, stderr = run_cli(capsys, "validate", "/nonexistent/result.json")
     assert code == 3

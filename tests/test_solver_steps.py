@@ -108,8 +108,8 @@ def sampled_constants(est):
     (sampled_user_game, 0.5),
 ], ids=["power-const0", "power-const5", "user-game"])
 def test_batched_sampler_matches_the_per_pair_reference(make_game, start):
-    # the batched sampler (one raw sweep per sampled point, reductions over
-    # all pairs at once) gives the per-pair loop's constants bit for bit, over
+    # the batched sampler (one raw sweep per chunk of point pairs, reductions
+    # over all pairs at once) gives the per-pair loop's constants bit for bit, over
     # successive resamples of one estimator (the draws continue the same
     # stream): at the start, at a solve's iterate and at the start again
     game = make_game()
@@ -122,6 +122,18 @@ def test_batched_sampler_matches_the_per_pair_reference(make_game, start):
         assert sampled_constants(batched) == sampled_constants(reference)
     assert np.count_nonzero(batched._jac_max) == sum(p.m > 0 for p in game.players)
 
+
+
+def test_a_power_resample_sweeps_each_chunk_of_pairs_in_one_batched_call():
+    # the sampler stacks a chunk's points and sweeps them in one call of
+    # power's batched oracle: ceil(200 / 32) = 7 calls per resample
+    game = library.builtin_instance("power")
+    calls, oracle = [], game.batched_oracle
+    object.__setattr__(game, "batched_oracle", lambda x: (calls.append(x.shape), oracle(x))[1])
+    LipschitzEstimator(game, seed=0)._resample(np.zeros(game.n))
+    chunk, pairs = G.solver._PAIR_CHUNK, G.solver._SAMPLE_PAIRS
+    assert len(calls) == -(-pairs // chunk) == 7
+    assert calls == [(2, min(chunk, pairs - start), game.n) for start in range(0, pairs, chunk)]
 
 def _always(x):
     return True

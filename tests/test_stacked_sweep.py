@@ -22,7 +22,7 @@ from gnepsolve.lagrangian import (PenaltyParams, evaluate_point,
                                   lagrangian_from_values, lagrangian_values, projected_gradient_x)
 import reference
 from conftest import (QUAD_SHAPES, blocks_of, dense_objective, detach_batched_oracle,
-                      row_states)
+                      row_states, sampled_user_game)
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -591,6 +591,52 @@ def test_power_batched_sweep_is_bitwise_its_links_and_the_oracle_loop(drawn):
         assert np.float64(value).tobytes() == g[i].tobytes()
         assert row.tobytes() == jac[i:i + 1].tobytes()
 
+
+
+@st.composite
+def power_stacks(draw):
+    """A power game of 1-5 links on 1-5 channels with drawn gains, rate
+    targets and noise, and a (2, P, n) stack of nonnegative points with zero
+    and large powers among them."""
+    L, C, P = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    gains = draw(st.lists(st.floats(1e-3, 10.0), min_size=L * L * C, max_size=L * L * C))
+    targets = draw(st.lists(st.floats(0.1, 5.0), min_size=L, max_size=L))
+    noise = draw(st.floats(1e-2, 2.0))
+    size = 2 * P * L * C
+    x = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e3, 1e6)),
+                      min_size=size, max_size=size))
+    game = library.gen_power_allocation(L, C, targets, noise, gains=np.reshape(gains, (L, L, C)))
+    return game, np.reshape(x, (2, P, L * C))
+
+
+@settings(deadline=None, max_examples=100)
+@given(power_stacks())
+def test_power_oracles_over_leading_axes_are_bitwise_the_one_point_calls(drawn):
+    # the batched oracle and each link's constraint oracles take any leading
+    # axes of x; every point's entries are the one-point call's bits
+    game, X = drawn
+    fields = game.batched_oracle(X)
+    links = [(p.constraints(X), p.constraint_jacobian(X)) for p in game.players]
+    for j in np.ndindex(X.shape[:-1]):
+        one = game.batched_oracle(X[j])
+        assert [f.shape for f in fields] == [X.shape[:-1] + f.shape for f in one]
+        assert [f[j].tobytes() for f in fields] == [f.tobytes() for f in one]
+        for p, (g, jac) in zip(game.players, links):
+            assert g[j].tobytes() == p.constraints(X[j]).tobytes()
+            assert jac[j].tobytes() == p.constraint_jacobian(X[j]).tobytes()
+
+
+def test_raw_sweep_over_a_stack_without_a_batched_oracle_is_the_stacked_point_sweeps():
+    # a game without a batched oracle sweeps a stack of points one point at a
+    # time; the fields are the one-point sweeps stacked over the leading axes
+    game = sampled_user_game()
+    assert game.batched_oracle is None
+    X = game.project_private(np.random.default_rng(4).standard_normal((2, 3, game.n)))
+    fields = lagrangian.raw_sweep(game, X)
+    points = [lagrangian.raw_sweep(game, x) for x in X.reshape(-1, game.n)]
+    for field, one in zip(fields, zip(*points)):
+        assert field.shape == X.shape[:-1] + one[0].shape
+        assert field.tobytes() == np.stack(one).tobytes()
 
 def held_arrays(game):
     """Every array the players (fields, oracle defaults and closure cells)

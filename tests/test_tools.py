@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,6 +22,10 @@ def test_abtime_runs_one_checkout_against_itself():
     assert len(out["A"]["hash"]) == 1 and out["A"]["hash"] == out["B"]["hash"]
     assert 0 < out["A"]["min_us"] and 0 < out["B"]["min_us"]
     assert "same output: True" in proc.stdout
+    # one pair: the bootstrap interval of the median ratio is that pair's ratio
+    lo, hi = out["ratio_interval"]
+    assert lo == hi == out["ratio_quartiles"][1]
+    assert "bootstrap 90% interval" in proc.stdout
 
 
 def test_abtime_times_power_cli_as_the_workload_solves_it():
@@ -47,3 +53,22 @@ def test_abtime_times_power_cli_as_the_workload_solves_it():
                                           "--max-outer", str(POWER_MAX_OUTER)])
     assert cfg == cli._build_config(args)
     assert out["A"]["hash"] == [abtime.one_pass(G, solves)[1]]
+
+
+def test_abtime_bootstrap_interval_of_the_median_ratio():
+    # seeded: the same ratios give the same interval; it holds the sample
+    # median, lies within the ratios' range, narrows as the pairs agree, and
+    # is one point when every ratio is equal
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import abtime
+    finally:
+        del sys.path[0]
+    rng = np.random.default_rng(0)
+    ratios = list(0.85 + 0.05 * rng.standard_normal(40))
+    lo, hi = abtime.median_interval(ratios)
+    assert [lo, hi] == abtime.median_interval(ratios)
+    assert min(ratios) <= lo <= np.median(ratios) <= hi <= max(ratios)
+    tight = abtime.median_interval([0.85 + 0.1 * (r - 0.85) for r in ratios])
+    assert tight[1] - tight[0] < hi - lo
+    assert abtime.median_interval([0.9] * 16) == [0.9, 0.9]

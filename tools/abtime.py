@@ -18,12 +18,14 @@ generators from the constants of this checkout's ``perfbench/workloads.py``:
 A pair is one pass of every solve on each side; the side that runs first
 alternates from pair to pair. The script prints each side's minimum and
 median microseconds per outer iteration (a pass's time over its outer
-iterations), the median and quartiles of the paired ratio B / A, the share of
-pairs that B ran faster, and each side's output hash (SHA-256 over every
-solve's status, iteration count, ``x``, ``lam`` and trace columns), then one
-JSON line of the same. Within one process both sides see the same machine
-load, so a pair resolves differences of a few percent that separate
-benchmark processes, minutes apart, do not.
+iterations), the median and quartiles of the paired ratio B / A, a seeded
+bootstrap 90% interval of that median (how finely the pairs resolve it: a
+bound inside the interval passes or fails by the run), the share of pairs
+that B ran faster, and each side's output hash (SHA-256 over every solve's
+status, iteration count, ``x``, ``lam`` and trace columns), then one JSON
+line of the same. Within one process both sides see the same machine load,
+so a pair resolves differences of a few percent that separate benchmark
+processes, minutes apart, do not.
 """
 
 from __future__ import annotations
@@ -95,6 +97,16 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
+def median_interval(values: list[float], level: float = 0.9, draws: int = 10000,
+                    seed: int = 0) -> list[float]:
+    """Percentile bootstrap interval of the median of ``values`` at ``level``:
+    the medians of ``draws`` resamples with replacement, drawn from ``seed``,
+    cut at their ``(1 - level) / 2`` and ``(1 + level) / 2`` quantiles."""
+    rng = np.random.default_rng(seed)
+    medians = np.median(rng.choice(np.asarray(values, dtype=float), (draws, len(values))), axis=1)
+    return np.quantile(medians, [(1 - level) / 2, (1 + level) / 2]).tolist()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the reference)")
@@ -120,16 +132,17 @@ def main(argv=None) -> int:
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     out = {key: {"min_us": min(times[key]), "median_us": statistics.median(times[key]),
                  "hash": sorted(hashes[key])} for key in ("A", "B")}
-    out.update(ratio_quartiles=quartiles(ratios),
+    out.update(ratio_quartiles=quartiles(ratios), ratio_interval=median_interval(ratios),
                b_faster=sum(r < 1.0 for r in ratios) / len(ratios),
                same_output=hashes["A"] == hashes["B"] and len(hashes["A"]) == 1)
     for key, root in (("A", args.a), ("B", args.b)):
         side = out[key]
         print(f"{key} {root}: min {side['min_us']:.2f} us, median {side['median_us']:.2f} us "
               f"per outer iteration; output {', '.join(h[:16] for h in side['hash'])}")
-    q1, med, q3 = out["ratio_quartiles"]
-    print(f"B / A over {len(ratios)} pairs: median {med:.4f} (quartiles {q1:.4f}, {q3:.4f}); "
-          f"B faster in {out['b_faster']:.0%}; same output: {out['same_output']}")
+    (q1, med, q3), (lo, hi) = out["ratio_quartiles"], out["ratio_interval"]
+    print(f"B / A over {len(ratios)} pairs: median {med:.4f} (quartiles {q1:.4f}, {q3:.4f}; "
+          f"bootstrap 90% interval {lo:.4f}, {hi:.4f}); B faster in {out['b_faster']:.0%}; "
+          f"same output: {out['same_output']}")
     print(json.dumps(out))
     return 0
 
