@@ -497,8 +497,8 @@ def spectral_norms(mats: Array) -> Array:
     for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
     lead, (w, d) = mats.shape[:-2], mats.shape[-2:]
     if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
-        # of a view (strided dots round differently): a sum of squares is +0.0 or
-        # more, or NaN, which fmax maps to 0 (no -0.0, whose sign fmax leaves open)
+        # the dots read a view (strided ones round differently); a sum of squares is
+        # +0.0 or more, or NaN, which fmax maps to 0 (no -0.0, whose sign fmax leaves open)
         return np.sqrt(np.fmax(self_dots(mats.reshape(lead + (w * d,))), 0.0))
     work = mats if w <= d else np.swapaxes(mats, -1, -2)
     top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)

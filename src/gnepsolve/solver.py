@@ -243,10 +243,11 @@ class LipschitzEstimator:
     batched oracle, the per-point loop without one), and the quotients and
     norms over all pairs are batched reductions, each bit for bit the
     per-pair one; memory grows with the chunk size times the size of a
-    sweep's gradients and Jacobians. The box is refreshed when the iterate leaves
-    its core. If no sampled pair is apart after two draws, the joint private
-    set is one point, and the sampled constants are zero. Between resamples
-    an estimate is a few whole-array operations on the bound arrays.
+    sweep's gradients and Jacobians. The box is refreshed when the iterate
+    leaves its core. If no sampled pair is apart after two draws, the joint
+    private set is one point, and the sampled constants are zero. Between
+    resamples an estimate is a few whole-array operations on the bound
+    arrays.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):

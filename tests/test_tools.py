@@ -24,7 +24,7 @@ def test_abtime_runs_one_checkout_against_itself():
     assert "same output: True" in proc.stdout
     # one pair: the bootstrap interval of the median ratio is that pair's ratio
     lo, hi = out["ratio_interval"]
-    assert lo == hi == out["ratio_quartiles"][1]
+    assert [lo] == [hi] == out["ratios"] == [out["ratio_quartiles"][1]]
     assert "bootstrap 90% interval" in proc.stdout
 
 

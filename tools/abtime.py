@@ -23,9 +23,9 @@ bootstrap 90% interval of that median (how finely the pairs resolve it: a
 bound inside the interval passes or fails by the run), the share of pairs
 that B ran faster, and each side's output hash (SHA-256 over every solve's
 status, iteration count, ``x``, ``lam`` and trace columns), then one JSON
-line of the same. Within one process both sides see the same machine load,
-so a pair resolves differences of a few percent that separate benchmark
-processes, minutes apart, do not.
+line of the same, with every pair's ratio. Within one process both sides
+see the same machine load, so a pair resolves differences of a few percent
+that separate benchmark processes, minutes apart, do not.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def main(argv=None) -> int:
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     out = {key: {"min_us": min(times[key]), "median_us": statistics.median(times[key]),
                  "hash": sorted(hashes[key])} for key in ("A", "B")}
-    out.update(ratio_quartiles=quartiles(ratios), ratio_interval=median_interval(ratios),
+    out.update(ratios=ratios, ratio_quartiles=quartiles(ratios),
+               ratio_interval=median_interval(ratios),
                b_faster=sum(r < 1.0 for r in ratios) / len(ratios),
                same_output=hashes["A"] == hashes["B"] and len(hashes["A"]) == 1)
     for key, root in (("A", args.a), ("B", args.b)):
