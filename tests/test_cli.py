@@ -459,7 +459,6 @@ def test_validate_overflowing_solution_is_an_oracle_failure(ex3_result_doc, tmp_
     assert "oracle fails" in stderr
 
 
-
 @pytest.mark.parametrize("key, value, line", [
     ("lambda", [1e308], "stationarity:     inf"),
     ("z", [1e200], "projected grad:   inf"),
@@ -478,6 +477,7 @@ def test_validate_huge_finite_duals_fail_without_numpy_warnings(ex3_result_doc, 
     assert code == 1
     assert line in stdout
     assert "verdict: EXCEEDS thresholds" in stdout
+
 
 def test_validate_unreadable_input(capsys):
     code, _, stderr = run_cli(capsys, "validate", "/nonexistent/result.json")

@@ -123,7 +123,6 @@ def test_batched_sampler_matches_the_per_pair_reference(make_game, start):
     assert np.count_nonzero(batched._jac_max) == sum(p.m > 0 for p in game.players)
 
 
-
 def test_a_power_resample_sweeps_each_chunk_of_pairs_in_one_batched_call():
     # the sampler stacks a chunk's points and sweeps them in one call of
     # power's batched oracle: ceil(200 / 32) = 7 calls per resample
@@ -134,6 +133,7 @@ def test_a_power_resample_sweeps_each_chunk_of_pairs_in_one_batched_call():
     chunk, pairs = G.solver._PAIR_CHUNK, G.solver._SAMPLE_PAIRS
     assert len(calls) == -(-pairs // chunk) == 7
     assert calls == [(2, min(chunk, pairs - start), game.n) for start in range(0, pairs, chunk)]
+
 
 def _always(x):
     return True

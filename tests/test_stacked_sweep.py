@@ -592,7 +592,6 @@ def test_power_batched_sweep_is_bitwise_its_links_and_the_oracle_loop(drawn):
         assert row.tobytes() == jac[i:i + 1].tobytes()
 
 
-
 @st.composite
 def power_stacks(draw):
     """A power game of 1-5 links on 1-5 channels with drawn gains, rate
@@ -637,6 +636,7 @@ def test_raw_sweep_over_a_stack_without_a_batched_oracle_is_the_stacked_point_sw
     for field, one in zip(fields, zip(*points)):
         assert field.shape == X.shape[:-1] + one[0].shape
         assert field.tobytes() == np.stack(one).tobytes()
+
 
 def held_arrays(game):
     """Every array the players (fields, oracle defaults and closure cells)
