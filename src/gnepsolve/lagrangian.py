@@ -160,8 +160,6 @@ def raw_sweep(game: GameInstance, x: Array) -> tuple[Array, Array, Array, Array]
     data are never sampled)."""
     if game.batched_oracle is not None:
         return game.batched_oracle(x)
-    if x.ndim == 1:
-        return _oracle_sweep(game, x)
     fields = zip(*(_oracle_sweep(game, p) for p in x.reshape(-1, game.n)))
     return tuple(np.stack(f).reshape(x.shape[:-1] + f[0].shape) for f in fields)
 

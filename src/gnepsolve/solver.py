@@ -373,7 +373,6 @@ class LipschitzEstimator:
 # ---------------------------------------------------------------------------
 
 _GAMMA_FLOOR = 1e-2
-_THREE = np.array(3.0)   # the decrease bound's factor, 0-d as _INFLATION
 
 
 def _raise_first_sampling_failure(game: GameInstance, ratio: Array, jac_ok: Array):
@@ -398,7 +397,7 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
     """Proximal weights; auto applies the sufficient-decrease bound. A NaN
     weight raises :class:`OracleFailure` naming the first player whose
     smoothness estimate or constraint-Jacobian norm bound is NaN."""
-    bound = est.L + _THREE * est.L_gfun ** 2 / penalty.beta
+    bound = est.L + 3.0 * est.L_gfun ** 2 / penalty.beta
     warnings: list[str] = []
     if policy.kind == "auto":
         gamma = policy.safety * bound

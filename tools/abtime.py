@@ -97,14 +97,13 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def median_interval(values: list[float], level: float = 0.9, draws: int = 10000,
-                    seed: int = 0) -> list[float]:
-    """Percentile bootstrap interval of the median of ``values`` at ``level``:
-    the medians of ``draws`` resamples with replacement, drawn from ``seed``,
-    cut at their ``(1 - level) / 2`` and ``(1 + level) / 2`` quantiles."""
-    rng = np.random.default_rng(seed)
-    medians = np.median(rng.choice(np.asarray(values, dtype=float), (draws, len(values))), axis=1)
-    return np.quantile(medians, [(1 - level) / 2, (1 + level) / 2]).tolist()
+def median_interval(values: list[float]) -> list[float]:
+    """Percentile bootstrap 90% interval of the median of ``values``: the
+    medians of 10,000 resamples with replacement, drawn from seed 0, cut at
+    their 5% and 95% quantiles."""
+    rng = np.random.default_rng(0)
+    medians = np.median(rng.choice(np.asarray(values, dtype=float), (10000, len(values))), axis=1)
+    return np.quantile(medians, [0.05, 0.95]).tolist()
 
 
 def main(argv=None) -> int:
