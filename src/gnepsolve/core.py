@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 Array = np.ndarray
+_ZERO = np.array(0.0)   # 0-d: NumPy converts a Python float operand on every ufunc call
 
 
 class OracleFailure(RuntimeError):
@@ -158,6 +159,10 @@ class Segments:
         return self._count_array > 0
 
     @cached_property
+    def unit(self) -> bool:   # every segment holds one entry
+        return set(self.counts) == {1}
+
+    @cached_property
     def _runs(self) -> tuple[tuple[slice, slice, int], ...]:
         """``(players, entries, w)`` slices of each maximal run of consecutive
         segments of one nonzero length ``w``."""
@@ -170,8 +175,10 @@ class Segments:
         return v.repeat(self._count_array)
 
     def dot(self, a: Array, b: Array) -> Array:
-        """``a[..., s] @ b[..., s]`` for every segment ``s`` of the last
-        axis; 0.0 for an empty one."""
+        """``a[..., s] @ b[..., s]`` for every segment ``s`` of the last axis; 0.0
+        for an empty one, and one product summed from +0.0 (never -0.0) for one entry."""
+        if self.unit:
+            return a * b + _ZERO
         a, b, lead = np.ascontiguousarray(a), np.ascontiguousarray(b), a.shape[:-1]
         out = np.zeros(lead + (len(self.counts),))
         for players, entries, w in self._runs:
@@ -497,9 +504,7 @@ def spectral_norms(mats: Array) -> Array:
     for bit one Gram and ``eigvalsh`` per matrix with the same strides."""
     lead, (w, d) = mats.shape[:-2], mats.shape[-2:]
     if min(w, d) == 1:   # a 1x1 Gram is its own eigenvalue: one batched dot, no eigvalsh
-        # the dots read a view (strided ones round differently); a sum of squares is
-        # +0.0 or more, or NaN, which fmax maps to 0 (no -0.0, whose sign fmax leaves open)
-        return np.sqrt(np.fmax(self_dots(mats.reshape(lead + (w * d,))), 0.0))
+        return row_norms(mats.reshape(lead + (w * d,)))
     work = mats if w <= d else np.swapaxes(mats, -1, -2)
     top = np.linalg.eigvalsh(np.matmul(work, np.swapaxes(work, -1, -2))).max(axis=-1)
     return np.sqrt(top, out=np.zeros(lead), where=top > 0.0)   # a NaN or negative top is 0
@@ -727,6 +732,12 @@ def self_dots(v: Array) -> Array:
     """``v[..., :] @ v[..., :]`` over any leading axes of ``v``: one BLAS dot
     per vector, as ``np.linalg.norm`` takes it, bit for bit."""
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def row_norms(v: Array) -> Array:
+    """2-norm of each vector ``v[..., :]``, a lone row's spectral norm: dots of
+    a view (strided ones round differently), a NaN sum of squares taken as 0."""
+    return np.sqrt(np.fmax(self_dots(v), _ZERO))
 
 
 def max_abs(v: Array) -> float:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import (
+    _ZERO,
     Array,
     DualStack,
     GameInstance,
@@ -55,6 +56,7 @@ from .core import (
     own_columns,
     quadratic_constraints,
     row_dots,
+    row_norms,
     self_dots,
     spectral_norms,
     stack_rows,
@@ -190,12 +192,12 @@ class SolverConfig:
 
 # Point pairs drawn per smoothness sample of a non-quadratic player.
 _SAMPLE_PAIRS = 200
-# Point pairs swept at once while sampling: one raw sweep of a (2, 32, n)
-# stack of points, one batched-oracle call on power.
-_PAIR_CHUNK = 32
-# Safety factor on the sampled smoothness constants (0-d: NumPy converts a
-# Python float operand on every ufunc call).
-_INFLATION = np.array(2.0)
+# Bytes of the fields of one raw sweep over a chunk of point pairs while
+# sampling: power's 200 pairs are one (2, 200, n) stack, one oracle call.
+_CHUNK_BYTES = 1 << 18
+# The sampled constants' safety factor, the decrease bound's factor and the box radius
+# the function-Lipschitz bound covers (0-d: NumPy converts a Python float operand).
+_INFLATION, _THREE, _MARGIN = np.array(2.0), np.array(3.0), np.array(0.5)
 # Bounds the run of consecutive stall labels before the stall stop checks
 # that the multiplier drift still decays or drains.
 _STALL_PATIENCE = 100
@@ -238,16 +240,15 @@ class LipschitzEstimator:
     point pairs drawn in a box around the current iterate, inflated by a
     safety factor, and each player's largest Jacobian norm at the sampled
     points. The pairs are drawn in one call and projected in one. Each
-    chunk of ``_PAIR_CHUNK`` pairs takes one raw oracle sweep of its stacked
-    points (:func:`~gnepsolve.lagrangian.raw_sweep`: one call of power's
-    batched oracle, the per-point loop without one), and the quotients and
-    norms over all pairs are batched reductions, each bit for bit the
-    per-pair one; memory grows with the chunk size times the size of a
-    sweep's gradients and Jacobians. The box is refreshed when the iterate
-    leaves its core. If no sampled pair is apart after two draws, the joint
-    private set is one point, and the sampled constants are zero. Between
-    resamples an estimate is a few whole-array operations on the bound
-    arrays.
+    chunk of pairs whose sweep fields fit ``_CHUNK_BYTES`` (all 200 of
+    power's) takes one raw oracle sweep of its stacked points
+    (:func:`~gnepsolve.lagrangian.raw_sweep`: one call of a batched oracle,
+    the per-point loop without one), and the quotients and norms over all
+    pairs are batched reductions, each bit for bit the per-pair one. The
+    box is refreshed when the iterate leaves its core. If no sampled pair is
+    apart after two draws, the joint private set is one point, and the
+    sampled constants are zero. Between resamples an estimate is a few
+    whole-array operations on the bound arrays.
     """
 
     def __init__(self, game: GameInstance, seed: int = 0):
@@ -278,10 +279,6 @@ class LipschitzEstimator:
 
     # -- sampling machinery --------------------------------------------------
 
-    def _needs_resample(self, x: Array) -> bool:
-        return self._box_center is None or np.count_nonzero(
-            np.abs(x - self._box_center) > self._box_core) > 0
-
     def _draw_pairs(self) -> Array:
         """``(2, _SAMPLE_PAIRS, n)`` points in the box, projected: one draw,
         which fills the array in the order of one draw per point."""
@@ -304,11 +301,12 @@ class LipschitzEstimator:
             self._jac_max = np.zeros(game.num_players)
             return
         a, b, dist = pts[0][apart], pts[1][apart], dist[apart]
-        M = game.total_constraints
+        M, N = game.total_constraints, game.num_players
         ratios, oks, failed = [], [], False
-        row_lip, jac_max = np.zeros(M), np.zeros(game.num_players)
-        for start in range(0, len(dist), _PAIR_CHUNK):   # bounds the stacked sweeps' size
-            chunk, d = slice(start, start + _PAIR_CHUNK), dist[start:start + _PAIR_CHUNK, None]
+        row_lip, jac_max = np.zeros(M), np.zeros(N)
+        step = max(1, _CHUNK_BYTES // (16 * (N + M) * (game.n + 1)))   # a pair's fields' bytes
+        for start in range(0, len(dist), step):   # bounds the stacked sweeps' size
+            chunk, d = slice(start, start + step), dist[start:start + step, None]
             with np.errstate(**QUIET):   # ends in the finiteness checks below
                 _, grads, _, jacs = raw_sweep(game, np.stack([a[chunk], b[chunk]]))
                 dg = grads[0] - grads[1]   # (pairs, N, n)
@@ -354,13 +352,14 @@ class LipschitzEstimator:
         reports, and ``solve`` calls this inside its quiet loop, so only a
         caller that leaves NumPy's warnings on sees one here.
         """
-        game = self.game
-        if game.quadratic is None and self._needs_resample(x):
+        game, center = self.game, self._box_center
+        # x out of the box's core resamples (a byte search beats a NumPy reduction)
+        if game.quadratic is None and (center is None or b"\x01" in (
+                np.abs(x - center) > self._box_core).tobytes()):
             self._resample(x)
         if jac_norms is None:
             jac_norms = _jac_norms(game, evaluate_point(game, x).g_jacobians)
-        margin = 0.5  # box radius covered by the function-Lipschitz bound
-        L_gfun = (jac_norms + self._jac_growth * margin if game.quadratic is not None
+        L_gfun = (jac_norms + self._jac_growth * _MARGIN if game.quadratic is not None
                   else _INFLATION * np.maximum(jac_norms, self._jac_max))
         # L_theta and gg change only at a resample; the multiplier term moves
         return LipschitzEstimates(self._L_theta, self._gg,
@@ -397,7 +396,7 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
     """Proximal weights; auto applies the sufficient-decrease bound. A NaN
     weight raises :class:`OracleFailure` naming the first player whose
     smoothness estimate or constraint-Jacobian norm bound is NaN."""
-    bound = est.L + 3.0 * est.L_gfun ** 2 / penalty.beta
+    bound = est.L + _THREE * est.L_gfun ** 2 / penalty.beta
     warnings: list[str] = []
     if policy.kind == "auto":
         gamma = policy.safety * bound
@@ -481,11 +480,13 @@ class _StallWatch:
         return None
 
 
-def _jacobian_gathers(game: GameInstance, J: Array) -> list:
+def _jacobian_gathers(game: GameInstance, J: Array, moving: bool = False) -> list | Array:
     """:attr:`~gnepsolve.core.GameInstance.own_gathers` with each run's rows
     of ``J`` as one ``(p, w, n)`` view (blocks ``None`` when they are every
     block: one add, no slice): bound once per solve for a ``J`` that cannot
-    move, and per step for one that moves."""
+    move, and per step for one that moves (its own entries, with one row a player)."""
+    if moving and game.rows.unit:
+        return J.take(game.layout.own_entries)
     n = game.n
     return [(rows, cols, p, own, J[rows].reshape(p, -1, n))
             for rows, cols, p, own in game.own_gathers]
@@ -502,13 +503,14 @@ def _own_grads(game: GameInstance, obj: Array) -> Array:
     return obj + q.b_own
 
 
-def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: list,
+def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: list | Array,
           gamma_by_coord: Array, beta: float) -> tuple[Array, tuple, Array]:
     """One iteration from the halves ``x`` and ``lam`` of the joint row, with
     ``obj`` the objective data at ``x`` (:func:`_own_grads`): the own-block
     gradients plus each player's own entries of the full gemv ``J_i.T @
     lam_i`` (one over the own columns alone rounds differently; ``gathers``
-    from :func:`_jacobian_gathers`), the projection and the dual step
+    from :func:`_jacobian_gathers`, whose own entries of one row a player
+    each take one product), the projection and the dual step
     written into the new row. The sweep at the new point is
     :func:`~gnepsolve.core.quadratic_constraints` and its ``G @ x`` with
     stacked quadratic data, which checks nothing (the trace block pass finds
@@ -520,6 +522,8 @@ def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: list,
     constraint Jacobian at its point."""
     q, n = game.quadratic, len(x)
     grad = _own_grads(game, obj)
+    if type(gathers) is np.ndarray:   # own entries of one row a player: a 1x1 gemv an entry
+        gathers, grad = (), grad + (game.layout.segments.repeat(lam) * gathers + _ZERO)
     for rows, cols, p, own, J in gathers:
         terms = np.matmul(lam[rows].reshape(p, 1, -1), J).ravel()[own]
         if cols is None:
@@ -635,8 +639,10 @@ def _jac_norms(game: GameInstance, J: Array) -> Array:
     over any leading axes of the contiguous ``J``, bit for bit the one-point
     norms, from views of ``J``: for the players of ``game.constrained_runs``,
     zero for the others. The one Jacobian quantity an iteration computes:
-    the next estimate reads it. When one run holds every player, its norms
-    are the result."""
+    the next estimate reads it. With one row a player they are the rows'
+    norms, and when one run holds every player its norms are the result."""
+    if game.rows.unit:
+        return row_norms(J)
     runs, N, lead, n = game.constrained_runs, game.num_players, J.shape[:-2], J.shape[-1]
     if len(runs) == 1 and runs[0][0] == slice(0, N):
         return spectral_norms(J.reshape(lead + (N, -1, n)))
@@ -743,6 +749,10 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
     def stack(f: int) -> Array:   # one concatenation: np.array over many small arrays is slower
         return np.concatenate(cols[f]).reshape((len(pending),) + cols[f][0].shape)
 
+    def held(f: int) -> Array:   # an estimator's array, one object from resample to resample
+        a = cols[f][0]
+        return np.broadcast_to(a, (len(pending),) + a.shape) if a is cols[f][-1] else stack(f)
+
     x, lam, g, obj = map(stack, range(4))
     lams = np.stack([np.vstack([lam_a, lam[:-1]]), lam], axis=1)   # (rows, 2, M)
     dx, dlam = x - np.vstack([x_a, x[:-1]]), lam - lams[:, 0]
@@ -760,7 +770,7 @@ def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
         run = {f: np.broadcast_to(v, (len(pending),) + v.shape) for f, v in constants.items()}
     else:
         run = dict(jac_norm=stack(6), jac_own_norm=_own_jac_norms(game, J), gamma=stack(7),
-                   M_theta_own=stack(8), M_g_own=stack(9))
+                   M_theta_own=held(8), M_g_own=held(9))
     L_x, L = lagrangian_values(theta[:, None], g[:, None], lams, game.rows).transpose(1, 0, 2)
     moves = np.stack([dlam, lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
@@ -810,24 +820,27 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     moving Jacobians an iteration takes each player's full-Jacobian norm,
     which the next Lipschitz estimate reads, and that estimate, ``gamma``
     and its repeat over the blocks are a handful of whole-array operations
-    (:meth:`LipschitzEstimator.estimate`, :func:`choose_gamma`, which also
-    rejects a NaN weight). No iteration labels its own step: each keeps only the arrays of
-    its row that cannot be derived (see :func:`_trace_rows`), and one pass
-    over a leading axis of rows builds their columns when the pending rows'
-    arrays reach ``_BLOCK_BYTES``, at most every ``_BOUND_ROWS`` rows
-    (:func:`_block_rows`), and when the loop ends. The stall stop
-    (:class:`_StallWatch`) is fed each built block but a converged row. A
-    run ends at a trace row: at the row that stops it, or before the first
-    row the block pass cannot build, which ends it as an oracle failure at
-    that iteration would, with the full sweep's message there; the rows the
-    loop ran past it are dropped, and the final state and residual are the
-    last kept row's. The blocks are
-    stacked once, at the end; a ``fixed`` game's per-run constants are one
-    row each, viewed by every row. One ``np.errstate(**QUIET)`` spans the
-    loop: a diverging run ends in a finiteness check, not in a NumPy
-    warning. Every per-player reduction is bit for bit the per-player one,
-    so neither the iterates, the trace nor the stop depend on how the work
-    is batched.
+    with 0-d constant operands (:meth:`LipschitzEstimator.estimate`,
+    :func:`choose_gamma`, which also rejects a NaN weight). With one row a
+    player the norms are one batched dot and a root, and the multiplier
+    terms of the estimate and of the next step's own-block gradients are
+    one product an entry, with no views of ``J`` bound. No iteration labels
+    its own step: each keeps only the arrays of its row that cannot be
+    derived (the estimator's by reference; see :func:`_trace_rows`), and
+    one pass over a leading axis of rows builds their columns when the
+    pending rows' arrays reach ``_BLOCK_BYTES``, at most every
+    ``_BOUND_ROWS`` rows (:func:`_block_rows`), and when the loop ends. The
+    stall stop (:class:`_StallWatch`) is fed each built block but a
+    converged row. A run ends at a trace row: at the row that stops it, or
+    before the first row the block pass cannot build, which ends it as an
+    oracle failure at that iteration would, with the full sweep's message
+    there; the rows the loop ran past it are dropped, and the final state
+    and residual are the last kept row's. The blocks are stacked once, at
+    the end; a ``fixed`` game's per-run constants are one row each, viewed
+    by every row. One ``np.errstate(**QUIET)`` spans the loop: a diverging
+    run ends in a finiteness check, not in a NumPy warning. Every
+    per-player reduction is bit for bit the per-player one, so neither the
+    iterates, the trace nor the stop depend on how the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -852,7 +865,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         jac_full = _jac_norms(game, J)
         jac_own = _own_jac_norms(game, J)
         # the joint row [x; lam], the objective data at its point, J's views
-        z, gathers = np.concatenate([x, lam]), _jacobian_gathers(game, J)
+        z, gathers = np.concatenate([x, lam]), _jacobian_gathers(game, J, not fixed)
         obj = point.theta_grads if q is None else np.matmul(q.G, x)
     trace = SolveTrace(
         initial_L=lagrangian_values(point.theta, point.g_values, lam, rows),
@@ -910,7 +923,7 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 x, lam, obj = row[0], row[1], row[3]
                 residual, z = max_abs(new - z), new   # a NaN never converges
                 if not fixed:
-                    gathers, jac_full = _jacobian_gathers(game, J), _jac_norms(game, J)
+                    gathers, jac_full = _jacobian_gathers(game, J, True), _jac_norms(game, J)
                     row += (J, jac_full, gamma, est.L_theta, est.M_g_own)
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)

@@ -123,16 +123,21 @@ def test_batched_sampler_matches_the_per_pair_reference(make_game, start):
     assert np.count_nonzero(batched._jac_max) == sum(p.m > 0 for p in game.players)
 
 
-def test_a_power_resample_sweeps_each_chunk_of_pairs_in_one_batched_call():
+def test_a_power_resample_sweeps_each_chunk_of_pairs_in_one_batched_call(monkeypatch):
     # the sampler stacks a chunk's points and sweeps them in one call of
-    # power's batched oracle: ceil(200 / 32) = 7 calls per resample
+    # power's batched oracle. A pair's fields are 2 * 8 * (N + M) * (n + 1) =
+    # 1248 bytes, so all 200 pairs fit _CHUNK_BYTES: one call per resample;
+    # with room for 32 pairs a chunk, ceil(200 / 32) = 7 calls
     game = library.builtin_instance("power")
     calls, oracle = [], game.batched_oracle
     object.__setattr__(game, "batched_oracle", lambda x: (calls.append(x.shape), oracle(x))[1])
     LipschitzEstimator(game, seed=0)._resample(np.zeros(game.n))
-    chunk, pairs = G.solver._PAIR_CHUNK, G.solver._SAMPLE_PAIRS
-    assert len(calls) == -(-pairs // chunk) == 7
-    assert calls == [(2, min(chunk, pairs - start), game.n) for start in range(0, pairs, chunk)]
+    pairs = G.solver._SAMPLE_PAIRS
+    assert calls == [(2, pairs, game.n)]
+    calls.clear()
+    monkeypatch.setattr(G.solver, "_CHUNK_BYTES", 32 * 1248 + 1247)
+    LipschitzEstimator(game, seed=0)._resample(np.zeros(game.n))
+    assert calls == [(2, min(32, pairs - start), game.n) for start in range(0, pairs, 32)]
 
 
 def _always(x):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gnepsolve as G
@@ -196,10 +196,13 @@ def _run_patterns():
 @settings(deadline=None, max_examples=100)
 @given(_run_patterns() | st.lists(st.integers(0, 24), min_size=1, max_size=8),
        st.sampled_from(["c", "transposed", "strided"]), st.integers(0, 2**32 - 1))
+@example([1, 1, 1], "c", 0)
 def test_segment_reductions_are_the_per_segment_products(counts, layout, seed):
     # long and mixed segments, several runs of one length, and operands
     # without a unit stride along the segments: short dot products round
-    # alike however they are laid out, long ones only from C-ordered operands
+    # alike however they are laid out, long ones only from C-ordered operands.
+    # Segments of one entry each, on every run, meet the +0.0 and -0.0 draws:
+    # their dots are one product, summed from +0.0 as the matmul sums
     check_segment_reductions(Segments(tuple(counts)), np.random.default_rng(seed), layout=layout)
 
 
@@ -420,6 +423,30 @@ def test_oracle_step_rows_are_the_reference_steps(monkeypatch, make_game, scale)
         check_step(game, game.project_private(scale * rng.standard_normal(game.n)),
                    rng.exponential(size=game.total_constraints),
                    rng.uniform(0.5, 5.0, game.num_players), 1.0)
+
+
+@pytest.mark.parametrize("make_game", [
+    lambda: library.builtin_instance("power"),
+    lambda: closure_twin(library.make_example3()),
+], ids=["power", "example3-user-built"])
+def test_one_row_step_terms_are_the_gemv_entries(make_game):
+    # with one row a player and a moving J, the step takes each own entry of
+    # J_i.T lam_i as one product plus +0.0, the sum the 1x1 gemv it replaces
+    # takes: at x = -0.0 with own gradients of -0.0, a zero multiplier's
+    # product with a negative entry is -0.0, and only the +0.0 keeps the
+    # example3 twin's free blocks at the gemv's u = -0.0 - (+0.0); the rows
+    # are the gathered views' bit for bit, there and at a drawn point
+    game = make_game()
+    rng = np.random.default_rng(3)
+    N, n = game.num_players, game.n
+    assert game.rows.unit and game.quadratic is None
+    for x, obj, lam in [(np.full(n, -0.0), np.full((N, n), -0.0), np.zeros(N)),
+                        (np.abs(_signed(rng, n)), _signed(rng, (N, n)), np.abs(_signed(rng, N)))]:
+        J = evaluate_point(game, x).g_jacobians
+        gamma = game.layout.segments.repeat(rng.uniform(0.5, 5.0, N))
+        one_row, views = (G.solver._step(game, x, lam, obj, G.solver._jacobian_gathers(game, J, m),
+                                         gamma, 1.0) for m in (True, False))
+        assert bits(one_row[0]) == bits(views[0]) and bits(one_row[2]) == bits(views[2])
 
 
 def shaped_game(shapes, seed):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,6 +27,9 @@ def test_abtime_runs_one_checkout_against_itself():
     lo, hi = out["ratio_interval"]
     assert [lo] == [hi] == out["ratios"] == [out["ratio_quartiles"][1]]
     assert "bootstrap 90% interval" in proc.stdout
+    # one pair: A's quartiles are its one time, so the rule's spread is 0
+    assert out["pair_rule"]["a_quartile_spread_us"] == 0.0
+    assert "pair rule: B faster in" in proc.stdout
 
 
 def test_abtime_times_power_cli_as_the_workload_solves_it():
@@ -72,3 +76,29 @@ def test_abtime_bootstrap_interval_of_the_median_ratio():
     tight = abtime.median_interval([0.85 + 0.1 * (r - 0.85) for r in ratios])
     assert tight[1] - tight[0] < hi - lo
     assert abtime.median_interval([0.9] * 16) == [0.9, 0.9]
+
+
+def test_abtime_pair_rule_verdict_on_fixed_ratios():
+    # A's ten times have median 101.5 us and quartiles 99.25 and 103.75 (a
+    # spread of 4.5 us). B at 0.9 of A in nine pairs and 1.01 in one wins 9
+    # of 10 with its median 10.15 us below A's: the rule holds. At 0.97 in
+    # every pair the gap, 3.045 us, is inside A's spread, and at 0.9 in only
+    # eight pairs B wins 8 of 10: both fail
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import abtime
+    finally:
+        del sys.path[0]
+    a = [100.0, 102.0, 98.0, 104.0, 101.0, 99.0, 103.0, 105.0, 97.0, 106.0]
+
+    def rule(ratios):
+        return abtime.pair_rule(a, [t * r for t, r in zip(a, ratios)])
+
+    held = rule([0.9] * 9 + [1.01])
+    assert held["holds"] is True and held["b_faster"] == 0.9
+    assert held["median_gap_us"] == pytest.approx(10.15)
+    assert held["a_quartile_spread_us"] == pytest.approx(4.5)
+    narrow = rule([0.97] * 10)
+    assert narrow["b_faster"] == 1.0 and narrow["median_gap_us"] == pytest.approx(3.045)
+    assert narrow["holds"] is False
+    assert rule([0.9] * 8 + [1.01] * 2)["holds"] is False

@@ -21,11 +21,14 @@ median microseconds per outer iteration (a pass's time over its outer
 iterations), the median and quartiles of the paired ratio B / A, a seeded
 bootstrap 90% interval of that median (how finely the pairs resolve it: a
 bound inside the interval passes or fails by the run), the share of pairs
-that B ran faster, and each side's output hash (SHA-256 over every solve's
-status, iteration count, ``x``, ``lam`` and trace columns), then one JSON
-line of the same, with every pair's ratio. Within one process both sides
-see the same machine load, so a pair resolves differences of a few percent
-that separate benchmark processes, minutes apart, do not.
+that B ran faster, each side's output hash (SHA-256 over every solve's
+status, iteration count, ``x``, ``lam`` and trace columns), and the verdict
+of the benchmark's pair rule for a gain of B over A (B faster in at least 9
+of 10 pairs, and A's median time above B's by more than the spread between
+A's quartiles), then one JSON line of the same, with every pair's ratio.
+Within one process both sides see the same machine load, so a pair
+resolves differences of a few percent that separate benchmark processes,
+minutes apart, do not.
 """
 
 from __future__ import annotations
@@ -106,6 +109,17 @@ def median_interval(values: list[float]) -> list[float]:
     return np.quantile(medians, [0.05, 0.95]).tolist()
 
 
+def pair_rule(a: list[float], b: list[float]) -> dict:
+    """The pair rule on paired times ``a`` and ``b``: the share of pairs B
+    won against the 9-in-10 bar, and the gap between the medians against
+    the spread between A's quartiles; ``holds`` when both clear."""
+    q1, _, q3 = quartiles(a)
+    share = sum(y < x for x, y in zip(a, b)) / len(a)
+    gap = statistics.median(a) - statistics.median(b)
+    return dict(b_faster=share, median_gap_us=gap, a_quartile_spread_us=q3 - q1,
+                holds=share >= 0.9 and gap > q3 - q1)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the reference)")
@@ -131,10 +145,10 @@ def main(argv=None) -> int:
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     out = {key: {"min_us": min(times[key]), "median_us": statistics.median(times[key]),
                  "hash": sorted(hashes[key])} for key in ("A", "B")}
+    rule = pair_rule(times["A"], times["B"])
     out.update(ratios=ratios, ratio_quartiles=quartiles(ratios),
-               ratio_interval=median_interval(ratios),
-               b_faster=sum(r < 1.0 for r in ratios) / len(ratios),
-               same_output=hashes["A"] == hashes["B"] and len(hashes["A"]) == 1)
+               ratio_interval=median_interval(ratios), b_faster=rule["b_faster"],
+               same_output=hashes["A"] == hashes["B"] and len(hashes["A"]) == 1, pair_rule=rule)
     for key, root in (("A", args.a), ("B", args.b)):
         side = out[key]
         print(f"{key} {root}: min {side['min_us']:.2f} us, median {side['median_us']:.2f} us "
@@ -143,6 +157,9 @@ def main(argv=None) -> int:
     print(f"B / A over {len(ratios)} pairs: median {med:.4f} (quartiles {q1:.4f}, {q3:.4f}; "
           f"bootstrap 90% interval {lo:.4f}, {hi:.4f}); B faster in {out['b_faster']:.0%}; "
           f"same output: {out['same_output']}")
+    print(f"pair rule: B faster in {rule['b_faster']:.0%} of pairs (bar 90%), median gap "
+          f"{rule['median_gap_us']:.2f} us against A's quartile spread "
+          f"{rule['a_quartile_spread_us']:.2f} us: {'holds' if rule['holds'] else 'fails'}")
     print(json.dumps(out))
     return 0
 
