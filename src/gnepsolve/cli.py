@@ -182,16 +182,12 @@ def _result_document(problem_ref: dict, args, result, game: GameInstance,
     return doc
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def trace_csv_lines(result, num_players: int) -> list[str]:
     header = ("k," + ",".join(f"L_{i + 1}" for i in range(num_players))
               + ",dx_inf,dlambda_inf,feas,inner_iters")
     lines = [header]
     cols = result.trace.columns
-    # .tolist() gives Python floats, whose repr is _format_float's
+    # .tolist() gives Python floats, whose repr is the shortest round trip
     for k, L, *scalars in zip(*(cols[f].tolist() for f in ("k", "L_values", "dx_inf",
                                                           "dlambda_inf", "feas"))):
         lines.append(",".join([str(k), *map(repr, L + scalars), "1"]))
@@ -301,8 +297,7 @@ def _run_bench_row(name: str, x0spec: str, args, cfg: SolverConfig):
         return {
             "problem": name, "N": game.num_players, "n": game.n,
             "m": game.total_constraints,
-            # keep the CSV naively splittable: no commas inside fields
-            "x0": x0spec.replace(",", ";"),
+            "x0": x0spec,
             "inner_iters": result.total_inner_iterations,
             "outer_iters": result.outer_iterations,
             # zeroed unless requested, so the bytes repeat
@@ -321,31 +316,21 @@ _BENCH_COLUMNS = ("problem", "N", "n", "m", "x0", "inner_iters", "outer_iters",
                   "time_s", "status", "final_residual")
 
 
+def _bench_cells(row: dict) -> list[str]:
+    """A bench row's fields as both the CSV and the text table print them,
+    every comma replaced by ``;`` so that the CSV splits naively."""
+    return [(f"{row[c]:.3f}" if c == "time_s" else repr(float(row[c])) if c == "final_residual"
+             else str(row[c])).replace(",", ";") for c in _BENCH_COLUMNS]
+
+
 def bench_csv_lines(rows: list[dict]) -> list[str]:
-    lines = [",".join(_BENCH_COLUMNS)]
-    for r in rows:
-        vals = []
-        for c in _BENCH_COLUMNS:
-            v = r[c]
-            if c == "time_s":
-                vals.append(f"{v:.3f}")
-            elif c == "final_residual":
-                vals.append(_format_float(v))
-            else:
-                vals.append(str(v))
-        lines.append(",".join(vals))
-    return lines
+    return [",".join(_BENCH_COLUMNS), *(",".join(_bench_cells(r)) for r in rows)]
 
 
 def bench_text_table(rows: list[dict]) -> str:
-    cols = list(_BENCH_COLUMNS)
-    table = [[str(r[c]) if c != "time_s" else f"{r[c]:.3f}" for c in cols] for r in rows]
-    widths = [max(len(cols[i]), *(len(t[i]) for t in table)) if table else len(cols[i])
-              for i in range(len(cols))]
-    out = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
-    for t in table:
-        out.append("  ".join(v.ljust(w) for v, w in zip(t, widths)))
-    return "\n".join(out)
+    table = [list(_BENCH_COLUMNS), *map(_bench_cells, rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(t, widths)) for t in table)
 
 
 def cmd_bench(args) -> int:

@@ -465,8 +465,7 @@ class QuadraticStack:
         ``(1, n)``: each band times its player's block (one gemv per player,
         batched per run), its own entries overwritten by ``G @ x`` (or by
         ``own_rows``, a caller's ``G @ x`` at every point), and the dense
-        players' rows by one batched ``dense @ x`` (all that is taken when
-        every player is dense). Each point's products are bit for bit those
+        players' rows by one batched ``dense @ x``. Each point's products are bit for bit those
         of a call at that point alone: every gemv keeps its shape and
         strides.
 
@@ -478,8 +477,6 @@ class QuadraticStack:
         """
         lead = x.shape[:-1]
         if player is None:
-            if len(self.dense_players) == self.layout.num_blocks:
-                return np.matmul(self.dense, x[..., None, :, None])[..., 0]
             runs, own = self._runs, self.layout.own_entries
             if own_rows is None:
                 own_rows = np.matmul(self.G, x[..., None])[..., 0]
@@ -833,23 +830,23 @@ def initial_state(game: GameInstance, x0: Array) -> IterateState:
 FD_STEP = 1e-6
 
 
-def central_gradient(f: Callable[[Array], float], x: Array, h: float = FD_STEP) -> Array:
-    """Central finite-difference gradient of a scalar function."""
+def central_gradient(f: Callable[[Array], float], x: Array) -> Array:
+    """Central finite-difference gradient of a scalar function, step ``FD_STEP``."""
     g = np.zeros_like(x, dtype=float)
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+        e[i] = FD_STEP
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * FD_STEP)
     return g
 
 
-def central_jacobian(f: Callable[[Array], Array], x: Array, m: int, h: float = FD_STEP) -> Array:
-    """Central finite-difference Jacobian of a vector function, shape (m, n)."""
+def central_jacobian(f: Callable[[Array], Array], x: Array, m: int) -> Array:
+    """Central finite-difference Jacobian of a vector function, shape (m, n), step ``FD_STEP``."""
     J = np.zeros((m, x.shape[0]))
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
-        e[i] = h
-        J[:, i] = (f(x + e) - f(x - e)) / (2.0 * h)
+        e[i] = FD_STEP
+        J[:, i] = (f(x + e) - f(x - e)) / (2.0 * FD_STEP)
     return J
 
 

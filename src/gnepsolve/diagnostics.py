@@ -25,8 +25,8 @@ from .lagrangian import (
     PenaltyParams,
     evaluate_point,
     lagrangian_from_values,
-    projected_gradient_lam,
     projected_gradient_x,
+    projected_step_lam,
 )
 
 __all__ = [
@@ -75,8 +75,7 @@ class BestResponseInfo:
     relaxation: Array | None = None
 
 
-def solve_best_response(game: GameInstance, x: Array, player: int,
-                        cert_tol: float = 1e-8) -> BestResponseInfo:
+def solve_best_response(game: GameInstance, x: Array, player: int) -> BestResponseInfo:
     """Solve one player's problem with rivals frozen.
 
     Minimizes ``theta(u, x_rest)`` over the private set subject to
@@ -84,7 +83,7 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
     deviation problem feasible when the queried point itself violates its
     constraints (otherwise the feasible set may be empty and the gap
     meaningless). The result is certified only if its own KKT residuals for
-    the relaxed problem all fall below ``cert_tol``.
+    the relaxed problem all fall below ``_CERT_TOL``.
 
     Proximal SQP: each step, from the current own block ``u_k``, solves one
     convex QP with :func:`_dual_active_set`. Its Hessian is the own block of
@@ -150,7 +149,7 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
         mu = lam[:p.m]
         ball_mult = lam[-1] if pset.kind == "ball" else 0.0
         triple = _single_kkt(game, player, base, mu, relax)
-        if max(triple) <= cert_tol:
+        if max(triple) <= _CERT_TOL:
             return BestResponseInfo(u, float(p.objective(base)), mu, triple, changes, True, relax)
         if best is None or max(triple) < max(best[2]):
             best = (u, mu, triple)
@@ -163,6 +162,7 @@ def solve_best_response(game: GameInstance, x: Array, player: int,
 
 # Proximal SQP steps before the best step so far comes back uncertified.
 _SQP_STEPS = 50
+_CERT_TOL = 1e-8   # a best response certifies when its KKT residuals are all at most this
 
 
 def _set_rows(pset) -> tuple[Array, Array]:
@@ -298,14 +298,14 @@ def _single_kkt(game: GameInstance, player: int, x: Array, lam: Array,
     return stat, comp, feas
 
 
-def best_response_gap(game: GameInstance, x: Array, player: int, tol: float = 1e-8) -> float:
+def best_response_gap(game: GameInstance, x: Array, player: int) -> float:
     """Improvement available to one player by deviating optimally.
 
     Returns ``theta(x) - theta(best response)``; a genuine equilibrium gives
-    a gap no more negative than ``-tol``. If the reference solve cannot
+    a gap no more negative than ``-_CERT_TOL``. If the reference solve cannot
     certify itself the gap is reported as ``inf``.
     """
-    info = solve_best_response(game, x, player, cert_tol=tol)
+    info = solve_best_response(game, x, player)
     if not info.certified:
         return math.inf
     return float(game.players[player].objective(x)) - info.objective
@@ -373,9 +373,9 @@ def projected_gradient_blocks(game: GameInstance, state: IterateState,
     """Per-player norms of the four projected-gradient blocks of the
     regularized Lagrangian at ``state``, for any ``z`` and ``mu``, and their sum.
 
-    The x-block and the lam-block are the solver's
-    (:func:`~gnepsolve.lagrangian.projected_gradient_x` and
-    :func:`~gnepsolve.lagrangian.projected_gradient_lam`); the z-block is
+    The x-block is the solver's
+    (:func:`~gnepsolve.lagrangian.projected_gradient_x`), the lam-block the
+    per-player norm of :func:`~gnepsolve.lagrangian.projected_step_lam`; the z-block is
     ``mu - lam + alpha z`` and the mu-block ``z + beta (lam - mu)``, both
     exactly zero at the duals a solve exports (``z = 0``, ``mu = lam``).
     """
@@ -383,8 +383,8 @@ def projected_gradient_blocks(game: GameInstance, state: IterateState,
     d = state.duals
     own_grad = point.theta_grads.ravel()[game.layout.own_entries]
     qx = projected_gradient_x(game, point.x, d.lam, own_grad, point.g_jacobians)
-    qlam = projected_gradient_lam(d.rows, d.lam,
-                                  point.g_values - d.z - penalty.beta * (d.lam - d.mu))
+    qlam = d.rows.norm(projected_step_lam(d.lam,
+                                          point.g_values - d.z - penalty.beta * (d.lam - d.mu)))
     qz, qmu = d.rows.norm(np.array([d.mu - d.lam + penalty.alpha * d.z,
                                     d.z + penalty.beta * (d.lam - d.mu)]))
     return [{"qx": float(x_i), "qz": float(z_i), "qlam": float(lam_i), "qmu": float(mu_i),
@@ -430,8 +430,7 @@ class DiagnosticsReport:
 
 
 def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
-             with_best_response: bool = True, saddle_samples: int = 0,
-             seed: int = 0) -> DiagnosticsReport:
+             with_best_response: bool = True, saddle_samples: int = 0) -> DiagnosticsReport:
     """Assemble the per-player equilibrium report at a candidate state. The
     projected-gradient blocks come first: their checked sweep raises
     ``OracleFailure`` where an oracle is not finite, before unchecked calls warn."""
@@ -458,6 +457,5 @@ def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
         notes=notes,
     )
     if saddle_samples > 0:
-        report.saddle_violations = saddle_check(game, state, penalty,
-                                                samples=saddle_samples, seed=seed)
+        report.saddle_violations = saddle_check(game, state, penalty, samples=saddle_samples)
     return report

@@ -43,7 +43,6 @@ __all__ = [
     "raw_sweep",
     "projected_gradient_x",
     "projected_step_lam",
-    "projected_gradient_lam",
 ]
 
 
@@ -232,12 +231,6 @@ def projected_step_lam(lam: Array, grad_lam: Array) -> Array:
     """The projected multiplier step ``lam - max(lam + grad_lam, 0)`` over the
     constraint rows, for ``grad_lam = g - z - beta (lam - mu)``: ``g`` at the solver's duals."""
     return lam - np.maximum(lam + grad_lam, 0.0)
-
-
-def projected_gradient_lam(rows: Segments, lam: Array, grad_lam: Array) -> Array:
-    """Per-player norm of the lam-block of the projected gradient, the
-    per-player norm of :func:`projected_step_lam`."""
-    return rows.norm(projected_step_lam(lam, grad_lam))
 
 
 # ---------------------------------------------------------------------------

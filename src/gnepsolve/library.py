@@ -108,6 +108,9 @@ class QuadraticPlayerSpec:
         return Q
 
 
+_SPEC_TOL = 1e-10   # the error a spec's symmetry and own-block convexity checks admit
+
+
 @dataclass
 class QuadraticGnepSpec:
     """A quadratic game; each player whose ``Q`` was given whole is split
@@ -123,26 +126,26 @@ class QuadraticGnepSpec:
             if p.rows is None:
                 p._split(sl, self.layout.n)
 
-    def validate_psd(self, tol: float = 1e-10):
-        """Own-block convexity: smallest own-block eigenvalue >= -tol."""
+    def validate_psd(self):
+        """Own-block convexity: smallest own-block eigenvalue >= -``_SPEC_TOL``."""
         for i, p in enumerate(self.players):
             sl = self.layout.block_slice(i)
             own = p.rows[:, sl]
-            if own.size and float(np.min(np.linalg.eigvalsh(own))) < -tol:
+            if own.size and float(np.min(np.linalg.eigvalsh(own))) < -_SPEC_TOL:
                 raise AdmissibilityError(
                     f"player {i}: objective own block has eigenvalue "
-                    f"{float(np.min(np.linalg.eigvalsh(own))):.3e} < -{tol:g}")
+                    f"{float(np.min(np.linalg.eigvalsh(own))):.3e} < -{_SPEC_TOL:g}")
             for j, (A, _, _) in enumerate(p.constraints):
                 if A is None:
                     continue
                 own_a = A[sl, sl]
-                if own_a.size and float(np.min(np.linalg.eigvalsh(own_a))) < -tol:
+                if own_a.size and float(np.min(np.linalg.eigvalsh(own_a))) < -_SPEC_TOL:
                     raise AdmissibilityError(
                         f"player {i} constraint {j}: own block has eigenvalue "
-                        f"{float(np.min(np.linalg.eigvalsh(own_a))):.3e} < -{tol:g}")
+                        f"{float(np.min(np.linalg.eigvalsh(own_a))):.3e} < -{_SPEC_TOL:g}")
 
-    def validate_symmetric(self, tol: float = 1e-10):
-        """Every ``Q_i`` and ``A_j`` symmetric, each entry within ``tol``
+    def validate_symmetric(self):
+        """Every ``Q_i`` and ``A_j`` symmetric, each entry within ``_SPEC_TOL``
         times the largest magnitude (at least 1) of its mirror: the oracles
         return ``Q x`` and ``A x + c``, the gradients of ``0.5 x'Q x`` and
         ``0.5 x'A x + c'x`` only then. A band ``Q_i`` is symmetric when its
@@ -154,7 +157,7 @@ class QuadraticGnepSpec:
                        for j, (A, _, _) in enumerate(p.constraints) if A is not None]
             for what, where, M, Mt in checks:
                 gap = float(np.max(np.abs(M - Mt), initial=0.0))
-                if gap > tol * max(1.0, float(np.max(np.abs(M), initial=0.0))):
+                if gap > _SPEC_TOL * max(1.0, float(np.max(np.abs(M), initial=0.0))):
                     raise AdmissibilityError(f"{what} is not symmetric ({where}: an entry "
                                              f"differs from its mirror by {gap:.3e})")
 

@@ -640,14 +640,12 @@ def _jac_norms(game: GameInstance, J: Array) -> Array:
     norms, from views of ``J``: for the players of ``game.constrained_runs``,
     zero for the others. The one Jacobian quantity an iteration computes:
     the next estimate reads it. With one row a player they are the rows'
-    norms, and when one run holds every player its norms are the result."""
+    norms."""
     if game.rows.unit:
         return row_norms(J)
-    runs, N, lead, n = game.constrained_runs, game.num_players, J.shape[:-2], J.shape[-1]
-    if len(runs) == 1 and runs[0][0] == slice(0, N):
-        return spectral_norms(J.reshape(lead + (N, -1, n)))
-    full = np.zeros(lead + (N,))
-    for players, rows, _ in runs:
+    lead, n = J.shape[:-2], J.shape[-1]
+    full = np.zeros(lead + (game.num_players,))
+    for players, rows, _ in game.constrained_runs:
         full[..., players] = spectral_norms(
             J[..., rows, :].reshape(lead + (players.stop - players.start, -1, n)))
     return full
