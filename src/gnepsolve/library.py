@@ -580,19 +580,22 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
     noise, one, ln2 = np.array(noise_power), np.array(1.0), np.array(math.log(2.0))
     links = np.arange(n_links)
     h_own = gains[links, links]    # (n_links, n_channels)
+    others = gains.copy()          # the interference gains: each link's own entry zeroed
+    others[links, links] = 0.0
     every = slice(None)
 
     def rate_terms(x, ls):
         """Each link of ``ls`` (a slice) with its own gains ``h``, powers
-        ``p``, gain rows ``cross``, interference-plus-noise ``den`` and
-        SINR ``s``, per channel, over any leading axes of ``x``: the one
-        implementation of the rate terms, whose rows do not depend on which
-        other links or points are taken."""
+        ``p``, interference gain rows ``cross`` (own entry zero),
+        interference-plus-noise ``den`` and SINR ``s``, per channel, over
+        any leading axes of ``x``: the one implementation of the rate terms,
+        whose rows do not depend on which other links or points are taken.
+        ``den`` sums only the other links' terms, so a large own power
+        cannot cancel it."""
         pw = x.reshape(x.shape[:-1] + shape)
-        h, p, cross = h_own[ls], pw[..., ls, :], gains[ls]
-        hp = h * p
-        den = noise + np.einsum("nmc,...mc->...nc", cross, pw) - hp
-        return h, p, cross, den, hp / den
+        h, p, cross = h_own[ls], pw[..., ls, :], others[ls]
+        den = noise + np.einsum("nmc,...mc->...nc", cross, pw)
+        return h, p, cross, den, h * p / den
 
     def shortfalls(terms, ls):
         """Constraint values ``target - rate`` of the links ``ls``."""
