@@ -251,8 +251,8 @@ class SimpleSet:
             lo, up = self.lower, self.upper
             if lo is None or up is None or lo.shape != (self.dim,) or up.shape != (self.dim,):
                 raise ValueError("box needs lower/upper bounds of the set dimension")
-            if np.any(lo > up):
-                raise ValueError("box requires lower <= upper componentwise")
+            if not np.all(lo <= up):   # a NaN bound fails the comparison
+                raise ValueError("box requires lower <= upper componentwise, no NaN bound")
         if self.kind == "ball" and not self.radius > 0:
             raise ValueError("ball radius must be positive")
 

@@ -559,8 +559,8 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
     if n_links < 1 or n_channels < 1:
         raise ValueError("need at least one link and one channel")
     targets = np.broadcast_to(np.asarray(target_rates, dtype=float), (n_links,)).copy()
-    if np.any(targets <= 0):
-        raise ValueError("target rates must be positive")
+    if not np.all((targets > 0) & (targets < np.inf)):
+        raise ValueError("target rates must be finite and positive")
     if gains is None:
         rng = np.random.default_rng(seed)
         gains = np.exp(rng.uniform(np.log(1e-2), np.log(1.0),
@@ -568,11 +568,11 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
     gains = np.array(gains, dtype=float)
     if gains.shape != (n_links, n_links, n_channels):
         raise ValueError(f"gains must have shape {(n_links, n_links, n_channels)}")
-    if np.any(gains <= 0):
-        raise ValueError("gains must be strictly positive")
+    if not np.all((gains > 0) & (gains < np.inf)):
+        raise ValueError("gains must be finite and strictly positive")
     noise_power = float(noise_std) ** 2
-    if noise_power <= 0:
-        raise ValueError("noise must be nonzero")
+    if not 0 < noise_power < math.inf:
+        raise ValueError("noise must be finite and nonzero")
 
     layout = BlockLayout((n_channels,) * n_links)
     n, shape = layout.n, (n_links, n_channels)

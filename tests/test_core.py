@@ -26,6 +26,13 @@ def test_box_projection_clamps():
     np.testing.assert_array_equal(box.project(np.array([3.0, -2.0])), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("lower, upper", [([1.0], [0.0]), ([np.nan], [1.0]), ([0.0], [np.nan])])
+def test_box_rejects_crossed_or_nan_bounds(lower, upper):
+    # a NaN bound fails every comparison, so it must not pass as "not crossed"
+    with pytest.raises(ValueError, match="lower <= upper"):
+        SimpleSet.box(lower, upper)
+
+
 def test_simplex_projection_identity_on_simplex():
     s = SimpleSet.simplex(3)
     v = np.array([1 / 3, 1 / 3, 1 / 3])

@@ -181,6 +181,21 @@ def test_power_rejects_bad_gains():
         library.gen_power_allocation(2, 2, 1.0, 0.3162, gains=np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["target_rates", "noise_std", "gains"])
+def test_power_rejects_non_finite_inputs(field, bad):
+    # a NaN passes a "<= 0" test and an infinity is positive: both are refused
+    args = {"target_rates": [1.0, 1.0], "noise_std": 0.3162, "gains": np.full((2, 2, 2), 0.5)}
+    if field == "gains":
+        args["gains"][0, 1, 1] = bad
+    elif field == "target_rates":
+        args["target_rates"] = [1.0, bad]
+    else:
+        args["noise_std"] = bad
+    with pytest.raises(ValueError, match="finite"):
+        library.gen_power_allocation(2, 2, **args)
+
+
 # ---------------------------------------------------------------------------
 # exchange economy
 # ---------------------------------------------------------------------------
