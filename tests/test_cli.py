@@ -340,6 +340,25 @@ def test_bench_byte_deterministic(tmp_path, capsys):
     assert all(row.split()[7] == "0.000" for row in tables[0].splitlines()[1:])
 
 
+def test_bench_error_rows_keep_the_csv_splittable(capsys, monkeypatch):
+    # a row whose solve raises reports the error in its status; the commas
+    # of that message and of its x0 become ';', so every CSV line splits
+    # into the header's fields, and the text table shows the same cells
+    def failing_solve(*args, **kwargs):
+        raise RuntimeError("singular matrix, rank 1")
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    code, stdout, _ = run_cli(capsys, "bench", "--run", "example3@vec:2,1", "--run", "a18@const:0")
+    lines = stdout.splitlines()
+    csv, table = lines[:3], lines[3:]
+    assert csv[0] == ",".join(cli._BENCH_COLUMNS)
+    assert all(len(line.split(",")) == len(cli._BENCH_COLUMNS) for line in csv)
+    assert csv[1].split(",")[4] == "vec:2;1"
+    assert csv[1].split(",")[8] == csv[2].split(",")[8] == "error: singular matrix; rank 1"
+    assert len(table) == 3 and "vec:2;1" in table[1] and "matrix; rank 1" in table[2]
+    assert code == 2
+
+
 def test_x0_from_file(tmp_path, capsys):
     x0file = tmp_path / "start.txt"
     x0file.write_text("2.0, 1.0\n")
