@@ -30,6 +30,23 @@ def test_abtime_runs_one_checkout_against_itself():
     # one pair: A's quartiles are its one time, so the rule's spread is 0
     assert out["pair_rule"]["a_quartile_spread_us"] == 0.0
     assert "pair rule: B faster in" in proc.stdout
+    # each side's one pass: its length, and whether it is under one speed sample
+    for side in (out["A"], out["B"]):
+        assert side["min_pass_ms"] > 0 and side["short_passes"] in (0, 1)
+    assert proc.stdout.count("under perfbench's speed-sample period") == 2
+
+
+def test_abtime_pass_lengths_count_the_passes_under_one_speed_sample():
+    # perfbench's own period, not a copy: a pass of exactly one period is not short
+    sys.path[:0] = [str(ROOT), str(ROOT / "tools")]
+    try:
+        import abtime
+        from perfbench.speed import PASS_PERIOD_S
+    finally:
+        del sys.path[:2]
+    seconds = [0.5 * PASS_PERIOD_S, PASS_PERIOD_S, 0.03, 0.9 * PASS_PERIOD_S]
+    lengths = abtime.pass_lengths(seconds)
+    assert lengths == {"min_pass_ms": 0.5 * PASS_PERIOD_S * 1e3, "short_passes": 2}
 
 
 def test_abtime_times_power_cli_as_the_workload_solves_it():

@@ -22,10 +22,15 @@ iterations), the median and quartiles of the paired ratio B / A, a seeded
 bootstrap 90% interval of that median (how finely the pairs resolve it: a
 bound inside the interval passes or fails by the run), the share of pairs
 that B ran faster, each side's output hash (SHA-256 over every solve's
-status, iteration count, ``x``, ``lam`` and trace columns), and the verdict
-of the benchmark's pair rule for a gain of B over A (B faster in at least 9
-of 10 pairs, and A's median time above B's by more than the spread between
-A's quartiles), then one JSON line of the same, with every pair's ratio.
+status, iteration count, ``x``, ``lam`` and trace columns), each side's
+shortest pass in milliseconds and how many of its passes are shorter than
+perfbench's speed-sample period ``PASS_PERIOD_S`` (a pass here is the
+solves alone, while perfbench's pass also runs the job's checks, so the
+count warns of a pass too short to sample and does not predict one), and
+the verdict of the benchmark's pair rule for a gain of B over A (B faster
+in at least 9 of 10 pairs, and A's median time above B's by more than the
+spread between A's quartiles), then one JSON line of the same, with every
+pair's ratio.
 Within one process both sides see the same machine load, so a pair
 resolves differences of a few percent that separate benchmark processes,
 minutes apart, do not.
@@ -78,8 +83,9 @@ def runs(G, workload: str, seed: int) -> list:
             for si, (N, npp, mpp) in enumerate(QUAD_SHAPES) for s in range(4)]
 
 
-def one_pass(G, solves) -> tuple[float, str]:
-    """Microseconds per outer iteration of one pass, and its output hash."""
+def one_pass(G, solves) -> tuple[float, str, float]:
+    """Microseconds per outer iteration of one pass, its output hash, and
+    its length in seconds."""
     gc.collect()
     digest, iterations, elapsed = hashlib.sha256(), 0, 0.0
     for game, x0, cfg in solves:
@@ -90,7 +96,15 @@ def one_pass(G, solves) -> tuple[float, str]:
         digest.update(f"{res.status}/{res.outer_iterations}".encode())
         for a in (res.state.x, res.state.duals.lam, *res.trace.columns.values()):
             digest.update(a.tobytes())
-    return elapsed / iterations * 1e6, digest.hexdigest()
+    return elapsed / iterations * 1e6, digest.hexdigest(), elapsed
+
+
+def pass_lengths(seconds: list[float]) -> dict:
+    """The shortest of a side's passes in milliseconds, and how many of them
+    are shorter than one of perfbench's speed samples."""
+    from perfbench.speed import PASS_PERIOD_S
+    return dict(min_pass_ms=min(seconds) * 1e3,
+                short_passes=sum(s < PASS_PERIOD_S for s in seconds))
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -136,15 +150,16 @@ def main(argv=None) -> int:
     for key, root in (("A", args.a), ("B", args.b)):
         G = load(root, f"gnepsolve_ab_{key.lower()}")
         sides[key] = (G, runs(G, args.workload, args.seed))
-    times, hashes = {"A": [], "B": []}, {"A": set(), "B": set()}
+    times, hashes, lengths = {"A": [], "B": []}, {"A": set(), "B": set()}, {"A": [], "B": []}
     for pair in range(args.pairs):
         for key in ("AB" if pair % 2 == 0 else "BA"):
-            us, digest = one_pass(*sides[key])
+            us, digest, seconds = one_pass(*sides[key])
             times[key].append(us)
             hashes[key].add(digest)
+            lengths[key].append(seconds)
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     out = {key: {"min_us": min(times[key]), "median_us": statistics.median(times[key]),
-                 "hash": sorted(hashes[key])} for key in ("A", "B")}
+                 "hash": sorted(hashes[key]), **pass_lengths(lengths[key])} for key in ("A", "B")}
     rule = pair_rule(times["A"], times["B"])
     out.update(ratios=ratios, ratio_quartiles=quartiles(ratios),
                ratio_interval=median_interval(ratios), b_faster=rule["b_faster"],
@@ -152,7 +167,9 @@ def main(argv=None) -> int:
     for key, root in (("A", args.a), ("B", args.b)):
         side = out[key]
         print(f"{key} {root}: min {side['min_us']:.2f} us, median {side['median_us']:.2f} us "
-              f"per outer iteration; output {', '.join(h[:16] for h in side['hash'])}")
+              f"per outer iteration; output {', '.join(h[:16] for h in side['hash'])}; "
+              f"shortest pass {side['min_pass_ms']:.2f} ms, {side['short_passes']} of "
+              f"{args.pairs} under perfbench's speed-sample period")
     (q1, med, q3), (lo, hi) = out["ratio_quartiles"], out["ratio_interval"]
     print(f"B / A over {len(ratios)} pairs: median {med:.4f} (quartiles {q1:.4f}, {q3:.4f}; "
           f"bootstrap 90% interval {lo:.4f}, {hi:.4f}); B faster in {out['b_faster']:.0%}; "
