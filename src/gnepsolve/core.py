@@ -465,9 +465,9 @@ class QuadraticStack:
         ``(1, n)``: each band times its player's block (one gemv per player,
         batched per run), its own entries overwritten by ``G @ x`` (or by
         ``own_rows``, a caller's ``G @ x`` at every point), and the dense
-        players' rows by one batched ``dense @ x``. Each point's products are bit for bit those
-        of a call at that point alone: every gemv keeps its shape and
-        strides.
+        players' rows by one batched ``dense @ x``. Each point's products
+        are bit for bit those of a call at that point alone: every gemv
+        keeps its shape and strides.
 
         ``G @ x`` is one gemv of the dense shape, so the own entries, which
         are all the iterates read, are bit for bit the dense ``Q_i @ x``'s;
