@@ -35,7 +35,6 @@ from .diagnostics import (
     best_response_gap,
     diagnose,
     kkt_residual,
-    projected_gradient_norm,
     saddle_check,
 )
 from . import library

@@ -21,7 +21,7 @@ import numpy as np
 from . import library
 from .core import DualStack, GameInstance, IterateState, OracleFailure, PlayerDualState
 from .diagnostics import diagnose
-from .lagrangian import QUIET, PenaltyParams
+from .lagrangian import PenaltyParams
 from .solver import GammaPolicy, SolverConfig, solve
 
 RESULT_VERSION = "result/1"
@@ -57,10 +57,8 @@ def _add_problem_options(p: argparse.ArgumentParser):
 
 
 def _add_solver_options(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, default=10.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", default="auto", help="'auto' or a fixed value for every player")
-    p.add_argument("--gamma-safety", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-outer", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
@@ -71,14 +69,14 @@ def _build_config(args) -> SolverConfig:
     error, raised before any instance is built."""
     try:
         if args.gamma == "auto":
-            gamma = GammaPolicy.auto(args.gamma_safety)
+            gamma = GammaPolicy.auto()
         else:
             try:
                 value = float(args.gamma)
             except ValueError as exc:
                 raise CliError(f"--gamma must be 'auto' or a number, got {args.gamma!r}") from exc
             gamma = GammaPolicy.fixed(value)
-        return SolverConfig(alpha=args.alpha, beta=args.beta, gamma=gamma, outer_tol=args.tol,
+        return SolverConfig(beta=args.beta, gamma=gamma, outer_tol=args.tol,
                             max_outer=args.max_outer, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -154,8 +152,7 @@ def _parse_x0(spec: str, n: int) -> np.ndarray:
 def _result_document(problem_ref: dict, args, result, game: GameInstance,
                      report=None) -> dict:
     cfgd = {
-        "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-        "gamma_safety": args.gamma_safety, "tol": args.tol,
+        "beta": args.beta, "gamma": args.gamma, "tol": args.tol,
         "max_outer": args.max_outer, "seed": args.seed, "x0": args.x0,
     }
     doc = {
@@ -408,9 +405,8 @@ def cmd_validate(args) -> int:
         penalty = PenaltyParams(float(cfg.get("alpha", 10.0)), float(cfg.get("beta", 1.0)))
     except (AttributeError, TypeError, ValueError):
         raise CliError(f"{path}: config fields 'alpha' and 'beta' must be finite positive numbers")
-    try:
-        with np.errstate(**QUIET):   # huge finite duals overflow to inf, which the verdict fails
-            report = diagnose(game, state, penalty)
+    try:   # huge finite duals overflow to inf, which the verdict fails
+        report = diagnose(game, state, penalty)
     except OracleFailure as exc:
         raise CliError(f"{path}: an oracle fails at the solution: {exc}", _VALIDATION_ERROR)
     print(f"stationarity:     {max(report.stationarity):.3e}")

@@ -300,8 +300,9 @@ class SimpleSet:
         norm = float(np.linalg.norm(q))
         return q * (self.radius / norm) if norm > self.radius else q
 
-    def contains(self, v: Array, tol: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(self.project(v) - v) <= tol)
+    def contains(self, v: Array) -> bool:
+        """Whether ``v`` lies within 1e-9 of its projection, in the 2-norm."""
+        return bool(np.linalg.norm(self.project(v) - v) <= 1e-9)
 
     def sample_interior(self, rng: np.random.Generator) -> Array:
         """Draw a point safely inside the set (used by validation sampling)."""

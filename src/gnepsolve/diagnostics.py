@@ -22,6 +22,7 @@ import numpy as np
 from .core import (Array, GameInstance, IterateState, PlayerDualState, central_jacobian,
                    constraint_violation, max_abs)
 from .lagrangian import (
+    QUIET,
     PenaltyParams,
     evaluate_point,
     lagrangian_from_values,
@@ -35,7 +36,6 @@ __all__ = [
     "solve_best_response",
     "saddle_check",
     "projected_gradient_blocks",
-    "projected_gradient_norm",
     "DiagnosticsReport",
     "diagnose",
 ]
@@ -392,12 +392,6 @@ def projected_gradient_blocks(game: GameInstance, state: IterateState,
             for x_i, z_i, lam_i, mu_i in zip(qx, qz, qlam, qmu)]
 
 
-def projected_gradient_norm(game: GameInstance, state: IterateState,
-                            penalty: PenaltyParams) -> float:
-    """Summed projected-gradient norms over all players and blocks."""
-    return float(sum(b["total"] for b in projected_gradient_blocks(game, state, penalty)))
-
-
 # ---------------------------------------------------------------------------
 # Full report
 # ---------------------------------------------------------------------------
@@ -405,6 +399,10 @@ def projected_gradient_norm(game: GameInstance, state: IterateState,
 
 @dataclass
 class DiagnosticsReport:
+    """Per-player residuals of a candidate state, as :func:`diagnose` gives
+    them and a result document's ``diagnostics`` holds them; the saddle
+    inequalities are sampled by :func:`saddle_check` alone."""
+
     stationarity: list[float]
     complementarity: list[float]
     feasibility: list[float]
@@ -412,7 +410,6 @@ class DiagnosticsReport:
     lam_norm_inf: list[float]
     projected_gradient: list[dict]
     projected_gradient_total: float
-    saddle_violations: int | None = None
     notes: list[str] = field(default_factory=list)
 
     def worst(self) -> float:
@@ -429,11 +426,14 @@ class DiagnosticsReport:
         return asdict(self)
 
 
+@np.errstate(**QUIET)   # a huge finite state's residuals overflow to inf or NaN
 def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
-             with_best_response: bool = True, saddle_samples: int = 0) -> DiagnosticsReport:
-    """Assemble the per-player equilibrium report at a candidate state. The
-    projected-gradient blocks come first: their checked sweep raises
-    ``OracleFailure`` where an oracle is not finite, before unchecked calls warn."""
+             with_best_response: bool = True) -> DiagnosticsReport:
+    """Assemble the per-player equilibrium report at a candidate state,
+    without saddle sampling (:func:`saddle_check`), with NumPy's
+    floating-point warnings off. The projected-gradient blocks come first:
+    their checked sweep raises ``OracleFailure`` where an oracle is not
+    finite, before unchecked calls compute from it."""
     pg = projected_gradient_blocks(game, state, penalty)
     triples = kkt_residual(game, state.x, [d.lam for d in state.duals])
     gaps = []
@@ -446,7 +446,7 @@ def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
             gaps.append(gap)
         else:
             gaps.append(float("nan"))
-    report = DiagnosticsReport(
+    return DiagnosticsReport(
         stationarity=[t[0] for t in triples],
         complementarity=[t[1] for t in triples],
         feasibility=[t[2] for t in triples],
@@ -456,6 +456,3 @@ def diagnose(game: GameInstance, state: IterateState, penalty: PenaltyParams,
         projected_gradient_total=float(sum(b["total"] for b in pg)),
         notes=notes,
     )
-    if saddle_samples > 0:
-        report.saddle_violations = saddle_check(game, state, penalty, samples=saddle_samples)
-    return report

@@ -570,7 +570,10 @@ def gen_power_allocation(n_links: int, n_channels: int, target_rates,
         raise ValueError(f"gains must have shape {(n_links, n_links, n_channels)}")
     if not np.all((gains > 0) & (gains < np.inf)):
         raise ValueError("gains must be finite and strictly positive")
-    noise_power = float(noise_std) ** 2
+    try:   # a product in place of ** would move power's bits for some noise levels
+        noise_power = float(noise_std) ** 2
+    except OverflowError:   # a float ** raises where * gives inf
+        noise_power = math.inf
     if not 0 < noise_power < math.inf:
         raise ValueError("noise must be finite and nonzero")
 

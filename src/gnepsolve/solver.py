@@ -97,27 +97,24 @@ __all__ = [
 class GammaPolicy:
     """Proximal-weight policy: fixed user values or the decrease-bound rule.
 
-    The auto rule sets ``gamma_nu = safety * (L_nu + 3 L_g_nu^2 / beta)``,
+    The auto rule sets ``gamma_nu`` to the bound ``L_nu + 3 L_g_nu^2 / beta``,
     the standard sufficient-decrease sizing; a fixed value below that bound
     is allowed, and :func:`choose_gamma` returns a warning for it.
     """
 
     kind: str = "auto"
-    safety: float = 1.0
     values: Array | None = None
 
     def __post_init__(self):
         if self.kind not in ("auto", "fixed"):
             raise ValueError("gamma policy kind must be 'auto' or 'fixed'")
-        if self.kind == "auto" and not 1.0 <= self.safety < np.inf:
-            raise ValueError(f"gamma safety must be finite and >= 1, got {self.safety}")
         if self.kind == "fixed" and (self.values is None
                                      or not np.all((0 < self.values) & (self.values < np.inf))):
             raise ValueError(f"fixed gamma values must be finite and > 0, got {self.values}")
 
     @staticmethod
-    def auto(safety: float = 1.0) -> "GammaPolicy":
-        return GammaPolicy("auto", safety=safety)
+    def auto() -> "GammaPolicy":
+        return GammaPolicy("auto")
 
     @staticmethod
     def fixed(values) -> "GammaPolicy":
@@ -161,15 +158,14 @@ class SigmaSchedule:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver parameters. :func:`solve` reads ``beta`` but not ``alpha``,
-    which its iterates do not depend on (its ``z`` stays zero); ``alpha``
-    is kept for the diagnostics of states with any ``z`` and ``mu``, and is
-    written to result documents. Nothing in :mod:`gnepsolve` reads
-    ``sigma`` (:class:`SigmaSchedule`); it stays for the benchmark's
-    ``fast_config``, which passes it.
+    """Solver parameters. :func:`solve` reads ``beta``; its iterates do not
+    depend on the penalty weight ``alpha`` (its ``z`` stays zero), and
+    :meth:`penalty` gives the diagnostics the default ``alpha`` of
+    :class:`~gnepsolve.lagrangian.PenaltyParams`. Nothing in
+    :mod:`gnepsolve` reads ``sigma`` (:class:`SigmaSchedule`); it stays for
+    the benchmark's ``fast_config``, which passes it.
     """
 
-    alpha: float = 10.0
     beta: float = 1.0
     gamma: GammaPolicy = field(default_factory=GammaPolicy.auto)
     sigma: SigmaSchedule = field(default_factory=SigmaSchedule)
@@ -178,7 +174,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.penalty()   # alpha and beta: finite and > 0
+        self.penalty()   # beta: finite and > 0
         if not self.outer_tol > 0:
             raise ValueError(f"outer tolerance must be positive, got {self.outer_tol}")
         if self.max_outer < 1:
@@ -187,7 +183,7 @@ class SolverConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def penalty(self) -> PenaltyParams:
-        return PenaltyParams(self.alpha, self.beta)
+        return PenaltyParams(beta=self.beta)
 
 
 # Point pairs drawn per smoothness sample of a non-quadratic player.
@@ -399,7 +395,7 @@ def choose_gamma(est: LipschitzEstimates, penalty: PenaltyParams,
     bound = est.L + _THREE * est.L_gfun ** 2 / penalty.beta
     warnings: list[str] = []
     if policy.kind == "auto":
-        gamma = policy.safety * bound
+        gamma = bound
     else:
         gamma = np.broadcast_to(policy.values, bound.shape).astype(float)
         warnings = [f"player {i}: fixed gamma {gamma[i]:.6g} below decrease bound {bound[i]:.6g}"

@@ -35,6 +35,11 @@ def test_solve_example3_from_zero(tmp_path, capsys):
     np.testing.assert_allclose(doc["solution"], [1.0, 0.0], atol=1e-3)
     assert len(doc["duals"]) == 2
     assert doc["summary"]["m"] == 2
+    assert sorted(doc["config"]) == ["beta", "gamma", "max_outer", "seed", "tol", "x0"]
+    assert "saddle_violations" not in doc["diagnostics"]
+    for block in doc["duals"]:   # solve carries lambda alone: z = +0.0 and mu = lambda
+        assert all(z == 0.0 and math.copysign(1.0, z) == 1.0 for z in block["z"])
+        assert json.dumps(block["mu"]) == json.dumps(block["lambda"])
 
 
 def test_solve_unknown_problem(capsys):
@@ -143,8 +148,7 @@ def test_solve_invalid_tolerance(capsys):
     assert code == 3
 
 
-_BAD_OPTIONS = [["--alpha", "0"], ["--alpha", "nan"], ["--beta", "-1"], ["--seed", "-1"],
-                ["--gamma-safety", "0.5"], ["--gamma-safety", "nan"], ["--gamma", "nan"],
+_BAD_OPTIONS = [["--beta", "-1"], ["--seed", "-1"], ["--gamma", "nan"],
                 ["--gamma", "-5"], ["--gamma", "inf"], ["--gamma", "abc"], ["--tol", "nan"]]
 
 
@@ -157,6 +161,20 @@ def test_invalid_solver_options_exit_3(capsys, command, option):
                               "--max-outer", "3", *option)
     assert code == 3
     assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "trace"])
+@pytest.mark.parametrize("option", [["--alpha", "0"], ["--alpha", "nan"],
+                                    ["--gamma-safety", "0.5"], ["--gamma-safety", "nan"]],
+                         ids="=".join)
+def test_removed_solver_options_exit_3(capsys, command, option):
+    # solve's iterates read no alpha, and the auto gamma is the decrease bound
+    # itself: neither is an option, so argparse refuses both with any value
+    code, _, stderr = run_cli(capsys, command, "--problem", "arrow-debreu", "--x0", "const:0",
+                              "--max-outer", "3", *option)
+    assert code == 3
+    assert stderr.splitlines()[-1].startswith("error: unrecognized arguments: " + option[0])
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("x0", ["const:nan", "const:inf", "const:-inf", "const:1e400",
@@ -202,6 +220,20 @@ def test_solve_oracle_failure_exit_code(tmp_path, capsys):
     assert "oracle fails" in stderr
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--problem", "power", "--x0", "const:1e200", "--max-outer", "50"], 0),
+    (["--problem", "example3", "--beta", "1e-308", "--max-outer", "20"], 2),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_diagnostics_of_a_huge_final_state_raise_no_numpy_warnings(capsys, argv, want):
+    # finite final states whose residuals overflow (power's Jacobian at 1e200)
+    # or turn NaN (example3's lam-block at beta 1e-308): solve's diagnostics,
+    # like validate's, report them without a NumPy warning
+    code, stdout, stderr = run_cli(capsys, "solve", *argv)
+    assert code == want
+    assert "worst residual" in stdout and "Traceback" not in stderr
+
+
 def test_solve_malformed_instance_file(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -232,28 +264,6 @@ def test_result_documents_byte_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_alpha_reaches_neither_the_iterates_nor_the_dual_fields(tmp_path, capsys):
-    # solve keeps z = 0 and mu = lam, so alpha enters no iterate: documents
-    # solved at alpha 0.1 and 1e4 differ only in config.alpha, every z is
-    # +0.0 and every mu is lambda, and the trace CSVs are the same bytes
-    docs, traces = [], []
-    for alpha in ("0.1", "10000"):
-        out, trace = tmp_path / f"{alpha}.json", tmp_path / f"{alpha}.csv"
-        code, _, _ = run_cli(capsys, "solve", "--problem", "example3", "--x0", "const:0",
-                             "--alpha", alpha, "--out", str(out), "--trace", str(trace),
-                             "--skip-best-response")
-        assert code == 0
-        docs.append(json.loads(out.read_text()))
-        traces.append(trace.read_bytes())
-    assert traces[0] == traces[1]
-    assert [doc["config"].pop("alpha") for doc in docs] == [0.1, 10000.0]
-    # compared as text: the skipped best-response gaps are NaN
-    assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
-    for block in docs[0]["duals"]:
-        assert all(z == 0.0 and math.copysign(1.0, z) == 1.0 for z in block["z"])
-        assert json.dumps(block["mu"]) == json.dumps(block["lambda"])
 
 
 # ---------------------------------------------------------------------------

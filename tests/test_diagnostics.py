@@ -15,7 +15,6 @@ from gnepsolve.diagnostics import (
     diagnose,
     kkt_residual,
     projected_gradient_blocks,
-    projected_gradient_norm,
     saddle_check,
     solve_best_response,
 )
@@ -362,13 +361,13 @@ def test_projected_gradient_positive_away_from_solution(ex3_game):
     state.duals[0].lam[:] = 0.7
     state.duals[0].mu[:] = 0.2
     state.duals[1].z[:] = 0.3
-    assert projected_gradient_norm(ex3_game, state, pen) > 0.1
+    assert diagnose(ex3_game, state, pen, with_best_response=False).projected_gradient_total > 0.1
 
 
 def test_diagnose_report_round_trip(ex3_game, ex3_tight):
     pen = PenaltyParams()
-    rep = diagnose(ex3_game, ex3_tight.state, pen, saddle_samples=100)
+    rep = diagnose(ex3_game, ex3_tight.state, pen)
     d = rep.as_dict()
-    assert d["saddle_violations"] == 0
+    assert saddle_check(ex3_game, ex3_tight.state, pen, samples=100) == 0
     assert max(d["stationarity"]) <= 1e-3
     assert rep.worst() <= 1e-3

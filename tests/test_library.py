@@ -181,10 +181,11 @@ def test_power_rejects_bad_gains():
         library.gen_power_allocation(2, 2, 1.0, 0.3162, gains=np.zeros((2, 2, 2)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["target_rates", "noise_std", "gains"])
+@pytest.mark.parametrize("field, bad", [(f, b) for f in ("target_rates", "noise_std", "gains")
+                                        for b in (np.nan, np.inf)] + [("noise_std", 1e200)])
 def test_power_rejects_non_finite_inputs(field, bad):
-    # a NaN passes a "<= 0" test and an infinity is positive: both are refused
+    # a NaN passes a "<= 0" test and an infinity is positive: both are refused,
+    # as is a noise level whose square overflows
     args = {"target_rates": [1.0, 1.0], "noise_std": 0.3162, "gains": np.full((2, 2, 2), 0.5)}
     if field == "gains":
         args["gains"][0, 1, 1] = bad
@@ -276,7 +277,7 @@ def test_random_quadratic_planted_point_strictly_feasible(N, w, m, seed):
     game = spec.to_game()
     for p, ps, sl in zip(game.players, spec.players, game.layout.slices):
         assert p.m == m and np.all(p.constraints(plant) < 0)
-        assert p.private_set.contains(plant[sl], tol=0.0)
+        assert np.array_equal(p.private_set.project(plant[sl]), plant[sl])
         own = ps.Q[sl, sl]
         assert np.array_equal(own, own.T)
         assert np.linalg.eigvalsh(own).min() >= 1.0 - 1e-12

@@ -29,6 +29,24 @@ def test_example3_converges_from_all_starts(ex3_runs):
         np.testing.assert_allclose(res.state.x, [1.0, 0.0], atol=1e-3)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="far starts on power (ROADMAP items 8 and 15): from const:1e20 every step "
+    "is below the float spacing of x, so the run stops 'converged' after 1 iteration "
+    "at residual 0.0 with x still 1e20, where the best-response gaps read 0 for the "
+    "same reason; from const:1e6 (as from 1e10, 1e13, 1e14 and 1e15) it reaches a "
+    "3,000 cap at residual 100.0 with every gap uncertified")
+def test_power_from_far_starts_converges_to_the_equilibrium_from_zero():
+    # the abstract's claim (i), no bounded iterates needed: a converged run
+    # from a far start ends near the equilibrium const:0 reaches
+    game = G.library.builtin_instance("power")
+    want = G.solve(game, np.zeros(game.n), G.SolverConfig()).state.x
+    ends = {s: G.solve(game, np.full(game.n, s), G.SolverConfig(max_outer=3000))
+            for s in (1e6, 1e20)}
+    assert all(res.status == "converged" and np.max(np.abs(res.state.x - want)) <= 1e-2
+               for res in ends.values()), {s: res.status for s, res in ends.items()}
+
+
 def test_dual_identities_exact(ex3_runs, a18_run, quad_suite):
     # the exported duals: every z is +0.0 and mu holds lam's bytes
     results = list(ex3_runs.values()) + [a18_run] + [r for _, _, r in quad_suite]

@@ -235,14 +235,14 @@ def _est(L, L_gfun):
 
 def test_choose_gamma_constraint_free():
     pen = PenaltyParams(10.0, 1.0)
-    gamma, warn = choose_gamma(_est([1.0], [0.0]), pen, GammaPolicy.auto(1.0))
+    gamma, warn = choose_gamma(_est([1.0], [0.0]), pen, GammaPolicy.auto())
     assert gamma[0] == pytest.approx(1.0)
     assert warn == []
 
 
 def test_choose_gamma_formula():
     pen = PenaltyParams(10.0, 1.0)
-    gamma, _ = choose_gamma(_est([2.0], [2.0]), pen, GammaPolicy.auto(1.0))
+    gamma, _ = choose_gamma(_est([2.0], [2.0]), pen, GammaPolicy.auto())
     assert gamma[0] == pytest.approx(14.0)   # 2 + 3 * 4 / 1
 
 

@@ -63,7 +63,6 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -126,22 +125,13 @@ def run_set():
     return runs
 
 
-def trace_columns(trace) -> dict[str, np.ndarray]:
-    """The columns of a non-empty trace; a checkout from before the trace
-    held columns (a ``--diff`` side) has its rows stacked field by field."""
-    if hasattr(trace, "columns"):
-        return trace.columns
-    return {f.name: np.array([getattr(r, f.name) for r in trace.rows])
-            for f in fields(trace.rows[0])}
-
-
 def record(res) -> dict[str, object]:
     """Every fingerprinted field of one solve result."""
     out: dict[str, object] = {"status": res.status, "outer_iterations": res.outer_iterations,
                               "x": res.state.x}
     d = res.state.duals
     out.update(z=d.z, lam=d.lam, mu=d.mu)
-    columns = trace_columns(res.trace) if res.outer_iterations else {}
+    columns = res.trace.columns if res.outer_iterations else {}
     for name, col in columns.items():
         out[f"row.{name}"] = col.tolist() if name == "exit_kind" else col.astype(float)
     for name in ("initial_L", "initial_feas", "initial_jac_norm", "initial_jac_own_norm"):
