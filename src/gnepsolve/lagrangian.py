@@ -55,8 +55,9 @@ class PenaltyParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not all(0 < w < math.inf for w in (self.alpha, self.beta)):
-            raise ValueError("alpha and beta must be finite and > 0")
+        for name, w in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0 < w < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {w}")
 
 
 def _check_finite(value, player: int, what: str):

@@ -161,6 +161,7 @@ def test_invalid_solver_options_exit_3(capsys, command, option):
                               "--max-outer", "3", *option)
     assert code == 3
     assert stderr.startswith("error:") and "Traceback" not in stderr
+    assert "alpha" not in stderr   # no error names a setting the CLI does not take
 
 
 @pytest.mark.parametrize("command", ["solve", "bench", "trace"])
