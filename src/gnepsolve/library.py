@@ -128,21 +128,13 @@ class QuadraticGnepSpec:
 
     def validate_psd(self):
         """Own-block convexity: smallest own-block eigenvalue >= -``_SPEC_TOL``."""
-        for i, p in enumerate(self.players):
-            sl = self.layout.block_slice(i)
-            own = p.rows[:, sl]
-            if own.size and float(np.min(np.linalg.eigvalsh(own))) < -_SPEC_TOL:
-                raise AdmissibilityError(
-                    f"player {i}: objective own block has eigenvalue "
-                    f"{float(np.min(np.linalg.eigvalsh(own))):.3e} < -{_SPEC_TOL:g}")
-            for j, (A, _, _) in enumerate(p.constraints):
-                if A is None:
-                    continue
-                own_a = A[sl, sl]
-                if own_a.size and float(np.min(np.linalg.eigvalsh(own_a))) < -_SPEC_TOL:
-                    raise AdmissibilityError(
-                        f"player {i} constraint {j}: own block has eigenvalue "
-                        f"{float(np.min(np.linalg.eigvalsh(own_a))):.3e} < -{_SPEC_TOL:g}")
+        for i, (p, sl) in enumerate(zip(self.players, self.layout.slices)):
+            blocks = [(f"player {i}: objective own block", p.rows[:, sl])]
+            blocks += [(f"player {i} constraint {j}: own block", A[sl, sl])
+                       for j, (A, _, _) in enumerate(p.constraints) if A is not None]
+            for what, own in blocks:
+                if own.size and (low := float(np.min(np.linalg.eigvalsh(own)))) < -_SPEC_TOL:
+                    raise AdmissibilityError(f"{what} has eigenvalue {low:.3e} < -{_SPEC_TOL:g}")
 
     def validate_symmetric(self):
         """Every ``Q_i`` and ``A_j`` symmetric, each entry within ``_SPEC_TOL``

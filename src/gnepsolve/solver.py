@@ -64,6 +64,7 @@ from .core import (
 from .lagrangian import (
     QUIET,
     PenaltyParams,
+    _check_finite,
     checked_sweep,
     evaluate_point,
     lagrangian_values,
@@ -796,9 +797,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     iteration cap, ``stalled-stationary`` when the primal blocks are pinned
     at a fixed point while the multipliers keep drifting (no
     finite-multiplier stationary point nearby), ``oracle-failure`` when an
-    oracle returns a non-finite value mid-run or a proximal weight comes out
-    NaN (the message names the NaN smoothness constant). A failed run keeps
-    the trace and the state of the last completed iteration.
+    oracle returns a non-finite value mid-run, a multiplier overflows where
+    the oracles are finite, or a proximal weight comes out NaN (the message
+    names the NaN smoothness constant). A failed run keeps the trace and the
+    state of the last completed iteration.
 
     Each outer iteration works on whole arrays over players, and computes
     what the next iterate and the stopping test read, with the multipliers
@@ -916,6 +918,10 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
                 new, row, J = _step(game, x, lam, obj, gathers, gamma_by_coord, cfg.beta)
                 x, lam, obj = row[0], row[1], row[3]
                 residual, z = max_abs(new - z), new   # a NaN never converges
+                if not residual < math.inf:   # name a non-finite x-derived field, else lam
+                    evaluate_point(game, x)
+                    for i, (a, b) in enumerate(zip(rows.bounds, rows.bounds[1:])):
+                        _check_finite(lam[a:b], i, "multiplier")
                 if not fixed:
                     gathers, jac_full = _jacobian_gathers(game, J, True), _jac_norms(game, J)
                     row += (J, jac_full, gamma, est.L_theta, est.M_g_own)

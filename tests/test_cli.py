@@ -224,12 +224,15 @@ def test_solve_oracle_failure_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv, want", [
     (["--problem", "power", "--x0", "const:1e200", "--max-outer", "50"], 0),
     (["--problem", "example3", "--beta", "1e-308", "--max-outer", "20"], 2),
+    (["--problem", "example3", "--beta", "1e-306", "--max-outer", "20"], 2),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_diagnostics_of_a_huge_final_state_raise_no_numpy_warnings(capsys, argv, want):
-    # finite final states whose residuals overflow (power's Jacobian at 1e200)
-    # or turn NaN (example3's lam-block at beta 1e-308): solve's diagnostics,
-    # like validate's, report them without a NumPy warning
+    # finite final states whose residuals overflow (power's Jacobian at
+    # 1e200) or near it (example3's multiplier 3e306 at beta 1e-306), and
+    # example3 at beta 1e-308, whose first multiplier step overflows and
+    # ends the run at its start: solve's diagnostics, like validate's,
+    # report them without a NumPy warning
     code, stdout, stderr = run_cli(capsys, "solve", *argv)
     assert code == want
     assert "worst residual" in stdout and "Traceback" not in stderr

@@ -130,22 +130,6 @@ def test_block_get_and_offsets():
     assert BlockLayout((3, 3)).n == 6
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 10**6))
-def test_block_set_then_get_round_trip(dims, seed):
-    layout = BlockLayout(tuple(dims))
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(layout.n)
-    for i in range(len(dims)):
-        vals = rng.standard_normal(dims[i])
-        y = layout.set_block(x, i, vals)
-        np.testing.assert_array_equal(y[layout.slices[i]], vals)
-        # other blocks untouched
-        for j in range(len(dims)):
-            if j != i:
-                np.testing.assert_array_equal(y[layout.slices[j]], x[layout.slices[j]])
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
 def test_block_offsets_and_slices(dims):
@@ -185,24 +169,61 @@ def test_validate_a18_convexity():
     assert rep.convexity_violation <= 1e-9   # objectives convex-quadratic per block
 
 
+def _faulty_game(objective=None, constraints=None):
+    """Two players on [-1, 1] with objectives x_i^2 and no constraints;
+    player 1 takes the faulty objective given, or one row with the faulty
+    constraint oracle given."""
+    def player(i, f=None, g=None):
+        m = int(g is not None)
+        return PlayerProblem(
+            objective=f or (lambda x: float(x[i] ** 2)),
+            gradient=lambda x: 2.0 * x * (np.arange(2) == i),
+            constraints=g or (lambda x: np.zeros(0)),
+            constraint_jacobian=lambda x: np.zeros((m, 2)),
+            private_set=SimpleSet.box([-1.0], [1.0]), m=m)
+    return GameInstance((player(0), player(1, objective, constraints)), BlockLayout((1, 1)), "faulty")
+
+
 def test_validate_flags_nan_oracle():
-    layout = BlockLayout((1,))
+    # faulty oracles are reported, not raised: all_finite is False and every
+    # note names player 1 and the faulty field. The objective is NaN near
+    # the origin; the constraint oracle raises FloatingPointError; the
+    # objective raises from its 6th call on, past the sampled point's value
+    # and its four finite differences, so only at the first midpoint end
+    def raising(x):
+        raise FloatingPointError("overflow")
 
-    def bad_objective(x):
-        return float("nan") if abs(x[0]) < 0.5 else float(x[0] ** 2)
+    calls = []
 
-    player = PlayerProblem(
-        objective=bad_objective,
-        gradient=lambda x: 2.0 * x,
-        constraints=lambda x: np.zeros(0),
-        constraint_jacobian=lambda x: np.zeros((0, 1)),
-        private_set=SimpleSet.box([-1.0], [1.0]),
-        m=0,
-    )
-    game = GameInstance((player,), layout, "nan-at-origin")
-    rep = validate_instance(game, samples=40, seed=3)
-    assert not rep.all_finite
-    assert any("non-finite" in n for n in rep.notes)
+    def raises_late(x):
+        calls.append(1)
+        if len(calls) > 5:
+            raise FloatingPointError("overflow")
+        return float(x[1] ** 2)
+
+    cases = [
+        (_faulty_game(objective=lambda x: float("nan") if abs(x[1]) < 0.5 else float(x[1] ** 2)),
+         40, "player 1: non-finite objective", None),
+        (_faulty_game(constraints=raising), 1, "player 1: constraint oracle raised",
+         ["player 1: constraint oracle raised at sampled point",
+          "player 1: constraint oracle raised along segment"]),
+        (_faulty_game(objective=raises_late), 1, "player 1: objective oracle raised",
+         ["player 1: objective oracle raised along segment"]),
+    ]
+    for game, samples, prefix, notes in cases:
+        rep = validate_instance(game, samples=samples, seed=3)
+        assert not rep.all_finite and rep.notes
+        assert all(n.startswith(prefix) for n in rep.notes)
+        assert notes is None or rep.notes == notes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_huge_finite_oracle_values_raise_no_numpy_warning():
+    # constraint values near -1e308 are finite, so no note is written, and
+    # the overflow of their midpoint sum raises no NumPy warning
+    game = _faulty_game(constraints=lambda x: np.array([-0.9e308 + x[1]]))
+    rep = validate_instance(game, samples=2, seed=0)
+    assert rep.all_finite and rep.notes == []
 
 
 def test_oracle_determinism_bitwise():

@@ -8,7 +8,7 @@ import pytest
 import gnepsolve as G
 from gnepsolve.core import BlockLayout, PlayerDualState, SimpleSet
 from gnepsolve.lagrangian import PenaltyParams, evaluate_point, lagrangian_value, lagrangian_values
-from gnepsolve.core import central_gradient
+from gnepsolve.core import central_jacobian
 from gnepsolve import library
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
 from reference import build_anchor
@@ -268,7 +268,7 @@ def test_grad_matches_finite_differences(pen2):
         lam = np.abs(rng.standard_normal(1))
         d = dual(np.zeros(1), lam, lam)
         g = lagrangian_grad_x(game, 0, x, lam)
-        fd = central_gradient(lambda y: lagrangian_value(game, 0, y, d, pen2), x)
+        fd = central_jacobian(lambda y: np.array([lagrangian_value(game, 0, y, d, pen2)]), x, 1)
         denom = max(1.0, np.max(np.abs(g)))
         assert np.max(np.abs(fd - g)) / denom <= 1e-6
 

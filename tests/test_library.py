@@ -319,15 +319,24 @@ def test_qgnep_round_trip_bitwise(tmp_path):
 
 
 def test_qgnep_rejects_indefinite_own_block(tmp_path):
+    # player 0's objective own block [[-0.1, b], [b, -0.1]], b = 0.4822, has
+    # eigenvalue -0.1 - b; player 1's curved row diag(0, 0, 1, -0.25) has
+    # own block diag(1, -0.25)
     spec, _ = library.random_quadratic_spec(2, 2, 1, seed=3)
     p = spec.players[0]
     for part in (p.rows, p.cols):   # its own block Q[:2, :2] is in both
         part[0, 0] = part[1, 1] = -0.1
-    path = tmp_path / "bad.qgnep.json"
-    library.save_quadratic(spec, path)
-    with pytest.raises(AdmissibilityError) as err:
-        library.load_quadratic(path)
-    assert "player 0" in str(err.value)
+    curved, _ = library.random_quadratic_spec(2, 2, 1, seed=3)
+    _, c, d = curved.players[1].constraints[0]
+    curved.players[1].constraints[0] = (np.diag([0.0, 0.0, 1.0, -0.25]), c, d)
+    for bad, message in [(spec, "player 0: objective own block has eigenvalue -5.822e-01 < -1e-10"),
+                         (curved, "player 1 constraint 0: own block has eigenvalue -2.500e-01 "
+                                  "< -1e-10")]:
+        path = tmp_path / "bad.qgnep.json"
+        library.save_quadratic(bad, path)
+        with pytest.raises(AdmissibilityError) as err:
+            library.load_quadratic(path)
+        assert str(err.value) == message
 
 
 def test_random_quadratic_build_allocates_a_small_multiple_of_its_stack():

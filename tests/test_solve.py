@@ -144,17 +144,18 @@ def test_one_point_private_set_with_violated_constraint_stalls():
 
 
 def test_overflowed_multiplier_ends_in_an_oracle_failure_without_a_warning():
-    # the constraint value 1e308 over beta = 1e-3 overflows the multiplier
-    # to inf in one step; the sampled (zero) bound times inf is NaN in the
-    # next estimate, whose NaN proximal weight ends the run before the
-    # step, with no NumPy warning on the way
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        res = G.solve(one_point_game(-1e308), np.zeros(1), G.SolverConfig(beta=1e-3))
-    assert res.status == "oracle-failure"
-    assert res.message == ("player 0: NaN proximal weight from smoothness estimate nan "
-                           "and constraint-Jacobian norm bound 2")
-    assert res.outer_iterations == 1 and res.state.duals.lam.tolist() == [np.inf]
+    # the constraint value 1e308 over beta = 1e-3, and example3's value 3
+    # over beta = 1e-308, overflow player 0's multiplier to inf in the first
+    # step at a finite x: the run names the multiplier and ends at its start,
+    # with no NumPy warning on the way
+    runs = [(one_point_game(-1e308), 1e-3, [0.0]), (G.library.make_example3(), 1e-308, [0.0, 0.0])]
+    for game, beta, lam in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = G.solve(game, np.zeros(game.n), G.SolverConfig(beta=beta))
+        assert res.status == "oracle-failure"
+        assert res.message == "player 0: non-finite multiplier"
+        assert res.outer_iterations == 0 and res.state.duals.lam.tolist() == lam
 
 
 def test_estimate_of_an_overflowed_multiplier_runs_under_the_callers_error_state():

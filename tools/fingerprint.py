@@ -1,11 +1,11 @@
 """Fingerprint solver runs field by field, and diff two checkouts.
 
 Each run of a fixed set is solved and every recorded field is hashed
-(SHA-256): the status and outer-iteration count, the final x, the exported
-duals z, lam and mu (``solve`` carries lam alone and exports z as zeros and
-mu as a copy of lam), every trace column (one per ``TraceRow`` field), the
-initial trace fields, the exit census, the violation counts and the kept
-violation messages; for a game with stacked quadratic data, also every
+(SHA-256): the status, message and outer-iteration count, the final x, the
+exported duals z, lam and mu (``solve`` carries lam alone and exports z as
+zeros and mu as a copy of lam), every trace column (one per ``TraceRow``
+field), the initial trace fields, the exit census, the violation counts and
+the kept violation messages; for a game with stacked quadratic data, also every
 array of its stack (``G``, each run's ``bands``, ``b``, ``C``, ``D``,
 ``dense`` and each curved player's ``hessians``) and its dense players, so
 a diff covers the build as well as the solve. The run set, with the
@@ -127,8 +127,8 @@ def run_set():
 
 def record(res) -> dict[str, object]:
     """Every fingerprinted field of one solve result."""
-    out: dict[str, object] = {"status": res.status, "outer_iterations": res.outer_iterations,
-                              "x": res.state.x}
+    out: dict[str, object] = {"status": res.status, "message": res.message,
+                              "outer_iterations": res.outer_iterations, "x": res.state.x}
     d = res.state.duals
     out.update(z=d.z, lam=d.lam, mu=d.mu)
     columns = res.trace.columns if res.outer_iterations else {}
