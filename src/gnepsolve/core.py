@@ -13,12 +13,18 @@ the runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
+
+try:   # the ufunc that ndarray.clip ends in
+    from numpy._core.umath import clip as clip_ufunc
+except ImportError:   # NumPy 1
+    from numpy.core.umath import clip as clip_ufunc
 
 Array = np.ndarray
 _ZERO = np.array(0.0)   # 0-d: NumPy converts a Python float operand on every ufunc call
@@ -632,15 +638,26 @@ class GameInstance:
         simplex and ball blocks are projected one at a time, row by row.
         """
         x = np.asarray(x, dtype=float)
-        lower, upper, rest = self._clip_bounds
+        lower, upper, _ = self._clip_bounds
         if x.ndim > 1:   # broadcast (stride-0) bounds take a clip loop that keeps -0.0
-            lower, upper = (np.tile(b, x.shape[:-1] + (1,)) for b in (lower, upper))
-        out = x.clip(lower, upper, out=out)
-        for i in rest:
+            lower, upper = self._tiled_bounds(x.shape[:-1])
+        return self.project_rest(x, clip_ufunc(x, lower, upper, out=out))
+
+    def project_rest(self, x: Array, out: Array) -> Array:
+        """The simplex and ball blocks of ``x`` projected into ``out``."""
+        for i in self._clip_bounds[2]:
             sl, project = self.layout.slices[i], self.players[i].private_set.project
             for row in np.ndindex(x.shape[:-1]):
                 out[row + (sl,)] = project(x[row + (sl,)])
         return out
+
+    def _tiled_bounds(self, lead: tuple[int, ...]) -> list[Array]:
+        """The clip bounds over the leading axes ``lead``, C-ordered: views
+        of one tile a game, made again only for more rows than it holds."""
+        rows, tiles = math.prod(lead), self.__dict__.get("_tiles")
+        if tiles is None or len(tiles[0]) < rows:
+            tiles = self.__dict__["_tiles"] = [np.tile(b, (rows, 1)) for b in self._clip_bounds[:2]]
+        return [t[:rows].reshape(lead + t.shape[1:]) for t in tiles]
 
     def constant_jacobian(self, i: int) -> bool:
         """Player ``i``'s constraint Jacobian does not depend on ``x``: the
@@ -901,7 +918,9 @@ def validate_instance(game: GameInstance, samples: int = 100, seed: int = 0) -> 
                     notes.append(f"player {i}: {name} oracle raised along segment")
                     break
                 if np.all(np.isfinite(fa)) and np.all(np.isfinite(fb)) and np.all(np.isfinite(fm)):
-                    conv_viol = max(conv_viol, float(np.max(fm - 0.5 * (fa + fb))))
+                    total = fa + fb   # halved term by term only where the finite sum overflows
+                    gap = np.where(np.isfinite(total), fm - 0.5 * total, fm - 0.5 * fa - 0.5 * fb)
+                    conv_viol = max(conv_viol, float(np.max(gap)))
                 else:
                     notes.append(f"player {i}: non-finite {name} along segment")
 

@@ -10,8 +10,8 @@ constraint row, is one Jacobi step on the joint row ``[x; lam]``:
    ``project_private(x - own_grad / gamma)``;
 2. the multipliers are updated by exact maximization,
    ``lam = max(lam + g(x_new) / beta, 0)``;
-3. stop when neither the primal blocks nor the multipliers moved more than
-   the outer tolerance in the max norm.
+3. stop when neither the primal blocks nor ``beta`` times the multipliers
+   moved more than the outer tolerance in the max norm.
 
 An exit test labels each step (surrogate descent, verified non-increase of
 the true value, a forced step, or a stall at the anchor). The label changes
@@ -50,6 +50,7 @@ from .core import (
     GameInstance,
     IterateState,
     OracleFailure,
+    clip_ufunc,
     constraint_violation,
     initial_state,
     max_abs,
@@ -477,15 +478,17 @@ class _StallWatch:
         return None
 
 
-def _jacobian_gathers(game: GameInstance, J: Array, moving: bool = False) -> list | Array:
-    """:attr:`~gnepsolve.core.GameInstance.own_gathers` with each run's rows
-    of ``J`` as one ``(p, w, n)`` view (blocks ``None`` when they are every
-    block: one add, no slice): bound once per solve for a ``J`` that cannot
-    move, and per step for one that moves (its own entries, with one row a player)."""
+def _jacobian_gathers(game: GameInstance, J: Array, lams: Array,
+                      moving: bool = False) -> list | Array:
+    """:attr:`~gnepsolve.core.GameInstance.own_gathers` with each run's
+    multipliers as a ``(rows, p, 1, w)`` view of the store's ``lams`` and its
+    rows of ``J`` as a ``(p, w, n)`` view (blocks ``None`` when every block:
+    one add, no slice): bound once per solve for a ``J`` that cannot move,
+    per step for one that moves (its own entries, with one row a player)."""
     if moving and game.rows.unit:
         return J.take(game.layout.own_entries)
-    n = game.n
-    return [(rows, cols, p, own, J[rows].reshape(p, -1, n))
+    n, R = game.n, len(lams)
+    return [(lams[:, rows].reshape(R, p, 1, -1), cols, own, J[rows].reshape(p, -1, n))
             for rows, cols, p, own in game.own_gathers]
 
 
@@ -500,42 +503,49 @@ def _own_grads(game: GameInstance, obj: Array) -> Array:
     return obj + q.b_own
 
 
-def _step(game: GameInstance, x: Array, lam: Array, obj: Array, gathers: list | Array,
-          gamma_by_coord: Array, beta: float) -> tuple[Array, tuple, Array]:
-    """One iteration from the halves ``x`` and ``lam`` of the joint row, with
-    ``obj`` the objective data at ``x`` (:func:`_own_grads`): the own-block
-    gradients plus each player's own entries of the full gemv ``J_i.T @
-    lam_i`` (one over the own columns alone rounds differently; ``gathers``
-    from :func:`_jacobian_gathers`, whose own entries of one row a player
-    each take one product), the projection and the dual step
-    written into the new row. The sweep at the new point is
-    :func:`~gnepsolve.core.quadratic_constraints` and its ``G @ x`` with
-    stacked quadratic data, which checks nothing (the trace block pass finds
-    a non-finite value, :func:`_objective_rows`), else the checked oracle
-    sweep, which raises :class:`~gnepsolve.core.OracleFailure`. Returns the
-    new row, the head of its trace row ``(x, lam, g, obj, theta)`` (the
-    halves of the new row, the constraint values, the objective data and
-    the oracle's objective values, ``None`` with stacked data) and the
-    constraint Jacobian at its point."""
-    q, n = game.quadratic, len(x)
-    grad = _own_grads(game, obj)
+def _step(game: GameInstance, store: dict[str, Array], r: int, gathers: list | Array,
+          affine: list | None, gamma_by_coord: Array, beta: Array) -> Array:
+    """One iteration from row ``r`` of the row store (:func:`_row_store`) into
+    row ``r + 1``; returns the joint row's move. The own-block gradients of
+    ``obj`` (:func:`_own_grads`) plus each player's own entries of the full
+    gemv ``J_i.T @ lam_i`` (one over the own columns alone rounds
+    differently; ``gathers`` from :func:`_jacobian_gathers`, one product an
+    entry with one row a player), the projection (box and nonneg blocks: one
+    clip ufunc call) and the dual step. The sweep at the new point is, with
+    stacked quadratic data, a gemv per run of constraint rows into its
+    ``affine`` view of ``g`` (curved players:
+    :func:`~gnepsolve.core.quadratic_constraints`) and ``G @ x``, which check
+    nothing (the trace block pass does); else the checked oracle sweep."""
+    q, z, new, n = game.quadratic, store["z"][r], store["z"][r + 1], len(gamma_by_coord)
+    x, lam, u, lam_new, obj = z[:n], z[n:], new[:n], new[n:], store["obj"][r]
+    grad = _own_grads(game, obj) if q is None else obj + q.b_own
     if type(gathers) is np.ndarray:   # own entries of one row a player: a 1x1 gemv an entry
         gathers, grad = (), grad + (game.layout.segments.repeat(lam) * gathers + _ZERO)
-    for rows, cols, p, own, J in gathers:
-        terms = np.matmul(lam[rows].reshape(p, 1, -1), J).ravel()[own]
+    for lams, cols, own, J in gathers:
+        terms = np.matmul(lams[r], J).ravel()[own]
         if cols is None:
             grad += terms
         else:
             grad[cols] += terms
-    new = np.empty(n + len(lam))
-    u, lam_new = new[:n], new[n:]
-    game.project_private(x - grad / gamma_by_coord, out=u)
+    v = np.subtract(x, np.divide(grad, gamma_by_coord, out=grad), out=grad)
+    lower, upper, rest = game._clip_bounds
+    clip_ufunc(v, lower, upper, out=u)
+    if rest:
+        game.project_rest(v, u)
+    g = store["g"][r]
     if q is None:
-        theta, obj, g, J = checked_sweep(game, u)
+        store["theta"][r], store["obj"][r + 1], g[:], store["J"][r + 1] = checked_sweep(game, u)
+    elif q.hessians:
+        g[:], store["J"][r + 1] = quadratic_constraints(game, u)
     else:
-        (g, J), obj, theta = quadratic_constraints(game, u), np.matmul(q.G, u), None
-    np.maximum(lam + g / beta, 0.0, out=lam_new)
-    return new, (u, lam_new, g, obj, theta), J
+        for C, rows in affine:
+            np.matmul(C, u, out=rows[r])
+        np.add(g, q.affine_offset, out=g)
+    if q is not None:
+        np.matmul(q.G, u, out=store["obj"][r + 1])
+    dual = g if beta is None else np.divide(g, beta, out=lam_new)   # g / 1.0 is g, bit for bit
+    np.maximum(np.add(lam, dual, out=lam_new), _ZERO, out=lam_new)
+    return np.subtract(new, z)
 
 
 # ---------------------------------------------------------------------------
@@ -708,76 +718,75 @@ def _objective_rows(game: GameInstance, anchor: tuple[Array, ...], x: Array, lam
     return np.concatenate(thetas), np.concatenate(slopes)
 
 
-def _block_rows(row: tuple) -> int:
-    """Rows per trace block of a run whose first pending row is ``row``
-    (every row of a run holds arrays of the same shapes): as many as fit
-    their arrays in ``_BLOCK_BYTES``, from one to ``_BOUND_ROWS``."""
-    nbytes = sum(a.nbytes for a in row if isinstance(a, np.ndarray))
-    return min(_BOUND_ROWS, max(1, _BLOCK_BYTES // nbytes))
+# The row store's fields whose row 0 is the block's anchor, and its columns of moving data.
+_ANCHORED = ("z", "obj", "J")
+_MOVING = ("jac_norm", "gamma", "M_theta_own", "M_g_own")
+
+
+def _row_store(game: GameInstance, obj: Array, J: Array, fixed: bool) -> dict[str, Array]:
+    """One solve's block buffers, a row each trace row's arrays that cannot
+    be derived: ``z = [x; lam]``, ``obj``, ``g``, the oracle's ``theta``
+    without stacked data, ``J`` (a read-only view if ``fixed``) and, where
+    data can move, the ``_MOVING`` columns; row 0 of ``_ANCHORED`` is the
+    anchor. Rows: as many as fit ``_BLOCK_BYTES``, one to ``_BOUND_ROWS``."""
+    n, M, N = game.n, game.total_constraints, game.num_players
+    shapes = dict(z=(n + M,), obj=obj.shape, g=(M,))
+    if game.quadratic is None:
+        shapes["theta"] = (N,)
+    if not fixed:
+        shapes.update(J=J.shape, **dict.fromkeys(_MOVING, (N,)))
+    B = min(_BOUND_ROWS, max(1, _BLOCK_BYTES // (8 * sum(map(math.prod, shapes.values())))))
+    store = {f: np.empty((B + (f in _ANCHORED),) + shape) for f, shape in shapes.items()}
+    if fixed:
+        store["J"] = np.broadcast_to(J, (B + 1,) + J.shape)
+    return store
 
 
 @np.errstate(**QUIET)   # a diverging run records non-finite values
-def _trace_rows(game: GameInstance, anchor: tuple, pending: list[tuple],
-                constants: dict[str, Array] | None, stall_tol: float) -> dict[str, Array]:
-    """The trace columns of ``pending`` iterations over a leading axis of
-    rows, bit for bit the one-row values. ``anchor`` is ``(k, x, lam, J,
-    L_values, obj)`` of the row before the first. A row keeps what cannot be
-    derived: ``(x, lam, g, obj, theta)`` from :func:`_step`, and data that
-    can move adds ``(J, jac_norm, gamma, L_theta, M_g_own)``, the last two
-    the estimator's arrays (bound anew at each resample). Each row's ``k``, step
-    ``dx`` and multiplier move ``dlam`` (the loop's subtractions) follow from
-    the anchor and the stacked states, and its own-block gradients from
-    ``obj`` (:func:`_own_grads`), as in the step. The objective values with
-    stacked quadratic data and every game's model slopes are computed here
-    (:func:`_objective_rows`), and only the rows it returns are built. Data
-    that cannot move passes its per-run columns ``constants``, each one
-    ``(N,)`` row that every row's column is a read-only view of, and every
-    row's ``J`` is the anchor's; else the rows' ``J`` are stacked and their
-    own-block norms taken from the stack. The Lagrangian values at the
-    primal step and after the dual step are one :func:`lagrangian_values`
-    call over a leading axis of (rows, 2), and each row's exit label is
-    judged against the values after the previous row, the anchor's for the
-    first."""
-    k_a, x_a, lam_a, J_a, prev_L, obj_a = anchor
-    cols = list(zip(*pending))
-
-    def stack(f: int) -> Array:   # one concatenation: np.array over many small arrays is slower
-        return np.concatenate(cols[f]).reshape((len(pending),) + cols[f][0].shape)
-
-    def held(f: int) -> Array:   # an estimator's array, one object from resample to resample
-        a = cols[f][0]
-        return np.broadcast_to(a, (len(pending),) + a.shape) if a is cols[f][-1] else stack(f)
-
-    x, lam, g, obj = map(stack, range(4))
-    lams = np.stack([np.vstack([lam_a, lam[:-1]]), lam], axis=1)   # (rows, 2, M)
-    dx, dlam = x - np.vstack([x_a, x[:-1]]), lam - lams[:, 0]
+def _trace_rows(game: GameInstance, anchor: tuple[int, Array], store: dict[str, Array],
+                rows: int, constants: dict[str, Array] | None,
+                stall_tol: float) -> dict[str, Array]:
+    """The trace columns of the first ``rows`` rows of the row store
+    ``store``, read as views, bit for bit the one-row values, none a view of
+    the store. ``anchor`` is ``(k, L_values)`` of the row before the first,
+    whose state, objective data and ``J`` are the store's row 0. The steps
+    and multiplier moves are the joint rows' differences; the objective
+    values with stacked quadratic data and every game's model slopes come
+    from :func:`_objective_rows`, and only the rows it returns are built.
+    Data that cannot move passes its per-run columns ``constants``, views of
+    one ``(N,)`` row, and every row's ``J`` is the anchor's. The Lagrangian
+    values at the primal step and after the dual step are one
+    :func:`lagrangian_values` call over (rows, 2), and each row's exit label
+    is judged against the values after the previous row."""
+    (k_a, prev_L), n = anchor, game.n
+    store = {f: a[:rows + (f in _ANCHORED)] for f, a in store.items()}
+    xs, lams_all, obj_all, J_all = store["z"][:, :n], store["z"][:, n:], store["obj"], store["J"]
+    x, lam, g, obj = xs[1:], lams_all[1:], store["g"], obj_all[1:]
+    lams = np.stack([lams_all[:-1], lam], axis=1)   # (rows, 2, M)
+    dx, dlam = x - xs[:-1], lam - lams_all[:-1]
     # max_abs of each row, as the loop takes it
     dx_inf, dlam_inf = (np.maximum.reduce(np.abs(v), axis=1, initial=0.0) for v in (dx, dlam))
-    J = J_a if constants is not None else stack(5)
-    theta, slope = _objective_rows(game, (x_a, lam_a, J_a, obj_a), x, lam, g, J, dx, obj,
-                                   stack(4) if game.quadratic is None else None)
-    if len(theta) < len(pending):
-        return (_trace_rows(game, anchor, pending[:len(theta)], constants, stall_tol)
+    J = J_all[0] if constants is not None else J_all[1:]
+    theta, slope = _objective_rows(game, (xs[0], lams_all[0], J_all[0], obj_all[0]), x, lam, g,
+                                   J, dx, obj, store.get("theta"))
+    if len(theta) < rows:
+        return (_trace_rows(game, anchor, store, len(theta), constants, stall_tol)
                 if len(theta) else _empty_columns())
     qx, dd = projected_gradient_x(game, x, lam, _own_grads(game, obj), J), self_dots(dx)
-    del x, obj, dx   # what follows then peaks lower
-    if constants is not None:
-        run = {f: np.broadcast_to(v, (len(pending),) + v.shape) for f, v in constants.items()}
-    else:
-        run = dict(jac_norm=stack(6), jac_own_norm=_own_jac_norms(game, J), gamma=stack(7),
-                   M_theta_own=held(8), M_g_own=held(9))
+    del dx   # what follows then peaks lower
+    run = ({f: v[:rows] for f, v in constants.items()} if constants is not None else
+           {f: store[f].copy() for f in _MOVING} | {"jac_own_norm": _own_jac_norms(game, J)})
     L_x, L = lagrangian_values(theta[:, None], g[:, None], lams, game.rows).transpose(1, 0, 2)
     moves = np.stack([dlam, lam, projected_step_lam(lam, g)], axis=1)
     dlam_2, lam_norm2, qlam = np.sqrt(game.rows.dot(moves, moves)).transpose(1, 0, 2)
     return dict(
-        k=k_a + np.arange(1, len(pending) + 1), L_values=L, dx_inf=dx_inf, dlambda_inf=dlam_inf,
+        k=k_a + np.arange(1, rows + 1), L_values=L, dx_inf=dx_inf, dlambda_inf=dlam_inf,
         feas=constraint_violation(g),
         exit_kind=_exit_labels(np.vstack([prev_L, L[:-1]]), L_x, slope, run["gamma"], dd,
                                dx_inf, stall_tol),
         L_x_step=L_x, dx_2=np.sqrt(dd), dlam_2=dlam_2, lam_norm2=lam_norm2,
         lam_norm_inf=game.rows.max_abs(lam), jac_norm=run["jac_norm"],
-        jac_own_norm=run["jac_own_norm"],
-        qx=qx, qlam=qlam,
+        jac_own_norm=run["jac_own_norm"], qx=qx, qlam=qlam,
         gamma=run["gamma"], M_theta_own=run["M_theta_own"], M_g_own=run["M_g_own"])
 
 
@@ -802,41 +811,29 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
     names the NaN smoothness constant). A failed run keeps the trace and the
     state of the last completed iteration.
 
-    Each outer iteration works on whole arrays over players, and computes
-    what the next iterate and the stopping test read, with the multipliers
-    stacked over the constraint rows (``game.rows``): one step on the joint
-    row ``[x; lam]`` (:func:`_step`), that is the own-block gradients, one
-    projection and the dual step into the new row, and a stop test of one
-    max-abs over the row's move. With stacked quadratic data the sweep at
-    the new point is its constraint rows and ``G @ x``, and the objective
-    values, the rival blocks of the gradients and the finiteness check of
-    every field a full sweep would check are the trace's. Any other game
-    takes a full checked oracle sweep (one call of its batched oracle when
-    it has one). The model slopes are the trace's for every game. With
-    moving Jacobians an iteration takes each player's full-Jacobian norm,
-    which the next Lipschitz estimate reads, and that estimate, ``gamma``
-    and its repeat over the blocks are a handful of whole-array operations
-    with 0-d constant operands (:meth:`LipschitzEstimator.estimate`,
-    :func:`choose_gamma`, which also rejects a NaN weight). With one row a
-    player the norms are one batched dot and a root, and the multiplier
-    terms of the estimate and of the next step's own-block gradients are
-    one product an entry, with no views of ``J`` bound. No iteration labels
-    its own step: each keeps only the arrays of its row that cannot be
-    derived (the estimator's by reference; see :func:`_trace_rows`), and
-    one pass over a leading axis of rows builds their columns when the
-    pending rows' arrays reach ``_BLOCK_BYTES``, at most every
-    ``_BOUND_ROWS`` rows (:func:`_block_rows`), and when the loop ends. The
-    stall stop (:class:`_StallWatch`) is fed each built block but a
-    converged row. A run ends at a trace row: at the row that stops it, or
-    before the first row the block pass cannot build, which ends it as an
-    oracle failure at that iteration would, with the full sweep's message
-    there; the rows the loop ran past it are dropped, and the final state
-    and residual are the last kept row's. The blocks are stacked once, at
-    the end; a ``fixed`` game's per-run constants are one row each, viewed
-    by every row. One ``np.errstate(**QUIET)`` spans the loop: a diverging
-    run ends in a finiteness check, not in a NumPy warning. Every
-    per-player reduction is bit for bit the per-player one, so neither the
-    iterates, the trace nor the stop depend on how the work is batched.
+    Each outer iteration works on whole arrays over players, with the
+    multipliers stacked over the constraint rows (``game.rows``): one step
+    on the joint row ``[x; lam]`` (:func:`_step`) written into the next row
+    of the solve's row store (:func:`_row_store`), and a stop test of one
+    max-abs over the row's move, its dual half times ``beta`` (the dual move
+    is about ``g / beta``, so ``outer_tol`` bounds the constraint violation
+    at every ``beta``; at ``beta = 1`` nothing is scaled). With moving
+    Jacobians an iteration also takes each player's full-Jacobian norm,
+    which the next Lipschitz estimate reads. No iteration labels its own
+    step: one pass over the store's rows (:func:`_trace_rows`) builds their
+    columns when the store is full and when the loop ends, and its last
+    kept row is copied into the anchor row. The stall stop
+    (:class:`_StallWatch`) is fed each built block but a converged row. A
+    run ends at a trace row: at the row that stops it, or before the first
+    row the block pass cannot build, which ends it as an oracle failure at
+    that iteration would, with the full sweep's message there; the rows the
+    loop ran past it are dropped, and the final state (a copy) and residual
+    are the last kept row's. The blocks are stacked once, at the end; a
+    ``fixed`` game's per-run constants are one row each, viewed by every
+    row. One ``np.errstate(**QUIET)`` spans the loop: a diverging run ends
+    in a finiteness check, not in a NumPy warning. Every per-player
+    reduction is bit for bit the per-player one, so neither the iterates,
+    the trace nor the stop depend on how the work is batched.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -854,14 +851,11 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
         return SolveResult("oracle-failure", state, trace, time.perf_counter() - t0,
                            0, np.inf, message=str(exc))
 
-    x, lam, J, q = state.x, state.duals.lam, point.g_jacobians, game.quadratic
+    x, lam, J, q, n = state.x, state.duals.lam, point.g_jacobians, game.quadratic, game.n
     # Data that cannot move: gamma, the Jacobian norms and J are the first ones.
     fixed = estimator.fixed
     with np.errstate(**QUIET):   # an overflowed norm is the next sweep's oracle failure
-        jac_full = _jac_norms(game, J)
-        jac_own = _own_jac_norms(game, J)
-        # the joint row [x; lam], the objective data at its point, J's views
-        z, gathers = np.concatenate([x, lam]), _jacobian_gathers(game, J, not fixed)
+        jac_full, jac_own = _jac_norms(game, J), _own_jac_norms(game, J)
         obj = point.theta_grads if q is None else np.matmul(q.G, x)
     trace = SolveTrace(
         initial_L=lagrangian_values(point.theta, point.g_values, lam, rows),
@@ -872,80 +866,92 @@ def solve(game: GameInstance, x0: Array, cfg: SolverConfig | None = None) -> Sol
 
     status, message = "max_outer", ""
     watch = _StallWatch(cfg.outer_tol)
-    # raw rows, built columns, and (k, x, lam, J, L_values, obj) of the last built row
-    pending, blocks, before = [], [], (0, x, lam, J, trace.initial_L, obj)
-    constants, block_rows = None, 0   # a fixed game's run columns; rows per block
+    # the row store, its anchor the start, and the views bound to it; its rows filled
+    store = _row_store(game, obj, J, fixed)
+    z, B, r, anchored = store["z"], len(store["g"]), 0, _ANCHORED[:2 + (not fixed)]
+    z[0, :n], z[0, n:], store["obj"][0] = x, lam, obj
+    if not fixed:
+        store["J"][0] = J
+    gathers, lams = _jacobian_gathers(game, J, z[:, n:], not fixed), z[:, n:]
+    affine = None if q is None else [(C, store["g"][:, e].reshape(B, -1, w))
+                                     for C, (_, e, w) in zip(game._affine_rows, rows._runs)]
+    # built columns, (k, L_values) of the last built row; a fixed game's run columns
+    blocks, built, constants = [], (0, trace.initial_L), None
+    beta = None if cfg.beta == 1.0 else np.array(cfg.beta)
 
     def build() -> bool:
-        """Build the pending rows' columns and feed them to the stall stop;
+        """Build the store's rows' columns and feed them to the stall stop;
         True when the run ends at one of them: at the row that stops it, or
         before the first row the block pass cannot build, the rows past it
-        dropped."""
-        nonlocal pending, before, status, message
-        block = _trace_rows(game, before, pending, constants, cfg.outer_tol)
+        dropped. The last kept row is copied into the anchor row."""
+        nonlocal r, built, status, message
+        block = _trace_rows(game, built, store, r, constants, cfg.outer_tol)
         kept = len(block["k"])
-        fed = kept - (status == "converged" and kept == len(pending))   # not the converged row
+        fed = kept - (status == "converged" and kept == r)   # not the converged row
         stop = watch.stops({f: col[:fed] for f, col in block.items()})
-        ends = stop is not None or kept < len(pending)
+        ends = stop is not None or kept < r
         if stop is not None:
             kept, status = stop + 1, "stalled-stationary"
             message = ("primal blocks pinned at a fixed point while the "
                        "multiplier drift is not decaying")
-        elif kept < len(pending):   # as an oracle failure at that iteration would
+        elif kept < r:   # as an oracle failure at that iteration would
             status = "oracle-failure"
             try:   # the full sweep there names the player and field
-                evaluate_point(game, pending[kept][0])
+                evaluate_point(game, z[kept + 1, :n])
             except OracleFailure as exc:
                 message = str(exc)
         if kept:
             blocks.append({f: col[:kept] for f, col in block.items()})
-            last = pending[kept - 1]
-            before = (before[0] + kept, last[0], last[1], before[3] if fixed else last[5],
-                      block["L_values"][kept - 1], last[3])
-        pending = []
+            built = (built[0] + kept, block["L_values"][kept - 1])
+        for f in anchored:
+            store[f][0] = store[f][kept]
+        r = 0
         return ends
 
     with np.errstate(**QUIET):   # a diverging run ends in a finiteness check
         for k in range(cfg.max_outer):
             try:
                 if k == 0 or not fixed:
-                    est = estimator.estimate(x, lam, jac_norms=jac_full)
+                    est = estimator.estimate(z[r, :n], z[r, n:], jac_norms=jac_full)
                     gamma, _ = choose_gamma(est, penalty, cfg.gamma)
                     gamma_by_coord = game.layout.segments.repeat(gamma)
                     if fixed:
-                        constants = dict(jac_norm=jac_full, jac_own_norm=jac_own, gamma=gamma,
-                                         M_theta_own=est.L_theta, M_g_own=est.M_g_own)
-                new, row, J = _step(game, x, lam, obj, gathers, gamma_by_coord, cfg.beta)
-                x, lam, obj = row[0], row[1], row[3]
-                residual, z = max_abs(new - z), new   # a NaN never converges
+                        constants = {f: np.broadcast_to(v, (B,) + v.shape) for f, v in dict(
+                            jac_norm=jac_full, jac_own_norm=jac_own, gamma=gamma,
+                            M_theta_own=est.L_theta, M_g_own=est.M_g_own).items()}
+                move = _step(game, store, r, gathers, affine, gamma_by_coord, beta)
+                if beta is not None:   # the dual move in the problem's units
+                    move[n:] *= beta
+                residual = max_abs(move)   # a NaN never converges
                 if not residual < math.inf:   # name a non-finite x-derived field, else lam
-                    evaluate_point(game, x)
+                    evaluate_point(game, z[r + 1, :n])
                     for i, (a, b) in enumerate(zip(rows.bounds, rows.bounds[1:])):
-                        _check_finite(lam[a:b], i, "multiplier")
+                        _check_finite(z[r + 1, n + a:n + b], i, "multiplier")
                 if not fixed:
-                    gathers, jac_full = _jacobian_gathers(game, J, True), _jac_norms(game, J)
-                    row += (J, jac_full, gamma, est.L_theta, est.M_g_own)
+                    J = store["J"][r + 1]
+                    gathers, jac_full = _jacobian_gathers(game, J, lams, True), _jac_norms(game, J)
+                    for f, v in zip(_MOVING, (jac_full, gamma, est.L_theta, est.M_g_own)):
+                        store[f][r] = v
             except OracleFailure as exc:
                 status, message = "oracle-failure", str(exc)
                 break
-
-            pending.append(row)
+            r += 1
             if residual <= cfg.outer_tol:
                 status = "converged"
                 break
-            block_rows = block_rows or _block_rows(row)
-            if len(pending) == block_rows and build():
+            if r == B and build():
                 break
 
-    if pending:
+    if r:
         build()
-    x, lam = before[1], before[2]   # the state of the last kept row
+    x, lam = z[0, :n].copy(), z[0, n:].copy()   # the state of the last kept row
     if blocks:   # field by field: a field's blocks are freed as its column is made
         run, n_rows = constants or {}, sum(len(b["k"]) for b in blocks)
-        trace.columns = {f: np.broadcast_to(run[f], (n_rows,) + run[f].shape) if f in run
+        trace.columns = {f: np.broadcast_to(run[f][0], (n_rows,) + run[f].shape[1:]) if f in run
                          else np.concatenate([b.pop(f) for b in blocks]) for f in list(blocks[0])}
     cols = trace.columns
-    residual = max(cols["dx_inf"][-1], cols["dlambda_inf"][-1]) if len(cols["k"]) else np.inf
+    residual = (max(cols["dx_inf"][-1], cfg.beta * cols["dlambda_inf"][-1]) if len(cols["k"])
+                else np.inf)
     state = IterateState(x, DualStack(np.zeros(rows.total), lam, lam.copy(), rows))
     trace.violations, trace.violation_counts = verify_run_bounds(trace, cfg, state.duals)
     return SolveResult(

@@ -34,30 +34,57 @@ def blocks_of(monkeypatch, rows):
 
 
 def record_blocks(monkeypatch):
-    """Record every ``_trace_rows`` call of ``solve``: its arguments and the
+    """Record every ``_trace_rows`` call of ``solve``: its arguments, the row
+    store's rows copied (the next block overwrites the store), and the
     columns it built (a copy of the block, which solve empties)."""
     blocks, trace_rows = [], G.solver._trace_rows
 
-    def recording(*args):
-        built = trace_rows(*args)
-        blocks.append((args, dict(built)))
+    def recording(game, anchor, store, rows, *rest):
+        built = trace_rows(game, anchor, store, rows, *rest)
+        kept = {f: a[:rows + (f in G.solver._ANCHORED)] for f, a in store.items()}
+        blocks.append(((game, anchor, {f: a.copy() if a.flags.writeable else a
+                                       for f, a in kept.items()}, rows, *rest), dict(built)))
         return built
 
     monkeypatch.setattr(G.solver, "_trace_rows", recording)
     return blocks
 
 
+def block_rows(store, j):
+    """The row store (:func:`record_blocks`) from row ``j`` of a block on, led
+    by its anchor, the row before it: row ``j`` alone is its first row."""
+    return {f: a[j:] for f, a in store.items()}
+
+
 def row_states(blocks, rows):
     """``(x, lam)`` before and after each of the first ``rows`` trace rows,
     from the recorded ``blocks`` (:func:`record_blocks`): a row's anchor is
-    the row before it, the block's anchor for its first row, as the trace
-    block pass derives it."""
+    the row before it, the block's anchor (the store's row 0) for its first
+    row, as the trace block pass derives it."""
     states = []
-    for (_, (_, x, lam, *_), pending, *_), _ in blocks:
-        for row in pending:
-            states.append(((x, lam), (row[0], row[1])))
-            x, lam = row[0], row[1]
+    for (game, _, store, block, *_), _ in blocks:
+        x, lam = store["z"][:, :game.n], store["z"][:, game.n:]
+        states += [((x[j], lam[j]), (x[j + 1], lam[j + 1])) for j in range(block)]
     return states[:rows]
+
+
+def step_from(game, x, lam, obj, J, gamma, beta, moving=None):
+    """``solve``'s step (``solver._step``) from ``(x, lam)``, the objective
+    data ``obj`` there and the Jacobian ``J`` there, on a one-row store
+    (``moving`` ``J``, the store's default, takes the gathers solve takes
+    per step); returns the store, whose row 1 the step wrote, and the move
+    of the joint row."""
+    fixed = G.LipschitzEstimator(game).fixed
+    store, n = G.solver._row_store(game, obj, J, fixed), game.n
+    store["z"][0, :n], store["z"][0, n:], store["obj"][0] = x, lam, obj
+    gathers = G.solver._jacobian_gathers(game, J, store["z"][:, n:],
+                                         not fixed if moving is None else moving)
+    affine = None if game.quadratic is None else [
+        (C, store["g"][:, e].reshape(len(store["g"]), -1, w))
+        for C, (_, e, w) in zip(game._affine_rows, game.rows._runs)]
+    move = G.solver._step(game, store, 0, gathers, affine, game.layout.segments.repeat(gamma),
+                          np.array(beta))
+    return store, move
 
 
 def detach_batched_oracle(game):
@@ -104,7 +131,8 @@ def sampled_user_game(bad=None):
 
 def stopping_residual(prev, next_state):
     """The larger of the primal and the multiplier max-norm moves between two
-    states: the quantity ``solve`` stops on, from the states alone."""
+    states: the quantity ``solve`` stops on at ``beta = 1``, from the states
+    alone."""
     return max(max_abs(next_state.x - prev.x), max_abs(next_state.duals.lam - prev.duals.lam))
 
 

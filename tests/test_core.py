@@ -14,6 +14,8 @@ from gnepsolve.core import (
     validate_instance,
 )
 from gnepsolve import library
+from gnepsolve.lagrangian import QUIET
+from conftest import step_from
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +222,14 @@ def test_validate_flags_nan_oracle():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_huge_finite_oracle_values_raise_no_numpy_warning():
     # constraint values near -1e308 are finite, so no note is written, and
-    # the overflow of their midpoint sum raises no NumPy warning
+    # the overflow of their midpoint sum raises no NumPy warning and reports
+    # no infinite gap
     game = _faulty_game(constraints=lambda x: np.array([-0.9e308 + x[1]]))
     rep = validate_instance(game, samples=2, seed=0)
     assert rep.all_finite and rep.notes == []
+    # the affine row's midpoint gap is zero up to rounding at 1e308: the
+    # ends are halved one by one where their sum overflows
+    assert 0.0 <= rep.convexity_violation <= 1e292
 
 
 def test_oracle_determinism_bitwise():
@@ -275,6 +281,36 @@ def test_project_private_matches_blockwise_projection(sets, data):
     x = np.array(data.draw(st.lists(_COORDS, min_size=game.n, max_size=game.n)))
     ref = np.concatenate([s.project(x[sl]) for s, sl in zip(sets, game.layout.slices)])
     assert game.project_private(x).tobytes() == ref.tobytes()
+
+
+@st.composite
+def _clipped_blocks(draw):
+    """Box and nonneg blocks, and a point whose coordinates include their
+    bounds, signed zeros, NaN and infinities."""
+    sets = draw(st.lists(_private_sets().filter(lambda s: s.kind in ("box", "nonneg")),
+                         min_size=1, max_size=6))
+    edges = {float(b) for s in sets if s.kind == "box" for b in (*s.lower, *s.upper)}
+    coords = st.sampled_from(sorted(edges) + [-0.0, 0.0, np.nan]) | _COORDS | st.sampled_from(
+        [-np.inf, np.inf])
+    n = sum(s.dim for s in sets)
+    return sets, np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_clipped_blocks())
+def test_step_projection_matches_blockwise_projection(drawn):
+    # the joint-row step clips the box and nonneg blocks straight into the
+    # new row with the clip ufunc: bit for bit SimpleSet.project per block,
+    # signed zeros, NaN and infinities included. With zero objective data
+    # and gamma 1 the point it projects is x - 0.0 / 1.0, x's own bits
+    sets, x = drawn
+    game = _set_only_game(sets)
+    N, n = game.num_players, game.n
+    with np.errstate(**QUIET):   # inf - inf in the move, as in solve's loop
+        store, _ = step_from(game, x, np.zeros(0), np.zeros((N, n)), np.zeros((0, n)),
+                             np.ones(N), 1.0)
+    ref = np.concatenate([s.project(x[sl]) for s, sl in zip(sets, game.layout.slices)])
+    assert store["z"][1, :n].tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

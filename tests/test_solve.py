@@ -18,9 +18,9 @@ from gnepsolve.diagnostics import kkt_residual, projected_gradient_blocks
 from gnepsolve.lagrangian import QUIET, evaluate_point, lagrangian_values
 from gnepsolve.library import QuadraticGnepSpec, QuadraticPlayerSpec
 import reference
-from conftest import (ad_start, blocks_of, detach_batched_oracle, fast_config, free_affine_game,
-                      record_blocks, row_states, sampled_user_game, spectral_norm_reference,
-                      stopping_residual)
+from conftest import (ad_start, block_rows, blocks_of, detach_batched_oracle, fast_config,
+                      free_affine_game, record_blocks, row_states, sampled_user_game,
+                      spectral_norm_reference, stopping_residual)
 
 
 def test_example3_converges_from_all_starts(ex3_runs):
@@ -300,18 +300,17 @@ def test_block_rows_are_the_one_row_rows(monkeypatch):
             assert stacked.shape == col.shape and stacked.tobytes() == col.tobytes()
         if game is power:   # moving data: no fixed own-block norms, J stacked per block
             assert block_sizes(blocks) == [B, B, 9]
-            assert all(constants is None for (_, _, _, constants, _), _ in blocks)
-        for (game_, anchor, pending, constants, stall_tol), built in blocks:
-            for j, raw in enumerate(pending):
-                alone = trace_rows(game_, anchor, [raw], constants, stall_tol)
+            assert all(constants is None for (*_, constants, _), _ in blocks)
+        for (game_, anchor, store, rows, constants, stall_tol), built in blocks:
+            for j in range(rows):
+                alone = trace_rows(game_, anchor, block_rows(store, j), 1, constants, stall_tol)
                 assert alone["exit_kind"][0] == built["exit_kind"][j]
                 for f in fields(G.solver.TraceRow):
                     assert (np.asarray(alone[f.name][0]).tobytes()
                             == np.asarray(built[f.name][j]).tobytes()), (game.name, f.name)
-                # the next row's anchor: this row's k, state, J, values and
-                # objective data (a fixed run's J is the block anchor's)
-                J = anchor[3] if constants is not None else raw[5]
-                anchor = (built["k"][j], raw[0], raw[1], J, built["L_values"][j], raw[3])
+                # the next row's anchor: this row's k and values (its state,
+                # J and objective data are the store's row before the next)
+                anchor = (built["k"][j], built["L_values"][j])
         kinds.update(res.trace.columns["exit_kind"].tolist())
         if game is rq:
             assert res.outer_iterations == 297 and block_sizes(blocks) == [B] * 5   # 23 dropped
@@ -414,10 +413,10 @@ def test_varying_jacobian_norms_match_fresh_norms(monkeypatch):
     draw, resample = G.LipschitzEstimator._draw_pairs, G.LipschitzEstimator._resample
     step = G.solver._step
 
-    def recording_step(*args):
-        out = step(*args)
-        iterates.append(out[1][0])   # the new point
-        return out
+    def recording_step(game, store, r, *args):
+        move = step(game, store, r, *args)
+        iterates.append(store["z"][r + 1, :game.n].copy())   # the new point
+        return move
 
     def recording_draw(self):
         drawn.append(draw(self))
@@ -821,8 +820,8 @@ def test_a_failure_the_block_pass_finds_ends_the_run_at_its_iteration(monkeypatc
                                               -1.0770944519017236e+131]).tobytes()
     assert res.state.duals.lam.tobytes() == np.zeros(1).tobytes()
     assert res.final_residual == max(res.trace.rows[-1].dx_inf, res.trace.rows[-1].dlambda_inf)
-    (_, _, pending, *_), built = blocks[-1]
-    assert len(built["k"]) == 9 < len(pending)
+    (_, _, _, rows, *_), built = blocks[-1]
+    assert len(built["k"]) == 9 < rows
 
 
 def constraint_overflow_game():
@@ -859,9 +858,9 @@ def test_a_constraint_value_that_turns_non_finite_ends_the_run_before_it(monkeyp
     assert res.state.x.tobytes() == np.full(2, 2.2867622545673627e+103).tobytes()
     assert res.state.duals.lam.tobytes() == np.zeros(1).tobytes()
     assert res.final_residual == 2.540846949519292e+103
-    (_, _, pending, *_), built = blocks[-1]
-    assert len(built["k"]) == 44 < len(pending)
-    x, _, g, *_ = pending[44]   # iteration 109
+    (_, _, store, rows, *_), built = blocks[-1]
+    assert len(built["k"]) == 44 < rows
+    x, g = store["z"][45, :game.n], store["g"][44]   # iteration 109
     point = G.lagrangian.raw_sweep(game, x)
     assert np.isfinite(point[0]).all() and np.isfinite(point[1]).all()
     assert np.isfinite(point[3]).all() and g.tolist() == [-np.inf]
@@ -1034,7 +1033,7 @@ def test_stall_stop_does_not_depend_on_the_block_size(monkeypatch, block):
 
 
 def block_sizes(blocks):
-    return [len(pending) for (_, _, pending, *_), _ in blocks]
+    return [rows for (_, _, _, rows, *_), _ in blocks]
 
 
 def test_trace_blocks_fit_the_byte_budget(monkeypatch):
@@ -1071,6 +1070,84 @@ def test_blocks_are_full_except_the_last(monkeypatch):
     assert res.status == "converged" and res.outer_iterations == 3417
     assert block_sizes(blocks) == [256] * 13 + [89]
     assert fed == [256] * 13 + [88]
+
+
+def block_size_runs():
+    """A planted game that converges past one 256-row block, and power over
+    1,500 iterations, whose estimator resamples inside blocks."""
+    quad, plant = G.library.gen_random_quadratic_with_plant(2, 2, 1, seed=9)
+    power = G.library.builtin_instance("power")
+    return [(quad, plant, fast_config(outer_tol=1e-6, max_outer=30000), "converged"),
+            (power, np.zeros(power.n), G.SolverConfig(max_outer=1500), "max_outer")]
+
+
+def test_the_block_pass_reads_views_of_the_one_row_store(monkeypatch):
+    # every step of a run writes into one row store, and the trace block
+    # pass reads views of it (the rows' points, multipliers, constraint
+    # values, objective data and, for moving data, Jacobians and oracle
+    # values): no row is held twice and no block stacks its rows; no trace
+    # column and neither half of the final state is a view of the store,
+    # which the next block overwrites
+    stores, reads = [], []
+    step, objective_rows = G.solver._step, G.solver._objective_rows
+    monkeypatch.setattr(G.solver, "_step",
+                        lambda game, store, *args: (stores.append(store),
+                                                    step(game, store, *args))[1])
+    monkeypatch.setattr(G.solver, "_objective_rows",
+                        lambda *args: (reads.append(args), objective_rows(*args))[1])
+    for game, x0, cfg, status in block_size_runs():
+        stores.clear()
+        reads.clear()
+        res = G.solve(game, x0, cfg)
+        assert res.status == status and len(reads) > 1, game.name
+        store = stores[0]
+        assert len(stores) == res.outer_iterations and all(s is store for s in stores)
+        for _, (x_a, lam_a, J_a, obj_a), x, lam, g, J, _, obj, theta in reads:
+            pairs = [(x_a, "z"), (lam_a, "z"), (x, "z"), (lam, "z"), (g, "g"), (obj_a, "obj"),
+                     (obj, "obj"), (J_a, "J"), (J, "J")]
+            pairs += [] if theta is None else [(theta, "theta")]
+            assert all(np.shares_memory(a, store[f]) for a, f in pairs), game.name
+        held = [a for a in store.values() if a.flags.writeable]
+        for a in [res.state.x, res.state.duals.lam, *res.trace.columns.values()]:
+            assert not any(np.shares_memory(a, b) for b in held)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256])
+def test_trace_and_state_are_the_same_at_every_block_size(monkeypatch, rows):
+    # the store's rows are written, read and carried from block to block:
+    # at blocks of 1, 7 and 256 rows the trace columns, status and final
+    # state are the bytes of the default blocks
+    expected = [G.solve(game, x0, cfg) for game, x0, cfg, _ in block_size_runs()]
+    blocks_of(monkeypatch, rows)
+    for want, (game, x0, cfg, status) in zip(expected, block_size_runs()):
+        got = G.solve(game, x0, cfg)
+        assert got.status == want.status == status, game.name
+        assert got.outer_iterations == want.outer_iterations > 256
+        assert got.state.x.tobytes() == want.state.x.tobytes()
+        assert got.state.duals.lam.tobytes() == want.state.duals.lam.tobytes()
+        assert got.final_residual == want.final_residual
+        for f, col in want.trace.columns.items():
+            assert got.trace.columns[f].tobytes() == col.tobytes(), (game.name, f)
+        if game.name == "power":   # its estimator resampled, inside blocks of 7 and 256
+            assert len({row.M_g_own.tobytes() for row in got.trace.rows}) >= 3
+
+
+@pytest.mark.parametrize("name", ["power", "example3"])
+@pytest.mark.parametrize("beta", [4.0, 16.0])
+def test_stop_bounds_the_dual_move_in_the_problems_units(name, beta):
+    # solve stops on max(dx_inf, beta * dlambda_inf): a dual move of about g
+    # / beta then bounds the constraint violation by the tolerance at every
+    # beta (power at beta = 16 stopped infeasible by 1.6e-3 at tol 1e-4 on
+    # max(dx_inf, dlambda_inf)); the final residual is taken the same way
+    # from the trace's unscaled columns
+    game = G.library.builtin_instance(name)
+    cfg = G.SolverConfig(beta=beta)
+    res = G.solve(game, np.zeros(game.n), cfg)
+    cols = res.trace.columns
+    scaled = np.maximum(cols["dx_inf"], beta * cols["dlambda_inf"])
+    assert res.status == "converged"
+    assert res.final_residual == scaled[-1] <= cfg.outer_tol < scaled[:-1].min()
+    assert constraint_violation(evaluate_point(game, res.state.x).g_values) <= cfg.outer_tol
 
 
 def test_x0_outside_private_sets_is_projected():

@@ -22,7 +22,7 @@ from gnepsolve.lagrangian import (QUIET, PenaltyParams, evaluate_point,
                                   lagrangian_from_values, lagrangian_values, projected_gradient_x)
 import reference
 from conftest import (QUAD_SHAPES, blocks_of, dense_objective, detach_batched_oracle,
-                      row_states, sampled_user_game)
+                      record_blocks, row_states, sampled_user_game, step_from)
 
 _FIELDS = ("x", "theta", "theta_grads", "g_values", "g_jacobians")
 
@@ -312,28 +312,29 @@ def check_step(game, x, lam, gamma, beta):
     """``solve``'s step from ``(x, lam)`` (``solver._step``, from the
     objective data it keeps: ``G @ x`` with stacked quadratic data, else the
     oracle's gradients) against the reference path: the full sweep at
-    ``x``, ``build_anchor`` and ``solve_inner``, bit for bit. The new row is
-    the new point and multipliers, its halves views of it; the constraint
-    values and Jacobian are the sweep's there, and so are the own-block
-    gradients of the new objective data and, without stacked data, the
-    oracle's objective values and gradients."""
+    ``x``, ``build_anchor`` and ``solve_inner``, bit for bit. The new row of
+    the store is the new point and multipliers, and the move is the new
+    row less the old; the constraint values and Jacobian are the sweep's
+    there, and so are the own-block gradients of the new objective data
+    and, without stacked data, the oracle's objective values and
+    gradients."""
     q, point = game.quadratic, evaluate_point(game, x)
     want = reference.solve_inner(game, reference.build_anchor(game, lam, gamma, point),
                                  G.SolverConfig(beta=beta))
-    new, (x_new, lam_new, g, obj, theta), J = G.solver._step(
-        game, x, lam, point.theta_grads if q is None else np.matmul(q.G, x),
-        G.solver._jacobian_gathers(game, point.g_jacobians), game.layout.segments.repeat(gamma),
-        beta)
+    store, move = step_from(game, x, lam, point.theta_grads if q is None else np.matmul(q.G, x),
+                            point.g_jacobians, gamma, beta)
+    new, obj = store["z"][1], store["obj"][1]
     assert bits(new) == bits(np.concatenate([want.x_next, want.lam]))
-    assert x_new.base is new and lam_new.base is new
-    assert bits(x_new) == bits(want.x_next) and bits(lam_new) == bits(want.lam)
-    assert bits(g) == bits(want.point.g_values) and bits(J) == bits(want.point.g_jacobians)
+    assert bits(move) == bits(new - np.concatenate([x, lam]))
+    assert bits(store["g"][0]) == bits(want.point.g_values)
+    assert bits(store["J"][1]) == bits(want.point.g_jacobians)
     assert (bits(G.solver._own_grads(game, obj))
             == bits(reference.own_objective_grads(game, want.point)))
     if q is None:
-        assert bits(obj) == bits(want.point.theta_grads) and bits(theta) == bits(want.point.theta)
+        assert bits(obj) == bits(want.point.theta_grads)
+        assert bits(store["theta"][0]) == bits(want.point.theta)
     else:
-        assert theta is None
+        assert "theta" not in store
 
 
 def assorted_game():
@@ -365,10 +366,7 @@ def check_rows_are_reference_steps(monkeypatch, game, x0):
     reference step (the full sweep at row k-1's point, ``build_anchor`` at
     its multipliers with row k's gamma, ``solve_inner``) bit for bit, and
     the multipliers move."""
-    blocks = []
-    trace_rows = G.solver._trace_rows
-    monkeypatch.setattr(G.solver, "_trace_rows",
-                        lambda *args: (blocks.append((args, None)), trace_rows(*args))[1])
+    blocks = record_blocks(monkeypatch)
     cfg = G.SolverConfig(max_outer=60, outer_tol=1e-14)
     res = G.solve(game, x0, cfg)
     states = row_states(blocks, res.outer_iterations)
@@ -443,10 +441,11 @@ def test_one_row_step_terms_are_the_gemv_entries(make_game):
     for x, obj, lam in [(np.full(n, -0.0), np.full((N, n), -0.0), np.zeros(N)),
                         (np.abs(_signed(rng, n)), _signed(rng, (N, n)), np.abs(_signed(rng, N)))]:
         J = evaluate_point(game, x).g_jacobians
-        gamma = game.layout.segments.repeat(rng.uniform(0.5, 5.0, N))
-        one_row, views = (G.solver._step(game, x, lam, obj, G.solver._jacobian_gathers(game, J, m),
-                                         gamma, 1.0) for m in (True, False))
-        assert bits(one_row[0]) == bits(views[0]) and bits(one_row[2]) == bits(views[2])
+        gamma = rng.uniform(0.5, 5.0, N)
+        (one_row, _), (views, _) = (step_from(game, x, lam, obj, J, gamma, 1.0, moving=m)
+                                    for m in (True, False))
+        assert bits(one_row["z"][1]) == bits(views["z"][1])
+        assert bits(one_row["g"][0]) == bits(views["g"][0])
 
 
 def shaped_game(shapes, seed):
@@ -483,26 +482,23 @@ def test_block_pass_objective_values_and_slopes_are_the_one_row_values(monkeypat
     game = make_game()
     q, N, n = game.quadratic, game.num_players, game.n
     assert (q is None and dense is None) or len(q.dense_players) == dense
-    blocks, trace_rows = [], G.solver._trace_rows
-    monkeypatch.setattr(G.solver, "_trace_rows", lambda *args: (blocks.append(args[1:3]),
-                                                                trace_rows(*args))[1])
+    blocks = record_blocks(monkeypatch)
     monkeypatch.setattr(G.solver, "_STACK_BYTES", 3 * 8 * N * n)
     blocks_of(monkeypatch, 64)
     res = G.solve(game, np.zeros(n), G.SolverConfig(max_outer=70, outer_tol=1e-14))
     assert res.outer_iterations == 70 and len(blocks) == 2
-    for (_, x_a, lam_a, J_a, _, obj_a), pending in blocks:
-        x, lam, g, obj, values, *moving = map(list, zip(*pending))
-        x_prev, lam_prev = [x_a] + x[:-1], [lam_a] + lam[:-1]
-        X = np.array(x)
-        dx = X - np.array(x_prev)   # the loop's steps
+    for (_, _, store, *_), _ in blocks:   # the block's rows, led by the anchor
+        Z, obj, Js = store["z"], store["obj"], store["J"]
+        x, lam, x_prev, lam_prev = Z[1:, :n], Z[1:, n:], Z[:-1, :n], Z[:-1, n:]   # as solve
+        dx = x - x_prev   # the loop's steps
         if q is not None:
-            assert bits(q.products(X)) == bits([q.products(p) for p in X])
-        J = J_a if G.LipschitzEstimator(game).fixed else np.array(moving[0])
-        theta, slope = G.solver._objective_rows(game, (x_a, lam_a, J_a, obj_a), X, np.array(lam),
-                                                np.array(g), J, dx, np.array(obj),
-                                                None if q is not None else np.array(values))
-        assert len(theta) == len(slope) == len(pending)
-        for j in range(len(pending)):
+            assert bits(q.products(x)) == bits([q.products(p) for p in x])
+        J = Js[0] if G.LipschitzEstimator(game).fixed else Js[1:]
+        theta, slope = G.solver._objective_rows(game, (Z[0, :n], Z[0, n:], Js[0], obj[0]), x,
+                                                lam, store["g"], J, dx, obj[1:],
+                                                store.get("theta"))
+        assert len(theta) == len(slope) == len(x)
+        for j in range(len(x)):
             assert bits(theta[j]) == bits(evaluate_point(game, x[j]).theta)
             anchor = reference.build_anchor(game, lam_prev[j], np.ones(N),
                                             evaluate_point(game, x_prev[j]))
